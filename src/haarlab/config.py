@@ -48,7 +48,6 @@ class ExperimentConfig:
     mode: str = "concurrent"
     tau: float = -1.0           # <0: anneal so k reaches k_s halfway through training
     max_kl: float = 0.01
-    rollout_workers: int = 1
     no_annealing: bool = False  # transfer runs pin the skill length
     maze: str = ""              # override the task's maze kind
     maze_file: str = ""         # load a custom maze layout instead
@@ -68,7 +67,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown algorithm {self.algorithm!r} (choose from {ALGORITHMS})")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r} (choose from {MODES})")
-        for name in ("N", "B", "k_0", "k_s", "T", "n_skills", "rollout_workers"):
+        for name in ("N", "B", "k_0", "k_s", "T", "n_skills"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         for name in ("gamma_h", "gamma_l"):
@@ -126,11 +125,7 @@ class ExperimentConfig:
         return out
 
     def config_hash(self) -> str:
-        d = self.to_dict()
-        # worker count shards the rollout schedule without changing any
-        # result byte, so it stays out of the result-identity hash
-        d.pop("rollout_workers")
-        blob = json.dumps(d, sort_keys=True).encode()
+        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 
 

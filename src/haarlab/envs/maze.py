@@ -8,9 +8,12 @@ rectangle [c*cell_size, (c+1)*cell_size] x [r*cell_size, (r+1)*cell_size].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .raycast import face_table
 
 WALL, FREE, START, GOAL = "#", ".", "S", "G"
 
@@ -69,6 +72,7 @@ class MazeSpec:
     walls: np.ndarray = field(init=False, repr=False)
     start_cells: tuple[tuple[int, int], ...] = field(init=False)
     goal_cell: tuple[int, int] | None = field(init=False)
+    faces: tuple[np.ndarray, ...] = field(init=False, repr=False)  # see raycast.face_table
 
     def __post_init__(self):
         rows = len(self.grid)
@@ -103,6 +107,7 @@ class MazeSpec:
         self.walls = walls
         self.start_cells = tuple(starts)
         self.goal_cell = goals[0] if goals else None
+        self.faces = face_table(walls, self.cell_size)
 
     @property
     def n_rows(self) -> int:
@@ -120,10 +125,9 @@ class MazeSpec:
     def goal_center(self) -> np.ndarray | None:
         return None if self.goal_cell is None else self.cell_center(self.goal_cell)
 
-    def cell_of(self, position: np.ndarray) -> tuple[int, int]:
-        c = int(np.floor(position[0] / self.cell_size))
-        r = int(np.floor(position[1] / self.cell_size))
-        return r, c
+    def cell_of(self, position) -> tuple[int, int]:
+        return (math.floor(position[1] / self.cell_size),
+                math.floor(position[0] / self.cell_size))
 
     def is_wall_cell(self, r: int, c: int) -> bool:
         if r < 0 or c < 0 or r >= self.n_rows or c >= self.n_cols:

@@ -53,7 +53,7 @@ class EnvConfig:
             raise ValueError("v_max must be positive")
 
 
-@dataclass
+@dataclass(slots=True)
 class AgentState:
     position: np.ndarray
     velocity: np.ndarray
@@ -61,7 +61,7 @@ class AgentState:
     alive: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class EpisodeState:
     agent: AgentState
     t: int
@@ -110,8 +110,8 @@ class PointEnv:
         """
         c = math.cos(agent.heading)
         s = math.sin(agent.heading)
-        vx, vy = agent.velocity
-        return np.array([c * vx + s * vy, -s * vx + c * vy, s, c])
+        vx, vy = agent.velocity.tolist()
+        return np.array((c * vx + s * vy, -s * vx + c * vy, s, c))
 
     def high_obs(self, agent: AgentState, low: np.ndarray | None = None) -> np.ndarray:
         if low is None:
@@ -163,19 +163,24 @@ class PointEnv:
         if state.done or not state.agent.alive:
             raise RuntimeError("cannot step a finished episode")
         cfg = self.cfg
-        action = np.asarray(action, dtype=np.float64)
+        maze = self.maze
         agent = state.agent
-
-        v = agent.velocity + action * (cfg.action_scale * cfg.dt)
-        speed = math.hypot(v[0], v[1])
+        ax = float(action[0])
+        ay = float(action[1])
+        gain = cfg.action_scale * cfg.dt
+        vx, vy = agent.velocity.tolist()
+        vx += ax * gain
+        vy += ay * gain
+        speed = math.hypot(vx, vy)
         if speed > cfg.v_max:
-            v = v * (cfg.v_max / speed)
-        px, py, vx, vy = _sweep(self.maze, float(agent.position[0]), float(agent.position[1]),
-                                float(v[0]), float(v[1]), cfg.dt)
-        position = np.array([px, py])
-        velocity = np.array([vx, vy])
+            shrink = cfg.v_max / speed
+            vx *= shrink
+            vy *= shrink
+        px, py = agent.position.tolist()
+        px, py, vx, vy = _sweep(maze, px, py, vx, vy, cfg.dt)
+        position = np.array((px, py))
 
-        cmd = math.hypot(float(action[0]), float(action[1]))
+        cmd = math.hypot(ax, ay)
         overdrive = state.overdrive + 1 if (cfg.stumble_enabled and cmd > cfg.stumble_threshold) else 0
 
         t = state.t + 1
@@ -186,7 +191,7 @@ class PointEnv:
 
         food_active = state.food_active
         bomb_active = state.bomb_active
-        if self.maze.goal_cell is not None and self.maze.cell_of(position) == self.maze.goal_cell:
+        if maze.goal_cell is not None and maze.cell_of((px, py)) == maze.goal_cell:
             reward = cfg.goal_reward
             done = True
             info["goal"] = True
@@ -196,8 +201,8 @@ class PointEnv:
             alive = False
             info["death"] = True
         else:
-            if self.maze.kind == "gather":
-                radius = 0.5 * self.maze.cell_size
+            if maze.kind == "gather":
+                radius = 0.5 * maze.cell_size
                 food_active = food_active.copy()
                 bomb_active = bomb_active.copy()
                 hits = _contacts(position, state.food_sites, food_active, radius)
@@ -212,7 +217,7 @@ class PointEnv:
                 done = True
                 info["timeout"] = True
 
-        next_agent = AgentState(position=position, velocity=velocity,
+        next_agent = AgentState(position=position, velocity=np.array((vx, vy)),
                                 heading=agent.heading, alive=alive)
         next_state = EpisodeState(agent=next_agent, t=t, overdrive=overdrive, done=done,
                                   food_sites=state.food_sites, bomb_sites=state.bomb_sites,

@@ -6,13 +6,14 @@ distance to the first wall face, capped at ray_max. The bearing is the
 unit vector toward the goal expressed in the body frame (forward,
 lateral); walls never occlude it.
 
-Implementation: every maze exposes the set of wall faces adjacent to
-free space (axis-aligned segments, precomputed once per maze); all 20
-rays are intersected against all faces in one vectorized pass.
+Implementation: every maze builds, once, a table of the wall faces
+adjacent to free space (axis-aligned segments); all 20 rays are
+intersected against all faces in one vectorized pass.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -20,66 +21,64 @@ import numpy as np
 N_RAYS = 20
 _TWO_PI = 2.0 * math.pi
 _RAY_FRACTIONS = np.arange(N_RAYS) * (_TWO_PI / N_RAYS)
-_FACE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def exposed_faces(maze) -> tuple[np.ndarray, np.ndarray]:
-    """Wall faces touching free space.
+def face_table(walls: np.ndarray, cell_size: float) -> tuple[np.ndarray, ...]:
+    """Wall faces touching free space, as columns (axis, other, at, lo, hi).
 
-    Returns (vertical, horizontal): vertical rows are (x, y0, y1),
-    horizontal rows are (y, x0, x1), in world units.
+    Face i lies on the line x = at[i] (axis 0, vertical) or y = at[i]
+    (axis 1, horizontal) and spans [lo[i], hi[i]] along the other axis,
+    in world units; other = 1 - axis. at, lo and hi have shape (F, 1).
     """
-    cached = _FACE_CACHE.get(id(maze))
-    if cached is not None:
-        return cached
-    cs = maze.cell_size
-    walls = maze.walls
-    vert, horiz = [], []
+    cs = cell_size
+    faces = []
     rows, cols = walls.shape
     for r in range(rows):
         for c in range(cols):
             if not walls[r, c]:
                 continue
             if c > 0 and not walls[r, c - 1]:
-                vert.append((c * cs, r * cs, (r + 1) * cs))
+                faces.append((0, c * cs, r * cs, (r + 1) * cs))
             if c + 1 < cols and not walls[r, c + 1]:
-                vert.append(((c + 1) * cs, r * cs, (r + 1) * cs))
+                faces.append((0, (c + 1) * cs, r * cs, (r + 1) * cs))
             if r > 0 and not walls[r - 1, c]:
-                horiz.append((r * cs, c * cs, (c + 1) * cs))
+                faces.append((1, r * cs, c * cs, (c + 1) * cs))
             if r + 1 < rows and not walls[r + 1, c]:
-                horiz.append(((r + 1) * cs, c * cs, (c + 1) * cs))
-    out = (np.array(vert, dtype=np.float64).reshape(-1, 3),
-           np.array(horiz, dtype=np.float64).reshape(-1, 3))
-    _FACE_CACHE[id(maze)] = out
-    return out
+                faces.append((1, (r + 1) * cs, c * cs, (c + 1) * cs))
+    table = np.array(faces, dtype=np.float64).reshape(-1, 4)
+    axis = table[:, 0].astype(np.intp)
+    return axis, 1 - axis, table[:, 1:2], table[:, 2:3], table[:, 3:4]
+
+
+@functools.lru_cache(maxsize=64)
+def _ray_directions(heading: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (cos, sin) of the ray angles, and the same with exact zeros
+    replaced by NaN for use as divisors. Read-only, shared per heading."""
+    angles = heading + _RAY_FRACTIONS
+    d = np.stack((np.cos(angles), np.sin(angles)))
+    divisor = np.where(d == 0.0, np.nan, d)
+    d.setflags(write=False)
+    divisor.setflags(write=False)
+    return d, divisor
 
 
 def raycast(position: np.ndarray, heading: float, maze, ray_max: float) -> np.ndarray:
-    """Distances to the first wall along each of the 20 rays."""
-    vert, horiz = exposed_faces(maze)
-    angles = heading + _RAY_FRACTIONS
-    dx = np.cos(angles)
-    dy = np.sin(angles)
-    px = float(position[0])
-    py = float(position[1])
-    dist = np.full(N_RAYS, ray_max)
-    if len(vert):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (vert[:, 0][None, :] - px) / dx[:, None]
-        y_hit = py + t * dy[:, None]
-        ok = (np.isfinite(t) & (t >= 0.0)
-              & (y_hit >= vert[:, 1][None, :]) & (y_hit <= vert[:, 2][None, :]))
-        t = np.where(ok, t, np.inf)
-        dist = np.minimum(dist, t.min(axis=1))
-    if len(horiz):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (horiz[:, 0][None, :] - py) / dy[:, None]
-        x_hit = px + t * dx[:, None]
-        ok = (np.isfinite(t) & (t >= 0.0)
-              & (x_hit >= horiz[:, 1][None, :]) & (x_hit <= horiz[:, 2][None, :]))
-        t = np.where(ok, t, np.inf)
-        dist = np.minimum(dist, t.min(axis=1))
-    return dist
+    """Distances to the first wall along each of the 20 rays.
+
+    For a face on x = at the ray parameter is t = (at - px) / dx and the
+    crossing lies at py + t * dy (x and y swap for y = at). A direction
+    component of exactly zero never meets a face it is parallel to: as a
+    NaN divisor it makes t NaN, and every comparison on NaN is false.
+    """
+    axis, other, at, lo, hi = maze.faces
+    d, divisor = _ray_directions(heading)
+    p = np.array(((float(position[0]),), (float(position[1]),)))
+    t = (at - p.take(axis, axis=0)) / divisor.take(axis, axis=0)
+    hit = p.take(other, axis=0) + t * d.take(other, axis=0)
+    ok = t >= 0.0
+    ok &= hit >= lo
+    ok &= hit <= hi
+    return np.where(ok, t, np.inf).min(axis=0, initial=ray_max)
 
 
 def goal_bearing(position: np.ndarray, heading: float, goal: np.ndarray | None) -> np.ndarray:

@@ -3,9 +3,10 @@
 Every run writes one directory per seed:
 
     metrics.csv       per-iteration training metrics (deterministic:
-                      identical bytes for identical config + seed; the
-                      wall_time_s column is reserved and always 0.0,
-                      measured timing lives in timing.csv / run.json)
+                      identical bytes for identical config, seed and
+                      BLAS thread count; the wall_time_s column is
+                      reserved and always 0.0, measured timing lives
+                      in timing.csv / run.json)
     diagnostics.csv   per-update trust-region audit rows
     timing.csv        measured per-iteration wall time (not covered by
                       the determinism contract)
@@ -31,13 +32,12 @@ import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, ExperimentConfig
-from .hierarchy import SkillSchedule, TrainState, episode_rng, haar_iteration
+from .hierarchy import (SkillSchedule, TrainState, discounted_returns, episode_rng,
+                        fit_value_on_scaled, haar_iteration)
 from .nets import MlpSpec
 from .policies import CategoricalPolicy, GaussianPolicy
 from .pretrain import fresh_low_policy, pretrain_skills
 from .trpo import AdvantageBatch, TrpoConfig, trpo_update
-from .values import fit_value
-from .hierarchy import fit_value_on_scaled
 
 HIGH_INIT_STREAM = 0x12
 FLAT_INIT_STREAM = 0x13
@@ -204,7 +204,7 @@ def _run_hierarchical(cfg, seed, run_dir, skills_checkpoint, transfer,
         trpo_high=TrpoConfig(max_kl=cfg.max_kl), trpo_low=TrpoConfig(max_kl=cfg.max_kl),
         seed=seed, mode=cfg.mode,
         update_low=cfg.algorithm != "frozen_skills",
-        ridge=cfg.ridge, n_workers=cfg.rollout_workers)
+        ridge=cfg.ridge)
 
     metrics = _CsvSink(os.path.join(run_dir, "metrics.csv"), METRIC_COLUMNS)
     diags = _CsvSink(os.path.join(run_dir, "diagnostics.csv"), DIAG_COLUMNS)
@@ -267,14 +267,20 @@ def _run_flat(cfg, seed, run_dir, log):
     timing = _CsvSink(os.path.join(run_dir, "timing.csv"), ("iteration", "wall_time_s"))
     total_steps = 0
     final_success = 0.0
+    rows = cfg.B + cfg.T  # the last episode starts below B and lasts at most T steps
     try:
         for it in range(cfg.N):
             t_it = time.perf_counter()
-            obs_l, acts, rewards, dones, logps, dists = [], [], [], [], [], []
+            obs = np.empty((rows, env.high_obs_dim))
+            acts = np.empty((rows, 2))
+            dists = np.empty((rows, 2))
+            logps = np.empty(rows)
+            rewards = np.empty(rows)
+            dones = np.zeros(rows, dtype=bool)
             successes, returns = [], []
-            collected = 0
+            n = 0
             ep = 0
-            while collected < cfg.B:
+            while n < cfg.B:
                 rng = episode_rng((seed, it), ep)
                 state, ob = env.reset(rng)
                 done = False
@@ -284,33 +290,27 @@ def _run_flat(cfg, seed, run_dir, log):
                     s_h = ob.high
                     a, logp, mu = policy.act(s_h, rng)
                     state, ob, r, done, info = env.step(state, a)
-                    obs_l.append(s_h)
-                    acts.append(a)
-                    rewards.append(r)
-                    dones.append(done)
-                    logps.append(logp)
-                    dists.append(mu)
+                    obs[n] = s_h
+                    acts[n] = a
+                    dists[n] = mu
+                    logps[n] = logp
+                    rewards[n] = r
                     ep_ret += r
-                    collected += 1
+                    n += 1
                     if info.get("goal"):
                         success = True
+                dones[n - 1] = True
                 successes.append(success)
                 returns.append(ep_ret)
                 ep += 1
-            obs_arr = np.stack(obs_l)
-            rets = np.zeros(len(rewards))
-            running = 0.0
-            for i in range(len(rewards) - 1, -1, -1):
-                if dones[i]:
-                    running = 0.0
-                running = rewards[i] + cfg.gamma_l * running
-                rets[i] = running
-            v = fit_value_on_scaled(obs_arr, rets, env.high_obs_scale, cfg.ridge)
-            adv = rets - v.predict(obs_arr)
-            batch = AdvantageBatch(obs_arr, np.stack(acts), adv, np.array(logps),
-                                   (np.stack(dists), policy.log_std.copy()))
+            obs = obs[:n]
+            rets = discounted_returns(rewards[:n], dones[:n], cfg.gamma_l)
+            v = fit_value_on_scaled(obs, rets, env.high_obs_scale, cfg.ridge)
+            adv = rets - v.predict(obs)
+            batch = AdvantageBatch(obs, acts[:n], adv, logps[:n],
+                                   (dists[:n], policy.log_std.copy()))
             diag = trpo_update(policy, batch, trpo_cfg)
-            total_steps += collected
+            total_steps += n
             final_success = float(np.mean(successes))
             metrics.row([it, total_steps, 1, final_success, float(np.mean(returns)),
                          diag.kl, 0.0, diag.improvement, 0.0, 0.0])

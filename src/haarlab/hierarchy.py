@@ -6,7 +6,7 @@ Rollout scheme: the high-level policy picks a skill from the full
 observation every k low steps; the low-level policy runs that skill
 (its one-hot appended to the ego observation) until the segment ends.
 The high-level reward for a segment is the plain sum of the environment
-rewards inside it. Low-level transitions are later rewarded with the
+rewards inside it. Low-level steps are later rewarded with the
 segment's estimated high-level advantage split evenly over the
 segment's actual length, so the per-segment sums reproduce the
 advantage exactly; that conservation is enforced on every call and is
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,39 +55,6 @@ class SkillSchedule:
 
 
 @dataclass
-class HighTransition:
-    s_h: np.ndarray
-    a_h: int
-    r_h: float
-    s_h_next: np.ndarray
-    done: bool
-    seg_len: int
-    episode: int
-    logp: float
-    dist: np.ndarray
-
-
-@dataclass
-class LowTransition:
-    x_l: np.ndarray          # policy input: ego observation + one-hot skill
-    a_l: np.ndarray
-    r_l: float
-    s_l_next: np.ndarray
-    done: bool
-    segment_id: int
-    logp: float
-    dist: object
-
-    @property
-    def s_l(self) -> np.ndarray:
-        return self.x_l[:len(self.s_l_next)]
-
-    @property
-    def skill(self) -> int:
-        return int(np.argmax(self.x_l[len(self.s_l_next):]))
-
-
-@dataclass
 class EpisodeSummary:
     total_return: float
     success: bool
@@ -96,19 +63,39 @@ class EpisodeSummary:
 
 @dataclass
 class RolloutBatch:
-    high: list[HighTransition]
-    low: list[LowTransition]
+    """One batch as arrays: row i of a per-step array is the i-th low
+    step, row j of a per-segment array the j-th skill segment, both in
+    simulation order."""
+    # per low step
+    x_l: np.ndarray          # policy input: ego observation + one-hot skill
+    a_l: np.ndarray
+    logp_l: np.ndarray
+    dist_l: np.ndarray       # the low policy's distribution parameters
+    done_l: np.ndarray       # the step ended its episode
+    segment_id: np.ndarray
+    # per segment
+    s_h: np.ndarray          # observation the skill was chosen from
+    s_h_next: np.ndarray     # observation after its last step
+    a_h: np.ndarray          # skill index
+    r_h: np.ndarray          # sum of the environment rewards inside it
+    done_h: np.ndarray       # the segment ended its episode
+    seg_len: np.ndarray
+    logp_h: np.ndarray
+    dist_h: np.ndarray
     episodes: list[EpisodeSummary]
     low_dim: int
     n_skills: int
+    low_log_std: np.ndarray | None = None
+    r_l: np.ndarray = field(init=False)  # auxiliary rewards, see assign_auxiliary_rewards
 
     def __post_init__(self):
-        if sum(h.seg_len for h in self.high) != len(self.low):
-            raise ValueError("segment lengths do not cover the low-level transitions")
+        if int(self.seg_len.sum()) != len(self.x_l):
+            raise ValueError("segment lengths do not cover the low-level steps")
+        self.r_l = np.zeros(len(self.x_l))
 
     @property
     def n_low_steps(self) -> int:
-        return len(self.low)
+        return len(self.x_l)
 
     def success_rate(self) -> float:
         return float(np.mean([e.success for e in self.episodes])) if self.episodes else 0.0
@@ -118,111 +105,120 @@ class RolloutBatch:
 
 
 def episode_rng(seed: tuple[int, ...], episode: int) -> np.random.Generator:
-    """Stream for one episode, independent of which worker runs it."""
+    """Stream for one episode, independent of every other episode."""
     return np.random.default_rng(np.random.SeedSequence((*seed, EPISODE_STREAM, episode)))
 
 
+def _zero_extended(arrays, rows: int) -> list[np.ndarray]:
+    return [np.concatenate((a, np.zeros((rows - len(a), *a.shape[1:]), a.dtype)))
+            for a in arrays]
+
+
 def collect_rollouts(pi_h, pi_l, env, n_skills: int, budget_low_steps: int, k: int,
-                     seed: tuple[int, ...], n_workers: int = 1) -> RolloutBatch:
+                     seed: tuple[int, ...]) -> RolloutBatch:
     """Simulate episodes until the low-step budget is met.
 
-    Episodes are seeded by their index, so the batch content is
-    identical for every worker count; lanes only shard the schedule.
-    The final episode always runs to completion.
+    Episodes are seeded by their index. The final episode always runs to
+    completion. Low steps are written straight into preallocated arrays
+    that double when full; the action and distribution columns take
+    their shape from the first low-level action.
     """
     if k < 1 or budget_low_steps < 1:
         raise ValueError("k and the step budget must be >= 1")
-    if n_workers < 1:
-        raise ValueError("n_workers must be >= 1")
     low_dim = env.low_obs_dim
-    high: list[HighTransition] = []
-    low: list[LowTransition] = []
+    rows = budget_low_steps + k
+    x_l = np.zeros((rows, low_dim + n_skills))
+    logp_l = np.zeros(rows)
+    segment_id = np.zeros(rows, dtype=np.intp)
+    done_l = np.zeros(rows, dtype=bool)
+    a_l = dist_l = None
+    segments = []  # (s_h, s_h_next, a_h, r_h, done_h, seg_len, logp_h, dist_h) per segment
     episodes: list[EpisodeSummary] = []
-    total = 0
+    n = 0
     ep_index = 0
-    while total < budget_low_steps:
+    while n < budget_low_steps:
         rng = episode_rng(seed, ep_index)
         state, obs = env.reset(rng)
+        ep_start = n
         ep_return = 0.0
-        ep_len = 0
         success = False
         done = False
         while not done:
-            s_h = obs.high
-            skill, logp_h, dist_h = pi_h.act(s_h, rng)
-            seg_id = len(high)
-            onehot_block = np.zeros(n_skills)
-            onehot_block[skill] = 1.0
-            r_h = 0.0
-            seg_len = 0
+            high = obs.high
+            skill, logp, dist = pi_h.act(high, rng)
+            if n + k > len(x_l):
+                x_l, logp_l, segment_id, done_l, a_l, dist_l = _zero_extended(
+                    (x_l, logp_l, segment_id, done_l, a_l, dist_l), 2 * len(x_l))
+            start = n
+            x_l[start:start + k, low_dim + skill] = 1.0
+            r = 0.0
             for _ in range(k):
-                x = np.empty(low_dim + n_skills)
+                x = x_l[n]
                 x[:low_dim] = obs.low
-                x[low_dim:] = onehot_block
-                a, logp_l, dist_l = pi_l.act(x, rng)
+                a, logp_a, dist_a = pi_l.act(x, rng)
+                if a_l is None:
+                    a_l = np.zeros((len(x_l), *np.shape(a)), dtype=np.asarray(a).dtype)
+                    dist_l = np.zeros((len(x_l), *np.shape(dist_a)))
+                a_l[n] = a
+                logp_l[n] = logp_a
+                dist_l[n] = dist_a
                 state, obs, reward, done, info = env.step(state, a)
-                low.append(LowTransition(x_l=x, a_l=a, r_l=0.0, s_l_next=obs.low,
-                                         done=done, segment_id=seg_id, logp=logp_l,
-                                         dist=dist_l))
-                r_h += reward
+                n += 1
+                r += reward
                 ep_return += reward
-                seg_len += 1
-                ep_len += 1
                 if info.get("goal"):
                     success = True
                 if done:
                     break
-            high.append(HighTransition(s_h=s_h, a_h=skill, r_h=r_h, s_h_next=obs.high,
-                                       done=done, seg_len=seg_len, episode=ep_index,
-                                       logp=logp_h, dist=dist_h))
-        episodes.append(EpisodeSummary(total_return=ep_return, success=success, length=ep_len))
-        total += ep_len
+            x_l[n:start + k, low_dim + skill] = 0.0  # rows the segment did not reach
+            segment_id[start:n] = len(segments)
+            segments.append((high, obs.high, skill, r, done, n - start, logp, dist))
+        done_l[n - 1] = True
+        episodes.append(EpisodeSummary(total_return=ep_return, success=success,
+                                       length=n - ep_start))
         ep_index += 1
-    try:
-        low_log_std = pi_l.log_std.copy()
-    except AttributeError:
-        low_log_std = None
-    batch = RolloutBatch(high=high, low=low, episodes=episodes,
-                         low_dim=low_dim, n_skills=n_skills)
-    batch.low_log_std = low_log_std
-    return batch
+    s_h, s_h_next, a_h, r_h, done_h, seg_len, logp_h, dist_h = zip(*segments)
+    log_std = getattr(pi_l, "log_std", None)
+    return RolloutBatch(
+        x_l=x_l[:n], a_l=a_l[:n], logp_l=logp_l[:n], dist_l=dist_l[:n],
+        done_l=done_l[:n], segment_id=segment_id[:n],
+        s_h=np.stack(s_h), s_h_next=np.stack(s_h_next), a_h=np.array(a_h, dtype=np.intp),
+        r_h=np.array(r_h), done_h=np.array(done_h), seg_len=np.array(seg_len, dtype=np.intp),
+        logp_h=np.array(logp_h), dist_h=np.stack(dist_h), episodes=episodes,
+        low_dim=low_dim, n_skills=n_skills,
+        low_log_std=None if log_std is None else log_std.copy())
+
+
+def discounted_returns(rewards: np.ndarray, dones: np.ndarray, gamma: float) -> np.ndarray:
+    """Discounted return-to-go of each row, restarting after a done row."""
+    rs = rewards.tolist()
+    ds = dones.tolist()
+    out = [0.0] * len(rs)
+    running = 0.0
+    for i in range(len(rs) - 1, -1, -1):
+        if ds[i]:
+            running = 0.0
+        running = rs[i] + gamma * running
+        out[i] = running
+    return np.array(out)
 
 
 def high_returns(batch: RolloutBatch, gamma_h: float) -> np.ndarray:
     """Per-decision discounted return-to-go of the segment rewards."""
-    out = np.zeros(len(batch.high))
-    running = 0.0
-    for i in range(len(batch.high) - 1, -1, -1):
-        h = batch.high[i]
-        if h.done:
-            running = 0.0
-        running = h.r_h + gamma_h * running
-        out[i] = running
-    return out
+    return discounted_returns(batch.r_h, batch.done_h, gamma_h)
 
 
 def low_returns(batch: RolloutBatch, gamma_l: float) -> np.ndarray:
     """Per-step discounted return-to-go of the auxiliary rewards."""
-    out = np.zeros(len(batch.low))
-    running = 0.0
-    for i in range(len(batch.low) - 1, -1, -1):
-        t = batch.low[i]
-        if t.done:
-            running = 0.0
-        running = t.r_l + gamma_l * running
-        out[i] = running
-    return out
+    return discounted_returns(batch.r_l, batch.done_l, gamma_l)
 
 
 def estimate_high_advantages(batch: RolloutBatch, v_h: PolynomialValueEstimator,
                              gamma_h: float) -> np.ndarray:
     """One-step advantage r + gamma * V(s') - V(s), zero bootstrap at
     terminal segments."""
-    s = np.stack([h.s_h for h in batch.high])
-    s_next = np.stack([h.s_h_next for h in batch.high])
-    r = np.array([h.r_h for h in batch.high])
-    live = np.array([0.0 if h.done else 1.0 for h in batch.high])
-    return r + gamma_h * v_h.predict(s_next) * live - v_h.predict(s)
+    live = np.where(batch.done_h, 0.0, 1.0)
+    return batch.r_h + gamma_h * v_h.predict(batch.s_h_next) * live - v_h.predict(batch.s_h)
 
 
 def assign_auxiliary_rewards(batch: RolloutBatch, advantages: np.ndarray) -> None:
@@ -232,13 +228,11 @@ def assign_auxiliary_rewards(batch: RolloutBatch, advantages: np.ndarray) -> Non
     check is a hard error (not an assert), so it can never be disabled.
     """
     advantages = np.asarray(advantages, dtype=np.float64)
-    if advantages.shape != (len(batch.high),):
-        raise ValueError("advantages must align with the high-level transitions")
-    sums = np.zeros(len(batch.high))
-    for t in batch.low:
-        seg = t.segment_id
-        t.r_l = advantages[seg] / batch.high[seg].seg_len
-        sums[seg] += t.r_l
+    if advantages.shape != (len(batch.seg_len),):
+        raise ValueError("advantages must align with the segments")
+    batch.r_l = (advantages / batch.seg_len)[batch.segment_id]
+    # bincount adds each segment's rewards in step order
+    sums = np.bincount(batch.segment_id, weights=batch.r_l, minlength=len(advantages))
     err = np.max(np.abs(sums - advantages), initial=0.0)
     if err > 1e-9:
         raise ConservationError(
@@ -252,24 +246,20 @@ def prepare_level_batches(batch: RolloutBatch, advantages: np.ndarray, gamma_l: 
     The high level consumes the one-step advantages directly; the low
     level uses discounted auxiliary returns against its own baseline.
     """
-    high_obs = np.stack([h.s_h for h in batch.high])
     high_batch = AdvantageBatch(
-        observations=high_obs,
-        actions=np.array([h.a_h for h in batch.high], dtype=np.intp),
+        observations=batch.s_h,
+        actions=batch.a_h,
         advantages=advantages,
-        old_log_probs=np.array([h.logp for h in batch.high]),
-        old_dist=np.stack([h.dist for h in batch.high]),
+        old_log_probs=batch.logp_h,
+        old_dist=batch.dist_h,
     )
-    low_obs = np.stack([t.x_l for t in batch.low])
-    s_l = low_obs[:, :batch.low_dim]
-    returns = low_returns(batch, gamma_l)
-    low_adv = returns - v_l.predict(s_l)
+    low_adv = low_returns(batch, gamma_l) - v_l.predict(batch.x_l[:, :batch.low_dim])
     low_batch = AdvantageBatch(
-        observations=low_obs,
-        actions=np.stack([t.a_l for t in batch.low]),
+        observations=batch.x_l,
+        actions=batch.a_l,
         advantages=low_adv,
-        old_log_probs=np.array([t.logp for t in batch.low]),
-        old_dist=(np.stack([t.dist for t in batch.low]), batch.low_log_std),
+        old_log_probs=batch.logp_l,
+        old_dist=(batch.dist_l, batch.low_log_std),
     )
     return high_batch, low_batch
 
@@ -290,7 +280,6 @@ class TrainState:
     mode: str = "concurrent"
     update_low: bool = True
     ridge: float = 1e-5
-    n_workers: int = 1
     iteration: int = 0
     total_low_steps: int = 0
 
@@ -310,12 +299,9 @@ def haar_iteration(state: TrainState, env) -> dict:
     t_start = time.perf_counter()
     k = state.schedule.current_k()
     batch = collect_rollouts(state.pi_h, state.pi_l, env, state.n_skills,
-                             state.batch_low_steps, k,
-                             seed=(state.seed, state.iteration),
-                             n_workers=state.n_workers)
+                             state.batch_low_steps, k, seed=(state.seed, state.iteration))
 
-    high_obs = np.stack([h.s_h for h in batch.high])
-    v_h = fit_value_on_scaled(high_obs, high_returns(batch, state.gamma_h),
+    v_h = fit_value_on_scaled(batch.s_h, high_returns(batch, state.gamma_h),
                               env.high_obs_scale, state.ridge)
     advantages = estimate_high_advantages(batch, v_h, state.gamma_h)
     assign_auxiliary_rewards(batch, advantages)
@@ -324,9 +310,7 @@ def haar_iteration(state: TrainState, env) -> dict:
     do_high = state.mode == "concurrent" or ordinal % 2 == 1
     do_low = (state.mode == "concurrent" or ordinal % 2 == 0) and state.update_low
 
-    low_obs = np.stack([t.x_l for t in batch.low])
-    s_l = low_obs[:, :batch.low_dim]
-    v_l = fit_value_on_scaled(s_l, low_returns(batch, state.gamma_l),
+    v_l = fit_value_on_scaled(batch.x_l[:, :batch.low_dim], low_returns(batch, state.gamma_l),
                               env.low_obs_scale, state.ridge)
     high_batch, low_batch = prepare_level_batches(batch, advantages, state.gamma_l, v_l)
 

@@ -112,16 +112,29 @@ class GaussianPolicy:
 
     def log_prob(self, obs: np.ndarray, action: np.ndarray) -> float | np.ndarray:
         """Exact log density; obs may be a single vector or a batch."""
-        mu = self.mean(obs)
-        log_std = self.log_std
+        return self.dist_log_prob(self.dist_params(obs), action)
+
+    def dist_params(self, obs: np.ndarray):
+        """Cacheable distribution parameters: (means, log_std copy)."""
+        return self.mean(obs), self.log_std.copy()
+
+    def dist_log_prob(self, dist, action: np.ndarray) -> float | np.ndarray:
+        """Log density of actions under distribution parameters `dist`."""
+        mu, log_std = dist
         z = (np.asarray(action, dtype=np.float64) - mu) * np.exp(-log_std)
         quad = (z * z).sum(axis=-1)
         out = -0.5 * quad - log_std.sum() - 0.5 * self.action_dim * LOG_2PI
         return float(out) if np.ndim(out) == 0 else out
 
-    def dist_params(self, obs: np.ndarray):
-        """Cacheable distribution parameters: (means, log_std copy)."""
-        return self.mean(obs), self.log_std.copy()
+    def dist_kl(self, old_dist, dist) -> float:
+        """Mean KL(old || dist) over the batch, closed form."""
+        old_mu, old_log_std = old_dist
+        mu, log_std = dist
+        var = np.exp(2.0 * log_std)
+        old_var = np.exp(2.0 * old_log_std)
+        per_dim = (log_std - old_log_std
+                   + (old_var + (old_mu - mu) ** 2) / (2.0 * var) - 0.5)
+        return float(per_dim.sum(axis=-1).mean())
 
     def grad_logprob_weighted(self, obs: np.ndarray, actions: np.ndarray,
                               weights: np.ndarray) -> np.ndarray:
@@ -147,14 +160,7 @@ class GaussianPolicy:
 
     def mean_kl(self, old_dist, obs: np.ndarray) -> float:
         """Mean KL(old || current) over the batch, closed form."""
-        old_mu, old_log_std = old_dist
-        mu = self.mean(np.atleast_2d(obs))
-        log_std = self.log_std
-        var = np.exp(2.0 * log_std)
-        old_var = np.exp(2.0 * old_log_std)
-        per_dim = (log_std - old_log_std
-                   + (old_var + (old_mu - mu) ** 2) / (2.0 * var) - 0.5)
-        return float(per_dim.sum(axis=-1).mean())
+        return self.dist_kl(old_dist, self.dist_params(np.atleast_2d(obs)))
 
     def kl_grad(self, old_dist, obs: np.ndarray) -> np.ndarray:
         """Gradient of mean_kl w.r.t. the current parameters."""
@@ -265,14 +271,24 @@ class CategoricalPolicy:
         return index, float(logp[index]), logp
 
     def log_prob(self, obs: np.ndarray, action) -> float | np.ndarray:
-        logp = self.log_probs(obs)
+        return self.dist_log_prob(self.log_probs(obs), action)
+
+    def dist_params(self, obs: np.ndarray) -> np.ndarray:
+        return self.log_probs(obs)
+
+    def dist_log_prob(self, logp: np.ndarray, action) -> float | np.ndarray:
+        """Log-probability of actions under the log-probability rows `logp`."""
         if logp.ndim == 1:
             return float(logp[int(action)])
         idx = np.asarray(action, dtype=np.intp)
         return logp[np.arange(logp.shape[0]), idx]
 
-    def dist_params(self, obs: np.ndarray) -> np.ndarray:
-        return self.log_probs(obs)
+    def dist_kl(self, old_dist: np.ndarray, logp: np.ndarray) -> float:
+        """Mean KL(old || logp) over the batch."""
+        old_logp = np.atleast_2d(old_dist)
+        new_logp = np.atleast_2d(logp)
+        p_old = np.exp(old_logp)
+        return float((p_old * (old_logp - new_logp)).sum(axis=1).mean())
 
     def grad_logprob_weighted(self, obs: np.ndarray, actions, weights) -> np.ndarray:
         obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
@@ -292,10 +308,7 @@ class CategoricalPolicy:
         return backward(self.spec, w, acts, gy)
 
     def mean_kl(self, old_dist: np.ndarray, obs: np.ndarray) -> float:
-        old_logp = np.atleast_2d(old_dist)
-        new_logp = np.atleast_2d(self.log_probs(obs))
-        p_old = np.exp(old_logp)
-        return float((p_old * (old_logp - new_logp)).sum(axis=1).mean())
+        return self.dist_kl(old_dist, self.log_probs(obs))
 
     def kl_grad(self, old_dist: np.ndarray, obs: np.ndarray) -> np.ndarray:
         old_logp = np.atleast_2d(old_dist)

@@ -121,19 +121,13 @@ def pretrain_skills(cfg: PretrainConfig, seed: int,
     if cfg.proxy == "random_init":
         return pi_l, []
     trpo_cfg = trpo_cfg or TrpoConfig()
-    from .hierarchy import fit_value_on_scaled  # shared ridge-fit helper
+    from .hierarchy import discounted_returns, fit_value_on_scaled
     x_scale = np.concatenate([env.low_obs_scale, np.ones(cfg.n_skills)])
     stats = []
     for it in range(cfg.iterations):
         xs, acts, rewards, dones, logps, dists = _collect_proxy_batch(
             pi_l, env, cfg, seed, it)
-        returns = np.zeros(len(rewards))
-        running = 0.0
-        for i in range(len(rewards) - 1, -1, -1):
-            if dones[i]:
-                running = 0.0
-            running = rewards[i] + cfg.gamma * running
-            returns[i] = running
+        returns = discounted_returns(rewards, dones, cfg.gamma)
         v = fit_value_on_scaled(xs, returns, x_scale, ridge)
         adv = returns - v.predict(xs)
         batch = AdvantageBatch(xs, acts, adv, logps, (dists, pi_l.log_std.copy()))

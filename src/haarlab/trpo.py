@@ -77,9 +77,11 @@ class TrpoDiagnostics:
 
 def surrogate_loss(batch: AdvantageBatch, policy) -> float:
     """mean(exp(logp - old_logp) * A); equals mean(A) at the old parameters."""
-    logp = policy.log_prob(batch.observations, batch.actions)
-    ratio = np.exp(logp - batch.old_log_probs)
-    return float(np.mean(ratio * batch.advantages))
+    return _surrogate(batch, policy.log_prob(batch.observations, batch.actions))
+
+
+def _surrogate(batch: AdvantageBatch, logp: np.ndarray) -> float:
+    return float(np.mean(np.exp(logp - batch.old_log_probs) * batch.advantages))
 
 
 def conjugate_gradient(apply_a: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
@@ -133,11 +135,10 @@ def trpo_update(policy, batch: AdvantageBatch, cfg: TrpoConfig) -> TrpoDiagnosti
         adv = standardize_advantages(adv)
     work = AdvantageBatch(batch.observations, batch.actions, adv,
                           batch.old_log_probs, batch.old_dist)
-    surr_before = surrogate_loss(work, policy)
-
-    logp = policy.log_prob(work.observations, work.actions)
-    ratio = np.exp(logp - work.old_log_probs)
-    g = policy.grad_logprob_weighted(work.observations, work.actions, ratio * adv)
+    # one forward pass gives both the surrogate and the gradient's weights
+    weights = np.exp(policy.log_prob(work.observations, work.actions) - work.old_log_probs) * adv
+    surr_before = float(np.mean(weights))
+    g = policy.grad_logprob_weighted(work.observations, work.actions, weights)
     if not np.all(np.isfinite(g)) or float(np.max(np.abs(g), initial=0.0)) < 1e-12:
         return TrpoDiagnostics(False, 0.0, surr_before, surr_before, 0)
 
@@ -155,8 +156,9 @@ def trpo_update(policy, batch: AdvantageBatch, cfg: TrpoConfig) -> TrpoDiagnosti
     shrink = 1.0
     for backtracks in range(cfg.max_backtracks):
         policy.set_flat(theta_old + shrink * full_step)
-        kl = policy.mean_kl(work.old_dist, work.observations)
-        surr = surrogate_loss(work, policy)
+        dist = policy.dist_params(work.observations)  # shared by the KL and the surrogate
+        kl = policy.dist_kl(work.old_dist, dist)
+        surr = _surrogate(work, policy.dist_log_prob(dist, work.actions))
         if (np.isfinite(kl) and np.isfinite(surr)
                 and kl <= KL_SLACK * cfg.max_kl and surr - surr_before >= 0.0):
             return TrpoDiagnostics(True, float(kl), surr_before, float(surr), backtracks)

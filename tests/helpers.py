@@ -49,3 +49,47 @@ def rel_err(a, b, floor=1e-6):
     b = np.asarray(b, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return np.abs(a - b) / denom
+
+
+def raycast_loops(position, heading, maze, ray_max, n_rays=20):
+    """Loop-based range sensor; independent of haarlab.envs.raycast.
+
+    Faces come straight from the wall grid. Per ray and face it does the
+    library's floating-point operations in the library's order, so the
+    readings agree bit for bit: t = (at - px) / dx for a face on x = at,
+    the crossing at py + t * dy (x and y swap for y = at). The ray
+    directions use numpy's cos and sin on the same angle array.
+    """
+    cs = maze.cell_size
+    walls = maze.walls
+    rows, cols = walls.shape
+    faces = []  # (axis, at, lo, hi); axis 0 is a face on x = at
+    for r in range(rows):
+        for c in range(cols):
+            if not walls[r, c]:
+                continue
+            if c > 0 and not walls[r, c - 1]:
+                faces.append((0, c * cs, r * cs, (r + 1) * cs))
+            if c + 1 < cols and not walls[r, c + 1]:
+                faces.append((0, (c + 1) * cs, r * cs, (r + 1) * cs))
+            if r > 0 and not walls[r - 1, c]:
+                faces.append((1, r * cs, c * cs, (c + 1) * cs))
+            if r + 1 < rows and not walls[r + 1, c]:
+                faces.append((1, (r + 1) * cs, c * cs, (c + 1) * cs))
+    angles = heading + np.arange(n_rays) * (2.0 * np.pi / n_rays)
+    dxs = np.cos(angles).tolist()
+    dys = np.sin(angles).tolist()
+    p = (float(position[0]), float(position[1]))
+    out = []
+    for dx, dy in zip(dxs, dys):
+        d = (dx, dy)
+        best = float(ray_max)
+        for axis, at, lo, hi in faces:
+            if d[axis] == 0.0:
+                continue
+            t = (at - p[axis]) / d[axis]
+            hit = p[1 - axis] + t * d[1 - axis]
+            if t >= 0.0 and lo <= hit <= hi and t < best:
+                best = t
+        out.append(best)
+    return np.array(out)

@@ -106,15 +106,15 @@ def test_criterion_3_conservation_enforced():
     pi_l = fresh_low_policy(cfg.pretrain, env, 0)
     batch = collect_rollouts(pi_h, pi_l, env, cfg.n_skills, 400, 7, seed=(0, 0))
     rng = np.random.default_rng(3)
-    adv = rng.standard_normal(len(batch.high)) * 1000.0
+    adv = rng.standard_normal(len(batch.seg_len)) * 1000.0
     assign_auxiliary_rewards(batch, adv)
-    sums = np.zeros(len(batch.high))
-    for t in batch.low:
-        sums[t.segment_id] += t.r_l
+    sums = np.zeros(len(batch.seg_len))
+    for seg, r in zip(batch.segment_id, batch.r_l):
+        sums[seg] += r
     worst = float(np.max(np.abs(sums - adv)))
 
     # (b) the guard is a hard error and cannot be bypassed
-    batch.high[0].seg_len += 1  # corrupt the segmentation record
+    batch.seg_len[0] += 1  # corrupt the segmentation record
     try:
         assign_auxiliary_rewards(batch, adv)
         guard_fired = False

@@ -43,16 +43,12 @@ def test_run_writes_expected_files(tmp_path):
     assert payload["wall_time_total_s"] > 0
 
 
-def test_metrics_byte_identical_across_reruns_and_worker_counts(tmp_path):
-    cfg1 = tiny_cfg(rollout_workers=1)
-    cfg4 = tiny_cfg(rollout_workers=4)
-    a = run_single_seed(cfg1, 3, str(tmp_path / "a"))
-    b = run_single_seed(cfg1, 3, str(tmp_path / "b"))
-    c = run_single_seed(cfg4, 3, str(tmp_path / "c"))
+def test_metrics_byte_identical_across_reruns(tmp_path):
+    cfg = tiny_cfg()
+    a = run_single_seed(cfg, 3, str(tmp_path / "a"))
+    b = run_single_seed(cfg, 3, str(tmp_path / "b"))
     assert read_lines(a.metrics_path) == read_lines(b.metrics_path)
-    assert read_lines(a.metrics_path) == read_lines(c.metrics_path)
     assert read_lines(a.checkpoint_path) == read_lines(b.checkpoint_path)
-    assert read_lines(a.checkpoint_path) == read_lines(c.checkpoint_path)
 
 
 def test_frozen_skills_never_update_low_level(tmp_path):

@@ -3,9 +3,9 @@ import pytest
 
 from haarlab.envs.maze import build_maze
 from haarlab.envs.point import EnvConfig, PointEnv
-from haarlab.hierarchy import (ConservationError, EpisodeSummary, HighTransition,
-                               LowTransition, RolloutBatch, SkillSchedule, TrainState,
-                               assign_auxiliary_rewards, collect_rollouts,
+from haarlab.hierarchy import (ConservationError, EpisodeSummary, RolloutBatch,
+                               SkillSchedule, TrainState, assign_auxiliary_rewards,
+                               collect_rollouts,
                                estimate_high_advantages, haar_iteration, high_returns,
                                low_returns, prepare_level_batches)
 from haarlab.nets import MlpSpec
@@ -79,19 +79,18 @@ def test_exact_division_segmentation():
     env = make_env(max_episode_steps=10)
     pi_h, pi_l = make_policies(env)
     batch = collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget_low_steps=10, k=5, seed=(0,))
-    assert len(batch.low) == 10
-    assert len(batch.high) == 2
-    assert all(h.seg_len == 5 for h in batch.high)
-    assert batch.high[-1].done
+    assert batch.n_low_steps == 10
+    assert len(batch.seg_len) == 2
+    assert all(n == 5 for n in batch.seg_len)
+    assert batch.done_h[-1]
 
 
 def test_truncated_final_segment():
     env = make_env(max_episode_steps=7)
     pi_h, pi_l = make_policies(env)
     batch = collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget_low_steps=7, k=5, seed=(0,))
-    assert [h.seg_len for h in batch.high] == [5, 2]
-    assert batch.high[0].done is False
-    assert batch.high[1].done is True
+    assert batch.seg_len.tolist() == [5, 2]
+    assert batch.done_h.tolist() == [False, True]
 
 
 def test_budget_loops_episodes_to_completion():
@@ -100,7 +99,7 @@ def test_budget_loops_episodes_to_completion():
     batch = collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget_low_steps=20, k=4, seed=(1,))
     assert batch.n_low_steps >= 20
     assert batch.n_low_steps % 9 == 0  # every episode ran to its 9-step cap
-    assert sum(h.seg_len for h in batch.high) == batch.n_low_steps
+    assert batch.seg_len.sum() == batch.n_low_steps
 
 
 def test_segment_rewards_match_replay_oracle():
@@ -132,35 +131,32 @@ def test_segment_rewards_match_replay_oracle():
                     break
             seg_sums.append(acc)
         ep += 1
-    assert len(seg_sums) == len(batch.high)
-    got = np.array([h.r_h for h in batch.high])
-    assert np.max(np.abs(got - np.array(seg_sums))) <= 1e-12
+    assert len(seg_sums) == len(batch.r_h)
+    assert np.max(np.abs(batch.r_h - np.array(seg_sums))) <= 1e-12
 
 
 def test_one_hot_purity():
     env = make_env()
     pi_h, pi_l = make_policies(env)
     batch = collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget_low_steps=30, k=3, seed=(2,))
-    for t in batch.low:
-        block = t.x_l[env.low_obs_dim:]
+    for x, seg in zip(batch.x_l, batch.segment_id):
+        block = x[env.low_obs_dim:]
         assert block.sum() == 1.0
         assert set(np.unique(block)) <= {0.0, 1.0}
-        assert t.skill == batch.high[t.segment_id].a_h
+        assert np.argmax(block) == batch.a_h[seg]
 
 
-def test_rollouts_deterministic_and_worker_invariant():
+def test_rollouts_deterministic():
     env = make_env()
     pi_h, pi_l = make_policies(env)
 
-    def run(n_workers):
+    def run():
         batch = collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget_low_steps=25, k=4,
-                                 seed=(5,), n_workers=n_workers)
-        return (np.stack([t.x_l for t in batch.low]),
-                np.stack([t.a_l for t in batch.low]),
-                np.array([h.r_h for h in batch.high]))
+                                 seed=(5,))
+        return batch.x_l, batch.a_l, batch.r_h
 
-    x1, a1, r1 = run(1)
-    x2, a2, r2 = run(3)
+    x1, a1, r1 = run()
+    x2, a2, r2 = run()
     assert np.array_equal(x1, x2) and np.array_equal(a1, a2) and np.array_equal(r1, r2)
 
 
@@ -168,23 +164,20 @@ def test_rollouts_deterministic_and_worker_invariant():
 
 def fake_batch(seg_specs, low_dim=2):
     """seg_specs: list of (r_h, seg_len, done, s_val, s_next_val)."""
-    high, low = [], []
-    for i, (r_h, seg_len, done, s_val, s_next_val) in enumerate(seg_specs):
-        s = np.full(low_dim, s_val)
-        s_next = np.full(low_dim, s_next_val)
-        high.append(HighTransition(s_h=s, a_h=0, r_h=r_h, s_h_next=s_next,
-                                   done=done, seg_len=seg_len, episode=0,
-                                   logp=0.0, dist=np.zeros(2)))
-        for j in range(seg_len):
-            low.append(LowTransition(x_l=np.zeros(low_dim + 2), a_l=np.zeros(1),
-                                     r_l=0.0, s_l_next=np.zeros(low_dim),
-                                     done=done and j == seg_len - 1, segment_id=i,
-                                     logp=0.0, dist=np.zeros(1)))
-    batch = RolloutBatch(high=high, low=low,
-                         episodes=[EpisodeSummary(0.0, False, len(low))],
-                         low_dim=low_dim, n_skills=2)
-    batch.low_log_std = np.zeros(1)
-    return batch
+    segment_id, done_l = [], []
+    for i, (_, seg_len, done, _, _) in enumerate(seg_specs):
+        segment_id += [i] * seg_len
+        done_l += [False] * (seg_len - 1) + [done]
+    r_h, seg_len, done_h, s_val, s_next_val = zip(*seg_specs)
+    n, n_seg = len(segment_id), len(seg_specs)
+    return RolloutBatch(
+        x_l=np.zeros((n, low_dim + 2)), a_l=np.zeros((n, 1)), logp_l=np.zeros(n),
+        dist_l=np.zeros((n, 1)), done_l=np.array(done_l), segment_id=np.array(segment_id),
+        s_h=np.outer(s_val, np.ones(low_dim)), s_h_next=np.outer(s_next_val, np.ones(low_dim)),
+        a_h=np.zeros(n_seg, dtype=np.intp), r_h=np.array(r_h, dtype=float),
+        done_h=np.array(done_h), seg_len=np.array(seg_len), logp_h=np.zeros(n_seg),
+        dist_h=np.zeros((n_seg, 2)), episodes=[EpisodeSummary(0.0, False, n)],
+        low_dim=low_dim, n_skills=2, low_log_std=np.zeros(1))
 
 
 def linear_value(dim):
@@ -215,7 +208,7 @@ def test_zero_value_gives_raw_reward():
 def test_auxiliary_split_even():
     batch = fake_batch([(0.0, 4, False, 0, 0)])
     assign_auxiliary_rewards(batch, np.array([2.0]))
-    rs = [t.r_l for t in batch.low]
+    rs = batch.r_l.tolist()
     assert rs == [0.5] * 4
     assert abs(sum(rs) - 2.0) <= 1e-12
 
@@ -223,13 +216,13 @@ def test_auxiliary_split_even():
 def test_auxiliary_zero_advantage():
     batch = fake_batch([(0.0, 3, False, 0, 0)])
     assign_auxiliary_rewards(batch, np.array([0.0]))
-    assert all(t.r_l == 0.0 for t in batch.low)
+    assert all(r == 0.0 for r in batch.r_l)
 
 
 def test_auxiliary_truncated_segment_divides_by_actual_length():
     batch = fake_batch([(0.0, 3, True, 0, 0)])
     assign_auxiliary_rewards(batch, np.array([1.5]))
-    assert [t.r_l for t in batch.low] == [0.5, 0.5, 0.5]
+    assert batch.r_l.tolist() == [0.5, 0.5, 0.5]
 
 
 def test_auxiliary_conservation_property():
@@ -241,8 +234,8 @@ def test_auxiliary_conservation_property():
         adv = rng.standard_normal(10) * 1000
         assign_auxiliary_rewards(batch, adv)
         sums = np.zeros(10)
-        for t in batch.low:
-            sums[t.segment_id] += t.r_l
+        for seg, r in zip(batch.segment_id, batch.r_l):
+            sums[seg] += r
         assert np.max(np.abs(sums - adv)) <= 1e-9
 
 
@@ -285,8 +278,8 @@ def test_low_returns_match_independent_recursion():
     got = low_returns(batch, gamma)
 
     # independent implementation: explicit per-episode forward sums
-    rs = [t.r_l for t in batch.low]
-    dones = [t.done for t in batch.low]
+    rs = batch.r_l.tolist()
+    dones = batch.done_l.tolist()
     expected = np.zeros(len(rs))
     start = 0
     for i, d in enumerate(dones):

@@ -1,7 +1,11 @@
+import gc
+
 import numpy as np
 
 from haarlab.envs.maze import build_maze, parse_maze_text
 from haarlab.envs.raycast import N_RAYS, goal_bearing, raycast
+
+from helpers import raycast_loops
 
 CROSS = """\
 #####
@@ -96,3 +100,41 @@ def test_raycast_continuity_under_small_nudges():
             assert abs(d1[j] - d0[j]) <= lipschitz * 1e-6 + 1e-12
             checked += 1
     assert checked > 10_000
+
+
+def random_free_positions(maze, rng, n):
+    free = maze.free_cells()
+    cells = [free[i] for i in rng.integers(len(free), size=n)]
+    frac = rng.random((n, 2))
+    return [np.array([(c + fx) * maze.cell_size, (r + fy) * maze.cell_size])
+            for (r, c), (fx, fy) in zip(cells, frac)]
+
+
+def test_raycast_bit_identical_to_loop_oracle():
+    rng = np.random.default_rng(11)
+    checked = 0
+    for kind in ("c_maze", "mirrored", "spiral", "gather", "open_field"):
+        m = build_maze(kind)
+        positions = random_free_positions(m, rng, 1000)
+        # faces hit head-on and rays grazing a face line
+        positions += [m.cell_center(cell) for cell in m.free_cells()]
+        positions += [np.array([(c + 1) * m.cell_size - 1e-9, r * m.cell_size + 1e-9])
+                      for r, c in m.free_cells()]
+        for pos in positions:
+            for heading in (0.0, float(rng.uniform(-np.pi, 3 * np.pi))):
+                got = raycast(pos, heading, m, 16.0)
+                want = raycast_loops(pos, heading, m, 16.0)
+                assert got.tobytes() == want.tobytes(), (kind, pos, heading)
+                checked += 1
+    assert checked >= 10_000
+
+
+def test_faces_do_not_leak_between_mazes():
+    # a maze built where a garbage-collected one lived must see its own walls
+    rng = np.random.default_rng(4)
+    for i in range(200):
+        m = build_maze(("c_maze", "spiral")[i % 2])
+        pos = random_free_positions(m, rng, 1)[0]
+        assert np.array_equal(raycast(pos, 0.0, m, 16.0), raycast_loops(pos, 0.0, m, 16.0))
+        del m
+        gc.collect(0)

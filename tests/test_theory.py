@@ -267,10 +267,10 @@ def test_exact_eta_matches_hierarchy_rollouts():
     # discounted per-episode returns from the high-level transitions
     returns = []
     acc, n = 0.0, 0
-    for h in batch.high:
-        acc += (gamma_h ** n) * h.r_h
+    for r_h, done in zip(batch.r_h, batch.done_h):
+        acc += (gamma_h ** n) * r_h
         n += 1
-        if h.done:
+        if done:
             returns.append(acc)
             acc, n = 0.0, 0
     returns = np.array(returns)
