@@ -11,6 +11,7 @@ import argparse
 import csv
 import os
 import sys
+from dataclasses import replace
 
 from .checkpoint import CheckpointError
 from .config import ConfigError, ExperimentConfig, load_config
@@ -29,12 +30,7 @@ def _load_cfg(args) -> ExperimentConfig:
         overrides["mode"] = args.mode
     if getattr(args, "algorithm", None):
         overrides["algorithm"] = args.algorithm
-    if overrides:
-        d = cfg.to_dict()
-        d.update(overrides)
-        from .experiment import _config_from_dict
-        cfg = _config_from_dict(d)
-    return cfg
+    return replace(cfg, **overrides) if overrides else cfg
 
 
 def _add_common(p, config_required=True):
@@ -73,10 +69,7 @@ def cmd_transfer(args) -> int:
     from .experiment import run_train
     cfg = _load_cfg(args)
     if not cfg.no_annealing:
-        d = cfg.to_dict()
-        d["no_annealing"] = True
-        from .experiment import _config_from_dict
-        cfg = _config_from_dict(d)
+        cfg = replace(cfg, no_annealing=True)
     source = _resolve_per_seed(args.source, cfg.seeds, "seed_{seed}/checkpoint.bin") \
         if args.transfer != "none" else None
     dirs = run_train(cfg, args.out, transfer=args.transfer, source=source,
@@ -103,6 +96,8 @@ def _resolve_per_seed(path: str, seeds, pattern: str):
 
 def cmd_theory_check(args) -> int:
     from .theory import verification_suite
+    if args.instances < 1:
+        raise ValueError("--instances must be >= 1")
     rows = verification_suite(n_instances=args.instances, seed=args.seed_value)
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     with open(args.out, "w", newline="") as fh:

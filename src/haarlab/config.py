@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from .envs.maze import build_maze, load_maze_file
 from .envs.point import EnvConfig, PointEnv
@@ -82,11 +82,7 @@ class ExperimentConfig:
             # same skill length throughout as at the end of training
             self.k_0 = self.k_s
         if self.pretrain.n_skills != self.n_skills:
-            self.pretrain = PretrainConfig(
-                n_skills=self.n_skills, iterations=self.pretrain.iterations,
-                proxy=self.pretrain.proxy, batch_low_steps=self.pretrain.batch_low_steps,
-                episode_steps=self.pretrain.episode_steps, gamma=self.pretrain.gamma,
-                hidden=self.pretrain.hidden)
+            self.pretrain = replace(self.pretrain, n_skills=self.n_skills)
 
     @property
     def annealing_tau(self) -> float:
@@ -135,7 +131,6 @@ def _plain(v):
     return v
 
 
-_INT_LIST = ("seeds",)
 _TUPLE_FIELDS = {"seeds": int, "pretrain.hidden": int}
 
 

@@ -3,8 +3,8 @@
 Double-integrator dynamics: v <- clip_norm(v + a*dt, v_max), p <- p + v*dt
 with exact swept collisions against wall cells (motion normal to a wall
 face stops and that velocity component drops to zero; the tangential
-component is preserved). The point mass does not rotate, so its heading
-is identically zero and the body frame coincides with the world frame.
+component is preserved). The point mass does not rotate: the body frame
+is the world frame, and every observation is taken in it.
 
 Sustained overdrive stands in for the legged agent tripping: commanding
 an action whose norm exceeds the stumble threshold for 3 consecutive
@@ -57,7 +57,6 @@ class EnvConfig:
 class AgentState:
     position: np.ndarray
     velocity: np.ndarray
-    heading: float
     alive: bool
 
 
@@ -104,20 +103,20 @@ class PointEnv:
     # -- observations ---------------------------------------------------------
 
     def low_obs(self, agent: AgentState) -> np.ndarray:
-        """Ego observation: body-frame velocity and heading sin/cos.
+        """Ego observation: velocity, then the constant inputs 0.0 and 1.0
+        (sine and cosine of the fixed orientation, kept so that input
+        dimensions and checkpoints stay as they were).
 
         Contains no wall or goal information by construction.
         """
-        c = math.cos(agent.heading)
-        s = math.sin(agent.heading)
         vx, vy = agent.velocity.tolist()
-        return np.array((c * vx + s * vy, -s * vx + c * vy, s, c))
+        return np.array((vx, vy, 0.0, 1.0))
 
     def high_obs(self, agent: AgentState, low: np.ndarray | None = None) -> np.ndarray:
         if low is None:
             low = self.low_obs(agent)
-        rays = raycast(agent.position, agent.heading, self.maze, self.cfg.ray_max)
-        bearing = goal_bearing(agent.position, agent.heading, self.maze.goal_center)
+        rays = raycast(agent.position, self.maze, self.cfg.ray_max)
+        bearing = goal_bearing(agent.position, self.maze.goal_center)
         return np.concatenate([low, rays, bearing])
 
     def observe(self, agent: AgentState) -> ObservationPair:
@@ -145,7 +144,7 @@ class PointEnv:
             cell = maze.start_cells[int(rng.integers(len(maze.start_cells)))]
             origin = np.array([cell[1] * maze.cell_size, cell[0] * maze.cell_size])
             position = origin + rng.random(2) * maze.cell_size
-        agent = AgentState(position=position, velocity=np.zeros(2), heading=0.0, alive=True)
+        agent = AgentState(position=position, velocity=np.zeros(2), alive=True)
         state = EpisodeState(agent=agent, t=0, overdrive=0, done=False)
         if maze.kind == "gather":
             food, bombs = sample_gather_sites(maze, rng)
@@ -217,8 +216,7 @@ class PointEnv:
                 done = True
                 info["timeout"] = True
 
-        next_agent = AgentState(position=position, velocity=np.array((vx, vy)),
-                                heading=agent.heading, alive=alive)
+        next_agent = AgentState(position=position, velocity=np.array((vx, vy)), alive=alive)
         next_state = EpisodeState(agent=next_agent, t=t, overdrive=overdrive, done=done,
                                   food_sites=state.food_sites, bomb_sites=state.bomb_sites,
                                   food_active=food_active, bomb_active=bomb_active)

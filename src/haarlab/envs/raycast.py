@@ -1,10 +1,11 @@
 """Range sensor: 20 rays cast against the wall grid, plus an unoccluded
 goal bearing.
 
-Rays leave the agent at angles heading + 2*pi*j/20 and report the
-distance to the first wall face, capped at ray_max. The bearing is the
-unit vector toward the goal expressed in the body frame (forward,
-lateral); walls never occlude it.
+The point mass does not rotate, so both live in the world frame. Rays
+leave the agent at the fixed angles 2*pi*j/20 (ray 0 points along +x,
+ray 5 along +y) and report the distance to the first wall face, capped
+at ray_max. The bearing is the unit vector toward the goal; walls never
+occlude it.
 
 Implementation: every maze builds, once, a table of the wall faces
 adjacent to free space (axis-aligned segments); all 20 rays are
@@ -13,14 +14,16 @@ intersected against all faces in one vectorized pass.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
 N_RAYS = 20
-_TWO_PI = 2.0 * math.pi
-_RAY_FRACTIONS = np.arange(N_RAYS) * (_TWO_PI / N_RAYS)
+_RAY_ANGLES = np.arange(N_RAYS) * (2.0 * math.pi / N_RAYS)
+# rows (cos, sin) of the ray angles, and the same with exact zeros
+# replaced by NaN for use as divisors
+_RAY_DIRECTIONS = np.stack((np.cos(_RAY_ANGLES), np.sin(_RAY_ANGLES)))
+_RAY_DIVISORS = np.where(_RAY_DIRECTIONS == 0.0, np.nan, _RAY_DIRECTIONS)
 
 
 def face_table(walls: np.ndarray, cell_size: float) -> tuple[np.ndarray, ...]:
@@ -50,19 +53,7 @@ def face_table(walls: np.ndarray, cell_size: float) -> tuple[np.ndarray, ...]:
     return axis, 1 - axis, table[:, 1:2], table[:, 2:3], table[:, 3:4]
 
 
-@functools.lru_cache(maxsize=64)
-def _ray_directions(heading: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rows (cos, sin) of the ray angles, and the same with exact zeros
-    replaced by NaN for use as divisors. Read-only, shared per heading."""
-    angles = heading + _RAY_FRACTIONS
-    d = np.stack((np.cos(angles), np.sin(angles)))
-    divisor = np.where(d == 0.0, np.nan, d)
-    d.setflags(write=False)
-    divisor.setflags(write=False)
-    return d, divisor
-
-
-def raycast(position: np.ndarray, heading: float, maze, ray_max: float) -> np.ndarray:
+def raycast(position: np.ndarray, maze, ray_max: float) -> np.ndarray:
     """Distances to the first wall along each of the 20 rays.
 
     For a face on x = at the ray parameter is t = (at - px) / dx and the
@@ -71,21 +62,17 @@ def raycast(position: np.ndarray, heading: float, maze, ray_max: float) -> np.nd
     NaN divisor it makes t NaN, and every comparison on NaN is false.
     """
     axis, other, at, lo, hi = maze.faces
-    d, divisor = _ray_directions(heading)
     p = np.array(((float(position[0]),), (float(position[1]),)))
-    t = (at - p.take(axis, axis=0)) / divisor.take(axis, axis=0)
-    hit = p.take(other, axis=0) + t * d.take(other, axis=0)
+    t = (at - p.take(axis, axis=0)) / _RAY_DIVISORS.take(axis, axis=0)
+    hit = p.take(other, axis=0) + t * _RAY_DIRECTIONS.take(other, axis=0)
     ok = t >= 0.0
     ok &= hit >= lo
     ok &= hit <= hi
     return np.where(ok, t, np.inf).min(axis=0, initial=ray_max)
 
 
-def goal_bearing(position: np.ndarray, heading: float, goal: np.ndarray | None) -> np.ndarray:
-    """Unit vector to the goal in body coordinates (forward, lateral).
-
-    Tasks without a goal report a zero vector.
-    """
+def goal_bearing(position: np.ndarray, goal: np.ndarray | None) -> np.ndarray:
+    """Unit vector to the goal; tasks without a goal report a zero vector."""
     if goal is None:
         return np.zeros(2)
     dx = float(goal[0]) - float(position[0])
@@ -93,6 +80,4 @@ def goal_bearing(position: np.ndarray, heading: float, goal: np.ndarray | None) 
     norm = math.hypot(dx, dy)
     if norm == 0.0:
         return np.zeros(2)
-    c = math.cos(heading)
-    s = math.sin(heading)
-    return np.array([(c * dx + s * dy) / norm, (-s * dx + c * dy) / norm])
+    return np.array([dx / norm, dy / norm])

@@ -27,6 +27,7 @@ import os
 import time
 from dataclasses import dataclass
 from multiprocessing import get_context
+from typing import Callable
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .hierarchy import (SkillSchedule, TrainState, discounted_returns, episode_r
 from .nets import MlpSpec
 from .policies import CategoricalPolicy, GaussianPolicy
 from .pretrain import fresh_low_policy, pretrain_skills
-from .trpo import AdvantageBatch, TrpoConfig, trpo_update
+from .trpo import AdvantageBatch, TrpoConfig, TrpoDiagnostics, trpo_update
 
 HIGH_INIT_STREAM = 0x12
 FLAT_INIT_STREAM = 0x13
@@ -112,8 +113,6 @@ class RunRecord:
 
 class _CsvSink:
     def __init__(self, path: str, columns):
-        self.path = path
-        self.columns = columns
         self._fh = open(path, "w", newline="")
         self._writer = csv.writer(self._fh)
         self._writer.writerow(columns)
@@ -145,31 +144,77 @@ def _trace_trajectories(path: str, env, act_fn, seed: int, episodes: int = TRACE
                                  _fmt(state.agent.position[1]), skill))
 
 
+@dataclass
+class _Algorithm:
+    """What the run loop needs from one training algorithm."""
+    # (iteration, low steps so far) -> (metrics, [(level, diagnostics)])
+    iterate: Callable[[int, int], tuple[dict, list[tuple[str, TrpoDiagnostics]]]]
+    segments: Callable[[], dict[str, np.ndarray]]  # checkpoint contents after training
+    metadata: dict                                 # checkpoint metadata beyond the shared keys
+    act_fn: Callable                               # (obs, rng) -> (action, skill) for the trace
+
+
 def run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: str,
                     skills_checkpoint: str | None = None,
                     transfer: str | None = None,
                     source_checkpoint: str | None = None,
                     log=None) -> RunRecord:
-    """Train one seed and persist its artifacts under out_dir/seed_<n>."""
+    """Train one seed and persist its artifacts under out_dir/seed_<n>.
+
+    log, when given, is called once per iteration after that
+    iteration's rows are written.
+    """
     run_dir = os.path.join(out_dir, f"seed_{seed}")
     os.makedirs(run_dir, exist_ok=True)
     t0 = time.perf_counter()
+    env = cfg.build_env()
     if cfg.algorithm == "flat_trpo":
-        payload = _run_flat(cfg, seed, run_dir, log)
+        algo = _flat(cfg, env, seed)
     else:
-        payload = _run_hierarchical(cfg, seed, run_dir, skills_checkpoint,
-                                    transfer, source_checkpoint, log)
-    payload.update({
+        algo = _hierarchical(cfg, env, seed, skills_checkpoint, transfer, source_checkpoint)
+
+    metrics = _CsvSink(os.path.join(run_dir, "metrics.csv"), METRIC_COLUMNS)
+    diags = _CsvSink(os.path.join(run_dir, "diagnostics.csv"), DIAG_COLUMNS)
+    timing = _CsvSink(os.path.join(run_dir, "timing.csv"), ("iteration", "wall_time_s"))
+    final_success = 0.0
+    low_steps = 0
+    try:
+        for it in range(cfg.N):
+            t_it = time.perf_counter()
+            m, updates = algo.iterate(it, low_steps)
+            wall = time.perf_counter() - t_it
+            metrics.row([m[c] for c in METRIC_COLUMNS[:-1]] + [0.0])  # wall_time_s: reserved
+            for level, diag in updates:
+                diags.row([m["iteration"], level, diag.kl, diag.surrogate_before,
+                           diag.surrogate_after, diag.backtracks, diag.accepted])
+            timing.row([m["iteration"], wall])
+            final_success = m["success_rate"]
+            low_steps = m["low_steps_total"]
+            if log:
+                log(f"iter {it + 1}/{cfg.N} k={m['k']} "
+                    f"success={m['success_rate']:.2f} return={m['mean_return']:.1f}")
+    finally:
+        metrics.close()
+        diags.close()
+        timing.close()
+
+    save_checkpoint(os.path.join(run_dir, "checkpoint.bin"), algo.segments(),
+                    metadata={"algorithm": cfg.algorithm, "task": cfg.task, "seed": seed,
+                              "config_hash": cfg.config_hash(), **algo.metadata})
+    _trace_trajectories(os.path.join(run_dir, "trajectories.csv"), env, algo.act_fn, seed)
+    payload = {
         "config": cfg.to_dict(),
         "config_hash": cfg.config_hash(),
         "seed": seed,
         "transfer": transfer or "",
         "wall_time_total_s": time.perf_counter() - t0,
+        "final_success_rate": final_success,
+        "total_low_steps": low_steps,
         "metrics": "metrics.csv",
         "diagnostics": "diagnostics.csv",
         "checkpoint": "checkpoint.bin",
         "trajectories": "trajectories.csv",
-    })
+    }
     with open(os.path.join(run_dir, "run.json"), "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
     return RunRecord(run_dir, cfg.config_hash(), seed,
@@ -177,9 +222,7 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: str,
                      os.path.join(run_dir, "checkpoint.bin"))
 
 
-def _run_hierarchical(cfg, seed, run_dir, skills_checkpoint, transfer,
-                      source_checkpoint, log):
-    env = cfg.build_env()
+def _hierarchical(cfg, env, seed, skills_checkpoint, transfer, source_checkpoint) -> _Algorithm:
     pi_h = fresh_high_policy(cfg, env, seed)
     pi_l = fresh_low_policy(cfg.pretrain, env, seed)
     if transfer in ("both", "low_only"):
@@ -200,49 +243,19 @@ def _run_hierarchical(cfg, seed, run_dir, skills_checkpoint, transfer,
         pi_h=pi_h, pi_l=pi_l,
         schedule=SkillSchedule(cfg.k_0, cfg.annealing_tau, cfg.k_s),
         n_skills=cfg.n_skills, gamma_h=cfg.gamma_h, gamma_l=cfg.gamma_l,
-        batch_low_steps=cfg.B,
-        trpo_high=TrpoConfig(max_kl=cfg.max_kl), trpo_low=TrpoConfig(max_kl=cfg.max_kl),
+        batch_low_steps=cfg.B, trpo=TrpoConfig(max_kl=cfg.max_kl),
         seed=seed, mode=cfg.mode,
         update_low=cfg.algorithm != "frozen_skills",
         ridge=cfg.ridge)
 
-    metrics = _CsvSink(os.path.join(run_dir, "metrics.csv"), METRIC_COLUMNS)
-    diags = _CsvSink(os.path.join(run_dir, "diagnostics.csv"), DIAG_COLUMNS)
-    timing = _CsvSink(os.path.join(run_dir, "timing.csv"), ("iteration", "wall_time_s"))
-    final_success = 0.0
-    try:
-        for it in range(cfg.N):
-            m = haar_iteration(state, env)
-            metrics.row([m["iteration"], m["low_steps_total"], m["k"],
-                         m["success_rate"], m["mean_return"], m["high_kl"], m["low_kl"],
-                         m["high_surr_improve"], m["low_surr_improve"], 0.0])
-            for level, diag, updated in (("high", m["high_diag"], m["updated_high"]),
-                                         ("low", m["low_diag"], m["updated_low"])):
-                if updated:
-                    diags.row([m["iteration"], level, diag.kl, diag.surrogate_before,
-                               diag.surrogate_after, diag.backtracks, diag.accepted])
-            timing.row([m["iteration"], m["wall_time_s"]])
-            final_success = m["success_rate"]
-            if log:
-                log(f"iter {it + 1}/{cfg.N} k={m['k']} "
-                    f"success={m['success_rate']:.2f} return={m['mean_return']:.1f}")
-    finally:
-        metrics.close()
-        diags.close()
-        timing.close()
-
-    save_checkpoint(os.path.join(run_dir, "checkpoint.bin"), policy_segments(pi_h, pi_l),
-                    metadata={"algorithm": cfg.algorithm, "task": cfg.task,
-                              "n_skills": cfg.n_skills, "seed": seed,
-                              "config_hash": cfg.config_hash()})
-
-    k_trace = state.schedule.current_k()
+    # the trace runs each skill for the final skill length; a skill
+    # carries over from one trace episode to the next
     skill_box = {"skill": -1, "left": 0}
 
     def act_fn(obs, rng):
         if skill_box["left"] == 0:
             skill_box["skill"], _, _ = pi_h.act(obs.high, rng)
-            skill_box["left"] = k_trace
+            skill_box["left"] = state.schedule.current_k()
         x = np.empty(env.low_obs_dim + cfg.n_skills)
         x[:env.low_obs_dim] = obs.low
         x[env.low_obs_dim:] = 0.0
@@ -251,110 +264,92 @@ def _run_hierarchical(cfg, seed, run_dir, skills_checkpoint, transfer,
         skill_box["left"] -= 1
         return a, skill_box["skill"]
 
-    _trace_trajectories(os.path.join(run_dir, "trajectories.csv"), env, act_fn, seed)
-    return {"final_success_rate": final_success,
-            "total_low_steps": state.total_low_steps}
+    return _Algorithm(iterate=lambda it, low_steps: haar_iteration(state, env),
+                      segments=lambda: policy_segments(pi_h, pi_l),
+                      metadata={"n_skills": cfg.n_skills}, act_fn=act_fn)
 
 
-def _run_flat(cfg, seed, run_dir, log):
+def _flat(cfg, env, seed) -> _Algorithm:
     """Non-hierarchical baseline: one Gaussian policy on the full
     observation, trained on the raw environment rewards."""
-    env = cfg.build_env()
     policy = fresh_flat_policy(cfg, env, seed)
-    trpo_cfg = TrpoConfig(max_kl=cfg.max_kl)
-    metrics = _CsvSink(os.path.join(run_dir, "metrics.csv"), METRIC_COLUMNS)
-    diags = _CsvSink(os.path.join(run_dir, "diagnostics.csv"), DIAG_COLUMNS)
-    timing = _CsvSink(os.path.join(run_dir, "timing.csv"), ("iteration", "wall_time_s"))
-    total_steps = 0
-    final_success = 0.0
-    rows = cfg.B + cfg.T  # the last episode starts below B and lasts at most T steps
-    try:
-        for it in range(cfg.N):
-            t_it = time.perf_counter()
-            obs = np.empty((rows, env.high_obs_dim))
-            acts = np.empty((rows, 2))
-            dists = np.empty((rows, 2))
-            logps = np.empty(rows)
-            rewards = np.empty(rows)
-            dones = np.zeros(rows, dtype=bool)
-            successes, returns = [], []
-            n = 0
-            ep = 0
-            while n < cfg.B:
-                rng = episode_rng((seed, it), ep)
-                state, ob = env.reset(rng)
-                done = False
-                ep_ret = 0.0
-                success = False
-                while not done:
-                    s_h = ob.high
-                    a, logp, mu = policy.act(s_h, rng)
-                    state, ob, r, done, info = env.step(state, a)
-                    obs[n] = s_h
-                    acts[n] = a
-                    dists[n] = mu
-                    logps[n] = logp
-                    rewards[n] = r
-                    ep_ret += r
-                    n += 1
-                    if info.get("goal"):
-                        success = True
-                dones[n - 1] = True
-                successes.append(success)
-                returns.append(ep_ret)
-                ep += 1
-            obs = obs[:n]
-            rets = discounted_returns(rewards[:n], dones[:n], cfg.gamma_l)
-            v = fit_value_on_scaled(obs, rets, env.high_obs_scale, cfg.ridge)
-            adv = rets - v.predict(obs)
-            batch = AdvantageBatch(obs, acts[:n], adv, logps[:n],
-                                   (dists[:n], policy.log_std.copy()))
-            diag = trpo_update(policy, batch, trpo_cfg)
-            total_steps += n
-            final_success = float(np.mean(successes))
-            metrics.row([it, total_steps, 1, final_success, float(np.mean(returns)),
-                         diag.kl, 0.0, diag.improvement, 0.0, 0.0])
-            diags.row([it, "flat", diag.kl, diag.surrogate_before, diag.surrogate_after,
-                       diag.backtracks, diag.accepted])
-            timing.row([it, time.perf_counter() - t_it])
-            if log:
-                log(f"iter {it + 1}/{cfg.N} success={final_success:.2f}")
-    finally:
-        metrics.close()
-        diags.close()
-        timing.close()
-
-    save_checkpoint(os.path.join(run_dir, "checkpoint.bin"),
-                    {"flat/mean_net": policy.params.segment("mean_net").copy(),
-                     "flat/log_std": policy.params.segment("log_std").copy()},
-                    metadata={"algorithm": "flat_trpo", "task": cfg.task, "seed": seed,
-                              "config_hash": cfg.config_hash()})
 
     def act_fn(obs, rng):
         a, _, _ = policy.act(obs.high, rng)
         return a, -1
 
-    _trace_trajectories(os.path.join(run_dir, "trajectories.csv"), env, act_fn, seed)
-    return {"final_success_rate": final_success, "total_low_steps": total_steps}
+    return _Algorithm(
+        iterate=lambda it, low_steps: flat_iteration(policy, env, cfg, seed, it, low_steps),
+        segments=lambda: {"flat/mean_net": policy.params.segment("mean_net").copy(),
+                          "flat/log_std": policy.params.segment("log_std").copy()},
+        metadata={}, act_fn=act_fn)
+
+
+def flat_iteration(policy, env, cfg: ExperimentConfig, seed: int, iteration: int,
+                   low_steps_before: int):
+    """One flat TRPO iteration: collect at least B steps of whole
+    episodes, fit the value baseline on their discounted returns, and
+    take one trust-region step. Returns the metrics and the
+    (level, diagnostics) pair, as haar_iteration does."""
+    rows = cfg.B + cfg.T  # the last episode starts below B and lasts at most T steps
+    obs = np.empty((rows, env.high_obs_dim))
+    acts = np.empty((rows, 2))
+    dists = np.empty((rows, 2))
+    logps = np.empty(rows)
+    rewards = np.empty(rows)
+    dones = np.zeros(rows, dtype=bool)
+    successes, returns = [], []
+    n = 0
+    ep = 0
+    while n < cfg.B:
+        rng = episode_rng((seed, iteration), ep)
+        state, ob = env.reset(rng)
+        done = False
+        ep_ret = 0.0
+        success = False
+        while not done:
+            s_h = ob.high
+            a, logp, mu = policy.act(s_h, rng)
+            state, ob, r, done, info = env.step(state, a)
+            obs[n] = s_h
+            acts[n] = a
+            dists[n] = mu
+            logps[n] = logp
+            rewards[n] = r
+            ep_ret += r
+            n += 1
+            if info.get("goal"):
+                success = True
+        dones[n - 1] = True
+        successes.append(success)
+        returns.append(ep_ret)
+        ep += 1
+    obs = obs[:n]
+    rets = discounted_returns(rewards[:n], dones[:n], cfg.gamma_l)
+    v = fit_value_on_scaled(obs, rets, env.high_obs_scale, cfg.ridge)
+    adv = rets - v.predict(obs)
+    batch = AdvantageBatch(obs, acts[:n], adv, logps[:n],
+                           (dists[:n], policy.log_std.copy()))
+    diag = trpo_update(policy, batch, TrpoConfig(max_kl=cfg.max_kl))
+    metrics = {
+        "iteration": iteration,
+        "low_steps_total": low_steps_before + n,
+        "k": 1,
+        "success_rate": float(np.mean(successes)),
+        "mean_return": float(np.mean(returns)),
+        "high_kl": diag.kl,
+        "low_kl": 0.0,
+        "high_surr_improve": diag.improvement,
+        "low_surr_improve": 0.0,
+    }
+    return metrics, [("flat", diag)]
 
 
 def _seed_job(args):
-    cfg_dict, seed, out_dir, skills, transfer, source = args
-    cfg = _config_from_dict(cfg_dict)
+    cfg, seed, out_dir, skills, transfer, source = args
     record = run_single_seed(cfg, seed, out_dir, skills_checkpoint=skills,
                              transfer=transfer, source_checkpoint=source)
     return record.directory
-
-
-def _config_from_dict(d: dict) -> ExperimentConfig:
-    from .config import PretrainConfig
-    pre = {k.split(".", 1)[1]: v for k, v in d.items() if k.startswith("pretrain.")}
-    top = {k: v for k, v in d.items() if not k.startswith("pretrain.")}
-    if "seeds" in top:
-        top["seeds"] = tuple(top["seeds"])
-    if "hidden" in pre:
-        pre["hidden"] = tuple(pre["hidden"])
-    return ExperimentConfig(pretrain=PretrainConfig(**pre), **top)
 
 
 def run_train(cfg: ExperimentConfig, out_dir: str,
@@ -375,8 +370,8 @@ def run_train(cfg: ExperimentConfig, out_dir: str,
             return mapping
         return mapping[seed]
 
-    tasks = [(cfg.to_dict(), seed, out_dir, pick(skills, seed), transfer,
-              pick(source, seed)) for seed in cfg.seeds]
+    tasks = [(cfg, seed, out_dir, pick(skills, seed), transfer, pick(source, seed))
+             for seed in cfg.seeds]
     if jobs > 1 and len(tasks) > 1:
         with get_context("fork").Pool(min(jobs, len(tasks))) as pool:
             return pool.map(_seed_job, tasks)
@@ -391,7 +386,7 @@ def run_train(cfg: ExperimentConfig, out_dir: str,
 def run_pretrain(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> dict[int, str]:
     """Pre-train one skill set per seed; returns seed -> checkpoint path."""
     os.makedirs(out_dir, exist_ok=True)
-    tasks = [(cfg.to_dict(), seed, out_dir) for seed in cfg.seeds]
+    tasks = [(cfg, seed, out_dir) for seed in cfg.seeds]
     if jobs > 1 and len(tasks) > 1:
         with get_context("fork").Pool(min(jobs, len(tasks))) as pool:
             paths = pool.map(_pretrain_job, tasks)
@@ -401,8 +396,7 @@ def run_pretrain(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> dict[int
 
 
 def _pretrain_job(args):
-    cfg_dict, seed, out_dir = args
-    cfg = _config_from_dict(cfg_dict)
+    cfg, seed, out_dir = args
     pi_l, stats = pretrain_skills(cfg.pretrain, seed)
     path = os.path.join(out_dir, f"skills_seed_{seed}.bin")
     save_checkpoint(path, {"pi_l/mean_net": pi_l.params.segment("mean_net").copy(),

@@ -16,7 +16,6 @@ never disabled.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,7 +57,6 @@ class SkillSchedule:
 class EpisodeSummary:
     total_return: float
     success: bool
-    length: int
 
 
 @dataclass
@@ -139,7 +137,6 @@ def collect_rollouts(pi_h, pi_l, env, n_skills: int, budget_low_steps: int, k: i
     while n < budget_low_steps:
         rng = episode_rng(seed, ep_index)
         state, obs = env.reset(rng)
-        ep_start = n
         ep_return = 0.0
         success = False
         done = False
@@ -174,8 +171,7 @@ def collect_rollouts(pi_h, pi_l, env, n_skills: int, budget_low_steps: int, k: i
             segment_id[start:n] = len(segments)
             segments.append((high, obs.high, skill, r, done, n - start, logp, dist))
         done_l[n - 1] = True
-        episodes.append(EpisodeSummary(total_return=ep_return, success=success,
-                                       length=n - ep_start))
+        episodes.append(EpisodeSummary(total_return=ep_return, success=success))
         ep_index += 1
     s_h, s_h_next, a_h, r_h, done_h, seg_len, logp_h, dist_h = zip(*segments)
     log_std = getattr(pi_l, "log_std", None)
@@ -239,12 +235,13 @@ def assign_auxiliary_rewards(batch: RolloutBatch, advantages: np.ndarray) -> Non
             f"auxiliary rewards violate per-segment conservation by {err:.3e}")
 
 
-def prepare_level_batches(batch: RolloutBatch, advantages: np.ndarray, gamma_l: float,
+def prepare_level_batches(batch: RolloutBatch, advantages: np.ndarray, returns_l: np.ndarray,
                           v_l: PolynomialValueEstimator) -> tuple[AdvantageBatch, AdvantageBatch]:
     """Assemble the optimizer inputs for both levels.
 
     The high level consumes the one-step advantages directly; the low
-    level uses discounted auxiliary returns against its own baseline.
+    level uses its discounted auxiliary returns (low_returns) against
+    its own baseline.
     """
     high_batch = AdvantageBatch(
         observations=batch.s_h,
@@ -253,7 +250,7 @@ def prepare_level_batches(batch: RolloutBatch, advantages: np.ndarray, gamma_l: 
         old_log_probs=batch.logp_h,
         old_dist=batch.dist_h,
     )
-    low_adv = low_returns(batch, gamma_l) - v_l.predict(batch.x_l[:, :batch.low_dim])
+    low_adv = returns_l - v_l.predict(batch.x_l[:, :batch.low_dim])
     low_batch = AdvantageBatch(
         observations=batch.x_l,
         actions=batch.a_l,
@@ -274,8 +271,7 @@ class TrainState:
     gamma_h: float
     gamma_l: float
     batch_low_steps: int
-    trpo_high: TrpoConfig
-    trpo_low: TrpoConfig
+    trpo: TrpoConfig
     seed: int
     mode: str = "concurrent"
     update_low: bool = True
@@ -288,15 +284,16 @@ class TrainState:
             raise ValueError(f"unknown training mode {self.mode!r}")
 
 
-def haar_iteration(state: TrainState, env) -> dict:
+def haar_iteration(state: TrainState, env) -> tuple[dict, list[tuple[str, TrpoDiagnostics]]]:
     """One iteration of the concurrent (or alternate) update cycle.
 
     Collect a batch under the current joint policy, fit the high-level
     baseline on the batch's discounted returns, turn its one-step
     advantages into auxiliary low-level rewards, update each level with
-    its own trust-region step, and advance the skill schedule.
+    its own trust-region step, and advance the skill schedule. Returns
+    the iteration's metrics and a (level, diagnostics) pair for each
+    level that took a step.
     """
-    t_start = time.perf_counter()
     k = state.schedule.current_k()
     batch = collect_rollouts(state.pi_h, state.pi_l, env, state.n_skills,
                              state.batch_low_steps, k, seed=(state.seed, state.iteration))
@@ -310,13 +307,14 @@ def haar_iteration(state: TrainState, env) -> dict:
     do_high = state.mode == "concurrent" or ordinal % 2 == 1
     do_low = (state.mode == "concurrent" or ordinal % 2 == 0) and state.update_low
 
-    v_l = fit_value_on_scaled(batch.x_l[:, :batch.low_dim], low_returns(batch, state.gamma_l),
+    returns_l = low_returns(batch, state.gamma_l)
+    v_l = fit_value_on_scaled(batch.x_l[:, :batch.low_dim], returns_l,
                               env.low_obs_scale, state.ridge)
-    high_batch, low_batch = prepare_level_batches(batch, advantages, state.gamma_l, v_l)
+    high_batch, low_batch = prepare_level_batches(batch, advantages, returns_l, v_l)
 
     no_step = TrpoDiagnostics(False, 0.0, 0.0, 0.0, 0)
-    diag_h = trpo_update(state.pi_h, high_batch, state.trpo_high) if do_high else no_step
-    diag_l = trpo_update(state.pi_l, low_batch, state.trpo_low) if do_low else no_step
+    diag_h = trpo_update(state.pi_h, high_batch, state.trpo) if do_high else no_step
+    diag_l = trpo_update(state.pi_l, low_batch, state.trpo) if do_low else no_step
 
     state.total_low_steps += batch.n_low_steps
     metrics = {
@@ -329,16 +327,12 @@ def haar_iteration(state: TrainState, env) -> dict:
         "low_kl": diag_l.kl,
         "high_surr_improve": diag_h.improvement,
         "low_surr_improve": diag_l.improvement,
-        "wall_time_s": time.perf_counter() - t_start,
-        "high_diag": diag_h,
-        "low_diag": diag_l,
-        "updated_high": do_high,
-        "updated_low": do_low,
-        "n_episodes": len(batch.episodes),
     }
+    updates = [(level, diag) for level, diag, stepped
+               in (("high", diag_h, do_high), ("low", diag_l, do_low)) if stepped]
     state.schedule.advance()
     state.iteration += 1
-    return metrics
+    return metrics, updates
 
 
 def fit_value_on_scaled(states: np.ndarray, targets: np.ndarray, scale: np.ndarray,

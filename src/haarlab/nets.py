@@ -9,11 +9,11 @@ Fisher-vector products in the trust-region optimizer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ParamVector, ShapeError
+from .params import ShapeError
 
 
 @dataclass(frozen=True)
@@ -21,15 +21,12 @@ class MlpSpec:
     input_dim: int
     hidden: tuple[int, ...] = (32, 32)
     output_dim: int = 1
-    activation: str = "tanh"
 
     def __post_init__(self):
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         dims = (self.input_dim, *self.hidden, self.output_dim)
         if any(d < 1 for d in dims):
             raise ShapeError(f"all MLP dimensions must be >= 1, got {dims}")
-        if self.activation != "tanh":
-            raise ValueError(f"unsupported activation {self.activation!r}")
 
     @property
     def layer_dims(self) -> list[tuple[int, int]]:
@@ -69,23 +66,14 @@ def unpack_layers(spec: MlpSpec, w: np.ndarray) -> list[tuple[np.ndarray, np.nda
 
 def forward(spec: MlpSpec, w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Evaluate the network. x is (input_dim,) or (n, input_dim)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != spec.input_dim:
-        raise ShapeError(f"input has dim {x.shape[-1]}, spec expects {spec.input_dim}")
-    layers = unpack_layers(spec, w)
-    a = x
-    last = len(layers) - 1
-    for i, (W, b) in enumerate(layers):
-        z = a @ W.T + b
-        a = z if i == last else np.tanh(z)
-    return a
+    return forward_cached(spec, w, x)[0]
 
 
 def forward_cached(spec: MlpSpec, w: np.ndarray, x: np.ndarray):
-    """Forward pass keeping post-activation values for backprop.
+    """Forward pass keeping every layer's input for backprop.
 
-    Returns (output, activations) where activations[0] is the input and
-    activations[i] the output of hidden layer i.
+    Returns (output, acts) where acts[0] is the input and acts[i] the
+    output of hidden layer i.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != spec.input_dim:
@@ -104,7 +92,7 @@ def forward_cached(spec: MlpSpec, w: np.ndarray, x: np.ndarray):
 
 
 def tanh_derivs(acts: list[np.ndarray]) -> list[np.ndarray]:
-    """1 - a^2 for every hidden activation (acts[0] is the input)."""
+    """1 - a^2 for every hidden-layer output (acts[0] is the input)."""
     return [1.0 - a * a for a in acts[1:]]
 
 
@@ -115,7 +103,7 @@ def backward(spec: MlpSpec, w: np.ndarray, acts: list[np.ndarray], gy: np.ndarra
     acts comes from forward_cached on the same (w, x). gy matches the
     output shape; batched inputs accumulate over the batch (sum).
     derivs may pass precomputed tanh derivatives when backward runs
-    repeatedly on the same activations.
+    repeatedly on the same acts.
     """
     layers = unpack_layers(spec, w)
     if derivs is None:
@@ -149,14 +137,14 @@ def rop_forward(spec: MlpSpec, w: np.ndarray, v: np.ndarray, acts: list[np.ndarr
                 derivs: list[np.ndarray] | None = None) -> np.ndarray:
     """Directional derivative of the output along parameter direction v.
 
-    Forward-mode pass reusing activations from forward_cached; returns
+    Forward-mode pass reusing acts from forward_cached; returns
     (J @ v) with the same shape as the output.
     """
     layers = unpack_layers(spec, w)
     vlayers = unpack_layers(spec, np.asarray(v, dtype=np.float64))
     if derivs is None:
         derivs = tanh_derivs(acts)
-    r = None  # derivative of the current activation along v
+    r = None  # derivative of the current layer output along v
     last = len(layers) - 1
     for i, ((W, _), (Vw, vb)) in enumerate(zip(layers, vlayers)):
         a_in = acts[i]
@@ -168,17 +156,3 @@ def rop_forward(spec: MlpSpec, w: np.ndarray, v: np.ndarray, acts: list[np.ndarr
         r = rz * derivs[i]
     raise AssertionError("unreachable")
 
-
-@dataclass
-class MlpFunction:
-    """Convenience bundle: a spec plus its ParamVector segment name."""
-    spec: MlpSpec
-    params: ParamVector
-    segment: str = "net"
-
-    @property
-    def w(self) -> np.ndarray:
-        return self.params.segment(self.segment)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return forward(self.spec, self.w, x)

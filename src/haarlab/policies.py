@@ -35,24 +35,19 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
-
-
-def one_hot(index: int, n: int) -> np.ndarray:
-    v = np.zeros(n)
-    v[index] = 1.0
-    return v
+INIT_LOG_STD = -0.5
 
 
 class GaussianPolicy:
     """pi(a|x) = N(mlp(x), diag(exp(log_std))^2), log_std clamped to [-5, 2]."""
 
     def __init__(self, spec: MlpSpec, rng: np.random.Generator,
-                 input_scale: np.ndarray | None = None, init_log_std: float = -0.5):
+                 input_scale: np.ndarray | None = None):
         self.spec = spec
         self.action_dim = spec.output_dim
         self.params = ParamVector.from_segments([
             ("mean_net", init_mlp_params(spec, rng)),
-            ("log_std", np.full(spec.output_dim, init_log_std)),
+            ("log_std", np.full(spec.output_dim, INIT_LOG_STD)),
         ])
         if input_scale is None:
             input_scale = np.ones(spec.input_dim)

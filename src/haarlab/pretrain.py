@@ -22,6 +22,7 @@ from .envs.point import EnvConfig, PointEnv
 from .nets import MlpSpec
 from .policies import GaussianPolicy
 from .trpo import AdvantageBatch, TrpoConfig, trpo_update
+from .values import DEFAULT_RIDGE
 
 PRETRAIN_STREAM = 0x5E
 INIT_STREAM = 0x11
@@ -42,8 +43,11 @@ class PretrainConfig:
             raise ValueError(f"unknown pre-training proxy {self.proxy!r}")
         if self.proxy == "velocity_direction" and self.n_skills < 2:
             raise ValueError("velocity_direction needs at least 2 distinct directions")
-        if self.n_skills < 1 or self.iterations < 0 or self.batch_low_steps < 1:
+        if (self.n_skills < 1 or self.iterations < 0 or self.batch_low_steps < 1
+                or self.episode_steps < 1):
             raise ValueError("pre-training counts must be positive")
+        if not 0.0 < self.gamma < 1.0:
+            raise ValueError("pretrain.gamma must lie in (0, 1)")
 
 
 def skill_direction(skill: int, n_skills: int) -> np.ndarray:
@@ -107,10 +111,7 @@ def _collect_proxy_batch(pi_l, env, cfg: PretrainConfig, seed: int, iteration: i
             np.array(dones, dtype=bool), np.array(logps), np.stack(dists))
 
 
-def pretrain_skills(cfg: PretrainConfig, seed: int,
-                    env: PointEnv | None = None,
-                    trpo_cfg: TrpoConfig | None = None,
-                    ridge: float = 1e-5):
+def pretrain_skills(cfg: PretrainConfig, seed: int, env: PointEnv | None = None):
     """Return (low-level policy, per-iteration stats).
 
     random_init: the freshly initialized parameters, untouched.
@@ -120,7 +121,6 @@ def pretrain_skills(cfg: PretrainConfig, seed: int,
     pi_l = fresh_low_policy(cfg, env, seed)
     if cfg.proxy == "random_init":
         return pi_l, []
-    trpo_cfg = trpo_cfg or TrpoConfig()
     from .hierarchy import discounted_returns, fit_value_on_scaled
     x_scale = np.concatenate([env.low_obs_scale, np.ones(cfg.n_skills)])
     stats = []
@@ -128,10 +128,10 @@ def pretrain_skills(cfg: PretrainConfig, seed: int,
         xs, acts, rewards, dones, logps, dists = _collect_proxy_batch(
             pi_l, env, cfg, seed, it)
         returns = discounted_returns(rewards, dones, cfg.gamma)
-        v = fit_value_on_scaled(xs, returns, x_scale, ridge)
+        v = fit_value_on_scaled(xs, returns, x_scale, DEFAULT_RIDGE)
         adv = returns - v.predict(xs)
         batch = AdvantageBatch(xs, acts, adv, logps, (dists, pi_l.log_std.copy()))
-        diag = trpo_update(pi_l, batch, trpo_cfg)
+        diag = trpo_update(pi_l, batch, TrpoConfig())
         stats.append({
             "iteration": it,
             "mean_step_reward": float(rewards.mean()),

@@ -9,7 +9,7 @@ the concurrent two-level training scheme leans on this contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -17,24 +17,19 @@ import numpy as np
 from .params import NumericsError, ShapeError
 
 KL_SLACK = 1.5  # accepted steps satisfy kl <= KL_SLACK * max_kl
+CG_ITERATIONS = 10
+CG_DAMPING = 0.1
+BACKTRACK_RATIO = 0.8
+MAX_BACKTRACKS = 15
 
 
 @dataclass
 class TrpoConfig:
     max_kl: float = 0.01
-    cg_iterations: int = 10
-    cg_damping: float = 0.1
-    backtrack_ratio: float = 0.8
-    max_backtracks: int = 15
-    normalize_advantages: bool = True
 
     def __post_init__(self):
         if not self.max_kl > 0:
             raise ValueError("max_kl must be positive")
-        if not self.cg_damping > 0:
-            raise ValueError("cg_damping must be positive")
-        if not 0.0 < self.backtrack_ratio < 1.0:
-            raise ValueError("backtrack_ratio must be in (0, 1)")
 
 
 @dataclass
@@ -111,12 +106,6 @@ def conjugate_gradient(apply_a: Callable[[np.ndarray], np.ndarray], b: np.ndarra
     return x
 
 
-def fisher_vector_product(policy, observations: np.ndarray, v: np.ndarray,
-                          damping: float) -> np.ndarray:
-    """(F + damping I) v for the KL Hessian of the policy at its parameters."""
-    return policy.fvp(observations, v, damping)
-
-
 def standardize_advantages(advantages: np.ndarray) -> np.ndarray:
     """Zero-mean unit-variance rescaling; preserves the sample ordering."""
     adv = np.asarray(advantages, dtype=np.float64)
@@ -130,9 +119,7 @@ def trpo_update(policy, batch: AdvantageBatch, cfg: TrpoConfig) -> TrpoDiagnosti
     step is accepted.
     """
     theta_old = policy.flat()
-    adv = batch.advantages
-    if cfg.normalize_advantages:
-        adv = standardize_advantages(adv)
+    adv = standardize_advantages(batch.advantages)
     work = AdvantageBatch(batch.observations, batch.actions, adv,
                           batch.old_log_probs, batch.old_dist)
     # one forward pass gives both the surrogate and the gradient's weights
@@ -142,10 +129,10 @@ def trpo_update(policy, batch: AdvantageBatch, cfg: TrpoConfig) -> TrpoDiagnosti
     if not np.all(np.isfinite(g)) or float(np.max(np.abs(g), initial=0.0)) < 1e-12:
         return TrpoDiagnostics(False, 0.0, surr_before, surr_before, 0)
 
-    apply_a = policy.fvp_builder(work.observations, cfg.cg_damping)
+    apply_a = policy.fvp_builder(work.observations, CG_DAMPING)
 
     try:
-        step_dir = conjugate_gradient(apply_a, g, cfg.cg_iterations)
+        step_dir = conjugate_gradient(apply_a, g, CG_ITERATIONS)
         s_as = float(step_dir @ apply_a(step_dir))
     except NumericsError:
         return TrpoDiagnostics(False, 0.0, surr_before, surr_before, 0)
@@ -154,7 +141,7 @@ def trpo_update(policy, batch: AdvantageBatch, cfg: TrpoConfig) -> TrpoDiagnosti
 
     full_step = np.sqrt(2.0 * cfg.max_kl / s_as) * step_dir
     shrink = 1.0
-    for backtracks in range(cfg.max_backtracks):
+    for backtracks in range(MAX_BACKTRACKS):
         policy.set_flat(theta_old + shrink * full_step)
         dist = policy.dist_params(work.observations)  # shared by the KL and the surrogate
         kl = policy.dist_kl(work.old_dist, dist)
@@ -162,6 +149,6 @@ def trpo_update(policy, batch: AdvantageBatch, cfg: TrpoConfig) -> TrpoDiagnosti
         if (np.isfinite(kl) and np.isfinite(surr)
                 and kl <= KL_SLACK * cfg.max_kl and surr - surr_before >= 0.0):
             return TrpoDiagnostics(True, float(kl), surr_before, float(surr), backtracks)
-        shrink *= cfg.backtrack_ratio
+        shrink *= BACKTRACK_RATIO
     policy.set_flat(theta_old)
-    return TrpoDiagnostics(False, 0.0, surr_before, surr_before, cfg.max_backtracks)
+    return TrpoDiagnostics(False, 0.0, surr_before, surr_before, MAX_BACKTRACKS)

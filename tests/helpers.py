@@ -51,7 +51,7 @@ def rel_err(a, b, floor=1e-6):
     return np.abs(a - b) / denom
 
 
-def raycast_loops(position, heading, maze, ray_max, n_rays=20):
+def raycast_loops(position, maze, ray_max, n_rays=20):
     """Loop-based range sensor; independent of haarlab.envs.raycast.
 
     Faces come straight from the wall grid. Per ray and face it does the
@@ -76,7 +76,7 @@ def raycast_loops(position, heading, maze, ray_max, n_rays=20):
                 faces.append((1, r * cs, c * cs, (c + 1) * cs))
             if r + 1 < rows and not walls[r + 1, c]:
                 faces.append((1, (r + 1) * cs, c * cs, (c + 1) * cs))
-    angles = heading + np.arange(n_rays) * (2.0 * np.pi / n_rays)
+    angles = np.arange(n_rays) * (2.0 * np.pi / n_rays)
     dxs = np.cos(angles).tolist()
     dys = np.sin(angles).tolist()
     p = (float(position[0]), float(position[1]))

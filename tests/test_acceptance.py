@@ -1,23 +1,27 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Criteria 1-5 are exact/numerical checks. Criteria 6-11 evaluate the
-desk-scale experiment campaign: a session-scoped fixture trains every
-required arm (5 seeds each) through the public experiment entry points;
-the campaign takes roughly half an hour on two cores. Set
-HAARLAB_ACCEPTANCE_CACHE=<dir> to keep and reuse the campaign outputs
-across sessions.
+Four exact or numerical criteria, each done in seconds:
+
+1. the advantage-decomposition identity holds on 100 random tabular
+   instances (residual <= 1e-8);
+2. the low-level objective is exact with the matched discount
+   gamma_l = gamma_h ** (1 / k), and its error shrinks as gamma -> 1;
+3. auxiliary rewards conserve each segment's advantage on a live
+   batch, and a corrupted segmentation raises ConservationError;
+5. log-prob, surrogate and KL-Hessian-vector-product gradients match
+   finite differences.
+
+There is no criterion 4 and no end-to-end training gate: the claim
+that HAAR beats flat TRPO and frozen skills on the sparse maze is not
+checked by this suite.
 """
 
-import json
-import os
 import time
 
 import numpy as np
-import pytest
 
 from haarlab.config import ExperimentConfig
 from haarlab.envs.tabular import random_mdp
-from haarlab.experiment import read_metrics, run_pretrain, run_train
 from haarlab.hierarchy import (ConservationError, assign_auxiliary_rewards,
                                collect_rollouts)
 from haarlab.nets import MlpSpec

@@ -109,3 +109,12 @@ def test_theory_check_cli(tmp_path):
     assert len(rows) == 5
     assert all(r["pass"] == "True" for r in rows)
     assert max(float(r["decomposition_residual"]) for r in rows) <= 1e-8
+
+
+def test_theory_check_rejects_zero_instances(tmp_path, capsys):
+    out = tmp_path / "theory.csv"
+    for bad in ("0", "-1"):
+        code = main(["theory-check", "--out", str(out), "--instances", bad])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

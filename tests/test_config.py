@@ -121,3 +121,20 @@ def test_pretrain_config_validation():
         PretrainConfig(n_skills=1)
     # random_init does not need multiple directions
     PretrainConfig(n_skills=1, proxy="random_init")
+
+
+@pytest.mark.parametrize("text", ["pretrain.episode_steps = 0", "pretrain.episode_steps = -3",
+                                  "pretrain.gamma = 1.5", "pretrain.gamma = 1.0",
+                                  "pretrain.gamma = 0.0"])
+def test_config_file_rejects_bad_pretrain_horizon(text):
+    # episode_steps = 0 used to make pre-training loop forever
+    with pytest.raises(ConfigError):
+        parse_config_text(text)
+
+
+def test_pretrain_config_rejects_bad_horizon():
+    with pytest.raises(ValueError):
+        PretrainConfig(episode_steps=0)
+    with pytest.raises(ValueError):
+        PretrainConfig(gamma=1.5)
+    PretrainConfig(episode_steps=1, gamma=0.5)

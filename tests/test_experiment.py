@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -73,10 +74,7 @@ def test_flat_trpo_runs_and_reports_k_one(tmp_path):
 
 def test_training_requires_skills_unless_random_init(tmp_path):
     cfg = tiny_cfg()
-    d = cfg.to_dict()
-    d["pretrain.proxy"] = "velocity_direction"
-    from haarlab.experiment import _config_from_dict
-    cfg2 = _config_from_dict(d)
+    cfg2 = replace(cfg, pretrain=replace(cfg.pretrain, proxy="velocity_direction"))
     with pytest.raises(ConfigError):
         run_single_seed(cfg2, 0, str(tmp_path))
 
@@ -148,11 +146,8 @@ def test_run_train_multi_seed_and_parallel_identical(tmp_path):
 
 def test_run_pretrain_writes_checkpoints(tmp_path):
     cfg = tiny_cfg(seeds=(0, 1))
-    d = cfg.to_dict()
-    d["pretrain.proxy"] = "velocity_direction"
-    d["pretrain.iterations"] = 1
-    from haarlab.experiment import _config_from_dict
-    cfg = _config_from_dict(d)
+    cfg = replace(cfg, pretrain=replace(cfg.pretrain, proxy="velocity_direction",
+                                        iterations=1))
     paths = run_pretrain(cfg, str(tmp_path))
     assert set(paths) == {0, 1}
     for seed, path in paths.items():

@@ -31,7 +31,7 @@ def substep_move(maze, p, v, dt, n_sub):
 
 def state_at(env, position, velocity):
     agent = AgentState(position=np.asarray(position, dtype=float),
-                       velocity=np.asarray(velocity, dtype=float), heading=0.0, alive=True)
+                       velocity=np.asarray(velocity, dtype=float), alive=True)
     return EpisodeState(agent=agent, t=0, overdrive=0, done=False)
 
 
@@ -194,8 +194,7 @@ def test_low_obs_ignores_maze():
     cfg = EnvConfig()
     env_a = PointEnv(build_maze("c_maze"), cfg)
     env_b = PointEnv(build_maze("mirrored"), cfg)
-    agent = AgentState(position=np.array([9.0, 6.0]), velocity=np.array([0.4, -0.1]),
-                       heading=0.0, alive=True)
+    agent = AgentState(position=np.array([9.0, 6.0]), velocity=np.array([0.4, -0.1]), alive=True)
     assert np.array_equal(env_a.low_obs(agent), env_b.low_obs(agent))
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from haarlab.nets import MlpSpec, unpack_layers
 from haarlab.params import ShapeError
-from haarlab.policies import LOG_2PI, CategoricalPolicy, GaussianPolicy, one_hot
+from haarlab.policies import LOG_2PI, CategoricalPolicy, GaussianPolicy
 
 from helpers import finite_diff_grad, rel_err
 
@@ -320,10 +320,6 @@ def test_log_std_clamped_after_update():
     theta[-pol.action_dim:] = [-9.0, 9.0]
     pol.set_flat(theta)
     assert np.array_equal(pol.log_std, [-5.0, 2.0])
-
-
-def test_one_hot():
-    assert np.array_equal(one_hot(2, 4), [0.0, 0.0, 1.0, 0.0])
 
 
 def test_input_scale_shape_checked():

@@ -10,8 +10,7 @@ from haarlab.pretrain import (PretrainConfig, fresh_low_policy, open_field_env,
 
 def fake_states(p0, p1):
     def st(p):
-        agent = AgentState(position=np.asarray(p, dtype=float), velocity=np.zeros(2),
-                           heading=0.0, alive=True)
+        agent = AgentState(position=np.asarray(p, dtype=float), velocity=np.zeros(2), alive=True)
         return EpisodeState(agent=agent, t=0, overdrive=0, done=False)
     return st(p0), st(p1)
 

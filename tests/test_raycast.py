@@ -19,8 +19,9 @@ def test_corridor_side_rays():
     # agent centered in a 3-cell-wide open block: side rays see 1.5 cells
     m = parse_maze_text(CROSS)
     pos = m.cell_center((2, 2))
-    d = raycast(pos, heading=0.0, maze=m, ray_max=50.0)
+    d = raycast(pos, maze=m, ray_max=50.0)
     cs = m.cell_size
+    assert d.shape == (N_RAYS,)
     assert abs(d[5] - 1.5 * cs) <= 1e-9   # +90 degrees
     assert abs(d[15] - 1.5 * cs) <= 1e-9  # -90 degrees
     assert abs(d[0] - 1.5 * cs) <= 1e-9   # forward
@@ -30,26 +31,15 @@ def test_corridor_side_rays():
 def test_rays_capped_at_ray_max():
     m = build_maze("open_field")
     pos = m.cell_center(m.start_cells[0])
-    d = raycast(pos, heading=0.0, maze=m, ray_max=3.0)
+    d = raycast(pos, maze=m, ray_max=3.0)
     assert np.array_equal(d, np.full(N_RAYS, 3.0))
 
 
-def test_ray_count_and_angles_rotate_with_heading():
-    m = parse_maze_text(CROSS)
-    pos = m.cell_center((2, 2))
-    d0 = raycast(pos, heading=0.0, maze=m, ray_max=50.0)
-    # rotating the agent by one ray spacing permutes the readings
-    d1 = raycast(pos, heading=2 * np.pi / N_RAYS, maze=m, ray_max=50.0)
-    assert d0.shape == (N_RAYS,)
-    assert np.max(np.abs(d1[:-1] - d0[1:])) <= 1e-9
-
-
 def test_goal_bearing_forward():
-    heading = 0.7
+    direction = np.array([np.cos(0.7), np.sin(0.7)])
     pos = np.array([5.0, 5.0])
-    goal = pos + 3.0 * np.array([np.cos(heading), np.sin(heading)])
-    b = goal_bearing(pos, heading, goal)
-    assert np.max(np.abs(b - [1.0, 0.0])) <= 1e-12
+    b = goal_bearing(pos, pos + 3.0 * direction)
+    assert np.max(np.abs(b - direction)) <= 1e-12
 
 
 def test_goal_bearing_lateral_and_norm():
@@ -59,18 +49,14 @@ def test_goal_bearing_lateral_and_norm():
         goal = rng.uniform(1, 9, size=2)
         if np.allclose(pos, goal):
             continue
-        heading = rng.uniform(0, 2 * np.pi)
-        b = goal_bearing(pos, heading, goal)
+        b = goal_bearing(pos, goal)
         assert abs(np.linalg.norm(b) - 1.0) <= 1e-12
-        # reconstruct the world direction from the body frame components
-        c, s = np.cos(heading), np.sin(heading)
-        world = np.array([c * b[0] - s * b[1], s * b[0] + c * b[1]])
         expected = (goal - pos) / np.linalg.norm(goal - pos)
-        assert np.max(np.abs(world - expected)) <= 1e-12
+        assert np.max(np.abs(b - expected)) <= 1e-12
 
 
 def test_goal_bearing_without_goal_is_zero():
-    assert np.array_equal(goal_bearing(np.zeros(2), 0.3, None), np.zeros(2))
+    assert np.array_equal(goal_bearing(np.zeros(2), None), np.zeros(2))
 
 
 def test_raycast_continuity_under_small_nudges():
@@ -88,8 +74,8 @@ def test_raycast_continuity_under_small_nudges():
         pos = np.array([(cell[1] + frac[0]) * cs, (cell[0] + frac[1]) * cs])
         delta = rng.standard_normal(2)
         delta *= 1e-6 / np.linalg.norm(delta)
-        d0 = raycast(pos, 0.0, m, ray_max=16.0)
-        d1 = raycast(pos + delta, 0.0, m, ray_max=16.0)
+        d0 = raycast(pos, m, ray_max=16.0)
+        d1 = raycast(pos + delta, m, ray_max=16.0)
         for j in range(N_RAYS):
             ang = 2 * np.pi * j / N_RAYS
             hit = pos + d0[j] * np.array([np.cos(ang), np.sin(ang)])
@@ -115,17 +101,16 @@ def test_raycast_bit_identical_to_loop_oracle():
     checked = 0
     for kind in ("c_maze", "mirrored", "spiral", "gather", "open_field"):
         m = build_maze(kind)
-        positions = random_free_positions(m, rng, 1000)
+        positions = random_free_positions(m, rng, 2000)
         # faces hit head-on and rays grazing a face line
         positions += [m.cell_center(cell) for cell in m.free_cells()]
         positions += [np.array([(c + 1) * m.cell_size - 1e-9, r * m.cell_size + 1e-9])
                       for r, c in m.free_cells()]
         for pos in positions:
-            for heading in (0.0, float(rng.uniform(-np.pi, 3 * np.pi))):
-                got = raycast(pos, heading, m, 16.0)
-                want = raycast_loops(pos, heading, m, 16.0)
-                assert got.tobytes() == want.tobytes(), (kind, pos, heading)
-                checked += 1
+            got = raycast(pos, m, 16.0)
+            want = raycast_loops(pos, m, 16.0)
+            assert got.tobytes() == want.tobytes(), (kind, pos)
+            checked += 1
     assert checked >= 10_000
 
 
@@ -135,6 +120,6 @@ def test_faces_do_not_leak_between_mazes():
     for i in range(200):
         m = build_maze(("c_maze", "spiral")[i % 2])
         pos = random_free_positions(m, rng, 1)[0]
-        assert np.array_equal(raycast(pos, 0.0, m, 16.0), raycast_loops(pos, 0.0, m, 16.0))
+        assert np.array_equal(raycast(pos, m, 16.0), raycast_loops(pos, m, 16.0))
         del m
         gc.collect(0)

@@ -179,7 +179,3 @@ def test_batch_validation():
 def test_config_validation():
     with pytest.raises(ValueError):
         TrpoConfig(max_kl=0.0)
-    with pytest.raises(ValueError):
-        TrpoConfig(backtrack_ratio=1.0)
-    with pytest.raises(ValueError):
-        TrpoConfig(cg_damping=-1.0)
