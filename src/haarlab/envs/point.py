@@ -88,7 +88,7 @@ class ObservationPair:
     @property
     def high(self) -> np.ndarray:
         if self._high is None:
-            self._high = self._env.high_obs(self._agent, self.low)
+            self._high = self._env.high_obs_batch([self])[0]
         return self._high
 
 
@@ -112,12 +112,17 @@ class PointEnv:
         vx, vy = agent.velocity.tolist()
         return np.array((vx, vy, 0.0, 1.0))
 
-    def high_obs(self, agent: AgentState, low: np.ndarray | None = None) -> np.ndarray:
-        if low is None:
-            low = self.low_obs(agent)
-        rays = raycast(agent.position, self.maze, self.cfg.ray_max)
-        bearing = goal_bearing(agent.position, self.maze.goal_center)
-        return np.concatenate([low, rays, bearing])
+    def high_obs_batch(self, observations: list[ObservationPair]) -> np.ndarray:
+        """The high observations (ego observation, ray distances, goal
+        bearing) of several pairs as rows, with one raycast and one
+        goal_bearing call over all their positions. Rows are computed
+        alone, so a pair's row does not depend on the rest of the batch."""
+        positions = np.array([o._agent.position for o in observations])
+        out = np.empty((len(observations), HIGH_OBS_DIM))
+        out[:, :LOW_OBS_DIM] = [o.low for o in observations]
+        out[:, LOW_OBS_DIM:LOW_OBS_DIM + N_RAYS] = raycast(positions, self.maze, self.cfg.ray_max)
+        out[:, LOW_OBS_DIM + N_RAYS:] = goal_bearing(positions, self.maze.goal_center)
+        return out
 
     def observe(self, agent: AgentState) -> ObservationPair:
         return ObservationPair(self.low_obs(agent), self, agent)

@@ -27,11 +27,14 @@ _RAY_DIVISORS = np.where(_RAY_DIRECTIONS == 0.0, np.nan, _RAY_DIRECTIONS)
 
 
 def face_table(walls: np.ndarray, cell_size: float) -> tuple[np.ndarray, ...]:
-    """Wall faces touching free space, as columns (axis, other, at, lo, hi).
+    """Wall faces touching free space, shaped for raycast.
 
     Face i lies on the line x = at[i] (axis 0, vertical) or y = at[i]
     (axis 1, horizontal) and spans [lo[i], hi[i]] along the other axis,
-    in world units; other = 1 - axis. at, lo and hi have shape (F, 1).
+    in world units. Returns (axis, other, at, lo, hi, divisor, step):
+    other = 1 - axis; at, lo and hi have shape (F, 1, 1); divisor and
+    step, shape (F, 1, 20), hold each ray's direction component along the
+    face's axis (exact zeros as NaN) and along the other axis.
     """
     cs = cell_size
     faces = []
@@ -48,36 +51,52 @@ def face_table(walls: np.ndarray, cell_size: float) -> tuple[np.ndarray, ...]:
                 faces.append((1, r * cs, c * cs, (c + 1) * cs))
             if r + 1 < rows and not walls[r + 1, c]:
                 faces.append((1, (r + 1) * cs, c * cs, (c + 1) * cs))
-    table = np.array(faces, dtype=np.float64).reshape(-1, 4)
-    axis = table[:, 0].astype(np.intp)
-    return axis, 1 - axis, table[:, 1:2], table[:, 2:3], table[:, 3:4]
+    table = np.array(faces, dtype=np.float64).reshape(-1, 4, 1, 1)
+    axis = table[:, 0, 0, 0].astype(np.intp)
+    other = 1 - axis
+    return (axis, other, table[:, 1], table[:, 2], table[:, 3],
+            _RAY_DIVISORS[axis][:, None], _RAY_DIRECTIONS[other][:, None])
 
 
 def raycast(position: np.ndarray, maze, ray_max: float) -> np.ndarray:
     """Distances to the first wall along each of the 20 rays.
+
+    position is one point (2,), giving 20 distances, or an (L, 2) batch,
+    giving (L, 20) rows; each row is computed with the same float
+    operations as a lone point, so it matches the 1-D call bit for bit.
 
     For a face on x = at the ray parameter is t = (at - px) / dx and the
     crossing lies at py + t * dy (x and y swap for y = at). A direction
     component of exactly zero never meets a face it is parallel to: as a
     NaN divisor it makes t NaN, and every comparison on NaN is false.
     """
-    axis, other, at, lo, hi = maze.faces
-    p = np.array(((float(position[0]),), (float(position[1]),)))
-    t = (at - p.take(axis, axis=0)) / _RAY_DIVISORS.take(axis, axis=0)
-    hit = p.take(other, axis=0) + t * _RAY_DIRECTIONS.take(other, axis=0)
+    axis, other, at, lo, hi, divisor, step = maze.faces
+    p = np.asarray(position, dtype=np.float64)
+    pts = p.reshape(-1, 2).T[:, :, None]  # (2, L, 1): coordinate, point, ray
+    t = (at - pts[axis]) / divisor        # (F, L, 20): face, point, ray
+    hit = pts[other] + t * step
     ok = t >= 0.0
     ok &= hit >= lo
     ok &= hit <= hi
-    return np.where(ok, t, np.inf).min(axis=0, initial=ray_max)
+    dist = np.where(ok, t, np.inf).min(axis=0, initial=ray_max)
+    return dist[0] if p.ndim == 1 else dist
 
 
 def goal_bearing(position: np.ndarray, goal: np.ndarray | None) -> np.ndarray:
-    """Unit vector to the goal; tasks without a goal report a zero vector."""
-    if goal is None:
-        return np.zeros(2)
-    dx = float(goal[0]) - float(position[0])
-    dy = float(goal[1]) - float(position[1])
-    norm = math.hypot(dx, dy)
-    if norm == 0.0:
-        return np.zeros(2)
-    return np.array([dx / norm, dy / norm])
+    """Unit vector to the goal; tasks without a goal report a zero vector.
+
+    position is one point (2,) or an (L, 2) batch, giving (L, 2) rows.
+    """
+    p = np.asarray(position, dtype=np.float64)
+    rows = p.reshape(-1, 2).tolist()
+    out = np.zeros((len(rows), 2))
+    if goal is not None:
+        gx, gy = float(goal[0]), float(goal[1])
+        for row, (px, py) in zip(out, rows):
+            dx = gx - px
+            dy = gy - py
+            norm = math.hypot(dx, dy)
+            if norm != 0.0:
+                row[0] = dx / norm
+                row[1] = dy / norm
+    return out[0] if p.ndim == 1 else out

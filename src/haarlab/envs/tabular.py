@@ -69,7 +69,8 @@ class TabularRolloutEnv:
 
     Observations at both levels are the one-hot state; episodes truncate
     after `horizon` low steps so infinite-horizon chains can be sampled.
-    The transition noise draws from the episode stream handed to reset.
+    The transition noise draws from the episode stream handed to reset,
+    which the episode state carries, so episodes may run interleaved.
     """
 
     def __init__(self, mdp: TabularMdp, horizon: int):
@@ -78,24 +79,32 @@ class TabularRolloutEnv:
         self.low_obs_dim = mdp.n_states
         self.high_obs_dim = mdp.n_states
         self._eye = np.eye(mdp.n_states)
-        self._rng = None
 
     def _obs(self, s: int) -> _FixedObs:
         return _FixedObs(self._eye[s], self._eye[s])
 
+    def high_obs_batch(self, observations) -> np.ndarray:
+        return np.array([o.high for o in observations])
+
     def reset(self, rng: np.random.Generator):
-        self._rng = rng
+        """Returns ((state, t, rng), observation)."""
         s = _sample_index(self.mdp.initial_dist, rng)
-        return (s, 0), self._obs(s)
+        return (s, 0, rng), self._obs(s)
 
     def step(self, state, action):
-        s, t = state
+        s, t, rng = state
         a = int(action)
-        s_next = _sample_index(self.mdp.transition[s, a], self._rng)
+        s_next = _sample_index(self.mdp.transition[s, a], rng)
         reward = float(self.mdp.reward[s, a])
         t += 1
         done = t >= self.horizon or bool(self.mdp.terminal[s_next])
-        return (s_next, t), self._obs(s_next), reward, done, {"goal": False}
+        return (s_next, t, rng), self._obs(s_next), reward, done, {"goal": False}
+
+
+def _act_rows(act_one, obs, rng):
+    """A table policy's act over an (L, d) batch with L Generators."""
+    index, logp, dist = zip(*(act_one(o, r) for o, r in zip(obs, rng)))
+    return np.array(index), np.array(logp), np.array(dist)
 
 
 class TabularHighPolicy:
@@ -104,7 +113,11 @@ class TabularHighPolicy:
     def __init__(self, table: np.ndarray):
         self.table = np.asarray(table, dtype=np.float64)
 
-    def act(self, obs: np.ndarray, rng: np.random.Generator):
+    def act(self, obs: np.ndarray, rng):
+        """One observation with one Generator, or a batch of rows with one
+        Generator per row (as the neural policies' act)."""
+        if np.ndim(obs) == 2:
+            return _act_rows(self.act, obs, rng)
         s = int(np.argmax(obs))
         probs = self.table[s]
         z = _sample_index(probs, rng)
@@ -120,7 +133,11 @@ class TabularLowPolicy:
         self.table = np.asarray(table, dtype=np.float64)
         self.n_states = self.table.shape[0]
 
-    def act(self, x: np.ndarray, rng: np.random.Generator):
+    def act(self, x: np.ndarray, rng):
+        """One input with one Generator, or a batch of rows with one
+        Generator per row."""
+        if np.ndim(x) == 2:
+            return _act_rows(self.act, x, rng)
         s = int(np.argmax(x[:self.n_states]))
         z = int(np.argmax(x[self.n_states:]))
         probs = self.table[s, z]

@@ -33,11 +33,12 @@ import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, ExperimentConfig
-from .hierarchy import (SkillSchedule, TrainState, discounted_returns, episode_rng,
-                        fit_value_on_scaled, haar_iteration)
+from .hierarchy import (SkillSchedule, TrainState, discounted_returns, fit_value_on_scaled,
+                        haar_iteration)
 from .nets import MlpSpec
 from .policies import CategoricalPolicy, GaussianPolicy
 from .pretrain import fresh_low_policy, pretrain_skills
+from .rollout import LANES, run_lanes
 from .trpo import AdvantageBatch, TrpoConfig, TrpoDiagnostics, trpo_update
 
 HIGH_INIT_STREAM = 0x12
@@ -285,58 +286,50 @@ def _flat(cfg, env, seed) -> _Algorithm:
         metadata={}, act_fn=act_fn)
 
 
+class _FlatCollector:
+    """The flat collector for run_lanes: one policy acts on the full
+    observation at every step."""
+
+    def __init__(self, policy):
+        self.policy = policy
+
+    def start(self, lane):
+        pass
+
+    def act(self, lanes):
+        obs = np.array([lane.high for lane in lanes])
+        a, logp, mu = self.policy.act(obs, [lane.rng for lane in lanes])
+        return a, (obs, a, mu, logp)
+
+    def stepped(self, lane, reward, done) -> bool:
+        return not done
+
+
+def collect_flat(policy, env, budget: int, seed: tuple[int, ...], lanes: int = LANES):
+    """Whole episodes, in lockstep lanes, until `budget` steps are in the
+    batch; returns (observations, actions, means, log-probs, LaneRun)."""
+    run = run_lanes(env, seed, budget, _FlatCollector(policy), lanes)
+    return (*run.columns, run)
+
+
 def flat_iteration(policy, env, cfg: ExperimentConfig, seed: int, iteration: int,
                    low_steps_before: int):
     """One flat TRPO iteration: collect at least B steps of whole
     episodes, fit the value baseline on their discounted returns, and
     take one trust-region step. Returns the metrics and the
     (level, diagnostics) pair, as haar_iteration does."""
-    rows = cfg.B + cfg.T  # the last episode starts below B and lasts at most T steps
-    obs = np.empty((rows, env.high_obs_dim))
-    acts = np.empty((rows, 2))
-    dists = np.empty((rows, 2))
-    logps = np.empty(rows)
-    rewards = np.empty(rows)
-    dones = np.zeros(rows, dtype=bool)
-    successes, returns = [], []
-    n = 0
-    ep = 0
-    while n < cfg.B:
-        rng = episode_rng((seed, iteration), ep)
-        state, ob = env.reset(rng)
-        done = False
-        ep_ret = 0.0
-        success = False
-        while not done:
-            s_h = ob.high
-            a, logp, mu = policy.act(s_h, rng)
-            state, ob, r, done, info = env.step(state, a)
-            obs[n] = s_h
-            acts[n] = a
-            dists[n] = mu
-            logps[n] = logp
-            rewards[n] = r
-            ep_ret += r
-            n += 1
-            if info.get("goal"):
-                success = True
-        dones[n - 1] = True
-        successes.append(success)
-        returns.append(ep_ret)
-        ep += 1
-    obs = obs[:n]
-    rets = discounted_returns(rewards[:n], dones[:n], cfg.gamma_l)
+    obs, acts, means, logps, run = collect_flat(policy, env, cfg.B, (seed, iteration))
+    rets = discounted_returns(run.reward, run.done, cfg.gamma_l)
     v = fit_value_on_scaled(obs, rets, env.high_obs_scale, cfg.ridge)
     adv = rets - v.predict(obs)
-    batch = AdvantageBatch(obs, acts[:n], adv, logps[:n],
-                           (dists[:n], policy.log_std.copy()))
+    batch = AdvantageBatch(obs, acts, adv, logps, (means, policy.log_std.copy()))
     diag = trpo_update(policy, batch, TrpoConfig(max_kl=cfg.max_kl))
     metrics = {
         "iteration": iteration,
-        "low_steps_total": low_steps_before + n,
+        "low_steps_total": low_steps_before + len(obs),
         "k": 1,
-        "success_rate": float(np.mean(successes)),
-        "mean_return": float(np.mean(returns)),
+        "success_rate": float(np.mean([e.success for e in run.episodes])),
+        "mean_return": float(np.mean([e.total_return for e in run.episodes])),
         "high_kl": diag.kl,
         "low_kl": 0.0,
         "high_surr_improve": diag.improvement,

@@ -21,10 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .policies import CategoricalPolicy, GaussianPolicy
+from .rollout import LANES, EpisodeSummary, run_lanes
 from .trpo import AdvantageBatch, TrpoConfig, TrpoDiagnostics, trpo_update
 from .values import PolynomialValueEstimator, fit_value, fold_input_scale
-
-EPISODE_STREAM = 0xE9
 
 
 class ConservationError(RuntimeError):
@@ -51,12 +50,6 @@ class SkillSchedule:
 
     def advance(self) -> None:
         self.iteration += 1
-
-
-@dataclass
-class EpisodeSummary:
-    total_return: float
-    success: bool
 
 
 @dataclass
@@ -102,86 +95,101 @@ class RolloutBatch:
         return float(np.mean([e.total_return for e in self.episodes])) if self.episodes else 0.0
 
 
-def episode_rng(seed: tuple[int, ...], episode: int) -> np.random.Generator:
-    """Stream for one episode, independent of every other episode."""
-    return np.random.default_rng(np.random.SeedSequence((*seed, EPISODE_STREAM, episode)))
+@dataclass(slots=True)
+class _Segment:
+    id: int                  # position in the order segments opened
+    episode: int
+    s_h: np.ndarray
+    a_h: int
+    logp_h: float
+    dist_h: np.ndarray
+    s_h_next: np.ndarray | None = None
+    r_h: float = 0.0
+    done_h: bool = False
+    length: int = 0
 
 
-def _zero_extended(arrays, rows: int) -> list[np.ndarray]:
-    return [np.concatenate((a, np.zeros((rows - len(a), *a.shape[1:]), a.dtype)))
-            for a in arrays]
+class _SegmentCollector:
+    """The hierarchical collector for run_lanes: each lane's skill comes
+    from pi_h every k low steps (and at its episode's start), and pi_l
+    acts on the ego observation with that skill's one-hot appended."""
+
+    def __init__(self, pi_h, pi_l, low_dim: int, n_skills: int, k: int):
+        self.pi_h = pi_h
+        self.pi_l = pi_l
+        self.low_dim = low_dim
+        self.n_skills = n_skills
+        self.k = k
+        self.segments: list[_Segment] = []
+        self.last = []          # (segment, lane) of each episode's final segment
+
+    def start(self, lane):
+        lane.left = 0
+        lane.segment = None
+
+    def act(self, lanes):
+        deciding = [lane for lane in lanes if lane.left == 0]
+        if deciding:
+            highs = [lane.high for lane in deciding]
+            skills, logps, dists = self.pi_h.act(np.array(highs), [lane.rng for lane in deciding])
+            for lane, high, skill, logp, dist in zip(deciding, highs, skills.tolist(),
+                                                     logps.tolist(), dists):
+                if lane.segment is not None:  # the previous segment ends where this one starts
+                    lane.segment.s_h_next = high
+                lane.segment = _Segment(len(self.segments), lane.episode, high, skill, logp, dist)
+                self.segments.append(lane.segment)
+                lane.left = self.k
+        x = np.zeros((len(lanes), self.low_dim + self.n_skills))
+        x[:, :self.low_dim] = [lane.obs.low for lane in lanes]
+        x[np.arange(len(lanes)), [self.low_dim + lane.segment.a_h for lane in lanes]] = 1.0
+        a, logp, dist = self.pi_l.act(x, [lane.rng for lane in lanes])
+        return a, (x, a, logp, dist, np.array([lane.segment.id for lane in lanes]))
+
+    def stepped(self, lane, reward, done) -> bool:
+        seg = lane.segment
+        seg.r_h += reward
+        seg.length += 1
+        lane.left -= 1
+        if done:
+            seg.done_h = True
+            self.last.append((seg, lane))
+            return True  # the terminal observation is the segment's s_h_next
+        return lane.left == 0
 
 
 def collect_rollouts(pi_h, pi_l, env, n_skills: int, budget_low_steps: int, k: int,
-                     seed: tuple[int, ...]) -> RolloutBatch:
+                     seed: tuple[int, ...], lanes: int = LANES) -> RolloutBatch:
     """Simulate episodes until the low-step budget is met.
 
-    Episodes are seeded by their index. The final episode always runs to
-    completion. Low steps are written straight into preallocated arrays
-    that double when full; the action and distribution columns take
-    their shape from the first low-level action.
+    Episodes run in lockstep lanes (rollout.run_lanes): episode e is
+    seeded by its index, and it is in the batch iff the episodes before
+    it hold fewer than budget_low_steps steps; the batch's last episode
+    always runs to completion. The lane count never changes the batch.
     """
     if k < 1 or budget_low_steps < 1:
         raise ValueError("k and the step budget must be >= 1")
     low_dim = env.low_obs_dim
-    rows = budget_low_steps + k
-    x_l = np.zeros((rows, low_dim + n_skills))
-    logp_l = np.zeros(rows)
-    segment_id = np.zeros(rows, dtype=np.intp)
-    done_l = np.zeros(rows, dtype=bool)
-    a_l = dist_l = None
-    segments = []  # (s_h, s_h_next, a_h, r_h, done_h, seg_len, logp_h, dist_h) per segment
-    episodes: list[EpisodeSummary] = []
-    n = 0
-    ep_index = 0
-    while n < budget_low_steps:
-        rng = episode_rng(seed, ep_index)
-        state, obs = env.reset(rng)
-        ep_return = 0.0
-        success = False
-        done = False
-        while not done:
-            high = obs.high
-            skill, logp, dist = pi_h.act(high, rng)
-            if n + k > len(x_l):
-                x_l, logp_l, segment_id, done_l, a_l, dist_l = _zero_extended(
-                    (x_l, logp_l, segment_id, done_l, a_l, dist_l), 2 * len(x_l))
-            start = n
-            x_l[start:start + k, low_dim + skill] = 1.0
-            r = 0.0
-            for _ in range(k):
-                x = x_l[n]
-                x[:low_dim] = obs.low
-                a, logp_a, dist_a = pi_l.act(x, rng)
-                if a_l is None:
-                    a_l = np.zeros((len(x_l), *np.shape(a)), dtype=np.asarray(a).dtype)
-                    dist_l = np.zeros((len(x_l), *np.shape(dist_a)))
-                a_l[n] = a
-                logp_l[n] = logp_a
-                dist_l[n] = dist_a
-                state, obs, reward, done, info = env.step(state, a)
-                n += 1
-                r += reward
-                ep_return += reward
-                if info.get("goal"):
-                    success = True
-                if done:
-                    break
-            x_l[n:start + k, low_dim + skill] = 0.0  # rows the segment did not reach
-            segment_id[start:n] = len(segments)
-            segments.append((high, obs.high, skill, r, done, n - start, logp, dist))
-        done_l[n - 1] = True
-        episodes.append(EpisodeSummary(total_return=ep_return, success=success))
-        ep_index += 1
-    s_h, s_h_next, a_h, r_h, done_h, seg_len, logp_h, dist_h = zip(*segments)
+    c = _SegmentCollector(pi_h, pi_l, low_dim, n_skills, k)
+    run = run_lanes(env, seed, budget_low_steps, c, lanes)
+    for seg, lane in c.last:
+        seg.s_h_next = lane.high
+    x_l, a_l, logp_l, dist_l, step_segment = run.columns
+    segs = [c.segments[j] for j in run.order([seg.episode for seg in c.segments])]
+    renumber = np.empty(len(c.segments), dtype=np.intp)
+    renumber[[seg.id for seg in segs]] = np.arange(len(segs))
     log_std = getattr(pi_l, "log_std", None)
     return RolloutBatch(
-        x_l=x_l[:n], a_l=a_l[:n], logp_l=logp_l[:n], dist_l=dist_l[:n],
-        done_l=done_l[:n], segment_id=segment_id[:n],
-        s_h=np.stack(s_h), s_h_next=np.stack(s_h_next), a_h=np.array(a_h, dtype=np.intp),
-        r_h=np.array(r_h), done_h=np.array(done_h), seg_len=np.array(seg_len, dtype=np.intp),
-        logp_h=np.array(logp_h), dist_h=np.stack(dist_h), episodes=episodes,
-        low_dim=low_dim, n_skills=n_skills,
+        x_l=x_l, a_l=a_l, logp_l=logp_l, dist_l=dist_l, done_l=run.done,
+        segment_id=renumber[step_segment],
+        s_h=np.stack([seg.s_h for seg in segs]),
+        s_h_next=np.stack([seg.s_h_next for seg in segs]),
+        a_h=np.array([seg.a_h for seg in segs], dtype=np.intp),
+        r_h=np.array([seg.r_h for seg in segs]),
+        done_h=np.array([seg.done_h for seg in segs]),
+        seg_len=np.array([seg.length for seg in segs], dtype=np.intp),
+        logp_h=np.array([seg.logp_h for seg in segs]),
+        dist_h=np.stack([seg.dist_h for seg in segs]),
+        episodes=run.episodes, low_dim=low_dim, n_skills=n_skills,
         low_log_std=None if log_std is None else log_std.copy())
 
 

@@ -22,14 +22,32 @@ from .nets import (MlpSpec, backward, forward, forward_cached, init_mlp_params,
 from .params import NumericsError, ParamVector, ShapeError
 
 
-def _forward_1d(layers, x: np.ndarray) -> np.ndarray:
-    """Lean single-vector forward over cached layer views."""
-    a = x
+def _forward_rows(layers, x: np.ndarray) -> np.ndarray:
+    """Forward of an (L, d) batch over cached layer views, one
+    matrix-vector product per row and layer.
+
+    A row comes out bit for bit as the 1-D product W @ x gives it; the
+    matrix product x @ W.T sums in another order and would not. A lone
+    row takes the 1-D product itself, which skips the stacking overhead.
+    """
+    one = len(x) == 1
+    a = x[0] if one else x[:, :, None]
     last = len(layers) - 1
     for i, (W, b) in enumerate(layers):
-        z = W @ a + b
+        z = W @ a + (b if one else b[:, None])
         a = z if i == last else np.tanh(z)
-    return a
+    return a.reshape(len(x), -1)
+
+
+def _as_rows(obs, rng):
+    """(rows, generators, single): a 1-D call is the one-row batch."""
+    obs = np.asarray(obs, dtype=np.float64)
+    if obs.ndim == 1:
+        return obs[None], (rng,), True
+    if len(rng) != len(obs):
+        raise ShapeError("a batched act needs one generator per row")
+    return obs, rng, False
+
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -94,16 +112,29 @@ class GaussianPolicy:
 
     # -- distribution interface ---------------------------------------------
 
-    def act(self, obs: np.ndarray, rng: np.random.Generator):
-        """Sample an action; returns (action, log_prob, mean)."""
-        mu = _forward_1d(self._layers, obs * self.input_scale)
+    def act(self, obs: np.ndarray, rng):
+        """Sample actions; returns (action, log_prob, mean).
+
+        obs is one input with one Generator, or an (L, d) batch with a
+        sequence of L Generators, row i drawing only from rng[i]; a batch
+        returns (L, action_dim) actions and means and L log-probs, each
+        row equal bit for bit to the 1-D call on that row.
+        """
+        x, rngs, single = _as_rows(obs, rng)
+        mu = _forward_rows(self._layers, x * self.input_scale)
         if not np.isfinite(mu.sum()):
             raise NumericsError("policy mean is not finite")
-        eps = rng.standard_normal(self.action_dim)
+        eps = np.empty_like(mu)
+        for r, row in zip(rngs, eps):
+            r.standard_normal(out=row)
         action = mu + np.exp(self._log_std) * eps
-        logp = (-0.5 * float(eps @ eps) - float(self._log_std.sum())
-                - 0.5 * self.action_dim * LOG_2PI)
-        return action, logp, mu
+        # eps @ eps per row as a stacked product: a row sum would use another order
+        quad = np.matmul(eps[:, None, :], eps[:, :, None]).ravel().tolist()
+        log_std_sum = float(self._log_std.sum())
+        logp = [-0.5 * q - log_std_sum - 0.5 * self.action_dim * LOG_2PI for q in quad]
+        if single:
+            return action[0], logp[0], mu[0]
+        return action, np.array(logp), mu
 
     def log_prob(self, obs: np.ndarray, action: np.ndarray) -> float | np.ndarray:
         """Exact log density; obs may be a single vector or a batch."""
@@ -252,18 +283,27 @@ class CategoricalPolicy:
         s = z - zmax
         return s - np.log(np.exp(s).sum(axis=-1, keepdims=True))
 
-    def act(self, obs: np.ndarray, rng: np.random.Generator):
-        """Sample a skill index; returns (index, log_prob, log_prob_vector)."""
-        z = _forward_1d(self._layers, obs * self.input_scale)
-        z = z - z.max()
-        logp = z - np.log(np.exp(z).sum())
+    def act(self, obs: np.ndarray, rng):
+        """Sample skill indices; returns (index, log_prob, log_prob_vector).
+
+        Batches work as in GaussianPolicy.act: an (L, d) input with L
+        Generators gives L indices, L log-probs and (L, n_skills) rows.
+        """
+        x, rngs, single = _as_rows(obs, rng)
+        z = _forward_rows(self._layers, x * self.input_scale)
+        z = z - z.max(axis=1, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
         if not np.isfinite(logp.sum()):
             raise NumericsError("policy logits are not finite")
         p = np.exp(logp)
-        u = rng.random()
-        index = int(np.searchsorted(np.cumsum(p), u * p.sum()))
-        index = min(index, self.n_skills - 1)
-        return index, float(logp[index]), logp
+        u = np.array([r.random() for r in rngs])
+        # searchsorted on each row's non-decreasing cumulative sum
+        index = (np.cumsum(p, axis=1) < (u * p.sum(axis=1))[:, None]).sum(axis=1)
+        index = np.minimum(index, self.n_skills - 1)
+        chosen = logp[np.arange(len(index)), index]
+        if single:
+            return int(index[0]), float(chosen[0]), logp[0]
+        return index, chosen, logp
 
     def log_prob(self, obs: np.ndarray, action) -> float | np.ndarray:
         return self.dist_log_prob(self.log_probs(obs), action)

@@ -110,8 +110,8 @@ def test_segment_rewards_match_replay_oracle():
     batch = collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget_low_steps=36, k=k, seed=seed)
 
     # independent replay: drive a fresh env with the same episode streams
-    from haarlab.hierarchy import episode_rng
-    seg_sums = []
+    from haarlab.rollout import episode_rng
+    seg_sums, seg_highs, seg_next_highs = [], [], []
     ep = 0
     total = 0
     while total < 36:
@@ -119,6 +119,7 @@ def test_segment_rewards_match_replay_oracle():
         state, obs = env.reset(rng)
         done = False
         while not done:
+            seg_highs.append(obs.high)
             skill, _, _ = pi_h.act(obs.high, rng)
             acc = 0.0
             for _ in range(k):
@@ -130,9 +131,12 @@ def test_segment_rewards_match_replay_oracle():
                 if done:
                     break
             seg_sums.append(acc)
+            seg_next_highs.append(obs.high)  # the terminal observation too
         ep += 1
     assert len(seg_sums) == len(batch.r_h)
     assert np.max(np.abs(batch.r_h - np.array(seg_sums))) <= 1e-12
+    assert batch.s_h.tobytes() == np.stack(seg_highs).tobytes()
+    assert batch.s_h_next.tobytes() == np.stack(seg_next_highs).tobytes()
 
 
 def test_one_hot_purity():
@@ -277,22 +281,25 @@ def test_low_returns_match_independent_recursion():
     gamma = 0.97
     got = low_returns(batch, gamma)
 
-    # independent implementation: explicit per-episode forward sums
+    # two oracles per episode: the explicit forward sum
+    # sum_{u>=t} gamma^(u-t) r_u, and the backward recursion G_t = r_t + gamma G_{t+1}
+    # from the episode's last step, which adds in the same order as the library
     rs = batch.r_l.tolist()
     dones = batch.done_l.tolist()
-    expected = np.zeros(len(rs))
+    forward = np.zeros(len(rs))
+    backward = np.zeros(len(rs))
     start = 0
     for i, d in enumerate(dones):
         if d or i == len(rs) - 1:
             for t in range(start, i + 1):
-                acc = 0.0
-                for u in range(i, t - 1, -1):
-                    acc = rs[u] + gamma * acc * (0.0 if u == i else 1.0)
-                # forward sum instead: sum_{u>=t} gamma^(u-t) r_u
-                acc = sum(rs[u] * gamma ** (u - t) for u in range(t, i + 1))
-                expected[t] = acc
+                forward[t] = sum(rs[u] * gamma ** (u - t) for u in range(t, i + 1))
+            acc = 0.0
+            for t in range(i, start - 1, -1):
+                acc = rs[t] + gamma * acc
+                backward[t] = acc
             start = i + 1
-    assert np.max(np.abs(got - expected)) <= 1e-10
+    assert np.max(np.abs(got - forward)) <= 1e-10
+    assert got.tobytes() == backward.tobytes()
 
 
 def test_high_returns_discount_per_decision():

@@ -79,6 +79,36 @@ def test_sampled_logprob_equals_log_prob():
     assert abs(logp - cat.log_prob(obs, a)) <= 1e-12
 
 
+@pytest.mark.parametrize("lanes", [1, 2, 7, 16, 33])
+def test_batched_act_rows_equal_single_calls(lanes):
+    # the layer shapes in use: the 26-input high policy, the low policy on
+    # 4 ego inputs plus 6 skills, and the flat policy
+    rng = np.random.default_rng(lanes)
+    policies = [CategoricalPolicy(MlpSpec(26, (32, 32), 6), rng),
+                GaussianPolicy(MlpSpec(10, (32, 32), 2), rng),
+                GaussianPolicy(MlpSpec(26, (32, 32), 2), rng)]
+    for pol in policies:
+        obs = rng.standard_normal((lanes, pol.spec.input_dim)) * 3.0
+        seeds = rng.integers(1 << 30, size=lanes)
+        rngs = [np.random.default_rng(s) for s in seeds]
+        actions, logps, dists = pol.act(obs, rngs)
+        assert len(actions) == len(logps) == len(dists) == lanes
+        for i, s in enumerate(seeds):
+            alone = np.random.default_rng(s)
+            a, logp, dist = pol.act(obs[i], alone)
+            assert isinstance(logp, float)
+            assert np.asarray(actions[i]).tobytes() == np.asarray(a).tobytes()
+            assert logps[i] == logp
+            assert dists[i].tobytes() == dist.tobytes()
+            assert rngs[i].random() == alone.random()  # the same draws were taken
+
+
+def test_batched_act_needs_one_generator_per_row():
+    pol = make_gaussian()
+    with pytest.raises(ShapeError):
+        pol.act(np.zeros((3, 3)), [np.random.default_rng(0)] * 2)
+
+
 # -- log densities ------------------------------------------------------------
 
 def test_gaussian_logprob_at_mode():

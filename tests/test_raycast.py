@@ -123,3 +123,20 @@ def test_faces_do_not_leak_between_mazes():
         assert np.array_equal(raycast(pos, m, 16.0), raycast_loops(pos, m, 16.0))
         del m
         gc.collect(0)
+
+
+def test_batched_raycast_and_bearing_rows_equal_single_calls():
+    rng = np.random.default_rng(12)
+    for kind in ("c_maze", "spiral", "gather", "open_field"):
+        m = build_maze(kind)
+        positions = random_free_positions(m, rng, 40)
+        positions += [m.cell_center(cell) for cell in m.free_cells()[:10]]
+        for lanes in (1, 3, 16, len(positions)):
+            batch = np.array(positions[:lanes])
+            rays = raycast(batch, m, 16.0)
+            bearings = goal_bearing(batch, m.goal_center)
+            assert rays.shape == (lanes, N_RAYS) and bearings.shape == (lanes, 2)
+            for pos, ray_row, bearing_row in zip(batch, rays, bearings):
+                assert ray_row.tobytes() == raycast(pos, m, 16.0).tobytes()
+                assert ray_row.tobytes() == raycast_loops(pos, m, 16.0).tobytes()
+                assert bearing_row.tobytes() == goal_bearing(pos, m.goal_center).tobytes()

@@ -1,0 +1,178 @@
+"""Lockstep lanes: the lane count never changes a byte of a batch.
+
+Both collectors (hierarchy.collect_rollouts and experiment.collect_flat)
+run on rollout.run_lanes; every array they return must be the same bytes
+for every lane count, on the point-mass maze, the gather arena and the
+tabular chain, including budgets that end inside or exactly at the end of
+an episode and runs that drop a speculative episode.
+"""
+
+import numpy as np
+import pytest
+
+from haarlab.envs.maze import build_maze
+from haarlab.envs.point import EnvConfig, PointEnv
+from haarlab.envs.tabular import TabularHighPolicy, TabularLowPolicy, TabularRolloutEnv
+from haarlab.experiment import collect_flat
+from haarlab.hierarchy import collect_rollouts
+from haarlab.nets import MlpSpec
+from haarlab.policies import CategoricalPolicy, GaussianPolicy
+from haarlab.rollout import LANES
+from haarlab.theory import absorbing_random_mdp, random_joint_policy
+
+LANE_COUNTS = (1, 3, LANES)
+N_SKILLS = 3
+BATCH_ARRAYS = ("x_l", "a_l", "logp_l", "dist_l", "done_l", "segment_id", "s_h", "s_h_next",
+                "a_h", "r_h", "done_h", "seg_len", "logp_h", "dist_h")
+
+
+def point_env(kind, **kw):
+    return PointEnv(build_maze(kind), EnvConfig(**kw))
+
+
+def neural_hierarchy(env, seed=0):
+    rng = np.random.default_rng(seed)
+    pi_h = CategoricalPolicy(MlpSpec(env.high_obs_dim, (16, 16), N_SKILLS), rng,
+                             input_scale=env.high_obs_scale)
+    pi_l = GaussianPolicy(MlpSpec(env.low_obs_dim + N_SKILLS, (16, 16), 2), rng,
+                          input_scale=np.concatenate([env.low_obs_scale, np.ones(N_SKILLS)]))
+    return pi_h, pi_l
+
+
+def tabular_env(seed=3, horizon=12):
+    rng = np.random.default_rng(seed)
+    mdp = absorbing_random_mdp(4, 2, rng, stop_prob=0.1)
+    jp = random_joint_policy(mdp, N_SKILLS, 2, 0.9, 0.9, rng)
+    return TabularRolloutEnv(mdp, horizon=horizon), jp
+
+
+def flat_policy(env, seed=1):
+    return GaussianPolicy(MlpSpec(env.high_obs_dim, (16, 16), 2), np.random.default_rng(seed),
+                          input_scale=env.high_obs_scale)
+
+
+def assert_same_bytes(runs):
+    """Every run's arrays equal the first run's in dtype, shape and bytes,
+    and come out C-contiguous."""
+    first = runs[0]
+    for run in runs:
+        assert run.keys() == first.keys()
+        for name, arr in run.items():
+            assert arr.flags.c_contiguous, name
+            assert arr.dtype == first[name].dtype and arr.shape == first[name].shape, name
+            assert arr.tobytes() == first[name].tobytes(), name
+
+
+def hierarchy_arrays(batch):
+    out = {name: getattr(batch, name) for name in BATCH_ARRAYS}
+    out["episodes"] = np.array([(e.total_return, e.success) for e in batch.episodes])
+    return out
+
+
+def flat_arrays(collected):
+    obs, acts, means, logps, run = collected
+    return {"obs": obs, "acts": acts, "means": means, "logps": logps, "reward": run.reward,
+            "done": run.done,
+            "episodes": np.array([(e.total_return, e.success) for e in run.episodes])}
+
+
+def stumbling_env(kind, horizon):
+    """Episodes that often trip before T, so lanes finish out of order."""
+    return point_env(kind, max_episode_steps=horizon, stumble_threshold=0.9)
+
+
+HIERARCHY_CASES = {
+    "point_maze": (lambda: stumbling_env("c_maze", 40), 150, 4),
+    "point_gather": (lambda: stumbling_env("gather", 25), 120, 5),
+    "tabular": (tabular_env, 200, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HIERARCHY_CASES))
+def test_hierarchy_batches_identical_for_every_lane_count(case):
+    make, budget, k = HIERARCHY_CASES[case]
+    made = make()
+    if case == "tabular":
+        env, jp = made
+        pi_h, pi_l = TabularHighPolicy(jp.pi_h), TabularLowPolicy(jp.pi_l)
+    else:
+        env = made
+        pi_h, pi_l = neural_hierarchy(env)
+    batches = [collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget, k, seed=(4, 1), lanes=lanes)
+               for lanes in LANE_COUNTS]
+    assert batches[0].n_low_steps >= budget
+    assert len(set(np.diff(np.flatnonzero(batches[0].done_l), prepend=-1))) > 1
+    assert_same_bytes([hierarchy_arrays(b) for b in batches])
+
+
+FLAT_CASES = {
+    "point_maze": (lambda: stumbling_env("c_maze", 40), 150),
+    "point_gather": (lambda: stumbling_env("gather", 25), 120),
+    "tabular": (tabular_env, 200),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLAT_CASES))
+def test_flat_batches_identical_for_every_lane_count(case):
+    make, budget = FLAT_CASES[case]
+    made = make()
+    if case == "tabular":
+        # a table over (state, action) acts on the one-hot state like a flat policy
+        env, jp = made
+        policy = TabularHighPolicy(jp.pi_l[:, 0, :])
+    else:
+        env = made
+        policy = flat_policy(env)
+    runs = [collect_flat(policy, env, budget, (2, 5), lanes) for lanes in LANE_COUNTS]
+    assert len(runs[0][0]) >= budget
+    assert runs[0][-1].steps_taken == len(runs[0][0])  # one lane never speculates
+    assert len(set(np.diff(np.flatnonzero(runs[0][-1].done), prepend=-1))) > 1
+    assert_same_bytes([flat_arrays(r) for r in runs])
+
+
+# Without stumbling every maze episode lasts exactly T steps, so the
+# budget's edge cases can be set up exactly.
+EDGES = {
+    # budget, T, lanes -> episodes in the batch, steps taken by three lanes
+    "budget_below_one_episode": (5, 12, 1, 12 + 5 + 3),
+    "budget_met_at_an_episode_end": (20, 10, 2, 30),
+    "running_episode_dropped": (15, 10, 2, 28),
+}
+
+
+@pytest.mark.parametrize("edge", sorted(EDGES))
+def test_budget_edges(edge):
+    budget, horizon, episodes, taken_by_three = EDGES[edge]
+    env = point_env("c_maze", max_episode_steps=horizon, stumble_enabled=False)
+    policy = flat_policy(env)
+    runs = [collect_flat(policy, env, budget, (0, 0), lanes) for lanes in LANE_COUNTS]
+    for obs, _, _, _, run in runs:
+        assert len(run.episodes) == episodes
+        assert len(obs) == episodes * horizon
+    assert runs[1][-1].steps_taken == taken_by_three
+    assert runs[2][-1].steps_taken > len(runs[2][0])
+    assert_same_bytes([flat_arrays(r) for r in runs])
+
+    pi_h, pi_l = neural_hierarchy(env)
+    batches = [collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget, 4, seed=(0, 0), lanes=lanes)
+               for lanes in LANE_COUNTS]
+    assert len(batches[0].episodes) == episodes
+    assert batches[0].n_low_steps == episodes * horizon
+    assert_same_bytes([hierarchy_arrays(b) for b in batches])
+
+
+def test_high_obs_batch_rows_equal_single_observations():
+    env = point_env("c_maze", max_episode_steps=30)
+    policy = flat_policy(env)
+    rng = np.random.default_rng(9)
+    pairs = []
+    for _ in range(20):
+        state, obs = env.reset(rng)
+        for _ in range(int(rng.integers(0, 8))):
+            state, obs, _, done, _ = env.step(state, policy.act(obs.high, rng)[0])
+            if done:
+                break
+        pairs.append(obs)
+    rows = env.high_obs_batch(pairs)
+    for row, obs in zip(rows, pairs):
+        assert row.tobytes() == obs.high.tobytes()

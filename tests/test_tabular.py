@@ -30,3 +30,34 @@ def test_validation_rejects_bad_rows():
         TabularMdp(np.full((2, 1, 2), 0.4), np.zeros((2, 1)), np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
         random_mdp(0, 1, np.random.default_rng(0))
+
+
+def test_interleaved_episodes_keep_their_own_streams():
+    # each episode's transition noise must come from the stream handed to
+    # its own reset, however episodes on one env interleave
+    from haarlab.envs.tabular import TabularRolloutEnv
+
+    env = TabularRolloutEnv(random_mdp(5, 2, np.random.default_rng(8)), horizon=12)
+
+    def transitions(state, action):
+        state, obs, reward, done, _ = env.step(state, action)
+        return state, (int(np.argmax(obs.low)), reward, done)
+
+    alone = []
+    for seed in (1, 2):
+        state, _ = env.reset(np.random.default_rng(seed))
+        steps = []
+        for t in range(12):
+            state, step = transitions(state, t % 2)
+            steps.append(step)
+        alone.append(steps)
+
+    state_a, _ = env.reset(np.random.default_rng(1))
+    state_b, _ = env.reset(np.random.default_rng(2))
+    interleaved = ([], [])
+    for t in range(12):
+        state_a, step = transitions(state_a, t % 2)
+        interleaved[0].append(step)
+        state_b, step = transitions(state_b, t % 2)
+        interleaved[1].append(step)
+    assert list(interleaved) == alone
