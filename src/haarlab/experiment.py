@@ -125,13 +125,19 @@ class _CsvSink:
         self._fh.close()
 
 
-def _trace_trajectories(path: str, env, act_fn, seed: int, episodes: int = TRACE_EPISODES):
-    """Simulate fresh post-training episodes and dump positions."""
+def _trace_trajectories(path: str, env, trace_policy, seed: int,
+                        episodes=range(TRACE_EPISODES)):
+    """Simulate fresh post-training episodes and dump positions.
+
+    Each episode gets its own stream and a fresh policy from
+    trace_policy(), so it runs the same alone as after the others.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("episode", "step", "x", "y", "skill"))
-        for ep in range(episodes):
+        for ep in episodes:
             rng = np.random.default_rng(np.random.SeedSequence((seed, TRACE_STREAM, ep)))
+            act_fn = trace_policy()
             state, obs = env.reset(rng)
             step = 0
             writer.writerow((ep, step, _fmt(state.agent.position[0]),
@@ -152,7 +158,8 @@ class _Algorithm:
     iterate: Callable[[int, int], tuple[dict, list[tuple[str, TrpoDiagnostics]]]]
     segments: Callable[[], dict[str, np.ndarray]]  # checkpoint contents after training
     metadata: dict                                 # checkpoint metadata beyond the shared keys
-    act_fn: Callable                               # (obs, rng) -> (action, skill) for the trace
+    trace_policy: Callable[[], Callable]           # a fresh (obs, rng) -> (action, skill)
+                                                   # for each trace episode
 
 
 def run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: str,
@@ -202,7 +209,7 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: str,
     save_checkpoint(os.path.join(run_dir, "checkpoint.bin"), algo.segments(),
                     metadata={"algorithm": cfg.algorithm, "task": cfg.task, "seed": seed,
                               "config_hash": cfg.config_hash(), **algo.metadata})
-    _trace_trajectories(os.path.join(run_dir, "trajectories.csv"), env, algo.act_fn, seed)
+    _trace_trajectories(os.path.join(run_dir, "trajectories.csv"), env, algo.trace_policy, seed)
     payload = {
         "config": cfg.to_dict(),
         "config_hash": cfg.config_hash(),
@@ -249,25 +256,27 @@ def _hierarchical(cfg, env, seed, skills_checkpoint, transfer, source_checkpoint
         update_low=cfg.algorithm != "frozen_skills",
         ridge=cfg.ridge)
 
-    # the trace runs each skill for the final skill length; a skill
-    # carries over from one trace episode to the next
-    skill_box = {"skill": -1, "left": 0}
+    def trace_policy():
+        """Each skill runs for the final skill length; every trace episode
+        starts with a fresh skill choice."""
+        skill_box = {"skill": -1, "left": 0}
 
-    def act_fn(obs, rng):
-        if skill_box["left"] == 0:
-            skill_box["skill"], _, _ = pi_h.act(obs.high, rng)
-            skill_box["left"] = state.schedule.current_k()
-        x = np.empty(env.low_obs_dim + cfg.n_skills)
-        x[:env.low_obs_dim] = obs.low
-        x[env.low_obs_dim:] = 0.0
-        x[env.low_obs_dim + skill_box["skill"]] = 1.0
-        a, _, _ = pi_l.act(x, rng)
-        skill_box["left"] -= 1
-        return a, skill_box["skill"]
+        def act_fn(obs, rng):
+            if skill_box["left"] == 0:
+                skill_box["skill"], _, _ = pi_h.act(obs.high, rng)
+                skill_box["left"] = state.schedule.current_k()
+            x = np.empty(env.low_obs_dim + cfg.n_skills)
+            x[:env.low_obs_dim] = obs.low
+            x[env.low_obs_dim:] = 0.0
+            x[env.low_obs_dim + skill_box["skill"]] = 1.0
+            a, _, _ = pi_l.act(x, rng)
+            skill_box["left"] -= 1
+            return a, skill_box["skill"]
+        return act_fn
 
     return _Algorithm(iterate=lambda it, low_steps: haar_iteration(state, env),
                       segments=lambda: policy_segments(pi_h, pi_l),
-                      metadata={"n_skills": cfg.n_skills}, act_fn=act_fn)
+                      metadata={"n_skills": cfg.n_skills}, trace_policy=trace_policy)
 
 
 def _flat(cfg, env, seed) -> _Algorithm:
@@ -283,7 +292,7 @@ def _flat(cfg, env, seed) -> _Algorithm:
         iterate=lambda it, low_steps: flat_iteration(policy, env, cfg, seed, it, low_steps),
         segments=lambda: {"flat/mean_net": policy.params.segment("mean_net").copy(),
                           "flat/log_std": policy.params.segment("log_std").copy()},
-        metadata={}, act_fn=act_fn)
+        metadata={}, trace_policy=lambda: act_fn)
 
 
 class _FlatCollector:

@@ -220,3 +220,29 @@ def test_trajectories_schema(tmp_path):
     for r in rows[1:]:
         if int(r["step"]) > 0:
             assert 0 <= int(r["skill"]) < cfg.n_skills
+
+
+@pytest.mark.parametrize("algorithm", ["haar", "flat_trpo"])
+def test_trace_episode_runs_as_it_would_alone(tmp_path, algorithm):
+    # T is not a multiple of the skill length, so a skill in progress at an
+    # episode's end would leak into the next episode if it were carried over
+    from haarlab.experiment import _flat, _hierarchical, _trace_trajectories
+
+    cfg = tiny_cfg(algorithm=algorithm, T=13, k_0=5, k_s=5)
+    env = cfg.build_env()
+
+    def trace(path, **kw):  # a freshly built algorithm each time
+        algo = (_flat(cfg, env, 2) if algorithm == "flat_trpo"
+                else _hierarchical(cfg, env, 2, None, None, None))
+        _trace_trajectories(str(path), env, algo.trace_policy, 2, **kw)
+
+    trace(tmp_path / "all.csv")
+    with open(tmp_path / "all.csv") as fh:
+        rows = list(csv.reader(fh))
+    for ep in range(10):
+        path = tmp_path / f"ep{ep}.csv"
+        trace(path, episodes=[ep])
+        with open(path) as fh:
+            alone = list(csv.reader(fh))
+        assert alone[1:] == [r for r in rows[1:] if r[0] == str(ep)]
+        assert len(alone) > 1

@@ -74,7 +74,7 @@ GOLDEN = {
     "haar/diagnostics.csv":
         "ba16ea9a82645d4863e84143f59cf40b6144b2c0fbfb57e2c5c86c8da2223c1a",
     "haar/trajectories.csv":
-        "75de9d6924cc79bc7ac5dc2d9a9276f9159eeb754f6fb34570a98335ff19d160",
+        "2ecd6992eb8ef4ad23e1d16cab15deb9f716edbda8131ef9cb32857575cf5694",
     "haar/checkpoint.bin":
         "c3e481e867d37cbce5460f304bab9f712f6d5f8ed90a42d4f18fed416e0a38a3",
     "haar/config_hash": "08c222801c74",
@@ -101,7 +101,7 @@ GOLDEN = {
     "alternate/diagnostics.csv":
         "c43cadc4d55df3d41b9937e3ef54fd12571ab1e4209c7f07d11de0bb9f6d8c9e",
     "alternate/trajectories.csv":
-        "87f8f840ad35528a95b0e5757792017c37f213c97cf54817342c78d621bc89fe",
+        "d8aff13326e07faf0bb747be64b8165e60d14ccf4a05f32f08ca7d8a2b3c3e3d",
     "alternate/checkpoint.bin":
         "78e1345422637e9ad5d649766c883ac451dcaf45766b7a7f6239097a8d386414",
     "alternate/config_hash": "777d15e2fb34",
@@ -110,7 +110,7 @@ GOLDEN = {
     "haar_no_anneal/diagnostics.csv":
         "a16ef85ed8983332ba42228b796887c4283d325bd42860e5a922256dcaabad36",
     "haar_no_anneal/trajectories.csv":
-        "1e5272220da5dbbec56c85b93b631e7018b99908210f274ab34622376148efec",
+        "7d9461058e0e960cbe500ec36580dda1954e1ee59f94c576ac824f0387bdcd70",
     "haar_no_anneal/checkpoint.bin":
         "faa567d2ca2768d7a4b23af6ac3b81597db1e2c149f3bd1e72720a52984ad2d4",
     "haar_no_anneal/config_hash": "d10f47004bb0",
@@ -119,7 +119,7 @@ GOLDEN = {
     "cli_override/diagnostics.csv":
         "4288cb5eb864dc4c60e34a2e379a545f14f2efb4b419bc5942079d6b99648e0c",
     "cli_override/trajectories.csv":
-        "76a44731d39122682566449961748d65ab7accc3b973dc58cc7286a4144f8187",
+        "c72fec564ee001cad43ddfe6d3d4abc228ce98fa73f8911678ba51f11eda6689",
     "cli_override/checkpoint.bin":
         "bee0814538370ebcbde5260be492e3eac3bae45218af69da634278d9b427cd58",
     "cli_override/config_hash": "5b51a2c177a2",
@@ -128,7 +128,7 @@ GOLDEN = {
     "transfer_both/diagnostics.csv":
         "8719c53488eea96aa6b347a37776cf71b813b51fe50a18424d69c089590eedff",
     "transfer_both/trajectories.csv":
-        "6e6f16a730ab43536a472ac10bbae54eaf9f7de89124fae1f6d431e4de4c43f9",
+        "38642e94176d69000dc310710515534d2c5e4270ca22cce78e00179599e55a51",
     "transfer_both/checkpoint.bin":
         "b882c9f08997a6a8fbcbd5152e7760322234e8e121b27714a5b8c731e5d06cc6",
     "transfer_both/config_hash": "68488093d649",
@@ -137,7 +137,7 @@ GOLDEN = {
     "transfer_low_only/diagnostics.csv":
         "c5bf0f0b29d014d03aa9a03489c197a2e9dead7663e0855fbcd9131469c1ec15",
     "transfer_low_only/trajectories.csv":
-        "6829caba1d155c2deea79665aae5bed42c067af6bc01bc9d9cf68b2fa7b34b11",
+        "25fadf7ee3979c0f3ac815a5febf1111c4e73450b0a8732c7271b70940ee3bfd",
     "transfer_low_only/checkpoint.bin":
         "131545d4023030e68fc3c046795a9395770ff1889cd503c0a973f25478fe53ea",
     "transfer_low_only/config_hash": "68488093d649",
