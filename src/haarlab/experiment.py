@@ -75,31 +75,26 @@ def fresh_flat_policy(cfg: ExperimentConfig, env, seed: int) -> GaussianPolicy:
                           input_scale=env.high_obs_scale)
 
 
-def policy_segments(pi_h, pi_l) -> dict[str, np.ndarray]:
-    return {
-        "pi_h/logits_net": pi_h.params.segment("logits_net").copy(),
-        "pi_l/mean_net": pi_l.params.segment("mean_net").copy(),
-        "pi_l/log_std": pi_l.params.segment("log_std").copy(),
-    }
+def policy_segments(**policies) -> dict[str, np.ndarray]:
+    """{"<name>/<segment>": values} for each segment of each name=policy."""
+    return {f"{name}/{seg}": policy.params.segment(seg).copy()
+            for name, policy in policies.items() for seg in policy.params.layout}
 
 
-def load_policy_segments(path: str, pi_h=None, pi_l=None) -> dict:
+def load_policy_segments(path: str, **policies) -> dict:
+    """Load what policy_segments wrote into each name=policy; returns the metadata."""
     segments, metadata = load_checkpoint(path)
-    def put(policy, seg_key, name):
-        if seg_key not in segments:
-            raise CheckpointError(f"checkpoint {path} lacks segment {seg_key!r}")
-        arr = segments[seg_key]
-        want = policy.params.layout[name][1]
-        if arr.size != want:
-            raise CheckpointError(
-                f"segment {seg_key!r} has {arr.size} values, expected {want}: "
-                "checkpoint and config dimensions do not match")
-        policy.params.set_segment(name, arr)
-    if pi_l is not None:
-        put(pi_l, "pi_l/mean_net", "mean_net")
-        put(pi_l, "pi_l/log_std", "log_std")
-    if pi_h is not None:
-        put(pi_h, "pi_h/logits_net", "logits_net")
+    for name, policy in policies.items():
+        for seg, (_, want) in policy.params.layout.items():
+            key = f"{name}/{seg}"
+            arr = segments.get(key)
+            if arr is None:
+                raise CheckpointError(f"checkpoint {path} lacks segment {key!r}")
+            if arr.size != want:
+                raise CheckpointError(
+                    f"segment {key!r} has {arr.size} values, expected {want}: "
+                    "checkpoint and config dimensions do not match")
+            policy.params.set_segment(seg, arr)
     return metadata
 
 
@@ -236,8 +231,8 @@ def _hierarchical(cfg, env, seed, skills_checkpoint, transfer, source_checkpoint
     if transfer in ("both", "low_only"):
         if not source_checkpoint:
             raise ConfigError("transfer runs need a source checkpoint")
-        load_policy_segments(source_checkpoint,
-                             pi_h=pi_h if transfer == "both" else None, pi_l=pi_l)
+        donors = {"pi_l": pi_l, "pi_h": pi_h} if transfer == "both" else {"pi_l": pi_l}
+        load_policy_segments(source_checkpoint, **donors)
     elif transfer not in (None, "none"):
         raise ConfigError(f"unknown transfer mode {transfer!r}")
     elif skills_checkpoint:
@@ -275,7 +270,7 @@ def _hierarchical(cfg, env, seed, skills_checkpoint, transfer, source_checkpoint
         return act_fn
 
     return _Algorithm(iterate=lambda it, low_steps: haar_iteration(state, env),
-                      segments=lambda: policy_segments(pi_h, pi_l),
+                      segments=lambda: policy_segments(pi_h=pi_h, pi_l=pi_l),
                       metadata={"n_skills": cfg.n_skills}, trace_policy=trace_policy)
 
 
@@ -290,8 +285,7 @@ def _flat(cfg, env, seed) -> _Algorithm:
 
     return _Algorithm(
         iterate=lambda it, low_steps: flat_iteration(policy, env, cfg, seed, it, low_steps),
-        segments=lambda: {"flat/mean_net": policy.params.segment("mean_net").copy(),
-                          "flat/log_std": policy.params.segment("log_std").copy()},
+        segments=lambda: policy_segments(flat=policy),
         metadata={}, trace_policy=lambda: act_fn)
 
 
@@ -401,8 +395,7 @@ def _pretrain_job(args):
     cfg, seed, out_dir = args
     pi_l, stats = pretrain_skills(cfg.pretrain, seed)
     path = os.path.join(out_dir, f"skills_seed_{seed}.bin")
-    save_checkpoint(path, {"pi_l/mean_net": pi_l.params.segment("mean_net").copy(),
-                           "pi_l/log_std": pi_l.params.segment("log_std").copy()},
+    save_checkpoint(path, policy_segments(pi_l=pi_l),
                     metadata={"n_skills": cfg.pretrain.n_skills,
                               "proxy": cfg.pretrain.proxy,
                               "env": "open_field/v1", "seed": seed,

@@ -56,61 +56,129 @@ LOG_STD_MAX = 2.0
 INIT_LOG_STD = -0.5
 
 
-class GaussianPolicy:
-    """pi(a|x) = N(mlp(x), diag(exp(log_std))^2), log_std clamped to [-5, 2]."""
+class _MlpPolicy:
+    """Plumbing shared by both heads: a tanh MLP in segment NET, then the
+    head's own segments. A head adds act and the dist_* math, and its
+    output-layer gradients return (gradient at the network output,
+    gradients of the head's own segments)."""
+
+    NET = ""
 
     def __init__(self, spec: MlpSpec, rng: np.random.Generator,
-                 input_scale: np.ndarray | None = None):
+                 input_scale: np.ndarray | None,
+                 head_segments: list[tuple[str, np.ndarray]]):
         self.spec = spec
-        self.action_dim = spec.output_dim
-        self.params = ParamVector.from_segments([
-            ("mean_net", init_mlp_params(spec, rng)),
-            ("log_std", np.full(spec.output_dim, INIT_LOG_STD)),
-        ])
+        self.params = ParamVector.from_segments(
+            [(self.NET, init_mlp_params(spec, rng)), *head_segments])
         if input_scale is None:
             input_scale = np.ones(spec.input_dim)
         self.input_scale = np.asarray(input_scale, dtype=np.float64)
         if self.input_scale.shape != (spec.input_dim,):
             raise ShapeError("input_scale must match the network input dimension")
-        # layer views into the parameter buffer; set_flat writes in place,
-        # so these stay valid across updates
+        # views into the parameter buffer stay valid: set_flat writes in place
         self._rebuild_views()
 
     def _rebuild_views(self):
-        self._layers = unpack_layers(self.spec, self.params.segment("mean_net"))
-        self._log_std = self.params.segment("log_std")
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state.pop("_layers")
-        state.pop("_log_std")
-        return state
+        self._layers = unpack_layers(self.spec, self.params.segment(self.NET))
 
     def __setstate__(self, state):
-        # cached views alias the parameter buffer; rebuild after unpickling
+        # unpickled views are copies; make them alias the parameter buffer again
         self.__dict__.update(state)
         self._rebuild_views()
-
-    # -- parameter plumbing -------------------------------------------------
 
     def flat(self) -> np.ndarray:
         return self.params.values.copy()
 
     def set_flat(self, values: np.ndarray) -> None:
         self.params.replace_values(values)
-        np.clip(self._log_std, LOG_STD_MIN, LOG_STD_MAX, out=self._log_std)
 
-    @property
-    def log_std(self) -> np.ndarray:
-        return self._log_std
+    def _forward(self, obs: np.ndarray) -> np.ndarray:
+        x = np.asarray(obs, dtype=np.float64) * self.input_scale
+        return forward(self.spec, self.params.segment(self.NET), x)
 
-    def _scaled(self, obs: np.ndarray) -> np.ndarray:
-        return np.asarray(obs, dtype=np.float64) * self.input_scale
+    def _forward_batch(self, obs: np.ndarray, w: np.ndarray):
+        """(n, network output, cached activations) of a batch under weights w."""
+        x = np.atleast_2d(np.asarray(obs, dtype=np.float64)) * self.input_scale
+        return (len(x), *forward_cached(self.spec, w, x))
+
+    def log_prob(self, obs: np.ndarray, action) -> float | np.ndarray:
+        """Exact log density; obs may be a single vector or a batch."""
+        return self.dist_log_prob(self.dist_params(obs), action)
+
+    def mean_kl(self, old_dist, obs: np.ndarray) -> float:
+        """Mean KL(old || current) over the batch, closed form."""
+        return self.dist_kl(old_dist, self.dist_params(np.atleast_2d(obs)))
+
+    def grad_logprob_weighted(self, obs: np.ndarray, actions, weights) -> np.ndarray:
+        """Gradient of mean_i(weights_i * log pi(a_i|x_i)) over all parameters."""
+        w = self.params.segment(self.NET)
+        n, out, acts = self._forward_batch(obs, w)
+        actions = self._action_batch(actions)
+        weights = np.asarray(weights, dtype=np.float64).ravel()
+        if len(actions) != n or weights.shape[0] != n or n == 0:
+            raise ShapeError("batch arrays must be nonempty and aligned")
+        gy, g_head = self._logprob_out_grad(out, actions, weights, n)
+        return np.concatenate([backward(self.spec, w, acts, gy), *g_head])
+
+    def kl_grad(self, old_dist, obs: np.ndarray) -> np.ndarray:
+        """Gradient of mean_kl w.r.t. the current parameters."""
+        w = self.params.segment(self.NET)
+        n, out, acts = self._forward_batch(obs, w)
+        gy, g_head = self._kl_out_grad(old_dist, out, n)
+        return np.concatenate([backward(self.spec, w, acts, gy), *g_head])
+
+    def fvp_builder(self, obs: np.ndarray, damping: float):
+        """Closure computing (F + damping I) v at the current parameters.
+
+        The forward pass through the batch happens once; repeated
+        applications (conjugate gradient) only pay for the directional
+        passes. The parameters are snapshotted, so the closure stays
+        valid if the policy is updated afterwards.
+        """
+        w = self.params.segment(self.NET).copy()
+        n, out, acts = self._forward_batch(obs, w)
+        derivs = tanh_derivs(acts)
+        fisher_out = self._fisher_out(out, n)
+        n_net = self.spec.n_params
+        size = self.params.size
+        spec = self.spec
+
+        def apply(v: np.ndarray) -> np.ndarray:
+            v = np.asarray(v, dtype=np.float64)
+            if v.size != size:
+                raise ShapeError("direction vector does not match parameter layout")
+            r = rop_forward(spec, w, v[:n_net], acts, derivs)
+            gy, g_head = fisher_out(r, v[n_net:])
+            return np.concatenate([backward(spec, w, acts, gy, derivs), *g_head]) + damping * v
+
+        return apply
+
+    def fvp(self, obs: np.ndarray, v: np.ndarray, damping: float) -> np.ndarray:
+        """(F + damping I) v with F the KL Hessian at the current parameters."""
+        return self.fvp_builder(obs, damping)(v)
+
+
+class GaussianPolicy(_MlpPolicy):
+    """pi(a|x) = N(mlp(x), diag(exp(log_std))^2), log_std clamped to [-5, 2]."""
+
+    NET = "mean_net"
+
+    def __init__(self, spec: MlpSpec, rng: np.random.Generator,
+                 input_scale: np.ndarray | None = None):
+        self.action_dim = spec.output_dim
+        super().__init__(spec, rng, input_scale,
+                         [("log_std", np.full(spec.output_dim, INIT_LOG_STD))])
+
+    def _rebuild_views(self):
+        super()._rebuild_views()
+        self.log_std = self.params.segment("log_std")
+
+    def set_flat(self, values: np.ndarray) -> None:
+        super().set_flat(values)
+        np.clip(self.log_std, LOG_STD_MIN, LOG_STD_MAX, out=self.log_std)
 
     def mean(self, obs: np.ndarray) -> np.ndarray:
-        return forward(self.spec, self.params.segment("mean_net"), self._scaled(obs))
-
-    # -- distribution interface ---------------------------------------------
+        return self._forward(obs)
 
     def act(self, obs: np.ndarray, rng):
         """Sample actions; returns (action, log_prob, mean).
@@ -127,18 +195,14 @@ class GaussianPolicy:
         eps = np.empty_like(mu)
         for r, row in zip(rngs, eps):
             r.standard_normal(out=row)
-        action = mu + np.exp(self._log_std) * eps
+        action = mu + np.exp(self.log_std) * eps
         # eps @ eps per row as a stacked product: a row sum would use another order
         quad = np.matmul(eps[:, None, :], eps[:, :, None]).ravel().tolist()
-        log_std_sum = float(self._log_std.sum())
+        log_std_sum = float(self.log_std.sum())
         logp = [-0.5 * q - log_std_sum - 0.5 * self.action_dim * LOG_2PI for q in quad]
         if single:
             return action[0], logp[0], mu[0]
         return action, np.array(logp), mu
-
-    def log_prob(self, obs: np.ndarray, action: np.ndarray) -> float | np.ndarray:
-        """Exact log density; obs may be a single vector or a batch."""
-        return self.dist_log_prob(self.dist_params(obs), action)
 
     def dist_params(self, obs: np.ndarray):
         """Cacheable distribution parameters: (means, log_std copy)."""
@@ -162,126 +226,54 @@ class GaussianPolicy:
                    + (old_var + (old_mu - mu) ** 2) / (2.0 * var) - 0.5)
         return float(per_dim.sum(axis=-1).mean())
 
-    def grad_logprob_weighted(self, obs: np.ndarray, actions: np.ndarray,
-                              weights: np.ndarray) -> np.ndarray:
-        """Gradient of mean_i(weights_i * log pi(a_i|x_i)) over all parameters."""
-        obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
-        actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
-        weights = np.asarray(weights, dtype=np.float64).ravel()
-        n = obs.shape[0]
-        if actions.shape[0] != n or weights.shape[0] != n or n == 0:
-            raise ShapeError("batch arrays must be nonempty and aligned")
-        w = self.params.segment("mean_net")
-        mu, acts = forward_cached(self.spec, w, self._scaled(obs))
-        log_std = self.log_std
-        inv_var = np.exp(-2.0 * log_std)
+    # -- output-layer gradients ---------------------------------------------
+
+    def _action_batch(self, actions) -> np.ndarray:
+        return np.atleast_2d(np.asarray(actions, dtype=np.float64))
+
+    def _logprob_out_grad(self, mu, actions, weights, n):
+        inv_var = np.exp(-2.0 * self.log_std)
         diff = actions - mu
         # d logp / d mu = (a - mu) / sigma^2
         gy = (weights[:, None] * diff * inv_var) / n
-        g_net = backward(self.spec, w, acts, gy)
         # d logp / d log_std = ((a-mu)/sigma)^2 - 1
-        zsq = diff * diff * inv_var
-        g_log_std = (weights[:, None] * (zsq - 1.0)).sum(axis=0) / n
-        return np.concatenate([g_net, g_log_std])
+        return gy, [(weights[:, None] * (diff * diff * inv_var - 1.0)).sum(axis=0) / n]
 
-    def mean_kl(self, old_dist, obs: np.ndarray) -> float:
-        """Mean KL(old || current) over the batch, closed form."""
-        return self.dist_kl(old_dist, self.dist_params(np.atleast_2d(obs)))
-
-    def kl_grad(self, old_dist, obs: np.ndarray) -> np.ndarray:
-        """Gradient of mean_kl w.r.t. the current parameters."""
+    def _kl_out_grad(self, old_dist, mu, n):
         old_mu, old_log_std = old_dist
-        obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
-        n = obs.shape[0]
-        w = self.params.segment("mean_net")
-        mu, acts = forward_cached(self.spec, w, self._scaled(obs))
-        log_std = self.log_std
-        inv_var = np.exp(-2.0 * log_std)
+        inv_var = np.exp(-2.0 * self.log_std)
         old_var = np.exp(2.0 * old_log_std)
         gy = (mu - old_mu) * inv_var / n
-        g_net = backward(self.spec, w, acts, gy)
-        g_log_std = (1.0 - (old_var + (old_mu - mu) ** 2) * inv_var).sum(axis=0) / n
-        return np.concatenate([g_net, g_log_std])
+        return gy, [(1.0 - (old_var + (old_mu - mu) ** 2) * inv_var).sum(axis=0) / n]
 
-    def fvp_builder(self, obs: np.ndarray, damping: float):
-        """Closure computing (F + damping I) v at the current parameters.
-
-        The forward pass through the batch happens once; repeated
-        applications (conjugate gradient) only pay for the directional
-        passes. The parameters are snapshotted, so the closure stays
-        valid if the policy is updated afterwards.
-        """
-        obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
-        n = obs.shape[0]
-        w = self.params.segment("mean_net").copy()
-        _, acts = forward_cached(self.spec, w, self._scaled(obs))
-        derivs = tanh_derivs(acts)
+    def _fisher_out(self, mu, n):
         inv_var_n = np.exp(-2.0 * self.log_std) / n
-        n_net = self.spec.n_params
-        size = self.params.size
-        spec = self.spec
-
-        def apply(v: np.ndarray) -> np.ndarray:
-            v = np.asarray(v, dtype=np.float64)
-            if v.size != size:
-                raise ShapeError("direction vector does not match parameter layout")
-            r_mu = rop_forward(spec, w, v[:n_net], acts, derivs)
-            g_net = backward(spec, w, acts, r_mu * inv_var_n, derivs)
-            return np.concatenate([g_net, 2.0 * v[n_net:]]) + damping * v
-
-        return apply
-
-    def fvp(self, obs: np.ndarray, v: np.ndarray, damping: float) -> np.ndarray:
-        """(F + damping I) v with F the KL Hessian at the current parameters."""
-        return self.fvp_builder(obs, damping)(v)
+        # the Fisher block of log_std is 2 I, and it has no cross terms
+        return lambda r, v_log_std: (r * inv_var_n, [2.0 * v_log_std])
 
 
-class CategoricalPolicy:
+def _softmax(z: np.ndarray) -> np.ndarray:
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _log_softmax(z: np.ndarray) -> np.ndarray:
+    s = z - z.max(axis=-1, keepdims=True)
+    return s - np.log(np.exp(s).sum(axis=-1, keepdims=True))
+
+
+class CategoricalPolicy(_MlpPolicy):
     """pi(a|x) = softmax(mlp(x)) over n_skills discrete choices."""
+
+    NET = "logits_net"
 
     def __init__(self, spec: MlpSpec, rng: np.random.Generator,
                  input_scale: np.ndarray | None = None):
-        self.spec = spec
         self.n_skills = spec.output_dim
-        self.params = ParamVector.from_segments([
-            ("logits_net", init_mlp_params(spec, rng)),
-        ])
-        if input_scale is None:
-            input_scale = np.ones(spec.input_dim)
-        self.input_scale = np.asarray(input_scale, dtype=np.float64)
-        if self.input_scale.shape != (spec.input_dim,):
-            raise ShapeError("input_scale must match the network input dimension")
-        self._rebuild_views()
-
-    def _rebuild_views(self):
-        self._layers = unpack_layers(self.spec, self.params.segment("logits_net"))
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state.pop("_layers")
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._rebuild_views()
-
-    def flat(self) -> np.ndarray:
-        return self.params.values.copy()
-
-    def set_flat(self, values: np.ndarray) -> None:
-        self.params.replace_values(values)
-
-    def _scaled(self, obs: np.ndarray) -> np.ndarray:
-        return np.asarray(obs, dtype=np.float64) * self.input_scale
-
-    def logits(self, obs: np.ndarray) -> np.ndarray:
-        return forward(self.spec, self.params.segment("logits_net"), self._scaled(obs))
+        super().__init__(spec, rng, input_scale, [])
 
     def log_probs(self, obs: np.ndarray) -> np.ndarray:
-        z = self.logits(obs)
-        zmax = z.max(axis=-1, keepdims=True)
-        s = z - zmax
-        return s - np.log(np.exp(s).sum(axis=-1, keepdims=True))
+        return _log_softmax(self._forward(obs))
 
     def act(self, obs: np.ndarray, rng):
         """Sample skill indices; returns (index, log_prob, log_prob_vector).
@@ -290,9 +282,7 @@ class CategoricalPolicy:
         Generators gives L indices, L log-probs and (L, n_skills) rows.
         """
         x, rngs, single = _as_rows(obs, rng)
-        z = _forward_rows(self._layers, x * self.input_scale)
-        z = z - z.max(axis=1, keepdims=True)
-        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        logp = _log_softmax(_forward_rows(self._layers, x * self.input_scale))
         if not np.isfinite(logp.sum()):
             raise NumericsError("policy logits are not finite")
         p = np.exp(logp)
@@ -304,9 +294,6 @@ class CategoricalPolicy:
         if single:
             return int(index[0]), float(chosen[0]), logp[0]
         return index, chosen, logp
-
-    def log_prob(self, obs: np.ndarray, action) -> float | np.ndarray:
-        return self.dist_log_prob(self.log_probs(obs), action)
 
     def dist_params(self, obs: np.ndarray) -> np.ndarray:
         return self.log_probs(obs)
@@ -325,60 +312,20 @@ class CategoricalPolicy:
         p_old = np.exp(old_logp)
         return float((p_old * (old_logp - new_logp)).sum(axis=1).mean())
 
-    def grad_logprob_weighted(self, obs: np.ndarray, actions, weights) -> np.ndarray:
-        obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
-        idx = np.asarray(actions, dtype=np.intp).ravel()
-        weights = np.asarray(weights, dtype=np.float64).ravel()
-        n = obs.shape[0]
-        if idx.shape[0] != n or weights.shape[0] != n or n == 0:
-            raise ShapeError("batch arrays must be nonempty and aligned")
-        w = self.params.segment("logits_net")
-        z, acts = forward_cached(self.spec, w, self._scaled(obs))
-        zmax = z.max(axis=1, keepdims=True)
-        e = np.exp(z - zmax)
-        p = e / e.sum(axis=1, keepdims=True)
-        gy = -p
+    # -- output-layer gradients ---------------------------------------------
+
+    def _action_batch(self, actions) -> np.ndarray:
+        return np.asarray(actions, dtype=np.intp).ravel()
+
+    def _logprob_out_grad(self, z, idx, weights, n):
+        gy = -_softmax(z)
         gy[np.arange(n), idx] += 1.0
         gy *= weights[:, None] / n
-        return backward(self.spec, w, acts, gy)
+        return gy, []
 
-    def mean_kl(self, old_dist: np.ndarray, obs: np.ndarray) -> float:
-        return self.dist_kl(old_dist, self.log_probs(obs))
+    def _kl_out_grad(self, old_dist, z, n):
+        return (_softmax(z) - np.exp(np.atleast_2d(old_dist))) / n, []
 
-    def kl_grad(self, old_dist: np.ndarray, obs: np.ndarray) -> np.ndarray:
-        old_logp = np.atleast_2d(old_dist)
-        obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
-        n = obs.shape[0]
-        w = self.params.segment("logits_net")
-        z, acts = forward_cached(self.spec, w, self._scaled(obs))
-        zmax = z.max(axis=1, keepdims=True)
-        e = np.exp(z - zmax)
-        p = e / e.sum(axis=1, keepdims=True)
-        gy = (p - np.exp(old_logp)) / n
-        return backward(self.spec, w, acts, gy)
-
-    def fvp_builder(self, obs: np.ndarray, damping: float):
-        """Closure computing (F + damping I) v at the current parameters."""
-        obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
-        n = obs.shape[0]
-        w = self.params.segment("logits_net").copy()
-        z, acts = forward_cached(self.spec, w, self._scaled(obs))
-        derivs = tanh_derivs(acts)
-        zmax = z.max(axis=1, keepdims=True)
-        e = np.exp(z - zmax)
-        p = e / e.sum(axis=1, keepdims=True)
-        size = self.params.size
-        spec = self.spec
-
-        def apply(v: np.ndarray) -> np.ndarray:
-            v = np.asarray(v, dtype=np.float64)
-            if v.size != size:
-                raise ShapeError("direction vector does not match parameter layout")
-            r = rop_forward(spec, w, v, acts, derivs)
-            gy = (p * r - p * (p * r).sum(axis=1, keepdims=True)) / n
-            return backward(spec, w, acts, gy, derivs) + damping * v
-
-        return apply
-
-    def fvp(self, obs: np.ndarray, v: np.ndarray, damping: float) -> np.ndarray:
-        return self.fvp_builder(obs, damping)(v)
+    def _fisher_out(self, z, n):
+        p = _softmax(z)
+        return lambda r, _: ((p * r - p * (p * r).sum(axis=1, keepdims=True)) / n, [])

@@ -117,7 +117,8 @@ def pretrain_skills(cfg: PretrainConfig, seed: int, env: PointEnv | None = None)
     random_init: the freshly initialized parameters, untouched.
     velocity_direction: trust-region updates on the proxy rewards.
     """
-    env = env or open_field_env()
+    env = env or open_field_env(EnvConfig(stumble_enabled=False,
+                                          max_episode_steps=cfg.episode_steps))
     pi_l = fresh_low_policy(cfg, env, seed)
     if cfg.proxy == "random_init":
         return pi_l, []

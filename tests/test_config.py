@@ -138,3 +138,17 @@ def test_pretrain_config_rejects_bad_horizon():
     with pytest.raises(ValueError):
         PretrainConfig(gamma=1.5)
     PretrainConfig(episode_steps=1, gamma=0.5)
+
+
+@pytest.mark.parametrize("text", ["max_kl = -1", "max_kl = 0", "max_kl = nan", "max_kl = inf",
+                                  "ridge = -1", "ridge = nan",
+                                  "cell_size = 0", "cell_size = -4", "cell_size = nan"])
+def test_config_file_rejects_bad_max_kl_ridge_and_cell_size(text):
+    # each used to fail only after a batch was collected, crash, or run on
+    with pytest.raises(ConfigError, match=text.split()[0]):
+        parse_config_text(text)
+
+
+def test_boundary_ridge_and_small_positive_values_accepted():
+    cfg = ExperimentConfig(max_kl=1e-6, ridge=0.0, cell_size=0.5)
+    assert (cfg.max_kl, cfg.ridge, cfg.cell_size) == (1e-6, 0.0, 0.5)

@@ -8,8 +8,9 @@ import pytest
 
 from haarlab.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from haarlab.config import ConfigError, ExperimentConfig
-from haarlab.experiment import (METRIC_COLUMNS, fresh_high_policy, read_metrics,
-                                run_pretrain, run_report, run_single_seed, run_train)
+from haarlab.experiment import (METRIC_COLUMNS, fresh_high_policy, policy_segments,
+                                read_metrics, run_pretrain, run_report, run_single_seed,
+                                run_train)
 from haarlab.pretrain import PretrainConfig, fresh_low_policy
 
 
@@ -124,12 +125,27 @@ def test_transfer_low_only_loads_only_low_segments(tmp_path):
     assert np.array_equal(seg_both["pi_h/logits_net"], donor_high.params.segment("logits_net"))
 
 
-def test_transfer_dimension_mismatch_rejected(tmp_path):
+def _short_segments(cfg):
+    return {"pi_l/mean_net": np.zeros(3), "pi_l/log_std": np.zeros(2),
+            "pi_h/logits_net": np.zeros(4)}
+
+
+def _without_log_std(cfg):
+    env = cfg.build_env()
+    segments = policy_segments(pi_h=fresh_high_policy(cfg, env, 0),
+                               pi_l=fresh_low_policy(cfg.pretrain, env, 0))
+    del segments["pi_l/log_std"]
+    return segments
+
+
+@pytest.mark.parametrize("make_segments, message",
+                         [(_short_segments, "do not match"), (_without_log_std, "lacks segment")],
+                         ids=["short_segments", "missing_log_std"])
+def test_transfer_dimension_mismatch_rejected(tmp_path, make_segments, message):
     cfg = tiny_cfg()
     src = tmp_path / "bad.bin"
-    save_checkpoint(str(src), {"pi_l/mean_net": np.zeros(3), "pi_l/log_std": np.zeros(2),
-                               "pi_h/logits_net": np.zeros(4)})
-    with pytest.raises(CheckpointError):
+    save_checkpoint(str(src), make_segments(cfg))
+    with pytest.raises(CheckpointError, match=message):
         run_single_seed(cfg, 0, str(tmp_path / "run"), transfer="both",
                         source_checkpoint=str(src))
 

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -352,6 +354,26 @@ def test_log_std_clamped_after_update():
     assert np.array_equal(pol.log_std, [-5.0, 2.0])
 
 
-def test_input_scale_shape_checked():
+@pytest.mark.parametrize("cls", [GaussianPolicy, CategoricalPolicy],
+                         ids=["gaussian", "categorical"])
+def test_input_scale_shape_checked(cls):
     with pytest.raises(ShapeError):
-        GaussianPolicy(MlpSpec(3, (4,), 2), np.random.default_rng(0), input_scale=np.ones(2))
+        cls(MlpSpec(3, (4,), 2), np.random.default_rng(0), input_scale=np.ones(2))
+
+
+@pytest.mark.parametrize("maker", [make_gaussian, make_categorical],
+                         ids=["gaussian", "categorical"])
+def test_unpickled_policy_acts_on_its_own_parameters(maker):
+    # act reads cached views of the parameter vector; an unpickled policy
+    # must see set_flat, as the original does
+    pol = maker()
+    clone = pickle.loads(pickle.dumps(pol))
+    obs = np.array([0.5, 0.1, -1.2])
+    before = clone.act(obs, np.random.default_rng(0))
+    assert np.array_equal(before[2], pol.act(obs, np.random.default_rng(0))[2])
+    clone.set_flat(clone.flat() + np.random.default_rng(1).standard_normal(clone.params.size))
+    after = clone.act(obs, np.random.default_rng(0))
+    assert not np.array_equal(before[2], after[2])
+    expected = clone.mean(obs) if isinstance(clone, GaussianPolicy) else clone.log_probs(obs)
+    assert np.allclose(after[2], expected, rtol=0.0, atol=1e-12)
+    assert np.array_equal(pol.act(obs, np.random.default_rng(0))[2], before[2])

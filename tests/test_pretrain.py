@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from haarlab import pretrain
 from haarlab.envs.maze import build_maze
 from haarlab.envs.point import AgentState, EnvConfig, EpisodeState, PointEnv
 from haarlab.pretrain import (PretrainConfig, fresh_low_policy, open_field_env,
@@ -82,3 +83,20 @@ def test_pretraining_beats_random_policy_on_projection():
         for j in range(i + 1, 6):
             angles.append(np.degrees(np.arccos(np.clip(dirs[i] @ dirs[j], -1, 1))))
     assert np.mean(angles) >= 30.0
+
+
+def test_pretrain_episodes_last_episode_steps_beyond_500(monkeypatch):
+    # the arena pretrain_skills builds used to end every episode at the
+    # environment's default 500 steps, whatever episode_steps said
+    cfg = PretrainConfig(n_skills=2, iterations=1, batch_low_steps=600, episode_steps=600,
+                         hidden=(4,))
+    dones = []
+    collect = pretrain._collect_proxy_batch
+
+    def spy(*args):
+        batch = collect(*args)
+        dones.append(batch[3])
+        return batch
+    monkeypatch.setattr(pretrain, "_collect_proxy_batch", spy)
+    pretrain_skills(cfg, seed=0)
+    assert np.flatnonzero(dones[0]).tolist() == [599]
