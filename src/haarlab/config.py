@@ -76,12 +76,13 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must lie in (0, 1)")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
-        if not (math.isfinite(self.max_kl) and self.max_kl > 0.0):
-            raise ConfigError("max_kl must be finite and > 0")
+        for name in ("max_kl", "cell_size", "dt", "v_max", "action_scale", "ray_max",
+                     "stumble_threshold"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0.0):
+                raise ConfigError(f"{name} must be finite and > 0")
         if not (math.isfinite(self.ridge) and self.ridge >= 0.0):
             raise ConfigError("ridge must be finite and >= 0")
-        if not (math.isfinite(self.cell_size) and self.cell_size > 0.0):
-            raise ConfigError("cell_size must be finite and > 0")
         if self.k_s > self.k_0:
             raise ConfigError("k_s cannot exceed k_0")
         if self.algorithm == "haar_no_anneal" or self.no_annealing:

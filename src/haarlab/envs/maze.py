@@ -73,6 +73,7 @@ class MazeSpec:
     start_cells: tuple[tuple[int, int], ...] = field(init=False)
     goal_cell: tuple[int, int] | None = field(init=False)
     faces: tuple[np.ndarray, ...] = field(init=False, repr=False)  # see raycast.face_table
+    open_cells: frozenset[tuple[int, int]] = field(init=False, repr=False)  # (row, col) not walled
 
     def __post_init__(self):
         rows = len(self.grid)
@@ -108,6 +109,7 @@ class MazeSpec:
         self.start_cells = tuple(starts)
         self.goal_cell = goals[0] if goals else None
         self.faces = face_table(walls, self.cell_size)
+        self.open_cells = frozenset(self.free_cells())
 
     @property
     def n_rows(self) -> int:
@@ -130,9 +132,8 @@ class MazeSpec:
                 math.floor(position[0] / self.cell_size))
 
     def is_wall_cell(self, r: int, c: int) -> bool:
-        if r < 0 or c < 0 or r >= self.n_rows or c >= self.n_cols:
-            return True
-        return bool(self.walls[r, c])
+        """True for a wall cell and for any cell outside the grid."""
+        return (r, c) not in self.open_cells
 
     def free_cells(self) -> list[tuple[int, int]]:
         rs, cs = np.nonzero(~self.walls)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +29,7 @@ STUMBLE_STEPS = 3  # consecutive overdriven steps that count as a fall
 LOW_OBS_DIM = 4
 HIGH_OBS_DIM = LOW_OBS_DIM + N_RAYS + 2
 _FACE_EPS = 1e-9  # resting offset from a wall face, in world units
+_END_CODES = ((1, "goal"), (2, "death"), (3, "timeout"))  # a lane's end reason; 0 runs on
 
 
 @dataclass
@@ -72,23 +74,36 @@ class EpisodeState:
     bomb_active: np.ndarray | None = None
 
 
+class EpisodeBatch(NamedTuple):
+    """Episodes stepped together: the EpisodeState fields of each lane as
+    array rows, lane axis first. The gather fields are None in arenas
+    without sites."""
+    position: np.ndarray                     # (L, 2)
+    velocity: np.ndarray                     # (L, 2)
+    t: np.ndarray                            # (L,)
+    overdrive: np.ndarray                    # (L,)
+    food_sites: np.ndarray | None = None     # (L, n_food, 2)
+    bomb_sites: np.ndarray | None = None     # (L, n_bombs, 2)
+    food_active: np.ndarray | None = None    # (L, n_food)
+    bomb_active: np.ndarray | None = None    # (L, n_bombs)
+
+
 class ObservationPair:
     """Factored observation; the task-aware part is computed lazily
     because it is only consumed at skill-switch boundaries."""
 
-    __slots__ = ("low", "_high", "_env", "_agent")
+    __slots__ = ("low", "_high", "_env", "_lane")
 
-    def __init__(self, low: np.ndarray, env: "PointEnv", agent: AgentState,
-                 high: np.ndarray | None = None):
+    def __init__(self, low: np.ndarray, env: "PointEnv", lane: EpisodeBatch):
         self.low = low
-        self._high = high
+        self._high = None
         self._env = env
-        self._agent = agent
+        self._lane = lane  # the state it observes, as a one-lane batch
 
     @property
     def high(self) -> np.ndarray:
         if self._high is None:
-            self._high = self._env.high_obs_batch([self])[0]
+            self._high = self._env.high_obs_batch(self._lane, self.low[None])[0]
         return self._high
 
 
@@ -112,20 +127,28 @@ class PointEnv:
         vx, vy = agent.velocity.tolist()
         return np.array((vx, vy, 0.0, 1.0))
 
-    def high_obs_batch(self, observations: list[ObservationPair]) -> np.ndarray:
+    def high_obs_batch(self, lanes: EpisodeBatch, low: np.ndarray) -> np.ndarray:
         """The high observations (ego observation, ray distances, goal
-        bearing) of several pairs as rows, with one raycast and one
-        goal_bearing call over all their positions. Rows are computed
-        alone, so a pair's row does not depend on the rest of the batch."""
-        positions = np.array([o._agent.position for o in observations])
-        out = np.empty((len(observations), HIGH_OBS_DIM))
-        out[:, :LOW_OBS_DIM] = [o.low for o in observations]
-        out[:, LOW_OBS_DIM:LOW_OBS_DIM + N_RAYS] = raycast(positions, self.maze, self.cfg.ray_max)
-        out[:, LOW_OBS_DIM + N_RAYS:] = goal_bearing(positions, self.maze.goal_center)
+        bearing) of a batch's lanes as rows, given their ego rows `low`,
+        with one raycast and one goal_bearing call over all positions.
+        Rows are computed alone, so a lane's row does not depend on the
+        rest of the batch."""
+        out = np.empty((len(low), HIGH_OBS_DIM))
+        out[:, :LOW_OBS_DIM] = low
+        out[:, LOW_OBS_DIM:LOW_OBS_DIM + N_RAYS] = raycast(lanes.position, self.maze,
+                                                           self.cfg.ray_max)
+        out[:, LOW_OBS_DIM + N_RAYS:] = goal_bearing(lanes.position, self.maze.goal_center)
         return out
 
-    def observe(self, agent: AgentState) -> ObservationPair:
-        return ObservationPair(self.low_obs(agent), self, agent)
+    def batch(self, states: list[EpisodeState]) -> EpisodeBatch:
+        """Lone episode states as the lanes of one batch, in order."""
+        gather = states[0].food_sites is not None
+        return EpisodeBatch(
+            np.array([s.agent.position for s in states], dtype=np.float64),
+            np.array([s.agent.velocity for s in states], dtype=np.float64),
+            np.array([s.t for s in states]), np.array([s.overdrive for s in states]),
+            *(np.array([getattr(s, f) for s in states]) if gather else None
+              for f in EpisodeBatch._fields[4:]))
 
     @property
     def low_obs_scale(self) -> np.ndarray:
@@ -157,87 +180,108 @@ class PointEnv:
             state.bomb_sites = bombs
             state.food_active = np.ones(len(food), dtype=bool)
             state.bomb_active = np.ones(len(bombs), dtype=bool)
-        return state, self.observe(agent)
+        return state, ObservationPair(self.low_obs(agent), self, _one_lane(state))
 
-    def step(self, state: EpisodeState, action: np.ndarray):
+    def step(self, state, action):
         """Advance one low-level step.
 
-        Returns (next_state, observation_pair, reward, done, info).
+        An EpisodeBatch of L lanes takes (L, 2) actions and returns
+        (next_batch, the (L, 4) ego observation rows, rewards, dones, ends),
+        where ends holds each lane's end reason as "goal", "death" and
+        "timeout" (L,) flags. A lone EpisodeState is stepped as a one-lane
+        batch and returns (next_state, observation_pair, reward, done,
+        info), info adding the "food" and "bombs" contact counts.
         """
+        if isinstance(state, EpisodeBatch):
+            nxt, low, reward, end = self._step_lanes(state, action)
+            return nxt, low, reward, end > 0, {key: end == code for code, key in _END_CODES}
         if state.done or not state.agent.alive:
             raise RuntimeError("cannot step a finished episode")
+        lane, low, reward, end = self._step_lanes(_one_lane(state), np.reshape(action, (1, 2)))
+        info = {key: int(end[0]) == code for code, key in _END_CODES}
+        for key, before, after in (("food", state.food_active, lane.food_active),
+                                   ("bombs", state.bomb_active, lane.bomb_active)):
+            info[key] = 0 if before is None else int(before.sum() - after[0].sum())
+        done = info["goal"] or info["death"] or info["timeout"]
+        agent = AgentState(position=lane.position[0], velocity=lane.velocity[0],
+                           alive=not info["death"])
+        next_state = EpisodeState(
+            agent=agent, t=state.t + 1, overdrive=int(lane.overdrive[0]), done=done,
+            food_sites=state.food_sites, bomb_sites=state.bomb_sites,
+            food_active=None if lane.food_active is None else lane.food_active[0],
+            bomb_active=None if lane.bomb_active is None else lane.bomb_active[0])
+        return next_state, ObservationPair(low[0], self, lane), float(reward[0]), done, info
+
+    def _step_lanes(self, state: EpisodeBatch, action):
+        """The one step. Each lane runs the scalar dynamics on plain floats
+        (math.hypot speeds, the exact sweep); the results come back as the
+        rows of the next batch, with each lane's end code (0 runs on,
+        else see _END_CODES). A Python loop over the lanes costs less here
+        than numpy's per-call overhead for a few lanes at a time."""
         cfg = self.cfg
         maze = self.maze
-        agent = state.agent
-        ax = float(action[0])
-        ay = float(action[1])
-        gain = cfg.action_scale * cfg.dt
-        vx, vy = agent.velocity.tolist()
-        vx += ax * gain
-        vy += ay * gain
-        speed = math.hypot(vx, vy)
-        if speed > cfg.v_max:
-            shrink = cfg.v_max / speed
-            vx *= shrink
-            vy *= shrink
-        px, py = agent.position.tolist()
-        px, py, vx, vy = _sweep(maze, px, py, vx, vy, cfg.dt)
-        position = np.array((px, py))
-
-        cmd = math.hypot(ax, ay)
-        overdrive = state.overdrive + 1 if (cfg.stumble_enabled and cmd > cfg.stumble_threshold) else 0
-
-        t = state.t + 1
-        reward = 0.0
-        done = False
-        alive = True
-        info = {"goal": False, "death": False, "timeout": False, "food": 0, "bombs": 0}
-
+        cs = maze.cell_size
+        dt, v_max, horizon, goal = cfg.dt, cfg.v_max, cfg.max_episode_steps, maze.goal_cell
+        gain = cfg.action_scale * dt
+        threshold = cfg.stumble_threshold if cfg.stumble_enabled else math.inf
+        hypot, floor = math.hypot, math.floor
+        kinematics, overdrive, end = [], [], []
+        for (x, y), (vx, vy), (ax, ay), od, t in zip(
+                state.position.tolist(), state.velocity.tolist(),
+                np.asarray(action, dtype=np.float64).tolist(), state.overdrive.tolist(),
+                state.t.tolist()):
+            vx += ax * gain
+            vy += ay * gain
+            speed = hypot(vx, vy)
+            if speed > v_max:
+                shrink = v_max / speed
+                vx *= shrink
+                vy *= shrink
+            x, y, vx, vy = _sweep(maze, x, y, vx, vy, dt)
+            od = od + 1 if hypot(ax, ay) > threshold else 0
+            kinematics.append((x, y, vx, vy, 0.0, 1.0))  # position, then the ego observation
+            overdrive.append(od)
+            if (floor(y / cs), floor(x / cs)) == goal:
+                end.append(1)
+            elif od >= STUMBLE_STEPS:
+                end.append(2)
+            else:
+                end.append(3 if t + 1 >= horizon else 0)
+        kinematics = np.array(kinematics)
+        end = np.array(end)
+        reward = np.array((0.0, cfg.goal_reward, cfg.death_reward, 0.0))[end]
         food_active = state.food_active
         bomb_active = state.bomb_active
-        if maze.goal_cell is not None and maze.cell_of((px, py)) == maze.goal_cell:
-            reward = cfg.goal_reward
-            done = True
-            info["goal"] = True
-        elif overdrive >= STUMBLE_STEPS:
-            reward = cfg.death_reward
-            done = True
-            alive = False
-            info["death"] = True
-        else:
-            if maze.kind == "gather":
-                radius = 0.5 * maze.cell_size
-                food_active = food_active.copy()
-                bomb_active = bomb_active.copy()
-                hits = _contacts(position, state.food_sites, food_active, radius)
-                if hits:
-                    reward += cfg.food_reward * hits
-                    info["food"] = hits
-                hits = _contacts(position, state.bomb_sites, bomb_active, radius)
-                if hits:
-                    reward += cfg.bomb_reward * hits
-                    info["bombs"] = hits
-            if t >= cfg.max_episode_steps:
-                done = True
-                info["timeout"] = True
-
-        next_agent = AgentState(position=position, velocity=np.array((vx, vy)), alive=alive)
-        next_state = EpisodeState(agent=next_agent, t=t, overdrive=overdrive, done=done,
-                                  food_sites=state.food_sites, bomb_sites=state.bomb_sites,
-                                  food_active=food_active, bomb_active=bomb_active)
-        return next_state, self.observe(next_agent), reward, done, info
+        if maze.kind == "gather":  # contacts count for lanes that neither reached the goal nor fell
+            live = (end == 0) | (end == 3)
+            radius = 0.5 * cs
+            position = kinematics[:, :2]
+            food, food_active = _contacts(position, state.food_sites, food_active, live, radius)
+            bombs, bomb_active = _contacts(position, state.bomb_sites, bomb_active, live, radius)
+            # a lane without contacts adds a zero, which leaves its reward as it was
+            reward += cfg.food_reward * food
+            reward += cfg.bomb_reward * bombs
+        nxt = EpisodeBatch(kinematics[:, :2], kinematics[:, 2:4], state.t + 1, np.array(overdrive),
+                           state.food_sites, state.bomb_sites, food_active, bomb_active)
+        return nxt, kinematics[:, 2:], reward, end
 
 
-def _contacts(position: np.ndarray, sites: np.ndarray, active: np.ndarray, radius: float) -> int:
-    hits = 0
-    for i in range(len(sites)):
-        if active[i]:
-            dx = sites[i, 0] - position[0]
-            dy = sites[i, 1] - position[1]
-            if dx * dx + dy * dy <= radius * radius:
-                active[i] = False
-                hits += 1
-    return hits
+def _one_lane(state: EpisodeState) -> EpisodeBatch:
+    """A lone state as a one-lane batch of views of its arrays."""
+    return EpisodeBatch(state.agent.position[None], state.agent.velocity[None],
+                        np.array([state.t]), np.array([state.overdrive]),
+                        *(None if a is None else a[None] for a in (
+                            state.food_sites, state.bomb_sites, state.food_active,
+                            state.bomb_active)))
+
+
+def _contacts(position: np.ndarray, sites: np.ndarray, active: np.ndarray, live: np.ndarray,
+              radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each live lane touches its active sites within `radius`; returns
+    the touches per lane and the sites still active."""
+    dx, dy = np.moveaxis(sites - position[:, None, :], -1, 0)
+    hit = active & live[:, None] & (dx * dx + dy * dy <= radius * radius)
+    return hit.sum(axis=1), active & ~hit
 
 
 def _sweep(maze: MazeSpec, x: float, y: float, vx: float, vy: float, dt: float):

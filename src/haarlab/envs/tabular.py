@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,6 +65,13 @@ class _FixedObs:
         self.high = high
 
 
+class TabularLanes(NamedTuple):
+    """Episodes stepped together, one row per lane."""
+    s: np.ndarray    # (L,) current states
+    t: np.ndarray    # (L,) steps taken
+    rng: np.ndarray  # (L,) each episode's stream, as objects
+
+
 class TabularRolloutEnv:
     """Adapter exposing a TabularMdp through the rollout protocol.
 
@@ -83,8 +91,15 @@ class TabularRolloutEnv:
     def _obs(self, s: int) -> _FixedObs:
         return _FixedObs(self._eye[s], self._eye[s])
 
-    def high_obs_batch(self, observations) -> np.ndarray:
-        return np.array([o.high for o in observations])
+    def high_obs_batch(self, lanes: TabularLanes, low: np.ndarray) -> np.ndarray:
+        return low
+
+    def batch(self, states) -> TabularLanes:
+        """Lone (state, t, rng) episode states as the lanes of one batch."""
+        s, t, rngs = zip(*states)
+        objects = np.empty(len(rngs), dtype=object)
+        objects[:] = rngs
+        return TabularLanes(np.array(s), np.array(t), objects)
 
     def reset(self, rng: np.random.Generator):
         """Returns ((state, t, rng), observation)."""
@@ -92,6 +107,14 @@ class TabularRolloutEnv:
         return (s, 0, rng), self._obs(s)
 
     def step(self, state, action):
+        """A lone (state, t, rng) returns (state, observation, reward, done,
+        info); TabularLanes with L actions loop over the lanes and return
+        (lanes, one-hot rows, rewards, dones, info) as PointEnv.step does."""
+        if isinstance(state, TabularLanes):
+            stepped = [self.step(lane, a) for lane, a in zip(zip(*state), action)]
+            states, obs, reward, done, _ = zip(*stepped)
+            return (self.batch(states), np.array([o.low for o in obs]), np.array(reward),
+                    np.array(done), {"goal": np.zeros(len(stepped), dtype=bool)})
         s, t, rng = state
         a = int(action)
         s_next = _sample_index(self.mdp.transition[s, a], rng)

@@ -296,16 +296,10 @@ class _FlatCollector:
     def __init__(self, policy):
         self.policy = policy
 
-    def start(self, lane):
-        pass
-
-    def act(self, lanes):
-        obs = np.array([lane.high for lane in lanes])
-        a, logp, mu = self.policy.act(obs, [lane.rng for lane in lanes])
+    def act(self, run, high):
+        obs = high()
+        a, logp, mu = self.policy.act(obs, run.rngs)
         return a, (obs, a, mu, logp)
-
-    def stepped(self, lane, reward, done) -> bool:
-        return not done
 
 
 def collect_flat(policy, env, budget: int, seed: tuple[int, ...], lanes: int = LANES):
@@ -420,9 +414,18 @@ def read_metrics(path: str) -> dict[str, np.ndarray]:
 
 
 def run_report(run_dirs: list[str], out_path: str) -> None:
-    """Per-iteration mean and 95% confidence band over seeds."""
+    """Per-iteration mean and 95% confidence band over seeds.
+
+    A run's run.json is written last, so a directory without a readable
+    one is a run that did not finish, and is refused."""
     if not run_dirs:
         raise ValueError("report needs at least one run directory")
+    for d in run_dirs:
+        try:
+            with open(os.path.join(d, "run.json")) as fh:
+                json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"{d} is not a finished run: no readable run.json ({exc})") from exc
     per_seed = [read_metrics(os.path.join(d, "metrics.csv")) for d in run_dirs]
     n_iters = {len(m["iteration"]) for m in per_seed}
     if len(n_iters) != 1:

@@ -95,24 +95,11 @@ class RolloutBatch:
         return float(np.mean([e.total_return for e in self.episodes])) if self.episodes else 0.0
 
 
-@dataclass(slots=True)
-class _Segment:
-    id: int                  # position in the order segments opened
-    episode: int
-    s_h: np.ndarray
-    a_h: int
-    logp_h: float
-    dist_h: np.ndarray
-    s_h_next: np.ndarray | None = None
-    r_h: float = 0.0
-    done_h: bool = False
-    length: int = 0
-
-
 class _SegmentCollector:
     """The hierarchical collector for run_lanes: each lane's skill comes
-    from pi_h every k low steps (and at its episode's start), and pi_l
-    acts on the ego observation with that skill's one-hot appended."""
+    from pi_h every k low steps of its episode (the first at its start),
+    and pi_l acts on the ego observation with that skill's one-hot
+    appended."""
 
     def __init__(self, pi_h, pi_l, low_dim: int, n_skills: int, k: int):
         self.pi_h = pi_h
@@ -120,41 +107,25 @@ class _SegmentCollector:
         self.low_dim = low_dim
         self.n_skills = n_skills
         self.k = k
-        self.segments: list[_Segment] = []
-        self.last = []          # (segment, lane) of each episode's final segment
+        self.segments = []  # (episode, s_h, a_h, logp_h, dist_h), in the order they open
 
-    def start(self, lane):
-        lane.left = 0
-        lane.segment = None
-
-    def act(self, lanes):
-        deciding = [lane for lane in lanes if lane.left == 0]
-        if deciding:
-            highs = [lane.high for lane in deciding]
-            skills, logps, dists = self.pi_h.act(np.array(highs), [lane.rng for lane in deciding])
-            for lane, high, skill, logp, dist in zip(deciding, highs, skills.tolist(),
-                                                     logps.tolist(), dists):
-                if lane.segment is not None:  # the previous segment ends where this one starts
-                    lane.segment.s_h_next = high
-                lane.segment = _Segment(len(self.segments), lane.episode, high, skill, logp, dist)
-                self.segments.append(lane.segment)
-                lane.left = self.k
-        x = np.zeros((len(lanes), self.low_dim + self.n_skills))
-        x[:, :self.low_dim] = [lane.obs.low for lane in lanes]
-        x[np.arange(len(lanes)), [self.low_dim + lane.segment.a_h for lane in lanes]] = 1.0
-        a, logp, dist = self.pi_l.act(x, [lane.rng for lane in lanes])
-        return a, (x, a, logp, dist, np.array([lane.segment.id for lane in lanes]))
-
-    def stepped(self, lane, reward, done) -> bool:
-        seg = lane.segment
-        seg.r_h += reward
-        seg.length += 1
-        lane.left -= 1
-        if done:
-            seg.done_h = True
-            self.last.append((seg, lane))
-            return True  # the terminal observation is the segment's s_h_next
-        return lane.left == 0
+    def act(self, run, high):
+        deciding = run.steps % self.k == 0
+        if deciding.any():
+            lanes = run.lane[deciding]
+            s_h = high(deciding)
+            skills, logps, dists = self.pi_h.act(s_h, [lane.rng for lane in lanes])
+            for lane, row, skill, logp, dist in zip(lanes, s_h, skills.tolist(), logps.tolist(),
+                                                    dists):
+                lane.skill = skill
+                lane.segment = len(self.segments)
+                self.segments.append((lane.episode, row, skill, logp, dist))
+        n = len(run.lane)
+        x = np.zeros((n, self.low_dim + self.n_skills))
+        x[:, :self.low_dim] = run.low
+        x[np.arange(n), [self.low_dim + lane.skill for lane in run.lane]] = 1.0
+        a, logp, dist = self.pi_l.act(x, run.rngs)
+        return a, (x, a, logp, dist, np.array([lane.segment for lane in run.lane]))
 
 
 def collect_rollouts(pi_h, pi_l, env, n_skills: int, budget_low_steps: int, k: int,
@@ -165,30 +136,37 @@ def collect_rollouts(pi_h, pi_l, env, n_skills: int, budget_low_steps: int, k: i
     seeded by its index, and it is in the batch iff the episodes before
     it hold fewer than budget_low_steps steps; the batch's last episode
     always runs to completion. The lane count never changes the batch.
+    A segment's s_h_next is the next segment's s_h, and zeros where the
+    segment ends its episode (its value is never used there).
     """
     if k < 1 or budget_low_steps < 1:
         raise ValueError("k and the step budget must be >= 1")
     low_dim = env.low_obs_dim
     c = _SegmentCollector(pi_h, pi_l, low_dim, n_skills, k)
     run = run_lanes(env, seed, budget_low_steps, c, lanes)
-    for seg, lane in c.last:
-        seg.s_h_next = lane.high
     x_l, a_l, logp_l, dist_l, step_segment = run.columns
-    segs = [c.segments[j] for j in run.order([seg.episode for seg in c.segments])]
+    episode, s_h, a_h, logp_h, dist_h = zip(*c.segments)
+    order = run.order(episode)
     renumber = np.empty(len(c.segments), dtype=np.intp)
-    renumber[[seg.id for seg in segs]] = np.arange(len(segs))
+    renumber[order] = np.arange(len(order))
+    segment_id = renumber[step_segment]
+    n_segments = len(order)
+    # bincount adds each segment's rewards in step order, as a running sum would
+    r_h = np.bincount(segment_id, weights=run.reward, minlength=n_segments)
+    done_h = np.zeros(n_segments, dtype=bool)
+    done_h[segment_id[run.done]] = True
+    s_h = np.stack([s_h[j] for j in order])
+    s_h_next = np.zeros_like(s_h)
+    s_h_next[:-1] = s_h[1:]
+    s_h_next[done_h] = 0.0
     log_std = getattr(pi_l, "log_std", None)
     return RolloutBatch(
         x_l=x_l, a_l=a_l, logp_l=logp_l, dist_l=dist_l, done_l=run.done,
-        segment_id=renumber[step_segment],
-        s_h=np.stack([seg.s_h for seg in segs]),
-        s_h_next=np.stack([seg.s_h_next for seg in segs]),
-        a_h=np.array([seg.a_h for seg in segs], dtype=np.intp),
-        r_h=np.array([seg.r_h for seg in segs]),
-        done_h=np.array([seg.done_h for seg in segs]),
-        seg_len=np.array([seg.length for seg in segs], dtype=np.intp),
-        logp_h=np.array([seg.logp_h for seg in segs]),
-        dist_h=np.stack([seg.dist_h for seg in segs]),
+        segment_id=segment_id, s_h=s_h, s_h_next=s_h_next,
+        a_h=np.array([a_h[j] for j in order], dtype=np.intp), r_h=r_h, done_h=done_h,
+        seg_len=np.bincount(segment_id, minlength=n_segments),
+        logp_h=np.array([logp_h[j] for j in order]),
+        dist_h=np.stack([dist_h[j] for j in order]),
         episodes=run.episodes, low_dim=low_dim, n_skills=n_skills,
         low_log_std=None if log_std is None else log_std.copy())
 

@@ -1,15 +1,15 @@
 """Lockstep lanes: the one scheduler that runs the episodes of a batch.
 
-Up to LANES episodes run side by side. On each lockstep step a collector
-chooses the actions of every running episode with batched policy calls,
-each lane steps its own episode with the scalar env.step, and the high
-observations the collector asks for are computed in one
-env.high_obs_batch call (one raycast over all of their positions).
+Up to LANES episodes run side by side as the rows of one batch state. On
+each lockstep step a collector chooses the actions of every running
+episode with batched policy calls, asking for the high observations it
+needs in one env.high_obs_batch call (one raycast over all of their
+positions), and one env.step advances every lane.
 
 The batch is the one a sequential loop would collect. Episode e draws
 only from its own stream episode_rng(seed, e), in the same order as it
-would alone, and batched policy rows are computed row by row, so no
-value depends on the lanes. Episode e belongs to the batch iff the
+would alone, and batched policy and env rows are computed row by row, so
+no value depends on the lanes. Episode e belongs to the batch iff the
 episodes before it hold fewer than `budget` steps, and every episode in
 the batch runs to its end: lanes start episodes in index order while the
 steps taken so far are below the budget, and drop a running episode as
@@ -20,6 +20,7 @@ records come out in episode order, and within an episode in time order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,20 +42,39 @@ def episode_rng(seed: tuple[int, ...], episode: int) -> np.random.Generator:
 
 
 class Lane:
-    """One running episode: its index, stream, simulator state and
-    observation, the high observation of that observation when the
-    collector asked for it, and running totals. Collectors keep their
-    own per-episode state on it as well."""
+    """One running episode's index and stream. Collectors keep their own
+    per-episode state on it as well."""
 
-    def __init__(self, episode: int, rng: np.random.Generator, state, obs):
+    def __init__(self, episode: int, rng: np.random.Generator):
         self.episode = episode
         self.rng = rng
-        self.state = state
-        self.obs = obs
-        self.high = None
-        self.steps = 0
-        self.total_return = 0.0
-        self.success = False
+
+
+class Running(NamedTuple):
+    """The running episodes, one row per lane and in lane order."""
+    lane: np.ndarray          # (L,) the Lane records, as objects
+    episode: np.ndarray       # (L,) episode indices
+    steps: np.ndarray         # (L,) steps each episode has taken
+    total_return: np.ndarray  # (L,)
+    state: tuple              # the env's batch state (a NamedTuple of row arrays)
+    low: np.ndarray           # (L, low_dim) the current ego observations
+
+    @property
+    def rngs(self) -> list[np.random.Generator]:
+        return [lane.rng for lane in self.lane]
+
+
+def _rows(batch: tuple, rows) -> tuple:
+    """The lanes `rows` selects from a NamedTuple of row arrays (nested
+    ones included; None stays None)."""
+    return type(batch)(*[a if a is None else a[rows] if type(a) is np.ndarray else _rows(a, rows)
+                         for a in batch])
+
+
+def _joined(a: tuple, b: tuple) -> tuple:
+    """The lanes of `a` followed by those of `b`."""
+    return type(a)(*[x if x is None else np.concatenate((x, y)) if type(x) is np.ndarray
+                     else _joined(x, y) for x, y in zip(a, b)])
 
 
 @dataclass
@@ -120,69 +140,61 @@ def run_lanes(env, seed: tuple[int, ...], budget: int, collector, lanes: int = L
     """Run episodes 0, 1, ... in lockstep lanes until the batch holds at
     least `budget` steps.
 
-    The collector supplies three methods:
-      start(lane)                 a new episode begins in `lane`
-      act(lanes) -> (actions, columns)
-                                  the actions of the running lanes, in
-                                  order, and a tuple of arrays with one row
-                                  per lane that the step records
-      stepped(lane, reward, done) -> bool
-                                  one step was taken; True asks for the
-                                  high observation of the lane's new one
-    A new episode always gets its high observation.
+    The env supplies reset(rng) for one episode, batch(states) stacking
+    lone states as lanes, step(batch, actions) and high_obs_batch(batch,
+    low). The collector supplies
+      act(running, high) -> (actions, columns)
+          the actions of the Running lanes, in order, and a tuple of
+          arrays with one row per lane that the step records; high(rows)
+          gives the high observation rows of the lanes `rows` selects,
+          and high() those of every lane.
     """
     if budget < 1 or lanes < 1:
         raise ValueError("the step budget and the lane count must be >= 1")
     lengths: list[int] = []        # steps episode e has taken
     summaries: dict[int, EpisodeSummary] = {}
     rows = _StepRows(budget + budget // 4)  # about what speculative lanes take
-    active: list[Lane] = []
-    want_high: list[Lane] = []
+    run = None
     total = 0                      # steps of every episode started so far
     while True:
-        while len(active) < lanes and total < budget:
-            e = len(lengths)
-            rng = episode_rng(seed, e)
-            state, obs = env.reset(rng)
-            lane = Lane(e, rng, state, obs)
-            collector.start(lane)
-            lengths.append(0)
-            active.append(lane)
-            want_high.append(lane)
-        if want_high:
-            highs = env.high_obs_batch([lane.obs for lane in want_high])
-            for lane, high in zip(want_high, highs):
-                lane.high = high
-        if not active:
+        n = 0 if run is None else len(run.episode)
+        if n < lanes and total < budget:
+            e0 = len(lengths)
+            new = [Lane(e, episode_rng(seed, e)) for e in range(e0, e0 + lanes - n)]
+            started = [env.reset(lane.rng) for lane in new]
+            lengths += [0] * len(new)
+            objects = np.empty(len(new), dtype=object)
+            objects[:] = new
+            fresh = Running(objects, np.arange(e0, e0 + len(new)), np.zeros(len(new), np.intp),
+                            np.zeros(len(new)), env.batch([state for state, _ in started]),
+                            np.array([obs.low for _, obs in started]))
+            run = fresh if run is None else _joined(run, fresh)
+        if run is None or not len(run.episode):
             break
-        actions, columns = collector.act(active)
-        rewards = []
-        dones = []
-        want_high = []
-        running = []
-        for lane, action in zip(active, actions):
-            lane.state, lane.obs, reward, done, info = env.step(lane.state, action)
-            lane.steps += 1
-            lane.total_return += reward
-            if info.get("goal"):
-                lane.success = True
-            lengths[lane.episode] = lane.steps
-            rewards.append(reward)
-            dones.append(done)
-            if collector.stepped(lane, reward, done):
-                want_high.append(lane)
-            if done:
-                summaries[lane.episode] = EpisodeSummary(lane.total_return, lane.success)
-            else:
-                running.append(lane)
-        rows.add((np.array([lane.episode for lane in active]), np.array(rewards),
-                  np.array(dones), *columns))
-        total += len(active)
-        active = running
+
+        def high(select=None, run=run):
+            if select is None:
+                return env.high_obs_batch(run.state, run.low)
+            return env.high_obs_batch(_rows(run.state, select), run.low[select])
+
+        actions, columns = collector.act(run, high)
+        state, low, reward, done, ends = env.step(run.state, actions)
+        run = Running(run.lane, run.episode, run.steps + 1, run.total_return + reward, state, low)
+        rows.add((run.episode, reward, done, *columns))
+        total += len(run.episode)
+        finished = np.flatnonzero(done).tolist()
+        for i in finished:
+            e = int(run.episode[i])
+            lengths[e] = int(run.steps[i])
+            summaries[e] = EpisodeSummary(float(run.total_return[i]), bool(ends["goal"][i]))
         if total >= budget:
-            cut = _first_excluded(lengths, budget)
-            active = [lane for lane in active if lane.episode < cut]
-            want_high = [lane for lane in want_high if lane.episode < cut]
+            for e, steps in zip(run.episode.tolist(), run.steps.tolist()):
+                lengths[e] = steps
+            keep = ~done & (run.episode < _first_excluded(lengths, budget))
+            if not keep.all():
+                run = _rows(run, keep)
+        elif finished:
+            run = _rows(run, ~done)
     kept = _first_excluded(lengths, budget)
     order = _episode_order(rows.columns[0][:rows.n], kept)
     # Reorder inside the buffers and hand out their leading rows, so the

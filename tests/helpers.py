@@ -93,3 +93,106 @@ def raycast_loops(position, maze, ray_max, n_rays=20):
                 best = t
         out.append(best)
     return np.array(out)
+
+
+def step_loops(maze, cfg, state, action, face_eps=1e-9, stumble_steps=3):
+    """Loop-based point-mass step; independent of haarlab.envs.point.
+
+    The scalar step, one float at a time: clip the speed with math.hypot,
+    sweep to the earliest wall-face crossing (resting face_eps inside the
+    free cell), then the goal, stumble, gather and timeout rules in that
+    order. Returns (position, velocity, t, overdrive, reward, done, info,
+    food_active, bomb_active, walls_hit, corners): walls_hit counts the
+    velocity components a wall zeroed, corners the moments the path met a
+    vertical and a horizontal grid line at once.
+    """
+    import math
+
+    ax, ay = float(action[0]), float(action[1])
+    gain = cfg.action_scale * cfg.dt
+    vx, vy = (float(v) for v in state.agent.velocity)
+    vx += ax * gain
+    vy += ay * gain
+    speed = math.hypot(vx, vy)
+    if speed > cfg.v_max:
+        shrink = cfg.v_max / speed
+        vx *= shrink
+        vy *= shrink
+    x, y = (float(p) for p in state.agent.position)
+    cs = maze.cell_size
+    rows, cols = maze.walls.shape
+
+    def wall(r, c):
+        return not (0 <= r < rows and 0 <= c < cols) or bool(maze.walls[r, c])
+
+    remaining = cfg.dt
+    col, row = int(x // cs), int(y // cs)
+    walls_hit = corners = 0
+    for _ in range(128):
+        if remaining <= 0.0 or (vx == 0.0 and vy == 0.0):
+            break
+        t_x = (((col + 1) * cs - x) / vx if vx > 0.0 else
+               (col * cs - x) / vx if vx < 0.0 else math.inf)
+        t_y = (((row + 1) * cs - y) / vy if vy > 0.0 else
+               (row * cs - y) / vy if vy < 0.0 else math.inf)
+        t_hit = min(t_x, t_y)
+        if t_hit >= remaining:
+            x += vx * remaining
+            y += vy * remaining
+            break
+        x += vx * t_hit
+        y += vy * t_hit
+        remaining -= t_hit
+        cross_x, cross_y = t_x <= t_y, t_y <= t_x
+        corners += cross_x and cross_y
+        if cross_x:
+            nxt = col + (1 if vx > 0.0 else -1)
+            if wall(row, nxt):
+                x = (col + 1) * cs - face_eps if vx > 0.0 else col * cs + face_eps
+                vx = 0.0
+                walls_hit += 1
+            else:
+                col = nxt
+        if cross_y:
+            nxt = row + (1 if vy > 0.0 else -1)
+            if wall(nxt, col):
+                y = (row + 1) * cs - face_eps if vy > 0.0 else row * cs + face_eps
+                vy = 0.0
+                walls_hit += 1
+            else:
+                row = nxt
+
+    cmd = math.hypot(ax, ay)
+    overdrive = state.overdrive + 1 if (cfg.stumble_enabled and cmd > cfg.stumble_threshold) else 0
+    t = state.t + 1
+    reward, done = 0.0, False
+    info = {"goal": False, "death": False, "timeout": False, "food": 0, "bombs": 0}
+    food_active, bomb_active = state.food_active, state.bomb_active
+    if maze.goal_cell is not None and (math.floor(y / cs), math.floor(x / cs)) == maze.goal_cell:
+        reward, done = cfg.goal_reward, True
+        info["goal"] = True
+    elif overdrive >= stumble_steps:
+        reward, done = cfg.death_reward, True
+        info["death"] = True
+    else:
+        if maze.kind == "gather":
+            radius = 0.5 * cs
+            food_active, bomb_active = food_active.copy(), bomb_active.copy()
+            for key, sites, active, pay in (
+                    ("food", state.food_sites, food_active, cfg.food_reward),
+                    ("bombs", state.bomb_sites, bomb_active, cfg.bomb_reward)):
+                hits = 0
+                for i in range(len(sites)):
+                    dx = sites[i, 0] - x
+                    dy = sites[i, 1] - y
+                    if active[i] and dx * dx + dy * dy <= radius * radius:
+                        active[i] = False
+                        hits += 1
+                if hits:
+                    reward += pay * hits
+                    info[key] = hits
+        if t >= cfg.max_episode_steps:
+            done = True
+            info["timeout"] = True
+    return (np.array((x, y)), np.array((vx, vy)), t, overdrive, reward, done, info,
+            food_active, bomb_active, walls_hit, corners)

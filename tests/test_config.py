@@ -149,6 +149,16 @@ def test_config_file_rejects_bad_max_kl_ridge_and_cell_size(text):
         parse_config_text(text)
 
 
+@pytest.mark.parametrize("text", ["ray_max = 0", "ray_max = -1", "stumble_threshold = nan",
+                                  "action_scale = nan", "action_scale = -4", "dt = 0",
+                                  "dt = inf", "v_max = nan", "v_max = -1"])
+def test_config_file_rejects_bad_physics(text):
+    # each used to crash mid-run, fail only when the env was built, or
+    # train on a silently changed rule (a NaN threshold never trips)
+    with pytest.raises(ConfigError, match=text.split()[0]):
+        parse_config_text(text)
+
+
 def test_boundary_ridge_and_small_positive_values_accepted():
     cfg = ExperimentConfig(max_kl=1e-6, ridge=0.0, cell_size=0.5)
     assert (cfg.max_kl, cfg.ridge, cfg.cell_size) == (1e-6, 0.0, 0.5)

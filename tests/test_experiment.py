@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from haarlab.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from haarlab.cli import main
 from haarlab.config import ConfigError, ExperimentConfig
 from haarlab.experiment import (METRIC_COLUMNS, fresh_high_policy, policy_segments,
                                 read_metrics, run_pretrain, run_report, run_single_seed,
@@ -181,6 +182,7 @@ def synth_run(tmp_path, name, successes, returns):
         for i, (s, r) in enumerate(zip(successes, returns)):
             writer.writerow([i, (i + 1) * 100, 5, repr(float(s)), repr(float(r)),
                              0.0, 0.0, 0.0, 0.0, 0.0])
+    (d / "run.json").write_text("{}")  # written last: the run finished
     return str(d)
 
 
@@ -223,6 +225,20 @@ def test_report_mismatched_lengths_rejected(tmp_path):
     d2 = synth_run(tmp_path, "b", [0.1, 0.2], [1.0, 2.0])
     with pytest.raises(ValueError):
         run_report([d1, d2], str(tmp_path / "x.csv"))
+
+
+@pytest.mark.parametrize("marker", [None, '{"config": '])
+def test_report_refuses_unfinished_run(tmp_path, capsys, marker):
+    done = synth_run(tmp_path, "done", [0.1], [1.0])
+    cut = synth_run(tmp_path, "cut", [0.2], [2.0])
+    os.remove(os.path.join(cut, "run.json"))
+    if marker is not None:  # killed while writing it
+        with open(os.path.join(cut, "run.json"), "w") as fh:
+            fh.write(marker)
+    with pytest.raises(ValueError, match="cut"):
+        run_report([done, cut], str(tmp_path / "r.csv"))
+    assert main(["report", "--runs", done, cut, "--out", str(tmp_path / "r.csv")]) == 2
+    assert "error:" in capsys.readouterr().err and not os.path.exists(tmp_path / "r.csv")
 
 
 def test_trajectories_schema(tmp_path):

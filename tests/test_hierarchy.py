@@ -111,7 +111,7 @@ def test_segment_rewards_match_replay_oracle():
 
     # independent replay: drive a fresh env with the same episode streams
     from haarlab.rollout import episode_rng
-    seg_sums, seg_highs, seg_next_highs = [], [], []
+    seg_sums, seg_highs, seg_next_highs, seg_done = [], [], [], []
     ep = 0
     total = 0
     while total < 36:
@@ -131,12 +131,17 @@ def test_segment_rewards_match_replay_oracle():
                 if done:
                     break
             seg_sums.append(acc)
-            seg_next_highs.append(obs.high)  # the terminal observation too
+            seg_next_highs.append(obs.high)
+            seg_done.append(done)
         ep += 1
     assert len(seg_sums) == len(batch.r_h)
     assert np.max(np.abs(batch.r_h - np.array(seg_sums))) <= 1e-12
     assert batch.s_h.tobytes() == np.stack(seg_highs).tobytes()
-    assert batch.s_h_next.tobytes() == np.stack(seg_next_highs).tobytes()
+    # a terminal segment's s_h_next is never bootstrapped from: it is zeros
+    terminal = np.array(seg_done)
+    assert np.array_equal(batch.done_h, terminal) and terminal.any() and not terminal.all()
+    assert batch.s_h_next[~terminal].tobytes() == np.stack(seg_next_highs)[~terminal].tobytes()
+    assert batch.s_h_next[terminal].tobytes() == np.zeros_like(batch.s_h_next[terminal]).tobytes()
 
 
 def test_one_hot_purity():

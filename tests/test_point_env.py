@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from helpers import step_loops
 
 from haarlab.envs.maze import build_maze, parse_maze_text
 from haarlab.envs.point import (HIGH_OBS_DIM, LOW_OBS_DIM, STUMBLE_STEPS, AgentState,
-                                EnvConfig, EpisodeState, PointEnv)
+                                EnvConfig, EpisodeBatch, EpisodeState, ObservationPair,
+                                PointEnv)
+
+FACE_EPS = 1e-9  # the env's resting offset from a wall face
 
 
 def make_env(kind="c_maze", **cfg_kwargs):
@@ -255,3 +259,105 @@ def test_obs_scales_shapes():
     env = make_env("c_maze")
     assert env.low_obs_scale.shape == (LOW_OBS_DIM,)
     assert env.high_obs_scale.shape == (HIGH_OBS_DIM,)
+
+
+# -- lanes stepped as arrays ------------------------------------------------------
+
+def random_lane(env, rng):
+    """A lane anywhere in free space, with any speed, step count and
+    overdrive count and some gather sites already used. One in three rests
+    on a face of its cell, one in three heads exactly for a corner of it
+    (same distance to both grid lines, exact in binary, and same speed on
+    both axes). Returns (state, corner signs or None)."""
+    maze, cs = env.maze, env.maze.cell_size
+    state, _ = env.reset(rng)
+    free = maze.free_cells()
+    row, col = free[int(rng.integers(len(free)))]
+    offset = rng.random(2) * cs
+    velocity = rng.uniform(-1.0, 1.0, 2) * env.cfg.v_max
+    kind, signs = int(rng.integers(3)), None
+    if kind == 0:
+        axis = int(rng.integers(2))
+        offset[axis] = FACE_EPS if rng.integers(2) else cs - FACE_EPS
+    elif kind == 1:
+        signs = rng.choice((-1.0, 1.0), 2)
+        d = int(rng.integers(1, 16)) / 64.0
+        offset = np.where(signs > 0, cs - d, d)
+        velocity = signs * rng.uniform(0.3, 0.7) * env.cfg.v_max
+    state.agent.position = np.array([col, row]) * cs + offset
+    state.agent.velocity = velocity
+    state.t = int(rng.integers(env.cfg.max_episode_steps))
+    state.overdrive = int(rng.integers(STUMBLE_STEPS))
+    if state.food_active is not None:
+        state.food_active = rng.random(len(state.food_active)) < 0.8
+        state.bomb_active = rng.random(len(state.bomb_active)) < 0.8
+    return state, signs
+
+
+def test_batched_step_rows_equal_scalar_oracle_bit_for_bit():
+    rng = np.random.default_rng(21)
+    seen = dict.fromkeys(("lane_steps", "walls", "two_walls", "corners", "on_face", "goal",
+                          "death", "timeout", "food", "bombs", "mixed_t"), 0)
+    for kind in ("c_maze", "mirrored", "spiral", "gather", "open_field"):
+        env = make_env(kind, max_episode_steps=40)
+        cs = env.maze.cell_size
+        for lanes in (1, 3, 16):
+            states, signs = zip(*(random_lane(env, rng) for _ in range(lanes)))
+            states, signs = list(states), list(signs)
+            for _ in range(110):
+                actions = rng.normal(0.0, 1.0, (lanes, 2))
+                for i, s in enumerate(signs):
+                    if s is not None:  # keep |vx| == |vy|: same magnitude on both axes
+                        actions[i] = s * abs(actions[i, 0])
+                batch = env.batch(states)
+                nxt, low, reward, done, ends = env.step(batch, actions)
+                assert isinstance(nxt, EpisodeBatch) and low.shape == (lanes, LOW_OBS_DIM)
+                seen["mixed_t"] += len(set(batch.t.tolist())) > 1
+                for i, state in enumerate(states):
+                    (pos, vel, t, overdrive, r, d, info, food, bombs, walls,
+                     corners) = step_loops(env.maze, env.cfg, state, actions[i])
+                    assert nxt.position[i].tobytes() == pos.tobytes()
+                    assert nxt.velocity[i].tobytes() == vel.tobytes()
+                    assert low[i].tobytes() == np.array((vel[0], vel[1], 0.0, 1.0)).tobytes()
+                    assert (nxt.t[i], nxt.overdrive[i]) == (t, overdrive)
+                    assert reward[i].tobytes() == np.float64(r).tobytes() and done[i] == d
+                    assert {key: bool(ends[key][i]) for key in ends} == {
+                        key: info[key] for key in ("goal", "death", "timeout")}
+                    if food is not None:
+                        assert np.array_equal(nxt.food_active[i], food)
+                        assert np.array_equal(nxt.bomb_active[i], bombs)
+                    frac = state.agent.position / cs
+                    seen["on_face"] += np.abs(frac - np.round(frac)).min() * cs < 2 * FACE_EPS
+                    seen["walls"] += walls > 0
+                    seen["two_walls"] += walls == 2
+                    seen["corners"] += corners > 0
+                    for key in ("goal", "death", "timeout", "food", "bombs"):
+                        seen[key] += info[key] > 0
+                    seen["lane_steps"] += 1
+                    if d:
+                        states[i], signs[i] = random_lane(env, rng)
+                    else:
+                        agent = AgentState(pos, vel, alive=True)
+                        states[i] = EpisodeState(agent, t, overdrive, False, state.food_sites,
+                                                 state.bomb_sites, food, bombs)
+                        signs[i] = None
+    assert seen["lane_steps"] >= 10_000
+    assert min(seen.values()) >= 20, seen
+
+
+def test_lone_step_returns_lone_types():
+    env = make_env("gather")
+    state, obs = env.reset(np.random.default_rng(13))
+    state.agent.position = state.food_sites[0].copy()
+    nxt, obs, reward, done, info = env.step(state, np.array([0.3, -0.2]))
+    assert type(nxt) is EpisodeState and type(nxt.agent) is AgentState
+    assert type(obs) is ObservationPair
+    assert obs.low.shape == (LOW_OBS_DIM,) and obs.high.shape == (HIGH_OBS_DIM,)
+    assert nxt.agent.position.shape == nxt.agent.velocity.shape == (2,)
+    assert nxt.food_active.shape == state.food_active.shape
+    assert nxt.food_sites is state.food_sites
+    assert (type(nxt.t), type(nxt.overdrive), type(nxt.done), type(nxt.agent.alive)) == (
+        int, int, bool, bool)
+    assert type(reward) is float and type(done) is bool and reward == env.cfg.food_reward
+    assert info == {"goal": False, "death": False, "timeout": False, "food": 1, "bombs": 0}
+    assert [type(v) for v in info.values()] == [bool, bool, bool, int, int]

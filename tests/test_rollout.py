@@ -165,14 +165,15 @@ def test_high_obs_batch_rows_equal_single_observations():
     env = point_env("c_maze", max_episode_steps=30)
     policy = flat_policy(env)
     rng = np.random.default_rng(9)
-    pairs = []
+    states, pairs = [], []
     for _ in range(20):
         state, obs = env.reset(rng)
         for _ in range(int(rng.integers(0, 8))):
             state, obs, _, done, _ = env.step(state, policy.act(obs.high, rng)[0])
             if done:
                 break
+        states.append(state)
         pairs.append(obs)
-    rows = env.high_obs_batch(pairs)
+    rows = env.high_obs_batch(env.batch(states), np.array([obs.low for obs in pairs]))
     for row, obs in zip(rows, pairs):
         assert row.tobytes() == obs.high.tobytes()
