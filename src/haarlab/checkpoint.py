@@ -20,7 +20,9 @@ Round-trips are bit-exact: values are written verbatim as IEEE doubles.
 from __future__ import annotations
 
 import json
+import os
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -32,12 +34,20 @@ class CheckpointError(RuntimeError):
     pass
 
 
+@contextmanager
+def atomic_open(path: str, mode: str = "w", **kwargs):
+    """Write path's temporary sibling, renamed onto path when the block finishes."""
+    with open(path + ".tmp", mode, **kwargs) as fh:
+        yield fh
+    os.replace(path + ".tmp", path)
+
+
 def save_checkpoint(path: str, segments: dict[str, np.ndarray],
                     metadata: dict | None = None) -> None:
     names = sorted(segments)
     arrays = [np.ascontiguousarray(np.asarray(segments[n], dtype="<f8").ravel()) for n in names]
     meta_bytes = json.dumps(metadata or {}, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<I", len(meta_bytes)))

@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, atomic_open, load_checkpoint, save_checkpoint
 from .config import ConfigError, ExperimentConfig
 from .hierarchy import (SkillSchedule, TrainState, discounted_returns, fit_value_on_scaled,
                         haar_iteration)
@@ -127,7 +127,7 @@ def _trace_trajectories(path: str, env, trace_policy, seed: int,
     Each episode gets its own stream and a fresh policy from
     trace_policy(), so it runs the same alone as after the others.
     """
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("episode", "step", "x", "y", "skill"))
         for ep in episodes:
@@ -165,10 +165,13 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: str,
     """Train one seed and persist its artifacts under out_dir/seed_<n>.
 
     log, when given, is called once per iteration after that
-    iteration's rows are written.
+    iteration's rows are written. run.json, renamed into place last,
+    marks a finished run.
     """
     run_dir = os.path.join(out_dir, f"seed_{seed}")
     os.makedirs(run_dir, exist_ok=True)
+    if os.path.exists(os.path.join(run_dir, "run.json")):  # it would mark this run finished
+        os.remove(os.path.join(run_dir, "run.json"))
     t0 = time.perf_counter()
     env = cfg.build_env()
     if cfg.algorithm == "flat_trpo":
@@ -218,7 +221,7 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: str,
         "checkpoint": "checkpoint.bin",
         "trajectories": "trajectories.csv",
     }
-    with open(os.path.join(run_dir, "run.json"), "w") as fh:
+    with atomic_open(os.path.join(run_dir, "run.json")) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
     return RunRecord(run_dir, cfg.config_hash(), seed,
                      os.path.join(run_dir, "metrics.csv"),
@@ -394,7 +397,7 @@ def _pretrain_job(args):
                               "proxy": cfg.pretrain.proxy,
                               "env": "open_field/v1", "seed": seed,
                               "iterations": cfg.pretrain.iterations})
-    with open(os.path.join(out_dir, f"skills_seed_{seed}.json"), "w") as fh:
+    with atomic_open(os.path.join(out_dir, f"skills_seed_{seed}.json")) as fh:
         json.dump({"stats": stats, "seed": seed}, fh, indent=2)
     return path
 

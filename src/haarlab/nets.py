@@ -5,10 +5,16 @@ through this fixed architecture (linear output head, tanh hidden
 layers), which are written out explicitly below. `rop_forward` is the
 forward-mode counterpart (Jacobian-vector product) used by the
 Fisher-vector products in the trust-region optimizer.
+
+Every pass computes in place. rop_forward and backward keep their
+per-row intermediates in a workspace(), which repeated calls can share;
+the others allocate only what they return or keep. In-place operations
+give the values of their allocating forms, so no output bit moves.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,76 +89,86 @@ def forward_cached(spec: MlpSpec, w: np.ndarray, x: np.ndarray):
     a = x
     last = len(layers) - 1
     for i, (W, b) in enumerate(layers):
-        z = a @ W.T + b
+        z = a @ W.T
+        z += b
         if i == last:
             return z, acts
-        a = np.tanh(z)
+        a = np.tanh(z, out=z)
         acts.append(a)
     raise AssertionError("unreachable")
 
 
 def tanh_derivs(acts: list[np.ndarray]) -> list[np.ndarray]:
     """1 - a^2 for every hidden-layer output (acts[0] is the input)."""
-    return [1.0 - a * a for a in acts[1:]]
+    return [np.subtract(1.0, sq, out=sq) for sq in (a * a for a in acts[1:])]
+
+
+def workspace(spec: MlpSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """rop_forward's and backward's two buffers, each fitting any layer's n rows."""
+    size = n * max((*spec.hidden, spec.output_dim))
+    return np.empty(size), np.empty(size)
+
+
+def _view(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    return buf[:math.prod(shape)].reshape(shape)
 
 
 def backward(spec: MlpSpec, w: np.ndarray, acts: list[np.ndarray], gy: np.ndarray,
-             derivs: list[np.ndarray] | None = None) -> np.ndarray:
+             derivs: list[np.ndarray] | None = None, work=None) -> np.ndarray:
     """Gradient of sum(gy * output) w.r.t. the flat parameters.
 
     acts comes from forward_cached on the same (w, x). gy matches the
     output shape; batched inputs accumulate over the batch (sum).
     derivs may pass precomputed tanh derivatives when backward runs
-    repeatedly on the same acts.
+    repeatedly on the same acts. work, from workspace(), holds the
+    back-propagated deltas; gy itself may lie in work[0].
     """
     layers = unpack_layers(spec, w)
     if derivs is None:
         derivs = tanh_derivs(acts)
-    grads = [None] * len(layers)
-    delta = np.asarray(gy, dtype=np.float64)
-    batched = delta.ndim == 2
-    for i in range(len(layers) - 1, -1, -1):
-        W, _ = layers[i]
-        a_in = acts[i]
-        if batched:
-            gW = delta.T @ a_in
-            gb = delta.sum(axis=0)
-        else:
-            gW = np.outer(delta, a_in)
-            gb = delta
-        grads[i] = (gW, gb)
-        if i > 0:
-            delta = (delta @ W) * derivs[i - 1]
     flat = np.empty(spec.n_params)
-    pos = 0
-    for gW, gb in grads:
-        flat[pos:pos + gW.size] = gW.ravel()
-        pos += gW.size
-        flat[pos:pos + gb.size] = gb
-        pos += gb.size
+    grads = unpack_layers(spec, flat)  # each layer's gradient is written in place
+    delta = np.asarray(gy, dtype=np.float64)
+    work = work or workspace(spec, math.prod(delta.shape[:-1]))
+    for i in range(len(layers) - 1, -1, -1):
+        (W, _), (gW, gb), a_in = layers[i], grads[i], acts[i]
+        if delta.ndim == 2:
+            np.matmul(delta.T, a_in, out=gW)
+            np.sum(delta, axis=0, out=gb)
+        else:
+            np.outer(delta, a_in, out=gW)
+            gb[:] = delta
+        if i > 0:
+            # the deltas alternate between the buffers, from work[1] on
+            nxt = _view(work[(len(layers) - i) % 2], (*delta.shape[:-1], W.shape[1]))
+            delta = np.multiply(np.matmul(delta, W, out=nxt), derivs[i - 1], out=nxt)
     return flat
 
 
 def rop_forward(spec: MlpSpec, w: np.ndarray, v: np.ndarray, acts: list[np.ndarray],
-                derivs: list[np.ndarray] | None = None) -> np.ndarray:
+                derivs: list[np.ndarray] | None = None, work=None) -> np.ndarray:
     """Directional derivative of the output along parameter direction v.
 
     Forward-mode pass reusing acts from forward_cached; returns
-    (J @ v) with the same shape as the output.
+    (J @ v) with the same shape as the output, in work[0] of the
+    workspace() given as work.
     """
     layers = unpack_layers(spec, w)
     vlayers = unpack_layers(spec, np.asarray(v, dtype=np.float64))
     if derivs is None:
         derivs = tanh_derivs(acts)
-    r = None  # derivative of the current layer output along v
+    work = work or workspace(spec, math.prod(acts[0].shape[:-1]))
+    r = None  # derivative of the current layer output along v, in work[0]
     last = len(layers) - 1
-    for i, ((W, _), (Vw, vb)) in enumerate(zip(layers, vlayers)):
-        a_in = acts[i]
-        rz = a_in @ Vw.T + vb
-        if r is not None:
-            rz = rz + r @ W.T
+    for i, (a_in, (W, _), (Vw, vb)) in enumerate(zip(acts, layers, vlayers)):
+        shape = (*a_in.shape[:-1], W.shape[0])
+        # r @ W.T goes first, into work[1], so that rz can take r's buffer
+        rw = None if r is None else np.matmul(r, W.T, out=_view(work[1], shape))
+        rz = np.matmul(a_in, Vw.T, out=_view(work[0], shape))
+        rz += vb
+        if rw is not None:
+            rz += rw
         if i == last:
             return rz
-        r = rz * derivs[i]
+        r = np.multiply(rz, derivs[i], out=rz)
     raise AssertionError("unreachable")
-

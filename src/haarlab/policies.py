@@ -15,10 +15,12 @@ sees O(1) inputs.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 
 from .nets import (MlpSpec, backward, forward, forward_cached, init_mlp_params,
-                   rop_forward, tanh_derivs, unpack_layers)
+                   rop_forward, tanh_derivs, unpack_layers, workspace)
 from .params import NumericsError, ParamVector, ShapeError
 
 
@@ -54,6 +56,9 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
 INIT_LOG_STD = -0.5
+
+
+NetForward = namedtuple("NetForward", "w n out dist acts derivs")
 
 
 class _MlpPolicy:
@@ -96,10 +101,18 @@ class _MlpPolicy:
         x = np.asarray(obs, dtype=np.float64) * self.input_scale
         return forward(self.spec, self.params.segment(self.NET), x)
 
-    def _forward_batch(self, obs: np.ndarray, w: np.ndarray):
-        """(n, network output, cached activations) of a batch under weights w."""
+    def forward_batch(self, obs: np.ndarray) -> NetForward:
+        """The network run over a batch at a snapshot w of the current parameters:
+        n rows, the output and its distribution, the activations and their tanh
+        derivatives. grad_logprob_weighted and fvp_builder take it for their pass."""
+        w = self.params.segment(self.NET).copy()
         x = np.atleast_2d(np.asarray(obs, dtype=np.float64)) * self.input_scale
-        return (len(x), *forward_cached(self.spec, w, x))
+        out, acts = forward_cached(self.spec, w, x)
+        return NetForward(w, len(x), out, self._dist(out), acts, tanh_derivs(acts))
+
+    def dist_params(self, obs: np.ndarray):
+        """Cacheable distribution parameters of a single input or a batch."""
+        return self._dist(self._forward(obs))
 
     def log_prob(self, obs: np.ndarray, action) -> float | np.ndarray:
         """Exact log density; obs may be a single vector or a batch."""
@@ -109,47 +122,45 @@ class _MlpPolicy:
         """Mean KL(old || current) over the batch, closed form."""
         return self.dist_kl(old_dist, self.dist_params(np.atleast_2d(obs)))
 
-    def grad_logprob_weighted(self, obs: np.ndarray, actions, weights) -> np.ndarray:
-        """Gradient of mean_i(weights_i * log pi(a_i|x_i)) over all parameters."""
-        w = self.params.segment(self.NET)
-        n, out, acts = self._forward_batch(obs, w)
+    def grad_logprob_weighted(self, obs: np.ndarray, actions, weights,
+                              fwd: NetForward | None = None) -> np.ndarray:
+        """Gradient of mean_i(weights_i * log pi(a_i|x_i)) over all parameters;
+        fwd, from forward_batch(obs), saves the forward pass."""
+        w, n, out, _, acts, derivs = fwd or self.forward_batch(obs)
         actions = self._action_batch(actions)
         weights = np.asarray(weights, dtype=np.float64).ravel()
         if len(actions) != n or weights.shape[0] != n or n == 0:
             raise ShapeError("batch arrays must be nonempty and aligned")
         gy, g_head = self._logprob_out_grad(out, actions, weights, n)
-        return np.concatenate([backward(self.spec, w, acts, gy), *g_head])
+        return np.concatenate([backward(self.spec, w, acts, gy, derivs), *g_head])
 
     def kl_grad(self, old_dist, obs: np.ndarray) -> np.ndarray:
         """Gradient of mean_kl w.r.t. the current parameters."""
-        w = self.params.segment(self.NET)
-        n, out, acts = self._forward_batch(obs, w)
+        w, n, out, _, acts, derivs = self.forward_batch(obs)
         gy, g_head = self._kl_out_grad(old_dist, out, n)
-        return np.concatenate([backward(self.spec, w, acts, gy), *g_head])
+        return np.concatenate([backward(self.spec, w, acts, gy, derivs), *g_head])
 
-    def fvp_builder(self, obs: np.ndarray, damping: float):
+    def fvp_builder(self, obs: np.ndarray, damping: float, fwd: NetForward | None = None):
         """Closure computing (F + damping I) v at the current parameters.
 
-        The forward pass through the batch happens once; repeated
-        applications (conjugate gradient) only pay for the directional
-        passes. The parameters are snapshotted, so the closure stays
-        valid if the policy is updated afterwards.
+        The forward pass (or fwd, from forward_batch(obs)) and the per-row
+        buffers are made once; each application (conjugate gradient) pays
+        for the directional passes only and returns a fresh array. The
+        parameters are snapshotted, so the closure stays valid if the policy
+        is updated afterwards.
         """
-        w = self.params.segment(self.NET).copy()
-        n, out, acts = self._forward_batch(obs, w)
-        derivs = tanh_derivs(acts)
+        w, n, out, _, acts, derivs = fwd or self.forward_batch(obs)
         fisher_out = self._fisher_out(out, n)
-        n_net = self.spec.n_params
-        size = self.params.size
-        spec = self.spec
+        work = workspace(self.spec, n)
+        spec, n_net, size = self.spec, self.spec.n_params, self.params.size
 
         def apply(v: np.ndarray) -> np.ndarray:
             v = np.asarray(v, dtype=np.float64)
             if v.size != size:
                 raise ShapeError("direction vector does not match parameter layout")
-            r = rop_forward(spec, w, v[:n_net], acts, derivs)
-            gy, g_head = fisher_out(r, v[n_net:])
-            return np.concatenate([backward(spec, w, acts, gy, derivs), *g_head]) + damping * v
+            r = rop_forward(spec, w, v[:n_net], acts, derivs, work)
+            gy, head = fisher_out(r, v[n_net:])  # gy may overwrite r
+            return np.concatenate([backward(spec, w, acts, gy, derivs, work), *head]) + damping * v
 
         return apply
 
@@ -204,9 +215,9 @@ class GaussianPolicy(_MlpPolicy):
             return action[0], logp[0], mu[0]
         return action, np.array(logp), mu
 
-    def dist_params(self, obs: np.ndarray):
+    def _dist(self, mu: np.ndarray):
         """Cacheable distribution parameters: (means, log_std copy)."""
-        return self.mean(obs), self.log_std.copy()
+        return mu, self.log_std.copy()
 
     def dist_log_prob(self, dist, action: np.ndarray) -> float | np.ndarray:
         """Log density of actions under distribution parameters `dist`."""
@@ -249,7 +260,7 @@ class GaussianPolicy(_MlpPolicy):
     def _fisher_out(self, mu, n):
         inv_var_n = np.exp(-2.0 * self.log_std) / n
         # the Fisher block of log_std is 2 I, and it has no cross terms
-        return lambda r, v_log_std: (r * inv_var_n, [2.0 * v_log_std])
+        return lambda r, v_log_std: (np.multiply(r, inv_var_n, out=r), [2.0 * v_log_std])
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -295,8 +306,7 @@ class CategoricalPolicy(_MlpPolicy):
             return int(index[0]), float(chosen[0]), logp[0]
         return index, chosen, logp
 
-    def dist_params(self, obs: np.ndarray) -> np.ndarray:
-        return self.log_probs(obs)
+    _dist = staticmethod(_log_softmax)
 
     def dist_log_prob(self, logp: np.ndarray, action) -> float | np.ndarray:
         """Log-probability of actions under the log-probability rows `logp`."""

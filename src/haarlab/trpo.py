@@ -122,14 +122,15 @@ def trpo_update(policy, batch: AdvantageBatch, cfg: TrpoConfig) -> TrpoDiagnosti
     adv = standardize_advantages(batch.advantages)
     work = AdvantageBatch(batch.observations, batch.actions, adv,
                           batch.old_log_probs, batch.old_dist)
-    # one forward pass gives both the surrogate and the gradient's weights
-    weights = np.exp(policy.log_prob(work.observations, work.actions) - work.old_log_probs) * adv
+    # one forward pass at theta_old: the surrogate's weights, gradient and Fisher products
+    fwd = policy.forward_batch(work.observations)
+    weights = np.exp(policy.dist_log_prob(fwd.dist, work.actions) - work.old_log_probs) * adv
     surr_before = float(np.mean(weights))
-    g = policy.grad_logprob_weighted(work.observations, work.actions, weights)
+    g = policy.grad_logprob_weighted(work.observations, work.actions, weights, fwd)
     if not np.all(np.isfinite(g)) or float(np.max(np.abs(g), initial=0.0)) < 1e-12:
         return TrpoDiagnostics(False, 0.0, surr_before, surr_before, 0)
 
-    apply_a = policy.fvp_builder(work.observations, CG_DAMPING)
+    apply_a = policy.fvp_builder(work.observations, CG_DAMPING, fwd)
 
     try:
         step_dir = conjugate_gradient(apply_a, g, CG_ITERATIONS)

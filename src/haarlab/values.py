@@ -41,13 +41,6 @@ class PolynomialValueEstimator:
         return float(out) if np.ndim(out) == 0 else out
 
 
-def poly_features(states: np.ndarray) -> np.ndarray:
-    states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-    s2 = states * states
-    ones = np.ones((states.shape[0], 1))
-    return np.concatenate([s2 * states, s2, states, ones], axis=1)
-
-
 def fold_input_scale(est: PolynomialValueEstimator, scale: np.ndarray) -> PolynomialValueEstimator:
     """Rewrite an estimator fit on (scale * s) to consume raw s."""
     scale = np.asarray(scale, dtype=np.float64)
@@ -69,11 +62,16 @@ def fit_value(states: np.ndarray, targets: np.ndarray,
         raise ValueError("cannot fit a value estimator on an empty batch")
     if targets.shape[0] != states.shape[0]:
         raise ShapeError("states and targets must be aligned")
-    phi = poly_features(states)
-    n_feat = phi.shape[1]
-    a = np.vstack([phi, np.sqrt(ridge) * np.eye(n_feat)])
+    n, d = states.shape
+    n_feat = 3 * d + 1
+    # the features [s^3, s^2, s, 1] over the ridge rows, written in place
+    a = np.empty((n + n_feat, n_feat))
+    s2 = np.multiply(states, states, out=a[:n, d:2 * d])
+    np.multiply(s2, states, out=a[:n, :d])
+    a[:n, 2 * d:3 * d] = states
+    a[:n, 3 * d] = 1.0
+    a[n:] = np.sqrt(ridge) * np.eye(n_feat)
     b = np.concatenate([targets, np.zeros(n_feat)])
     w, *_ = np.linalg.lstsq(a, b, rcond=None)
-    d = states.shape[1]
     return PolynomialValueEstimator(w[:d].copy(), w[d:2 * d].copy(), w[2 * d:3 * d].copy(),
                                     float(w[3 * d]))

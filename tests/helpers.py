@@ -196,3 +196,124 @@ def step_loops(maze, cfg, state, action, face_eps=1e-9, stumble_steps=3):
             info["timeout"] = True
     return (np.array((x, y)), np.array((vx, vy)), t, overdrive, reward, done, info,
             food_active, bomb_active, walls_hit, corners)
+
+
+# -- reference MLP core ----------------------------------------------------------
+# The allocating forms of haarlab.nets' forward_cached, tanh_derivs,
+# backward and rop_forward, kept verbatim so the in-place library code can
+# be pinned to them bit for bit.
+
+def _ref_layers(layer_dims, w):
+    layers, pos = [], 0
+    for fan_in, fan_out in layer_dims:
+        W = w[pos:pos + fan_in * fan_out].reshape(fan_out, fan_in)
+        pos += fan_in * fan_out
+        layers.append((W, w[pos:pos + fan_out]))
+        pos += fan_out
+    return layers
+
+
+def ref_forward_cached(spec, w, x):
+    x = np.asarray(x, dtype=np.float64)
+    layers = _ref_layers(spec.layer_dims, w)
+    acts = [x]
+    a = x
+    last = len(layers) - 1
+    for i, (W, b) in enumerate(layers):
+        z = a @ W.T + b
+        if i == last:
+            return z, acts
+        a = np.tanh(z)
+        acts.append(a)
+    raise AssertionError("unreachable")
+
+
+def ref_tanh_derivs(acts):
+    return [1.0 - a * a for a in acts[1:]]
+
+
+def ref_backward(spec, w, acts, gy, derivs=None):
+    layers = _ref_layers(spec.layer_dims, w)
+    if derivs is None:
+        derivs = ref_tanh_derivs(acts)
+    grads = [None] * len(layers)
+    delta = np.asarray(gy, dtype=np.float64)
+    batched = delta.ndim == 2
+    for i in range(len(layers) - 1, -1, -1):
+        W, _ = layers[i]
+        a_in = acts[i]
+        if batched:
+            gW = delta.T @ a_in
+            gb = delta.sum(axis=0)
+        else:
+            gW = np.outer(delta, a_in)
+            gb = delta
+        grads[i] = (gW, gb)
+        if i > 0:
+            delta = (delta @ W) * derivs[i - 1]
+    flat = np.empty(spec.n_params)
+    pos = 0
+    for gW, gb in grads:
+        flat[pos:pos + gW.size] = gW.ravel()
+        pos += gW.size
+        flat[pos:pos + gb.size] = gb
+        pos += gb.size
+    return flat
+
+
+def ref_rop_forward(spec, w, v, acts, derivs=None):
+    layers = _ref_layers(spec.layer_dims, w)
+    vlayers = _ref_layers(spec.layer_dims, np.asarray(v, dtype=np.float64))
+    if derivs is None:
+        derivs = ref_tanh_derivs(acts)
+    r = None
+    last = len(layers) - 1
+    for i, ((W, _), (Vw, vb)) in enumerate(zip(layers, vlayers)):
+        a_in = acts[i]
+        rz = a_in @ Vw.T + vb
+        if r is not None:
+            rz = rz + r @ W.T
+        if i == last:
+            return rz
+        r = rz * derivs[i]
+    raise AssertionError("unreachable")
+
+
+def _ref_net_forward(policy, obs):
+    w = policy.params.segment(policy.NET).copy()
+    x = np.atleast_2d(np.asarray(obs, dtype=np.float64)) * policy.input_scale
+    return (w, len(x), *ref_forward_cached(policy.spec, w, x))
+
+
+def ref_grad_logprob_weighted(policy, obs, actions, weights):
+    """The policy's weighted log-prob gradient through the reference core."""
+    w, n, out, acts = _ref_net_forward(policy, obs)
+    weights = np.asarray(weights, dtype=np.float64).ravel()
+    gy, g_head = policy._logprob_out_grad(out, policy._action_batch(actions), weights, n)
+    return np.concatenate([ref_backward(policy.spec, w, acts, gy), *g_head])
+
+
+def ref_fvp(policy, obs, v, damping):
+    """(F + damping I) v through the reference core and the allocating
+    forms of both heads' Fisher blocks."""
+    w, n, out, acts = _ref_net_forward(policy, obs)
+    spec = policy.spec
+    derivs = ref_tanh_derivs(acts)
+    n_net = spec.n_params
+    r = ref_rop_forward(spec, w, v[:n_net], acts, derivs)
+    if hasattr(policy, "log_std"):
+        gy, g_head = r * (np.exp(-2.0 * policy.log_std) / n), [2.0 * v[n_net:]]
+    else:
+        e = np.exp(out - out.max(axis=-1, keepdims=True))
+        p = e / e.sum(axis=-1, keepdims=True)
+        gy, g_head = (p * r - p * (p * r).sum(axis=1, keepdims=True)) / n, []
+    return np.concatenate([ref_backward(spec, w, acts, gy, derivs), *g_head]) + damping * v
+
+
+def ref_fit_value_weights(states, targets, ridge):
+    """[w3, w2, w1, w0] as the value fit computed them from stacked copies."""
+    s2 = states * states
+    phi = np.concatenate([s2 * states, s2, states, np.ones((len(states), 1))], axis=1)
+    a = np.vstack([phi, np.sqrt(ridge) * np.eye(phi.shape[1])])
+    b = np.concatenate([targets, np.zeros(phi.shape[1])])
+    return np.linalg.lstsq(a, b, rcond=None)[0]

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -56,3 +58,14 @@ def test_little_endian_layout(tmp_path):
     assert blob[4:8] == (1).to_bytes(4, "little")
     # the single float64 value 1.0 sits at the end, little-endian
     assert blob[-8:] == np.array([1.0], dtype="<f8").tobytes()
+
+
+def test_failed_save_leaves_the_previous_file(tmp_path):
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(str(path), {"a": np.arange(3.0)}, {"v": 1})
+    with pytest.raises(UnicodeEncodeError):  # fails after the header is written
+        save_checkpoint(str(path), {"\ud800": np.zeros(2)}, {"v": 2})
+    loaded, meta = load_checkpoint(str(path))
+    assert meta == {"v": 1} and np.array_equal(loaded["a"], np.arange(3.0))
+    save_checkpoint(str(path), {"a": np.ones(2)})
+    assert sorted(os.listdir(tmp_path)) == ["ckpt.bin"]

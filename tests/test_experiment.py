@@ -227,6 +227,28 @@ def test_report_mismatched_lengths_rejected(tmp_path):
         run_report([d1, d2], str(tmp_path / "x.csv"))
 
 
+def test_crashed_rerun_is_not_reported_as_finished(tmp_path, monkeypatch):
+    # a finished run re-run into the same directory and killed in iteration 2
+    from haarlab import experiment
+
+    cfg = tiny_cfg(algorithm="flat_trpo")
+    run_dir = run_single_seed(cfg, 0, str(tmp_path)).directory
+    real = experiment.flat_iteration
+
+    def killed(policy, env, cfg, seed, iteration, low_steps):
+        if iteration == 1:
+            raise KeyboardInterrupt
+        return real(policy, env, cfg, seed, iteration, low_steps)
+
+    monkeypatch.setattr(experiment, "flat_iteration", killed)
+    with pytest.raises(KeyboardInterrupt):
+        run_single_seed(cfg, 0, str(tmp_path))
+    assert not os.path.exists(os.path.join(run_dir, "run.json"))
+    with pytest.raises(ValueError, match="not a finished run"):
+        run_report([run_dir], str(tmp_path / "r.csv"))
+    assert len(read_metrics(os.path.join(run_dir, "metrics.csv"))["iteration"]) == 1
+
+
 @pytest.mark.parametrize("marker", [None, '{"config": '])
 def test_report_refuses_unfinished_run(tmp_path, capsys, marker):
     done = synth_run(tmp_path, "done", [0.1], [1.0])
