@@ -115,6 +115,11 @@ class PointEnv:
         self.maze = maze
         self.cfg = cfg
 
+    @property
+    def horizon(self) -> int:
+        """The most steps an episode runs."""
+        return self.cfg.max_episode_steps
+
     # -- observations ---------------------------------------------------------
 
     def low_obs(self, agent: AgentState) -> np.ndarray:

@@ -82,6 +82,8 @@ class TabularRolloutEnv:
     """
 
     def __init__(self, mdp: TabularMdp, horizon: int):
+        if horizon < 1:
+            raise ValueError("horizon must be >= 1")
         self.mdp = mdp
         self.horizon = horizon
         self.low_obs_dim = mdp.n_states

@@ -3,10 +3,10 @@
 Every run writes one directory per seed:
 
     metrics.csv       per-iteration training metrics (deterministic:
-                      identical bytes for identical config, seed and
-                      BLAS thread count; the wall_time_s column is
-                      reserved and always 0.0, measured timing lives
-                      in timing.csv / run.json)
+                      identical bytes for identical config, seed,
+                      BLAS thread count and BLAS kernel; the
+                      wall_time_s column is reserved and always 0.0,
+                      measured timing lives in timing.csv / run.json)
     diagnostics.csv   per-update trust-region audit rows
     timing.csv        measured per-iteration wall time (not covered by
                       the determinism contract)
@@ -38,7 +38,7 @@ from .hierarchy import (SkillSchedule, TrainState, discounted_returns, fit_value
 from .nets import MlpSpec
 from .policies import CategoricalPolicy, GaussianPolicy
 from .pretrain import fresh_low_policy, pretrain_skills
-from .rollout import LANES, run_lanes
+from .rollout import run_lanes
 from .trpo import AdvantageBatch, TrpoConfig, TrpoDiagnostics, trpo_update
 
 HIGH_INIT_STREAM = 0x12
@@ -305,7 +305,7 @@ class _FlatCollector:
         return a, (obs, a, mu, logp)
 
 
-def collect_flat(policy, env, budget: int, seed: tuple[int, ...], lanes: int = LANES):
+def collect_flat(policy, env, budget: int, seed: tuple[int, ...], lanes: int | None = None):
     """Whole episodes, in lockstep lanes, until `budget` steps are in the
     batch; returns (observations, actions, means, log-probs, LaneRun)."""
     run = run_lanes(env, seed, budget, _FlatCollector(policy), lanes)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .policies import CategoricalPolicy, GaussianPolicy
-from .rollout import LANES, EpisodeSummary, run_lanes
+from .rollout import EpisodeSummary, run_lanes
 from .trpo import AdvantageBatch, TrpoConfig, TrpoDiagnostics, trpo_update
 from .values import PolynomialValueEstimator, fit_value, fold_input_scale
 
@@ -129,7 +129,7 @@ class _SegmentCollector:
 
 
 def collect_rollouts(pi_h, pi_l, env, n_skills: int, budget_low_steps: int, k: int,
-                     seed: tuple[int, ...], lanes: int = LANES) -> RolloutBatch:
+                     seed: tuple[int, ...], lanes: int | None = None) -> RolloutBatch:
     """Simulate episodes until the low-step budget is met.
 
     Episodes run in lockstep lanes (rollout.run_lanes): episode e is

@@ -1,10 +1,13 @@
 """Lockstep lanes: the one scheduler that runs the episodes of a batch.
 
-Up to LANES episodes run side by side as the rows of one batch state. On
-each lockstep step a collector chooses the actions of every running
-episode with batched policy calls, asking for the high observations it
-needs in one env.high_obs_batch call (one raycast over all of their
-positions), and one env.step advances every lane.
+Up to ceil(budget / env.horizon) episodes run side by side as the rows
+of one batch state. That is how many episodes a batch holds when each
+runs its full horizon, so every one of them is certain to be in the
+batch and starting them together speculates on none. On each lockstep
+step a collector chooses the actions of every running episode with
+batched policy calls, asking for the high observations it needs in one
+env.high_obs_batch call (one raycast over all of their positions), and
+one env.step advances every lane.
 
 The batch is the one a sequential loop would collect. Episode e draws
 only from its own stream episode_rng(seed, e), in the same order as it
@@ -24,9 +27,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Measured faster than 8 on both benchmark workloads (CHANGES.md); wider
-# lanes also start more episodes that the budget then drops.
-LANES = 16
 EPISODE_STREAM = 0xE9
 
 
@@ -136,24 +136,30 @@ class _StepRows:
         self.n += m
 
 
-def run_lanes(env, seed: tuple[int, ...], budget: int, collector, lanes: int = LANES) -> LaneRun:
+def run_lanes(env, seed: tuple[int, ...], budget: int, collector,
+              lanes: int | None = None) -> LaneRun:
     """Run episodes 0, 1, ... in lockstep lanes until the batch holds at
     least `budget` steps.
 
-    The env supplies reset(rng) for one episode, batch(states) stacking
-    lone states as lanes, step(batch, actions) and high_obs_batch(batch,
-    low). The collector supplies
+    `lanes` defaults to ceil(budget / env.horizon); no lane count changes
+    a byte of the batch. The env supplies its horizon, reset(rng) for one
+    episode, batch(states) stacking lone states as lanes, step(batch,
+    actions) and high_obs_batch(batch, low). The collector supplies
       act(running, high) -> (actions, columns)
           the actions of the Running lanes, in order, and a tuple of
           arrays with one row per lane that the step records; high(rows)
           gives the high observation rows of the lanes `rows` selects,
           and high() those of every lane.
     """
+    if lanes is None:
+        lanes = -(-budget // env.horizon)
     if budget < 1 or lanes < 1:
         raise ValueError("the step budget and the lane count must be >= 1")
     lengths: list[int] = []        # steps episode e has taken
     summaries: dict[int, EpisodeSummary] = {}
-    rows = _StepRows(budget + budget // 4)  # about what speculative lanes take
+    # The last lanes run past the budget: ceil(B/T) episodes of T steps
+    # take fewer than B + T. The buffer doubles when a run takes more.
+    rows = _StepRows(budget + budget // 4)
     run = None
     total = 0                      # steps of every episode started so far
     while True:

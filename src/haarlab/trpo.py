@@ -141,6 +141,8 @@ def trpo_update(policy, batch: AdvantageBatch, cfg: TrpoConfig) -> TrpoDiagnosti
         return TrpoDiagnostics(False, 0.0, surr_before, surr_before, 0)
 
     full_step = np.sqrt(2.0 * cfg.max_kl / s_as) * step_dir
+    # freed first, their pages serve the line search's forward passes
+    del fwd, apply_a
     shrink = 1.0
     for backtracks in range(MAX_BACKTRACKS):
         policy.set_flat(theta_old + shrink * full_step)

@@ -4,8 +4,13 @@ Both collectors (hierarchy.collect_rollouts and experiment.collect_flat)
 run on rollout.run_lanes; every array they return must be the same bytes
 for every lane count, on the point-mass maze, the gather arena and the
 tabular chain, including budgets that end inside or exactly at the end of
-an episode and runs that drop a speculative episode.
+an episode and runs that drop a speculative episode. The default lane
+count, ceil(budget / horizon), starts no episode outside the batch when
+every episode runs its horizon.
 """
+
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -17,10 +22,10 @@ from haarlab.experiment import collect_flat
 from haarlab.hierarchy import collect_rollouts
 from haarlab.nets import MlpSpec
 from haarlab.policies import CategoricalPolicy, GaussianPolicy
-from haarlab.rollout import LANES
+from haarlab.rollout import run_lanes
 from haarlab.theory import absorbing_random_mdp, random_joint_policy
 
-LANE_COUNTS = (1, 3, LANES)
+LANE_COUNTS = (1, 3, 16, None)  # None: the default, ceil(budget / horizon)
 N_SKILLS = 3
 BATCH_ARRAYS = ("x_l", "a_l", "logp_l", "dist_l", "done_l", "segment_id", "s_h", "s_h_next",
                 "a_h", "r_h", "done_h", "seg_len", "logp_h", "dist_h")
@@ -151,6 +156,7 @@ def test_budget_edges(edge):
         assert len(obs) == episodes * horizon
     assert runs[1][-1].steps_taken == taken_by_three
     assert runs[2][-1].steps_taken > len(runs[2][0])
+    assert runs[3][-1].steps_taken == len(runs[3][0])  # the default never speculates here
     assert_same_bytes([flat_arrays(r) for r in runs])
 
     pi_h, pi_l = neural_hierarchy(env)
@@ -177,3 +183,47 @@ def test_high_obs_batch_rows_equal_single_observations():
     rows = env.high_obs_batch(env.batch(states), np.array([obs.low for obs in pairs]))
     for row, obs in zip(rows, pairs):
         assert row.tobytes() == obs.high.tobytes()
+
+
+class _Clock(NamedTuple):
+    t: np.ndarray  # (L,) steps each lane has taken
+
+
+class TimeoutEnv:
+    """Every episode runs exactly `horizon` steps; counts step calls."""
+
+    def __init__(self, horizon):
+        self.horizon = horizon
+        self.step_calls = 0
+
+    def reset(self, rng):
+        return 0, SimpleNamespace(low=np.zeros(1))
+
+    def batch(self, states):
+        return _Clock(np.array(states))
+
+    def high_obs_batch(self, lanes, low):
+        return low
+
+    def step(self, lanes, actions):
+        self.step_calls += 1
+        t = lanes.t + 1
+        n = len(t)
+        return (_Clock(t), np.zeros((n, 1)), np.ones(n), t >= self.horizon,
+                {"goal": np.zeros(n, dtype=bool)})
+
+
+class IdleCollector:
+    def act(self, run, high):
+        return np.zeros(len(run.episode)), ()
+
+
+@pytest.mark.parametrize("budget, horizon", [(300, 60), (301, 60), (299, 60), (5000, 300)])
+def test_default_lanes_run_every_episode_together(budget, horizon):
+    # ceil(B/T) lanes hold the whole batch from the first step: no episode
+    # runs alone after the others end, and none is started only to be dropped
+    env = TimeoutEnv(horizon)
+    run = run_lanes(env, (0,), budget, IdleCollector())
+    assert env.step_calls == horizon
+    assert len(run.episodes) == -(-budget // horizon)
+    assert run.steps_taken == len(run.reward) == len(run.episodes) * horizon
