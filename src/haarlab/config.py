@@ -76,6 +76,12 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must lie in (0, 1)")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if min(self.seeds) < 0:
+            raise ConfigError("seeds must be >= 0")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError("seeds must be distinct: each one writes its own seed_<n> directory")
+        if not math.isfinite(self.tau):
+            raise ConfigError("tau must be finite (< 0 picks the default schedule)")
         for name in ("max_kl", "cell_size", "dt", "v_max", "action_scale", "ray_max",
                      "stumble_threshold"):
             v = getattr(self, name)

@@ -55,29 +55,9 @@ class EnvConfig:
             raise ValueError("v_max must be positive")
 
 
-@dataclass(slots=True)
-class AgentState:
-    position: np.ndarray
-    velocity: np.ndarray
-    alive: bool
-
-
-@dataclass(slots=True)
-class EpisodeState:
-    agent: AgentState
-    t: int
-    overdrive: int
-    done: bool
-    food_sites: np.ndarray | None = None
-    bomb_sites: np.ndarray | None = None
-    food_active: np.ndarray | None = None
-    bomb_active: np.ndarray | None = None
-
-
 class EpisodeBatch(NamedTuple):
-    """Episodes stepped together: the EpisodeState fields of each lane as
-    array rows, lane axis first. The gather fields are None in arenas
-    without sites."""
+    """Episodes stepped together: each lane's state as array rows, lane
+    axis first. The gather fields are None in arenas without sites."""
     position: np.ndarray                     # (L, 2)
     velocity: np.ndarray                     # (L, 2)
     t: np.ndarray                            # (L,)
@@ -86,25 +66,6 @@ class EpisodeBatch(NamedTuple):
     bomb_sites: np.ndarray | None = None     # (L, n_bombs, 2)
     food_active: np.ndarray | None = None    # (L, n_food)
     bomb_active: np.ndarray | None = None    # (L, n_bombs)
-
-
-class ObservationPair:
-    """Factored observation; the task-aware part is computed lazily
-    because it is only consumed at skill-switch boundaries."""
-
-    __slots__ = ("low", "_high", "_env", "_lane")
-
-    def __init__(self, low: np.ndarray, env: "PointEnv", lane: EpisodeBatch):
-        self.low = low
-        self._high = None
-        self._env = env
-        self._lane = lane  # the state it observes, as a one-lane batch
-
-    @property
-    def high(self) -> np.ndarray:
-        if self._high is None:
-            self._high = self._env.high_obs_batch(self._lane, self.low[None])[0]
-        return self._high
 
 
 class PointEnv:
@@ -122,16 +83,6 @@ class PointEnv:
 
     # -- observations ---------------------------------------------------------
 
-    def low_obs(self, agent: AgentState) -> np.ndarray:
-        """Ego observation: velocity, then the constant inputs 0.0 and 1.0
-        (sine and cosine of the fixed orientation, kept so that input
-        dimensions and checkpoints stay as they were).
-
-        Contains no wall or goal information by construction.
-        """
-        vx, vy = agent.velocity.tolist()
-        return np.array((vx, vy, 0.0, 1.0))
-
     def high_obs_batch(self, lanes: EpisodeBatch, low: np.ndarray) -> np.ndarray:
         """The high observations (ego observation, ray distances, goal
         bearing) of a batch's lanes as rows, given their ego rows `low`,
@@ -144,16 +95,6 @@ class PointEnv:
                                                            self.cfg.ray_max)
         out[:, LOW_OBS_DIM + N_RAYS:] = goal_bearing(lanes.position, self.maze.goal_center)
         return out
-
-    def batch(self, states: list[EpisodeState]) -> EpisodeBatch:
-        """Lone episode states as the lanes of one batch, in order."""
-        gather = states[0].food_sites is not None
-        return EpisodeBatch(
-            np.array([s.agent.position for s in states], dtype=np.float64),
-            np.array([s.agent.velocity for s in states], dtype=np.float64),
-            np.array([s.t for s in states]), np.array([s.overdrive for s in states]),
-            *(np.array([getattr(s, f) for s in states]) if gather else None
-              for f in EpisodeBatch._fields[4:]))
 
     @property
     def low_obs_scale(self) -> np.ndarray:
@@ -169,7 +110,9 @@ class PointEnv:
 
     # -- episode control --------------------------------------------------------
 
-    def reset(self, rng: np.random.Generator) -> tuple[EpisodeState, ObservationPair]:
+    def reset(self, rng: np.random.Generator) -> tuple[EpisodeBatch, np.ndarray]:
+        """Start an episode: its state as a one-lane batch and its (1, 4)
+        ego observation row, at rest."""
         maze = self.maze
         if maze.kind in ("gather", "open_field"):
             position = maze.cell_center(maze.start_cells[0])
@@ -177,52 +120,30 @@ class PointEnv:
             cell = maze.start_cells[int(rng.integers(len(maze.start_cells)))]
             origin = np.array([cell[1] * maze.cell_size, cell[0] * maze.cell_size])
             position = origin + rng.random(2) * maze.cell_size
-        agent = AgentState(position=position, velocity=np.zeros(2), alive=True)
-        state = EpisodeState(agent=agent, t=0, overdrive=0, done=False)
+        sites = ()
         if maze.kind == "gather":
             food, bombs = sample_gather_sites(maze, rng)
-            state.food_sites = food
-            state.bomb_sites = bombs
-            state.food_active = np.ones(len(food), dtype=bool)
-            state.bomb_active = np.ones(len(bombs), dtype=bool)
-        return state, ObservationPair(self.low_obs(agent), self, _one_lane(state))
+            sites = (food[None], bombs[None], np.ones((1, len(food)), dtype=bool),
+                     np.ones((1, len(bombs)), dtype=bool))
+        state = EpisodeBatch(np.array([position], dtype=np.float64), np.zeros((1, 2)),
+                             np.array([0]), np.array([0]), *sites)
+        return state, np.array([[0.0, 0.0, 0.0, 1.0]])
 
-    def step(self, state, action):
-        """Advance one low-level step.
+    def step(self, state: EpisodeBatch, action):
+        """Advance every lane one low-level step.
 
-        An EpisodeBatch of L lanes takes (L, 2) actions and returns
-        (next_batch, the (L, 4) ego observation rows, rewards, dones, ends),
-        where ends holds each lane's end reason as "goal", "death" and
-        "timeout" (L,) flags. A lone EpisodeState is stepped as a one-lane
-        batch and returns (next_state, observation_pair, reward, done,
-        info), info adding the "food" and "bombs" contact counts.
+        Takes (L, 2) actions and returns (next batch, the (L, 4) ego
+        observation rows, rewards, dones, ends), where ends holds each
+        lane's end reason as "goal", "death" and "timeout" (L,) flags.
+        The ego observation is the velocity, then the constant inputs 0.0
+        and 1.0 (sine and cosine of the fixed orientation, kept so that
+        input dimensions and checkpoints stay as they were); it holds no
+        wall or goal information.
+
+        Each lane runs the scalar dynamics on plain floats (math.hypot
+        speeds, the exact sweep). A Python loop over the lanes costs less
+        here than numpy's per-call overhead for a few lanes at a time.
         """
-        if isinstance(state, EpisodeBatch):
-            nxt, low, reward, end = self._step_lanes(state, action)
-            return nxt, low, reward, end > 0, {key: end == code for code, key in _END_CODES}
-        if state.done or not state.agent.alive:
-            raise RuntimeError("cannot step a finished episode")
-        lane, low, reward, end = self._step_lanes(_one_lane(state), np.reshape(action, (1, 2)))
-        info = {key: int(end[0]) == code for code, key in _END_CODES}
-        for key, before, after in (("food", state.food_active, lane.food_active),
-                                   ("bombs", state.bomb_active, lane.bomb_active)):
-            info[key] = 0 if before is None else int(before.sum() - after[0].sum())
-        done = info["goal"] or info["death"] or info["timeout"]
-        agent = AgentState(position=lane.position[0], velocity=lane.velocity[0],
-                           alive=not info["death"])
-        next_state = EpisodeState(
-            agent=agent, t=state.t + 1, overdrive=int(lane.overdrive[0]), done=done,
-            food_sites=state.food_sites, bomb_sites=state.bomb_sites,
-            food_active=None if lane.food_active is None else lane.food_active[0],
-            bomb_active=None if lane.bomb_active is None else lane.bomb_active[0])
-        return next_state, ObservationPair(low[0], self, lane), float(reward[0]), done, info
-
-    def _step_lanes(self, state: EpisodeBatch, action):
-        """The one step. Each lane runs the scalar dynamics on plain floats
-        (math.hypot speeds, the exact sweep); the results come back as the
-        rows of the next batch, with each lane's end code (0 runs on,
-        else see _END_CODES). A Python loop over the lanes costs less here
-        than numpy's per-call overhead for a few lanes at a time."""
         cfg = self.cfg
         maze = self.maze
         cs = maze.cell_size
@@ -268,16 +189,8 @@ class PointEnv:
             reward += cfg.bomb_reward * bombs
         nxt = EpisodeBatch(kinematics[:, :2], kinematics[:, 2:4], state.t + 1, np.array(overdrive),
                            state.food_sites, state.bomb_sites, food_active, bomb_active)
-        return nxt, kinematics[:, 2:], reward, end
-
-
-def _one_lane(state: EpisodeState) -> EpisodeBatch:
-    """A lone state as a one-lane batch of views of its arrays."""
-    return EpisodeBatch(state.agent.position[None], state.agent.velocity[None],
-                        np.array([state.t]), np.array([state.overdrive]),
-                        *(None if a is None else a[None] for a in (
-                            state.food_sites, state.bomb_sites, state.food_active,
-                            state.bomb_active)))
+        return (nxt, kinematics[:, 2:], reward, end > 0,
+                {key: end == code for code, key in _END_CODES})
 
 
 def _contacts(position: np.ndarray, sites: np.ndarray, active: np.ndarray, live: np.ndarray,

@@ -57,14 +57,6 @@ def _sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
     return int(min(np.searchsorted(c, rng.random() * c[-1]), len(probs) - 1))
 
 
-class _FixedObs:
-    __slots__ = ("low", "high")
-
-    def __init__(self, low, high):
-        self.low = low
-        self.high = high
-
-
 class TabularLanes(NamedTuple):
     """Episodes stepped together, one row per lane."""
     s: np.ndarray    # (L,) current states
@@ -90,40 +82,26 @@ class TabularRolloutEnv:
         self.high_obs_dim = mdp.n_states
         self._eye = np.eye(mdp.n_states)
 
-    def _obs(self, s: int) -> _FixedObs:
-        return _FixedObs(self._eye[s], self._eye[s])
-
     def high_obs_batch(self, lanes: TabularLanes, low: np.ndarray) -> np.ndarray:
         return low
 
-    def batch(self, states) -> TabularLanes:
-        """Lone (state, t, rng) episode states as the lanes of one batch."""
-        s, t, rngs = zip(*states)
-        objects = np.empty(len(rngs), dtype=object)
-        objects[:] = rngs
-        return TabularLanes(np.array(s), np.array(t), objects)
-
-    def reset(self, rng: np.random.Generator):
-        """Returns ((state, t, rng), observation)."""
+    def reset(self, rng: np.random.Generator) -> tuple[TabularLanes, np.ndarray]:
+        """Start an episode: a one-lane batch and its one-hot state row."""
         s = _sample_index(self.mdp.initial_dist, rng)
-        return (s, 0, rng), self._obs(s)
+        stream = np.empty(1, dtype=object)
+        stream[0] = rng
+        return TabularLanes(np.array([s]), np.array([0]), stream), self._eye[[s]]
 
-    def step(self, state, action):
-        """A lone (state, t, rng) returns (state, observation, reward, done,
-        info); TabularLanes with L actions loop over the lanes and return
-        (lanes, one-hot rows, rewards, dones, info) as PointEnv.step does."""
-        if isinstance(state, TabularLanes):
-            stepped = [self.step(lane, a) for lane, a in zip(zip(*state), action)]
-            states, obs, reward, done, _ = zip(*stepped)
-            return (self.batch(states), np.array([o.low for o in obs]), np.array(reward),
-                    np.array(done), {"goal": np.zeros(len(stepped), dtype=bool)})
-        s, t, rng = state
-        a = int(action)
-        s_next = _sample_index(self.mdp.transition[s, a], rng)
-        reward = float(self.mdp.reward[s, a])
-        t += 1
-        done = t >= self.horizon or bool(self.mdp.terminal[s_next])
-        return (s_next, t, rng), self._obs(s_next), reward, done, {"goal": False}
+    def step(self, lanes: TabularLanes, action):
+        """Advance every lane one step; returns (lanes, one-hot rows,
+        rewards, dones, ends) as PointEnv.step does."""
+        s_next = np.array([_sample_index(self.mdp.transition[s, int(a)], rng)
+                           for s, a, rng in zip(lanes.s.tolist(), action, lanes.rng)])
+        reward = self.mdp.reward[lanes.s, np.asarray(action, dtype=np.intp)]
+        t = lanes.t + 1
+        done = (t >= self.horizon) | self.mdp.terminal[s_next]
+        return (TabularLanes(s_next, t, lanes.rng), self._eye[s_next], reward, done,
+                {"goal": np.zeros(len(t), dtype=bool)})
 
 
 def _act_rows(act_one, obs, rng):

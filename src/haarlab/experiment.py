@@ -11,7 +11,8 @@ Every run writes one directory per seed:
     timing.csv        measured per-iteration wall time (not covered by
                       the determinism contract)
     trajectories.csv  post-training traced episodes (episode, step, x,
-                      y, skill)
+                      y, skill), run in lockstep lanes by the
+                      algorithm's own training collector
     checkpoint.bin    final parameters of all policies
     run.json          config echo, config hash, seed, file index
 
@@ -33,12 +34,12 @@ import numpy as np
 
 from .checkpoint import CheckpointError, atomic_open, load_checkpoint, save_checkpoint
 from .config import ConfigError, ExperimentConfig
-from .hierarchy import (SkillSchedule, TrainState, discounted_returns, fit_value_on_scaled,
-                        haar_iteration)
+from .hierarchy import (SkillSchedule, TrainState, _SegmentCollector, discounted_returns,
+                        fit_value_on_scaled, haar_iteration)
 from .nets import MlpSpec
 from .policies import CategoricalPolicy, GaussianPolicy
 from .pretrain import fresh_low_policy, pretrain_skills
-from .rollout import run_lanes
+from .rollout import episode_streams, run_lanes
 from .trpo import AdvantageBatch, TrpoConfig, TrpoDiagnostics, trpo_update
 
 HIGH_INIT_STREAM = 0x12
@@ -120,30 +121,41 @@ class _CsvSink:
         self._fh.close()
 
 
-def _trace_trajectories(path: str, env, trace_policy, seed: int,
-                        episodes=range(TRACE_EPISODES)):
-    """Simulate fresh post-training episodes and dump positions.
+class _Traced:
+    """Runs a training collector, recording for each step the position
+    before it and the skill it ran (-1 for a collector that chooses
+    none)."""
 
-    Each episode gets its own stream and a fresh policy from
-    trace_policy(), so it runs the same alone as after the others.
+    def __init__(self, collector):
+        self.collector = collector
+
+    def act(self, run, high):
+        actions, _ = self.collector.act(run, high)
+        return actions, (run.state.position,
+                         np.array([getattr(lane, "skill", -1) for lane in run.lane]))
+
+
+def _trace_trajectories(path: str, env, collector, seed: int, episodes=range(TRACE_EPISODES)):
+    """Run fresh post-training episodes in lockstep lanes with a training
+    collector and dump their positions.
+
+    Each episode draws only from its own stream, so it runs the same
+    alone as among the others; its skill segments start afresh.
     """
+    streams = (np.random.default_rng(np.random.SeedSequence((seed, TRACE_STREAM, ep)))
+               for ep in episodes)
+    run = run_lanes(env, streams, len(episodes) * env.horizon, _Traced(collector))
+    position, skill = run.columns
     with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("episode", "step", "x", "y", "skill"))
-        for ep in episodes:
-            rng = np.random.default_rng(np.random.SeedSequence((seed, TRACE_STREAM, ep)))
-            act_fn = trace_policy()
-            state, obs = env.reset(rng)
-            step = 0
-            writer.writerow((ep, step, _fmt(state.agent.position[0]),
-                             _fmt(state.agent.position[1]), -1))
-            done = False
-            while not done:
-                action, skill = act_fn(obs, rng)
-                state, obs, _, done, _ = env.step(state, action)
-                step += 1
-                writer.writerow((ep, step, _fmt(state.agent.position[0]),
-                                 _fmt(state.agent.position[1]), skill))
+        start = 0
+        for ep, end, last in zip(episodes, np.flatnonzero(run.done) + 1, run.final.position):
+            xy = np.concatenate((position[start:end], last[None])).tolist()
+            skills = [-1, *skill[start:end].tolist()]
+            writer.writerows((ep, step, _fmt(x), _fmt(y), z)
+                             for step, ((x, y), z) in enumerate(zip(xy, skills)))
+            start = end
 
 
 @dataclass
@@ -153,8 +165,7 @@ class _Algorithm:
     iterate: Callable[[int, int], tuple[dict, list[tuple[str, TrpoDiagnostics]]]]
     segments: Callable[[], dict[str, np.ndarray]]  # checkpoint contents after training
     metadata: dict                                 # checkpoint metadata beyond the shared keys
-    trace_policy: Callable[[], Callable]           # a fresh (obs, rng) -> (action, skill)
-                                                   # for each trace episode
+    collector: Callable[[], object]                # a fresh training collector, for the trace
 
 
 def run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: str,
@@ -207,7 +218,7 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: str,
     save_checkpoint(os.path.join(run_dir, "checkpoint.bin"), algo.segments(),
                     metadata={"algorithm": cfg.algorithm, "task": cfg.task, "seed": seed,
                               "config_hash": cfg.config_hash(), **algo.metadata})
-    _trace_trajectories(os.path.join(run_dir, "trajectories.csv"), env, algo.trace_policy, seed)
+    _trace_trajectories(os.path.join(run_dir, "trajectories.csv"), env, algo.collector(), seed)
     payload = {
         "config": cfg.to_dict(),
         "config_hash": cfg.config_hash(),
@@ -254,42 +265,22 @@ def _hierarchical(cfg, env, seed, skills_checkpoint, transfer, source_checkpoint
         update_low=cfg.algorithm != "frozen_skills",
         ridge=cfg.ridge)
 
-    def trace_policy():
-        """Each skill runs for the final skill length; every trace episode
-        starts with a fresh skill choice."""
-        skill_box = {"skill": -1, "left": 0}
-
-        def act_fn(obs, rng):
-            if skill_box["left"] == 0:
-                skill_box["skill"], _, _ = pi_h.act(obs.high, rng)
-                skill_box["left"] = state.schedule.current_k()
-            x = np.empty(env.low_obs_dim + cfg.n_skills)
-            x[:env.low_obs_dim] = obs.low
-            x[env.low_obs_dim:] = 0.0
-            x[env.low_obs_dim + skill_box["skill"]] = 1.0
-            a, _, _ = pi_l.act(x, rng)
-            skill_box["left"] -= 1
-            return a, skill_box["skill"]
-        return act_fn
-
+    # the trace runs each skill for the final skill length
     return _Algorithm(iterate=lambda it, low_steps: haar_iteration(state, env),
                       segments=lambda: policy_segments(pi_h=pi_h, pi_l=pi_l),
-                      metadata={"n_skills": cfg.n_skills}, trace_policy=trace_policy)
+                      metadata={"n_skills": cfg.n_skills},
+                      collector=lambda: _SegmentCollector(pi_h, pi_l, cfg.n_skills,
+                                                          state.schedule.current_k()))
 
 
 def _flat(cfg, env, seed) -> _Algorithm:
     """Non-hierarchical baseline: one Gaussian policy on the full
     observation, trained on the raw environment rewards."""
     policy = fresh_flat_policy(cfg, env, seed)
-
-    def act_fn(obs, rng):
-        a, _, _ = policy.act(obs.high, rng)
-        return a, -1
-
     return _Algorithm(
         iterate=lambda it, low_steps: flat_iteration(policy, env, cfg, seed, it, low_steps),
         segments=lambda: policy_segments(flat=policy),
-        metadata={}, trace_policy=lambda: act_fn)
+        metadata={}, collector=lambda: _FlatCollector(policy))
 
 
 class _FlatCollector:
@@ -308,7 +299,7 @@ class _FlatCollector:
 def collect_flat(policy, env, budget: int, seed: tuple[int, ...], lanes: int | None = None):
     """Whole episodes, in lockstep lanes, until `budget` steps are in the
     batch; returns (observations, actions, means, log-probs, LaneRun)."""
-    run = run_lanes(env, seed, budget, _FlatCollector(policy), lanes)
+    run = run_lanes(env, episode_streams(seed), budget, _FlatCollector(policy), lanes)
     return (*run.columns, run)
 
 

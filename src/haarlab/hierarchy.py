@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .policies import CategoricalPolicy, GaussianPolicy
-from .rollout import EpisodeSummary, run_lanes
+from .rollout import EpisodeSummary, episode_streams, run_lanes
 from .trpo import AdvantageBatch, TrpoConfig, TrpoDiagnostics, trpo_update
 from .values import PolynomialValueEstimator, fit_value, fold_input_scale
 
@@ -95,16 +95,25 @@ class RolloutBatch:
         return float(np.mean([e.total_return for e in self.episodes])) if self.episodes else 0.0
 
 
+def skill_inputs(low: np.ndarray, skills, n_skills: int) -> np.ndarray:
+    """The low policy's input rows: each ego row with its skill's one-hot
+    appended."""
+    n, low_dim = low.shape
+    x = np.zeros((n, low_dim + n_skills))
+    x[:, :low_dim] = low
+    x[np.arange(n), low_dim + np.asarray(skills, dtype=np.intp)] = 1.0
+    return x
+
+
 class _SegmentCollector:
     """The hierarchical collector for run_lanes: each lane's skill comes
     from pi_h every k low steps of its episode (the first at its start),
     and pi_l acts on the ego observation with that skill's one-hot
     appended."""
 
-    def __init__(self, pi_h, pi_l, low_dim: int, n_skills: int, k: int):
+    def __init__(self, pi_h, pi_l, n_skills: int, k: int):
         self.pi_h = pi_h
         self.pi_l = pi_l
-        self.low_dim = low_dim
         self.n_skills = n_skills
         self.k = k
         self.segments = []  # (episode, s_h, a_h, logp_h, dist_h), in the order they open
@@ -120,10 +129,7 @@ class _SegmentCollector:
                 lane.skill = skill
                 lane.segment = len(self.segments)
                 self.segments.append((lane.episode, row, skill, logp, dist))
-        n = len(run.lane)
-        x = np.zeros((n, self.low_dim + self.n_skills))
-        x[:, :self.low_dim] = run.low
-        x[np.arange(n), [self.low_dim + lane.skill for lane in run.lane]] = 1.0
+        x = skill_inputs(run.low, [lane.skill for lane in run.lane], self.n_skills)
         a, logp, dist = self.pi_l.act(x, run.rngs)
         return a, (x, a, logp, dist, np.array([lane.segment for lane in run.lane]))
 
@@ -142,8 +148,8 @@ def collect_rollouts(pi_h, pi_l, env, n_skills: int, budget_low_steps: int, k: i
     if k < 1 or budget_low_steps < 1:
         raise ValueError("k and the step budget must be >= 1")
     low_dim = env.low_obs_dim
-    c = _SegmentCollector(pi_h, pi_l, low_dim, n_skills, k)
-    run = run_lanes(env, seed, budget_low_steps, c, lanes)
+    c = _SegmentCollector(pi_h, pi_l, n_skills, k)
+    run = run_lanes(env, episode_streams(seed), budget_low_steps, c, lanes)
     x_l, a_l, logp_l, dist_l, step_segment = run.columns
     episode, s_h, a_h, logp_h, dist_h = zip(*c.segments)
     order = run.order(episode)

@@ -8,19 +8,28 @@ one network with the same one-hot injection used by the main training
 phase, so pre-trained parameters load directly. The proxy never reads
 walls or goals: its inputs are the ego observation, the one-hot skill,
 and the displacement, all task-independent.
+
+Proxy batches and the skill probe (skill_displacements) run in lockstep
+lanes (rollout.run_lanes) in an arena whose horizon is the episode
+length, so the env's own timeout ends each episode. A step's
+displacement runs to the next step's position, or to the episode's
+final state after its last step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import count
 
 import numpy as np
 
 from .envs.maze import build_maze
 from .envs.point import EnvConfig, PointEnv
+from .hierarchy import discounted_returns, fit_value_on_scaled, skill_inputs
 from .nets import MlpSpec
 from .policies import GaussianPolicy
+from .rollout import run_lanes
 from .trpo import AdvantageBatch, TrpoConfig, trpo_update
 from .values import DEFAULT_RIDGE
 
@@ -48,6 +57,8 @@ class PretrainConfig:
             raise ValueError("pre-training counts must be positive")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("pretrain.gamma must lie in (0, 1)")
+        if any(h < 1 for h in self.hidden):
+            raise ValueError("pretrain.hidden sizes must be >= 1")
 
 
 def skill_direction(skill: int, n_skills: int) -> np.ndarray:
@@ -55,20 +66,24 @@ def skill_direction(skill: int, n_skills: int) -> np.ndarray:
     return np.array([math.cos(angle), math.sin(angle)])
 
 
-def proxy_reward(skill: int, state, next_state, n_skills: int) -> float:
-    """Displacement of the agent projected on the skill's direction."""
-    if skill >= n_skills:
+def proxy_rewards(skill: np.ndarray, position: np.ndarray, next_position: np.ndarray,
+                  n_skills: int) -> np.ndarray:
+    """Each row's displacement, position to next_position, projected on
+    the direction of its skill."""
+    skill = np.asarray(skill)
+    if skill.min() < 0 or skill.max() >= n_skills:
         raise ValueError("skill index out of range")
-    d = skill_direction(skill, n_skills)
-    dx = next_state.agent.position[0] - state.agent.position[0]
-    dy = next_state.agent.position[1] - state.agent.position[1]
-    return float(dx * d[0] + dy * d[1])
+    d = np.array([skill_direction(j, n_skills) for j in range(n_skills)])[skill]
+    dx = next_position[:, 0] - position[:, 0]
+    dy = next_position[:, 1] - position[:, 1]
+    return dx * d[:, 0] + dy * d[:, 1]
 
 
-def open_field_env(env_cfg: EnvConfig | None = None) -> PointEnv:
-    # no goal, no stumble: the arena only exists to let skills move
-    if env_cfg is None:
-        env_cfg = EnvConfig(stumble_enabled=False)
+def open_field_env(steps: int, env_cfg: EnvConfig | None = None) -> PointEnv:
+    """The open arena with episodes of `steps` steps; without a stumble
+    rule unless env_cfg, which sets its physics, enables one. It has no
+    goal: the arena only exists to let skills move."""
+    env_cfg = replace(env_cfg or EnvConfig(stumble_enabled=False), max_episode_steps=steps)
     return PointEnv(build_maze("open_field"), env_cfg)
 
 
@@ -79,56 +94,52 @@ def fresh_low_policy(cfg: PretrainConfig, env: PointEnv, seed: int) -> GaussianP
     return GaussianPolicy(spec, rng, input_scale=scale)
 
 
-def _collect_proxy_batch(pi_l, env, cfg: PretrainConfig, seed: int, iteration: int):
-    xs, acts, rewards, dones, logps, dists = [], [], [], [], [], []
-    total = 0
-    ep = 0
-    while total < cfg.batch_low_steps:
-        rng = np.random.default_rng(
-            np.random.SeedSequence((seed, PRETRAIN_STREAM, iteration, ep)))
-        skill = int(rng.integers(cfg.n_skills))
-        onehot = np.zeros(cfg.n_skills)
-        onehot[skill] = 1.0
-        state, obs = env.reset(rng)
-        for t in range(cfg.episode_steps):
-            x = np.empty(env.low_obs_dim + cfg.n_skills)
-            x[:env.low_obs_dim] = obs.low
-            x[env.low_obs_dim:] = onehot
-            a, logp, dist = pi_l.act(x, rng)
-            nxt, obs, _, done, _ = env.step(state, a)
-            xs.append(x)
-            acts.append(a)
-            rewards.append(proxy_reward(skill, state, nxt, cfg.n_skills))
-            dones.append(done or t == cfg.episode_steps - 1)
-            logps.append(logp)
-            dists.append(dist)
-            state = nxt
-            total += 1
-            if done:
-                break
-        ep += 1
-    return (np.stack(xs), np.stack(acts), np.array(rewards),
-            np.array(dones, dtype=bool), np.array(logps), np.stack(dists))
+class _SkillCollector:
+    """The collector for skill episodes on run_lanes: each lane runs one
+    skill, skill_of(lane) at its first step, and pi_l acts on the ego
+    observation with that skill's one-hot appended. Records the policy
+    input, action, log-prob and mean, the position before the step and
+    the skill."""
+
+    def __init__(self, pi_l, n_skills: int, skill_of):
+        self.pi_l = pi_l
+        self.n_skills = n_skills
+        self.skill_of = skill_of
+
+    def act(self, run, high):
+        for lane in run.lane[run.steps == 0]:
+            lane.skill = self.skill_of(lane)
+        skill = np.array([lane.skill for lane in run.lane])
+        x = skill_inputs(run.low, skill, self.n_skills)
+        a, logp, mu = self.pi_l.act(x, run.rngs)
+        return a, (x, a, logp, mu, run.state.position, skill)
 
 
-def pretrain_skills(cfg: PretrainConfig, seed: int, env: PointEnv | None = None):
+def pretrain_skills(cfg: PretrainConfig, seed: int, env_cfg: EnvConfig | None = None):
     """Return (low-level policy, per-iteration stats).
 
     random_init: the freshly initialized parameters, untouched.
-    velocity_direction: trust-region updates on the proxy rewards.
+    velocity_direction: trust-region updates on the proxy rewards, in
+    open_field_env(cfg.episode_steps, env_cfg).
     """
-    env = env or open_field_env(EnvConfig(stumble_enabled=False,
-                                          max_episode_steps=cfg.episode_steps))
+    env = open_field_env(cfg.episode_steps, env_cfg)
     pi_l = fresh_low_policy(cfg, env, seed)
     if cfg.proxy == "random_init":
         return pi_l, []
-    from .hierarchy import discounted_returns, fit_value_on_scaled
     x_scale = np.concatenate([env.low_obs_scale, np.ones(cfg.n_skills)])
     stats = []
     for it in range(cfg.iterations):
-        xs, acts, rewards, dones, logps, dists = _collect_proxy_batch(
-            pi_l, env, cfg, seed, it)
-        returns = discounted_returns(rewards, dones, cfg.gamma)
+        streams = (np.random.default_rng(np.random.SeedSequence((seed, PRETRAIN_STREAM, it, ep)))
+                   for ep in count())
+        collector = _SkillCollector(pi_l, cfg.n_skills,
+                                    lambda lane: int(lane.rng.integers(cfg.n_skills)))
+        run = run_lanes(env, streams, cfg.batch_low_steps, collector)
+        xs, acts, logps, dists, position, skill = run.columns
+        next_position = np.empty_like(position)
+        next_position[:-1] = position[1:]
+        next_position[run.done] = run.final.position
+        rewards = proxy_rewards(skill, position, next_position, cfg.n_skills)
+        returns = discounted_returns(rewards, run.done, cfg.gamma)
         v = fit_value_on_scaled(xs, returns, x_scale, DEFAULT_RIDGE)
         adv = returns - v.predict(xs)
         batch = AdvantageBatch(xs, acts, adv, logps, (dists, pi_l.log_std.copy()))
@@ -142,25 +153,15 @@ def pretrain_skills(cfg: PretrainConfig, seed: int, env: PointEnv | None = None)
     return pi_l, stats
 
 
-def skill_displacements(pi_l, env: PointEnv, n_skills: int, episodes_per_skill: int,
-                        steps: int, seed: int) -> np.ndarray:
-    """Mean displacement vector per skill over fresh seeded episodes."""
-    out = np.zeros((n_skills, 2))
-    for skill in range(n_skills):
-        onehot = np.zeros(n_skills)
-        onehot[skill] = 1.0
-        acc = np.zeros(2)
-        for ep in range(episodes_per_skill):
-            rng = np.random.default_rng(
-                np.random.SeedSequence((seed, 0xD1, skill, ep)))
-            state, obs = env.reset(rng)
-            start = state.agent.position.copy()
-            for _ in range(steps):
-                x = np.concatenate([obs.low, onehot])
-                a, _, _ = pi_l.act(x, rng)
-                state, obs, _, done, _ = env.step(state, a)
-                if done:
-                    break
-            acc += state.agent.position - start
-        out[skill] = acc / episodes_per_skill
-    return out
+def skill_displacements(pi_l, n_skills: int, episodes_per_skill: int, steps: int, seed: int,
+                        env_cfg: EnvConfig | None = None) -> np.ndarray:
+    """Mean displacement vector per skill over fresh seeded episodes of
+    at most `steps` steps in open_field_env(steps, env_cfg)."""
+    env = open_field_env(steps, env_cfg)
+    streams = (np.random.default_rng(np.random.SeedSequence((seed, 0xD1, skill, ep)))
+               for skill in range(n_skills) for ep in range(episodes_per_skill))
+    collector = _SkillCollector(pi_l, n_skills, lambda lane: lane.episode // episodes_per_skill)
+    run = run_lanes(env, streams, n_skills * episodes_per_skill * steps, collector)
+    first = np.concatenate(([0], np.flatnonzero(run.done)[:-1] + 1))  # each episode's first row
+    disp = run.final.position - run.columns[4][first]
+    return disp.reshape(n_skills, episodes_per_skill, 2).sum(axis=1) / episodes_per_skill

@@ -1,5 +1,7 @@
 """Lockstep lanes: the one scheduler that runs the episodes of a batch.
 
+Every episode the package runs goes through run_lanes: training batches,
+pre-training's proxy batches, the skill probe and the post-training trace.
 Up to ceil(budget / env.horizon) episodes run side by side as the rows
 of one batch state. That is how many episodes a batch holds when each
 runs its full horizon, so every one of them is certain to be in the
@@ -9,21 +11,27 @@ batched policy calls, asking for the high observations it needs in one
 env.high_obs_batch call (one raycast over all of their positions), and
 one env.step advances every lane.
 
+The caller hands run_lanes one stream (a Generator) per episode, in
+episode order; training batches use episode_rng(seed, e) for e = 0, 1, ...
 The batch is the one a sequential loop would collect. Episode e draws
-only from its own stream episode_rng(seed, e), in the same order as it
-would alone, and batched policy and env rows are computed row by row, so
-no value depends on the lanes. Episode e belongs to the batch iff the
-episodes before it hold fewer than `budget` steps, and every episode in
-the batch runs to its end: lanes start episodes in index order while the
-steps taken so far are below the budget, and drop a running episode as
-soon as the episodes before it reach the budget. The rows each step
-records come out in episode order, and within an episode in time order.
+only from its own stream, in the same order as it would alone, and
+batched policy and env rows are computed row by row, so no value depends
+on the lanes. Episode e belongs to the batch iff the episodes before it
+hold fewer than `budget` steps, and every episode in the batch runs to
+its end: lanes start episodes in index order while the steps taken so
+far are below the budget and streams remain, and drop a running episode
+as soon as the episodes before it reach the budget. The rows each step
+records come out in episode order, and within an episode in time order;
+the env state after each episode's last step comes out as one row per
+episode, so a row's next state is the following row's, or that final
+row where the row ends its episode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import count, islice
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -39,6 +47,11 @@ class EpisodeSummary:
 def episode_rng(seed: tuple[int, ...], episode: int) -> np.random.Generator:
     """Stream for one episode, independent of every other episode."""
     return np.random.default_rng(np.random.SeedSequence((*seed, EPISODE_STREAM, episode)))
+
+
+def episode_streams(seed: tuple[int, ...]):
+    """episode_rng(seed, e) for e = 0, 1, ...: the streams of a training batch."""
+    return (episode_rng(seed, e) for e in count())
 
 
 class Lane:
@@ -71,10 +84,10 @@ def _rows(batch: tuple, rows) -> tuple:
                          for a in batch])
 
 
-def _joined(a: tuple, b: tuple) -> tuple:
-    """The lanes of `a` followed by those of `b`."""
-    return type(a)(*[x if x is None else np.concatenate((x, y)) if type(x) is np.ndarray
-                     else _joined(x, y) for x, y in zip(a, b)])
+def _joined(parts: list[tuple]) -> tuple:
+    """The lanes of each batch in `parts`, in order."""
+    return type(parts[0])(*[x[0] if x[0] is None else np.concatenate(x) if type(x[0]) is np.ndarray
+                            else _joined(x) for x in zip(*parts)])
 
 
 @dataclass
@@ -86,6 +99,8 @@ class LaneRun:
     columns: list[np.ndarray]       # the collector's per-step columns
     reward: np.ndarray
     done: np.ndarray
+    final: tuple                    # the env state after each episode's last step,
+                                    # one row per episode of the batch, by index
     episodes: list[EpisodeSummary]  # the batch's episodes, by index
     steps_taken: int                # every step, those of dropped episodes included
 
@@ -136,15 +151,16 @@ class _StepRows:
         self.n += m
 
 
-def run_lanes(env, seed: tuple[int, ...], budget: int, collector,
+def run_lanes(env, streams: Iterable[np.random.Generator], budget: int, collector,
               lanes: int | None = None) -> LaneRun:
-    """Run episodes 0, 1, ... in lockstep lanes until the batch holds at
-    least `budget` steps.
+    """Run one episode per stream, episode e on the e-th, in lockstep lanes
+    until the batch holds at least `budget` steps or the streams run out.
 
     `lanes` defaults to ceil(budget / env.horizon); no lane count changes
     a byte of the batch. The env supplies its horizon, reset(rng) for one
-    episode, batch(states) stacking lone states as lanes, step(batch,
-    actions) and high_obs_batch(batch, low). The collector supplies
+    episode (a one-lane batch state and its (1, low_dim) ego row),
+    step(batch, actions) and high_obs_batch(batch, low). The collector
+    supplies
       act(running, high) -> (actions, columns)
           the actions of the Running lanes, in order, and a tuple of
           arrays with one row per lane that the step records; high(rows)
@@ -155,8 +171,10 @@ def run_lanes(env, seed: tuple[int, ...], budget: int, collector,
         lanes = -(-budget // env.horizon)
     if budget < 1 or lanes < 1:
         raise ValueError("the step budget and the lane count must be >= 1")
+    streams = iter(streams)
     lengths: list[int] = []        # steps episode e has taken
     summaries: dict[int, EpisodeSummary] = {}
+    finals: list[tuple] = []       # (episode indices, env state rows) of lanes as they end
     # The last lanes run past the budget: ceil(B/T) episodes of T steps
     # take fewer than B + T. The buffer doubles when a run takes more.
     rows = _StepRows(budget + budget // 4)
@@ -166,15 +184,15 @@ def run_lanes(env, seed: tuple[int, ...], budget: int, collector,
         n = 0 if run is None else len(run.episode)
         if n < lanes and total < budget:
             e0 = len(lengths)
-            new = [Lane(e, episode_rng(seed, e)) for e in range(e0, e0 + lanes - n)]
-            started = [env.reset(lane.rng) for lane in new]
-            lengths += [0] * len(new)
-            objects = np.empty(len(new), dtype=object)
-            objects[:] = new
-            fresh = Running(objects, np.arange(e0, e0 + len(new)), np.zeros(len(new), np.intp),
-                            np.zeros(len(new)), env.batch([state for state, _ in started]),
-                            np.array([obs.low for _, obs in started]))
-            run = fresh if run is None else _joined(run, fresh)
+            new = [Lane(e, rng) for e, rng in enumerate(islice(streams, lanes - n), e0)]
+            if new:
+                states, lows = zip(*(env.reset(lane.rng) for lane in new))
+                lengths += [0] * len(new)
+                objects = np.empty(len(new), dtype=object)
+                objects[:] = new
+                fresh = Running(objects, np.arange(e0, e0 + len(new)), np.zeros(len(new), np.intp),
+                                np.zeros(len(new)), _joined(states), np.concatenate(lows))
+                run = fresh if run is None else _joined([run, fresh])
         if run is None or not len(run.episode):
             break
 
@@ -188,8 +206,10 @@ def run_lanes(env, seed: tuple[int, ...], budget: int, collector,
         run = Running(run.lane, run.episode, run.steps + 1, run.total_return + reward, state, low)
         rows.add((run.episode, reward, done, *columns))
         total += len(run.episode)
-        finished = np.flatnonzero(done).tolist()
-        for i in finished:
+        finished = np.flatnonzero(done)
+        if len(finished):
+            finals.append((run.episode[finished], _rows(state, finished)))
+        for i in finished.tolist():
             e = int(run.episode[i])
             lengths[e] = int(run.steps[i])
             summaries[e] = EpisodeSummary(float(run.total_return[i]), bool(ends["goal"][i]))
@@ -199,7 +219,7 @@ def run_lanes(env, seed: tuple[int, ...], budget: int, collector,
             keep = ~done & (run.episode < _first_excluded(lengths, budget))
             if not keep.all():
                 run = _rows(run, keep)
-        elif finished:
+        elif len(finished):
             run = _rows(run, ~done)
     kept = _first_excluded(lengths, budget)
     order = _episode_order(rows.columns[0][:rows.n], kept)
@@ -211,5 +231,7 @@ def run_lanes(env, seed: tuple[int, ...], budget: int, collector,
     for column in rows.columns:
         column[:len(order)] = column[order]
     _, reward, done, *columns = (column[:len(order)] for column in rows.columns)
-    return LaneRun(columns=columns, reward=reward, done=done,
+    ended, final = zip(*finals)
+    final = _rows(_joined(final), _episode_order(np.concatenate(ended), kept))
+    return LaneRun(columns=columns, reward=reward, done=done, final=final,
                    episodes=[summaries[e] for e in range(kept)], steps_taken=total)

@@ -98,19 +98,21 @@ def raycast_loops(position, maze, ray_max, n_rays=20):
 def step_loops(maze, cfg, state, action, face_eps=1e-9, stumble_steps=3):
     """Loop-based point-mass step; independent of haarlab.envs.point.
 
-    The scalar step, one float at a time: clip the speed with math.hypot,
-    sweep to the earliest wall-face crossing (resting face_eps inside the
-    free cell), then the goal, stumble, gather and timeout rules in that
-    order. Returns (position, velocity, t, overdrive, reward, done, info,
-    food_active, bomb_active, walls_hit, corners): walls_hit counts the
-    velocity components a wall zeroed, corners the moments the path met a
-    vertical and a horizontal grid line at once.
+    `state` is a one-lane batch: its position, velocity, t, overdrive and
+    gather fields each hold one row. The scalar step, one float at a time:
+    clip the speed with math.hypot, sweep to the earliest wall-face
+    crossing (resting face_eps inside the free cell), then the goal,
+    stumble, gather and timeout rules in that order. Returns (position,
+    velocity, t, overdrive, reward, done, info, food_active, bomb_active,
+    walls_hit, corners): walls_hit counts the velocity components a wall
+    zeroed, corners the moments the path met a vertical and a horizontal
+    grid line at once.
     """
     import math
 
     ax, ay = float(action[0]), float(action[1])
     gain = cfg.action_scale * cfg.dt
-    vx, vy = (float(v) for v in state.agent.velocity)
+    vx, vy = (float(v) for v in state.velocity[0])
     vx += ax * gain
     vy += ay * gain
     speed = math.hypot(vx, vy)
@@ -118,7 +120,7 @@ def step_loops(maze, cfg, state, action, face_eps=1e-9, stumble_steps=3):
         shrink = cfg.v_max / speed
         vx *= shrink
         vy *= shrink
-    x, y = (float(p) for p in state.agent.position)
+    x, y = (float(p) for p in state.position[0])
     cs = maze.cell_size
     rows, cols = maze.walls.shape
 
@@ -163,11 +165,14 @@ def step_loops(maze, cfg, state, action, face_eps=1e-9, stumble_steps=3):
                 row = nxt
 
     cmd = math.hypot(ax, ay)
-    overdrive = state.overdrive + 1 if (cfg.stumble_enabled and cmd > cfg.stumble_threshold) else 0
-    t = state.t + 1
+    overdriven = cfg.stumble_enabled and cmd > cfg.stumble_threshold
+    overdrive = int(state.overdrive[0]) + 1 if overdriven else 0
+    t = int(state.t[0]) + 1
     reward, done = 0.0, False
     info = {"goal": False, "death": False, "timeout": False, "food": 0, "bombs": 0}
-    food_active, bomb_active = state.food_active, state.bomb_active
+    gather = maze.kind == "gather"
+    food_active = state.food_active[0] if gather else None
+    bomb_active = state.bomb_active[0] if gather else None
     if maze.goal_cell is not None and (math.floor(y / cs), math.floor(x / cs)) == maze.goal_cell:
         reward, done = cfg.goal_reward, True
         info["goal"] = True
@@ -175,12 +180,12 @@ def step_loops(maze, cfg, state, action, face_eps=1e-9, stumble_steps=3):
         reward, done = cfg.death_reward, True
         info["death"] = True
     else:
-        if maze.kind == "gather":
+        if gather:
             radius = 0.5 * cs
             food_active, bomb_active = food_active.copy(), bomb_active.copy()
             for key, sites, active, pay in (
-                    ("food", state.food_sites, food_active, cfg.food_reward),
-                    ("bombs", state.bomb_sites, bomb_active, cfg.bomb_reward)):
+                    ("food", state.food_sites[0], food_active, cfg.food_reward),
+                    ("bombs", state.bomb_sites[0], bomb_active, cfg.bomb_reward)):
                 hits = 0
                 for i in range(len(sites)):
                     dx = sites[i, 0] - x

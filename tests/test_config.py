@@ -162,3 +162,13 @@ def test_config_file_rejects_bad_physics(text):
 def test_boundary_ridge_and_small_positive_values_accepted():
     cfg = ExperimentConfig(max_kl=1e-6, ridge=0.0, cell_size=0.5)
     assert (cfg.max_kl, cfg.ridge, cfg.cell_size) == (1e-6, 0.0, 0.5)
+
+
+@pytest.mark.parametrize("text", ["tau = nan", "tau = inf", "seeds = -1", "seeds = 0, 0",
+                                  "pretrain.hidden = 0"])
+def test_config_file_rejects_bad_tau_seeds_and_hidden(text):
+    # each used to pass the load: a NaN tau quietly became the default
+    # schedule, the rest failed after the run directory was written, and
+    # duplicate seeds made two runs share seed_0/
+    with pytest.raises(ConfigError, match=text.split()[0]):
+        parse_config_text(text)

@@ -288,7 +288,7 @@ def test_trace_episode_runs_as_it_would_alone(tmp_path, algorithm):
     def trace(path, **kw):  # a freshly built algorithm each time
         algo = (_flat(cfg, env, 2) if algorithm == "flat_trpo"
                 else _hierarchical(cfg, env, 2, None, None, None))
-        _trace_trajectories(str(path), env, algo.trace_policy, 2, **kw)
+        _trace_trajectories(str(path), env, algo.collector(), 2, **kw)
 
     trace(tmp_path / "all.csv")
     with open(tmp_path / "all.csv") as fh:

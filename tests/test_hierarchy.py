@@ -116,22 +116,24 @@ def test_segment_rewards_match_replay_oracle():
     total = 0
     while total < 36:
         rng = episode_rng(seed, ep)
-        state, obs = env.reset(rng)
+        state, low = env.reset(rng)  # a one-lane batch, stepped alone
         done = False
         while not done:
-            seg_highs.append(obs.high)
-            skill, _, _ = pi_h.act(obs.high, rng)
+            high = env.high_obs_batch(state, low)[0]
+            seg_highs.append(high)
+            skill, _, _ = pi_h.act(high, rng)
             acc = 0.0
             for _ in range(k):
-                x = np.concatenate([obs.low, np.eye(N_SKILLS)[skill]])
+                x = np.concatenate([low[0], np.eye(N_SKILLS)[skill]])
                 a, _, _ = pi_l.act(x, rng)
-                state, obs, r, done, info = env.step(state, a)
-                acc += r
+                state, low, r, done, _ = env.step(state, a[None])
+                acc += float(r[0])
+                done = bool(done[0])
                 total += 1
                 if done:
                     break
             seg_sums.append(acc)
-            seg_next_highs.append(obs.high)
+            seg_next_highs.append(env.high_obs_batch(state, low)[0])
             seg_done.append(done)
         ep += 1
     assert len(seg_sums) == len(batch.r_h)

@@ -1,11 +1,9 @@
 import numpy as np
-import pytest
 from helpers import step_loops
 
 from haarlab.envs.maze import build_maze, parse_maze_text
-from haarlab.envs.point import (HIGH_OBS_DIM, LOW_OBS_DIM, STUMBLE_STEPS, AgentState,
-                                EnvConfig, EpisodeBatch, EpisodeState, ObservationPair,
-                                PointEnv)
+from haarlab.envs.point import (HIGH_OBS_DIM, LOW_OBS_DIM, STUMBLE_STEPS, EnvConfig,
+                                EpisodeBatch, PointEnv)
 
 FACE_EPS = 1e-9  # the env's resting offset from a wall face
 
@@ -34,19 +32,32 @@ def substep_move(maze, p, v, dt, n_sub):
 
 
 def state_at(env, position, velocity):
-    agent = AgentState(position=np.asarray(position, dtype=float),
-                       velocity=np.asarray(velocity, dtype=float), alive=True)
-    return EpisodeState(agent=agent, t=0, overdrive=0, done=False)
+    """A one-lane batch at step 0 with this position and velocity."""
+    return EpisodeBatch(np.array([position], dtype=float), np.array([velocity], dtype=float),
+                        np.array([0]), np.array([0]))
+
+
+def step_one(env, state, action):
+    """Step a one-lane batch; returns (next batch, ego row, reward, done,
+    {end reason: flag})."""
+    nxt, low, reward, done, ends = env.step(state, np.reshape(action, (1, 2)))
+    return nxt, low[0], float(reward[0]), bool(done[0]), {k: bool(v[0]) for k, v in ends.items()}
+
+
+def stacked(states):
+    """One-lane batches as the lanes of one batch, in order."""
+    return EpisodeBatch(*[None if f[0] is None else np.concatenate(f) for f in zip(*states)])
 
 
 # -- reset ---------------------------------------------------------------------
 
 def test_open_field_reset_at_center():
     env = make_env("open_field")
-    state, obs = env.reset(np.random.default_rng(0))
+    state, low = env.reset(np.random.default_rng(0))
     expected = env.maze.cell_center(env.maze.start_cells[0])
-    assert np.array_equal(state.agent.position, expected)
-    assert np.array_equal(state.agent.velocity, np.zeros(2))
+    assert np.array_equal(state.position, [expected])
+    assert np.array_equal(state.velocity, np.zeros((1, 2)))
+    assert (state.t.tolist(), state.overdrive.tolist()) == ([0], [0])
 
 
 def test_reset_uniform_over_start_cells():
@@ -56,7 +67,7 @@ def test_reset_uniform_over_start_cells():
     n = 10_000
     for _ in range(n):
         state, _ = env.reset(rng)
-        counts[env.maze.cell_of(state.agent.position)] += 1
+        counts[env.maze.cell_of(state.position[0])] += 1
     expected = n / len(counts)
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
     assert chi2 <= 9.0  # ~3 sigma for 1 dof
@@ -68,8 +79,8 @@ def test_reset_positions_inside_start_region_uniformly():
     xs = []
     for _ in range(4000):
         state, _ = env.reset(rng)
-        assert env.maze.cell_of(state.agent.position) in env.maze.start_cells
-        xs.append(state.agent.position[0])
+        assert env.maze.cell_of(state.position[0]) in env.maze.start_cells
+        xs.append(state.position[0, 0])
     # within-cell offsets should span the cell, not cluster at the center
     offs = np.array(xs) % env.maze.cell_size
     assert offs.min() < 0.2 and offs.max() > 3.8
@@ -77,10 +88,11 @@ def test_reset_positions_inside_start_region_uniformly():
 
 def test_reset_observation_prefix_property():
     env = make_env("c_maze")
-    state, obs = env.reset(np.random.default_rng(3))
-    assert obs.low.shape == (LOW_OBS_DIM,)
-    assert obs.high.shape == (HIGH_OBS_DIM,)
-    assert np.array_equal(obs.high[:LOW_OBS_DIM], obs.low)
+    state, low = env.reset(np.random.default_rng(3))
+    high = env.high_obs_batch(state, low)
+    assert low.shape == (1, LOW_OBS_DIM)
+    assert high.shape == (1, HIGH_OBS_DIM)
+    assert np.array_equal(high[:, :LOW_OBS_DIM], low)
 
 
 # -- dynamics -------------------------------------------------------------------
@@ -88,8 +100,8 @@ def test_reset_observation_prefix_property():
 def test_zero_action_zero_velocity_stays_put():
     env = make_env("c_maze")
     state = state_at(env, env.maze.cell_center((1, 1)), [0.0, 0.0])
-    nxt, obs, reward, done, info = env.step(state, np.zeros(2))
-    assert np.array_equal(nxt.agent.position, state.agent.position)
+    nxt, low, reward, done, info = step_one(env, state, np.zeros(2))
+    assert np.array_equal(nxt.position, state.position)
     assert reward == 0.0 and not done
 
 
@@ -100,7 +112,7 @@ def test_step_into_goal_cell_pays_goal_reward():
     state = state_at(env, start, [-env.cfg.v_max, 0.0])
     total = 0.0
     for _ in range(20):
-        state, obs, reward, done, info = env.step(state, np.zeros(2))
+        state, low, reward, done, info = step_one(env, state, np.zeros(2))
         total += reward
         if done:
             break
@@ -115,8 +127,8 @@ def test_wall_collision_preserves_tangential_motion():
     pos = np.array([1.5 * cs, 2.0 * cs - 0.1])
     vel = np.array([1.0, 1.5])
     state = state_at(env, pos, vel)
-    nxt, *_ = env.step(state, np.zeros(2))
-    new_pos, new_vel = nxt.agent.position, nxt.agent.velocity
+    nxt, *_ = step_one(env, state, np.zeros(2))
+    new_pos, new_vel = nxt.position[0], nxt.velocity[0]
     assert not env.maze.is_wall_cell(*env.maze.cell_of(new_pos))
     assert new_pos[1] <= 2 * cs  # stopped at the wall face
     assert new_vel[1] == 0.0
@@ -137,27 +149,27 @@ def test_sweep_matches_substepping_oracle():
         vel = rng.uniform(-1, 1, size=2)
         vel *= rng.uniform(0, env.cfg.v_max) / max(np.linalg.norm(vel), 1e-9)
         state = state_at(env, pos, vel)
-        nxt, *_ = env.step(state, np.zeros(2))
+        nxt, *_ = step_one(env, state, np.zeros(2))
         ref_pos, _ = substep_move(maze, pos, vel, env.cfg.dt, n_sub=20_000)
-        assert not maze.is_wall_cell(*maze.cell_of(nxt.agent.position))
-        assert np.max(np.abs(nxt.agent.position - ref_pos)) <= 1e-3
+        assert not maze.is_wall_cell(*maze.cell_of(nxt.position[0]))
+        assert np.max(np.abs(nxt.position[0] - ref_pos)) <= 1e-3
 
 
 def test_speed_clipped_to_v_max():
     env = make_env("open_field")
     state, _ = env.reset(np.random.default_rng(5))
     for _ in range(10):
-        state, *_ = env.step(state, np.array([1.0, 0.4]))
-    assert np.linalg.norm(state.agent.velocity) <= env.cfg.v_max + 1e-12
+        state, *_ = step_one(env, state, np.array([1.0, 0.4]))
+    assert np.linalg.norm(state.velocity[0]) <= env.cfg.v_max + 1e-12
 
 
 def test_dynamics_deterministic():
     env = make_env("c_maze")
     state = state_at(env, env.maze.cell_center((1, 2)), [0.3, -0.2])
-    a = env.step(state, np.array([0.5, 0.1]))
-    b = env.step(state, np.array([0.5, 0.1]))
-    assert np.array_equal(a[0].agent.position, b[0].agent.position)
-    assert np.array_equal(a[0].agent.velocity, b[0].agent.velocity)
+    a = step_one(env, state, np.array([0.5, 0.1]))
+    b = step_one(env, state, np.array([0.5, 0.1]))
+    assert np.array_equal(a[0].position, b[0].position)
+    assert np.array_equal(a[0].velocity, b[0].velocity)
 
 
 # -- stumble rule ----------------------------------------------------------------
@@ -168,9 +180,9 @@ def test_sustained_overdrive_causes_death():
     big = np.array([env.cfg.stumble_threshold + 0.5, 0.0])
     rewards = []
     for i in range(STUMBLE_STEPS):
-        state, _, reward, done, info = env.step(state, big)
+        state, _, reward, done, info = step_one(env, state, big)
         rewards.append(reward)
-    assert done and info["death"] and not state.agent.alive
+    assert done and info["death"] and state.overdrive[0] == STUMBLE_STEPS
     assert rewards == [0.0] * (STUMBLE_STEPS - 1) + [env.cfg.death_reward]
 
 
@@ -179,8 +191,8 @@ def test_interrupted_overdrive_survives():
     state, _ = env.reset(np.random.default_rng(7))
     big = np.array([env.cfg.stumble_threshold + 0.5, 0.0])
     for action in [big, big, np.zeros(2), big, big]:
-        state, _, _, done, _ = env.step(state, action)
-    assert not done and state.agent.alive
+        state, _, _, done, info = step_one(env, state, action)
+    assert not done and not info["death"]
 
 
 def test_stumble_can_be_disabled():
@@ -188,18 +200,21 @@ def test_stumble_can_be_disabled():
     state, _ = env.reset(np.random.default_rng(8))
     big = np.array([9.0, 0.0])
     for _ in range(10):
-        state, _, _, done, info = env.step(state, big)
+        state, _, _, done, info = step_one(env, state, big)
     assert not done
 
 
 # -- task independence and reward sets --------------------------------------------
 
 def test_low_obs_ignores_maze():
+    # the same motion, clear of walls in both mazes, gives the same ego row
     cfg = EnvConfig()
     env_a = PointEnv(build_maze("c_maze"), cfg)
     env_b = PointEnv(build_maze("mirrored"), cfg)
-    agent = AgentState(position=np.array([9.0, 6.0]), velocity=np.array([0.4, -0.1]), alive=True)
-    assert np.array_equal(env_a.low_obs(agent), env_b.low_obs(agent))
+    state = state_at(env_a, [9.0, 6.0], [0.4, -0.1])
+    low_a = step_one(env_a, state, np.zeros(2))[1]
+    assert np.array_equal(low_a, step_one(env_b, state, np.zeros(2))[1])
+    assert np.array_equal(low_a, [0.4, -0.1, 0.0, 1.0])
 
 
 def test_maze_episode_rewards_in_allowed_set():
@@ -209,7 +224,7 @@ def test_maze_episode_rewards_in_allowed_set():
         state, _ = env.reset(rng)
         total, done = 0.0, False
         while not done:
-            state, _, reward, done, _ = env.step(state, rng.normal(0, 0.8, size=2))
+            state, _, reward, done, _ = step_one(env, state, rng.normal(0, 0.8, size=2))
             assert reward in (0.0, env.cfg.goal_reward, env.cfg.death_reward)
             total += reward
         assert total in (0.0, env.cfg.goal_reward, env.cfg.death_reward)
@@ -224,7 +239,7 @@ def test_gather_episode():
         assert state.food_active.sum() == 8 and state.bomb_active.sum() == 8
         total, done = 0.0, False
         while not done:
-            state, _, reward, done, _ = env.step(state, rng.normal(0, 0.6, size=2))
+            state, _, reward, done, _ = step_one(env, state, rng.normal(0, 0.6, size=2))
             total += reward
         returns.append(total)
         assert -18.0 <= total <= 8.0
@@ -234,25 +249,23 @@ def test_gather_episode():
 def test_gather_contact_collects_once():
     env = make_env("gather")
     state, _ = env.reset(np.random.default_rng(11))
-    target = state.food_sites[0].copy()
     # place the agent on top of the first food site
-    state.agent.position = target.copy()
-    nxt, _, reward, done, info = env.step(state, np.zeros(2))
-    assert reward == env.cfg.food_reward and info["food"] == 1
-    assert nxt.food_active.sum() == 7
+    state = state._replace(position=state.food_sites[:, 0].copy())
+    nxt, _, reward, done, info = step_one(env, state, np.zeros(2))
+    assert reward == env.cfg.food_reward
+    assert nxt.food_active.sum() == 7 and not nxt.food_active[0, 0]
+    assert np.array_equal(nxt.bomb_active, state.bomb_active)
     # second step on the same (consumed) site pays nothing
-    nxt2, _, reward2, _, info2 = env.step(nxt, np.zeros(2))
-    assert reward2 == 0.0 and info2["food"] == 0
+    nxt2, _, reward2, _, info2 = step_one(env, nxt, np.zeros(2))
+    assert reward2 == 0.0 and np.array_equal(nxt2.food_active, nxt.food_active)
 
 
 def test_timeout_sets_done():
     env = make_env("c_maze", max_episode_steps=5)
     state, _ = env.reset(np.random.default_rng(12))
     for _ in range(5):
-        state, _, _, done, info = env.step(state, np.zeros(2))
-    assert done and info["timeout"]
-    with pytest.raises(RuntimeError):
-        env.step(state, np.zeros(2))
+        state, _, _, done, info = step_one(env, state, np.zeros(2))
+    assert done and info["timeout"] and state.t[0] == 5
 
 
 def test_obs_scales_shapes():
@@ -264,8 +277,8 @@ def test_obs_scales_shapes():
 # -- lanes stepped as arrays ------------------------------------------------------
 
 def random_lane(env, rng):
-    """A lane anywhere in free space, with any speed, step count and
-    overdrive count and some gather sites already used. One in three rests
+    """A one-lane batch anywhere in free space, with any speed, step count
+    and overdrive count and some gather sites already used. One in three rests
     on a face of its cell, one in three heads exactly for a corner of it
     (same distance to both grid lines, exact in binary, and same speed on
     both axes). Returns (state, corner signs or None)."""
@@ -284,13 +297,13 @@ def random_lane(env, rng):
         d = int(rng.integers(1, 16)) / 64.0
         offset = np.where(signs > 0, cs - d, d)
         velocity = signs * rng.uniform(0.3, 0.7) * env.cfg.v_max
-    state.agent.position = np.array([col, row]) * cs + offset
-    state.agent.velocity = velocity
-    state.t = int(rng.integers(env.cfg.max_episode_steps))
-    state.overdrive = int(rng.integers(STUMBLE_STEPS))
+    state = state._replace(position=(np.array([col, row]) * cs + offset)[None],
+                           velocity=velocity[None],
+                           t=np.array([rng.integers(env.cfg.max_episode_steps)]),
+                           overdrive=np.array([rng.integers(STUMBLE_STEPS)]))
     if state.food_active is not None:
-        state.food_active = rng.random(len(state.food_active)) < 0.8
-        state.bomb_active = rng.random(len(state.bomb_active)) < 0.8
+        state = state._replace(food_active=rng.random(state.food_active.shape) < 0.8,
+                               bomb_active=rng.random(state.bomb_active.shape) < 0.8)
     return state, signs
 
 
@@ -309,7 +322,7 @@ def test_batched_step_rows_equal_scalar_oracle_bit_for_bit():
                 for i, s in enumerate(signs):
                     if s is not None:  # keep |vx| == |vy|: same magnitude on both axes
                         actions[i] = s * abs(actions[i, 0])
-                batch = env.batch(states)
+                batch = stacked(states)
                 nxt, low, reward, done, ends = env.step(batch, actions)
                 assert isinstance(nxt, EpisodeBatch) and low.shape == (lanes, LOW_OBS_DIM)
                 seen["mixed_t"] += len(set(batch.t.tolist())) > 1
@@ -326,7 +339,7 @@ def test_batched_step_rows_equal_scalar_oracle_bit_for_bit():
                     if food is not None:
                         assert np.array_equal(nxt.food_active[i], food)
                         assert np.array_equal(nxt.bomb_active[i], bombs)
-                    frac = state.agent.position / cs
+                    frac = state.position[0] / cs
                     seen["on_face"] += np.abs(frac - np.round(frac)).min() * cs < 2 * FACE_EPS
                     seen["walls"] += walls > 0
                     seen["two_walls"] += walls == 2
@@ -337,27 +350,10 @@ def test_batched_step_rows_equal_scalar_oracle_bit_for_bit():
                     if d:
                         states[i], signs[i] = random_lane(env, rng)
                     else:
-                        agent = AgentState(pos, vel, alive=True)
-                        states[i] = EpisodeState(agent, t, overdrive, False, state.food_sites,
-                                                 state.bomb_sites, food, bombs)
+                        states[i] = EpisodeBatch(
+                            pos[None], vel[None], np.array([t]), np.array([overdrive]),
+                            state.food_sites, state.bomb_sites,
+                            *(None if food is None else a[None] for a in (food, bombs)))
                         signs[i] = None
     assert seen["lane_steps"] >= 10_000
     assert min(seen.values()) >= 20, seen
-
-
-def test_lone_step_returns_lone_types():
-    env = make_env("gather")
-    state, obs = env.reset(np.random.default_rng(13))
-    state.agent.position = state.food_sites[0].copy()
-    nxt, obs, reward, done, info = env.step(state, np.array([0.3, -0.2]))
-    assert type(nxt) is EpisodeState and type(nxt.agent) is AgentState
-    assert type(obs) is ObservationPair
-    assert obs.low.shape == (LOW_OBS_DIM,) and obs.high.shape == (HIGH_OBS_DIM,)
-    assert nxt.agent.position.shape == nxt.agent.velocity.shape == (2,)
-    assert nxt.food_active.shape == state.food_active.shape
-    assert nxt.food_sites is state.food_sites
-    assert (type(nxt.t), type(nxt.overdrive), type(nxt.done), type(nxt.agent.alive)) == (
-        int, int, bool, bool)
-    assert type(reward) is float and type(done) is bool and reward == env.cfg.food_reward
-    assert info == {"goal": False, "death": False, "timeout": False, "food": 1, "bombs": 0}
-    assert [type(v) for v in info.values()] == [bool, bool, bool, int, int]

@@ -2,61 +2,72 @@ import numpy as np
 import pytest
 
 from haarlab import pretrain
-from haarlab.envs.maze import build_maze
-from haarlab.envs.point import AgentState, EnvConfig, EpisodeState, PointEnv
+from haarlab.envs.point import EnvConfig
 from haarlab.pretrain import (PretrainConfig, fresh_low_policy, open_field_env,
-                              pretrain_skills, proxy_reward, skill_direction,
+                              pretrain_skills, proxy_rewards, skill_direction,
                               skill_displacements)
 
 
-def fake_states(p0, p1):
-    def st(p):
-        agent = AgentState(position=np.asarray(p, dtype=float), velocity=np.zeros(2), alive=True)
-        return EpisodeState(agent=agent, t=0, overdrive=0, done=False)
-    return st(p0), st(p1)
+def proxy(skill, p0, p1, n_skills=6):
+    """The proxy reward of one step from p0 to p1."""
+    return proxy_rewards(np.array([skill]), np.array([p0], dtype=float),
+                         np.array([p1], dtype=float), n_skills)[0]
 
 
 def test_proxy_zero_displacement():
-    a, b = fake_states([3.0, 4.0], [3.0, 4.0])
     for skill in range(6):
-        assert proxy_reward(skill, a, b, 6) == 0.0
+        assert proxy(skill, [3.0, 4.0], [3.0, 4.0]) == 0.0
 
 
 def test_proxy_along_first_direction():
-    a, b = fake_states([0.0, 0.0], skill_direction(0, 6))
-    assert abs(proxy_reward(0, a, b, 6) - 1.0) <= 1e-12
-    assert abs(proxy_reward(1, a, b, 6) - 0.5) <= 1e-12  # cos(60 deg)
+    assert abs(proxy(0, [0.0, 0.0], skill_direction(0, 6)) - 1.0) <= 1e-12
+    assert abs(proxy(1, [0.0, 0.0], skill_direction(0, 6)) - 0.5) <= 1e-12  # cos(60 deg)
 
 
 def test_proxy_antisymmetric_for_opposite_skills():
     rng = np.random.default_rng(0)
     for _ in range(10):
-        a, b = fake_states(rng.uniform(0, 10, 2), rng.uniform(0, 10, 2))
+        a, b = rng.uniform(0, 10, 2), rng.uniform(0, 10, 2)
         for j in range(3):
-            assert abs(proxy_reward(j, a, b, 6) + proxy_reward(j + 3, a, b, 6)) <= 1e-12
+            assert abs(proxy(j, a, b) + proxy(j + 3, a, b)) <= 1e-12
+
+
+def state_at(env, position, velocity):
+    """A one-lane batch of `env` at this position and velocity."""
+    state, _ = env.reset(np.random.default_rng(0))
+    return state._replace(position=np.array([position], dtype=float),
+                          velocity=np.array([velocity], dtype=float))
 
 
 def test_proxy_invariant_to_walls():
-    # pure function of the displacement: maze plays no role
-    a, b = fake_states([1.0, 2.0], [1.5, 2.5])
-    r1 = proxy_reward(2, a, b, 6)
-    assert r1 == proxy_reward(2, a, b, 6)
+    # a pure function of the displacement: a step that a wall stopped short
+    # pays what the same displacement pays in the open, wherever it happens
+    env = open_field_env(5)
+    cs = env.maze.cell_size
+    against_wall = env.maze.cell_center((1, 1)) - [0.5 * cs - 0.1, 0.0]
+    nxt, *_ = env.step(state_at(env, against_wall, [-2.0, 0.0]), np.zeros((1, 2)))
+    moved = nxt.position[0] - against_wall
+    assert 0.0 < -moved[0] < 2.0 * env.cfg.dt  # the wall cut the step short
+    in_open = env.maze.cell_center((5, 5))
+    rows = np.array([against_wall, in_open])
+    next_rows = np.array([nxt.position[0], in_open + moved])
+    rewards = proxy_rewards(np.array([3, 3]), rows, next_rows, 6)
+    assert abs(rewards[0] - rewards[1]) <= 1e-12 and abs(rewards[0] + moved[0]) <= 1e-12
     with pytest.raises(ValueError):
-        proxy_reward(6, a, b, 6)
+        proxy(6, [1.0, 2.0], [1.5, 2.5])
 
 
 def test_random_init_returns_untouched_initializer_output():
     cfg = PretrainConfig(proxy="random_init", n_skills=6)
-    env = open_field_env()
-    pol, stats = pretrain_skills(cfg, seed=7, env=env)
+    pol, stats = pretrain_skills(cfg, seed=7)
     assert stats == []
-    fresh = fresh_low_policy(cfg, env, seed=7)
+    fresh = fresh_low_policy(cfg, open_field_env(cfg.episode_steps), seed=7)
     assert np.array_equal(pol.flat(), fresh.flat())
 
 
 def test_pretrain_input_is_ego_plus_one_hot_only():
     cfg = PretrainConfig(n_skills=5)
-    env = open_field_env()
+    env = open_field_env(cfg.episode_steps)
     pol = fresh_low_policy(cfg, env, seed=0)
     assert pol.spec.input_dim == env.low_obs_dim + 5
 
@@ -66,12 +77,14 @@ def test_pretraining_beats_random_policy_on_projection():
     # direction must dominate a random policy's by a wide margin
     cfg = PretrainConfig(n_skills=6, iterations=12, batch_low_steps=3000,
                          episode_steps=250)
-    env = open_field_env(EnvConfig(stumble_enabled=False, v_max=1.2))
-    trained, _ = pretrain_skills(cfg, seed=3, env=env)
-    random_pol = fresh_low_policy(cfg, env, seed=3)
+    env_cfg = EnvConfig(stumble_enabled=False, v_max=1.2)
+    trained, _ = pretrain_skills(cfg, seed=3, env_cfg=env_cfg)
+    random_pol = fresh_low_policy(cfg, open_field_env(250, env_cfg), seed=3)
 
-    disp_t = skill_displacements(trained, env, 6, episodes_per_skill=8, steps=150, seed=11)
-    disp_r = skill_displacements(random_pol, env, 6, episodes_per_skill=8, steps=150, seed=11)
+    disp_t = skill_displacements(trained, 6, episodes_per_skill=8, steps=150, seed=11,
+                                 env_cfg=env_cfg)
+    disp_r = skill_displacements(random_pol, 6, episodes_per_skill=8, steps=150, seed=11,
+                                 env_cfg=env_cfg)
     proj_t = np.mean([disp_t[j] @ skill_direction(j, 6) for j in range(6)])
     proj_r = np.mean([disp_r[j] @ skill_direction(j, 6) for j in range(6)])
     assert proj_t >= 3.0 * max(proj_r, 1.0)
@@ -85,18 +98,45 @@ def test_pretraining_beats_random_policy_on_projection():
     assert np.mean(angles) >= 30.0
 
 
+def spy_on(monkeypatch, name):
+    """Record what each call of pretrain.<name> returns."""
+    calls = []
+    original = getattr(pretrain, name)
+
+    def spy(*args, **kwargs):
+        out = original(*args, **kwargs)
+        calls.append(out)
+        return out
+    monkeypatch.setattr(pretrain, name, spy)
+    return calls
+
+
 def test_pretrain_episodes_last_episode_steps_beyond_500(monkeypatch):
     # the arena pretrain_skills builds used to end every episode at the
     # environment's default 500 steps, whatever episode_steps said
     cfg = PretrainConfig(n_skills=2, iterations=1, batch_low_steps=600, episode_steps=600,
                          hidden=(4,))
-    dones = []
-    collect = pretrain._collect_proxy_batch
-
-    def spy(*args):
-        batch = collect(*args)
-        dones.append(batch[3])
-        return batch
-    monkeypatch.setattr(pretrain, "_collect_proxy_batch", spy)
+    runs = spy_on(monkeypatch, "run_lanes")
     pretrain_skills(cfg, seed=0)
-    assert np.flatnonzero(dones[0]).tolist() == [599]
+    assert np.flatnonzero(runs[0].done).tolist() == [599]
+
+
+def test_proxy_rewards_of_an_episode_sum_to_its_displacement(monkeypatch):
+    # the last step's reward runs to the episode's final position, which
+    # no recorded row holds; a stumble rule ends some episodes early
+    cfg = PretrainConfig(n_skills=4, iterations=2, batch_low_steps=400, episode_steps=40,
+                         hidden=(8,))
+    runs = spy_on(monkeypatch, "run_lanes")
+    rewards = spy_on(monkeypatch, "proxy_rewards")
+    pretrain_skills(cfg, seed=1, env_cfg=EnvConfig(stumble_threshold=1.0))
+    assert len(runs) == len(rewards) == 2
+    for run, reward in zip(runs, rewards):
+        position, skill = run.columns[4:]
+        ends = np.flatnonzero(run.done) + 1
+        assert len(set(np.diff(ends, prepend=0).tolist())) > 1  # mixed episode lengths
+        starts = np.concatenate(([0], ends[:-1]))
+        for start, end, final in zip(starts, ends, run.final.position):
+            assert (skill[start:end] == skill[start]).all()
+            d = skill_direction(int(skill[start]), cfg.n_skills)
+            expected = (final - position[start]) @ d
+            assert abs(reward[start:end].sum() - expected) <= 1e-9

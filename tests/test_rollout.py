@@ -6,23 +6,25 @@ for every lane count, on the point-mass maze, the gather arena and the
 tabular chain, including budgets that end inside or exactly at the end of
 an episode and runs that drop a speculative episode. The default lane
 count, ceil(budget / horizon), starts no episode outside the batch when
-every episode runs its horizon.
+every episode runs its horizon. A finite set of streams runs exactly its
+episodes, no finished lane is ever stepped, and the final state rows are
+each kept episode's state after its last step.
 """
 
-from types import SimpleNamespace
+from itertools import count
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from haarlab.envs.maze import build_maze
-from haarlab.envs.point import EnvConfig, PointEnv
+from haarlab.envs.point import EnvConfig, EpisodeBatch, PointEnv
 from haarlab.envs.tabular import TabularHighPolicy, TabularLowPolicy, TabularRolloutEnv
 from haarlab.experiment import collect_flat
 from haarlab.hierarchy import collect_rollouts
 from haarlab.nets import MlpSpec
 from haarlab.policies import CategoricalPolicy, GaussianPolicy
-from haarlab.rollout import run_lanes
+from haarlab.rollout import episode_streams, run_lanes
 from haarlab.theory import absorbing_random_mdp, random_joint_policy
 
 LANE_COUNTS = (1, 3, 16, None)  # None: the default, ceil(budget / horizon)
@@ -171,46 +173,68 @@ def test_high_obs_batch_rows_equal_single_observations():
     env = point_env("c_maze", max_episode_steps=30)
     policy = flat_policy(env)
     rng = np.random.default_rng(9)
-    states, pairs = [], []
+    states, lows = [], []
     for _ in range(20):
-        state, obs = env.reset(rng)
+        state, low = env.reset(rng)  # a one-lane batch, stepped alone
         for _ in range(int(rng.integers(0, 8))):
-            state, obs, _, done, _ = env.step(state, policy.act(obs.high, rng)[0])
-            if done:
+            action = policy.act(env.high_obs_batch(state, low)[0], rng)[0]
+            state, low, _, done, _ = env.step(state, action[None])
+            if done[0]:
                 break
         states.append(state)
-        pairs.append(obs)
-    rows = env.high_obs_batch(env.batch(states), np.array([obs.low for obs in pairs]))
-    for row, obs in zip(rows, pairs):
-        assert row.tobytes() == obs.high.tobytes()
+        lows.append(low)
+    batch = EpisodeBatch(*[None if f[0] is None else np.concatenate(f) for f in zip(*states)])
+    rows = env.high_obs_batch(batch, np.concatenate(lows))
+    for row, state, low in zip(rows, states, lows):
+        assert row.tobytes() == env.high_obs_batch(state, low)[0].tobytes()
 
 
-class _Clock(NamedTuple):
-    t: np.ndarray  # (L,) steps each lane has taken
+class _Countdown(NamedTuple):
+    t: np.ndarray       # (L,) steps each lane has taken
+    length: np.ndarray  # (L,) steps its episode runs
+    tag: np.ndarray     # (L,) a value drawn at reset that names the episode
 
 
-class TimeoutEnv:
-    """Every episode runs exactly `horizon` steps; counts step calls."""
+class CountdownEnv:
+    """Episodes of lengths drawn from their streams, 1 to `horizon` steps
+    (every one when `horizon` is fixed); counts resets and lane steps,
+    and refuses to step a finished lane."""
 
-    def __init__(self, horizon):
+    def __init__(self, horizon, fixed=False):
         self.horizon = horizon
+        self.fixed = fixed
+        self.resets = 0
         self.step_calls = 0
+        self.lane_steps = 0
 
     def reset(self, rng):
-        return 0, SimpleNamespace(low=np.zeros(1))
+        self.resets += 1
+        return _Countdown(np.array([0]), np.array([self.length(rng)]),
+                          np.array([rng.random()])), np.zeros((1, 1))
 
-    def batch(self, states):
-        return _Clock(np.array(states))
+    def length(self, rng):
+        return self.horizon if self.fixed else int(rng.integers(1, self.horizon + 1))
 
     def high_obs_batch(self, lanes, low):
         return low
 
     def step(self, lanes, actions):
+        assert (lanes.t < lanes.length).all(), "a finished lane was stepped"
         self.step_calls += 1
+        self.lane_steps += len(lanes.t)
         t = lanes.t + 1
         n = len(t)
-        return (_Clock(t), np.zeros((n, 1)), np.ones(n), t >= self.horizon,
+        return (lanes._replace(t=t), np.zeros((n, 1)), np.ones(n), t >= lanes.length,
                 {"goal": np.zeros(n, dtype=bool)})
+
+
+def countdown_episodes(env, seeds):
+    """The (length, tag) each seed's stream gives an episode at reset."""
+    out = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        out.append((env.length(rng), rng.random()))
+    return out
 
 
 class IdleCollector:
@@ -222,8 +246,52 @@ class IdleCollector:
 def test_default_lanes_run_every_episode_together(budget, horizon):
     # ceil(B/T) lanes hold the whole batch from the first step: no episode
     # runs alone after the others end, and none is started only to be dropped
-    env = TimeoutEnv(horizon)
-    run = run_lanes(env, (0,), budget, IdleCollector())
+    env = CountdownEnv(horizon, fixed=True)
+    run = run_lanes(env, episode_streams((0,)), budget, IdleCollector())
     assert env.step_calls == horizon
     assert len(run.episodes) == -(-budget // horizon)
     assert run.steps_taken == len(run.reward) == len(run.episodes) * horizon
+
+
+@pytest.mark.parametrize("lanes", LANE_COUNTS)
+def test_finite_streams_run_exactly_their_episodes(lanes):
+    # the trace's case: budget n * T for n streams, so every episode is in
+    # the batch, and none starts once the streams run out
+    env = CountdownEnv(9)
+    episodes = countdown_episodes(env, range(7))
+    lengths = [n for n, _ in episodes]
+    assert len(set(lengths)) > 1
+    run = run_lanes(env, (np.random.default_rng(seed) for seed in range(7)), 7 * env.horizon,
+                    IdleCollector(), lanes)
+    assert env.resets == len(run.episodes) == 7
+    assert env.lane_steps == run.steps_taken == len(run.reward) == sum(lengths)
+    assert (np.flatnonzero(run.done) + 1).tolist() == np.cumsum(lengths).tolist()
+    assert run.final.t.tolist() == run.final.length.tolist() == lengths
+    assert run.final.tag.tolist() == [tag for _, tag in episodes]
+
+
+@pytest.mark.parametrize("lanes", LANE_COUNTS)
+@pytest.mark.parametrize("budget", [1, 20, 41])
+def test_final_rows_are_each_kept_episodes_last_state(lanes, budget):
+    # with endless streams, 3 and 16 lanes start episodes that the budget
+    # then drops: they have no final row
+    env = CountdownEnv(9)
+    run = run_lanes(env, (np.random.default_rng(seed) for seed in count()), budget,
+                    IdleCollector(), lanes)
+    episodes = countdown_episodes(env, range(len(run.episodes)))
+    lengths = [n for n, _ in episodes]
+    assert sum(lengths[:-1]) < budget <= sum(lengths) == len(run.reward)
+    assert (np.flatnonzero(run.done) + 1).tolist() == np.cumsum(lengths).tolist()
+    assert run.final.t.tolist() == run.final.length.tolist() == lengths
+    assert run.final.tag.tolist() == [tag for _, tag in episodes]
+
+
+@pytest.mark.parametrize("lanes", LANE_COUNTS)
+def test_run_lanes_never_steps_a_finished_lane(lanes):
+    # CountdownEnv.step refuses a finished lane, so every lane step taken
+    # advances a running episode, the dropped ones included
+    env = CountdownEnv(6)
+    run = run_lanes(env, (np.random.default_rng(seed) for seed in count()), 50,
+                    IdleCollector(), lanes)
+    assert env.lane_steps == run.steps_taken >= len(run.reward) >= 50
+    assert env.resets >= len(run.episodes)
