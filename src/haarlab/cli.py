@@ -11,7 +11,6 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import replace
 
 from .checkpoint import CheckpointError
 from .config import ConfigError, ExperimentConfig, load_config
@@ -21,20 +20,21 @@ def _parse_seeds(raw: str) -> tuple[int, ...]:
     return tuple(int(part) for part in raw.split(",") if part.strip())
 
 
-def _load_cfg(args) -> ExperimentConfig:
-    cfg = load_config(args.config) if args.config else ExperimentConfig()
-    overrides = {}
+def _load_cfg(args, **overrides) -> ExperimentConfig:
+    """The config file with the command line's overrides, built once, so
+    that haar_no_anneal or no_annealing pins k_0 only when the final
+    values ask for it."""
     if getattr(args, "seed", None):
         overrides["seeds"] = _parse_seeds(args.seed)
     if getattr(args, "mode", None):
         overrides["mode"] = args.mode
     if getattr(args, "algorithm", None):
         overrides["algorithm"] = args.algorithm
-    return replace(cfg, **overrides) if overrides else cfg
+    return load_config(args.config, **overrides)
 
 
-def _add_common(p, config_required=True):
-    p.add_argument("--config", required=config_required,
+def _add_common(p):
+    p.add_argument("--config", required=True,
                    help="plain-text config file (key = value lines)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", help="seed or comma separated seed list (overrides config)")
@@ -67,9 +67,7 @@ def cmd_train(args) -> int:
 
 def cmd_transfer(args) -> int:
     from .experiment import run_train
-    cfg = _load_cfg(args)
-    if not cfg.no_annealing:
-        cfg = replace(cfg, no_annealing=True)
+    cfg = _load_cfg(args, no_annealing=True)
     source = _resolve_per_seed(args.source, cfg.seeds, "seed_{seed}/checkpoint.bin") \
         if args.transfer != "none" else None
     dirs = run_train(cfg, args.out, transfer=args.transfer, source=source,

@@ -5,7 +5,7 @@ File format: one `key = value` pair per line; `#` starts a comment;
 blank lines ignored. Keys are the field names below (hyperparameters
 use the conventional short names N, B, gamma_l, gamma_h, k_0, k_s, T).
 Pre-training fields nest as `pretrain.<field>`. `seeds` takes a comma
-separated integer list. Unknown keys are rejected.
+separated integer list. Unknown and repeated keys are rejected.
 """
 
 from __future__ import annotations
@@ -177,10 +177,14 @@ def _convert(key: str, raw: str, typ: str):
     return raw
 
 
-def parse_config_text(text: str) -> ExperimentConfig:
+def parse_config_text(text: str, **overrides) -> ExperimentConfig:
+    """The config the text describes; `overrides` (top-level field name
+    -> value) replace its values before the config is built, so the
+    rules applied at construction see the final values."""
     types = _field_types()
     top: dict = {}
     pre: dict = {}
+    seen: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -190,6 +194,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in types:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
+        if key in seen:
+            raise ConfigError(f"line {lineno}: {key!r} repeats line {seen[key]}")
+        seen[key] = lineno
         try:
             value = _convert(key, raw, str(types[key]))
         except (ValueError, TypeError) as exc:
@@ -198,6 +205,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
             pre[key.split(".", 1)[1]] = value
         else:
             top[key] = value
+    top.update(overrides)
     try:
         if pre:
             top["pretrain"] = PretrainConfig(**pre)
@@ -206,6 +214,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, **overrides) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+        return parse_config_text(fh.read(), **overrides)

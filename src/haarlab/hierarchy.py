@@ -214,6 +214,7 @@ def assign_auxiliary_rewards(batch: RolloutBatch, advantages: np.ndarray) -> Non
 
     The per-segment sums must reproduce A_j to 1e-9; this conservation
     check is a hard error (not an assert), so it can never be disabled.
+    A non-finite advantage fails it.
     """
     advantages = np.asarray(advantages, dtype=np.float64)
     if advantages.shape != (len(batch.seg_len),):
@@ -221,19 +222,22 @@ def assign_auxiliary_rewards(batch: RolloutBatch, advantages: np.ndarray) -> Non
     batch.r_l = (advantages / batch.seg_len)[batch.segment_id]
     # bincount adds each segment's rewards in step order
     sums = np.bincount(batch.segment_id, weights=batch.r_l, minlength=len(advantages))
-    err = np.max(np.abs(sums - advantages), initial=0.0)
-    if err > 1e-9:
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the check
+        err = np.max(np.abs(sums - advantages), initial=0.0)
+    if not err <= 1e-9:
         raise ConservationError(
             f"auxiliary rewards violate per-segment conservation by {err:.3e}")
 
 
-def prepare_level_batches(batch: RolloutBatch, advantages: np.ndarray, returns_l: np.ndarray,
-                          v_l: PolynomialValueEstimator) -> tuple[AdvantageBatch, AdvantageBatch]:
+def prepare_level_batches(batch: RolloutBatch, advantages: np.ndarray,
+                          returns_l: np.ndarray | None, v_l: PolynomialValueEstimator | None
+                          ) -> tuple[AdvantageBatch, AdvantageBatch | None]:
     """Assemble the optimizer inputs for both levels.
 
     The high level consumes the one-step advantages directly; the low
     level uses its discounted auxiliary returns (low_returns) against
-    its own baseline.
+    its own baseline. A low level that takes no step passes no returns
+    and gets no batch.
     """
     high_batch = AdvantageBatch(
         observations=batch.s_h,
@@ -242,11 +246,12 @@ def prepare_level_batches(batch: RolloutBatch, advantages: np.ndarray, returns_l
         old_log_probs=batch.logp_h,
         old_dist=batch.dist_h,
     )
-    low_adv = returns_l - v_l.predict(batch.x_l[:, :batch.low_dim])
+    if v_l is None:
+        return high_batch, None
     low_batch = AdvantageBatch(
         observations=batch.x_l,
         actions=batch.a_l,
-        advantages=low_adv,
+        advantages=returns_l - v_l.predict(batch.x_l[:, :batch.low_dim]),
         old_log_probs=batch.logp_l,
         old_dist=(batch.dist_l, batch.low_log_std),
     )
@@ -299,9 +304,11 @@ def haar_iteration(state: TrainState, env) -> tuple[dict, list[tuple[str, TrpoDi
     do_high = state.mode == "concurrent" or ordinal % 2 == 1
     do_low = (state.mode == "concurrent" or ordinal % 2 == 0) and state.update_low
 
-    returns_l = low_returns(batch, state.gamma_l)
-    v_l = fit_value_on_scaled(batch.x_l[:, :batch.low_dim], returns_l,
-                              env.low_obs_scale, state.ridge)
+    returns_l = v_l = None
+    if do_low:  # the low level's returns and baseline serve only its step
+        returns_l = low_returns(batch, state.gamma_l)
+        v_l = fit_value_on_scaled(batch.x_l[:, :batch.low_dim], returns_l,
+                                  env.low_obs_scale, state.ridge)
     high_batch, low_batch = prepare_level_batches(batch, advantages, returns_l, v_l)
 
     no_step = TrpoDiagnostics(False, 0.0, 0.0, 0.0, 0)

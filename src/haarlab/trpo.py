@@ -116,10 +116,14 @@ def trpo_update(policy, batch: AdvantageBatch, cfg: TrpoConfig) -> TrpoDiagnosti
     """One trust-region step on the policy; rejects rather than degrades.
 
     Returns diagnostics; the policy parameters are mutated only when the
-    step is accepted.
+    step is accepted. Advantages that standardize to all zeros give a
+    zero gradient, so they return the no-step diagnostics without
+    running the policy.
     """
-    theta_old = policy.flat()
     adv = standardize_advantages(batch.advantages)
+    if not adv.any():
+        return TrpoDiagnostics(False, 0.0, 0.0, 0.0, 0)
+    theta_old = policy.flat()
     work = AdvantageBatch(batch.observations, batch.actions, adv,
                           batch.old_log_probs, batch.old_dist)
     # one forward pass at theta_old: the surrogate's weights, gradient and Fisher products

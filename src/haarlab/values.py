@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ShapeError
+from .params import NumericsError, ShapeError
 
 DEFAULT_RIDGE = 1e-5
 
@@ -54,7 +54,8 @@ def fit_value(states: np.ndarray, targets: np.ndarray,
 
     Solved as an augmented least-squares problem so that ill-conditioned
     feature matrices (duplicate states, widely different scales) stay
-    stable.
+    stable. All-zero targets give the zero estimator without a solve:
+    that is the solution, up to the sign of its zeros.
     """
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
     targets = np.asarray(targets, dtype=np.float64).ravel()
@@ -62,7 +63,11 @@ def fit_value(states: np.ndarray, targets: np.ndarray,
         raise ValueError("cannot fit a value estimator on an empty batch")
     if targets.shape[0] != states.shape[0]:
         raise ShapeError("states and targets must be aligned")
+    if not np.all(np.isfinite(states)):
+        raise NumericsError("value fit states contain non-finite values")
     n, d = states.shape
+    if not targets.any():
+        return PolynomialValueEstimator.zeros(d)
     n_feat = 3 * d + 1
     # the features [s^3, s^2, s, 1] over the ridge rows, written in place
     a = np.empty((n + n_feat, n_feat))

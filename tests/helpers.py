@@ -322,3 +322,75 @@ def ref_fit_value_weights(states, targets, ridge):
     a = np.vstack([phi, np.sqrt(ridge) * np.eye(phi.shape[1])])
     b = np.concatenate([targets, np.zeros(phi.shape[1])])
     return np.linalg.lstsq(a, b, rcond=None)[0]
+
+
+# -- reference learning steps ------------------------------------------------------
+# haarlab.values.fit_value and haarlab.trpo.trpo_update as they were before
+# their all-zero fast paths: every batch takes the least-squares solve and
+# the forward pass. Kept verbatim so the fast paths can be pinned to them.
+
+def ref_fit_value(states, targets, ridge=1e-5):
+    from haarlab.params import ShapeError
+    from haarlab.values import PolynomialValueEstimator
+
+    states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+    targets = np.asarray(targets, dtype=np.float64).ravel()
+    if states.shape[0] == 0:
+        raise ValueError("cannot fit a value estimator on an empty batch")
+    if targets.shape[0] != states.shape[0]:
+        raise ShapeError("states and targets must be aligned")
+    n, d = states.shape
+    n_feat = 3 * d + 1
+    a = np.empty((n + n_feat, n_feat))
+    s2 = np.multiply(states, states, out=a[:n, d:2 * d])
+    np.multiply(s2, states, out=a[:n, :d])
+    a[:n, 2 * d:3 * d] = states
+    a[:n, 3 * d] = 1.0
+    a[n:] = np.sqrt(ridge) * np.eye(n_feat)
+    b = np.concatenate([targets, np.zeros(n_feat)])
+    w, *_ = np.linalg.lstsq(a, b, rcond=None)
+    return PolynomialValueEstimator(w[:d].copy(), w[d:2 * d].copy(), w[2 * d:3 * d].copy(),
+                                    float(w[3 * d]))
+
+
+def ref_trpo_update(policy, batch, cfg):
+    from haarlab.params import NumericsError
+    from haarlab.trpo import (BACKTRACK_RATIO, CG_DAMPING, CG_ITERATIONS, KL_SLACK,
+                              MAX_BACKTRACKS, AdvantageBatch, TrpoDiagnostics, _surrogate,
+                              conjugate_gradient, standardize_advantages)
+
+    theta_old = policy.flat()
+    adv = standardize_advantages(batch.advantages)
+    work = AdvantageBatch(batch.observations, batch.actions, adv,
+                          batch.old_log_probs, batch.old_dist)
+    fwd = policy.forward_batch(work.observations)
+    weights = np.exp(policy.dist_log_prob(fwd.dist, work.actions) - work.old_log_probs) * adv
+    surr_before = float(np.mean(weights))
+    g = policy.grad_logprob_weighted(work.observations, work.actions, weights, fwd)
+    if not np.all(np.isfinite(g)) or float(np.max(np.abs(g), initial=0.0)) < 1e-12:
+        return TrpoDiagnostics(False, 0.0, surr_before, surr_before, 0)
+
+    apply_a = policy.fvp_builder(work.observations, CG_DAMPING, fwd)
+
+    try:
+        step_dir = conjugate_gradient(apply_a, g, CG_ITERATIONS)
+        s_as = float(step_dir @ apply_a(step_dir))
+    except NumericsError:
+        return TrpoDiagnostics(False, 0.0, surr_before, surr_before, 0)
+    if not np.isfinite(s_as) or s_as <= 0.0:
+        return TrpoDiagnostics(False, 0.0, surr_before, surr_before, 0)
+
+    full_step = np.sqrt(2.0 * cfg.max_kl / s_as) * step_dir
+    del fwd, apply_a
+    shrink = 1.0
+    for backtracks in range(MAX_BACKTRACKS):
+        policy.set_flat(theta_old + shrink * full_step)
+        dist = policy.dist_params(work.observations)
+        kl = policy.dist_kl(work.old_dist, dist)
+        surr = _surrogate(work, policy.dist_log_prob(dist, work.actions))
+        if (np.isfinite(kl) and np.isfinite(surr)
+                and kl <= KL_SLACK * cfg.max_kl and surr - surr_before >= 0.0):
+            return TrpoDiagnostics(True, float(kl), surr_before, float(surr), backtracks)
+        shrink *= BACKTRACK_RATIO
+    policy.set_flat(theta_old)
+    return TrpoDiagnostics(False, 0.0, surr_before, surr_before, MAX_BACKTRACKS)

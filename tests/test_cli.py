@@ -86,6 +86,25 @@ def test_seed_override(tmp_path):
     assert os.path.exists(os.path.join(out, "seed_6"))
 
 
+def test_algorithm_override_keeps_the_file_k0(tmp_path):
+    # a haar_no_anneal file pins k_0 to k_s; --algorithm haar must anneal
+    # from the file's k_0, as a file that says haar does
+    base = TINY.replace("velocity_direction", "random_init")
+    no_anneal = base.replace("algorithm = haar", "algorithm = haar_no_anneal")
+    pinned = write_cfg(tmp_path, text=no_anneal, name="pinned.cfg")
+    plain = write_cfg(tmp_path, text=base)
+    out, ref = str(tmp_path / "override"), str(tmp_path / "haar")
+    assert main(["train", "--config", pinned, "--algorithm", "haar", "--out", out,
+                 "--quiet"]) == 0
+    assert main(["train", "--config", plain, "--out", ref, "--quiet"]) == 0
+    with open(os.path.join(out, "seed_0", "metrics.csv")) as fh:
+        assert [row["k"] for row in csv.DictReader(fh)] == ["6", "3"]
+    for name in ("metrics.csv", "checkpoint.bin"):
+        with open(os.path.join(out, "seed_0", name), "rb") as a, \
+                open(os.path.join(ref, "seed_0", name), "rb") as b:
+            assert a.read() == b.read()
+
+
 def test_transfer_modes_via_cli(tmp_path):
     cfg_text = TINY.replace("velocity_direction", "random_init")
     cfg = write_cfg(tmp_path, text=cfg_text)

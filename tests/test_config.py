@@ -1,4 +1,6 @@
+import glob
 import math
+import os
 
 import pytest
 
@@ -78,6 +80,33 @@ def test_parse_rejects_bad_value():
         parse_config_text("N = ten")
     with pytest.raises(ConfigError):
         parse_config_text("task point_maze")
+
+
+@pytest.mark.parametrize("text, lines", [
+    ("N = 3\nN = 7\n", "line 2: 'N' repeats line 1"),
+    ("pretrain.iterations = 2\n# a comment\n\nk_s = 5\npretrain.iterations = 2\n",
+     "line 5: 'pretrain.iterations' repeats line 1"),
+])
+def test_parse_rejects_repeated_key(text, lines):
+    with pytest.raises(ConfigError, match=lines):
+        parse_config_text(text)
+
+
+def test_every_shipped_config_loads():
+    root = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+    paths = sorted(glob.glob(os.path.join(root, "*.cfg")))
+    assert paths
+    for path in paths:
+        load_config(path)
+
+
+def test_overrides_apply_before_construction():
+    text = "algorithm = haar_no_anneal\nk_0 = 100\nk_s = 10\n"
+    assert parse_config_text(text).k_0 == 10
+    cfg = parse_config_text(text, algorithm="haar")
+    assert cfg.k_0 == 100 and cfg.annealing_tau > 0.0
+    pinned = parse_config_text("k_0 = 100\nk_s = 10\n", no_annealing=True)
+    assert pinned.k_0 == 10 and pinned.annealing_tau == 0.0
 
 
 def test_load_config_file(tmp_path):

@@ -300,3 +300,31 @@ def test_trace_episode_runs_as_it_would_alone(tmp_path, algorithm):
             alone = list(csv.reader(fh))
         assert alone[1:] == [r for r in rows[1:] if r[0] == str(ep)]
         assert len(alone) > 1
+
+
+@pytest.mark.parametrize("algorithm", ["haar", "flat_trpo"])
+def test_reward_free_run_writes_the_full_paths_rows(tmp_path, monkeypatch, algorithm):
+    """A run whose batches carry no reward (no goal in reach, no trips)
+    fits no value and runs no policy forward pass for its steps, and
+    writes what the full fit and trust-region step write."""
+    from haarlab import experiment, hierarchy, policies
+
+    from helpers import ref_fit_value, ref_trpo_update
+
+    cfg = tiny_cfg(algorithm=algorithm, stumble_threshold=100.0)
+    with monkeypatch.context() as m:
+        m.setattr(hierarchy, "fit_value", ref_fit_value)
+        for module in (hierarchy, experiment):
+            m.setattr(module, "trpo_update", ref_trpo_update)
+        want = run_single_seed(cfg, 0, str(tmp_path / "full"))
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a reward-free batch must take the fast paths")
+
+    monkeypatch.setattr(np.linalg, "lstsq", unreachable)
+    monkeypatch.setattr(policies._MlpPolicy, "forward_batch", unreachable)
+    got = run_single_seed(cfg, 0, str(tmp_path / "fast"))
+    assert np.all(read_metrics(got.metrics_path)["mean_return"] == 0.0)
+    for name in ("metrics.csv", "diagnostics.csv", "checkpoint.bin"):
+        assert read_lines(os.path.join(got.directory, name)) == \
+            read_lines(os.path.join(want.directory, name))

@@ -250,6 +250,13 @@ def test_auxiliary_conservation_property():
         assert np.max(np.abs(sums - adv)) <= 1e-9
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_auxiliary_non_finite_advantage_fails_conservation(bad):
+    batch = fake_batch([(0.0, 2, False, 0, 0), (0.0, 2, True, 0, 0)])
+    with pytest.raises(ConservationError):
+        assign_auxiliary_rewards(batch, np.array([bad, 1.0]))
+
+
 def test_auxiliary_misaligned_advantages_rejected():
     batch = fake_batch([(0.0, 2, True, 0, 0)])
     with pytest.raises(ValueError):
@@ -367,6 +374,30 @@ def test_frozen_low_level_never_updates():
     for _ in range(2):
         haar_iteration(state, env)
     assert np.array_equal(state.pi_l.flat(), l0)
+
+
+@pytest.mark.parametrize("mode, update_low, fits", [
+    ("concurrent", False, [["high"], ["high"]]),   # frozen skills
+    ("alternate", True, [["high"], ["high", "low"]]),
+    ("concurrent", True, [["high", "low"], ["high", "low"]]),
+])
+def test_low_level_fits_only_for_its_step(monkeypatch, mode, update_low, fits):
+    from haarlab import hierarchy
+
+    env = make_env("gather", max_episode_steps=20)
+    state = make_state(env, mode=mode, update_low=update_low)
+    calls = []
+
+    def recording_fit(states, targets, scale, ridge):
+        calls.append("high" if states.shape[1] == env.high_obs_dim else "low")
+        return fit(states, targets, scale, ridge)
+
+    fit = hierarchy.fit_value_on_scaled
+    monkeypatch.setattr(hierarchy, "fit_value_on_scaled", recording_fit)
+    for want in fits:
+        calls.clear()
+        haar_iteration(state, env)
+        assert calls == want
 
 
 def test_iteration_metrics_schema():

@@ -6,7 +6,7 @@ from haarlab.policies import CategoricalPolicy, GaussianPolicy
 from haarlab.trpo import (AdvantageBatch, TrpoConfig, conjugate_gradient,
                           standardize_advantages, surrogate_loss, trpo_update)
 
-from helpers import rel_err
+from helpers import ref_trpo_update, rel_err
 
 
 def make_batch(policy, obs, actions, advantages):
@@ -103,6 +103,30 @@ def test_zero_advantages_leave_parameters_unchanged():
     diag = trpo_update(pol, batch, TrpoConfig())
     assert not diag.accepted
     assert np.max(np.abs(pol.flat() - theta0)) <= 1e-12
+
+
+@pytest.mark.parametrize("cls", [GaussianPolicy, CategoricalPolicy])
+@pytest.mark.parametrize("advantages", [np.zeros(8), -np.zeros(8), np.full(8, 2.5)])
+def test_zero_standardized_advantages_skip_the_forward_pass(monkeypatch, cls, advantages):
+    assert not standardize_advantages(advantages).any()
+    rng = np.random.default_rng(11)
+    pol = cls(MlpSpec(3, (4,), 2), rng)
+    obs = rng.standard_normal((8, 3))
+    acts = rng.standard_normal((8, 2)) if cls is GaussianPolicy else rng.integers(0, 2, 8)
+    batch = make_batch(pol, obs, acts, advantages)
+    theta0 = pol.flat()
+    want = ref_trpo_update(pol, batch, TrpoConfig())
+    assert pol.flat().tobytes() == theta0.tobytes()
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("zero advantages must not run the policy")
+
+    monkeypatch.setattr(pol, "forward_batch", no_forward)
+    got = trpo_update(pol, batch, TrpoConfig())
+    assert got == want
+    assert [np.signbit(v) for v in (got.kl, got.surrogate_before, got.surrogate_after)] == \
+        [np.signbit(v) for v in (want.kl, want.surrogate_before, want.surrogate_after)]
+    assert pol.flat().tobytes() == theta0.tobytes()
 
 
 def test_bandit_probability_moves_toward_positive_advantage():

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from haarlab.params import ShapeError
+from haarlab.params import NumericsError, ShapeError
 from haarlab.values import PolynomialValueEstimator, fit_value
+
+from helpers import ref_fit_value
 
 
 def poly_eval_loops(est, s):
@@ -94,3 +96,32 @@ def test_refit_same_data_does_not_increase_mse():
     mse1 = float(np.mean((first.predict(states) - targets) ** 2))
     mse2 = float(np.mean((second.predict(states) - targets) ** 2))
     assert mse2 <= mse1 + 1e-15
+
+
+def test_zero_targets_fit_without_a_solve(monkeypatch):
+    rng = np.random.default_rng(6)
+    states = rng.standard_normal((200, 4)) * [1.0, 10.0, 0.1, 3.0]
+    fresh = rng.standard_normal((50, 4))
+    for targets in (np.zeros(200), -np.zeros(200)):
+        want = ref_fit_value(states, targets)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("zero targets must not reach the least-squares solve")
+
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "lstsq", no_solve)
+            got = fit_value(states, targets)
+        for s in (states, fresh):
+            assert np.array_equal(got.predict(s), want.predict(s))
+            # the values feed `returns - V`: 0.0 - (+-0.0) is +0.0 either way
+            assert not np.signbit(0.0 - got.predict(s)).any()
+            assert not np.signbit(0.0 - want.predict(s)).any()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_states_rejected(bad):
+    states = np.random.default_rng(7).standard_normal((30, 3))
+    states[4, 1] = bad
+    for targets in (np.zeros(30), np.arange(30.0)):
+        with pytest.raises(NumericsError):
+            fit_value(states, targets)
