@@ -33,6 +33,13 @@ def _load_cfg(args, **overrides) -> ExperimentConfig:
     return load_config(args.config, **overrides)
 
 
+def _positive_int(raw: str) -> int:
+    value = int(raw) if raw.strip().lstrip("+-").isdigit() else 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {raw!r}")
+    return value
+
+
 def _add_common(p):
     p.add_argument("--config", required=True,
                    help="plain-text config file (key = value lines)")
@@ -40,7 +47,7 @@ def _add_common(p):
     p.add_argument("--seed", help="seed or comma separated seed list (overrides config)")
     p.add_argument("--mode", choices=("concurrent", "alternate"),
                    help="override the training mode")
-    p.add_argument("--jobs", type=int, default=1, help="parallel seed processes")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="parallel seed processes")
     p.add_argument("--quiet", action="store_true", help="suppress progress lines")
 
 

@@ -206,6 +206,10 @@ def parse_config_text(text: str, **overrides) -> ExperimentConfig:
         else:
             top[key] = value
     top.update(overrides)
+    n_skills = top.get("n_skills", ExperimentConfig.n_skills)
+    if pre.get("n_skills", n_skills) != n_skills:  # the skills are pre-trained for n_skills
+        raise ConfigError(f"pretrain.n_skills = {pre['n_skills']} differs from "
+                          f"n_skills = {n_skills}; leave it out or make them equal")
     try:
         if pre:
             top["pretrain"] = PretrainConfig(**pre)

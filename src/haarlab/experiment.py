@@ -34,12 +34,12 @@ import numpy as np
 
 from .checkpoint import CheckpointError, atomic_open, load_checkpoint, save_checkpoint
 from .config import ConfigError, ExperimentConfig
-from .hierarchy import (SkillSchedule, TrainState, _SegmentCollector, discounted_returns,
-                        fit_value_on_scaled, haar_iteration)
+from .hierarchy import (_SegmentCollector, discounted_returns, fit_value_on_scaled,
+                        haar_iteration, skill_length)
 from .nets import MlpSpec
 from .policies import CategoricalPolicy, GaussianPolicy
 from .pretrain import fresh_low_policy, pretrain_skills
-from .rollout import episode_streams, run_lanes
+from .rollout import episode_metrics, episode_streams, run_lanes
 from .trpo import AdvantageBatch, TrpoConfig, TrpoDiagnostics, trpo_update
 
 HIGH_INIT_STREAM = 0x12
@@ -256,21 +256,13 @@ def _hierarchical(cfg, env, seed, skills_checkpoint, transfer, source_checkpoint
             "pre-trained skills are required (run the pretrain command first, "
             "or set pretrain.proxy = random_init)")
 
-    state = TrainState(
-        pi_h=pi_h, pi_l=pi_l,
-        schedule=SkillSchedule(cfg.k_0, cfg.annealing_tau, cfg.k_s),
-        n_skills=cfg.n_skills, gamma_h=cfg.gamma_h, gamma_l=cfg.gamma_l,
-        batch_low_steps=cfg.B, trpo=TrpoConfig(max_kl=cfg.max_kl),
-        seed=seed, mode=cfg.mode,
-        update_low=cfg.algorithm != "frozen_skills",
-        ridge=cfg.ridge)
-
-    # the trace runs each skill for the final skill length
-    return _Algorithm(iterate=lambda it, low_steps: haar_iteration(state, env),
-                      segments=lambda: policy_segments(pi_h=pi_h, pi_l=pi_l),
-                      metadata={"n_skills": cfg.n_skills},
-                      collector=lambda: _SegmentCollector(pi_h, pi_l, cfg.n_skills,
-                                                          state.schedule.current_k()))
+    # the trace runs each skill for the skill length after the last iteration
+    k_trace = skill_length(cfg.k_0, cfg.annealing_tau, cfg.k_s, cfg.N)
+    return _Algorithm(
+        iterate=lambda it, low_steps: haar_iteration(pi_h, pi_l, env, cfg, seed, it, low_steps),
+        segments=lambda: policy_segments(pi_h=pi_h, pi_l=pi_l),
+        metadata={"n_skills": cfg.n_skills},
+        collector=lambda: _SegmentCollector(pi_h, pi_l, cfg.n_skills, k_trace))
 
 
 def _flat(cfg, env, seed) -> _Algorithm:
@@ -319,8 +311,7 @@ def flat_iteration(policy, env, cfg: ExperimentConfig, seed: int, iteration: int
         "iteration": iteration,
         "low_steps_total": low_steps_before + len(obs),
         "k": 1,
-        "success_rate": float(np.mean([e.success for e in run.episodes])),
-        "mean_return": float(np.mean([e.total_return for e in run.episodes])),
+        **episode_metrics(run.episodes),
         "high_kl": diag.kl,
         "low_kl": 0.0,
         "high_surr_improve": diag.improvement,

@@ -17,39 +17,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .policies import CategoricalPolicy, GaussianPolicy
-from .rollout import EpisodeSummary, episode_streams, run_lanes
+from .rollout import EpisodeSummary, episode_metrics, episode_streams, run_lanes
 from .trpo import AdvantageBatch, TrpoConfig, TrpoDiagnostics, trpo_update
 from .values import PolynomialValueEstimator, fit_value, fold_input_scale
+
+if TYPE_CHECKING:  # config imports pretrain, which imports this module
+    from .config import ExperimentConfig
 
 
 class ConservationError(RuntimeError):
     """Per-segment auxiliary rewards failed to sum to the advantage."""
 
 
-@dataclass
-class SkillSchedule:
-    """Exponentially annealed skill length with a hard floor."""
-    k_1: int
-    tau: float
-    k_s: int
-    iteration: int = 0
-
-    def __post_init__(self):
-        if self.k_1 < 1 or self.k_s < 1:
-            raise ValueError("skill lengths must be >= 1")
-        if self.tau < 0:
-            raise ValueError("annealing temperature must be >= 0")
-
-    def current_k(self) -> int:
-        k = int(math.floor(self.k_1 * math.exp(-self.tau * self.iteration) + 0.5))
-        return max(k, self.k_s)
-
-    def advance(self) -> None:
-        self.iteration += 1
+def skill_length(k_0: int, tau: float, k_s: int, iteration: int) -> int:
+    """The skill length of an iteration: k_0 * exp(-tau * iteration)
+    rounded half up, and never below k_s."""
+    return max(int(math.floor(k_0 * math.exp(-tau * iteration) + 0.5)), k_s)
 
 
 @dataclass
@@ -75,7 +63,6 @@ class RolloutBatch:
     dist_h: np.ndarray
     episodes: list[EpisodeSummary]
     low_dim: int
-    n_skills: int
     low_log_std: np.ndarray | None = None
     r_l: np.ndarray = field(init=False)  # auxiliary rewards, see assign_auxiliary_rewards
 
@@ -87,12 +74,6 @@ class RolloutBatch:
     @property
     def n_low_steps(self) -> int:
         return len(self.x_l)
-
-    def success_rate(self) -> float:
-        return float(np.mean([e.success for e in self.episodes])) if self.episodes else 0.0
-
-    def mean_return(self) -> float:
-        return float(np.mean([e.total_return for e in self.episodes])) if self.episodes else 0.0
 
 
 def skill_inputs(low: np.ndarray, skills, n_skills: int) -> np.ndarray:
@@ -173,7 +154,7 @@ def collect_rollouts(pi_h, pi_l, env, n_skills: int, budget_low_steps: int, k: i
         seg_len=np.bincount(segment_id, minlength=n_segments),
         logp_h=np.array([logp_h[j] for j in order]),
         dist_h=np.stack([dist_h[j] for j in order]),
-        episodes=run.episodes, low_dim=low_dim, n_skills=n_skills,
+        episodes=run.episodes, low_dim=low_dim,
         low_log_std=None if log_std is None else log_std.copy())
 
 
@@ -189,16 +170,6 @@ def discounted_returns(rewards: np.ndarray, dones: np.ndarray, gamma: float) -> 
         running = rs[i] + gamma * running
         out[i] = running
     return np.array(out)
-
-
-def high_returns(batch: RolloutBatch, gamma_h: float) -> np.ndarray:
-    """Per-decision discounted return-to-go of the segment rewards."""
-    return discounted_returns(batch.r_h, batch.done_h, gamma_h)
-
-
-def low_returns(batch: RolloutBatch, gamma_l: float) -> np.ndarray:
-    """Per-step discounted return-to-go of the auxiliary rewards."""
-    return discounted_returns(batch.r_l, batch.done_l, gamma_l)
 
 
 def estimate_high_advantages(batch: RolloutBatch, v_h: PolynomialValueEstimator,
@@ -235,9 +206,9 @@ def prepare_level_batches(batch: RolloutBatch, advantages: np.ndarray,
     """Assemble the optimizer inputs for both levels.
 
     The high level consumes the one-step advantages directly; the low
-    level uses its discounted auxiliary returns (low_returns) against
-    its own baseline. A low level that takes no step passes no returns
-    and gets no batch.
+    level uses its discounted auxiliary returns against its own
+    baseline. A low level that takes no step passes no returns and gets
+    no batch.
     """
     high_batch = AdvantageBatch(
         observations=batch.s_h,
@@ -258,70 +229,47 @@ def prepare_level_batches(batch: RolloutBatch, advantages: np.ndarray,
     return high_batch, low_batch
 
 
-@dataclass
-class TrainState:
-    """Everything one training run mutates across iterations."""
-    pi_h: CategoricalPolicy
-    pi_l: GaussianPolicy
-    schedule: SkillSchedule
-    n_skills: int
-    gamma_h: float
-    gamma_l: float
-    batch_low_steps: int
-    trpo: TrpoConfig
-    seed: int
-    mode: str = "concurrent"
-    update_low: bool = True
-    ridge: float = 1e-5
-    iteration: int = 0
-    total_low_steps: int = 0
-
-    def __post_init__(self):
-        if self.mode not in ("concurrent", "alternate"):
-            raise ValueError(f"unknown training mode {self.mode!r}")
-
-
-def haar_iteration(state: TrainState, env) -> tuple[dict, list[tuple[str, TrpoDiagnostics]]]:
+def haar_iteration(pi_h: CategoricalPolicy, pi_l: GaussianPolicy, env, cfg: ExperimentConfig,
+                   seed: int, iteration: int, low_steps_before: int
+                   ) -> tuple[dict, list[tuple[str, TrpoDiagnostics]]]:
     """One iteration of the concurrent (or alternate) update cycle.
 
-    Collect a batch under the current joint policy, fit the high-level
-    baseline on the batch's discounted returns, turn its one-step
-    advantages into auxiliary low-level rewards, update each level with
-    its own trust-region step, and advance the skill schedule. Returns
-    the iteration's metrics and a (level, diagnostics) pair for each
-    level that took a step.
+    Collect cfg.B low steps at the iteration's skill length, fit the
+    high-level baseline on the batch's discounted returns, turn its
+    one-step advantages into auxiliary low-level rewards, and update
+    each level with its own trust-region step. Returns the iteration's
+    metrics and a (level, diagnostics) pair for each level that took a
+    step, as flat_iteration does.
     """
-    k = state.schedule.current_k()
-    batch = collect_rollouts(state.pi_h, state.pi_l, env, state.n_skills,
-                             state.batch_low_steps, k, seed=(state.seed, state.iteration))
+    k = skill_length(cfg.k_0, cfg.annealing_tau, cfg.k_s, iteration)
+    batch = collect_rollouts(pi_h, pi_l, env, cfg.n_skills, cfg.B, k, seed=(seed, iteration))
 
-    v_h = fit_value_on_scaled(batch.s_h, high_returns(batch, state.gamma_h),
-                              env.high_obs_scale, state.ridge)
-    advantages = estimate_high_advantages(batch, v_h, state.gamma_h)
+    v_h = fit_value_on_scaled(batch.s_h, discounted_returns(batch.r_h, batch.done_h, cfg.gamma_h),
+                              env.high_obs_scale, cfg.ridge)
+    advantages = estimate_high_advantages(batch, v_h, cfg.gamma_h)
     assign_auxiliary_rewards(batch, advantages)
 
-    ordinal = state.iteration + 1  # 1-based: odd batches refresh the high level
-    do_high = state.mode == "concurrent" or ordinal % 2 == 1
-    do_low = (state.mode == "concurrent" or ordinal % 2 == 0) and state.update_low
+    ordinal = iteration + 1  # 1-based: odd batches refresh the high level
+    do_high = cfg.mode == "concurrent" or ordinal % 2 == 1
+    do_low = (cfg.mode == "concurrent" or ordinal % 2 == 0) and cfg.algorithm != "frozen_skills"
 
     returns_l = v_l = None
     if do_low:  # the low level's returns and baseline serve only its step
-        returns_l = low_returns(batch, state.gamma_l)
+        returns_l = discounted_returns(batch.r_l, batch.done_l, cfg.gamma_l)
         v_l = fit_value_on_scaled(batch.x_l[:, :batch.low_dim], returns_l,
-                                  env.low_obs_scale, state.ridge)
+                                  env.low_obs_scale, cfg.ridge)
     high_batch, low_batch = prepare_level_batches(batch, advantages, returns_l, v_l)
 
+    trpo = TrpoConfig(max_kl=cfg.max_kl)
     no_step = TrpoDiagnostics(False, 0.0, 0.0, 0.0, 0)
-    diag_h = trpo_update(state.pi_h, high_batch, state.trpo) if do_high else no_step
-    diag_l = trpo_update(state.pi_l, low_batch, state.trpo) if do_low else no_step
+    diag_h = trpo_update(pi_h, high_batch, trpo) if do_high else no_step
+    diag_l = trpo_update(pi_l, low_batch, trpo) if do_low else no_step
 
-    state.total_low_steps += batch.n_low_steps
     metrics = {
-        "iteration": state.iteration,
-        "low_steps_total": state.total_low_steps,
+        "iteration": iteration,
+        "low_steps_total": low_steps_before + batch.n_low_steps,
         "k": k,
-        "success_rate": batch.success_rate(),
-        "mean_return": batch.mean_return(),
+        **episode_metrics(batch.episodes),
         "high_kl": diag_h.kl,
         "low_kl": diag_l.kl,
         "high_surr_improve": diag_h.improvement,
@@ -329,8 +277,6 @@ def haar_iteration(state: TrainState, env) -> tuple[dict, list[tuple[str, TrpoDi
     }
     updates = [(level, diag) for level, diag, stepped
                in (("high", diag_h, do_high), ("low", diag_l, do_low)) if stepped]
-    state.schedule.advance()
-    state.iteration += 1
     return metrics, updates
 
 

@@ -44,6 +44,12 @@ class EpisodeSummary:
     success: bool
 
 
+def episode_metrics(episodes: list[EpisodeSummary]) -> dict[str, float]:
+    """The success_rate and mean_return metrics of a batch's episodes."""
+    return {"success_rate": float(np.mean([e.success for e in episodes])),
+            "mean_return": float(np.mean([e.total_return for e in episodes]))}
+
+
 def episode_rng(seed: tuple[int, ...], episode: int) -> np.random.Generator:
     """Stream for one episode, independent of every other episode."""
     return np.random.default_rng(np.random.SeedSequence((*seed, EPISODE_STREAM, episode)))

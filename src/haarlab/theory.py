@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs.tabular import TabularMdp
+from .envs.tabular import TabularMdp, random_mdp
 
 
 class SingularSystemError(RuntimeError):
@@ -75,8 +75,6 @@ def absorbing_random_mdp(n_states: int, n_actions: int, rng: np.random.Generator
                          stop_prob: float = 0.15) -> TabularMdp:
     """Episodic variant: a random MDP plus a rewardless absorbing state
     reached with probability stop_prob from every (state, action)."""
-    from .envs.tabular import random_mdp
-
     base = random_mdp(n_states, n_actions, rng)
     n = n_states + 1
     p = np.zeros((n, n_actions, n))
@@ -160,13 +158,7 @@ def exact_eta(mdp: TabularMdp, jp: TabularJointPolicy) -> float:
 
 def exact_high_advantage(mdp: TabularMdp, jp: TabularJointPolicy) -> np.ndarray:
     """A[s, z] = r_h(s, z) + gamma_h (P_z^k V)(s) - V(s), all exact."""
-    m, r_bar, pk, r_h = semi_mdp(mdp, jp)
-    try:
-        v = np.linalg.solve(np.eye(mdp.n_states) - jp.gamma_h * m, r_bar)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(str(exc)) from exc
-    backup = np.einsum("zsp,p->sz", pk, v)
-    return r_h + jp.gamma_h * backup - v[:, None]
+    return mixed_advantage(mdp, jp, high_value(mdp, jp))
 
 
 def discounted_occupancy(initial_dist: np.ndarray, m: np.ndarray, gamma: float) -> np.ndarray:
@@ -191,9 +183,8 @@ def advantage_decomposition_residual(mdp: TabularMdp, jp_old: TabularJointPolicy
     if jp_old.k != jp_new.k or jp_old.gamma_h != jp_new.gamma_h:
         raise ValueError("policies must share k and gamma_h")
     v_old = high_value(mdp, jp_old)
-    m_new, _, pk_new, r_h_new = semi_mdp(mdp, jp_new)
-    mixed = r_h_new + jp_new.gamma_h * np.einsum("zsp,p->sz", pk_new, v_old) - v_old[:, None]
-    a_bar = np.einsum("sz,sz->s", jp_new.pi_h, mixed)
+    m_new, _, _, _ = semi_mdp(mdp, jp_new)
+    a_bar = np.einsum("sz,sz->s", jp_new.pi_h, mixed_advantage(mdp, jp_new, v_old))
     occ = discounted_occupancy(mdp.initial_dist, m_new, jp_new.gamma_h)
     expected = float(occ @ a_bar)
     return abs(exact_eta(mdp, jp_new) - exact_eta(mdp, jp_old) - expected)
@@ -221,7 +212,7 @@ def verification_suite(n_instances: int = 100, seed: int = 0) -> list[dict]:
         n_z = int(rng.integers(1, 4))
         k = int(rng.integers(1, 4))
         gamma_h = 0.9 if i % 2 == 0 else 0.99
-        mdp = random_mdp_for_suite(n_s, n_a, rng)
+        mdp = random_mdp(n_s, n_a, rng)
         jp_old = random_joint_policy(mdp, n_z, k, gamma_h, 0.9, rng)
         jp_new = random_joint_policy(mdp, n_z, k, gamma_h, 0.9, rng)
         residual = advantage_decomposition_residual(mdp, jp_old, jp_new)
@@ -244,11 +235,6 @@ def verification_suite(n_instances: int = 100, seed: int = 0) -> list[dict]:
             "pass": bool(residual <= 1e-8 and err_match <= 1e-10),
         })
     return rows
-
-
-def random_mdp_for_suite(n_states, n_actions, rng):
-    from .envs.tabular import random_mdp
-    return random_mdp(n_states, n_actions, rng)
 
 
 def mixed_advantage(mdp: TabularMdp, jp_eval: TabularJointPolicy,

@@ -2,6 +2,7 @@ import csv
 import os
 
 import numpy as np
+import pytest
 
 from haarlab.cli import main
 
@@ -118,6 +119,19 @@ def test_transfer_modes_via_cli(tmp_path):
         assert main(["transfer", "--config", tcfg, "--source", src,
                      "--transfer", mode, "--out", out, "--quiet"]) == 0
         assert os.path.exists(os.path.join(out, "seed_0", "metrics.csv"))
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("pretrain", ()), ("train", ()), ("transfer", ("--source", "src", "--transfer", "none"))])
+def test_jobs_below_one_rejected_at_parse_time(tmp_path, capsys, command, extra):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    for bad in ("0", "-3", "x"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, "--out", str(out), "--jobs", bad, "--quiet", *extra])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_theory_check_cli(tmp_path):

@@ -130,6 +130,19 @@ def test_pretrain_n_skills_follows_experiment():
     assert cfg.pretrain.n_skills == 4
 
 
+@pytest.mark.parametrize("text", ["pretrain.n_skills = 3\n",
+                                  "n_skills = 4\npretrain.n_skills = 6\n"])
+def test_config_file_rejects_pretrain_n_skills_unlike_n_skills(text):
+    with pytest.raises(ConfigError, match=r"pretrain\.n_skills = \d+ differs from n_skills = \d+"):
+        parse_config_text(text)
+
+
+def test_config_file_pretrain_n_skills_may_repeat_the_one_in_effect():
+    cfg = parse_config_text("pretrain.n_skills = 4\n", n_skills=4)
+    assert cfg.pretrain.n_skills == 4
+    assert cfg.config_hash() == parse_config_text("", n_skills=4).config_hash()
+
+
 def test_swimmer_variant_disables_stumble():
     assert ExperimentConfig(task="swimmer_maze_lite").env_config().stumble_enabled is False
     assert ExperimentConfig(task="point_maze").env_config().stumble_enabled is True

@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import os
@@ -9,9 +10,10 @@ import pytest
 from haarlab.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from haarlab.cli import main
 from haarlab.config import ConfigError, ExperimentConfig
-from haarlab.experiment import (METRIC_COLUMNS, fresh_high_policy, policy_segments,
-                                read_metrics, run_pretrain, run_report, run_single_seed,
-                                run_train)
+from haarlab.experiment import (METRIC_COLUMNS, flat_iteration, fresh_flat_policy,
+                                fresh_high_policy, policy_segments, read_metrics, run_pretrain,
+                                run_report, run_single_seed, run_train)
+from haarlab.hierarchy import haar_iteration
 from haarlab.pretrain import PretrainConfig, fresh_low_policy
 
 
@@ -72,6 +74,28 @@ def test_flat_trpo_runs_and_reports_k_one(tmp_path):
     assert np.all(metrics["low_kl"] == 0.0)
     segments, meta = load_checkpoint(rec.checkpoint_path)
     assert "flat/mean_net" in segments and meta["algorithm"] == "flat_trpo"
+
+
+@pytest.mark.parametrize("algorithm, mode", [
+    ("haar", "concurrent"), ("haar", "alternate"), ("flat_trpo", "concurrent")])
+def test_an_iteration_depends_only_on_its_arguments(algorithm, mode):
+    """Iteration 2 run alone, from copies of the policies it started
+    from and a fresh environment, matches it run in sequence."""
+    cfg = tiny_cfg(algorithm=algorithm, mode=mode)
+    env = cfg.build_env()
+    if algorithm == "flat_trpo":
+        policies, iteration = [fresh_flat_policy(cfg, env, 0)], flat_iteration
+    else:
+        policies = [fresh_high_policy(cfg, env, 0), fresh_low_policy(cfg.pretrain, env, 0)]
+        iteration = haar_iteration
+    low_steps = 0
+    for it in range(2):
+        low_steps = iteration(*policies, env, cfg, 0, it, low_steps)[0]["low_steps_total"]
+    copies = copy.deepcopy(policies)
+    in_sequence = iteration(*policies, env, cfg, 0, 2, low_steps)
+    alone = iteration(*copies, cfg.build_env(), cfg, 0, 2, low_steps)
+    assert alone == in_sequence
+    assert [p.flat().tobytes() for p in copies] == [p.flat().tobytes() for p in policies]
 
 
 def test_training_requires_skills_unless_random_init(tmp_path):

@@ -3,14 +3,13 @@ import pytest
 
 from haarlab.envs.maze import build_maze
 from haarlab.envs.point import EnvConfig, PointEnv
+from haarlab.config import ConfigError, ExperimentConfig
 from haarlab.hierarchy import (ConservationError, EpisodeSummary, RolloutBatch,
-                               SkillSchedule, TrainState, assign_auxiliary_rewards,
-                               collect_rollouts,
-                               estimate_high_advantages, haar_iteration, high_returns,
-                               low_returns, prepare_level_batches)
+                               assign_auxiliary_rewards, collect_rollouts, discounted_returns,
+                               estimate_high_advantages, haar_iteration, prepare_level_batches,
+                               skill_length)
 from haarlab.nets import MlpSpec
 from haarlab.policies import CategoricalPolicy, GaussianPolicy
-from haarlab.trpo import TrpoConfig
 from haarlab.values import PolynomialValueEstimator
 
 N_SKILLS = 3
@@ -33,20 +32,22 @@ def make_policies(env, seed=0):
 # -- skill schedule ---------------------------------------------------------------
 
 def test_schedule_constant_when_tau_zero():
-    s = SkillSchedule(k_1=17, tau=0.0, k_s=3)
-    for _ in range(100):
-        assert s.current_k() == 17
-        s.advance()
+    for i in range(100):
+        assert skill_length(17, 0.0, 3, i) == 17
 
 
 def test_schedule_formula_value():
-    s = SkillSchedule(k_1=100, tau=0.1, k_s=1, iteration=10)
-    assert s.current_k() == 37  # round(100 * e^-1)
+    assert skill_length(100, 0.1, 1, 10) == 37  # round(100 * e^-1)
+
+
+def test_schedule_rounds_half_up():
+    # 5 * e^(-ln(5/2.5)) is 2.5 up to rounding; floor(x + 0.5) gives 3, Python's round 2
+    tau = np.log(2.0)
+    assert skill_length(5, tau, 1, 1) == 3 and round(5 * np.exp(-tau)) == 2
 
 
 def test_schedule_floor_binds():
-    s = SkillSchedule(k_1=100, tau=0.1, k_s=10, iteration=50)
-    assert s.current_k() == 10
+    assert skill_length(100, 0.1, 10, 50) == 10
 
 
 def test_schedule_monotone_and_floored():
@@ -55,11 +56,9 @@ def test_schedule_monotone_and_floored():
         k1 = int(rng.integers(1, 2000))
         ks = int(rng.integers(1, k1 + 1))
         tau = float(rng.uniform(0, 0.5))
-        sched = SkillSchedule(k_1=k1, tau=tau, k_s=ks)
         prev = None
         for i in [0, 1, 2, 5, 10, 100, 1000, 10_000, 100_000, 1_000_000]:
-            sched.iteration = i
-            k = sched.current_k()
+            k = skill_length(k1, tau, ks, i)
             assert k >= ks
             if prev is not None:
                 assert k <= prev
@@ -67,10 +66,11 @@ def test_schedule_monotone_and_floored():
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
-        SkillSchedule(k_1=0, tau=0.1, k_s=1)
-    with pytest.raises(ValueError):
-        SkillSchedule(k_1=5, tau=-0.1, k_s=1)
+    # the config checks the schedule's lengths; a negative tau picks the default schedule
+    with pytest.raises(ConfigError):
+        ExperimentConfig(k_0=0, k_s=1)
+    cfg = ExperimentConfig(k_0=100, k_s=10, tau=-0.1, N=40)
+    assert cfg.annealing_tau > 0 and skill_length(100, cfg.annealing_tau, 10, 20) == 10
 
 
 # -- rollout segmentation -----------------------------------------------------------
@@ -188,7 +188,7 @@ def fake_batch(seg_specs, low_dim=2):
         a_h=np.zeros(n_seg, dtype=np.intp), r_h=np.array(r_h, dtype=float),
         done_h=np.array(done_h), seg_len=np.array(seg_len), logp_h=np.zeros(n_seg),
         dist_h=np.zeros((n_seg, 2)), episodes=[EpisodeSummary(0.0, False)],
-        low_dim=low_dim, n_skills=2, low_log_std=np.zeros(1))
+        low_dim=low_dim, low_log_std=np.zeros(1))
 
 
 def linear_value(dim):
@@ -269,7 +269,7 @@ def test_low_advantage_pointwise_when_gamma_zero():
     batch = fake_batch([(0.0, 3, False, 0, 0), (0.0, 2, True, 0, 0)])
     adv = np.array([3.0, -2.0])
     assign_auxiliary_rewards(batch, adv)
-    _, low_b = prepare_level_batches(batch, adv, low_returns(batch, gamma_l=0.0),
+    _, low_b = prepare_level_batches(batch, adv, discounted_returns(batch.r_l, batch.done_l, 0.0),
                                      v_l=PolynomialValueEstimator.zeros(2))
     expected = [1.0, 1.0, 1.0, -1.0, -1.0]
     assert np.max(np.abs(low_b.advantages - expected)) <= 1e-12
@@ -280,11 +280,11 @@ def test_low_return_telescopes_to_advantage():
     batch = fake_batch([(0.0, 5, True, 0, 0)])
     adv = np.array([2.5])
     assign_auxiliary_rewards(batch, adv)
-    returns = low_returns(batch, gamma_l=1.0)
+    returns = discounted_returns(batch.r_l, batch.done_l, 1.0)
     assert abs(returns[0] - 2.5) <= 1e-12
 
 
-def test_low_returns_match_independent_recursion():
+def test_low_level_returns_match_independent_recursion():
     rng = np.random.default_rng(8)
     segs = []
     for i in range(12):
@@ -293,7 +293,7 @@ def test_low_returns_match_independent_recursion():
     batch = fake_batch(segs)
     assign_auxiliary_rewards(batch, rng.standard_normal(12))
     gamma = 0.97
-    got = low_returns(batch, gamma)
+    got = discounted_returns(batch.r_l, batch.done_l, gamma)
 
     # two oracles per episode: the explicit forward sum
     # sum_{u>=t} gamma^(u-t) r_u, and the backward recursion G_t = r_t + gamma G_{t+1}
@@ -316,64 +316,66 @@ def test_low_returns_match_independent_recursion():
     assert got.tobytes() == backward.tobytes()
 
 
-def test_high_returns_discount_per_decision():
+def test_high_level_returns_discount_per_decision():
     batch = fake_batch([(1.0, 2, False, 0, 0), (2.0, 2, False, 0, 0), (4.0, 1, True, 0, 0)])
-    g = high_returns(batch, gamma_h=0.5)
+    g = discounted_returns(batch.r_h, batch.done_h, 0.5)
     assert np.max(np.abs(g - [1.0 + 0.5 * 2.0 + 0.25 * 4.0, 2.0 + 0.5 * 4.0, 4.0])) <= 1e-12
 
 
 # -- full iteration --------------------------------------------------------------------
 
-def make_state(env, mode="concurrent", seed=0, update_low=True):
-    pi_h, pi_l = make_policies(env, seed=seed)
-    return TrainState(pi_h=pi_h, pi_l=pi_l,
-                      schedule=SkillSchedule(k_1=6, tau=0.05, k_s=2),
-                      n_skills=N_SKILLS, gamma_h=0.99, gamma_l=0.99,
-                      batch_low_steps=60, trpo=TrpoConfig(),
-                      seed=seed, mode=mode, update_low=update_low)
+def make_run(env, mode="concurrent", seed=0, algorithm="haar"):
+    """Policies and a tiny config: k anneals from 6 towards 2, 60 low steps a batch."""
+    cfg = ExperimentConfig(algorithm=algorithm, mode=mode, B=60, k_0=6, k_s=2, tau=0.05,
+                           n_skills=N_SKILLS)
+    return (*make_policies(env, seed=seed), cfg)
+
+
+def iterate(pi_h, pi_l, env, cfg, iteration, low_steps=0, seed=0):
+    return haar_iteration(pi_h, pi_l, env, cfg, seed, iteration, low_steps)
 
 
 def test_alternate_first_iteration_updates_only_high():
     env = make_env("gather", max_episode_steps=20)
-    state = make_state(env, mode="alternate")
-    low_before = state.pi_l.flat()
-    high_before = state.pi_h.flat()
-    _, updates1 = haar_iteration(state, env)  # ordinal 1: high only
-    assert np.array_equal(state.pi_l.flat(), low_before)
+    pi_h, pi_l, cfg = make_run(env, mode="alternate")
+    low_before = pi_l.flat()
+    _, updates1 = iterate(pi_h, pi_l, env, cfg, 0)  # ordinal 1: high only
+    assert np.array_equal(pi_l.flat(), low_before)
     assert [level for level, _ in updates1] == ["high"]
-    low_mid = state.pi_l.flat()
-    _, updates2 = haar_iteration(state, env)  # ordinal 2: low only
+    low_mid = pi_l.flat()
+    _, updates2 = iterate(pi_h, pi_l, env, cfg, 1)  # ordinal 2: low only
     assert [level for level, _ in updates2] == ["low"]
-    assert not np.array_equal(state.pi_l.flat(), low_mid) or not updates2[0][1].accepted
+    assert not np.array_equal(pi_l.flat(), low_mid) or not updates2[0][1].accepted
 
 
 def test_schedule_advances_once_per_iteration():
     env = make_env(max_episode_steps=20)
-    state = make_state(env)
+    pi_h, pi_l, cfg = make_run(env)
+    low_steps = 0
     for i in range(3):
-        assert state.schedule.iteration == i
-        haar_iteration(state, env)
-    assert state.schedule.iteration == 3
+        m, _ = iterate(pi_h, pi_l, env, cfg, i, low_steps)
+        assert m["k"] == skill_length(6, 0.05, 2, i)
+        low_steps = m["low_steps_total"]
 
 
 def test_reward_free_env_leaves_policies_unchanged():
     env = make_env("open_field", max_episode_steps=20, stumble_enabled=False)
-    state = make_state(env)
-    h0, l0 = state.pi_h.flat(), state.pi_l.flat()
-    _, updates = haar_iteration(state, env)
-    assert np.max(np.abs(state.pi_h.flat() - h0)) <= 1e-12
-    assert np.max(np.abs(state.pi_l.flat() - l0)) <= 1e-12
+    pi_h, pi_l, cfg = make_run(env)
+    h0, l0 = pi_h.flat(), pi_l.flat()
+    _, updates = iterate(pi_h, pi_l, env, cfg, 0)
+    assert np.max(np.abs(pi_h.flat() - h0)) <= 1e-12
+    assert np.max(np.abs(pi_l.flat() - l0)) <= 1e-12
     assert [level for level, _ in updates] == ["high", "low"]
     assert not any(diag.accepted for _, diag in updates)
 
 
 def test_frozen_low_level_never_updates():
     env = make_env("gather", max_episode_steps=20)
-    state = make_state(env, update_low=False)
-    l0 = state.pi_l.flat()
-    for _ in range(2):
-        haar_iteration(state, env)
-    assert np.array_equal(state.pi_l.flat(), l0)
+    pi_h, pi_l, cfg = make_run(env, algorithm="frozen_skills")
+    l0 = pi_l.flat()
+    for i in range(2):
+        iterate(pi_h, pi_l, env, cfg, i)
+    assert np.array_equal(pi_l.flat(), l0)
 
 
 @pytest.mark.parametrize("mode, update_low, fits", [
@@ -385,7 +387,8 @@ def test_low_level_fits_only_for_its_step(monkeypatch, mode, update_low, fits):
     from haarlab import hierarchy
 
     env = make_env("gather", max_episode_steps=20)
-    state = make_state(env, mode=mode, update_low=update_low)
+    pi_h, pi_l, cfg = make_run(env, mode=mode,
+                               algorithm="haar" if update_low else "frozen_skills")
     calls = []
 
     def recording_fit(states, targets, scale, ridge):
@@ -394,19 +397,19 @@ def test_low_level_fits_only_for_its_step(monkeypatch, mode, update_low, fits):
 
     fit = hierarchy.fit_value_on_scaled
     monkeypatch.setattr(hierarchy, "fit_value_on_scaled", recording_fit)
-    for want in fits:
+    for i, want in enumerate(fits):
         calls.clear()
-        haar_iteration(state, env)
+        iterate(pi_h, pi_l, env, cfg, i)
         assert calls == want
 
 
 def test_iteration_metrics_schema():
     env = make_env("gather", max_episode_steps=20)
-    state = make_state(env)
-    m, _ = haar_iteration(state, env)
+    pi_h, pi_l, cfg = make_run(env)
+    m, _ = iterate(pi_h, pi_l, env, cfg, 0, low_steps=7)
     # every metrics.csv column but the reserved wall_time_s, which the run loop fills
     assert set(m) == {"iteration", "low_steps_total", "k", "success_rate", "mean_return",
                       "high_kl", "low_kl", "high_surr_improve", "low_surr_improve"}
     assert m["iteration"] == 0
-    assert m["low_steps_total"] >= 60
+    assert m["low_steps_total"] >= 60 + 7
     assert m["k"] == 6
