@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 
 from .envs.maze import build_maze, load_maze_file
 from .envs.point import EnvConfig, PointEnv
@@ -58,7 +58,7 @@ class ExperimentConfig:
     ray_max: float = 16.0
     stumble_threshold: float = 1.5
     ridge: float = 1e-5
-    pretrain: PretrainConfig = field(default_factory=PretrainConfig)
+    pretrain: PretrainConfig | None = None  # None: the defaults, for n_skills skills
 
     def __post_init__(self):
         if self.task not in TASKS:
@@ -82,8 +82,7 @@ class ExperimentConfig:
             raise ConfigError("seeds must be distinct: each one writes its own seed_<n> directory")
         if not math.isfinite(self.tau):
             raise ConfigError("tau must be finite (< 0 picks the default schedule)")
-        for name in ("max_kl", "cell_size", "dt", "v_max", "action_scale", "ray_max",
-                     "stumble_threshold"):
+        for name in ("max_kl", "cell_size"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
                 raise ConfigError(f"{name} must be finite and > 0")
@@ -94,8 +93,15 @@ class ExperimentConfig:
         if self.algorithm == "haar_no_anneal" or self.no_annealing:
             # same skill length throughout as at the end of training
             self.k_0 = self.k_s
-        if self.pretrain.n_skills != self.n_skills:
-            self.pretrain = replace(self.pretrain, n_skills=self.n_skills)
+        try:
+            self.env_config()  # checks the physics
+            if self.pretrain is None:
+                self.pretrain = PretrainConfig(n_skills=self.n_skills)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if self.pretrain.n_skills != self.n_skills:  # the skills are pre-trained for n_skills
+            raise ConfigError(f"pretrain.n_skills = {self.pretrain.n_skills} differs from "
+                              f"n_skills = {self.n_skills}; leave it out or make them equal")
 
     @property
     def annealing_tau(self) -> float:
@@ -206,12 +212,9 @@ def parse_config_text(text: str, **overrides) -> ExperimentConfig:
         else:
             top[key] = value
     top.update(overrides)
-    n_skills = top.get("n_skills", ExperimentConfig.n_skills)
-    if pre.get("n_skills", n_skills) != n_skills:  # the skills are pre-trained for n_skills
-        raise ConfigError(f"pretrain.n_skills = {pre['n_skills']} differs from "
-                          f"n_skills = {n_skills}; leave it out or make them equal")
     try:
         if pre:
+            pre.setdefault("n_skills", top.get("n_skills", ExperimentConfig.n_skills))
             top["pretrain"] = PretrainConfig(**pre)
         return ExperimentConfig(**top)
     except (TypeError, ValueError) as exc:

@@ -72,7 +72,7 @@ class MazeSpec:
     walls: np.ndarray = field(init=False, repr=False)
     start_cells: tuple[tuple[int, int], ...] = field(init=False)
     goal_cell: tuple[int, int] | None = field(init=False)
-    faces: tuple[np.ndarray, ...] = field(init=False, repr=False)  # see raycast.face_table
+    faces: tuple[np.ndarray, ...] = field(init=False, repr=False)  # wall segments, raycast.face_table
     open_cells: frozenset[tuple[int, int]] = field(init=False, repr=False)  # (row, col) not walled
 
     def __post_init__(self):

@@ -49,10 +49,10 @@ class EnvConfig:
     def __post_init__(self):
         if self.max_episode_steps < 1:
             raise ValueError("max_episode_steps must be >= 1")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if not self.v_max > 0:
-            raise ValueError("v_max must be positive")
+        for name in ("dt", "v_max", "action_scale", "ray_max", "stumble_threshold"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0.0):
+                raise ValueError(f"{name} must be finite and > 0")
 
 
 class EpisodeBatch(NamedTuple):

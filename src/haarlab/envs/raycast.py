@@ -7,9 +7,11 @@ ray 5 along +y) and report the distance to the first wall face, capped
 at ray_max. The bearing is the unit vector toward the goal; walls never
 occlude it.
 
-Implementation: every maze builds, once, a table of the wall faces
-adjacent to free space (axis-aligned segments); all 20 rays are
-intersected against all faces in one vectorized pass.
+Implementation: every maze builds, once, a table of the wall segments
+that bound free space. Each segment is a maximal run of collinear
+wall-cell sides that touch free space, so a straight wall several cells
+long is one segment, not one face per cell. All 20 rays are intersected
+against all segments in one vectorized pass.
 """
 
 from __future__ import annotations
@@ -27,34 +29,47 @@ _RAY_DIVISORS = np.where(_RAY_DIRECTIONS == 0.0, np.nan, _RAY_DIRECTIONS)
 
 
 def face_table(walls: np.ndarray, cell_size: float) -> tuple[np.ndarray, ...]:
-    """Wall faces touching free space, shaped for raycast.
+    """Maximal wall segments bounding free space, shaped for raycast.
 
-    Face i lies on the line x = at[i] (axis 0, vertical) or y = at[i]
+    Every side of a wall cell that touches a free cell is a face; faces
+    on one grid line whose spans meet end to end join into one segment.
+    Segment i lies on the line x = at[i] (axis 0, vertical) or y = at[i]
     (axis 1, horizontal) and spans [lo[i], hi[i]] along the other axis,
     in world units. Returns (axis, other, at, lo, hi, divisor, step):
     other = 1 - axis; at, lo and hi have shape (F, 1, 1); divisor and
     step, shape (F, 1, 20), hold each ray's direction component along the
-    face's axis (exact zeros as NaN) and along the other axis.
+    segment's axis (exact zeros as NaN) and along the other axis.
+
+    Joining changes no reading: the faces of one segment share the ray
+    parameter and the crossing point, and the union of closed spans that
+    touch is the joined span, so each ray's nearest hit is the same.
     """
-    cs = cell_size
-    faces = []
+    faces = []  # (axis, line, start) in cells; every face is one cell long
     rows, cols = walls.shape
     for r in range(rows):
         for c in range(cols):
             if not walls[r, c]:
                 continue
             if c > 0 and not walls[r, c - 1]:
-                faces.append((0, c * cs, r * cs, (r + 1) * cs))
+                faces.append((0, c, r))
             if c + 1 < cols and not walls[r, c + 1]:
-                faces.append((0, (c + 1) * cs, r * cs, (r + 1) * cs))
+                faces.append((0, c + 1, r))
             if r > 0 and not walls[r - 1, c]:
-                faces.append((1, r * cs, c * cs, (c + 1) * cs))
+                faces.append((1, r, c))
             if r + 1 < rows and not walls[r + 1, c]:
-                faces.append((1, (r + 1) * cs, c * cs, (c + 1) * cs))
-    table = np.array(faces, dtype=np.float64).reshape(-1, 4, 1, 1)
-    axis = table[:, 0, 0, 0].astype(np.intp)
+                faces.append((1, r + 1, c))
+    segments = []  # [axis, line, start, end] in cells
+    for axis, line, start in sorted(faces):
+        if segments and segments[-1][:2] == [axis, line] and segments[-1][3] == start:
+            segments[-1][3] = start + 1
+        else:
+            segments.append([axis, line, start, start + 1])
+    cs = cell_size
+    table = np.array([[line * cs, start * cs, end * cs] for _, line, start, end in segments],
+                     dtype=np.float64).reshape(-1, 3, 1, 1)
+    axis = np.array([seg[0] for seg in segments], dtype=np.intp)
     other = 1 - axis
-    return (axis, other, table[:, 1], table[:, 2], table[:, 3],
+    return (axis, other, table[:, 0], table[:, 1], table[:, 2],
             _RAY_DIVISORS[axis][:, None], _RAY_DIRECTIONS[other][:, None])
 
 
@@ -65,15 +80,15 @@ def raycast(position: np.ndarray, maze, ray_max: float) -> np.ndarray:
     giving (L, 20) rows; each row is computed with the same float
     operations as a lone point, so it matches the 1-D call bit for bit.
 
-    For a face on x = at the ray parameter is t = (at - px) / dx and the
+    For a segment on x = at the ray parameter is t = (at - px) / dx and the
     crossing lies at py + t * dy (x and y swap for y = at). A direction
-    component of exactly zero never meets a face it is parallel to: as a
+    component of exactly zero never meets a segment it is parallel to: as a
     NaN divisor it makes t NaN, and every comparison on NaN is false.
     """
     axis, other, at, lo, hi, divisor, step = maze.faces
     p = np.asarray(position, dtype=np.float64)
     pts = p.reshape(-1, 2).T[:, :, None]  # (2, L, 1): coordinate, point, ray
-    t = (at - pts[axis]) / divisor        # (F, L, 20): face, point, ray
+    t = (at - pts[axis]) / divisor        # (F, L, 20): segment, point, ray
     hit = pts[other] + t * step
     ok = t >= 0.0
     ok &= hit >= lo

@@ -1,5 +1,6 @@
 import csv
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,7 +76,7 @@ def test_cli_train_is_deterministic(tmp_path):
     assert main(["train", "--config", cfg, "--out", b, "--quiet"]) == 0
     pa = os.path.join(a, "seed_0", "metrics.csv")
     pb = os.path.join(b, "seed_0", "metrics.csv")
-    assert open(pa, "rb").read() == open(pb, "rb").read()
+    assert Path(pa).read_bytes() == Path(pb).read_bytes()
 
 
 def test_seed_override(tmp_path):

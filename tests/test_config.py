@@ -5,6 +5,7 @@ import os
 import pytest
 
 from haarlab.config import ConfigError, ExperimentConfig, load_config, parse_config_text
+from haarlab.envs.point import EnvConfig
 from haarlab.pretrain import PretrainConfig
 
 
@@ -137,6 +138,17 @@ def test_config_file_rejects_pretrain_n_skills_unlike_n_skills(text):
         parse_config_text(text)
 
 
+@pytest.mark.parametrize("kwargs", [{"pretrain": PretrainConfig(n_skills=3)},
+                                    {"n_skills": 4, "pretrain": PretrainConfig()}])
+def test_pretrain_n_skills_unlike_n_skills_rejected_in_python(kwargs):
+    # the same rule as the config file's: a config built in Python used to
+    # replace the pretrain count silently
+    with pytest.raises(ConfigError, match=r"pretrain\.n_skills = \d+ differs from n_skills = \d+"):
+        ExperimentConfig(**kwargs)
+    n = kwargs.get("n_skills", 6)
+    assert ExperimentConfig(n_skills=n, pretrain=PretrainConfig(n_skills=n)).pretrain.n_skills == n
+
+
 def test_config_file_pretrain_n_skills_may_repeat_the_one_in_effect():
     cfg = parse_config_text("pretrain.n_skills = 4\n", n_skills=4)
     assert cfg.pretrain.n_skills == 4
@@ -191,14 +203,24 @@ def test_config_file_rejects_bad_max_kl_ridge_and_cell_size(text):
         parse_config_text(text)
 
 
-@pytest.mark.parametrize("text", ["ray_max = 0", "ray_max = -1", "stumble_threshold = nan",
-                                  "action_scale = nan", "action_scale = -4", "dt = 0",
-                                  "dt = inf", "v_max = nan", "v_max = -1"])
+BAD_PHYSICS = ["ray_max = 0", "ray_max = -1", "stumble_threshold = nan", "action_scale = nan",
+               "action_scale = -4", "dt = 0", "dt = inf", "v_max = nan", "v_max = -1"]
+
+
+@pytest.mark.parametrize("text", BAD_PHYSICS)
 def test_config_file_rejects_bad_physics(text):
     # each used to crash mid-run, fail only when the env was built, or
     # train on a silently changed rule (a NaN threshold never trips)
     with pytest.raises(ConfigError, match=text.split()[0]):
         parse_config_text(text)
+
+
+@pytest.mark.parametrize("text", BAD_PHYSICS)
+def test_env_config_rejects_bad_physics(text):
+    # an env built without an ExperimentConfig gets the same checks
+    name, value = (part.strip() for part in text.split("="))
+    with pytest.raises(ValueError, match=name):
+        EnvConfig(**{name: float(value)})
 
 
 def test_boundary_ridge_and_small_positive_values_accepted():

@@ -114,6 +114,54 @@ def test_raycast_bit_identical_to_loop_oracle():
     assert checked >= 10_000
 
 
+# walls (2, 2) and (2, 4) put collinear faces on y = 2 with a gap between
+# them; (2, 4), (3, 5) and (4, 4) touch only at corners, and their sides on
+# x = 5 meet end to end although they face opposite ways
+GAPS_AND_CORNERS = """\
+#########
+#S......#
+#.#.#...#
+#....#..#
+#...#...#
+#.......#
+#########"""
+
+
+def test_raycast_with_gaps_and_corners_bit_identical_to_loop_oracle():
+    m = parse_maze_text(GAPS_AND_CORNERS)
+    assert len(m.faces[0]) == 16  # from 40 faces
+    positions = random_free_positions(m, np.random.default_rng(13), 3000)
+    positions += [m.cell_center(cell) for cell in m.free_cells()]
+    for pos in positions:
+        assert raycast(pos, m, 16.0).tobytes() == raycast_loops(pos, m, 16.0).tobytes(), pos
+
+
+def test_segment_counts_of_built_in_mazes():
+    counts = {kind: len(build_maze(kind).faces[0])
+              for kind in ("c_maze", "mirrored", "spiral", "gather", "open_field")}
+    assert counts == {"c_maze": 8, "mirrored": 8, "spiral": 12, "gather": 4, "open_field": 4}
+
+
+def test_readings_on_wall_lines_and_corners_equal_loop_oracle():
+    # a reading from a point on a wall line can be 0.0 or -0.0 depending on
+    # which face the minimum meets first, so these compare by value
+    zeros = 0
+    for m in [build_maze(kind) for kind in ("c_maze", "spiral", "gather")] + [
+            parse_maze_text(GAPS_AND_CORNERS)]:
+        cs = m.cell_size
+        points = set()
+        for r, c in m.free_cells():
+            for dr in (0.0, 0.5, 1.0):
+                for dc in (0.0, 0.5, 1.0):
+                    if dr != 0.5 or dc != 0.5:  # corners and side midpoints
+                        points.add(((c + dc) * cs, (r + dr) * cs))
+        for pos in map(np.array, sorted(points)):
+            got = raycast(pos, m, 16.0)
+            assert np.array_equal(got, raycast_loops(pos, m, 16.0)), pos
+            zeros += int(np.count_nonzero(got == 0.0))
+    assert zeros > 100
+
+
 def test_faces_do_not_leak_between_mazes():
     # a maze built where a garbage-collected one lived must see its own walls
     rng = np.random.default_rng(4)
