@@ -27,7 +27,6 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from multiprocessing import get_context
 from typing import Callable
 
 import numpy as np
@@ -348,6 +347,7 @@ def run_train(cfg: ExperimentConfig, out_dir: str,
     tasks = [(cfg, seed, out_dir, pick(skills, seed), transfer, pick(source, seed))
              for seed in cfg.seeds]
     if jobs > 1 and len(tasks) > 1:
+        from multiprocessing import get_context  # only pooled runs pay for the import
         with get_context("fork").Pool(min(jobs, len(tasks))) as pool:
             return pool.map(_seed_job, tasks)
     out = []
@@ -363,6 +363,7 @@ def run_pretrain(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> dict[int
     os.makedirs(out_dir, exist_ok=True)
     tasks = [(cfg, seed, out_dir) for seed in cfg.seeds]
     if jobs > 1 and len(tasks) > 1:
+        from multiprocessing import get_context
         with get_context("fork").Pool(min(jobs, len(tasks))) as pool:
             paths = pool.map(_pretrain_job, tasks)
     else:

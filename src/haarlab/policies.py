@@ -104,7 +104,7 @@ class _MlpPolicy:
     def forward_batch(self, obs: np.ndarray) -> NetForward:
         """The network run over a batch at a snapshot w of the current parameters:
         n rows, the output and its distribution, the activations and their tanh
-        derivatives. grad_logprob_weighted and fvp_builder take it for their pass."""
+        derivatives. grad_logprob_weighted takes it for its pass."""
         w = self.params.segment(self.NET).copy()
         x = np.atleast_2d(np.asarray(obs, dtype=np.float64)) * self.input_scale
         out, acts = forward_cached(self.spec, w, x)
@@ -140,16 +140,15 @@ class _MlpPolicy:
         gy, g_head = self._kl_out_grad(old_dist, out, n)
         return np.concatenate([backward(self.spec, w, acts, gy, derivs), *g_head])
 
-    def fvp_builder(self, obs: np.ndarray, damping: float, fwd: NetForward | None = None):
+    def fvp_builder(self, obs: np.ndarray, damping: float):
         """Closure computing (F + damping I) v at the current parameters.
 
-        The forward pass (or fwd, from forward_batch(obs)) and the per-row
-        buffers are made once; each application (conjugate gradient) pays
-        for the directional passes only and returns a fresh array. The
-        parameters are snapshotted, so the closure stays valid if the policy
-        is updated afterwards.
+        The forward pass and the per-row buffers are made once; each
+        application (conjugate gradient) pays for the directional passes
+        only and returns a fresh array. The parameters are snapshotted, so
+        the closure stays valid if the policy is updated afterwards.
         """
-        w, n, out, _, acts, derivs = fwd or self.forward_batch(obs)
+        w, n, out, _, acts, derivs = self.forward_batch(obs)
         fisher_out = self._fisher_out(out, n)
         work = workspace(self.spec, n)
         spec, n_net, size = self.spec, self.spec.n_params, self.params.size

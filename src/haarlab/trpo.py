@@ -5,6 +5,11 @@ KL(old || new) within 1.5x the step size, and non-negative improvement
 of the importance-weighted surrogate. Steps that cannot satisfy both
 are rejected outright (parameters restored), never partially applied;
 the concurrent two-level training scheme leans on this contract.
+
+The conjugate-gradient solve uses Fisher-vector products on every
+FISHER_STRIDE-th row of the batch, as OpenAI Baselines' TRPO does; the
+surrogate, its gradient and the line search's KL use every row, so the
+contract above holds on the full batch.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from .params import NumericsError, ShapeError
 
 KL_SLACK = 1.5  # accepted steps satisfy kl <= KL_SLACK * max_kl
 CG_ITERATIONS = 10
+FISHER_STRIDE = 5  # the Fisher operator sees rows 0, 5, 10, ... of the batch
 CG_DAMPING = 0.1
 BACKTRACK_RATIO = 0.8
 MAX_BACKTRACKS = 15
@@ -126,7 +132,7 @@ def trpo_update(policy, batch: AdvantageBatch, cfg: TrpoConfig) -> TrpoDiagnosti
     theta_old = policy.flat()
     work = AdvantageBatch(batch.observations, batch.actions, adv,
                           batch.old_log_probs, batch.old_dist)
-    # one forward pass at theta_old: the surrogate's weights, gradient and Fisher products
+    # one forward pass at theta_old: the surrogate's weights and its gradient
     fwd = policy.forward_batch(work.observations)
     weights = np.exp(policy.dist_log_prob(fwd.dist, work.actions) - work.old_log_probs) * adv
     surr_before = float(np.mean(weights))
@@ -134,7 +140,7 @@ def trpo_update(policy, batch: AdvantageBatch, cfg: TrpoConfig) -> TrpoDiagnosti
     if not np.all(np.isfinite(g)) or float(np.max(np.abs(g), initial=0.0)) < 1e-12:
         return TrpoDiagnostics(False, 0.0, surr_before, surr_before, 0)
 
-    apply_a = policy.fvp_builder(work.observations, CG_DAMPING, fwd)
+    apply_a = policy.fvp_builder(work.observations[::FISHER_STRIDE], CG_DAMPING)
 
     try:
         step_dir = conjugate_gradient(apply_a, g, CG_ITERATIONS)

@@ -59,6 +59,11 @@ def raycast_loops(position, maze, ray_max, n_rays=20):
     readings agree bit for bit: t = (at - px) / dx for a face on x = at,
     the crossing at py + t * dy (x and y swap for y = at). The ray
     directions use numpy's cos and sin on the same angle array.
+    The one exception is a zero reading from a point on a wall line. The
+    minimum keeps whichever zero it meets first, and the two visit their
+    walls in different orders, so one can read 0.0 where the other reads
+    -0.0. test_readings_on_wall_lines_and_corners_equal_loop_oracle
+    compares such readings by value.
     """
     cs = maze.cell_size
     walls = maze.walls
@@ -355,9 +360,9 @@ def ref_fit_value(states, targets, ridge=1e-5):
 
 def ref_trpo_update(policy, batch, cfg):
     from haarlab.params import NumericsError
-    from haarlab.trpo import (BACKTRACK_RATIO, CG_DAMPING, CG_ITERATIONS, KL_SLACK,
-                              MAX_BACKTRACKS, AdvantageBatch, TrpoDiagnostics, _surrogate,
-                              conjugate_gradient, standardize_advantages)
+    from haarlab.trpo import (BACKTRACK_RATIO, CG_DAMPING, CG_ITERATIONS, FISHER_STRIDE,
+                              KL_SLACK, MAX_BACKTRACKS, AdvantageBatch, TrpoDiagnostics,
+                              _surrogate, conjugate_gradient, standardize_advantages)
 
     theta_old = policy.flat()
     adv = standardize_advantages(batch.advantages)
@@ -370,7 +375,7 @@ def ref_trpo_update(policy, batch, cfg):
     if not np.all(np.isfinite(g)) or float(np.max(np.abs(g), initial=0.0)) < 1e-12:
         return TrpoDiagnostics(False, 0.0, surr_before, surr_before, 0)
 
-    apply_a = policy.fvp_builder(work.observations, CG_DAMPING, fwd)
+    apply_a = policy.fvp_builder(work.observations[::FISHER_STRIDE], CG_DAMPING)
 
     try:
         step_dir = conjugate_gradient(apply_a, g, CG_ITERATIONS)

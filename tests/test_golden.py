@@ -68,78 +68,78 @@ RUN_ARTIFACTS = ("metrics.csv", "diagnostics.csv", "trajectories.csv", "checkpoi
 
 GOLDEN = {
     "pretrain/skills_seed_0.bin":
-        "494708ebe6076f0b462e2fb5085d9d6b407b20ef6f58cb6dad1d3b886dbf04af",
+        "5874c42a84d87c89c1a9efe954fbf8aee7964747526155913e82f333dc64138f",
     "haar/metrics.csv":
-        "ab46a7322843b7d5e90d88b6494f5837369f16621cd5283d0d0f2626c4dcf40b",
+        "9094895400bec327ec08ee7d66674b1916753f5b4d7215278d0a1e5260dffc97",
     "haar/diagnostics.csv":
-        "ba16ea9a82645d4863e84143f59cf40b6144b2c0fbfb57e2c5c86c8da2223c1a",
+        "f2a28dc9b2d758a5ba83b57dd6b2db6147c39a9c5c8b3c3ab2367746d51b8c63",
     "haar/trajectories.csv":
-        "2ecd6992eb8ef4ad23e1d16cab15deb9f716edbda8131ef9cb32857575cf5694",
+        "d85f34fdef2bde6d749cc5299cc873f5aa15536024c553993c95418e112b904a",
     "haar/checkpoint.bin":
-        "c3e481e867d37cbce5460f304bab9f712f6d5f8ed90a42d4f18fed416e0a38a3",
+        "603bbb3e9b9a3ed6b0b205002d9d869e73dfe20bd5776952bf37ca90cb486466",
     "haar/config_hash": "08c222801c74",
     "frozen_skills/metrics.csv":
-        "f4072a9da8264c06cbe36fb030645bfdf133d25b00aac5f2834f7665e0a0c281",
+        "c935c4ad7e917f2984246c60f2c99383122fefb9f4f2b354bbe8fed890c116c1",
     "frozen_skills/diagnostics.csv":
-        "43ff2a126828e06da09e022790cf9d0f1ec2b8b10b39d76ea8f25666e39c118a",
+        "d01f575eb57fc00b81e96044b6bd0c42b3c4c99f1177a696aa834db4201ca86d",
     "frozen_skills/trajectories.csv":
-        "38fd4ed83e027cd78a54db9abe67e56348418887f597aace4b7d6e8793666ecb",
+        "5f91776452880a8f1a388cba58d2ef66535b3d42788c7bea713258ad04475998",
     "frozen_skills/checkpoint.bin":
-        "20852e3c1c3b1a15c6f7b225d5a6aa53a8f5901eb8b078f8bc9278bc68fae106",
+        "f84d3c0314d338acbc69b69bcb16c967ad081111db9370159660f08398df5736",
     "frozen_skills/config_hash": "394a454acaaf",
     "flat_trpo/metrics.csv":
-        "a6faa79b6b22ac7fbca48f98dd551d838dab8a62a480b0b293a82f8e15684625",
+        "896d4e6e7de990608f557be29cecf39c4cee2794d802f2eece6790953d98b600",
     "flat_trpo/diagnostics.csv":
-        "d6fd6b31f100125f349e326265c08b31e767d29714911adf8f298ce083e78f3d",
+        "046e907075337da381545b628c8297147850654c620bfa8a6568a9599a560796",
     "flat_trpo/trajectories.csv":
-        "8b43caf1eb8471f8364aaca3195b9d50d49e67dab121989eaae4449424d9bdfe",
+        "d8a3a0758f997e42deb37d96bc111e09cb6e02bc6f678825615113717848a340",
     "flat_trpo/checkpoint.bin":
-        "d57daee0e2491137df705c48c2a46fb31bf77daceebc55317389b08b07c0734c",
+        "1e11fa5779c210f2e51b98ebb7d5626a49f1ecbcdcd8b0a8cdb89d4c22a7854f",
     "flat_trpo/config_hash": "abcafbd883fa",
     "alternate/metrics.csv":
-        "9aeac4026e4188b2edfe750b6be068809ea17a721109fbd04959bb8be79a6e66",
+        "afc3417776f9c555d2bfdc1dd8e3570ebfb084031e2f56451dac2395af4820b3",
     "alternate/diagnostics.csv":
-        "c43cadc4d55df3d41b9937e3ef54fd12571ab1e4209c7f07d11de0bb9f6d8c9e",
+        "a809b77466377e8b1c02967be06509a77d52fbe30255f8b075adb4f8d2326db5",
     "alternate/trajectories.csv":
-        "d8aff13326e07faf0bb747be64b8165e60d14ccf4a05f32f08ca7d8a2b3c3e3d",
+        "bf0cce57d865db6b52fa23db8d27c42206ca109d2227bebae2e28918967442a8",
     "alternate/checkpoint.bin":
-        "78e1345422637e9ad5d649766c883ac451dcaf45766b7a7f6239097a8d386414",
+        "822ec436f17570ad63c387002854b37b1311c90b379417bdeb05bf90c3f25a8b",
     "alternate/config_hash": "777d15e2fb34",
     "haar_no_anneal/metrics.csv":
-        "e7e81caaad0e2c0d45f95862f8889014b21d62a2e0465a955d99c860fa5bea19",
+        "e822a2bf8b086c0f96424bb46af933794b006947279aa7a4247c6427ddbb37dd",
     "haar_no_anneal/diagnostics.csv":
-        "a16ef85ed8983332ba42228b796887c4283d325bd42860e5a922256dcaabad36",
+        "2a173aa1a59cc6c636f3988dbc9dd19e80e14a15b8e5fd6c815f1075b7195dac",
     "haar_no_anneal/trajectories.csv":
-        "7d9461058e0e960cbe500ec36580dda1954e1ee59f94c576ac824f0387bdcd70",
+        "73722373acea99415a21ba6f9a2948c9fb32d72221deeab5a3faa4af56de8199",
     "haar_no_anneal/checkpoint.bin":
-        "faa567d2ca2768d7a4b23af6ac3b81597db1e2c149f3bd1e72720a52984ad2d4",
+        "c6bd3857b22f747cbff226a42cba9574783e92599fa394e5564d2d7d055c20d1",
     "haar_no_anneal/config_hash": "d10f47004bb0",
     "cli_override/metrics.csv":
-        "ab52d9300cc5edaba12a827bc02c865215e6a5b64ca5a8814b7ee9a8f533b7ec",
+        "0e5bef6de97cb46db5c59e9d59d0cfbd8e5b055aa3fe77845c171404559cf228",
     "cli_override/diagnostics.csv":
-        "4288cb5eb864dc4c60e34a2e379a545f14f2efb4b419bc5942079d6b99648e0c",
+        "d69eacca49577cad63fbb840e1029f0b66f037b09e0377ddfb00b21b4094048d",
     "cli_override/trajectories.csv":
-        "c72fec564ee001cad43ddfe6d3d4abc228ce98fa73f8911678ba51f11eda6689",
+        "94ab99ad9796232d6352c697e1e6d00458a1d9828e0833c20421ed6d199389f2",
     "cli_override/checkpoint.bin":
-        "bee0814538370ebcbde5260be492e3eac3bae45218af69da634278d9b427cd58",
+        "dbc30aa2445ff95c9487971700641624481f248f7dde3093602307063227a096",
     "cli_override/config_hash": "5b51a2c177a2",
     "transfer_both/metrics.csv":
-        "2ddcd04aefc764f862d25a00857a0cbec14f169f6fbc4520dd79e6ad1fa07506",
+        "806135d4dc479512c1b84024e36280b0ef0c78c142e3a6e0355c42c65f65e098",
     "transfer_both/diagnostics.csv":
-        "8719c53488eea96aa6b347a37776cf71b813b51fe50a18424d69c089590eedff",
+        "a8fa7045eec1cc54e8b81b8bea6356473e2a438947cc5c61cff48929f308dbb4",
     "transfer_both/trajectories.csv":
-        "38642e94176d69000dc310710515534d2c5e4270ca22cce78e00179599e55a51",
+        "306700ef0d67fd9373ebe265f0b3719fb3137dcc55081083b0d853e53ea71e5e",
     "transfer_both/checkpoint.bin":
-        "b882c9f08997a6a8fbcbd5152e7760322234e8e121b27714a5b8c731e5d06cc6",
+        "87a572645618cb86aaf9244d1247f0a8f59ee196eb9ac821b528183019327c16",
     "transfer_both/config_hash": "68488093d649",
     "transfer_low_only/metrics.csv":
-        "0caffc6edb71ead8fdf3db15497f65c26f5babbe6cede576bc390ec6a073a5d8",
+        "93df42c4274065474713bd8ee33d41e3977646a116d4b8c09cbc81565ae9ce5f",
     "transfer_low_only/diagnostics.csv":
-        "c5bf0f0b29d014d03aa9a03489c197a2e9dead7663e0855fbcd9131469c1ec15",
+        "db89e6ad2e479f87b16908a50c88f0217aeed828047c24a98c0473277c1d42dd",
     "transfer_low_only/trajectories.csv":
-        "25fadf7ee3979c0f3ac815a5febf1111c4e73450b0a8732c7271b70940ee3bfd",
+        "3ace1b36133a286a5d022173310e62a941e18288ec9751db08011dcd95a60c87",
     "transfer_low_only/checkpoint.bin":
-        "131545d4023030e68fc3c046795a9395770ff1889cd503c0a973f25478fe53ea",
+        "faffaa29ef3104b8730fdf2185243ded4e50fc8a27a9998a21bc2d75c064378d",
     "transfer_low_only/config_hash": "68488093d649",
 }
 

@@ -144,14 +144,28 @@ def test_bandit_probability_moves_toward_positive_advantage():
     assert p_after > p_before
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_accepted_step_respects_kl_bound_and_improvement(seed):
-    rng = np.random.default_rng(100 + seed)
+def gaussian_case(rng, rows):
     pol = GaussianPolicy(MlpSpec(4, (8, 8), 2), rng)
-    obs = rng.standard_normal((64, 4))
-    acts = np.stack([pol.act(o, rng)[0] for o in obs])
-    adv = rng.standard_normal(64)
-    batch = make_batch(pol, obs, acts, adv)
+    obs = rng.standard_normal((rows, 4))
+    acts = pol.act(obs, [rng] * rows)[0]
+    return pol, make_batch(pol, obs, acts, rng.standard_normal(rows))
+
+
+def categorical_case(rng, rows):
+    # the size of a high-level batch at k = 100, where the Fisher sees fewest rows
+    pol = CategoricalPolicy(MlpSpec(4, (8, 8), 6), rng)
+    obs = rng.standard_normal((rows, 4))
+    acts = pol.act(obs, [rng] * rows)[0]
+    return pol, make_batch(pol, obs, acts, rng.standard_normal(rows))
+
+
+@pytest.mark.parametrize("seed,case,rows", [
+    *(pytest.param(seed, gaussian_case, 64, id=str(seed)) for seed in range(5)),
+    *(pytest.param(seed, categorical_case, 12, id=f"categorical-{seed}") for seed in range(5)),
+])
+def test_accepted_step_respects_kl_bound_and_improvement(seed, case, rows):
+    rng = np.random.default_rng(100 + seed)
+    pol, batch = case(rng, rows)
     theta0 = pol.flat()
     cfg = TrpoConfig()  # max_kl = 0.01
     diag = trpo_update(pol, batch, cfg)
@@ -162,6 +176,29 @@ def test_accepted_step_respects_kl_bound_and_improvement(seed):
         assert abs(pol.mean_kl(batch.old_dist, batch.observations) - diag.kl) <= 1e-12
     else:
         assert np.max(np.abs(pol.flat() - theta0)) <= 1e-12
+
+
+def test_fisher_sees_every_fifth_row_and_the_rest_sees_all(monkeypatch):
+    rng = np.random.default_rng(12)
+    pol, batch = gaussian_case(rng, 5000)
+    obs = batch.observations
+    seen = {"fisher": [], "grad": [], "line search": []}
+
+    def spy(kind, method):
+        def wrapper(observations, *args, **kwargs):
+            seen[kind].append(np.array(observations, copy=True))
+            return method(observations, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(pol, "fvp_builder", spy("fisher", pol.fvp_builder))
+    monkeypatch.setattr(pol, "grad_logprob_weighted", spy("grad", pol.grad_logprob_weighted))
+    monkeypatch.setattr(pol, "dist_params", spy("line search", pol.dist_params))
+    diag = trpo_update(pol, batch, TrpoConfig())
+    assert diag.accepted
+    assert [x.tobytes() for x in seen["fisher"]] == [obs[::5].tobytes()]
+    assert [x.tobytes() for x in seen["grad"]] == [obs.tobytes()]
+    assert len(seen["line search"]) == diag.backtracks + 1
+    assert all(x.tobytes() == obs.tobytes() for x in seen["line search"])
 
 
 def test_update_is_deterministic():
