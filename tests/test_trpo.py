@@ -144,28 +144,23 @@ def test_bandit_probability_moves_toward_positive_advantage():
     assert p_after > p_before
 
 
-def gaussian_case(rng, rows):
-    pol = GaussianPolicy(MlpSpec(4, (8, 8), 2), rng)
+def policy_batch(cls, output_dim, rng, rows):
+    pol = cls(MlpSpec(4, (8, 8), output_dim), rng)
     obs = rng.standard_normal((rows, 4))
     acts = pol.act(obs, [rng] * rows)[0]
     return pol, make_batch(pol, obs, acts, rng.standard_normal(rows))
 
 
-def categorical_case(rng, rows):
-    # the size of a high-level batch at k = 100, where the Fisher sees fewest rows
-    pol = CategoricalPolicy(MlpSpec(4, (8, 8), 6), rng)
-    obs = rng.standard_normal((rows, 4))
-    acts = pol.act(obs, [rng] * rows)[0]
-    return pol, make_batch(pol, obs, acts, rng.standard_normal(rows))
-
-
-@pytest.mark.parametrize("seed,case,rows", [
-    *(pytest.param(seed, gaussian_case, 64, id=str(seed)) for seed in range(5)),
-    *(pytest.param(seed, categorical_case, 12, id=f"categorical-{seed}") for seed in range(5)),
+# the categorical batch has the size of a high-level batch at k = 100,
+# where the Fisher operator sees the fewest rows
+@pytest.mark.parametrize("seed,cls,output_dim,rows", [
+    *(pytest.param(seed, GaussianPolicy, 2, 64, id=str(seed)) for seed in range(5)),
+    *(pytest.param(seed, CategoricalPolicy, 6, 12, id=f"categorical-{seed}")
+      for seed in range(5)),
 ])
-def test_accepted_step_respects_kl_bound_and_improvement(seed, case, rows):
+def test_accepted_step_respects_kl_bound_and_improvement(seed, cls, output_dim, rows):
     rng = np.random.default_rng(100 + seed)
-    pol, batch = case(rng, rows)
+    pol, batch = policy_batch(cls, output_dim, rng, rows)
     theta0 = pol.flat()
     cfg = TrpoConfig()  # max_kl = 0.01
     diag = trpo_update(pol, batch, cfg)
@@ -180,7 +175,7 @@ def test_accepted_step_respects_kl_bound_and_improvement(seed, case, rows):
 
 def test_fisher_sees_every_fifth_row_and_the_rest_sees_all(monkeypatch):
     rng = np.random.default_rng(12)
-    pol, batch = gaussian_case(rng, 5000)
+    pol, batch = policy_batch(GaussianPolicy, 2, rng, 5000)
     obs = batch.observations
     seen = {"fisher": [], "grad": [], "line search": []}
 
