@@ -75,8 +75,7 @@ def cmd_train(args) -> int:
 def cmd_transfer(args) -> int:
     from .experiment import run_train
     cfg = _load_cfg(args, no_annealing=True)
-    source = _resolve_per_seed(args.source, cfg.seeds, "seed_{seed}/checkpoint.bin") \
-        if args.transfer != "none" else None
+    source = _resolve_per_seed(args.source, cfg.seeds, "seed_{seed}/checkpoint.bin")
     dirs = run_train(cfg, args.out, transfer=args.transfer, source=source,
                      jobs=args.jobs, log=None if args.quiet else print)
     for d in dirs:
@@ -151,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--source", required=True,
                    help="source run checkpoint (file) or run directory tree")
-    p.add_argument("--transfer", required=True, choices=("both", "low_only", "none"))
+    p.add_argument("--transfer", required=True, choices=("both", "low_only"))
     p.set_defaults(fn=cmd_transfer)
 
     p = sub.add_parser("theory-check", help="exact verification of the improvement lemmas")

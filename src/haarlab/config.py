@@ -22,7 +22,6 @@ from .pretrain import PretrainConfig
 TASKS = ("point_maze", "point_gather", "swimmer_maze_lite")
 ALGORITHMS = ("haar", "haar_no_anneal", "flat_trpo", "frozen_skills")
 MODES = ("concurrent", "alternate")
-TRANSFER_MODES = ("both", "low_only", "none")
 
 TASK_MAZE = {"point_maze": "c_maze", "point_gather": "gather",
              "swimmer_maze_lite": "c_maze"}

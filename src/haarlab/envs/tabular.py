@@ -67,10 +67,11 @@ class TabularLanes(NamedTuple):
 class TabularRolloutEnv:
     """Adapter exposing a TabularMdp through the rollout protocol.
 
-    Observations at both levels are the one-hot state; episodes truncate
-    after `horizon` low steps so infinite-horizon chains can be sampled.
-    The transition noise draws from the episode stream handed to reset,
-    which the episode state carries, so episodes may run interleaved.
+    Observations at both levels are the one-hot state, at unit scale;
+    episodes truncate after `horizon` low steps so infinite-horizon
+    chains can be sampled. The transition noise draws from the episode
+    stream handed to reset, which the episode state carries, so episodes
+    may run interleaved.
     """
 
     def __init__(self, mdp: TabularMdp, horizon: int):
@@ -80,6 +81,7 @@ class TabularRolloutEnv:
         self.horizon = horizon
         self.low_obs_dim = mdp.n_states
         self.high_obs_dim = mdp.n_states
+        self.low_obs_scale = self.high_obs_scale = np.ones(mdp.n_states)
         self._eye = np.eye(mdp.n_states)
 
     def high_obs_batch(self, lanes: TabularLanes, low: np.ndarray) -> np.ndarray:
@@ -102,47 +104,3 @@ class TabularRolloutEnv:
         done = (t >= self.horizon) | self.mdp.terminal[s_next]
         return (TabularLanes(s_next, t, lanes.rng), self._eye[s_next], reward, done,
                 {"goal": np.zeros(len(t), dtype=bool)})
-
-
-def _act_rows(act_one, obs, rng):
-    """A table policy's act over an (L, d) batch with L Generators."""
-    index, logp, dist = zip(*(act_one(o, r) for o, r in zip(obs, rng)))
-    return np.array(index), np.array(logp), np.array(dist)
-
-
-class TabularHighPolicy:
-    """High-level table pi_h[s, z] over the one-hot state observation."""
-
-    def __init__(self, table: np.ndarray):
-        self.table = np.asarray(table, dtype=np.float64)
-
-    def act(self, obs: np.ndarray, rng):
-        """One observation with one Generator, or a batch of rows with one
-        Generator per row (as the neural policies' act)."""
-        if np.ndim(obs) == 2:
-            return _act_rows(self.act, obs, rng)
-        s = int(np.argmax(obs))
-        probs = self.table[s]
-        z = _sample_index(probs, rng)
-        logp = float(np.log(probs[z]))
-        return z, logp, np.log(probs)
-
-
-class TabularLowPolicy:
-    """Low-level table pi_l[s, z, a]; decodes (state, skill) from the
-    one-hot policy input assembled by the rollout collector."""
-
-    def __init__(self, table: np.ndarray):
-        self.table = np.asarray(table, dtype=np.float64)
-        self.n_states = self.table.shape[0]
-
-    def act(self, x: np.ndarray, rng):
-        """One input with one Generator, or a batch of rows with one
-        Generator per row."""
-        if np.ndim(x) == 2:
-            return _act_rows(self.act, x, rng)
-        s = int(np.argmax(x[:self.n_states]))
-        z = int(np.argmax(x[self.n_states:]))
-        probs = self.table[s, z]
-        a = _sample_index(probs, rng)
-        return a, float(np.log(probs[a])), np.log(probs)

@@ -39,7 +39,7 @@ from .nets import MlpSpec
 from .policies import CategoricalPolicy, GaussianPolicy
 from .pretrain import fresh_low_policy, pretrain_skills
 from .rollout import episode_metrics, episode_streams, run_lanes
-from .trpo import AdvantageBatch, TrpoConfig, TrpoDiagnostics, trpo_update
+from .trpo import AdvantageBatch, TrpoDiagnostics, trpo_update
 
 HIGH_INIT_STREAM = 0x12
 FLAT_INIT_STREAM = 0x13
@@ -246,7 +246,7 @@ def _hierarchical(cfg, env, seed, skills_checkpoint, transfer, source_checkpoint
             raise ConfigError("transfer runs need a source checkpoint")
         donors = {"pi_l": pi_l, "pi_h": pi_h} if transfer == "both" else {"pi_l": pi_l}
         load_policy_segments(source_checkpoint, **donors)
-    elif transfer not in (None, "none"):
+    elif transfer is not None:
         raise ConfigError(f"unknown transfer mode {transfer!r}")
     elif skills_checkpoint:
         load_policy_segments(skills_checkpoint, pi_l=pi_l)
@@ -304,8 +304,8 @@ def flat_iteration(policy, env, cfg: ExperimentConfig, seed: int, iteration: int
     rets = discounted_returns(run.reward, run.done, cfg.gamma_l)
     v = fit_value_on_scaled(obs, rets, env.high_obs_scale, cfg.ridge)
     adv = rets - v.predict(obs)
-    batch = AdvantageBatch(obs, acts, adv, logps, (means, policy.log_std.copy()))
-    diag = trpo_update(policy, batch, TrpoConfig(max_kl=cfg.max_kl))
+    batch = AdvantageBatch(obs, acts, adv, logps, policy.old_dist(means))
+    diag = trpo_update(policy, batch, cfg.max_kl)
     metrics = {
         "iteration": iteration,
         "low_steps_total": low_steps_before + len(obs),

@@ -23,7 +23,7 @@ import numpy as np
 
 from .policies import CategoricalPolicy, GaussianPolicy
 from .rollout import EpisodeSummary, episode_metrics, episode_streams, run_lanes
-from .trpo import AdvantageBatch, TrpoConfig, TrpoDiagnostics, trpo_update
+from .trpo import AdvantageBatch, TrpoDiagnostics, trpo_update
 from .values import PolynomialValueEstimator, fit_value, fold_input_scale
 
 if TYPE_CHECKING:  # config imports pretrain, which imports this module
@@ -63,7 +63,6 @@ class RolloutBatch:
     dist_h: np.ndarray
     episodes: list[EpisodeSummary]
     low_dim: int
-    low_log_std: np.ndarray | None = None
     r_l: np.ndarray = field(init=False)  # auxiliary rewards, see assign_auxiliary_rewards
 
     def __post_init__(self):
@@ -146,7 +145,6 @@ def collect_rollouts(pi_h, pi_l, env, n_skills: int, budget_low_steps: int, k: i
     s_h_next = np.zeros_like(s_h)
     s_h_next[:-1] = s_h[1:]
     s_h_next[done_h] = 0.0
-    log_std = getattr(pi_l, "log_std", None)
     return RolloutBatch(
         x_l=x_l, a_l=a_l, logp_l=logp_l, dist_l=dist_l, done_l=run.done,
         segment_id=segment_id, s_h=s_h, s_h_next=s_h_next,
@@ -154,8 +152,7 @@ def collect_rollouts(pi_h, pi_l, env, n_skills: int, budget_low_steps: int, k: i
         seg_len=np.bincount(segment_id, minlength=n_segments),
         logp_h=np.array([logp_h[j] for j in order]),
         dist_h=np.stack([dist_h[j] for j in order]),
-        episodes=run.episodes, low_dim=low_dim,
-        low_log_std=None if log_std is None else log_std.copy())
+        episodes=run.episodes, low_dim=low_dim)
 
 
 def discounted_returns(rewards: np.ndarray, dones: np.ndarray, gamma: float) -> np.ndarray:
@@ -201,14 +198,15 @@ def assign_auxiliary_rewards(batch: RolloutBatch, advantages: np.ndarray) -> Non
 
 
 def prepare_level_batches(batch: RolloutBatch, advantages: np.ndarray,
-                          returns_l: np.ndarray | None, v_l: PolynomialValueEstimator | None
-                          ) -> tuple[AdvantageBatch, AdvantageBatch | None]:
+                          returns_l: np.ndarray | None, v_l: PolynomialValueEstimator | None,
+                          pi_l) -> tuple[AdvantageBatch, AdvantageBatch | None]:
     """Assemble the optimizer inputs for both levels.
 
     The high level consumes the one-step advantages directly; the low
     level uses its discounted auxiliary returns against its own
-    baseline. A low level that takes no step passes no returns and gets
-    no batch.
+    baseline, and pi_l, which collected the batch, gives its old
+    distribution. A low level that takes no step passes no returns and
+    gets no batch.
     """
     high_batch = AdvantageBatch(
         observations=batch.s_h,
@@ -224,13 +222,13 @@ def prepare_level_batches(batch: RolloutBatch, advantages: np.ndarray,
         actions=batch.a_l,
         advantages=returns_l - v_l.predict(batch.x_l[:, :batch.low_dim]),
         old_log_probs=batch.logp_l,
-        old_dist=(batch.dist_l, batch.low_log_std),
+        old_dist=pi_l.old_dist(batch.dist_l),
     )
     return high_batch, low_batch
 
 
-def haar_iteration(pi_h: CategoricalPolicy, pi_l: GaussianPolicy, env, cfg: ExperimentConfig,
-                   seed: int, iteration: int, low_steps_before: int
+def haar_iteration(pi_h: CategoricalPolicy, pi_l: GaussianPolicy | CategoricalPolicy, env,
+                   cfg: ExperimentConfig, seed: int, iteration: int, low_steps_before: int
                    ) -> tuple[dict, list[tuple[str, TrpoDiagnostics]]]:
     """One iteration of the concurrent (or alternate) update cycle.
 
@@ -258,12 +256,11 @@ def haar_iteration(pi_h: CategoricalPolicy, pi_l: GaussianPolicy, env, cfg: Expe
         returns_l = discounted_returns(batch.r_l, batch.done_l, cfg.gamma_l)
         v_l = fit_value_on_scaled(batch.x_l[:, :batch.low_dim], returns_l,
                                   env.low_obs_scale, cfg.ridge)
-    high_batch, low_batch = prepare_level_batches(batch, advantages, returns_l, v_l)
+    high_batch, low_batch = prepare_level_batches(batch, advantages, returns_l, v_l, pi_l)
 
-    trpo = TrpoConfig(max_kl=cfg.max_kl)
     no_step = TrpoDiagnostics(False, 0.0, 0.0, 0.0, 0)
-    diag_h = trpo_update(pi_h, high_batch, trpo) if do_high else no_step
-    diag_l = trpo_update(pi_l, low_batch, trpo) if do_low else no_step
+    diag_h = trpo_update(pi_h, high_batch, cfg.max_kl) if do_high else no_step
+    diag_l = trpo_update(pi_l, low_batch, cfg.max_kl) if do_low else no_step
 
     metrics = {
         "iteration": iteration,

@@ -114,6 +114,11 @@ class _MlpPolicy:
         """Cacheable distribution parameters of a single input or a batch."""
         return self._dist(self._forward(obs))
 
+    def old_dist(self, rows: np.ndarray):
+        """The old distribution dist_kl takes, from the per-row
+        distribution output of act."""
+        return rows
+
     def log_prob(self, obs: np.ndarray, action) -> float | np.ndarray:
         """Exact log density; obs may be a single vector or a batch."""
         return self.dist_log_prob(self.dist_params(obs), action)
@@ -217,6 +222,8 @@ class GaussianPolicy(_MlpPolicy):
     def _dist(self, mu: np.ndarray):
         """Cacheable distribution parameters: (means, log_std copy)."""
         return mu, self.log_std.copy()
+
+    old_dist = _dist  # act's rows are the means
 
     def dist_log_prob(self, dist, action: np.ndarray) -> float | np.ndarray:
         """Log density of actions under distribution parameters `dist`."""

@@ -30,11 +30,12 @@ from .hierarchy import discounted_returns, fit_value_on_scaled, skill_inputs
 from .nets import MlpSpec
 from .policies import GaussianPolicy
 from .rollout import run_lanes
-from .trpo import AdvantageBatch, TrpoConfig, trpo_update
+from .trpo import AdvantageBatch, trpo_update
 from .values import DEFAULT_RIDGE
 
 PRETRAIN_STREAM = 0x5E
 INIT_STREAM = 0x11
+PRETRAIN_MAX_KL = 0.01  # the trust region of every proxy update
 
 
 @dataclass
@@ -142,8 +143,8 @@ def pretrain_skills(cfg: PretrainConfig, seed: int, env_cfg: EnvConfig | None = 
         returns = discounted_returns(rewards, run.done, cfg.gamma)
         v = fit_value_on_scaled(xs, returns, x_scale, DEFAULT_RIDGE)
         adv = returns - v.predict(xs)
-        batch = AdvantageBatch(xs, acts, adv, logps, (dists, pi_l.log_std.copy()))
-        diag = trpo_update(pi_l, batch, TrpoConfig())
+        batch = AdvantageBatch(xs, acts, adv, logps, pi_l.old_dist(dists))
+        diag = trpo_update(pi_l, batch, PRETRAIN_MAX_KL)
         stats.append({
             "iteration": it,
             "mean_step_reward": float(rewards.mean()),

@@ -30,15 +30,6 @@ MAX_BACKTRACKS = 15
 
 
 @dataclass
-class TrpoConfig:
-    max_kl: float = 0.01
-
-    def __post_init__(self):
-        if not self.max_kl > 0:
-            raise ValueError("max_kl must be positive")
-
-
-@dataclass
 class AdvantageBatch:
     """(s, a, A) samples plus the behavior policy's cached distribution."""
     observations: np.ndarray
@@ -118,8 +109,9 @@ def standardize_advantages(advantages: np.ndarray) -> np.ndarray:
     return (adv - adv.mean()) / (adv.std() + 1e-8)
 
 
-def trpo_update(policy, batch: AdvantageBatch, cfg: TrpoConfig) -> TrpoDiagnostics:
-    """One trust-region step on the policy; rejects rather than degrades.
+def trpo_update(policy, batch: AdvantageBatch, max_kl: float) -> TrpoDiagnostics:
+    """One trust-region step of mean KL max_kl on the policy; rejects
+    rather than degrades.
 
     Returns diagnostics; the policy parameters are mutated only when the
     step is accepted. Advantages that standardize to all zeros give a
@@ -150,7 +142,7 @@ def trpo_update(policy, batch: AdvantageBatch, cfg: TrpoConfig) -> TrpoDiagnosti
     if not np.isfinite(s_as) or s_as <= 0.0:
         return TrpoDiagnostics(False, 0.0, surr_before, surr_before, 0)
 
-    full_step = np.sqrt(2.0 * cfg.max_kl / s_as) * step_dir
+    full_step = np.sqrt(2.0 * max_kl / s_as) * step_dir
     # freed first, their pages serve the line search's forward passes
     del fwd, apply_a
     shrink = 1.0
@@ -160,7 +152,7 @@ def trpo_update(policy, batch: AdvantageBatch, cfg: TrpoConfig) -> TrpoDiagnosti
         kl = policy.dist_kl(work.old_dist, dist)
         surr = _surrogate(work, policy.dist_log_prob(dist, work.actions))
         if (np.isfinite(kl) and np.isfinite(surr)
-                and kl <= KL_SLACK * cfg.max_kl and surr - surr_before >= 0.0):
+                and kl <= KL_SLACK * max_kl and surr - surr_before >= 0.0):
             return TrpoDiagnostics(True, float(kl), surr_before, float(surr), backtracks)
         shrink *= BACKTRACK_RATIO
     policy.set_flat(theta_old)

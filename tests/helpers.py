@@ -358,7 +358,7 @@ def ref_fit_value(states, targets, ridge=1e-5):
                                     float(w[3 * d]))
 
 
-def ref_trpo_update(policy, batch, cfg):
+def ref_trpo_update(policy, batch, max_kl):
     from haarlab.params import NumericsError
     from haarlab.trpo import (BACKTRACK_RATIO, CG_DAMPING, CG_ITERATIONS, FISHER_STRIDE,
                               KL_SLACK, MAX_BACKTRACKS, AdvantageBatch, TrpoDiagnostics,
@@ -385,7 +385,7 @@ def ref_trpo_update(policy, batch, cfg):
     if not np.isfinite(s_as) or s_as <= 0.0:
         return TrpoDiagnostics(False, 0.0, surr_before, surr_before, 0)
 
-    full_step = np.sqrt(2.0 * cfg.max_kl / s_as) * step_dir
+    full_step = np.sqrt(2.0 * max_kl / s_as) * step_dir
     del fwd, apply_a
     shrink = 1.0
     for backtracks in range(MAX_BACKTRACKS):
@@ -394,8 +394,37 @@ def ref_trpo_update(policy, batch, cfg):
         kl = policy.dist_kl(work.old_dist, dist)
         surr = _surrogate(work, policy.dist_log_prob(dist, work.actions))
         if (np.isfinite(kl) and np.isfinite(surr)
-                and kl <= KL_SLACK * cfg.max_kl and surr - surr_before >= 0.0):
+                and kl <= KL_SLACK * max_kl and surr - surr_before >= 0.0):
             return TrpoDiagnostics(True, float(kl), surr_before, float(surr), backtracks)
         shrink *= BACKTRACK_RATIO
     policy.set_flat(theta_old)
     return TrpoDiagnostics(False, 0.0, surr_before, surr_before, MAX_BACKTRACKS)
+
+
+# -- linear softmax heads over the tabular env -------------------------------------
+# A CategoricalPolicy with no hidden layer over a one-hot input is a
+# softmax table: the logits of state s are column s of W plus b.
+
+def table_heads(n_states, n_skills, n_actions, rng):
+    """pi_h over TabularRolloutEnv's one-hot state and pi_l over the state
+    with the skill's one-hot appended, with standard normal parameters."""
+    from haarlab.nets import MlpSpec
+    from haarlab.policies import CategoricalPolicy
+
+    heads = (CategoricalPolicy(MlpSpec(n_states, (), n_skills), rng),
+             CategoricalPolicy(MlpSpec(n_states + n_skills, (), n_actions), rng))
+    for head in heads:
+        head.set_flat(rng.standard_normal(head.params.size))
+    return heads
+
+
+def head_tables(pi_h, pi_l, n_states, n_skills):
+    """(pi_h[s, z], pi_l[s, z, a]) read with dist_params at every state and
+    every (state, skill) input."""
+    from haarlab.hierarchy import skill_inputs
+
+    eye = np.eye(n_states)
+    x = skill_inputs(np.repeat(eye, n_skills, axis=0), np.tile(np.arange(n_skills), n_states),
+                     n_skills)
+    return (np.exp(pi_h.dist_params(eye)),
+            np.exp(pi_l.dist_params(x)).reshape(n_states, n_skills, -1))

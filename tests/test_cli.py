@@ -115,15 +115,26 @@ def test_transfer_modes_via_cli(tmp_path):
 
     target_text = cfg_text + "maze = mirrored\n"
     tcfg = write_cfg(tmp_path, text=target_text, name="target.cfg")
-    for mode in ("both", "low_only", "none"):
+    for mode in ("both", "low_only"):
         out = str(tmp_path / f"tr_{mode}")
         assert main(["transfer", "--config", tcfg, "--source", src,
                      "--transfer", mode, "--out", out, "--quiet"]) == 0
         assert os.path.exists(os.path.join(out, "seed_0", "metrics.csv"))
 
 
+def test_transfer_none_rejected_at_parse_time(tmp_path, capsys):
+    # training from scratch on a target config is `train --skills`
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["transfer", "--config", write_cfg(tmp_path), "--source", "src",
+              "--transfer", "none", "--out", str(out), "--quiet"])
+    assert exc.value.code == 2
+    assert "--transfer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, extra", [
-    ("pretrain", ()), ("train", ()), ("transfer", ("--source", "src", "--transfer", "none"))])
+    ("pretrain", ()), ("train", ()), ("transfer", ("--source", "src", "--transfer", "both"))])
 def test_jobs_below_one_rejected_at_parse_time(tmp_path, capsys, command, extra):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "out"

@@ -116,14 +116,6 @@ def reward_free_cfg(tmp_path, **kw):
     return tiny_cfg(maze_file=str(maze), task="swimmer_maze_lite", **kw)
 
 
-def test_transfer_none_identical_to_plain_training(tmp_path):
-    cfg = tiny_cfg()
-    a = run_single_seed(cfg, 2, str(tmp_path / "plain"))
-    b = run_single_seed(cfg, 2, str(tmp_path / "none"), transfer="none")
-    assert read_lines(a.metrics_path) == read_lines(b.metrics_path)
-    assert read_lines(a.checkpoint_path) == read_lines(b.checkpoint_path)
-
-
 def test_transfer_low_only_loads_only_low_segments(tmp_path):
     # a reward-free maze keeps both policies at their initial values, so
     # the final checkpoint exposes exactly what was loaded at startup

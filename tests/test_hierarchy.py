@@ -188,7 +188,7 @@ def fake_batch(seg_specs, low_dim=2):
         a_h=np.zeros(n_seg, dtype=np.intp), r_h=np.array(r_h, dtype=float),
         done_h=np.array(done_h), seg_len=np.array(seg_len), logp_h=np.zeros(n_seg),
         dist_h=np.zeros((n_seg, 2)), episodes=[EpisodeSummary(0.0, False)],
-        low_dim=low_dim, low_log_std=np.zeros(1))
+        low_dim=low_dim)
 
 
 def linear_value(dim):
@@ -269,8 +269,9 @@ def test_low_advantage_pointwise_when_gamma_zero():
     batch = fake_batch([(0.0, 3, False, 0, 0), (0.0, 2, True, 0, 0)])
     adv = np.array([3.0, -2.0])
     assign_auxiliary_rewards(batch, adv)
-    _, low_b = prepare_level_batches(batch, adv, discounted_returns(batch.r_l, batch.done_l, 0.0),
-                                     v_l=PolynomialValueEstimator.zeros(2))
+    returns = discounted_returns(batch.r_l, batch.done_l, 0.0)
+    _, low_b = prepare_level_batches(batch, adv, returns, PolynomialValueEstimator.zeros(2),
+                                     make_policies(make_env())[1])
     expected = [1.0, 1.0, 1.0, -1.0, -1.0]
     assert np.max(np.abs(low_b.advantages - expected)) <= 1e-12
 

@@ -281,10 +281,15 @@ def test_fvp_linearity():
         assert np.max(np.abs(a - b)) <= 1e-10
 
 
-@pytest.mark.parametrize("maker", [make_gaussian, make_categorical])
-def test_fvp_matches_finite_difference_hessian(maker):
+@pytest.mark.parametrize("maker, hidden", [
+    *(pytest.param(maker, (4,), id=maker.__name__) for maker in (make_gaussian, make_categorical)),
+    # no hidden layer: the linear softmax tables of the tabular oracle
+    *(pytest.param(maker, (), id=f"{maker.__name__}-linear")
+      for maker in (make_gaussian, make_categorical)),
+])
+def test_fvp_matches_finite_difference_hessian(maker, hidden):
     rng = np.random.default_rng(14)
-    pol = maker(hidden=(4,))
+    pol = maker(hidden=hidden)
     obs = rng.standard_normal((5, 3))
     old = pol.dist_params(obs)
     theta0 = pol.flat()

@@ -19,13 +19,15 @@ import pytest
 
 from haarlab.envs.maze import build_maze
 from haarlab.envs.point import EnvConfig, EpisodeBatch, PointEnv
-from haarlab.envs.tabular import TabularHighPolicy, TabularLowPolicy, TabularRolloutEnv
+from haarlab.envs.tabular import TabularRolloutEnv
 from haarlab.experiment import collect_flat
 from haarlab.hierarchy import collect_rollouts
 from haarlab.nets import MlpSpec
 from haarlab.policies import CategoricalPolicy, GaussianPolicy
 from haarlab.rollout import episode_streams, run_lanes
-from haarlab.theory import absorbing_random_mdp, random_joint_policy
+from haarlab.theory import absorbing_random_mdp
+
+from helpers import table_heads
 
 LANE_COUNTS = (1, 3, 16, None)  # None: the default, ceil(budget / horizon)
 N_SKILLS = 3
@@ -47,10 +49,10 @@ def neural_hierarchy(env, seed=0):
 
 
 def tabular_env(seed=3, horizon=12):
+    """The env and linear softmax heads (pi_h, pi_l) over its one-hot inputs."""
     rng = np.random.default_rng(seed)
     mdp = absorbing_random_mdp(4, 2, rng, stop_prob=0.1)
-    jp = random_joint_policy(mdp, N_SKILLS, 2, 0.9, 0.9, rng)
-    return TabularRolloutEnv(mdp, horizon=horizon), jp
+    return TabularRolloutEnv(mdp, horizon=horizon), table_heads(mdp.n_states, N_SKILLS, 2, rng)
 
 
 def flat_policy(env, seed=1):
@@ -100,8 +102,7 @@ def test_hierarchy_batches_identical_for_every_lane_count(case):
     make, budget, k = HIERARCHY_CASES[case]
     made = make()
     if case == "tabular":
-        env, jp = made
-        pi_h, pi_l = TabularHighPolicy(jp.pi_h), TabularLowPolicy(jp.pi_l)
+        env, (pi_h, pi_l) = made
     else:
         env = made
         pi_h, pi_l = neural_hierarchy(env)
@@ -124,9 +125,9 @@ def test_flat_batches_identical_for_every_lane_count(case):
     make, budget = FLAT_CASES[case]
     made = make()
     if case == "tabular":
-        # a table over (state, action) acts on the one-hot state like a flat policy
-        env, jp = made
-        policy = TabularHighPolicy(jp.pi_l[:, 0, :])
+        # a softmax table over (state, action) acts on the one-hot state as a flat policy
+        env, _ = made
+        policy = CategoricalPolicy(MlpSpec(env.high_obs_dim, (), 2), np.random.default_rng(1))
     else:
         env = made
         policy = flat_policy(env)

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from haarlab.envs.tabular import (TabularHighPolicy, TabularLowPolicy, TabularMdp,
-                                  TabularRolloutEnv, random_mdp)
-from haarlab.hierarchy import collect_rollouts
+from haarlab import hierarchy
+from haarlab.config import ExperimentConfig
+from haarlab.envs.tabular import TabularMdp, TabularRolloutEnv, random_mdp
+from haarlab.hierarchy import collect_rollouts, haar_iteration
 from haarlab.theory import (TabularJointPolicy, advantage_decomposition_residual,
                             composed_kernels, exact_eta, exact_high_advantage,
                             geometric_sum, lowlevel_objective_relative_error,
                             monotone_alternation_check, random_joint_policy)
+
+from helpers import head_tables, table_heads
 
 
 def single_state_mdp(reward=1.0):
@@ -259,11 +262,12 @@ def test_exact_eta_matches_hierarchy_rollouts():
     rng = np.random.default_rng(14)
     mdp = random_mdp(3, 2, rng)
     k, gamma_h = 2, 0.8
-    jp = random_joint_policy(mdp, 2, k, gamma_h, 0.9, rng)
+    pi_h, pi_l = table_heads(mdp.n_states, 2, mdp.n_actions, rng)
+    jp = TabularJointPolicy(*head_tables(pi_h, pi_l, mdp.n_states, 2), k, gamma_h, 0.9)
     n_high = 35  # truncation tail below ~4e-3
     env = TabularRolloutEnv(mdp, horizon=k * n_high)
-    batch = collect_rollouts(TabularHighPolicy(jp.pi_h), TabularLowPolicy(jp.pi_l),
-                             env, n_skills=2, budget_low_steps=150_000, k=k, seed=(99,))
+    batch = collect_rollouts(pi_h, pi_l, env, n_skills=2, budget_low_steps=150_000, k=k,
+                             seed=(99,))
     # discounted per-episode returns from the high-level transitions
     returns = []
     acc, n = 0.0, 0
@@ -278,3 +282,57 @@ def test_exact_eta_matches_hierarchy_rollouts():
     tail = gamma_h ** n_high * k * 1.0 / (1 - gamma_h)
     sigma = returns.std(ddof=1) / np.sqrt(len(returns))
     assert abs(exact - returns.mean()) <= 3 * sigma + tail
+
+
+def train_table_heads(monkeypatch, iterations=3):
+    """haar_iteration on the tabular env with linear softmax heads at both
+    levels; returns the heads, the config, each iteration's metrics and
+    updates, and each batch with its high-level advantages."""
+    rng = np.random.default_rng(21)
+    mdp = random_mdp(3, 2, rng)
+    env = TabularRolloutEnv(mdp, horizon=12)
+    cfg = ExperimentConfig(B=300, k_0=4, k_s=2, tau=0.3, n_skills=2, gamma_h=0.9,
+                           gamma_l=0.9, max_kl=0.02)
+    pi_h, pi_l = table_heads(mdp.n_states, cfg.n_skills, mdp.n_actions, rng)
+    assigned = []
+
+    def record(batch, advantages):
+        assign(batch, advantages)
+        assigned.append((batch, advantages))
+
+    assign = hierarchy.assign_auxiliary_rewards
+    monkeypatch.setattr(hierarchy, "assign_auxiliary_rewards", record)
+    runs, low_steps = [], 0
+    for it in range(iterations):
+        metrics, updates = haar_iteration(pi_h, pi_l, env, cfg, 5, it, low_steps)
+        runs.append((metrics, updates))
+        low_steps = metrics["low_steps_total"]
+    monkeypatch.undo()
+    return mdp, pi_h, pi_l, cfg, runs, assigned
+
+
+def test_haar_iteration_trains_linear_softmax_heads_on_the_tabular_env(monkeypatch):
+    mdp, pi_h, pi_l, cfg, runs, assigned = train_table_heads(monkeypatch)
+    assert [metrics["k"] for metrics, _ in runs] == [4, 3, 2]
+    for _, updates in runs:
+        assert [(level, diag.accepted) for level, diag in updates] == \
+            [("high", True), ("low", True)]
+    # every low step of segment j carries A_j / seg_len_j, and they sum to A_j
+    for batch, advantages in assigned:
+        assert np.any(advantages != 0.0)
+        assert np.array_equal(batch.r_l, (advantages / batch.seg_len)[batch.segment_id])
+        sums = np.zeros(len(advantages))
+        for j, r in zip(batch.segment_id.tolist(), batch.r_l.tolist()):
+            sums[j] += r
+        assert np.max(np.abs(sums - advantages)) <= 1e-9
+
+    again = train_table_heads(monkeypatch)
+    for head, rerun in ((pi_h, again[1]), (pi_l, again[2])):
+        assert head.flat().tobytes() == rerun.flat().tobytes()
+    assert [m for m, _ in runs] == [m for m, _ in again[4]]
+
+    pi_h_table, pi_l_table = head_tables(pi_h, pi_l, mdp.n_states, cfg.n_skills)
+    assert pi_h_table.shape == (mdp.n_states, cfg.n_skills)
+    assert pi_l_table.shape == (mdp.n_states, cfg.n_skills, mdp.n_actions)
+    jp = TabularJointPolicy(pi_h_table, pi_l_table, runs[-1][0]["k"], cfg.gamma_h, cfg.gamma_l)
+    assert np.isfinite(exact_eta(mdp, jp))

@@ -3,10 +3,12 @@ import pytest
 
 from haarlab.nets import MlpSpec, unpack_layers
 from haarlab.policies import CategoricalPolicy, GaussianPolicy
-from haarlab.trpo import (AdvantageBatch, TrpoConfig, conjugate_gradient,
-                          standardize_advantages, surrogate_loss, trpo_update)
+from haarlab.trpo import (AdvantageBatch, conjugate_gradient, standardize_advantages,
+                          surrogate_loss, trpo_update)
 
 from helpers import ref_trpo_update, rel_err
+
+MAX_KL = 0.01
 
 
 def make_batch(policy, obs, actions, advantages):
@@ -100,7 +102,7 @@ def test_zero_advantages_leave_parameters_unchanged():
     acts = rng.standard_normal((8, 2))
     batch = make_batch(pol, obs, acts, np.zeros(8))
     theta0 = pol.flat()
-    diag = trpo_update(pol, batch, TrpoConfig())
+    diag = trpo_update(pol, batch, MAX_KL)
     assert not diag.accepted
     assert np.max(np.abs(pol.flat() - theta0)) <= 1e-12
 
@@ -115,14 +117,14 @@ def test_zero_standardized_advantages_skip_the_forward_pass(monkeypatch, cls, ad
     acts = rng.standard_normal((8, 2)) if cls is GaussianPolicy else rng.integers(0, 2, 8)
     batch = make_batch(pol, obs, acts, advantages)
     theta0 = pol.flat()
-    want = ref_trpo_update(pol, batch, TrpoConfig())
+    want = ref_trpo_update(pol, batch, MAX_KL)
     assert pol.flat().tobytes() == theta0.tobytes()
 
     def no_forward(*args, **kwargs):
         raise AssertionError("zero advantages must not run the policy")
 
     monkeypatch.setattr(pol, "forward_batch", no_forward)
-    got = trpo_update(pol, batch, TrpoConfig())
+    got = trpo_update(pol, batch, MAX_KL)
     assert got == want
     assert [np.signbit(v) for v in (got.kl, got.surrogate_before, got.surrogate_after)] == \
         [np.signbit(v) for v in (want.kl, want.surrogate_before, want.surrogate_after)]
@@ -138,7 +140,7 @@ def test_bandit_probability_moves_toward_positive_advantage():
     adv = np.where(actions == 0, 1.0, -1.0)
     batch = make_batch(pol, obs, actions, adv)
     p_before = float(np.exp(pol.log_probs(obs[0]))[0])
-    diag = trpo_update(pol, batch, TrpoConfig())
+    diag = trpo_update(pol, batch, MAX_KL)
     p_after = float(np.exp(pol.log_probs(obs[0]))[0])
     assert diag.accepted
     assert p_after > p_before
@@ -162,10 +164,9 @@ def test_accepted_step_respects_kl_bound_and_improvement(seed, cls, output_dim, 
     rng = np.random.default_rng(100 + seed)
     pol, batch = policy_batch(cls, output_dim, rng, rows)
     theta0 = pol.flat()
-    cfg = TrpoConfig()  # max_kl = 0.01
-    diag = trpo_update(pol, batch, cfg)
+    diag = trpo_update(pol, batch, MAX_KL)
     if diag.accepted:
-        assert diag.kl <= 1.5 * 0.01 + 1e-12
+        assert diag.kl <= 1.5 * MAX_KL + 1e-12
         assert diag.improvement >= 0.0
         # verify the reported KL against a fresh evaluation
         assert abs(pol.mean_kl(batch.old_dist, batch.observations) - diag.kl) <= 1e-12
@@ -188,7 +189,7 @@ def test_fisher_sees_every_fifth_row_and_the_rest_sees_all(monkeypatch):
     monkeypatch.setattr(pol, "fvp_builder", spy("fisher", pol.fvp_builder))
     monkeypatch.setattr(pol, "grad_logprob_weighted", spy("grad", pol.grad_logprob_weighted))
     monkeypatch.setattr(pol, "dist_params", spy("line search", pol.dist_params))
-    diag = trpo_update(pol, batch, TrpoConfig())
+    diag = trpo_update(pol, batch, MAX_KL)
     assert diag.accepted
     assert [x.tobytes() for x in seen["fisher"]] == [obs[::5].tobytes()]
     assert [x.tobytes() for x in seen["grad"]] == [obs.tobytes()]
@@ -204,7 +205,7 @@ def test_update_is_deterministic():
         acts = np.stack([pol.act(o, rng)[0] for o in obs])
         adv = rng.standard_normal(32)
         batch = make_batch(pol, obs, acts, adv)
-        trpo_update(pol, batch, TrpoConfig())
+        trpo_update(pol, batch, MAX_KL)
         return pol.flat()
 
     a, b = run(), run()
@@ -219,7 +220,7 @@ def test_rejected_when_no_improving_step():
     act = np.array([[0.5]])
     batch = make_batch(pol, obs, act, np.array([1.0]))
     theta0 = pol.flat()
-    diag = trpo_update(pol, batch, TrpoConfig())
+    diag = trpo_update(pol, batch, MAX_KL)
     assert not diag.accepted
     assert np.array_equal(pol.flat(), theta0)
 
@@ -230,8 +231,3 @@ def test_batch_validation():
     with pytest.raises(Exception):
         AdvantageBatch(np.zeros((2, 2)), np.zeros((2, 1)), np.array([np.nan, 0.0]),
                        np.zeros(2), None)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        TrpoConfig(max_kl=0.0)
