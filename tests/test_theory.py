@@ -286,8 +286,8 @@ def test_exact_eta_matches_hierarchy_rollouts():
 
 def train_table_heads(monkeypatch, iterations=3):
     """haar_iteration on the tabular env with linear softmax heads at both
-    levels; returns the heads, the config, each iteration's metrics and
-    updates, and each batch with its high-level advantages."""
+    levels; returns the MDP, the heads, the config, each iteration's
+    metrics and updates, and each batch with its high-level advantages."""
     rng = np.random.default_rng(21)
     mdp = random_mdp(3, 2, rng)
     env = TabularRolloutEnv(mdp, horizon=12)
@@ -326,10 +326,10 @@ def test_haar_iteration_trains_linear_softmax_heads_on_the_tabular_env(monkeypat
             sums[j] += r
         assert np.max(np.abs(sums - advantages)) <= 1e-9
 
-    again = train_table_heads(monkeypatch)
-    for head, rerun in ((pi_h, again[1]), (pi_l, again[2])):
-        assert head.flat().tobytes() == rerun.flat().tobytes()
-    assert [m for m, _ in runs] == [m for m, _ in again[4]]
+    _, pi_h_again, pi_l_again, _, runs_again, _ = train_table_heads(monkeypatch)
+    assert pi_h.flat().tobytes() == pi_h_again.flat().tobytes()
+    assert pi_l.flat().tobytes() == pi_l_again.flat().tobytes()
+    assert [m for m, _ in runs] == [m for m, _ in runs_again]
 
     pi_h_table, pi_l_table = head_tables(pi_h, pi_l, mdp.n_states, cfg.n_skills)
     assert pi_h_table.shape == (mdp.n_states, cfg.n_skills)
