@@ -130,8 +130,7 @@ class _Traced:
 
     def act(self, run, high):
         actions, _ = self.collector.act(run, high)
-        return actions, (run.state.position,
-                         np.array([getattr(lane, "skill", -1) for lane in run.lane]))
+        return actions, (run.state.position, run.skill)
 
 
 def _trace_trajectories(path: str, env, collector, seed: int, episodes=range(TRACE_EPISODES)):
@@ -283,7 +282,7 @@ class _FlatCollector:
 
     def act(self, run, high):
         obs = high()
-        a, logp, mu = self.policy.act(obs, run.rngs)
+        a, logp, mu = self.policy.act(obs, run.rng)
         return a, (obs, a, mu, logp)
 
 
@@ -310,7 +309,7 @@ def flat_iteration(policy, env, cfg: ExperimentConfig, seed: int, iteration: int
         "iteration": iteration,
         "low_steps_total": low_steps_before + len(obs),
         "k": 1,
-        **episode_metrics(run.episodes),
+        **episode_metrics(run.success, run.total_return),
         "high_kl": diag.kl,
         "low_kl": 0.0,
         "high_surr_improve": diag.improvement,

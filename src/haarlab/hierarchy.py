@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .policies import CategoricalPolicy, GaussianPolicy
-from .rollout import EpisodeSummary, episode_metrics, episode_streams, run_lanes
+from .rollout import episode_metrics, episode_streams, run_lanes
 from .trpo import AdvantageBatch, TrpoDiagnostics, trpo_update
 from .values import PolynomialValueEstimator, fit_value, fold_input_scale
 
@@ -61,7 +61,9 @@ class RolloutBatch:
     seg_len: np.ndarray
     logp_h: np.ndarray
     dist_h: np.ndarray
-    episodes: list[EpisodeSummary]
+    # per episode
+    success: np.ndarray
+    total_return: np.ndarray
     low_dim: int
     r_l: np.ndarray = field(init=False)  # auxiliary rewards, see assign_auxiliary_rewards
 
@@ -89,29 +91,30 @@ class _SegmentCollector:
     """The hierarchical collector for run_lanes: each lane's skill comes
     from pi_h every k low steps of its episode (the first at its start),
     and pi_l acts on the ego observation with that skill's one-hot
-    appended."""
+    appended. Each step records the number of the segment it opens, in
+    the order segments open, or -1 if it opens none."""
 
     def __init__(self, pi_h, pi_l, n_skills: int, k: int):
         self.pi_h = pi_h
         self.pi_l = pi_l
         self.n_skills = n_skills
         self.k = k
-        self.segments = []  # (episode, s_h, a_h, logp_h, dist_h), in the order they open
+        self.blocks = []  # (s_h, a_h, logp_h, dist_h) rows of the segments each step opens
+        self.opened = 0
 
     def act(self, run, high):
-        deciding = run.steps % self.k == 0
-        if deciding.any():
-            lanes = run.lane[deciding]
-            s_h = high(deciding)
-            skills, logps, dists = self.pi_h.act(s_h, [lane.rng for lane in lanes])
-            for lane, row, skill, logp, dist in zip(lanes, s_h, skills.tolist(), logps.tolist(),
-                                                    dists):
-                lane.skill = skill
-                lane.segment = len(self.segments)
-                self.segments.append((lane.episode, row, skill, logp, dist))
-        x = skill_inputs(run.low, [lane.skill for lane in run.lane], self.n_skills)
-        a, logp, dist = self.pi_l.act(x, run.rngs)
-        return a, (x, a, logp, dist, np.array([lane.segment for lane in run.lane]))
+        opens = run.steps % self.k == 0
+        number = np.full(len(opens), -1)
+        if opens.any():
+            s_h = high(opens)
+            skills, logps, dists = self.pi_h.act(s_h, run.rng[opens])
+            run.skill[opens] = skills
+            number[opens] = np.arange(self.opened, self.opened + len(skills))
+            self.opened += len(skills)
+            self.blocks.append((s_h, skills, logps, dists))
+        x = skill_inputs(run.low, run.skill, self.n_skills)
+        a, logp, dist = self.pi_l.act(x, run.rng)
+        return a, (x, a, logp, dist, number)
 
 
 def collect_rollouts(pi_h, pi_l, env, n_skills: int, budget_low_steps: int, k: int,
@@ -130,29 +133,24 @@ def collect_rollouts(pi_h, pi_l, env, n_skills: int, budget_low_steps: int, k: i
     low_dim = env.low_obs_dim
     c = _SegmentCollector(pi_h, pi_l, n_skills, k)
     run = run_lanes(env, episode_streams(seed), budget_low_steps, c, lanes)
-    x_l, a_l, logp_l, dist_l, step_segment = run.columns
-    episode, s_h, a_h, logp_h, dist_h = zip(*c.segments)
-    order = run.order(episode)
-    renumber = np.empty(len(c.segments), dtype=np.intp)
-    renumber[order] = np.arange(len(order))
-    segment_id = renumber[step_segment]
-    n_segments = len(order)
+    x_l, a_l, logp_l, dist_l, number = run.columns
+    opens = number >= 0  # the rows are in episode order, so segments are too
+    segment_id = np.cumsum(opens) - 1
+    s_h, a_h, logp_h, dist_h = (np.concatenate(block)[number[opens]] for block in zip(*c.blocks))
+    n_segments = len(s_h)
     # bincount adds each segment's rewards in step order, as a running sum would
     r_h = np.bincount(segment_id, weights=run.reward, minlength=n_segments)
     done_h = np.zeros(n_segments, dtype=bool)
     done_h[segment_id[run.done]] = True
-    s_h = np.stack([s_h[j] for j in order])
     s_h_next = np.zeros_like(s_h)
     s_h_next[:-1] = s_h[1:]
     s_h_next[done_h] = 0.0
     return RolloutBatch(
         x_l=x_l, a_l=a_l, logp_l=logp_l, dist_l=dist_l, done_l=run.done,
         segment_id=segment_id, s_h=s_h, s_h_next=s_h_next,
-        a_h=np.array([a_h[j] for j in order], dtype=np.intp), r_h=r_h, done_h=done_h,
-        seg_len=np.bincount(segment_id, minlength=n_segments),
-        logp_h=np.array([logp_h[j] for j in order]),
-        dist_h=np.stack([dist_h[j] for j in order]),
-        episodes=run.episodes, low_dim=low_dim)
+        a_h=a_h, r_h=r_h, done_h=done_h, seg_len=np.bincount(segment_id, minlength=n_segments),
+        logp_h=logp_h, dist_h=dist_h, success=run.success, total_return=run.total_return,
+        low_dim=low_dim)
 
 
 def discounted_returns(rewards: np.ndarray, dones: np.ndarray, gamma: float) -> np.ndarray:
@@ -266,7 +264,7 @@ def haar_iteration(pi_h: CategoricalPolicy, pi_l: GaussianPolicy | CategoricalPo
         "iteration": iteration,
         "low_steps_total": low_steps_before + batch.n_low_steps,
         "k": k,
-        **episode_metrics(batch.episodes),
+        **episode_metrics(batch.success, batch.total_return),
         "high_kl": diag_h.kl,
         "low_kl": diag_l.kl,
         "high_surr_improve": diag_h.improvement,

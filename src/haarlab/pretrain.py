@@ -97,10 +97,10 @@ def fresh_low_policy(cfg: PretrainConfig, env: PointEnv, seed: int) -> GaussianP
 
 class _SkillCollector:
     """The collector for skill episodes on run_lanes: each lane runs one
-    skill, skill_of(lane) at its first step, and pi_l acts on the ego
-    observation with that skill's one-hot appended. Records the policy
-    input, action, log-prob and mean, the position before the step and
-    the skill."""
+    skill, skill_of(episode, rng) at its first step, and pi_l acts on the
+    ego observation with that skill's one-hot appended. Records the
+    policy input, action, log-prob and mean, the position before the
+    step and the skill."""
 
     def __init__(self, pi_l, n_skills: int, skill_of):
         self.pi_l = pi_l
@@ -108,12 +108,12 @@ class _SkillCollector:
         self.skill_of = skill_of
 
     def act(self, run, high):
-        for lane in run.lane[run.steps == 0]:
-            lane.skill = self.skill_of(lane)
-        skill = np.array([lane.skill for lane in run.lane])
-        x = skill_inputs(run.low, skill, self.n_skills)
-        a, logp, mu = self.pi_l.act(x, run.rngs)
-        return a, (x, a, logp, mu, run.state.position, skill)
+        first = run.steps == 0
+        run.skill[first] = [self.skill_of(e, rng)
+                            for e, rng in zip(run.episode[first].tolist(), run.rng[first])]
+        x = skill_inputs(run.low, run.skill, self.n_skills)
+        a, logp, mu = self.pi_l.act(x, run.rng)
+        return a, (x, a, logp, mu, run.state.position, run.skill)
 
 
 def pretrain_skills(cfg: PretrainConfig, seed: int, env_cfg: EnvConfig | None = None):
@@ -133,7 +133,7 @@ def pretrain_skills(cfg: PretrainConfig, seed: int, env_cfg: EnvConfig | None = 
         streams = (np.random.default_rng(np.random.SeedSequence((seed, PRETRAIN_STREAM, it, ep)))
                    for ep in count())
         collector = _SkillCollector(pi_l, cfg.n_skills,
-                                    lambda lane: int(lane.rng.integers(cfg.n_skills)))
+                                    lambda _, rng: int(rng.integers(cfg.n_skills)))
         run = run_lanes(env, streams, cfg.batch_low_steps, collector)
         xs, acts, logps, dists, position, skill = run.columns
         next_position = np.empty_like(position)
@@ -161,7 +161,7 @@ def skill_displacements(pi_l, n_skills: int, episodes_per_skill: int, steps: int
     env = open_field_env(steps, env_cfg)
     streams = (np.random.default_rng(np.random.SeedSequence((seed, 0xD1, skill, ep)))
                for skill in range(n_skills) for ep in range(episodes_per_skill))
-    collector = _SkillCollector(pi_l, n_skills, lambda lane: lane.episode // episodes_per_skill)
+    collector = _SkillCollector(pi_l, n_skills, lambda e, _: e // episodes_per_skill)
     run = run_lanes(env, streams, n_skills * episodes_per_skill * steps, collector)
     first = np.concatenate(([0], np.flatnonzero(run.done)[:-1] + 1))  # each episode's first row
     disp = run.final.position - run.columns[4][first]

@@ -24,7 +24,8 @@ as soon as the episodes before it reach the budget. The rows each step
 records come out in episode order, and within an episode in time order;
 the env state after each episode's last step comes out as one row per
 episode, so a row's next state is the following row's, or that final
-row where the row ends its episode.
+row where the row ends its episode. Each episode's return and whether
+it reached the goal come out by episode index as well.
 """
 
 from __future__ import annotations
@@ -38,16 +39,9 @@ import numpy as np
 EPISODE_STREAM = 0xE9
 
 
-@dataclass
-class EpisodeSummary:
-    total_return: float
-    success: bool
-
-
-def episode_metrics(episodes: list[EpisodeSummary]) -> dict[str, float]:
+def episode_metrics(success: np.ndarray, total_return: np.ndarray) -> dict[str, float]:
     """The success_rate and mean_return metrics of a batch's episodes."""
-    return {"success_rate": float(np.mean([e.success for e in episodes])),
-            "mean_return": float(np.mean([e.total_return for e in episodes]))}
+    return {"success_rate": float(np.mean(success)), "mean_return": float(np.mean(total_return))}
 
 
 def episode_rng(seed: tuple[int, ...], episode: int) -> np.random.Generator:
@@ -60,27 +54,15 @@ def episode_streams(seed: tuple[int, ...]):
     return (episode_rng(seed, e) for e in count())
 
 
-class Lane:
-    """One running episode's index and stream. Collectors keep their own
-    per-episode state on it as well."""
-
-    def __init__(self, episode: int, rng: np.random.Generator):
-        self.episode = episode
-        self.rng = rng
-
-
 class Running(NamedTuple):
     """The running episodes, one row per lane and in lane order."""
-    lane: np.ndarray          # (L,) the Lane records, as objects
     episode: np.ndarray       # (L,) episode indices
+    rng: np.ndarray           # (L,) the episodes' Generators, as objects
+    skill: np.ndarray         # (L,) the skill each runs: -1 until a collector writes it in place
     steps: np.ndarray         # (L,) steps each episode has taken
     total_return: np.ndarray  # (L,)
     state: tuple              # the env's batch state (a NamedTuple of row arrays)
     low: np.ndarray           # (L, low_dim) the current ego observations
-
-    @property
-    def rngs(self) -> list[np.random.Generator]:
-        return [lane.rng for lane in self.lane]
 
 
 def _rows(batch: tuple, rows) -> tuple:
@@ -100,20 +82,16 @@ def _joined(parts: list[tuple]) -> tuple:
 class LaneRun:
     """What a lockstep run returns: the rows each step recorded, for the
     steps of the batch's episodes, in episode order and within an episode
-    in time order. Each array is a C-contiguous view of the leading rows
-    of one step buffer."""
-    columns: list[np.ndarray]       # the collector's per-step columns
+    in time order. Each per-step array is a C-contiguous view of the
+    leading rows of one step buffer."""
+    columns: list[np.ndarray]  # the collector's per-step columns
     reward: np.ndarray
     done: np.ndarray
-    final: tuple                    # the env state after each episode's last step,
-                                    # one row per episode of the batch, by index
-    episodes: list[EpisodeSummary]  # the batch's episodes, by index
-    steps_taken: int                # every step, those of dropped episodes included
-
-    def order(self, episode_of) -> np.ndarray:
-        """Indices that put items tagged with their episode into episode
-        order, leaving out the items of episodes outside the batch."""
-        return _episode_order(episode_of, len(self.episodes))
+    final: tuple               # the env state after each episode's last step,
+                               # one row per episode of the batch, by index
+    success: np.ndarray        # each episode of the batch reached the goal, by index
+    total_return: np.ndarray   # its undiscounted return, by index
+    steps_taken: int           # every step, those of dropped episodes included
 
 
 def _episode_order(episode_of, kept: int) -> np.ndarray:
@@ -171,7 +149,9 @@ def run_lanes(env, streams: Iterable[np.random.Generator], budget: int, collecto
           the actions of the Running lanes, in order, and a tuple of
           arrays with one row per lane that the step records; high(rows)
           gives the high observation rows of the lanes `rows` selects,
-          and high() those of every lane.
+          and high() those of every lane. A collector that chooses
+          skills writes them into running.skill in place; a lane keeps
+          its skill until it is written again.
     """
     if lanes is None:
         lanes = -(-budget // env.horizon)
@@ -179,8 +159,7 @@ def run_lanes(env, streams: Iterable[np.random.Generator], budget: int, collecto
         raise ValueError("the step budget and the lane count must be >= 1")
     streams = iter(streams)
     lengths: list[int] = []        # steps episode e has taken
-    summaries: dict[int, EpisodeSummary] = {}
-    finals: list[tuple] = []       # (episode indices, env state rows) of lanes as they end
+    finals: list[tuple] = []       # (episodes, env state rows, returns, successes) as lanes end
     # The last lanes run past the budget: ceil(B/T) episodes of T steps
     # take fewer than B + T. The buffer doubles when a run takes more.
     rows = _StepRows(budget + budget // 4)
@@ -190,14 +169,14 @@ def run_lanes(env, streams: Iterable[np.random.Generator], budget: int, collecto
         n = 0 if run is None else len(run.episode)
         if n < lanes and total < budget:
             e0 = len(lengths)
-            new = [Lane(e, rng) for e, rng in enumerate(islice(streams, lanes - n), e0)]
-            if new:
-                states, lows = zip(*(env.reset(lane.rng) for lane in new))
-                lengths += [0] * len(new)
-                objects = np.empty(len(new), dtype=object)
-                objects[:] = new
-                fresh = Running(objects, np.arange(e0, e0 + len(new)), np.zeros(len(new), np.intp),
-                                np.zeros(len(new)), _joined(states), np.concatenate(lows))
+            rngs = list(islice(streams, lanes - n))
+            if rngs:
+                m = len(rngs)
+                states, lows = zip(*(env.reset(rng) for rng in rngs))
+                lengths += [0] * m
+                fresh = Running(np.arange(e0, e0 + m), np.fromiter(rngs, object, m), np.full(m, -1),
+                                np.zeros(m, np.intp), np.zeros(m), _joined(states),
+                                np.concatenate(lows))
                 run = fresh if run is None else _joined([run, fresh])
         if run is None or not len(run.episode):
             break
@@ -209,16 +188,16 @@ def run_lanes(env, streams: Iterable[np.random.Generator], budget: int, collecto
 
         actions, columns = collector.act(run, high)
         state, low, reward, done, ends = env.step(run.state, actions)
-        run = Running(run.lane, run.episode, run.steps + 1, run.total_return + reward, state, low)
+        run = run._replace(steps=run.steps + 1, total_return=run.total_return + reward,
+                           state=state, low=low)
         rows.add((run.episode, reward, done, *columns))
         total += len(run.episode)
         finished = np.flatnonzero(done)
         if len(finished):
-            finals.append((run.episode[finished], _rows(state, finished)))
-        for i in finished.tolist():
-            e = int(run.episode[i])
-            lengths[e] = int(run.steps[i])
-            summaries[e] = EpisodeSummary(float(run.total_return[i]), bool(ends["goal"][i]))
+            finals.append((run.episode[finished], _rows(state, finished),
+                           run.total_return[finished], ends["goal"][finished]))
+        for e, steps in zip(run.episode[finished].tolist(), run.steps[finished].tolist()):
+            lengths[e] = steps
         if total >= budget:
             for e, steps in zip(run.episode.tolist(), run.steps.tolist()):
                 lengths[e] = steps
@@ -237,7 +216,9 @@ def run_lanes(env, streams: Iterable[np.random.Generator], budget: int, collecto
     for column in rows.columns:
         column[:len(order)] = column[order]
     _, reward, done, *columns = (column[:len(order)] for column in rows.columns)
-    ended, final = zip(*finals)
-    final = _rows(_joined(final), _episode_order(np.concatenate(ended), kept))
-    return LaneRun(columns=columns, reward=reward, done=done, final=final,
-                   episodes=[summaries[e] for e in range(kept)], steps_taken=total)
+    ended, final, total_return, success = zip(*finals)
+    by_episode = _episode_order(np.concatenate(ended), kept)
+    return LaneRun(columns=columns, reward=reward, done=done,
+                   final=_rows(_joined(final), by_episode),
+                   success=np.concatenate(success)[by_episode],
+                   total_return=np.concatenate(total_return)[by_episode], steps_taken=total)

@@ -4,7 +4,7 @@ import pytest
 from haarlab.envs.maze import build_maze
 from haarlab.envs.point import EnvConfig, PointEnv
 from haarlab.config import ConfigError, ExperimentConfig
-from haarlab.hierarchy import (ConservationError, EpisodeSummary, RolloutBatch,
+from haarlab.hierarchy import (ConservationError, RolloutBatch,
                                assign_auxiliary_rewards, collect_rollouts, discounted_returns,
                                estimate_high_advantages, haar_iteration, prepare_level_batches,
                                skill_length)
@@ -187,7 +187,7 @@ def fake_batch(seg_specs, low_dim=2):
         s_h=np.outer(s_val, np.ones(low_dim)), s_h_next=np.outer(s_next_val, np.ones(low_dim)),
         a_h=np.zeros(n_seg, dtype=np.intp), r_h=np.array(r_h, dtype=float),
         done_h=np.array(done_h), seg_len=np.array(seg_len), logp_h=np.zeros(n_seg),
-        dist_h=np.zeros((n_seg, 2)), episodes=[EpisodeSummary(0.0, False)],
+        dist_h=np.zeros((n_seg, 2)), success=np.zeros(1, dtype=bool), total_return=np.zeros(1),
         low_dim=low_dim)
 
 

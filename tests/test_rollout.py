@@ -32,7 +32,7 @@ from helpers import table_heads
 LANE_COUNTS = (1, 3, 16, None)  # None: the default, ceil(budget / horizon)
 N_SKILLS = 3
 BATCH_ARRAYS = ("x_l", "a_l", "logp_l", "dist_l", "done_l", "segment_id", "s_h", "s_h_next",
-                "a_h", "r_h", "done_h", "seg_len", "logp_h", "dist_h")
+                "a_h", "r_h", "done_h", "seg_len", "logp_h", "dist_h", "success", "total_return")
 
 
 def point_env(kind, **kw):
@@ -73,16 +73,13 @@ def assert_same_bytes(runs):
 
 
 def hierarchy_arrays(batch):
-    out = {name: getattr(batch, name) for name in BATCH_ARRAYS}
-    out["episodes"] = np.array([(e.total_return, e.success) for e in batch.episodes])
-    return out
+    return {name: getattr(batch, name) for name in BATCH_ARRAYS}
 
 
 def flat_arrays(collected):
     obs, acts, means, logps, run = collected
     return {"obs": obs, "acts": acts, "means": means, "logps": logps, "reward": run.reward,
-            "done": run.done,
-            "episodes": np.array([(e.total_return, e.success) for e in run.episodes])}
+            "done": run.done, "success": run.success, "total_return": run.total_return}
 
 
 def stumbling_env(kind, horizon):
@@ -155,7 +152,7 @@ def test_budget_edges(edge):
     policy = flat_policy(env)
     runs = [collect_flat(policy, env, budget, (0, 0), lanes) for lanes in LANE_COUNTS]
     for obs, _, _, _, run in runs:
-        assert len(run.episodes) == episodes
+        assert len(run.success) == episodes
         assert len(obs) == episodes * horizon
     assert runs[1][-1].steps_taken == taken_by_three
     assert runs[2][-1].steps_taken > len(runs[2][0])
@@ -165,7 +162,7 @@ def test_budget_edges(edge):
     pi_h, pi_l = neural_hierarchy(env)
     batches = [collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget, 4, seed=(0, 0), lanes=lanes)
                for lanes in LANE_COUNTS]
-    assert len(batches[0].episodes) == episodes
+    assert len(batches[0].success) == episodes
     assert batches[0].n_low_steps == episodes * horizon
     assert_same_bytes([hierarchy_arrays(b) for b in batches])
 
@@ -250,8 +247,8 @@ def test_default_lanes_run_every_episode_together(budget, horizon):
     env = CountdownEnv(horizon, fixed=True)
     run = run_lanes(env, episode_streams((0,)), budget, IdleCollector())
     assert env.step_calls == horizon
-    assert len(run.episodes) == -(-budget // horizon)
-    assert run.steps_taken == len(run.reward) == len(run.episodes) * horizon
+    assert len(run.success) == -(-budget // horizon)
+    assert run.steps_taken == len(run.reward) == len(run.success) * horizon
 
 
 @pytest.mark.parametrize("lanes", LANE_COUNTS)
@@ -264,7 +261,7 @@ def test_finite_streams_run_exactly_their_episodes(lanes):
     assert len(set(lengths)) > 1
     run = run_lanes(env, (np.random.default_rng(seed) for seed in range(7)), 7 * env.horizon,
                     IdleCollector(), lanes)
-    assert env.resets == len(run.episodes) == 7
+    assert env.resets == len(run.success) == 7
     assert env.lane_steps == run.steps_taken == len(run.reward) == sum(lengths)
     assert (np.flatnonzero(run.done) + 1).tolist() == np.cumsum(lengths).tolist()
     assert run.final.t.tolist() == run.final.length.tolist() == lengths
@@ -279,7 +276,7 @@ def test_final_rows_are_each_kept_episodes_last_state(lanes, budget):
     env = CountdownEnv(9)
     run = run_lanes(env, (np.random.default_rng(seed) for seed in count()), budget,
                     IdleCollector(), lanes)
-    episodes = countdown_episodes(env, range(len(run.episodes)))
+    episodes = countdown_episodes(env, range(len(run.success)))
     lengths = [n for n, _ in episodes]
     assert sum(lengths[:-1]) < budget <= sum(lengths) == len(run.reward)
     assert (np.flatnonzero(run.done) + 1).tolist() == np.cumsum(lengths).tolist()
@@ -295,4 +292,34 @@ def test_run_lanes_never_steps_a_finished_lane(lanes):
     run = run_lanes(env, (np.random.default_rng(seed) for seed in count()), 50,
                     IdleCollector(), lanes)
     assert env.lane_steps == run.steps_taken >= len(run.reward) >= 50
-    assert env.resets >= len(run.episodes)
+    assert env.resets >= len(run.success)
+
+
+class SkillOfEpisode:
+    """Writes each episode's index into the skill column at its first
+    step, or never writes it, and records the column on every step."""
+
+    def __init__(self, writes):
+        self.writes = writes
+
+    def act(self, run, high):
+        if self.writes:
+            first = run.steps == 0
+            run.skill[first] = run.episode[first]
+        return np.zeros(len(run.episode)), (run.skill,)
+
+
+@pytest.mark.parametrize("lanes", LANE_COUNTS)
+def test_skill_column_follows_its_episode(lanes):
+    # mixed lengths make lanes end, drop and refill out of step, so a
+    # running episode's row moves whenever a lane before it ends
+    env = CountdownEnv(9)
+    run = run_lanes(env, (np.random.default_rng(seed) for seed in count()), 60,
+                    SkillOfEpisode(True), lanes)
+    lengths = [n for n, _ in countdown_episodes(env, range(len(run.success)))]
+    assert len(set(lengths)) > 1
+    assert run.columns[0].tolist() == np.repeat(np.arange(len(lengths)), lengths).tolist()
+
+    run = run_lanes(env, (np.random.default_rng(seed) for seed in count()), 60,
+                    SkillOfEpisode(False), lanes)
+    assert len(run.columns[0]) >= 60 and (run.columns[0] == -1).all()
