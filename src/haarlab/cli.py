@@ -40,13 +40,14 @@ def _positive_int(raw: str) -> int:
     return value
 
 
-def _add_common(p):
+def _add_common(p, mode: bool = True):
     p.add_argument("--config", required=True,
                    help="plain-text config file (key = value lines)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", help="seed or comma separated seed list (overrides config)")
-    p.add_argument("--mode", choices=("concurrent", "alternate"),
-                   help="override the training mode")
+    if mode:  # pre-training has no training mode
+        p.add_argument("--mode", choices=("concurrent", "alternate"),
+                       help="override the training mode")
     p.add_argument("--jobs", type=_positive_int, default=1, help="parallel seed processes")
     p.add_argument("--quiet", action="store_true", help="suppress progress lines")
 
@@ -136,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pretrain", help="pre-train the initial skill set")
-    _add_common(p)
+    _add_common(p, mode=False)
     p.set_defaults(fn=cmd_pretrain)
 
     p = sub.add_parser("train", help="run training for every seed")

@@ -318,8 +318,7 @@ def flat_iteration(policy, env, cfg: ExperimentConfig, seed: int, iteration: int
     return metrics, [("flat", diag)]
 
 
-def _seed_job(args):
-    cfg, seed, out_dir, skills, transfer, source = args
+def _seed_job(cfg, seed, out_dir, skills, transfer, source):
     record = run_single_seed(cfg, seed, out_dir, skills_checkpoint=skills,
                              transfer=transfer, source_checkpoint=source)
     return record.directory
@@ -345,33 +344,33 @@ def run_train(cfg: ExperimentConfig, out_dir: str,
 
     tasks = [(cfg, seed, out_dir, pick(skills, seed), transfer, pick(source, seed))
              for seed in cfg.seeds]
-    if jobs > 1 and len(tasks) > 1:
-        from multiprocessing import get_context  # only pooled runs pay for the import
-        with get_context("fork").Pool(min(jobs, len(tasks))) as pool:
-            return pool.map(_seed_job, tasks)
-    out = []
-    for t in tasks:
-        out.append(_seed_job(t))
-        if log:
-            log(f"finished {t[1]}")
-    return out
+    return _map_seeds(_seed_job, tasks, jobs, log)
 
 
 def run_pretrain(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> dict[int, str]:
     """Pre-train one skill set per seed; returns seed -> checkpoint path."""
     os.makedirs(out_dir, exist_ok=True)
-    tasks = [(cfg, seed, out_dir) for seed in cfg.seeds]
-    if jobs > 1 and len(tasks) > 1:
-        from multiprocessing import get_context
-        with get_context("fork").Pool(min(jobs, len(tasks))) as pool:
-            paths = pool.map(_pretrain_job, tasks)
-    else:
-        paths = [_pretrain_job(t) for t in tasks]
+    paths = _map_seeds(_pretrain_job, [(cfg, seed, out_dir) for seed in cfg.seeds], jobs)
     return dict(zip(cfg.seeds, paths))
 
 
-def _pretrain_job(args):
-    cfg, seed, out_dir = args
+def _map_seeds(job, tasks: list[tuple], jobs: int, log=None) -> list:
+    """job(*task) for each task, whose second item is its seed, in order:
+    in forked processes when jobs > 1 and there are several tasks,
+    otherwise one at a time, logging each seed as it finishes."""
+    if jobs > 1 and len(tasks) > 1:
+        from multiprocessing import get_context  # only pooled runs pay for the import
+        with get_context("fork").Pool(min(jobs, len(tasks))) as pool:
+            return pool.starmap(job, tasks)
+    out = []
+    for t in tasks:
+        out.append(job(*t))
+        if log:
+            log(f"finished {t[1]}")
+    return out
+
+
+def _pretrain_job(cfg, seed, out_dir):
     pi_l, stats = pretrain_skills(cfg.pretrain, seed)
     path = os.path.join(out_dir, f"skills_seed_{seed}.bin")
     save_checkpoint(path, policy_segments(pi_l=pi_l),

@@ -16,7 +16,7 @@ never disabled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -46,7 +46,7 @@ class RolloutBatch:
     step, row j of a per-segment array the j-th skill segment, both in
     simulation order."""
     # per low step
-    x_l: np.ndarray          # policy input: ego observation + one-hot skill
+    low_l: np.ndarray        # the ego observation the low policy acted on, without the skill
     a_l: np.ndarray
     logp_l: np.ndarray
     dist_l: np.ndarray       # the low policy's distribution parameters
@@ -64,17 +64,14 @@ class RolloutBatch:
     # per episode
     success: np.ndarray
     total_return: np.ndarray
-    low_dim: int
-    r_l: np.ndarray = field(init=False)  # auxiliary rewards, see assign_auxiliary_rewards
 
     def __post_init__(self):
-        if int(self.seg_len.sum()) != len(self.x_l):
+        if int(self.seg_len.sum()) != len(self.low_l):
             raise ValueError("segment lengths do not cover the low-level steps")
-        self.r_l = np.zeros(len(self.x_l))
 
     @property
     def n_low_steps(self) -> int:
-        return len(self.x_l)
+        return len(self.low_l)
 
 
 def skill_inputs(low: np.ndarray, skills, n_skills: int) -> np.ndarray:
@@ -91,8 +88,9 @@ class _SegmentCollector:
     """The hierarchical collector for run_lanes: each lane's skill comes
     from pi_h every k low steps of its episode (the first at its start),
     and pi_l acts on the ego observation with that skill's one-hot
-    appended. Each step records the number of the segment it opens, in
-    the order segments open, or -1 if it opens none."""
+    appended. Each step records the ego observation (the low level's
+    learner rebuilds the policy input) and the number of the segment it
+    opens, in the order segments open, or -1 if it opens none."""
 
     def __init__(self, pi_h, pi_l, n_skills: int, k: int):
         self.pi_h = pi_h
@@ -112,9 +110,8 @@ class _SegmentCollector:
             number[opens] = np.arange(self.opened, self.opened + len(skills))
             self.opened += len(skills)
             self.blocks.append((s_h, skills, logps, dists))
-        x = skill_inputs(run.low, run.skill, self.n_skills)
-        a, logp, dist = self.pi_l.act(x, run.rng)
-        return a, (x, a, logp, dist, number)
+        a, logp, dist = self.pi_l.act(skill_inputs(run.low, run.skill, self.n_skills), run.rng)
+        return a, (run.low, a, logp, dist, number)
 
 
 def collect_rollouts(pi_h, pi_l, env, n_skills: int, budget_low_steps: int, k: int,
@@ -130,10 +127,9 @@ def collect_rollouts(pi_h, pi_l, env, n_skills: int, budget_low_steps: int, k: i
     """
     if k < 1 or budget_low_steps < 1:
         raise ValueError("k and the step budget must be >= 1")
-    low_dim = env.low_obs_dim
     c = _SegmentCollector(pi_h, pi_l, n_skills, k)
     run = run_lanes(env, episode_streams(seed), budget_low_steps, c, lanes)
-    x_l, a_l, logp_l, dist_l, number = run.columns
+    low_l, a_l, logp_l, dist_l, number = run.columns
     opens = number >= 0  # the rows are in episode order, so segments are too
     segment_id = np.cumsum(opens) - 1
     s_h, a_h, logp_h, dist_h = (np.concatenate(block)[number[opens]] for block in zip(*c.blocks))
@@ -146,11 +142,10 @@ def collect_rollouts(pi_h, pi_l, env, n_skills: int, budget_low_steps: int, k: i
     s_h_next[:-1] = s_h[1:]
     s_h_next[done_h] = 0.0
     return RolloutBatch(
-        x_l=x_l, a_l=a_l, logp_l=logp_l, dist_l=dist_l, done_l=run.done,
+        low_l=low_l, a_l=a_l, logp_l=logp_l, dist_l=dist_l, done_l=run.done,
         segment_id=segment_id, s_h=s_h, s_h_next=s_h_next,
         a_h=a_h, r_h=r_h, done_h=done_h, seg_len=np.bincount(segment_id, minlength=n_segments),
-        logp_h=logp_h, dist_h=dist_h, success=run.success, total_return=run.total_return,
-        low_dim=low_dim)
+        logp_h=logp_h, dist_h=dist_h, success=run.success, total_return=run.total_return)
 
 
 def discounted_returns(rewards: np.ndarray, dones: np.ndarray, gamma: float) -> np.ndarray:
@@ -175,8 +170,9 @@ def estimate_high_advantages(batch: RolloutBatch, v_h: PolynomialValueEstimator,
     return batch.r_h + gamma_h * v_h.predict(batch.s_h_next) * live - v_h.predict(batch.s_h)
 
 
-def assign_auxiliary_rewards(batch: RolloutBatch, advantages: np.ndarray) -> None:
-    """Give every low step of segment j the reward A_j / seg_len_j.
+def assign_auxiliary_rewards(batch: RolloutBatch, advantages: np.ndarray) -> np.ndarray:
+    """The auxiliary reward of every low step: A_j / seg_len_j for a step
+    of segment j.
 
     The per-segment sums must reproduce A_j to 1e-9; this conservation
     check is a hard error (not an assert), so it can never be disabled.
@@ -185,26 +181,27 @@ def assign_auxiliary_rewards(batch: RolloutBatch, advantages: np.ndarray) -> Non
     advantages = np.asarray(advantages, dtype=np.float64)
     if advantages.shape != (len(batch.seg_len),):
         raise ValueError("advantages must align with the segments")
-    batch.r_l = (advantages / batch.seg_len)[batch.segment_id]
+    r_l = (advantages / batch.seg_len)[batch.segment_id]
     # bincount adds each segment's rewards in step order
-    sums = np.bincount(batch.segment_id, weights=batch.r_l, minlength=len(advantages))
+    sums = np.bincount(batch.segment_id, weights=r_l, minlength=len(advantages))
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the check
         err = np.max(np.abs(sums - advantages), initial=0.0)
     if not err <= 1e-9:
         raise ConservationError(
             f"auxiliary rewards violate per-segment conservation by {err:.3e}")
+    return r_l
 
 
 def prepare_level_batches(batch: RolloutBatch, advantages: np.ndarray,
-                          returns_l: np.ndarray | None, v_l: PolynomialValueEstimator | None,
-                          pi_l) -> tuple[AdvantageBatch, AdvantageBatch | None]:
+                          low_advantages: np.ndarray | None, pi_l, n_skills: int
+                          ) -> tuple[AdvantageBatch, AdvantageBatch | None]:
     """Assemble the optimizer inputs for both levels.
 
-    The high level consumes the one-step advantages directly; the low
-    level uses its discounted auxiliary returns against its own
-    baseline, and pi_l, which collected the batch, gives its old
-    distribution. A low level that takes no step passes no returns and
-    gets no batch.
+    The high level consumes the one-step advantages directly. The low
+    level trains on the inputs its policy acted on, each ego row with
+    its segment's skill one-hot, built here once per batch; pi_l, which
+    collected the batch, gives its old distribution. A low level that
+    takes no step passes no advantages and gets no batch.
     """
     high_batch = AdvantageBatch(
         observations=batch.s_h,
@@ -213,12 +210,12 @@ def prepare_level_batches(batch: RolloutBatch, advantages: np.ndarray,
         old_log_probs=batch.logp_h,
         old_dist=batch.dist_h,
     )
-    if v_l is None:
+    if low_advantages is None:
         return high_batch, None
     low_batch = AdvantageBatch(
-        observations=batch.x_l,
+        observations=skill_inputs(batch.low_l, batch.a_h[batch.segment_id], n_skills),
         actions=batch.a_l,
-        advantages=returns_l - v_l.predict(batch.x_l[:, :batch.low_dim]),
+        advantages=low_advantages,
         old_log_probs=batch.logp_l,
         old_dist=pi_l.old_dist(batch.dist_l),
     )
@@ -243,18 +240,19 @@ def haar_iteration(pi_h: CategoricalPolicy, pi_l: GaussianPolicy | CategoricalPo
     v_h = fit_value_on_scaled(batch.s_h, discounted_returns(batch.r_h, batch.done_h, cfg.gamma_h),
                               env.high_obs_scale, cfg.ridge)
     advantages = estimate_high_advantages(batch, v_h, cfg.gamma_h)
-    assign_auxiliary_rewards(batch, advantages)
+    r_l = assign_auxiliary_rewards(batch, advantages)
 
     ordinal = iteration + 1  # 1-based: odd batches refresh the high level
     do_high = cfg.mode == "concurrent" or ordinal % 2 == 1
     do_low = (cfg.mode == "concurrent" or ordinal % 2 == 0) and cfg.algorithm != "frozen_skills"
 
-    returns_l = v_l = None
+    low_advantages = None
     if do_low:  # the low level's returns and baseline serve only its step
-        returns_l = discounted_returns(batch.r_l, batch.done_l, cfg.gamma_l)
-        v_l = fit_value_on_scaled(batch.x_l[:, :batch.low_dim], returns_l,
-                                  env.low_obs_scale, cfg.ridge)
-    high_batch, low_batch = prepare_level_batches(batch, advantages, returns_l, v_l, pi_l)
+        returns_l = discounted_returns(r_l, batch.done_l, cfg.gamma_l)
+        v_l = fit_value_on_scaled(batch.low_l, returns_l, env.low_obs_scale, cfg.ridge)
+        low_advantages = returns_l - v_l.predict(batch.low_l)
+    high_batch, low_batch = prepare_level_batches(batch, advantages, low_advantages, pi_l,
+                                                  cfg.n_skills)
 
     no_step = TrpoDiagnostics(False, 0.0, 0.0, 0.0, 0)
     diag_h = trpo_update(pi_h, high_batch, cfg.max_kl) if do_high else no_step

@@ -98,9 +98,9 @@ def fresh_low_policy(cfg: PretrainConfig, env: PointEnv, seed: int) -> GaussianP
 class _SkillCollector:
     """The collector for skill episodes on run_lanes: each lane runs one
     skill, skill_of(episode, rng) at its first step, and pi_l acts on the
-    ego observation with that skill's one-hot appended. Records the
-    policy input, action, log-prob and mean, the position before the
-    step and the skill."""
+    ego observation with that skill's one-hot appended. Records the ego
+    observation, action, log-prob and mean, the position before the step
+    and the skill."""
 
     def __init__(self, pi_l, n_skills: int, skill_of):
         self.pi_l = pi_l
@@ -111,9 +111,8 @@ class _SkillCollector:
         first = run.steps == 0
         run.skill[first] = [self.skill_of(e, rng)
                             for e, rng in zip(run.episode[first].tolist(), run.rng[first])]
-        x = skill_inputs(run.low, run.skill, self.n_skills)
-        a, logp, mu = self.pi_l.act(x, run.rng)
-        return a, (x, a, logp, mu, run.state.position, run.skill)
+        a, logp, mu = self.pi_l.act(skill_inputs(run.low, run.skill, self.n_skills), run.rng)
+        return a, (run.low, a, logp, mu, run.state.position, run.skill)
 
 
 def pretrain_skills(cfg: PretrainConfig, seed: int, env_cfg: EnvConfig | None = None):
@@ -127,7 +126,6 @@ def pretrain_skills(cfg: PretrainConfig, seed: int, env_cfg: EnvConfig | None = 
     pi_l = fresh_low_policy(cfg, env, seed)
     if cfg.proxy == "random_init":
         return pi_l, []
-    x_scale = np.concatenate([env.low_obs_scale, np.ones(cfg.n_skills)])
     stats = []
     for it in range(cfg.iterations):
         streams = (np.random.default_rng(np.random.SeedSequence((seed, PRETRAIN_STREAM, it, ep)))
@@ -135,13 +133,14 @@ def pretrain_skills(cfg: PretrainConfig, seed: int, env_cfg: EnvConfig | None = 
         collector = _SkillCollector(pi_l, cfg.n_skills,
                                     lambda _, rng: int(rng.integers(cfg.n_skills)))
         run = run_lanes(env, streams, cfg.batch_low_steps, collector)
-        xs, acts, logps, dists, position, skill = run.columns
+        low, acts, logps, dists, position, skill = run.columns
+        xs = skill_inputs(low, skill, cfg.n_skills)
         next_position = np.empty_like(position)
         next_position[:-1] = position[1:]
         next_position[run.done] = run.final.position
         rewards = proxy_rewards(skill, position, next_position, cfg.n_skills)
         returns = discounted_returns(rewards, run.done, cfg.gamma)
-        v = fit_value_on_scaled(xs, returns, x_scale, DEFAULT_RIDGE)
+        v = fit_value_on_scaled(xs, returns, pi_l.input_scale, DEFAULT_RIDGE)
         adv = returns - v.predict(xs)
         batch = AdvantageBatch(xs, acts, adv, logps, pi_l.old_dist(dists))
         diag = trpo_update(pi_l, batch, PRETRAIN_MAX_KL)

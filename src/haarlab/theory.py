@@ -142,13 +142,18 @@ def semi_mdp(mdp: TabularMdp, jp: TabularJointPolicy):
     return m, r_bar, pk, r_h
 
 
+def _solve(m: np.ndarray, gamma: float, b: np.ndarray) -> np.ndarray:
+    """x with (I - gamma m) x = b, or SingularSystemError."""
+    try:
+        return np.linalg.solve(np.eye(m.shape[0]) - gamma * m, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(str(exc)) from exc
+
+
 def high_value(mdp: TabularMdp, jp: TabularJointPolicy) -> np.ndarray:
     """Exact V_h: solve (I - gamma_h M) V = r_bar."""
     m, r_bar, _, _ = semi_mdp(mdp, jp)
-    try:
-        return np.linalg.solve(np.eye(mdp.n_states) - jp.gamma_h * m, r_bar)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(str(exc)) from exc
+    return _solve(m, jp.gamma_h, r_bar)
 
 
 def exact_eta(mdp: TabularMdp, jp: TabularJointPolicy) -> float:
@@ -163,11 +168,7 @@ def exact_high_advantage(mdp: TabularMdp, jp: TabularJointPolicy) -> np.ndarray:
 
 def discounted_occupancy(initial_dist: np.ndarray, m: np.ndarray, gamma: float) -> np.ndarray:
     """Unnormalized sum_t gamma^t Pr(s_t = s) for the chain m."""
-    n = m.shape[0]
-    try:
-        return np.linalg.solve(np.eye(n) - gamma * m.T, initial_dist)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(str(exc)) from exc
+    return _solve(m.T, gamma, initial_dist)
 
 
 def advantage_decomposition_residual(mdp: TabularMdp, jp_old: TabularJointPolicy,
@@ -268,36 +269,31 @@ def lowlevel_objective_relative_error(mdp: TabularMdp, jp_rewards: TabularJointP
     """
     if jp_rewards.k != jp_eval.k:
         raise ValueError("policies must share the skill length")
+    v_ref = high_value(mdp, jp_rewards)
+    exact = _auxiliary_value(mdp, jp_eval, v_ref, gamma_l, gamma_l ** jp_eval.k)
+    approx = _auxiliary_value(mdp, jp_eval, v_ref, gamma_l, jp_eval.gamma_h)
+    return abs(exact - approx) / max(abs(approx), eps)
+
+
+def _auxiliary_value(mdp: TabularMdp, jp_eval: TabularJointPolicy, v_ref: np.ndarray,
+                     gamma_l: float, segment_discount: float) -> float:
+    """Low-level start value under the auxiliary rewards: 1/k of each
+    segment's realized advantage estimate over v_ref on each of its k
+    steps, discounted by gamma_l within a segment and by
+    segment_discount from one segment to the next."""
     if not 0.0 < gamma_l < 1.0:
         raise ValueError("gamma_l must lie in (0, 1)")
-    k = jp_eval.k
-    v_ref = high_value(mdp, jp_rewards)
     m_eval, _, _, _ = semi_mdp(mdp, jp_eval)
-    adv = mixed_advantage(mdp, jp_eval, v_ref)
-    q = np.einsum("sz,sz->s", jp_eval.pi_h, adv)
-    coef = geometric_sum(gamma_l, k) / k
-    n = mdp.n_states
-    try:
-        exact = coef * float(mdp.initial_dist @ np.linalg.solve(
-            np.eye(n) - (gamma_l ** k) * m_eval, q))
-        approx = coef * float(mdp.initial_dist @ np.linalg.solve(
-            np.eye(n) - jp_eval.gamma_h * m_eval, q))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(str(exc)) from exc
-    return abs(exact - approx) / max(abs(approx), eps)
+    q = np.einsum("sz,sz->s", jp_eval.pi_h, mixed_advantage(mdp, jp_eval, v_ref))
+    coef = geometric_sum(gamma_l, jp_eval.k) / jp_eval.k
+    return coef * float(mdp.initial_dist @ _solve(m_eval, segment_discount, q))
 
 
 def auxiliary_start_value(mdp: TabularMdp, jp_eval: TabularJointPolicy,
                           v_ref: np.ndarray, gamma_l: float) -> float:
     """Exact low-level expected start value under the auxiliary rewards
     (realized advantage estimate over v_ref, split over the segment)."""
-    k = jp_eval.k
-    m_eval, _, _, _ = semi_mdp(mdp, jp_eval)
-    adv = mixed_advantage(mdp, jp_eval, v_ref)
-    q = np.einsum("sz,sz->s", jp_eval.pi_h, adv)
-    coef = geometric_sum(gamma_l, k) / k
-    sol = np.linalg.solve(np.eye(mdp.n_states) - (gamma_l ** k) * m_eval, q)
-    return coef * float(mdp.initial_dist @ sol)
+    return _auxiliary_value(mdp, jp_eval, v_ref, gamma_l, gamma_l ** jp_eval.k)
 
 
 def _low_level_eta_gradient(mdp: TabularMdp, jp: TabularJointPolicy) -> np.ndarray:
@@ -318,10 +314,8 @@ def _low_level_eta_gradient(mdp: TabularMdp, jp: TabularJointPolicy) -> np.ndarr
     p, r = _masked_tables(mdp)
     pz, rz = skill_kernels(mdp, jp)
     m, r_bar, _, _ = semi_mdp(mdp, jp)
-    n = mdp.n_states
-    eye = np.eye(n)
-    v = np.linalg.solve(eye - jp.gamma_h * m, r_bar)
-    u = np.linalg.solve(eye - jp.gamma_h * m.T, mdp.initial_dist)
+    v = _solve(m, jp.gamma_h, r_bar)
+    u = discounted_occupancy(mdp.initial_dist, m, jp.gamma_h)
     grad = np.zeros_like(jp.pi_l)
     for z in range(jp.n_skills):
         psi = [None] * (jp.k + 1)
@@ -357,11 +351,7 @@ def monotone_alternation_check(mdp: TabularMdp, jp: TabularJointPolicy, iteratio
     etas = [exact_eta(mdp, joint(pi_h, pi_l))]
     for _ in range(iterations):
         # high level: exact greedy improvement on the induced semi-MDP
-        jp_cur = joint(pi_h, pi_l)
-        m, r_bar, pk, r_h = semi_mdp(mdp, jp_cur)
-        v = np.linalg.solve(np.eye(mdp.n_states) - gamma_h * m, r_bar)
-        q_h = r_h + gamma_h * np.einsum("zsp,p->sz", pk, v)
-        greedy = np.argmax(q_h, axis=1)
+        greedy = np.argmax(exact_high_advantage(mdp, joint(pi_h, pi_l)), axis=1)
         pi_h = np.zeros_like(pi_h)
         pi_h[np.arange(mdp.n_states), greedy] = 1.0
         etas.append(exact_eta(mdp, joint(pi_h, pi_l)))

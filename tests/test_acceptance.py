@@ -111,9 +111,9 @@ def test_criterion_3_conservation_enforced():
     batch = collect_rollouts(pi_h, pi_l, env, cfg.n_skills, 400, 7, seed=(0, 0))
     rng = np.random.default_rng(3)
     adv = rng.standard_normal(len(batch.seg_len)) * 1000.0
-    assign_auxiliary_rewards(batch, adv)
+    r_l = assign_auxiliary_rewards(batch, adv)
     sums = np.zeros(len(batch.seg_len))
-    for seg, r in zip(batch.segment_id, batch.r_l):
+    for seg, r in zip(batch.segment_id, r_l):
         sums[seg] += r
     worst = float(np.max(np.abs(sums - adv)))
 

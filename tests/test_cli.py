@@ -133,6 +133,17 @@ def test_transfer_none_rejected_at_parse_time(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_pretrain_mode_rejected_at_parse_time(tmp_path, capsys):
+    # pre-training has no training mode to override
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["pretrain", "--config", write_cfg(tmp_path), "--out", str(out),
+              "--mode", "alternate", "--quiet"])
+    assert exc.value.code == 2
+    assert "--mode" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, extra", [
     ("pretrain", ()), ("train", ()), ("transfer", ("--source", "src", "--transfer", "both"))])
 def test_jobs_below_one_rejected_at_parse_time(tmp_path, capsys, command, extra):

@@ -146,15 +146,44 @@ def test_segment_rewards_match_replay_oracle():
     assert batch.s_h_next[terminal].tobytes() == np.zeros_like(batch.s_h_next[terminal]).tobytes()
 
 
+def low_inputs(batch, pi_l):
+    """The rows the low level's trust-region step trains on."""
+    zeros = np.zeros(batch.n_low_steps)
+    return prepare_level_batches(batch, zeros[:len(batch.seg_len)], zeros, pi_l,
+                                 N_SKILLS)[1].observations
+
+
 def test_one_hot_purity():
     env = make_env()
     pi_h, pi_l = make_policies(env)
     batch = collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget_low_steps=30, k=3, seed=(2,))
-    for x, seg in zip(batch.x_l, batch.segment_id):
+    x_l = low_inputs(batch, pi_l)
+    assert x_l[:, :env.low_obs_dim].tobytes() == batch.low_l.tobytes()
+    for x, seg in zip(x_l, batch.segment_id):
         block = x[env.low_obs_dim:]
         assert block.sum() == 1.0
         assert set(np.unique(block)) <= {0.0, 1.0}
         assert np.argmax(block) == batch.a_h[seg]
+
+
+@pytest.mark.parametrize("lanes", [None, 1, 16])  # 16 lanes start episodes the batch drops
+def test_low_level_trains_on_the_inputs_its_policy_acted_on(lanes):
+    env = make_env()
+    pi_h, pi_l = make_policies(env)
+    act = pi_l.act
+    acted = {}  # each episode's policy input rows, by its Generator, in time order
+
+    def spy(x, rngs):
+        for row, rng in zip(x.copy(), rngs):
+            acted.setdefault(rng, []).append(row)
+        return act(x, rngs)
+
+    pi_l.act = spy
+    batch = collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget_low_steps=100, k=3, seed=(4,),
+                             lanes=lanes)
+    # episodes start in index order, so first sight orders them; later ones ran past the batch
+    rows = [row for episode in list(acted.values())[:len(batch.success)] for row in episode]
+    assert low_inputs(batch, pi_l).tobytes() == np.array(rows).tobytes()
 
 
 def test_rollouts_deterministic():
@@ -164,7 +193,7 @@ def test_rollouts_deterministic():
     def run():
         batch = collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget_low_steps=25, k=4,
                                  seed=(5,))
-        return batch.x_l, batch.a_l, batch.r_h
+        return batch.low_l, batch.a_l, batch.r_h
 
     x1, a1, r1 = run()
     x2, a2, r2 = run()
@@ -182,13 +211,12 @@ def fake_batch(seg_specs, low_dim=2):
     r_h, seg_len, done_h, s_val, s_next_val = zip(*seg_specs)
     n, n_seg = len(segment_id), len(seg_specs)
     return RolloutBatch(
-        x_l=np.zeros((n, low_dim + 2)), a_l=np.zeros((n, 1)), logp_l=np.zeros(n),
+        low_l=np.zeros((n, low_dim)), a_l=np.zeros((n, 1)), logp_l=np.zeros(n),
         dist_l=np.zeros((n, 1)), done_l=np.array(done_l), segment_id=np.array(segment_id),
         s_h=np.outer(s_val, np.ones(low_dim)), s_h_next=np.outer(s_next_val, np.ones(low_dim)),
         a_h=np.zeros(n_seg, dtype=np.intp), r_h=np.array(r_h, dtype=float),
         done_h=np.array(done_h), seg_len=np.array(seg_len), logp_h=np.zeros(n_seg),
-        dist_h=np.zeros((n_seg, 2)), success=np.zeros(1, dtype=bool), total_return=np.zeros(1),
-        low_dim=low_dim)
+        dist_h=np.zeros((n_seg, 2)), success=np.zeros(1, dtype=bool), total_return=np.zeros(1))
 
 
 def linear_value(dim):
@@ -218,22 +246,19 @@ def test_zero_value_gives_raw_reward():
 
 def test_auxiliary_split_even():
     batch = fake_batch([(0.0, 4, False, 0, 0)])
-    assign_auxiliary_rewards(batch, np.array([2.0]))
-    rs = batch.r_l.tolist()
+    rs = assign_auxiliary_rewards(batch, np.array([2.0])).tolist()
     assert rs == [0.5] * 4
     assert abs(sum(rs) - 2.0) <= 1e-12
 
 
 def test_auxiliary_zero_advantage():
     batch = fake_batch([(0.0, 3, False, 0, 0)])
-    assign_auxiliary_rewards(batch, np.array([0.0]))
-    assert all(r == 0.0 for r in batch.r_l)
+    assert all(r == 0.0 for r in assign_auxiliary_rewards(batch, np.array([0.0])))
 
 
 def test_auxiliary_truncated_segment_divides_by_actual_length():
     batch = fake_batch([(0.0, 3, True, 0, 0)])
-    assign_auxiliary_rewards(batch, np.array([1.5]))
-    assert batch.r_l.tolist() == [0.5, 0.5, 0.5]
+    assert assign_auxiliary_rewards(batch, np.array([1.5])).tolist() == [0.5, 0.5, 0.5]
 
 
 def test_auxiliary_conservation_property():
@@ -243,9 +268,9 @@ def test_auxiliary_conservation_property():
         segs[-1] = (0.0, segs[-1][1], True, 0, 0)
         batch = fake_batch(segs)
         adv = rng.standard_normal(10) * 1000
-        assign_auxiliary_rewards(batch, adv)
+        r_l = assign_auxiliary_rewards(batch, adv)
         sums = np.zeros(10)
-        for seg, r in zip(batch.segment_id, batch.r_l):
+        for seg, r in zip(batch.segment_id, r_l):
             sums[seg] += r
         assert np.max(np.abs(sums - adv)) <= 1e-9
 
@@ -268,10 +293,8 @@ def test_auxiliary_misaligned_advantages_rejected():
 def test_low_advantage_pointwise_when_gamma_zero():
     batch = fake_batch([(0.0, 3, False, 0, 0), (0.0, 2, True, 0, 0)])
     adv = np.array([3.0, -2.0])
-    assign_auxiliary_rewards(batch, adv)
-    returns = discounted_returns(batch.r_l, batch.done_l, 0.0)
-    _, low_b = prepare_level_batches(batch, adv, returns, PolynomialValueEstimator.zeros(2),
-                                     make_policies(make_env())[1])
+    returns = discounted_returns(assign_auxiliary_rewards(batch, adv), batch.done_l, 0.0)
+    _, low_b = prepare_level_batches(batch, adv, returns, make_policies(make_env())[1], N_SKILLS)
     expected = [1.0, 1.0, 1.0, -1.0, -1.0]
     assert np.max(np.abs(low_b.advantages - expected)) <= 1e-12
 
@@ -280,8 +303,7 @@ def test_low_return_telescopes_to_advantage():
     # single segment, gamma_l = 1: return at the segment start is A
     batch = fake_batch([(0.0, 5, True, 0, 0)])
     adv = np.array([2.5])
-    assign_auxiliary_rewards(batch, adv)
-    returns = discounted_returns(batch.r_l, batch.done_l, 1.0)
+    returns = discounted_returns(assign_auxiliary_rewards(batch, adv), batch.done_l, 1.0)
     assert abs(returns[0] - 2.5) <= 1e-12
 
 
@@ -292,14 +314,14 @@ def test_low_level_returns_match_independent_recursion():
         segs.append((0.0, int(rng.integers(1, 6)), bool(rng.random() < 0.3), 0, 0))
     segs[-1] = (0.0, segs[-1][1], True, 0, 0)
     batch = fake_batch(segs)
-    assign_auxiliary_rewards(batch, rng.standard_normal(12))
+    r_l = assign_auxiliary_rewards(batch, rng.standard_normal(12))
     gamma = 0.97
-    got = discounted_returns(batch.r_l, batch.done_l, gamma)
+    got = discounted_returns(r_l, batch.done_l, gamma)
 
     # two oracles per episode: the explicit forward sum
     # sum_{u>=t} gamma^(u-t) r_u, and the backward recursion G_t = r_t + gamma G_{t+1}
     # from the episode's last step, which adds in the same order as the library
-    rs = batch.r_l.tolist()
+    rs = r_l.tolist()
     dones = batch.done_l.tolist()
     forward = np.zeros(len(rs))
     backward = np.zeros(len(rs))

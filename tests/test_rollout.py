@@ -31,7 +31,7 @@ from helpers import table_heads
 
 LANE_COUNTS = (1, 3, 16, None)  # None: the default, ceil(budget / horizon)
 N_SKILLS = 3
-BATCH_ARRAYS = ("x_l", "a_l", "logp_l", "dist_l", "done_l", "segment_id", "s_h", "s_h_next",
+BATCH_ARRAYS = ("low_l", "a_l", "logp_l", "dist_l", "done_l", "segment_id", "s_h", "s_h_next",
                 "a_h", "r_h", "done_h", "seg_len", "logp_h", "dist_h", "success", "total_return")
 
 

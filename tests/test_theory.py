@@ -6,9 +6,10 @@ from haarlab.config import ExperimentConfig
 from haarlab.envs.tabular import TabularMdp, TabularRolloutEnv, random_mdp
 from haarlab.hierarchy import collect_rollouts, haar_iteration
 from haarlab.theory import (TabularJointPolicy, advantage_decomposition_residual,
-                            composed_kernels, exact_eta, exact_high_advantage,
-                            geometric_sum, lowlevel_objective_relative_error,
-                            monotone_alternation_check, random_joint_policy)
+                            auxiliary_start_value, composed_kernels, exact_eta,
+                            exact_high_advantage, geometric_sum, high_value,
+                            lowlevel_objective_relative_error, monotone_alternation_check,
+                            random_joint_policy)
 
 from helpers import head_tables, table_heads
 
@@ -209,6 +210,17 @@ def test_lowlevel_error_decreases_toward_one():
     assert errors[0] > errors[1] > errors[2]
 
 
+@pytest.mark.parametrize("gamma_l", [0.0, 1.0, 1.5, -0.5, np.nan])
+def test_auxiliary_values_reject_gamma_l_outside_unit_interval(gamma_l):
+    # at 1 the segment chain's I - M is singular; outside (0, 1) no discount is meant
+    mdp, jp_ref, jp_eval = eval_pair(np.random.default_rng(12), k=3, gamma_h=0.9, gamma_l=0.9)
+    v_ref = high_value(mdp, jp_ref)
+    with pytest.raises(ValueError, match="gamma_l"):
+        auxiliary_start_value(mdp, jp_eval, v_ref, gamma_l)
+    with pytest.raises(ValueError, match="gamma_l"):
+        lowlevel_objective_relative_error(mdp, jp_ref, jp_eval, gamma_l)
+
+
 def test_geometric_sum_edge():
     assert geometric_sum(1.0, 7) == 7.0
     assert abs(geometric_sum(0.5, 3) - 1.75) <= 1e-15
@@ -297,8 +309,9 @@ def train_table_heads(monkeypatch, iterations=3):
     assigned = []
 
     def record(batch, advantages):
-        assign(batch, advantages)
-        assigned.append((batch, advantages))
+        r_l = assign(batch, advantages)
+        assigned.append((batch, advantages, r_l))
+        return r_l
 
     assign = hierarchy.assign_auxiliary_rewards
     monkeypatch.setattr(hierarchy, "assign_auxiliary_rewards", record)
@@ -318,11 +331,11 @@ def test_haar_iteration_trains_linear_softmax_heads_on_the_tabular_env(monkeypat
         assert [(level, diag.accepted) for level, diag in updates] == \
             [("high", True), ("low", True)]
     # every low step of segment j carries A_j / seg_len_j, and they sum to A_j
-    for batch, advantages in assigned:
+    for batch, advantages, r_l in assigned:
         assert np.any(advantages != 0.0)
-        assert np.array_equal(batch.r_l, (advantages / batch.seg_len)[batch.segment_id])
+        assert np.array_equal(r_l, (advantages / batch.seg_len)[batch.segment_id])
         sums = np.zeros(len(advantages))
-        for j, r in zip(batch.segment_id.tolist(), batch.r_l.tolist()):
+        for j, r in zip(batch.segment_id.tolist(), r_l.tolist()):
             sums[j] += r
         assert np.max(np.abs(sums - advantages)) <= 1e-9
 
