@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 
@@ -16,21 +17,23 @@ from .checkpoint import CheckpointError
 from .config import ConfigError, ExperimentConfig, load_config
 
 
-def _parse_seeds(raw: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in raw.split(",") if part.strip())
-
-
 def _load_cfg(args, **overrides) -> ExperimentConfig:
     """The config file with the command line's overrides, built once, so
     that haar_no_anneal or no_annealing pins k_0 only when the final
     values ask for it."""
     if getattr(args, "seed", None):
-        overrides["seeds"] = _parse_seeds(args.seed)
+        overrides["seeds"] = args.seed
     if getattr(args, "mode", None):
         overrides["mode"] = args.mode
     if getattr(args, "algorithm", None):
         overrides["algorithm"] = args.algorithm
     return load_config(args.config, **overrides)
+
+
+def _log(args):
+    """The progress printer of a training command: flushed lines, or
+    None under --quiet."""
+    return None if args.quiet else functools.partial(print, flush=True)
 
 
 def _positive_int(raw: str) -> int:
@@ -55,7 +58,7 @@ def _add_common(p, mode: bool = True):
 def cmd_pretrain(args) -> int:
     from .experiment import run_pretrain
     cfg = _load_cfg(args)
-    paths = run_pretrain(cfg, args.out, jobs=args.jobs)
+    paths = run_pretrain(cfg, args.out, jobs=args.jobs, log=_log(args))
     for seed, path in paths.items():
         print(f"seed {seed}: {path}")
     return 0
@@ -66,8 +69,7 @@ def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     skills = _resolve_per_seed(args.skills, cfg.seeds, "skills_seed_{seed}.bin") \
         if args.skills else None
-    log = None if args.quiet else (lambda msg: print(msg, flush=True))
-    dirs = run_train(cfg, args.out, skills=skills, jobs=args.jobs, log=log)
+    dirs = run_train(cfg, args.out, skills=skills, jobs=args.jobs, log=_log(args))
     for d in dirs:
         print(d)
     return 0
@@ -78,7 +80,7 @@ def cmd_transfer(args) -> int:
     cfg = _load_cfg(args, no_annealing=True)
     source = _resolve_per_seed(args.source, cfg.seeds, "seed_{seed}/checkpoint.bin")
     dirs = run_train(cfg, args.out, transfer=args.transfer, source=source,
-                     jobs=args.jobs, log=None if args.quiet else print)
+                     jobs=args.jobs, log=_log(args))
     for d in dirs:
         print(d)
     return 0

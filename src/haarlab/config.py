@@ -182,13 +182,26 @@ def _convert(key: str, raw: str, typ: str):
     return raw
 
 
+def _value(key: str, raw, types: dict, where: str):
+    """raw as the value of a known key; a string is parsed as a file
+    line's value is. where prefixes the error message."""
+    if key not in types:
+        raise ConfigError(f"{where}unknown config key {key!r}")
+    if not isinstance(raw, str):
+        return raw
+    try:
+        return _convert(key, raw, str(types[key]))
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{where}bad value for {key}: {exc}") from exc
+
+
 def parse_config_text(text: str, **overrides) -> ExperimentConfig:
-    """The config the text describes; `overrides` (top-level field name
-    -> value) replace its values before the config is built, so the
-    rules applied at construction see the final values."""
+    """The config the text describes; `overrides` (field name -> value,
+    a string parsed as a file line's value is) replace its values before
+    the config is built, so the rules applied at construction see the
+    final values."""
     types = _field_types()
-    top: dict = {}
-    pre: dict = {}
+    values: dict = {}
     seen: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -197,20 +210,14 @@ def parse_config_text(text: str, **overrides) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in types:
-            raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if key in seen:
             raise ConfigError(f"line {lineno}: {key!r} repeats line {seen[key]}")
+        values[key] = _value(key, raw, types, f"line {lineno}: ")
         seen[key] = lineno
-        try:
-            value = _convert(key, raw, str(types[key]))
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
-        if key.startswith("pretrain."):
-            pre[key.split(".", 1)[1]] = value
-        else:
-            top[key] = value
-    top.update(overrides)
+    for key, raw in overrides.items():
+        values[key] = _value(key, raw, types, "override: ")
+    top = {k: v for k, v in values.items() if not k.startswith("pretrain.")}
+    pre = {k.split(".", 1)[1]: v for k, v in values.items() if k.startswith("pretrain.")}
     try:
         if pre:
             pre.setdefault("n_skills", top.get("n_skills", ExperimentConfig.n_skills))

@@ -8,7 +8,6 @@ rectangle [c*cell_size, (c+1)*cell_size] x [r*cell_size, (r+1)*cell_size].
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,14 +110,6 @@ class MazeSpec:
         self.faces = face_table(walls, self.cell_size)
         self.open_cells = frozenset(self.free_cells())
 
-    @property
-    def n_rows(self) -> int:
-        return self.walls.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.walls.shape[1]
-
     def cell_center(self, cell: tuple[int, int]) -> np.ndarray:
         r, c = cell
         return np.array([(c + 0.5) * self.cell_size, (r + 0.5) * self.cell_size])
@@ -126,10 +117,6 @@ class MazeSpec:
     @property
     def goal_center(self) -> np.ndarray | None:
         return None if self.goal_cell is None else self.cell_center(self.goal_cell)
-
-    def cell_of(self, position) -> tuple[int, int]:
-        return (math.floor(position[1] / self.cell_size),
-                math.floor(position[0] / self.cell_size))
 
     def is_wall_cell(self, r: int, c: int) -> bool:
         """True for a wall cell and for any cell outside the grid."""
@@ -197,17 +184,3 @@ def sample_gather_sites(maze: MazeSpec, rng: np.random.Generator):
     centers = np.array([maze.cell_center(candidates[i]) for i in picks])
     return centers[:N_FOOD], centers[N_FOOD:]
 
-
-def has_free_path(maze: MazeSpec, src: tuple[int, int], dst: tuple[int, int]) -> bool:
-    """Flood fill over free cells."""
-    seen = {src}
-    stack = [src]
-    while stack:
-        r, c = stack.pop()
-        if (r, c) == dst:
-            return True
-        for nb in ((r + 1, c), (r - 1, c), (r, c + 1), (r, c - 1)):
-            if nb not in seen and not maze.is_wall_cell(*nb):
-                seen.add(nb)
-                stack.append(nb)
-    return False

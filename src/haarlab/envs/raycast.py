@@ -74,11 +74,10 @@ def face_table(walls: np.ndarray, cell_size: float) -> tuple[np.ndarray, ...]:
 
 
 def raycast(position: np.ndarray, maze, ray_max: float) -> np.ndarray:
-    """Distances to the first wall along each of the 20 rays.
-
-    position is one point (2,), giving 20 distances, or an (L, 2) batch,
-    giving (L, 20) rows; each row is computed with the same float
-    operations as a lone point, so it matches the 1-D call bit for bit.
+    """Distances to the first wall along each of the 20 rays, as (L, 20)
+    rows for an (L, 2) batch of points. Each row is computed with the same
+    float operations whatever the batch, so it matches the one-row batch
+    of its point bit for bit.
 
     For a segment on x = at the ray parameter is t = (at - px) / dx and the
     crossing lies at py + t * dy (x and y swap for y = at). A direction
@@ -86,24 +85,20 @@ def raycast(position: np.ndarray, maze, ray_max: float) -> np.ndarray:
     NaN divisor it makes t NaN, and every comparison on NaN is false.
     """
     axis, other, at, lo, hi, divisor, step = maze.faces
-    p = np.asarray(position, dtype=np.float64)
-    pts = p.reshape(-1, 2).T[:, :, None]  # (2, L, 1): coordinate, point, ray
+    # (2, L, 1): coordinate, point, ray
+    pts = np.asarray(position, dtype=np.float64).T[:, :, None]
     t = (at - pts[axis]) / divisor        # (F, L, 20): segment, point, ray
     hit = pts[other] + t * step
     ok = t >= 0.0
     ok &= hit >= lo
     ok &= hit <= hi
-    dist = np.where(ok, t, np.inf).min(axis=0, initial=ray_max)
-    return dist[0] if p.ndim == 1 else dist
+    return np.where(ok, t, np.inf).min(axis=0, initial=ray_max)
 
 
 def goal_bearing(position: np.ndarray, goal: np.ndarray | None) -> np.ndarray:
-    """Unit vector to the goal; tasks without a goal report a zero vector.
-
-    position is one point (2,) or an (L, 2) batch, giving (L, 2) rows.
-    """
-    p = np.asarray(position, dtype=np.float64)
-    rows = p.reshape(-1, 2).tolist()
+    """Unit vectors to the goal from an (L, 2) batch of points, as (L, 2)
+    rows; tasks without a goal report zero vectors."""
+    rows = np.asarray(position, dtype=np.float64).tolist()
     out = np.zeros((len(rows), 2))
     if goal is not None:
         gx, gy = float(goal[0]), float(goal[1])
@@ -114,4 +109,4 @@ def goal_bearing(position: np.ndarray, goal: np.ndarray | None) -> np.ndarray:
             if norm != 0.0:
                 row[0] = dx / norm
                 row[1] = dy / norm
-    return out[0] if p.ndim == 1 else out
+    return out

@@ -98,15 +98,6 @@ def load_policy_segments(path: str, **policies) -> dict:
     return metadata
 
 
-@dataclass
-class RunRecord:
-    directory: str
-    config_hash: str
-    seed: int
-    metrics_path: str
-    checkpoint_path: str
-
-
 class _CsvSink:
     def __init__(self, path: str, columns):
         self._fh = open(path, "w", newline="")
@@ -170,8 +161,9 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: str,
                     skills_checkpoint: str | None = None,
                     transfer: str | None = None,
                     source_checkpoint: str | None = None,
-                    log=None) -> RunRecord:
-    """Train one seed and persist its artifacts under out_dir/seed_<n>.
+                    log=None) -> str:
+    """Train one seed, persist its artifacts under out_dir/seed_<n> and
+    return that directory.
 
     log, when given, is called once per iteration after that
     iteration's rows are written. run.json, renamed into place last,
@@ -232,9 +224,7 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: str,
     }
     with atomic_open(os.path.join(run_dir, "run.json")) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
-    return RunRecord(run_dir, cfg.config_hash(), seed,
-                     os.path.join(run_dir, "metrics.csv"),
-                     os.path.join(run_dir, "checkpoint.bin"))
+    return run_dir
 
 
 def _hierarchical(cfg, env, seed, skills_checkpoint, transfer, source_checkpoint) -> _Algorithm:
@@ -318,12 +308,6 @@ def flat_iteration(policy, env, cfg: ExperimentConfig, seed: int, iteration: int
     return metrics, [("flat", diag)]
 
 
-def _seed_job(cfg, seed, out_dir, skills, transfer, source):
-    record = run_single_seed(cfg, seed, out_dir, skills_checkpoint=skills,
-                             transfer=transfer, source_checkpoint=source)
-    return record.directory
-
-
 def run_train(cfg: ExperimentConfig, out_dir: str,
               skills: dict[int, str] | str | None = None,
               transfer: str | None = None,
@@ -344,13 +328,15 @@ def run_train(cfg: ExperimentConfig, out_dir: str,
 
     tasks = [(cfg, seed, out_dir, pick(skills, seed), transfer, pick(source, seed))
              for seed in cfg.seeds]
-    return _map_seeds(_seed_job, tasks, jobs, log)
+    return _map_seeds(run_single_seed, tasks, jobs, log)
 
 
-def run_pretrain(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> dict[int, str]:
-    """Pre-train one skill set per seed; returns seed -> checkpoint path."""
+def run_pretrain(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
+                 log=None) -> dict[int, str]:
+    """Pre-train one skill set per seed; returns seed -> checkpoint path.
+    log, when given, is called as each seed finishes in a serial run."""
     os.makedirs(out_dir, exist_ok=True)
-    paths = _map_seeds(_pretrain_job, [(cfg, seed, out_dir) for seed in cfg.seeds], jobs)
+    paths = _map_seeds(_pretrain_job, [(cfg, seed, out_dir) for seed in cfg.seeds], jobs, log)
     return dict(zip(cfg.seeds, paths))
 
 

@@ -6,10 +6,11 @@ layers), which are written out explicitly below. `rop_forward` is the
 forward-mode counterpart (Jacobian-vector product) used by the
 Fisher-vector products in the trust-region optimizer.
 
-Every pass computes in place. rop_forward and backward keep their
-per-row intermediates in a workspace(), which repeated calls can share;
-the others allocate only what they return or keep. In-place operations
-give the values of their allocating forms, so no output bit moves.
+Every pass takes a batch of (n, input_dim) rows and computes in place.
+rop_forward and backward keep their per-row intermediates in a
+workspace(), which repeated calls can share; the others allocate only
+what they return or keep. In-place operations give the values of their
+allocating forms, so no output bit moves.
 """
 
 from __future__ import annotations
@@ -70,11 +71,6 @@ def unpack_layers(spec: MlpSpec, w: np.ndarray) -> list[tuple[np.ndarray, np.nda
     return layers
 
 
-def forward(spec: MlpSpec, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Evaluate the network. x is (input_dim,) or (n, input_dim)."""
-    return forward_cached(spec, w, x)[0]
-
-
 def forward_cached(spec: MlpSpec, w: np.ndarray, x: np.ndarray):
     """Forward pass keeping every layer's input for backprop.
 
@@ -114,54 +110,45 @@ def _view(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def backward(spec: MlpSpec, w: np.ndarray, acts: list[np.ndarray], gy: np.ndarray,
-             derivs: list[np.ndarray] | None = None, work=None) -> np.ndarray:
-    """Gradient of sum(gy * output) w.r.t. the flat parameters.
+             derivs: list[np.ndarray], work=None) -> np.ndarray:
+    """Gradient of sum(gy * output) w.r.t. the flat parameters, summed
+    over the n rows.
 
-    acts comes from forward_cached on the same (w, x). gy matches the
-    output shape; batched inputs accumulate over the batch (sum).
-    derivs may pass precomputed tanh derivatives when backward runs
-    repeatedly on the same acts. work, from workspace(), holds the
-    back-propagated deltas; gy itself may lie in work[0].
+    acts and derivs come from forward_cached and tanh_derivs on the same
+    (w, x); gy has the output's shape (n, output_dim). work, from
+    workspace(), holds the back-propagated deltas; gy itself may lie in
+    work[0].
     """
     layers = unpack_layers(spec, w)
-    if derivs is None:
-        derivs = tanh_derivs(acts)
     flat = np.empty(spec.n_params)
     grads = unpack_layers(spec, flat)  # each layer's gradient is written in place
     delta = np.asarray(gy, dtype=np.float64)
-    work = work or workspace(spec, math.prod(delta.shape[:-1]))
+    work = work or workspace(spec, len(delta))
     for i in range(len(layers) - 1, -1, -1):
         (W, _), (gW, gb), a_in = layers[i], grads[i], acts[i]
-        if delta.ndim == 2:
-            np.matmul(delta.T, a_in, out=gW)
-            np.sum(delta, axis=0, out=gb)
-        else:
-            np.outer(delta, a_in, out=gW)
-            gb[:] = delta
+        np.matmul(delta.T, a_in, out=gW)
+        np.sum(delta, axis=0, out=gb)
         if i > 0:
             # the deltas alternate between the buffers, from work[1] on
-            nxt = _view(work[(len(layers) - i) % 2], (*delta.shape[:-1], W.shape[1]))
+            nxt = _view(work[(len(layers) - i) % 2], (len(delta), W.shape[1]))
             delta = np.multiply(np.matmul(delta, W, out=nxt), derivs[i - 1], out=nxt)
     return flat
 
 
 def rop_forward(spec: MlpSpec, w: np.ndarray, v: np.ndarray, acts: list[np.ndarray],
-                derivs: list[np.ndarray] | None = None, work=None) -> np.ndarray:
+                derivs: list[np.ndarray], work) -> np.ndarray:
     """Directional derivative of the output along parameter direction v.
 
-    Forward-mode pass reusing acts from forward_cached; returns
-    (J @ v) with the same shape as the output, in work[0] of the
-    workspace() given as work.
+    Forward-mode pass reusing acts and derivs from forward_cached and
+    tanh_derivs; returns (J @ v) with the output's shape (n, output_dim),
+    in work[0] of the workspace() given as work.
     """
     layers = unpack_layers(spec, w)
     vlayers = unpack_layers(spec, np.asarray(v, dtype=np.float64))
-    if derivs is None:
-        derivs = tanh_derivs(acts)
-    work = work or workspace(spec, math.prod(acts[0].shape[:-1]))
     r = None  # derivative of the current layer output along v, in work[0]
     last = len(layers) - 1
     for i, (a_in, (W, _), (Vw, vb)) in enumerate(zip(acts, layers, vlayers)):
-        shape = (*a_in.shape[:-1], W.shape[0])
+        shape = (len(a_in), W.shape[0])
         # r @ W.T goes first, into work[1], so that rz can take r's buffer
         rw = None if r is None else np.matmul(r, W.T, out=_view(work[1], shape))
         rz = np.matmul(a_in, Vw.T, out=_view(work[0], shape))

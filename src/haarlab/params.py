@@ -75,9 +75,6 @@ class ParamVector:
         self.values[offset:offset + length] = arr
         self.check_finite()
 
-    def copy(self) -> "ParamVector":
-        return ParamVector(self.values.copy(), self.layout)
-
     def replace_values(self, values: np.ndarray) -> None:
         """Overwrite all values in place (layout unchanged)."""
         values = np.asarray(values, dtype=np.float64)
@@ -89,7 +86,3 @@ class ParamVector:
     @property
     def size(self) -> int:
         return self.values.size
-
-    def __repr__(self) -> str:
-        segs = ", ".join(f"{k}[{v[1]}]" for k, v in self.layout.items())
-        return f"ParamVector({self.size} values: {segs})"

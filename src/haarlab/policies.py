@@ -19,8 +19,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from .nets import (MlpSpec, backward, forward, forward_cached, init_mlp_params,
-                   rop_forward, tanh_derivs, unpack_layers, workspace)
+from .nets import (MlpSpec, backward, forward_cached, init_mlp_params, rop_forward,
+                   tanh_derivs, unpack_layers, workspace)
 from .params import NumericsError, ParamVector, ShapeError
 
 
@@ -41,14 +41,12 @@ def _forward_rows(layers, x: np.ndarray) -> np.ndarray:
     return a.reshape(len(x), -1)
 
 
-def _as_rows(obs, rng):
-    """(rows, generators, single): a 1-D call is the one-row batch."""
+def _rows(obs, rng) -> np.ndarray:
+    """act's input as (L, d) float rows, checked to come with L generators."""
     obs = np.asarray(obs, dtype=np.float64)
-    if obs.ndim == 1:
-        return obs[None], (rng,), True
-    if len(rng) != len(obs):
-        raise ShapeError("a batched act needs one generator per row")
-    return obs, rng, False
+    if obs.ndim != 2 or np.ndim(rng) != 1 or len(rng) != len(obs):
+        raise ShapeError("act takes (L, d) rows and one generator per row")
+    return obs
 
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -97,52 +95,33 @@ class _MlpPolicy:
     def set_flat(self, values: np.ndarray) -> None:
         self.params.replace_values(values)
 
-    def _forward(self, obs: np.ndarray) -> np.ndarray:
-        x = np.asarray(obs, dtype=np.float64) * self.input_scale
-        return forward(self.spec, self.params.segment(self.NET), x)
-
     def forward_batch(self, obs: np.ndarray) -> NetForward:
-        """The network run over a batch at a snapshot w of the current parameters:
-        n rows, the output and its distribution, the activations and their tanh
-        derivatives. grad_logprob_weighted takes it for its pass."""
+        """The network run over (n, d) rows at a snapshot w of the current
+        parameters: n, the output and its distribution, the activations and
+        their tanh derivatives. grad_logprob_weighted takes it for its pass."""
         w = self.params.segment(self.NET).copy()
-        x = np.atleast_2d(np.asarray(obs, dtype=np.float64)) * self.input_scale
+        x = np.asarray(obs, dtype=np.float64) * self.input_scale
         out, acts = forward_cached(self.spec, w, x)
         return NetForward(w, len(x), out, self._dist(out), acts, tanh_derivs(acts))
 
     def dist_params(self, obs: np.ndarray):
-        """Cacheable distribution parameters of a single input or a batch."""
-        return self._dist(self._forward(obs))
+        """Cacheable distribution parameters of (n, d) rows."""
+        x = np.asarray(obs, dtype=np.float64) * self.input_scale
+        return self._dist(forward_cached(self.spec, self.params.segment(self.NET), x)[0])
 
     def old_dist(self, rows: np.ndarray):
         """The old distribution dist_kl takes, from the per-row
         distribution output of act."""
         return rows
 
-    def log_prob(self, obs: np.ndarray, action) -> float | np.ndarray:
-        """Exact log density; obs may be a single vector or a batch."""
-        return self.dist_log_prob(self.dist_params(obs), action)
-
-    def mean_kl(self, old_dist, obs: np.ndarray) -> float:
-        """Mean KL(old || current) over the batch, closed form."""
-        return self.dist_kl(old_dist, self.dist_params(np.atleast_2d(obs)))
-
-    def grad_logprob_weighted(self, obs: np.ndarray, actions, weights,
-                              fwd: NetForward | None = None) -> np.ndarray:
-        """Gradient of mean_i(weights_i * log pi(a_i|x_i)) over all parameters;
-        fwd, from forward_batch(obs), saves the forward pass."""
-        w, n, out, _, acts, derivs = fwd or self.forward_batch(obs)
-        actions = self._action_batch(actions)
+    def grad_logprob_weighted(self, fwd: NetForward, actions, weights) -> np.ndarray:
+        """Gradient of mean_i(weights_i * log pi(a_i|x_i)) over all
+        parameters, at the rows and parameters of fwd (from forward_batch)."""
+        w, n, out, _, acts, derivs = fwd
         weights = np.asarray(weights, dtype=np.float64).ravel()
         if len(actions) != n or weights.shape[0] != n or n == 0:
             raise ShapeError("batch arrays must be nonempty and aligned")
         gy, g_head = self._logprob_out_grad(out, actions, weights, n)
-        return np.concatenate([backward(self.spec, w, acts, gy, derivs), *g_head])
-
-    def kl_grad(self, old_dist, obs: np.ndarray) -> np.ndarray:
-        """Gradient of mean_kl w.r.t. the current parameters."""
-        w, n, out, _, acts, derivs = self.forward_batch(obs)
-        gy, g_head = self._kl_out_grad(old_dist, out, n)
         return np.concatenate([backward(self.spec, w, acts, gy, derivs), *g_head])
 
     def fvp_builder(self, obs: np.ndarray, damping: float):
@@ -168,10 +147,6 @@ class _MlpPolicy:
 
         return apply
 
-    def fvp(self, obs: np.ndarray, v: np.ndarray, damping: float) -> np.ndarray:
-        """(F + damping I) v with F the KL Hessian at the current parameters."""
-        return self.fvp_builder(obs, damping)(v)
-
 
 class GaussianPolicy(_MlpPolicy):
     """pi(a|x) = N(mlp(x), diag(exp(log_std))^2), log_std clamped to [-5, 2]."""
@@ -192,31 +167,23 @@ class GaussianPolicy(_MlpPolicy):
         super().set_flat(values)
         np.clip(self.log_std, LOG_STD_MIN, LOG_STD_MAX, out=self.log_std)
 
-    def mean(self, obs: np.ndarray) -> np.ndarray:
-        return self._forward(obs)
-
     def act(self, obs: np.ndarray, rng):
-        """Sample actions; returns (action, log_prob, mean).
-
-        obs is one input with one Generator, or an (L, d) batch with a
-        sequence of L Generators, row i drawing only from rng[i]; a batch
-        returns (L, action_dim) actions and means and L log-probs, each
-        row equal bit for bit to the 1-D call on that row.
+        """Sample actions for (L, d) rows, row i drawing only from the
+        Generator rng[i]; returns (L, action_dim) actions, L log-probs and
+        (L, action_dim) means, each row equal bit for bit to that row acted
+        on as a one-row batch.
         """
-        x, rngs, single = _as_rows(obs, rng)
-        mu = _forward_rows(self._layers, x * self.input_scale)
+        mu = _forward_rows(self._layers, _rows(obs, rng) * self.input_scale)
         if not np.isfinite(mu.sum()):
             raise NumericsError("policy mean is not finite")
         eps = np.empty_like(mu)
-        for r, row in zip(rngs, eps):
+        for r, row in zip(rng, eps):
             r.standard_normal(out=row)
         action = mu + np.exp(self.log_std) * eps
         # eps @ eps per row as a stacked product: a row sum would use another order
         quad = np.matmul(eps[:, None, :], eps[:, :, None]).ravel().tolist()
         log_std_sum = float(self.log_std.sum())
         logp = [-0.5 * q - log_std_sum - 0.5 * self.action_dim * LOG_2PI for q in quad]
-        if single:
-            return action[0], logp[0], mu[0]
         return action, np.array(logp), mu
 
     def _dist(self, mu: np.ndarray):
@@ -225,13 +192,13 @@ class GaussianPolicy(_MlpPolicy):
 
     old_dist = _dist  # act's rows are the means
 
-    def dist_log_prob(self, dist, action: np.ndarray) -> float | np.ndarray:
-        """Log density of actions under distribution parameters `dist`."""
+    def dist_log_prob(self, dist, action: np.ndarray) -> np.ndarray:
+        """Log densities of (n, action_dim) actions under distribution
+        parameters `dist`."""
         mu, log_std = dist
         z = (np.asarray(action, dtype=np.float64) - mu) * np.exp(-log_std)
         quad = (z * z).sum(axis=-1)
-        out = -0.5 * quad - log_std.sum() - 0.5 * self.action_dim * LOG_2PI
-        return float(out) if np.ndim(out) == 0 else out
+        return -0.5 * quad - log_std.sum() - 0.5 * self.action_dim * LOG_2PI
 
     def dist_kl(self, old_dist, dist) -> float:
         """Mean KL(old || dist) over the batch, closed form."""
@@ -245,9 +212,6 @@ class GaussianPolicy(_MlpPolicy):
 
     # -- output-layer gradients ---------------------------------------------
 
-    def _action_batch(self, actions) -> np.ndarray:
-        return np.atleast_2d(np.asarray(actions, dtype=np.float64))
-
     def _logprob_out_grad(self, mu, actions, weights, n):
         inv_var = np.exp(-2.0 * self.log_std)
         diff = actions - mu
@@ -255,13 +219,6 @@ class GaussianPolicy(_MlpPolicy):
         gy = (weights[:, None] * diff * inv_var) / n
         # d logp / d log_std = ((a-mu)/sigma)^2 - 1
         return gy, [(weights[:, None] * (diff * diff * inv_var - 1.0)).sum(axis=0) / n]
-
-    def _kl_out_grad(self, old_dist, mu, n):
-        old_mu, old_log_std = old_dist
-        inv_var = np.exp(-2.0 * self.log_std)
-        old_var = np.exp(2.0 * old_log_std)
-        gy = (mu - old_mu) * inv_var / n
-        return gy, [(1.0 - (old_var + (old_mu - mu) ** 2) * inv_var).sum(axis=0) / n]
 
     def _fisher_out(self, mu, n):
         inv_var_n = np.exp(-2.0 * self.log_std) / n
@@ -289,58 +246,42 @@ class CategoricalPolicy(_MlpPolicy):
         self.n_skills = spec.output_dim
         super().__init__(spec, rng, input_scale, [])
 
-    def log_probs(self, obs: np.ndarray) -> np.ndarray:
-        return _log_softmax(self._forward(obs))
-
     def act(self, obs: np.ndarray, rng):
-        """Sample skill indices; returns (index, log_prob, log_prob_vector).
-
-        Batches work as in GaussianPolicy.act: an (L, d) input with L
-        Generators gives L indices, L log-probs and (L, n_skills) rows.
+        """Sample skill indices as GaussianPolicy.act samples actions: (L, d)
+        rows with L Generators give L indices, L log-probs and the
+        (L, n_skills) log-probability rows.
         """
-        x, rngs, single = _as_rows(obs, rng)
-        logp = _log_softmax(_forward_rows(self._layers, x * self.input_scale))
+        logp = _log_softmax(_forward_rows(self._layers, _rows(obs, rng) * self.input_scale))
         if not np.isfinite(logp.sum()):
             raise NumericsError("policy logits are not finite")
         p = np.exp(logp)
-        u = np.array([r.random() for r in rngs])
+        u = np.array([r.random() for r in rng])
         # searchsorted on each row's non-decreasing cumulative sum
         index = (np.cumsum(p, axis=1) < (u * p.sum(axis=1))[:, None]).sum(axis=1)
         index = np.minimum(index, self.n_skills - 1)
         chosen = logp[np.arange(len(index)), index]
-        if single:
-            return int(index[0]), float(chosen[0]), logp[0]
         return index, chosen, logp
 
     _dist = staticmethod(_log_softmax)
 
-    def dist_log_prob(self, logp: np.ndarray, action) -> float | np.ndarray:
-        """Log-probability of actions under the log-probability rows `logp`."""
-        if logp.ndim == 1:
-            return float(logp[int(action)])
+    def dist_log_prob(self, logp: np.ndarray, action) -> np.ndarray:
+        """Log-probabilities of n actions under the (n, n_skills)
+        log-probability rows `logp`."""
         idx = np.asarray(action, dtype=np.intp)
         return logp[np.arange(logp.shape[0]), idx]
 
     def dist_kl(self, old_dist: np.ndarray, logp: np.ndarray) -> float:
         """Mean KL(old || logp) over the batch."""
-        old_logp = np.atleast_2d(old_dist)
-        new_logp = np.atleast_2d(logp)
-        p_old = np.exp(old_logp)
-        return float((p_old * (old_logp - new_logp)).sum(axis=1).mean())
+        p_old = np.exp(old_dist)
+        return float((p_old * (old_dist - logp)).sum(axis=1).mean())
 
     # -- output-layer gradients ---------------------------------------------
-
-    def _action_batch(self, actions) -> np.ndarray:
-        return np.asarray(actions, dtype=np.intp).ravel()
 
     def _logprob_out_grad(self, z, idx, weights, n):
         gy = -_softmax(z)
         gy[np.arange(n), idx] += 1.0
         gy *= weights[:, None] / n
         return gy, []
-
-    def _kl_out_grad(self, old_dist, z, n):
-        return (_softmax(z) - np.exp(np.atleast_2d(old_dist))) / n, []
 
     def _fisher_out(self, z, n):
         p = _softmax(z)

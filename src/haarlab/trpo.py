@@ -67,12 +67,8 @@ class TrpoDiagnostics:
         return self.surrogate_after - self.surrogate_before
 
 
-def surrogate_loss(batch: AdvantageBatch, policy) -> float:
-    """mean(exp(logp - old_logp) * A); equals mean(A) at the old parameters."""
-    return _surrogate(batch, policy.log_prob(batch.observations, batch.actions))
-
-
 def _surrogate(batch: AdvantageBatch, logp: np.ndarray) -> float:
+    """mean(exp(logp - old_logp) * A); equals mean(A) at the old parameters."""
     return float(np.mean(np.exp(logp - batch.old_log_probs) * batch.advantages))
 
 
@@ -128,7 +124,7 @@ def trpo_update(policy, batch: AdvantageBatch, max_kl: float) -> TrpoDiagnostics
     fwd = policy.forward_batch(work.observations)
     weights = np.exp(policy.dist_log_prob(fwd.dist, work.actions) - work.old_log_probs) * adv
     surr_before = float(np.mean(weights))
-    g = policy.grad_logprob_weighted(work.observations, work.actions, weights, fwd)
+    g = policy.grad_logprob_weighted(fwd, work.actions, weights)
     if not np.all(np.isfinite(g)) or float(np.max(np.abs(g), initial=0.0)) < 1e-12:
         return TrpoDiagnostics(False, 0.0, surr_before, surr_before, 0)
 

@@ -32,13 +32,13 @@ class PolynomialValueEstimator:
     def dim(self) -> int:
         return self.w1.shape[0]
 
-    def predict(self, s: np.ndarray) -> float | np.ndarray:
+    def predict(self, s: np.ndarray) -> np.ndarray:
+        """The values of (n, dim) states."""
         s = np.asarray(s, dtype=np.float64)
         if s.shape[-1] != self.dim:
             raise ShapeError(f"state has dim {s.shape[-1]}, estimator expects {self.dim}")
         s2 = s * s
-        out = s2 * s @ self.w3 + s2 @ self.w2 + s @ self.w1 + self.w0
-        return float(out) if np.ndim(out) == 0 else out
+        return s2 * s @ self.w3 + s2 @ self.w2 + s @ self.w1 + self.w0
 
 
 def fold_input_scale(est: PolynomialValueEstimator, scale: np.ndarray) -> PolynomialValueEstimator:

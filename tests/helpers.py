@@ -51,6 +51,12 @@ def rel_err(a, b, floor=1e-6):
     return np.abs(a - b) / denom
 
 
+def cell_of(maze, position):
+    """The (row, col) grid cell holding a world position."""
+    return (int(np.floor(position[1] / maze.cell_size)),
+            int(np.floor(position[0] / maze.cell_size)))
+
+
 def raycast_loops(position, maze, ray_max, n_rays=20):
     """Loop-based range sensor; independent of haarlab.envs.raycast.
 
@@ -248,17 +254,9 @@ def ref_backward(spec, w, acts, gy, derivs=None):
         derivs = ref_tanh_derivs(acts)
     grads = [None] * len(layers)
     delta = np.asarray(gy, dtype=np.float64)
-    batched = delta.ndim == 2
     for i in range(len(layers) - 1, -1, -1):
         W, _ = layers[i]
-        a_in = acts[i]
-        if batched:
-            gW = delta.T @ a_in
-            gb = delta.sum(axis=0)
-        else:
-            gW = np.outer(delta, a_in)
-            gb = delta
-        grads[i] = (gW, gb)
+        grads[i] = (delta.T @ acts[i], delta.sum(axis=0))
         if i > 0:
             delta = (delta @ W) * derivs[i - 1]
     flat = np.empty(spec.n_params)
@@ -291,7 +289,7 @@ def ref_rop_forward(spec, w, v, acts, derivs=None):
 
 def _ref_net_forward(policy, obs):
     w = policy.params.segment(policy.NET).copy()
-    x = np.atleast_2d(np.asarray(obs, dtype=np.float64)) * policy.input_scale
+    x = np.asarray(obs, dtype=np.float64) * policy.input_scale
     return (w, len(x), *ref_forward_cached(policy.spec, w, x))
 
 
@@ -299,7 +297,7 @@ def ref_grad_logprob_weighted(policy, obs, actions, weights):
     """The policy's weighted log-prob gradient through the reference core."""
     w, n, out, acts = _ref_net_forward(policy, obs)
     weights = np.asarray(weights, dtype=np.float64).ravel()
-    gy, g_head = policy._logprob_out_grad(out, policy._action_batch(actions), weights, n)
+    gy, g_head = policy._logprob_out_grad(out, actions, weights, n)
     return np.concatenate([ref_backward(policy.spec, w, acts, gy), *g_head])
 
 
@@ -314,10 +312,57 @@ def ref_fvp(policy, obs, v, damping):
     if hasattr(policy, "log_std"):
         gy, g_head = r * (np.exp(-2.0 * policy.log_std) / n), [2.0 * v[n_net:]]
     else:
-        e = np.exp(out - out.max(axis=-1, keepdims=True))
-        p = e / e.sum(axis=-1, keepdims=True)
+        p = _softmax(out)
         gy, g_head = (p * r - p * (p * r).sum(axis=1, keepdims=True)) / n, []
     return np.concatenate([ref_backward(spec, w, acts, gy, derivs), *g_head]) + damping * v
+
+
+def _softmax(z):
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+# -- policy quantities over the batch API ------------------------------------------
+# What the trust-region maths is checked against: log densities, the mean
+# KL and its gradient, the Fisher-vector product and the surrogate, each
+# over (n, d) rows through the policy's public batch methods.
+
+def log_prob(policy, obs, actions):
+    """Log densities of n actions at (n, d) observations."""
+    return policy.dist_log_prob(policy.dist_params(obs), actions)
+
+
+def mean_kl(policy, old_dist, obs):
+    """Mean KL(old || current) over (n, d) observations, closed form."""
+    return policy.dist_kl(old_dist, policy.dist_params(obs))
+
+
+def kl_grad(policy, old_dist, obs):
+    """Gradient of mean_kl w.r.t. the current parameters: the head's KL
+    gradient at the network output, back-propagated by nets.backward."""
+    from haarlab.nets import backward
+
+    w, n, out, _, acts, derivs = policy.forward_batch(obs)
+    if hasattr(policy, "log_std"):
+        old_mu, old_log_std = old_dist
+        inv_var = np.exp(-2.0 * policy.log_std)
+        gy = (out - old_mu) * inv_var / n
+        g_head = [(1.0 - (np.exp(2.0 * old_log_std) + (old_mu - out) ** 2) * inv_var)
+                  .sum(axis=0) / n]
+    else:
+        gy, g_head = (_softmax(out) - np.exp(old_dist)) / n, []
+    return np.concatenate([backward(policy.spec, w, acts, gy, derivs), *g_head])
+
+
+def fvp(policy, obs, v, damping):
+    """(F + damping I) v, F the KL Hessian at the current parameters."""
+    return policy.fvp_builder(obs, damping)(v)
+
+
+def surrogate_loss(batch, policy):
+    """mean(exp(logp - old_logp) * A); equals mean(A) at the old parameters."""
+    logp = log_prob(policy, batch.observations, batch.actions)
+    return float(np.mean(np.exp(logp - batch.old_log_probs) * batch.advantages))
 
 
 def ref_fit_value_weights(states, targets, ridge):
@@ -371,7 +416,7 @@ def ref_trpo_update(policy, batch, max_kl):
     fwd = policy.forward_batch(work.observations)
     weights = np.exp(policy.dist_log_prob(fwd.dist, work.actions) - work.old_log_probs) * adv
     surr_before = float(np.mean(weights))
-    g = policy.grad_logprob_weighted(work.observations, work.actions, weights, fwd)
+    g = policy.grad_logprob_weighted(fwd, work.actions, weights)
     if not np.all(np.isfinite(g)) or float(np.max(np.abs(g), initial=0.0)) < 1e-12:
         return TrpoDiagnostics(False, 0.0, surr_before, surr_before, 0)
 

@@ -8,8 +8,8 @@ Four exact or numerical criteria, each done in seconds:
    gamma_l = gamma_h ** (1 / k), and its error shrinks as gamma -> 1;
 3. auxiliary rewards conserve each segment's advantage on a live
    batch, and a corrupted segmentation raises ConservationError;
-5. log-prob, surrogate and KL-Hessian-vector-product gradients match
-   finite differences.
+5. log-prob, surrogate and KL gradients and KL-Hessian-vector products
+   match finite differences.
 
 There is no criterion 4 and no end-to-end training gate: the claim
 that HAAR beats flat TRPO and frozen skills on the sparse maze is not
@@ -30,9 +30,9 @@ from haarlab.pretrain import PretrainConfig
 from haarlab.theory import (TabularJointPolicy, absorbing_random_mdp,
                             advantage_decomposition_residual,
                             lowlevel_objective_relative_error, random_joint_policy)
-from haarlab.trpo import AdvantageBatch, surrogate_loss
+from haarlab.trpo import AdvantageBatch
 
-from helpers import finite_diff_grad, rel_err
+from helpers import finite_diff_grad, fvp, kl_grad, log_prob, mean_kl, rel_err, surrogate_loss
 
 
 def report(criterion, passed, detail=""):
@@ -135,18 +135,17 @@ def _check_logprob_grads(make_policy, make_action, draws=20):
     rng = np.random.default_rng(5)
     for _ in range(draws):
         pol = make_policy(rng)
-        obs = rng.standard_normal(pol.spec.input_dim)
+        obs = rng.standard_normal((1, pol.spec.input_dim))
         action = make_action(pol, obs, rng)
         theta0 = pol.flat()
 
         def f(theta):
             pol.set_flat(theta)
-            val = float(np.atleast_1d(pol.log_prob(obs, action))[0])
+            val = float(log_prob(pol, obs, action)[0])
             pol.set_flat(theta0)
             return val
 
-        analytic = pol.grad_logprob_weighted(
-            obs[None, :], np.asarray([action]), np.array([1.0]))
+        analytic = pol.grad_logprob_weighted(pol.forward_batch(obs), action, np.array([1.0]))
         numeric = finite_diff_grad(f, theta0, h=1e-5)
         worst = max(worst, float(rel_err(analytic, numeric).max()))
     return worst
@@ -156,10 +155,10 @@ def test_criterion_5_gradient_correctness():
     t0 = time.perf_counter()
     worst_gauss = _check_logprob_grads(
         lambda rng: GaussianPolicy(MlpSpec(3, (5, 4), 2), rng),
-        lambda pol, obs, rng: rng.standard_normal(2))
+        lambda pol, obs, rng: rng.standard_normal((1, 2)))
     worst_cat = _check_logprob_grads(
         lambda rng: CategoricalPolicy(MlpSpec(3, (5, 4), 3), rng),
-        lambda pol, obs, rng: int(rng.integers(3)))
+        lambda pol, obs, rng: rng.integers(3, size=1))
 
     # surrogate gradient at arbitrary parameters (importance ratio != 1)
     rng = np.random.default_rng(6)
@@ -168,7 +167,7 @@ def test_criterion_5_gradient_correctness():
         pol = GaussianPolicy(MlpSpec(3, (4,), 2), rng)
         obs = rng.standard_normal((6, 3))
         acts = rng.standard_normal((6, 2))
-        old_logp = np.atleast_1d(pol.log_prob(obs, acts))
+        old_logp = log_prob(pol, obs, acts)
         adv = rng.standard_normal(6)
         batch = AdvantageBatch(obs, acts, adv, old_logp, pol.dist_params(obs))
         theta0 = pol.flat() + 0.03 * rng.standard_normal(pol.params.size)
@@ -181,8 +180,8 @@ def test_criterion_5_gradient_correctness():
             pol.set_flat(theta0)
             return val
 
-        ratio = np.exp(pol.log_prob(obs, acts) - batch.old_log_probs)
-        analytic = pol.grad_logprob_weighted(obs, acts, ratio * adv)
+        ratio = np.exp(log_prob(pol, obs, acts) - batch.old_log_probs)
+        analytic = pol.grad_logprob_weighted(pol.forward_batch(obs), acts, ratio * adv)
         numeric = finite_diff_grad(f, theta0, h=1e-5)
         worst_surr = max(worst_surr, float(rel_err(analytic, numeric).max()))
 
@@ -201,17 +200,42 @@ def test_criterion_5_gradient_correctness():
         v = rng.standard_normal(pol.params.size)
         h = 1e-5
         pol.set_flat(theta0 + h * v)
-        gp = pol.kl_grad(old, obs)
+        gp = kl_grad(pol, old, obs)
         pol.set_flat(theta0 - h * v)
-        gm = pol.kl_grad(old, obs)
+        gm = kl_grad(pol, old, obs)
         pol.set_flat(theta0)
         fd = (gp - gm) / (2 * h)
-        hv = pol.fvp(obs, v, damping=0.0)
+        hv = fvp(pol, obs, v, damping=0.0)
         denom = max(np.linalg.norm(hv), np.linalg.norm(fd), 1e-8)
         worst_hvp = max(worst_hvp, float(np.linalg.norm(hv - fd) / denom))
 
-    worst = max(worst_gauss, worst_cat, worst_surr, worst_hvp)
+    # the KL gradient itself against finite differences of the mean KL,
+    # from an old distribution away from the current parameters
+    rng = np.random.default_rng(9)
+    worst_kl = 0.0
+    for i in range(20):
+        if i % 2 == 0:
+            pol = GaussianPolicy(MlpSpec(3, (4,), 2), rng)
+        else:
+            pol = CategoricalPolicy(MlpSpec(3, (4,), 3), rng)
+        obs = rng.standard_normal((5, 3))
+        theta0 = pol.flat()
+        pol.set_flat(theta0 + 0.05 * rng.standard_normal(theta0.size))
+        old = pol.dist_params(obs)
+        pol.set_flat(theta0)
+
+        def kl(theta):
+            pol.set_flat(theta)
+            val = mean_kl(pol, old, obs)
+            pol.set_flat(theta0)
+            return val
+
+        numeric = finite_diff_grad(kl, theta0, h=1e-5)
+        worst_kl = max(worst_kl, float(rel_err(kl_grad(pol, old, obs), numeric).max()))
+
+    worst = max(worst_gauss, worst_cat, worst_surr, worst_kl, worst_hvp)
     elapsed = time.perf_counter() - t0
     report(5, worst <= 1e-4,
            f"max rel err: logprob_g={worst_gauss:.2e} logprob_c={worst_cat:.2e} "
-           f"surrogate={worst_surr:.2e} hvp={worst_hvp:.2e} in {elapsed:.1f}s")
+           f"surrogate={worst_surr:.2e} kl={worst_kl:.2e} hvp={worst_hvp:.2e} "
+           f"in {elapsed:.1f}s")

@@ -79,6 +79,16 @@ def test_cli_train_is_deterministic(tmp_path):
     assert Path(pa).read_bytes() == Path(pb).read_bytes()
 
 
+@pytest.mark.parametrize("quiet", [False, True], ids=["loud", "quiet"])
+def test_pretrain_progress_follows_quiet(tmp_path, capsys, quiet):
+    cfg = write_cfg(tmp_path)
+    args = ["pretrain", "--config", cfg, "--out", str(tmp_path / "skills")]
+    assert main(args + ["--quiet"] * quiet) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert ("finished 0" in lines) is not quiet
+    assert any(line.startswith("seed 0: ") for line in lines)
+
+
 def test_seed_override(tmp_path):
     cfg = write_cfg(tmp_path, text=TINY.replace("velocity_direction", "random_init"))
     out = str(tmp_path / "runs")

@@ -110,6 +110,17 @@ def test_overrides_apply_before_construction():
     assert pinned.k_0 == 10 and pinned.annealing_tau == 0.0
 
 
+def test_string_overrides_parse_as_file_lines(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text("N = 3\nseeds = 4\n")
+    cfg = load_config(str(path), seeds="0,1", N="5")
+    assert cfg.seeds == (0, 1) and cfg.N == 5
+    with pytest.raises(ConfigError, match="seeds"):
+        load_config(str(path), seeds="x")
+    with pytest.raises(ConfigError, match="learning_rate"):
+        load_config(str(path), learning_rate="0.1")
+
+
 def test_load_config_file(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("task = point_gather\nN = 5\nseeds = 4\n")

@@ -15,8 +15,8 @@ from haarlab.nets import (MlpSpec, backward, forward_cached, init_mlp_params, ro
 from haarlab.policies import CategoricalPolicy, GaussianPolicy
 from haarlab.values import fit_value
 
-from helpers import (ref_backward, ref_fit_value_weights, ref_forward_cached, ref_fvp,
-                     ref_grad_logprob_weighted, ref_rop_forward, ref_tanh_derivs)
+from helpers import (fvp, log_prob, ref_backward, ref_fit_value_weights, ref_forward_cached,
+                     ref_fvp, ref_grad_logprob_weighted, ref_rop_forward, ref_tanh_derivs)
 
 SHAPES = [(10, 2), (26, 2), (26, 6)]  # (input, output) around the (32, 32) hidden layers
 
@@ -35,10 +35,10 @@ def net_case(input_dim, output_dim, seed):
 
 
 @pytest.mark.parametrize("input_dim,output_dim", SHAPES)
-@pytest.mark.parametrize("rows", [None, 1, 7, 5000])
+@pytest.mark.parametrize("rows", [1, 7, 5000])
 def test_core_matches_reference_bytes(input_dim, output_dim, rows):
     spec, w, rng = net_case(input_dim, output_dim, input_dim * 10 + output_dim)
-    x = rng.standard_normal(input_dim if rows is None else (rows, input_dim))
+    x = rng.standard_normal((rows, input_dim))
     out, acts = forward_cached(spec, w, x)
     ref_out, ref_acts = ref_forward_cached(spec, w, x)
     assert same_bytes(out, ref_out)
@@ -49,21 +49,19 @@ def test_core_matches_reference_bytes(input_dim, output_dim, rows):
     v = rng.standard_normal(spec.n_params)
     want_grad = ref_backward(spec, w, ref_acts, gy)
     want_rop = ref_rop_forward(spec, w, v, ref_acts)
-    assert same_bytes(backward(spec, w, acts, gy), want_grad)
     assert same_bytes(backward(spec, w, acts, gy, derivs), want_grad)
-    assert same_bytes(rop_forward(spec, w, v, acts), want_rop)
-    assert same_bytes(rop_forward(spec, w, v, acts, derivs), want_rop)
+    assert same_bytes(rop_forward(spec, w, v, acts, derivs, workspace(spec, rows)), want_rop)
 
 
 @pytest.mark.parametrize("input_dim,output_dim", SHAPES)
-@pytest.mark.parametrize("rows", [None, 5000])
+@pytest.mark.parametrize("rows", [5000])
 def test_workspace_passes_match_reference_bytes(input_dim, output_dim, rows):
     spec, w, rng = net_case(input_dim, output_dim, input_dim + output_dim)
-    x = rng.standard_normal(input_dim if rows is None else (rows, input_dim))
+    x = rng.standard_normal((rows, input_dim))
     out, acts = forward_cached(spec, w, x)
     ref_out, ref_acts = ref_forward_cached(spec, w, x)
     derivs = tanh_derivs(acts)
-    work = workspace(spec, rows or 1)
+    work = workspace(spec, rows)
     for _ in range(2):  # a reused workspace keeps no state between calls
         v = rng.standard_normal(spec.n_params)
         assert same_bytes(rop_forward(spec, w, v, acts, derivs, work),
@@ -95,11 +93,10 @@ def policy_case(cls, input_dim, output_dim, n=5000):
 def test_shared_forward_matches_separate_calls(cls, input_dim, output_dim):
     pol, obs, actions, rng = policy_case(cls, input_dim, output_dim)
     fwd = pol.forward_batch(obs)
-    assert same_bytes(pol.dist_log_prob(fwd.dist, actions), pol.log_prob(obs, actions))
+    assert same_bytes(pol.dist_log_prob(fwd.dist, actions), log_prob(pol, obs, actions))
     weights = rng.standard_normal(len(obs))
     want = ref_grad_logprob_weighted(pol, obs, actions, weights)
-    assert same_bytes(pol.grad_logprob_weighted(obs, actions, weights, fwd), want)
-    assert same_bytes(pol.grad_logprob_weighted(obs, actions, weights), want)
+    assert same_bytes(pol.grad_logprob_weighted(fwd, actions, weights), want)
     apply = pol.fvp_builder(obs, 0.1)
     for _ in range(3):  # every application of one closure, not just the first
         v = rng.standard_normal(pol.params.size)
@@ -124,7 +121,7 @@ def test_fvp_closure_unchanged_by_set_flat(cls, input_dim, output_dim):
     apply = pol.fvp_builder(obs, 0.1)
     want = apply(v)
     pol.set_flat(pol.flat() + 0.3 * rng.standard_normal(pol.params.size))
-    assert not same_bytes(pol.fvp(obs, v, 0.1), want)  # the policy did move
+    assert not same_bytes(fvp(pol, obs, v, 0.1), want)  # the policy did move
     assert same_bytes(apply(v), want)
 
 

@@ -32,16 +32,16 @@ def read_lines(path):
 
 def test_run_writes_expected_files(tmp_path):
     cfg = tiny_cfg()
-    rec = run_single_seed(cfg, 0, str(tmp_path))
+    run_dir = run_single_seed(cfg, 0, str(tmp_path))
     for name in ("metrics.csv", "diagnostics.csv", "timing.csv", "trajectories.csv",
                  "checkpoint.bin", "run.json"):
-        assert os.path.exists(os.path.join(rec.directory, name))
-    metrics = read_metrics(rec.metrics_path)
+        assert os.path.exists(os.path.join(run_dir, name))
+    metrics = read_metrics(os.path.join(run_dir, "metrics.csv"))
     assert tuple(metrics) == METRIC_COLUMNS
     assert len(metrics["iteration"]) == cfg.N
     assert metrics["k"][0] == cfg.k_0
     assert np.all(metrics["wall_time_s"] == 0.0)  # reserved column
-    with open(os.path.join(rec.directory, "run.json")) as fh:
+    with open(os.path.join(run_dir, "run.json")) as fh:
         payload = json.load(fh)
     assert payload["seed"] == 0
     assert payload["config_hash"] == cfg.config_hash()
@@ -52,14 +52,14 @@ def test_metrics_byte_identical_across_reruns(tmp_path):
     cfg = tiny_cfg()
     a = run_single_seed(cfg, 3, str(tmp_path / "a"))
     b = run_single_seed(cfg, 3, str(tmp_path / "b"))
-    assert read_lines(a.metrics_path) == read_lines(b.metrics_path)
-    assert read_lines(a.checkpoint_path) == read_lines(b.checkpoint_path)
+    for name in ("metrics.csv", "checkpoint.bin"):
+        assert read_lines(os.path.join(a, name)) == read_lines(os.path.join(b, name))
 
 
 def test_frozen_skills_never_update_low_level(tmp_path):
     cfg = tiny_cfg(algorithm="frozen_skills", N=4)
-    rec = run_single_seed(cfg, 1, str(tmp_path))
-    segments, _ = load_checkpoint(rec.checkpoint_path)
+    run_dir = run_single_seed(cfg, 1, str(tmp_path))
+    segments, _ = load_checkpoint(os.path.join(run_dir, "checkpoint.bin"))
     env = cfg.build_env()
     fresh = fresh_low_policy(cfg.pretrain, env, 1)
     assert np.array_equal(segments["pi_l/mean_net"], fresh.params.segment("mean_net"))
@@ -68,11 +68,11 @@ def test_frozen_skills_never_update_low_level(tmp_path):
 
 def test_flat_trpo_runs_and_reports_k_one(tmp_path):
     cfg = tiny_cfg(algorithm="flat_trpo")
-    rec = run_single_seed(cfg, 0, str(tmp_path))
-    metrics = read_metrics(rec.metrics_path)
+    run_dir = run_single_seed(cfg, 0, str(tmp_path))
+    metrics = read_metrics(os.path.join(run_dir, "metrics.csv"))
     assert np.all(metrics["k"] == 1)
     assert np.all(metrics["low_kl"] == 0.0)
-    segments, meta = load_checkpoint(rec.checkpoint_path)
+    segments, meta = load_checkpoint(os.path.join(run_dir, "checkpoint.bin"))
     assert "flat/mean_net" in segments and meta["algorithm"] == "flat_trpo"
 
 
@@ -129,16 +129,16 @@ def test_transfer_low_only_loads_only_low_segments(tmp_path):
         "pi_l/mean_net": donor_low.params.segment("mean_net").copy(),
         "pi_l/log_std": donor_low.params.segment("log_std").copy(),
     })
-    rec = run_single_seed(cfg, 5, str(tmp_path / "low_only"), transfer="low_only",
+    run_dir = run_single_seed(cfg, 5, str(tmp_path / "low_only"), transfer="low_only",
                           source_checkpoint=str(src))
-    segments, _ = load_checkpoint(rec.checkpoint_path)
+    segments, _ = load_checkpoint(os.path.join(run_dir, "checkpoint.bin"))
     fresh_h = fresh_high_policy(cfg, env, 5)
     assert np.array_equal(segments["pi_l/mean_net"], donor_low.params.segment("mean_net"))
     assert np.array_equal(segments["pi_h/logits_net"], fresh_h.params.segment("logits_net"))
 
-    rec_both = run_single_seed(cfg, 5, str(tmp_path / "both"), transfer="both",
+    run_both = run_single_seed(cfg, 5, str(tmp_path / "both"), transfer="both",
                                source_checkpoint=str(src))
-    seg_both, _ = load_checkpoint(rec_both.checkpoint_path)
+    seg_both, _ = load_checkpoint(os.path.join(run_both, "checkpoint.bin"))
     assert np.array_equal(seg_both["pi_h/logits_net"], donor_high.params.segment("logits_net"))
 
 
@@ -248,7 +248,7 @@ def test_crashed_rerun_is_not_reported_as_finished(tmp_path, monkeypatch):
     from haarlab import experiment
 
     cfg = tiny_cfg(algorithm="flat_trpo")
-    run_dir = run_single_seed(cfg, 0, str(tmp_path)).directory
+    run_dir = run_single_seed(cfg, 0, str(tmp_path))
     real = experiment.flat_iteration
 
     def killed(policy, env, cfg, seed, iteration, low_steps):
@@ -281,8 +281,8 @@ def test_report_refuses_unfinished_run(tmp_path, capsys, marker):
 
 def test_trajectories_schema(tmp_path):
     cfg = tiny_cfg()
-    rec = run_single_seed(cfg, 0, str(tmp_path))
-    with open(os.path.join(rec.directory, "trajectories.csv")) as fh:
+    run_dir = run_single_seed(cfg, 0, str(tmp_path))
+    with open(os.path.join(run_dir, "trajectories.csv")) as fh:
         rows = list(csv.DictReader(fh))
     assert set(rows[0]) == {"episode", "step", "x", "y", "skill"}
     episodes = {int(r["episode"]) for r in rows}
@@ -340,7 +340,7 @@ def test_reward_free_run_writes_the_full_paths_rows(tmp_path, monkeypatch, algor
     monkeypatch.setattr(np.linalg, "lstsq", unreachable)
     monkeypatch.setattr(policies._MlpPolicy, "forward_batch", unreachable)
     got = run_single_seed(cfg, 0, str(tmp_path / "fast"))
-    assert np.all(read_metrics(got.metrics_path)["mean_return"] == 0.0)
+    assert np.all(read_metrics(os.path.join(got, "metrics.csv"))["mean_return"] == 0.0)
     for name in ("metrics.csv", "diagnostics.csv", "checkpoint.bin"):
-        assert read_lines(os.path.join(got.directory, name)) == \
-            read_lines(os.path.join(want.directory, name))
+        assert read_lines(os.path.join(got, name)) == \
+            read_lines(os.path.join(want, name))

@@ -121,12 +121,12 @@ def test_segment_rewards_match_replay_oracle():
         while not done:
             high = env.high_obs_batch(state, low)[0]
             seg_highs.append(high)
-            skill, _, _ = pi_h.act(high, rng)
+            skill = pi_h.act(high[None], [rng])[0][0]
             acc = 0.0
             for _ in range(k):
                 x = np.concatenate([low[0], np.eye(N_SKILLS)[skill]])
-                a, _, _ = pi_l.act(x, rng)
-                state, low, r, done, _ = env.step(state, a[None])
+                a, _, _ = pi_l.act(x[None], [rng])
+                state, low, r, done, _ = env.step(state, a)
                 acc += float(r[0])
                 done = bool(done[0])
                 total += 1

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from haarlab.envs.maze import (MazeSpec, build_maze, has_free_path, load_maze_file,
+from haarlab.envs.maze import (MazeSpec, build_maze, load_maze_file, n_connected_regions,
                                parse_maze_text, sample_gather_sites)
+
+from helpers import cell_of
 
 
 def test_c_maze_layout():
@@ -16,8 +18,8 @@ def test_c_maze_layout():
 def test_mirrored_is_reflection():
     base = build_maze("c_maze")
     mirrored = build_maze("mirrored")
-    w = base.n_cols
-    for r in range(base.n_rows):
+    rows, w = base.walls.shape
+    for r in range(rows):
         for c in range(w):
             assert mirrored.grid[r][c] == base.grid[r][w - 1 - c]
 
@@ -29,7 +31,7 @@ def test_gather_sites_valid():
     assert food.shape == (8, 2) and bombs.shape == (8, 2)
     seen = set()
     for site in np.vstack([food, bombs]):
-        cell = m.cell_of(site)
+        cell = cell_of(m, site)
         assert not m.is_wall_cell(*cell)
         assert cell not in seen
         seen.add(cell)
@@ -44,9 +46,11 @@ def test_gather_sites_deterministic_per_seed():
 
 @pytest.mark.parametrize("kind", ["c_maze", "mirrored", "spiral"])
 def test_mazes_have_path_from_start_to_goal(kind):
+    # every free cell, the start and goal cells among them, is one region
     m = build_maze(kind)
-    for start in m.start_cells:
-        assert has_free_path(m, start, m.goal_cell)
+    free = m.free_cells()
+    assert m.goal_cell in free and set(m.start_cells) <= set(free)
+    assert n_connected_regions(free) == 1
 
 
 def test_unknown_kind_rejected():
@@ -87,4 +91,5 @@ def test_open_field_has_single_center_start():
     m = build_maze("open_field")
     assert len(m.start_cells) == 1
     r, c = m.start_cells[0]
-    assert r == m.n_rows // 2 and c == m.n_cols // 2
+    rows, cols = m.walls.shape
+    assert r == rows // 2 and c == cols // 2

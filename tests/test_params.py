@@ -39,10 +39,3 @@ def test_set_segment_checks_length():
         pv.set_segment("a", np.zeros(3))
     pv.set_segment("a", np.array([1.0, 2.0]))
     assert np.array_equal(pv.values, [1.0, 2.0])
-
-
-def test_copy_is_independent():
-    pv = ParamVector.from_segments([("a", np.zeros(2))])
-    cp = pv.copy()
-    cp.values[0] = 9.0
-    assert pv.values[0] == 0.0

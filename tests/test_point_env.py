@@ -1,5 +1,5 @@
 import numpy as np
-from helpers import step_loops
+from helpers import cell_of, step_loops
 
 from haarlab.envs.maze import build_maze, parse_maze_text
 from haarlab.envs.point import (HIGH_OBS_DIM, LOW_OBS_DIM, STUMBLE_STEPS, EnvConfig,
@@ -67,7 +67,7 @@ def test_reset_uniform_over_start_cells():
     n = 10_000
     for _ in range(n):
         state, _ = env.reset(rng)
-        counts[env.maze.cell_of(state.position[0])] += 1
+        counts[cell_of(env.maze, state.position[0])] += 1
     expected = n / len(counts)
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
     assert chi2 <= 9.0  # ~3 sigma for 1 dof
@@ -79,7 +79,7 @@ def test_reset_positions_inside_start_region_uniformly():
     xs = []
     for _ in range(4000):
         state, _ = env.reset(rng)
-        assert env.maze.cell_of(state.position[0]) in env.maze.start_cells
+        assert cell_of(env.maze, state.position[0]) in env.maze.start_cells
         xs.append(state.position[0, 0])
     # within-cell offsets should span the cell, not cluster at the center
     offs = np.array(xs) % env.maze.cell_size
@@ -129,7 +129,7 @@ def test_wall_collision_preserves_tangential_motion():
     state = state_at(env, pos, vel)
     nxt, *_ = step_one(env, state, np.zeros(2))
     new_pos, new_vel = nxt.position[0], nxt.velocity[0]
-    assert not env.maze.is_wall_cell(*env.maze.cell_of(new_pos))
+    assert not env.maze.is_wall_cell(*cell_of(env.maze, new_pos))
     assert new_pos[1] <= 2 * cs  # stopped at the wall face
     assert new_vel[1] == 0.0
     assert new_vel[0] == vel[0]  # tangential component preserved
@@ -151,7 +151,7 @@ def test_sweep_matches_substepping_oracle():
         state = state_at(env, pos, vel)
         nxt, *_ = step_one(env, state, np.zeros(2))
         ref_pos, _ = substep_move(maze, pos, vel, env.cfg.dt, n_sub=20_000)
-        assert not maze.is_wall_cell(*maze.cell_of(nxt.position[0]))
+        assert not maze.is_wall_cell(*cell_of(maze, nxt.position[0]))
         assert np.max(np.abs(nxt.position[0] - ref_pos)) <= 1e-3
 
 

@@ -7,7 +7,7 @@ from haarlab.nets import MlpSpec, unpack_layers
 from haarlab.params import ShapeError
 from haarlab.policies import LOG_2PI, CategoricalPolicy, GaussianPolicy
 
-from helpers import finite_diff_grad, rel_err
+from helpers import finite_diff_grad, fvp, kl_grad, log_prob, mean_kl, rel_err
 
 
 def zero_net(policy, segment):
@@ -30,6 +30,17 @@ def make_categorical(rng=None, input_dim=3, n=3, hidden=(5, 4)):
     return CategoricalPolicy(MlpSpec(input_dim, hidden, n), rng)
 
 
+def act_one(policy, x, rng):
+    """act on the one-row batch of x: (action, log-prob, distribution row)."""
+    a, logp, dist = policy.act(x[None], [rng])
+    return a[0], logp[0], dist[0]
+
+
+def mean(policy, x):
+    """The Gaussian head's mean at the one-row batch of x."""
+    return policy.dist_params(x[None])[0][0]
+
+
 # -- sampling -----------------------------------------------------------------
 
 def test_categorical_forced_action():
@@ -39,7 +50,7 @@ def test_categorical_forced_action():
     obs = np.zeros(3)
     rng = np.random.default_rng(1)
     for _ in range(50):
-        a, logp, _ = pol.act(obs, rng)
+        a, logp, _ = act_one(pol, obs, rng)
         assert a == 0
         assert abs(logp) < 1e-12
 
@@ -48,10 +59,10 @@ def test_gaussian_tight_variance_sampling():
     pol = make_gaussian()
     pol.params.segment("log_std")[:] = -5.0
     obs = np.array([0.3, -0.2, 1.0])
-    mu = pol.mean(obs)
+    mu = mean(pol, obs)
     rng = np.random.default_rng(2)
     for _ in range(1000):
-        a, _, _ = pol.act(obs, rng)
+        a, _, _ = act_one(pol, obs, rng)
         assert np.all(np.abs(a - mu) <= 5.0 * np.exp(-5.0))
 
 
@@ -64,7 +75,7 @@ def test_categorical_empirical_frequencies():
     counts = np.zeros(3)
     n = 100_000
     for _ in range(n):
-        a, _, _ = pol.act(obs, rng)
+        a, _, _ = act_one(pol, obs, rng)
         counts[a] += 1
     freqs = counts / n
     assert np.max(np.abs(freqs - [0.2, 0.3, 0.5])) <= 0.01
@@ -74,11 +85,9 @@ def test_sampled_logprob_equals_log_prob():
     pol = make_gaussian()
     obs = np.array([0.5, 0.1, -1.2])
     rng = np.random.default_rng(4)
-    a, logp, _ = pol.act(obs, rng)
-    assert abs(logp - pol.log_prob(obs, a)) <= 1e-12
-    cat = make_categorical()
-    a, logp, _ = cat.act(obs, rng)
-    assert abs(logp - cat.log_prob(obs, a)) <= 1e-12
+    for policy in (pol, make_categorical()):
+        a, logp, _ = policy.act(obs[None], [rng])
+        assert abs(logp[0] - log_prob(policy, obs[None], a)[0]) <= 1e-12
 
 
 @pytest.mark.parametrize("lanes", [1, 2, 7, 16, 33])
@@ -97,11 +106,10 @@ def test_batched_act_rows_equal_single_calls(lanes):
         assert len(actions) == len(logps) == len(dists) == lanes
         for i, s in enumerate(seeds):
             alone = np.random.default_rng(s)
-            a, logp, dist = pol.act(obs[i], alone)
-            assert isinstance(logp, float)
-            assert np.asarray(actions[i]).tobytes() == np.asarray(a).tobytes()
-            assert logps[i] == logp
-            assert dists[i].tobytes() == dist.tobytes()
+            a, logp, dist = pol.act(obs[i:i + 1], [alone])
+            assert actions[i:i + 1].tobytes() == a.tobytes()
+            assert logps[i:i + 1].tobytes() == logp.tobytes()
+            assert dists[i:i + 1].tobytes() == dist.tobytes()
             assert rngs[i].random() == alone.random()  # the same draws were taken
 
 
@@ -111,33 +119,45 @@ def test_batched_act_needs_one_generator_per_row():
         pol.act(np.zeros((3, 3)), [np.random.default_rng(0)] * 2)
 
 
+@pytest.mark.parametrize("maker", [make_gaussian, make_categorical],
+                         ids=["gaussian", "categorical"])
+def test_act_refuses_a_lone_vector(maker):
+    # a row acts as a one-row batch; a 1-D input or a lone Generator is
+    # refused, not reshaped
+    pol = maker()
+    for rng in (np.random.default_rng(0), [np.random.default_rng(0)] * 3):
+        with pytest.raises(ShapeError):
+            pol.act(np.zeros(3), rng)
+    with pytest.raises(ShapeError):
+        pol.act(np.zeros((1, 3)), np.random.default_rng(0))
+
+
 # -- log densities ------------------------------------------------------------
 
 def test_gaussian_logprob_at_mode():
     pol = make_gaussian(action_dim=3)
     pol.params.segment("log_std")[:] = [-0.3, 0.2, -1.0]
-    obs = np.array([0.5, 0.1, -1.2])
-    mu = pol.mean(obs)
+    obs = np.array([[0.5, 0.1, -1.2]])
+    mu = pol.dist_params(obs)[0]
     expected = -float(pol.log_std.sum()) - 1.5 * LOG_2PI
-    assert abs(pol.log_prob(obs, mu) - expected) <= 1e-12
+    assert abs(log_prob(pol, obs, mu)[0] - expected) <= 1e-12
 
 
 def test_categorical_uniform_logprob():
     pol = make_categorical(n=6)
     zero_net(pol, "logits_net")
-    obs = np.zeros(3)
-    for a in range(6):
-        assert abs(pol.log_prob(obs, a) - np.log(1.0 / 6.0)) <= 1e-12
+    obs = np.zeros((6, 3))
+    assert np.max(np.abs(log_prob(pol, obs, np.arange(6)) - np.log(1.0 / 6.0))) <= 1e-12
 
 
 def test_gaussian_density_integrates_to_one():
     # quadrature oracle on a 1-D action grid
     pol = make_gaussian(action_dim=1, hidden=(4,))
     obs = np.array([0.2, -0.4, 0.9])
-    mu = float(pol.mean(obs)[0])
+    mu = float(mean(pol, obs)[0])
     sigma = float(np.exp(pol.log_std[0]))
     grid = np.linspace(mu - 8 * sigma, mu + 8 * sigma, 20001)
-    dens = np.exp([pol.log_prob(obs, np.array([g])) for g in grid])
+    dens = np.exp(log_prob(pol, np.tile(obs, (len(grid), 1)), grid[:, None]))
     integral = np.trapezoid(dens, grid)
     assert abs(integral - 1.0) <= 1e-6
 
@@ -147,8 +167,7 @@ def test_categorical_probs_sum_to_one_random():
     pol = make_categorical(n=5)
     for _ in range(1000):
         pol.params.segment("logits_net")[:] = rng.standard_normal(pol.spec.n_params) * 2.0
-        logp = pol.log_probs(rng.standard_normal(3))
-        p = np.exp(logp)
+        p = np.exp(pol.dist_params(rng.standard_normal((1, 3)))[0])
         assert abs(p.sum() - 1.0) <= 1e-9
         assert np.all(p >= 0.0)
 
@@ -157,15 +176,15 @@ def test_gaussian_bin_frequencies_match_density():
     # Monte-Carlo frequency of discretized bins vs exp(log_prob) * width
     pol = make_gaussian(action_dim=1, hidden=(4,))
     obs = np.array([0.0, 0.3, -0.7])
-    mu = float(pol.mean(obs)[0])
+    mu = float(mean(pol, obs)[0])
     sigma = float(np.exp(pol.log_std[0]))
     rng = np.random.default_rng(6)
     n = 200_000
-    samples = np.array([pol.act(obs, rng)[0][0] for _ in range(n)])
+    samples = np.array([act_one(pol, obs, rng)[0][0] for _ in range(n)])
     width = 0.1 * sigma
     for center in [mu, mu + sigma, mu - 1.5 * sigma]:
         inside = np.mean(np.abs(samples - center) <= width / 2)
-        p_est = np.exp(pol.log_prob(obs, np.array([center]))) * width
+        p_est = np.exp(log_prob(pol, obs[None], np.array([[center]]))[0]) * width
         sd = np.sqrt(p_est * (1 - p_est) / n)
         assert abs(inside - p_est) <= 3 * sd + 1e-4  # small slack for bin curvature
 
@@ -180,24 +199,24 @@ def test_zero_weights_zero_gradient():
             acts = rng.standard_normal((4, 2))
         else:
             acts = rng.integers(0, 3, size=4)
-        g = pol.grad_logprob_weighted(obs, acts, np.zeros(4))
+        g = pol.grad_logprob_weighted(pol.forward_batch(obs), acts, np.zeros(4))
         assert np.array_equal(g, np.zeros_like(g))
 
 
 def test_gaussian_grad_matches_finite_differences():
     rng = np.random.default_rng(8)
     pol = make_gaussian(hidden=(4, 3))
-    obs = rng.standard_normal(3)
-    action = rng.standard_normal(2)
+    obs = rng.standard_normal((1, 3))
+    action = rng.standard_normal((1, 2))
     theta0 = pol.flat()
 
     def scalar(theta):
         pol.set_flat(theta)
-        val = pol.log_prob(obs, action)
+        val = log_prob(pol, obs, action)[0]
         pol.set_flat(theta0)
         return val
 
-    analytic = pol.grad_logprob_weighted(obs[None, :], action[None, :], np.array([1.0]))
+    analytic = pol.grad_logprob_weighted(pol.forward_batch(obs), action, np.array([1.0]))
     numeric = finite_diff_grad(scalar, theta0, h=1e-5)
     assert rel_err(analytic, numeric).max() <= 1e-4
 
@@ -205,17 +224,17 @@ def test_gaussian_grad_matches_finite_differences():
 def test_categorical_grad_matches_finite_differences():
     rng = np.random.default_rng(9)
     pol = make_categorical(hidden=(4, 3))
-    obs = rng.standard_normal(3)
-    action = 1
+    obs = rng.standard_normal((1, 3))
+    action = np.array([1])
     theta0 = pol.flat()
 
     def scalar(theta):
         pol.set_flat(theta)
-        val = pol.log_prob(obs, action)
+        val = log_prob(pol, obs, action)[0]
         pol.set_flat(theta0)
         return val
 
-    analytic = pol.grad_logprob_weighted(obs[None, :], [action], np.array([1.0]))
+    analytic = pol.grad_logprob_weighted(pol.forward_batch(obs), action, np.array([1.0]))
     numeric = finite_diff_grad(scalar, theta0, h=1e-5)
     assert rel_err(analytic, numeric).max() <= 1e-4
 
@@ -226,10 +245,11 @@ def test_batch_gradient_is_mean_of_samples():
     obs = rng.standard_normal((6, 3))
     acts = rng.standard_normal((6, 2))
     w = rng.standard_normal(6)
-    batch = pol.grad_logprob_weighted(obs, acts, w)
+    batch = pol.grad_logprob_weighted(pol.forward_batch(obs), acts, w)
     acc = np.zeros_like(batch)
     for i in range(6):
-        acc += pol.grad_logprob_weighted(obs[i:i + 1], acts[i:i + 1], w[i:i + 1])
+        acc += pol.grad_logprob_weighted(pol.forward_batch(obs[i:i + 1]), acts[i:i + 1],
+                                         w[i:i + 1])
     assert np.max(np.abs(batch - acc / 6)) <= 1e-10
 
 
@@ -239,9 +259,9 @@ def test_kl_zero_at_same_params():
     rng = np.random.default_rng(11)
     obs = rng.standard_normal((5, 3))
     gp = make_gaussian()
-    assert gp.mean_kl(gp.dist_params(obs), obs) == 0.0
+    assert mean_kl(gp, gp.dist_params(obs), obs) == 0.0
     cp = make_categorical()
-    assert cp.mean_kl(cp.dist_params(obs), obs) == 0.0
+    assert mean_kl(cp, cp.dist_params(obs), obs) == 0.0
 
 
 def test_categorical_kl_hand_value():
@@ -251,7 +271,7 @@ def test_categorical_kl_hand_value():
     obs = np.zeros((1, 3))
     old = np.log(np.array([[0.5, 0.5]]))
     expected = 0.5 * np.log(0.5 / 0.9) + 0.5 * np.log(0.5 / 0.1)
-    assert abs(pol.mean_kl(old, obs) - expected) <= 1e-12
+    assert abs(mean_kl(pol, old, obs) - expected) <= 1e-12
 
 
 def test_gaussian_kl_unit_shift():
@@ -261,13 +281,13 @@ def test_gaussian_kl_unit_shift():
     pol.params.segment("log_std")[:] = 0.0
     obs = np.zeros((1, 3))
     old = (np.array([[0.0]]), np.array([0.0]))
-    assert abs(pol.mean_kl(old, obs) - 0.5) <= 1e-12
+    assert abs(mean_kl(pol, old, obs) - 0.5) <= 1e-12
 
 
 def test_fvp_zero_vector():
     pol = make_gaussian()
     obs = np.random.default_rng(12).standard_normal((4, 3))
-    out = pol.fvp(obs, np.zeros(pol.params.size), damping=0.1)
+    out = fvp(pol, obs, np.zeros(pol.params.size), damping=0.1)
     assert np.array_equal(out, np.zeros_like(out))
 
 
@@ -276,8 +296,8 @@ def test_fvp_linearity():
     for pol in (make_gaussian(), make_categorical()):
         obs = rng.standard_normal((4, 3))
         v = rng.standard_normal(pol.params.size)
-        a = pol.fvp(obs, 2.5 * v, damping=0.1)
-        b = 2.5 * pol.fvp(obs, v, damping=0.1)
+        a = fvp(pol, obs, 2.5 * v, damping=0.1)
+        b = 2.5 * fvp(pol, obs, v, damping=0.1)
         assert np.max(np.abs(a - b)) <= 1e-10
 
 
@@ -297,12 +317,12 @@ def test_fvp_matches_finite_difference_hessian(maker, hidden):
     h = 1e-5
 
     pol.set_flat(theta0 + h * v)
-    gp = pol.kl_grad(old, obs)
+    gp = kl_grad(pol, old, obs)
     pol.set_flat(theta0 - h * v)
-    gm = pol.kl_grad(old, obs)
+    gm = kl_grad(pol, old, obs)
     pol.set_flat(theta0)
     hv_fd = (gp - gm) / (2 * h)
-    hv = pol.fvp(obs, v, damping=0.0)
+    hv = fvp(pol, obs, v, damping=0.0)
     denom = max(np.linalg.norm(hv), np.linalg.norm(hv_fd), 1e-8)
     assert np.linalg.norm(hv - hv_fd) / denom <= 1e-4
 
@@ -321,13 +341,13 @@ def test_fvp_matches_fd_on_tiny_policy():
         e = np.zeros(n)
         e[i] = 1.0
         pol.set_flat(theta0 + h * e)
-        gp = pol.kl_grad(old, obs)
+        gp = kl_grad(pol, old, obs)
         pol.set_flat(theta0 - h * e)
-        gm = pol.kl_grad(old, obs)
+        gm = kl_grad(pol, old, obs)
         pol.set_flat(theta0)
         hess[:, i] = (gp - gm) / (2 * h)
     v = rng.standard_normal(n)
-    assert rel_err(pol.fvp(obs, v, damping=0.0), hess @ v, floor=1e-4).max() <= 1e-3
+    assert rel_err(fvp(pol, obs, v, damping=0.0), hess @ v, floor=1e-4).max() <= 1e-3
 
 
 def test_kl_grad_matches_finite_differences():
@@ -342,11 +362,11 @@ def test_kl_grad_matches_finite_differences():
 
         def scalar(theta):
             pol.set_flat(theta)
-            val = pol.mean_kl(old, obs)
+            val = mean_kl(pol, old, obs)
             pol.set_flat(theta0)
             return val
 
-        analytic = pol.kl_grad(old, obs)
+        analytic = kl_grad(pol, old, obs)
         numeric = finite_diff_grad(scalar, theta0, h=1e-5)
         assert rel_err(analytic, numeric).max() <= 1e-4
 
@@ -373,12 +393,13 @@ def test_unpickled_policy_acts_on_its_own_parameters(maker):
     # must see set_flat, as the original does
     pol = maker()
     clone = pickle.loads(pickle.dumps(pol))
-    obs = np.array([0.5, 0.1, -1.2])
-    before = clone.act(obs, np.random.default_rng(0))
-    assert np.array_equal(before[2], pol.act(obs, np.random.default_rng(0))[2])
+    obs = np.array([[0.5, 0.1, -1.2]])
+    before = clone.act(obs, [np.random.default_rng(0)])
+    assert np.array_equal(before[2], pol.act(obs, [np.random.default_rng(0)])[2])
     clone.set_flat(clone.flat() + np.random.default_rng(1).standard_normal(clone.params.size))
-    after = clone.act(obs, np.random.default_rng(0))
+    after = clone.act(obs, [np.random.default_rng(0)])
     assert not np.array_equal(before[2], after[2])
-    expected = clone.mean(obs) if isinstance(clone, GaussianPolicy) else clone.log_probs(obs)
+    dist = clone.dist_params(obs)
+    expected = dist[0] if isinstance(clone, GaussianPolicy) else dist
     assert np.allclose(after[2], expected, rtol=0.0, atol=1e-12)
-    assert np.array_equal(pol.act(obs, np.random.default_rng(0))[2], before[2])
+    assert np.array_equal(pol.act(obs, [np.random.default_rng(0)])[2], before[2])

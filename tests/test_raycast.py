@@ -7,6 +7,16 @@ from haarlab.envs.raycast import N_RAYS, goal_bearing, raycast
 
 from helpers import raycast_loops
 
+
+def ray(position, maze, ray_max):
+    """The 20 readings at one point, cast as a one-row batch."""
+    return raycast(np.asarray(position)[None], maze, ray_max)[0]
+
+
+def bearing(position, goal):
+    """The goal bearing at one point, taken as a one-row batch."""
+    return goal_bearing(np.asarray(position)[None], goal)[0]
+
 CROSS = """\
 #####
 #...#
@@ -19,7 +29,7 @@ def test_corridor_side_rays():
     # agent centered in a 3-cell-wide open block: side rays see 1.5 cells
     m = parse_maze_text(CROSS)
     pos = m.cell_center((2, 2))
-    d = raycast(pos, maze=m, ray_max=50.0)
+    d = ray(pos, maze=m, ray_max=50.0)
     cs = m.cell_size
     assert d.shape == (N_RAYS,)
     assert abs(d[5] - 1.5 * cs) <= 1e-9   # +90 degrees
@@ -31,14 +41,14 @@ def test_corridor_side_rays():
 def test_rays_capped_at_ray_max():
     m = build_maze("open_field")
     pos = m.cell_center(m.start_cells[0])
-    d = raycast(pos, maze=m, ray_max=3.0)
+    d = ray(pos, maze=m, ray_max=3.0)
     assert np.array_equal(d, np.full(N_RAYS, 3.0))
 
 
 def test_goal_bearing_forward():
     direction = np.array([np.cos(0.7), np.sin(0.7)])
     pos = np.array([5.0, 5.0])
-    b = goal_bearing(pos, pos + 3.0 * direction)
+    b = bearing(pos, pos + 3.0 * direction)
     assert np.max(np.abs(b - direction)) <= 1e-12
 
 
@@ -49,14 +59,14 @@ def test_goal_bearing_lateral_and_norm():
         goal = rng.uniform(1, 9, size=2)
         if np.allclose(pos, goal):
             continue
-        b = goal_bearing(pos, goal)
+        b = bearing(pos, goal)
         assert abs(np.linalg.norm(b) - 1.0) <= 1e-12
         expected = (goal - pos) / np.linalg.norm(goal - pos)
         assert np.max(np.abs(b - expected)) <= 1e-12
 
 
 def test_goal_bearing_without_goal_is_zero():
-    assert np.array_equal(goal_bearing(np.zeros(2), None), np.zeros(2))
+    assert np.array_equal(bearing(np.zeros(2), None), np.zeros(2))
 
 
 def test_raycast_continuity_under_small_nudges():
@@ -74,8 +84,8 @@ def test_raycast_continuity_under_small_nudges():
         pos = np.array([(cell[1] + frac[0]) * cs, (cell[0] + frac[1]) * cs])
         delta = rng.standard_normal(2)
         delta *= 1e-6 / np.linalg.norm(delta)
-        d0 = raycast(pos, m, ray_max=16.0)
-        d1 = raycast(pos + delta, m, ray_max=16.0)
+        d0 = ray(pos, m, ray_max=16.0)
+        d1 = ray(pos + delta, m, ray_max=16.0)
         for j in range(N_RAYS):
             ang = 2 * np.pi * j / N_RAYS
             hit = pos + d0[j] * np.array([np.cos(ang), np.sin(ang)])
@@ -107,7 +117,7 @@ def test_raycast_bit_identical_to_loop_oracle():
         positions += [np.array([(c + 1) * m.cell_size - 1e-9, r * m.cell_size + 1e-9])
                       for r, c in m.free_cells()]
         for pos in positions:
-            got = raycast(pos, m, 16.0)
+            got = ray(pos, m, 16.0)
             want = raycast_loops(pos, m, 16.0)
             assert got.tobytes() == want.tobytes(), (kind, pos)
             checked += 1
@@ -133,7 +143,7 @@ def test_raycast_with_gaps_and_corners_bit_identical_to_loop_oracle():
     positions = random_free_positions(m, np.random.default_rng(13), 3000)
     positions += [m.cell_center(cell) for cell in m.free_cells()]
     for pos in positions:
-        assert raycast(pos, m, 16.0).tobytes() == raycast_loops(pos, m, 16.0).tobytes(), pos
+        assert ray(pos, m, 16.0).tobytes() == raycast_loops(pos, m, 16.0).tobytes(), pos
 
 
 def test_segment_counts_of_built_in_mazes():
@@ -156,7 +166,7 @@ def test_readings_on_wall_lines_and_corners_equal_loop_oracle():
                     if dr != 0.5 or dc != 0.5:  # corners and side midpoints
                         points.add(((c + dc) * cs, (r + dr) * cs))
         for pos in map(np.array, sorted(points)):
-            got = raycast(pos, m, 16.0)
+            got = ray(pos, m, 16.0)
             assert np.array_equal(got, raycast_loops(pos, m, 16.0)), pos
             zeros += int(np.count_nonzero(got == 0.0))
     assert zeros > 100
@@ -168,7 +178,7 @@ def test_faces_do_not_leak_between_mazes():
     for i in range(200):
         m = build_maze(("c_maze", "spiral")[i % 2])
         pos = random_free_positions(m, rng, 1)[0]
-        assert np.array_equal(raycast(pos, m, 16.0), raycast_loops(pos, m, 16.0))
+        assert np.array_equal(ray(pos, m, 16.0), raycast_loops(pos, m, 16.0))
         del m
         gc.collect(0)
 
@@ -185,6 +195,6 @@ def test_batched_raycast_and_bearing_rows_equal_single_calls():
             bearings = goal_bearing(batch, m.goal_center)
             assert rays.shape == (lanes, N_RAYS) and bearings.shape == (lanes, 2)
             for pos, ray_row, bearing_row in zip(batch, rays, bearings):
-                assert ray_row.tobytes() == raycast(pos, m, 16.0).tobytes()
+                assert ray_row.tobytes() == ray(pos, m, 16.0).tobytes()
                 assert ray_row.tobytes() == raycast_loops(pos, m, 16.0).tobytes()
-                assert bearing_row.tobytes() == goal_bearing(pos, m.goal_center).tobytes()
+                assert bearing_row.tobytes() == bearing(pos, m.goal_center).tobytes()

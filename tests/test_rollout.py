@@ -175,8 +175,8 @@ def test_high_obs_batch_rows_equal_single_observations():
     for _ in range(20):
         state, low = env.reset(rng)  # a one-lane batch, stepped alone
         for _ in range(int(rng.integers(0, 8))):
-            action = policy.act(env.high_obs_batch(state, low)[0], rng)[0]
-            state, low, _, done, _ = env.step(state, action[None])
+            action = policy.act(env.high_obs_batch(state, low), [rng])[0]
+            state, low, _, done, _ = env.step(state, action)
             if done[0]:
                 break
         states.append(state)

@@ -3,21 +3,16 @@ import pytest
 
 from haarlab.nets import MlpSpec, unpack_layers
 from haarlab.policies import CategoricalPolicy, GaussianPolicy
-from haarlab.trpo import (AdvantageBatch, conjugate_gradient, standardize_advantages,
-                          surrogate_loss, trpo_update)
+from haarlab.trpo import AdvantageBatch, conjugate_gradient, standardize_advantages, trpo_update
 
-from helpers import ref_trpo_update, rel_err
+from helpers import log_prob, mean_kl, ref_trpo_update, surrogate_loss
 
 MAX_KL = 0.01
 
 
 def make_batch(policy, obs, actions, advantages):
-    if isinstance(actions, np.ndarray) and actions.dtype.kind == "f":
-        logp = policy.log_prob(obs, actions)
-    else:
-        logp = policy.log_prob(obs, np.asarray(actions))
-    return AdvantageBatch(obs, np.asarray(actions), advantages,
-                          np.atleast_1d(logp), policy.dist_params(obs))
+    return AdvantageBatch(obs, actions, advantages, log_prob(policy, obs, actions),
+                          policy.dist_params(obs))
 
 
 # -- surrogate ------------------------------------------------------------------
@@ -47,10 +42,10 @@ def test_surrogate_single_sample_hand_ratio():
     pol = GaussianPolicy(MlpSpec(2, (3,), 1), rng)
     obs = np.array([[0.4, -0.2]])
     act = np.array([[0.7]])
-    old_logp = float(pol.log_prob(obs, act)[0])
+    old_logp = float(log_prob(pol, obs, act)[0])
     batch = make_batch(pol, obs, act, np.array([2.0]))
     pol.set_flat(pol.flat() + 0.05)
-    new_logp = float(pol.log_prob(obs, act)[0])
+    new_logp = float(log_prob(pol, obs, act)[0])
     expected = np.exp(new_logp - old_logp) * 2.0
     assert abs(surrogate_loss(batch, pol) - expected) <= 1e-12
 
@@ -139,9 +134,9 @@ def test_bandit_probability_moves_toward_positive_advantage():
     actions = np.array([0, 1] * 10)
     adv = np.where(actions == 0, 1.0, -1.0)
     batch = make_batch(pol, obs, actions, adv)
-    p_before = float(np.exp(pol.log_probs(obs[0]))[0])
+    p_before = float(np.exp(pol.dist_params(obs[:1]))[0, 0])
     diag = trpo_update(pol, batch, MAX_KL)
-    p_after = float(np.exp(pol.log_probs(obs[0]))[0])
+    p_after = float(np.exp(pol.dist_params(obs[:1]))[0, 0])
     assert diag.accepted
     assert p_after > p_before
 
@@ -169,7 +164,7 @@ def test_accepted_step_respects_kl_bound_and_improvement(seed, cls, output_dim, 
         assert diag.kl <= 1.5 * MAX_KL + 1e-12
         assert diag.improvement >= 0.0
         # verify the reported KL against a fresh evaluation
-        assert abs(pol.mean_kl(batch.old_dist, batch.observations) - diag.kl) <= 1e-12
+        assert abs(mean_kl(pol, batch.old_dist, batch.observations) - diag.kl) <= 1e-12
     else:
         assert np.max(np.abs(pol.flat() - theta0)) <= 1e-12
 
@@ -180,14 +175,16 @@ def test_fisher_sees_every_fifth_row_and_the_rest_sees_all(monkeypatch):
     obs = batch.observations
     seen = {"fisher": [], "grad": [], "line search": []}
 
-    def spy(kind, method):
-        def wrapper(observations, *args, **kwargs):
-            seen[kind].append(np.array(observations, copy=True))
-            return method(observations, *args, **kwargs)
+    def spy(kind, method, rows=lambda first: first):
+        def wrapper(first, *args, **kwargs):
+            seen[kind].append(np.array(rows(first), copy=True))
+            return method(first, *args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(pol, "fvp_builder", spy("fisher", pol.fvp_builder))
-    monkeypatch.setattr(pol, "grad_logprob_weighted", spy("grad", pol.grad_logprob_weighted))
+    # the gradient's forward pass holds its rows times the unit input scale
+    monkeypatch.setattr(pol, "grad_logprob_weighted",
+                        spy("grad", pol.grad_logprob_weighted, lambda fwd: fwd.acts[0]))
     monkeypatch.setattr(pol, "dist_params", spy("line search", pol.dist_params))
     diag = trpo_update(pol, batch, MAX_KL)
     assert diag.accepted
@@ -202,7 +199,7 @@ def test_update_is_deterministic():
         rng = np.random.default_rng(7)
         pol = GaussianPolicy(MlpSpec(3, (6,), 2), rng)
         obs = rng.standard_normal((32, 3))
-        acts = np.stack([pol.act(o, rng)[0] for o in obs])
+        acts = np.concatenate([pol.act(o[None], [rng])[0] for o in obs])
         adv = rng.standard_normal(32)
         batch = make_batch(pol, obs, acts, adv)
         trpo_update(pol, batch, MAX_KL)

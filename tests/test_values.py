@@ -18,13 +18,12 @@ def poly_eval_loops(est, s):
 def test_constant_estimator():
     est = PolynomialValueEstimator(np.zeros(3), np.zeros(3), np.zeros(3), 7.0)
     rng = np.random.default_rng(0)
-    for _ in range(5):
-        assert est.predict(rng.standard_normal(3)) == 7.0
+    assert np.array_equal(est.predict(rng.standard_normal((5, 3))), np.full(5, 7.0))
 
 
 def test_linear_term():
     est = PolynomialValueEstimator(np.zeros(1), np.zeros(1), np.array([2.0]), 0.0)
-    assert est.predict(np.array([3.0])) == 6.0
+    assert est.predict(np.array([[3.0]]))[0] == 6.0
 
 
 def test_predict_matches_loop_oracle():
@@ -33,14 +32,15 @@ def test_predict_matches_loop_oracle():
         d = int(rng.integers(1, 6))
         est = PolynomialValueEstimator(rng.standard_normal(d), rng.standard_normal(d),
                                        rng.standard_normal(d), float(rng.standard_normal()))
-        s = rng.standard_normal(d)
-        assert abs(est.predict(s) - poly_eval_loops(est, s)) <= 1e-12
+        s = rng.standard_normal((4, d))
+        want = [poly_eval_loops(est, row) for row in s]
+        assert np.max(np.abs(est.predict(s) - want)) <= 1e-12
 
 
 def test_predict_dim_check():
     est = PolynomialValueEstimator.zeros(3)
     with pytest.raises(ShapeError):
-        est.predict(np.zeros(4))
+        est.predict(np.zeros((2, 4)))
 
 
 def test_fit_constant_targets():
@@ -68,7 +68,7 @@ def test_fit_recovers_known_weights():
 
 def test_single_sample_near_interpolation():
     est = fit_value(np.array([[1.5, -0.5]]), np.array([3.0]), ridge=1e-6)
-    assert abs(est.predict(np.array([1.5, -0.5])) - 3.0) <= 1e-3
+    assert abs(est.predict(np.array([[1.5, -0.5]]))[0] - 3.0) <= 1e-3
 
 
 def test_empty_batch_rejected():
