@@ -141,8 +141,9 @@ class PointEnv:
         wall or goal information.
 
         Each lane runs the scalar dynamics on plain floats (math.hypot
-        speeds, the exact sweep). A Python loop over the lanes costs less
-        here than numpy's per-call overhead for a few lanes at a time.
+        speeds, the exact sweep, whose first leg runs inline). A Python
+        loop over the lanes costs less here than numpy's per-call overhead
+        for a few lanes at a time.
         """
         cfg = self.cfg
         maze = self.maze
@@ -150,7 +151,7 @@ class PointEnv:
         dt, v_max, horizon, goal = cfg.dt, cfg.v_max, cfg.max_episode_steps, maze.goal_cell
         gain = cfg.action_scale * dt
         threshold = cfg.stumble_threshold if cfg.stumble_enabled else math.inf
-        hypot, floor = math.hypot, math.floor
+        hypot, floor, inf = math.hypot, math.floor, math.inf
         kinematics, overdrive, end = [], [], []
         for (x, y), (vx, vy), (ax, ay), od, t in zip(
                 state.position.tolist(), state.velocity.tolist(),
@@ -163,7 +164,19 @@ class PointEnv:
                 shrink = v_max / speed
                 vx *= shrink
                 vy *= shrink
-            x, y, vx, vy = _sweep(maze, x, y, vx, vy, dt)
+            # the sweep's first leg inline: a lane that reaches no cell face
+            # within dt moves straight, by the float operations _sweep uses
+            col = int(x // cs)
+            row = int(y // cs)
+            t_x = (((col + 1) * cs - x) / vx if vx > 0.0 else
+                   (col * cs - x) / vx if vx < 0.0 else inf)
+            t_y = (((row + 1) * cs - y) / vy if vy > 0.0 else
+                   (row * cs - y) / vy if vy < 0.0 else inf)
+            if t_x >= dt and t_y >= dt:
+                x += vx * dt
+                y += vy * dt
+            else:
+                x, y, vx, vy = _sweep(maze, x, y, vx, vy, dt)
             od = od + 1 if hypot(ax, ay) > threshold else 0
             kinematics.append((x, y, vx, vy, 0.0, 1.0))  # position, then the ego observation
             overdrive.append(od)

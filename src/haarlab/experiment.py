@@ -27,6 +27,7 @@ import json
 import os
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -118,6 +119,7 @@ class _Traced:
 
     def __init__(self, collector):
         self.collector = collector
+        self.noise_shape = collector.noise_shape
 
     def act(self, run, high):
         actions, _ = self.collector.act(run, high)
@@ -150,8 +152,8 @@ def _trace_trajectories(path: str, env, collector, seed: int, episodes=range(TRA
 @dataclass
 class _Algorithm:
     """What the run loop needs from one training algorithm."""
-    # (iteration, low steps so far) -> (metrics, [(level, diagnostics)])
-    iterate: Callable[[int, int], tuple[dict, list[tuple[str, TrpoDiagnostics]]]]
+    # (iteration, low steps so far, lanes) -> (metrics, [(level, diagnostics)])
+    iterate: Callable[[int, int, int | None], tuple[dict, list[tuple[str, TrpoDiagnostics]]]]
     segments: Callable[[], dict[str, np.ndarray]]  # checkpoint contents after training
     metadata: dict                                 # checkpoint metadata beyond the shared keys
     collector: Callable[[], object]                # a fresh training collector, for the trace
@@ -185,10 +187,13 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: str,
     timing = _CsvSink(os.path.join(run_dir, "timing.csv"), ("iteration", "wall_time_s"))
     final_success = 0.0
     low_steps = 0
+    # the first batch runs ceil(B/T) lanes, each later one as many as the
+    # batch before it had episodes, so it starts them all in one wave
+    lanes = None
     try:
         for it in range(cfg.N):
             t_it = time.perf_counter()
-            m, updates = algo.iterate(it, low_steps)
+            m, updates = algo.iterate(it, low_steps, lanes)
             wall = time.perf_counter() - t_it
             metrics.row([m[c] for c in METRIC_COLUMNS[:-1]] + [0.0])  # wall_time_s: reserved
             for level, diag in updates:
@@ -197,6 +202,7 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: str,
             timing.row([m["iteration"], wall])
             final_success = m["success_rate"]
             low_steps = m["low_steps_total"]
+            lanes = m["episodes"]
             if log:
                 log(f"iter {it + 1}/{cfg.N} k={m['k']} "
                     f"success={m['success_rate']:.2f} return={m['mean_return']:.1f}")
@@ -247,7 +253,7 @@ def _hierarchical(cfg, env, seed, skills_checkpoint, transfer, source_checkpoint
     # the trace runs each skill for the skill length after the last iteration
     k_trace = skill_length(cfg.k_0, cfg.annealing_tau, cfg.k_s, cfg.N)
     return _Algorithm(
-        iterate=lambda it, low_steps: haar_iteration(pi_h, pi_l, env, cfg, seed, it, low_steps),
+        iterate=partial(haar_iteration, pi_h, pi_l, env, cfg, seed),
         segments=lambda: policy_segments(pi_h=pi_h, pi_l=pi_l),
         metadata={"n_skills": cfg.n_skills},
         collector=lambda: _SegmentCollector(pi_h, pi_l, cfg.n_skills, k_trace))
@@ -258,38 +264,44 @@ def _flat(cfg, env, seed) -> _Algorithm:
     observation, trained on the raw environment rewards."""
     policy = fresh_flat_policy(cfg, env, seed)
     return _Algorithm(
-        iterate=lambda it, low_steps: flat_iteration(policy, env, cfg, seed, it, low_steps),
+        iterate=partial(flat_iteration, policy, env, cfg, seed),
         segments=lambda: policy_segments(flat=policy),
-        metadata={}, collector=lambda: _FlatCollector(policy))
+        metadata={}, collector=lambda: _FlatCollector(policy, env.horizon))
 
 
 class _FlatCollector:
     """The flat collector for run_lanes: one policy acts on the full
-    observation at every step."""
+    observation at every step, with the noise rows its episode's stream
+    gave for all of its `horizon` steps at the first."""
 
-    def __init__(self, policy):
+    def __init__(self, policy, horizon: int):
         self.policy = policy
+        self.horizon = horizon
+        self.noise_shape = (horizon, *policy.noise_shape)
 
     def act(self, run, high):
+        for lane in np.flatnonzero(run.steps == 0).tolist():
+            run.noise[lane] = self.policy.noise(run.rng[lane], self.horizon)
         obs = high()
-        a, logp, mu = self.policy.act(obs, run.rng)
+        a, logp, mu = self.policy.act(obs, run.noise[np.arange(len(obs)), run.steps])
         return a, (obs, a, mu, logp)
 
 
 def collect_flat(policy, env, budget: int, seed: tuple[int, ...], lanes: int | None = None):
     """Whole episodes, in lockstep lanes, until `budget` steps are in the
     batch; returns (observations, actions, means, log-probs, LaneRun)."""
-    run = run_lanes(env, episode_streams(seed), budget, _FlatCollector(policy), lanes)
+    run = run_lanes(env, episode_streams(seed), budget, _FlatCollector(policy, env.horizon),
+                    lanes)
     return (*run.columns, run)
 
 
 def flat_iteration(policy, env, cfg: ExperimentConfig, seed: int, iteration: int,
-                   low_steps_before: int):
+                   low_steps_before: int, lanes: int | None = None):
     """One flat TRPO iteration: collect at least B steps of whole
-    episodes, fit the value baseline on their discounted returns, and
-    take one trust-region step. Returns the metrics and the
-    (level, diagnostics) pair, as haar_iteration does."""
-    obs, acts, means, logps, run = collect_flat(policy, env, cfg.B, (seed, iteration))
+    episodes in `lanes` lockstep lanes, fit the value baseline on their
+    discounted returns, and take one trust-region step. Returns the
+    metrics and the (level, diagnostics) pair, as haar_iteration does."""
+    obs, acts, means, logps, run = collect_flat(policy, env, cfg.B, (seed, iteration), lanes)
     rets = discounted_returns(run.reward, run.done, cfg.gamma_l)
     v = fit_value_on_scaled(obs, rets, env.high_obs_scale, cfg.ridge)
     adv = rets - v.predict(obs)
@@ -304,6 +316,7 @@ def flat_iteration(policy, env, cfg: ExperimentConfig, seed: int, iteration: int
         "low_kl": 0.0,
         "high_surr_improve": diag.improvement,
         "low_surr_improve": 0.0,
+        "episodes": len(run.success),
     }
     return metrics, [("flat", diag)]
 

@@ -88,29 +88,40 @@ class _SegmentCollector:
     """The hierarchical collector for run_lanes: each lane's skill comes
     from pi_h every k low steps of its episode (the first at its start),
     and pi_l acts on the ego observation with that skill's one-hot
-    appended. Each step records the ego observation (the low level's
-    learner rebuilds the policy input) and the number of the segment it
-    opens, in the order segments open, or -1 if it opens none."""
+    appended. When a segment opens, the lane's stream gives the skill's
+    uniform and then the k low-step noise rows of the segment. Each step
+    records the ego observation (the low level's learner rebuilds the
+    policy input) and the number of the segment it opens, in the order
+    segments open, or -1 if it opens none."""
 
     def __init__(self, pi_h, pi_l, n_skills: int, k: int):
         self.pi_h = pi_h
         self.pi_l = pi_l
         self.n_skills = n_skills
         self.k = k
+        self.noise_shape = (k, *pi_l.noise_shape)
         self.blocks = []  # (s_h, a_h, logp_h, dist_h) rows of the segments each step opens
         self.opened = 0
 
     def act(self, run, high):
-        opens = run.steps % self.k == 0
+        at = run.steps % self.k
+        opens = at == 0
         number = np.full(len(opens), -1)
         if opens.any():
-            s_h = high(opens)
-            skills, logps, dists = self.pi_h.act(s_h, run.rng[opens])
+            u = []
+            for lane in np.flatnonzero(opens).tolist():
+                rng = run.rng[lane]
+                u.append(self.pi_h.noise(rng, 1))
+                run.noise[lane] = self.pi_l.noise(rng, self.k)
+            # lanes that join on segment boundaries all open together
+            s_h = high() if opens.all() else high(opens)
+            skills, logps, dists = self.pi_h.act(s_h, np.concatenate(u))
             run.skill[opens] = skills
             number[opens] = np.arange(self.opened, self.opened + len(skills))
             self.opened += len(skills)
             self.blocks.append((s_h, skills, logps, dists))
-        a, logp, dist = self.pi_l.act(skill_inputs(run.low, run.skill, self.n_skills), run.rng)
+        a, logp, dist = self.pi_l.act(skill_inputs(run.low, run.skill, self.n_skills),
+                                      run.noise[np.arange(len(at)), at])
         return a, (run.low, a, logp, dist, number)
 
 
@@ -118,7 +129,8 @@ def collect_rollouts(pi_h, pi_l, env, n_skills: int, budget_low_steps: int, k: i
                      seed: tuple[int, ...], lanes: int | None = None) -> RolloutBatch:
     """Simulate episodes until the low-step budget is met.
 
-    Episodes run in lockstep lanes (rollout.run_lanes): episode e is
+    Episodes run in lockstep lanes (rollout.run_lanes) that join every k
+    steps, so all of them open their segments together: episode e is
     seeded by its index, and it is in the batch iff the episodes before
     it hold fewer than budget_low_steps steps; the batch's last episode
     always runs to completion. The lane count never changes the batch.
@@ -128,7 +140,7 @@ def collect_rollouts(pi_h, pi_l, env, n_skills: int, budget_low_steps: int, k: i
     if k < 1 or budget_low_steps < 1:
         raise ValueError("k and the step budget must be >= 1")
     c = _SegmentCollector(pi_h, pi_l, n_skills, k)
-    run = run_lanes(env, episode_streams(seed), budget_low_steps, c, lanes)
+    run = run_lanes(env, episode_streams(seed), budget_low_steps, c, lanes, period=k)
     low_l, a_l, logp_l, dist_l, number = run.columns
     opens = number >= 0  # the rows are in episode order, so segments are too
     segment_id = np.cumsum(opens) - 1
@@ -223,19 +235,22 @@ def prepare_level_batches(batch: RolloutBatch, advantages: np.ndarray,
 
 
 def haar_iteration(pi_h: CategoricalPolicy, pi_l: GaussianPolicy | CategoricalPolicy, env,
-                   cfg: ExperimentConfig, seed: int, iteration: int, low_steps_before: int
-                   ) -> tuple[dict, list[tuple[str, TrpoDiagnostics]]]:
+                   cfg: ExperimentConfig, seed: int, iteration: int, low_steps_before: int,
+                   lanes: int | None = None) -> tuple[dict, list[tuple[str, TrpoDiagnostics]]]:
     """One iteration of the concurrent (or alternate) update cycle.
 
-    Collect cfg.B low steps at the iteration's skill length, fit the
+    Collect cfg.B low steps at the iteration's skill length in `lanes`
+    lockstep lanes (which change no byte of the batch), fit the
     high-level baseline on the batch's discounted returns, turn its
     one-step advantages into auxiliary low-level rewards, and update
     each level with its own trust-region step. Returns the iteration's
-    metrics and a (level, diagnostics) pair for each level that took a
-    step, as flat_iteration does.
+    metrics, with the batch's episode count under "episodes", and a
+    (level, diagnostics) pair for each level that took a step, as
+    flat_iteration does.
     """
     k = skill_length(cfg.k_0, cfg.annealing_tau, cfg.k_s, iteration)
-    batch = collect_rollouts(pi_h, pi_l, env, cfg.n_skills, cfg.B, k, seed=(seed, iteration))
+    batch = collect_rollouts(pi_h, pi_l, env, cfg.n_skills, cfg.B, k, seed=(seed, iteration),
+                             lanes=lanes)
 
     v_h = fit_value_on_scaled(batch.s_h, discounted_returns(batch.r_h, batch.done_h, cfg.gamma_h),
                               env.high_obs_scale, cfg.ridge)
@@ -267,6 +282,7 @@ def haar_iteration(pi_h: CategoricalPolicy, pi_l: GaussianPolicy | CategoricalPo
         "low_kl": diag_l.kl,
         "high_surr_improve": diag_h.improvement,
         "low_surr_improve": diag_l.improvement,
+        "episodes": len(batch.success),
     }
     updates = [(level, diag) for level, diag, stepped
                in (("high", diag_h, do_high), ("low", diag_l, do_low)) if stepped]

@@ -41,12 +41,15 @@ def _forward_rows(layers, x: np.ndarray) -> np.ndarray:
     return a.reshape(len(x), -1)
 
 
-def _rows(obs, rng) -> np.ndarray:
-    """act's input as (L, d) float rows, checked to come with L generators."""
+def _rows(obs, noise, noise_shape) -> tuple[np.ndarray, np.ndarray]:
+    """act's input as (L, d) float rows and its L noise rows, checked to
+    match."""
     obs = np.asarray(obs, dtype=np.float64)
-    if obs.ndim != 2 or np.ndim(rng) != 1 or len(rng) != len(obs):
-        raise ShapeError("act takes (L, d) rows and one generator per row")
-    return obs
+    noise = np.asarray(noise, dtype=np.float64)
+    if obs.ndim != 2 or noise.shape != (len(obs), *noise_shape):
+        raise ShapeError("act takes (L, d) rows and one noise row per row")
+    # C order: the stacked per-row products in act were pinned on C-ordered rows
+    return obs, np.ascontiguousarray(noise)
 
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -63,7 +66,11 @@ class _MlpPolicy:
     """Plumbing shared by both heads: a tanh MLP in segment NET, then the
     head's own segments. A head adds act and the dist_* math, and its
     output-layer gradients return (gradient at the network output,
-    gradients of the head's own segments)."""
+    gradients of the head's own segments).
+
+    act takes its randomness as noise rows: noise(rng, n) draws n steps'
+    worth from a Generator, one row of shape noise_shape per step, the
+    same values in the same order as n draws of one row each."""
 
     NET = ""
 
@@ -156,6 +163,7 @@ class GaussianPolicy(_MlpPolicy):
     def __init__(self, spec: MlpSpec, rng: np.random.Generator,
                  input_scale: np.ndarray | None = None):
         self.action_dim = spec.output_dim
+        self.noise_shape = (spec.output_dim,)
         super().__init__(spec, rng, input_scale,
                          [("log_std", np.full(spec.output_dim, INIT_LOG_STD))])
 
@@ -167,18 +175,20 @@ class GaussianPolicy(_MlpPolicy):
         super().set_flat(values)
         np.clip(self.log_std, LOG_STD_MIN, LOG_STD_MAX, out=self.log_std)
 
-    def act(self, obs: np.ndarray, rng):
-        """Sample actions for (L, d) rows, row i drawing only from the
-        Generator rng[i]; returns (L, action_dim) actions, L log-probs and
+    def noise(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n steps' standard normal rows, (n, action_dim)."""
+        return rng.standard_normal((n, self.action_dim))
+
+    def act(self, obs: np.ndarray, eps):
+        """Sample actions for (L, d) rows, row i with the standard normal
+        noise row eps[i]; returns (L, action_dim) actions, L log-probs and
         (L, action_dim) means, each row equal bit for bit to that row acted
         on as a one-row batch.
         """
-        mu = _forward_rows(self._layers, _rows(obs, rng) * self.input_scale)
+        obs, eps = _rows(obs, eps, self.noise_shape)
+        mu = _forward_rows(self._layers, obs * self.input_scale)
         if not np.isfinite(mu.sum()):
             raise NumericsError("policy mean is not finite")
-        eps = np.empty_like(mu)
-        for r, row in zip(rng, eps):
-            r.standard_normal(out=row)
         action = mu + np.exp(self.log_std) * eps
         # eps @ eps per row as a stacked product: a row sum would use another order
         quad = np.matmul(eps[:, None, :], eps[:, :, None]).ravel().tolist()
@@ -246,16 +256,22 @@ class CategoricalPolicy(_MlpPolicy):
         self.n_skills = spec.output_dim
         super().__init__(spec, rng, input_scale, [])
 
-    def act(self, obs: np.ndarray, rng):
+    noise_shape = ()
+
+    def noise(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n steps' uniforms on [0, 1), (n,)."""
+        return rng.random(n)
+
+    def act(self, obs: np.ndarray, u):
         """Sample skill indices as GaussianPolicy.act samples actions: (L, d)
-        rows with L Generators give L indices, L log-probs and the
+        rows with L uniforms u give L indices, L log-probs and the
         (L, n_skills) log-probability rows.
         """
-        logp = _log_softmax(_forward_rows(self._layers, _rows(obs, rng) * self.input_scale))
+        obs, u = _rows(obs, u, self.noise_shape)
+        logp = _log_softmax(_forward_rows(self._layers, obs * self.input_scale))
         if not np.isfinite(logp.sum()):
             raise NumericsError("policy logits are not finite")
         p = np.exp(logp)
-        u = np.array([r.random() for r in rng])
         # searchsorted on each row's non-decreasing cumulative sum
         index = (np.cumsum(p, axis=1) < (u * p.sum(axis=1))[:, None]).sum(axis=1)
         index = np.minimum(index, self.n_skills - 1)

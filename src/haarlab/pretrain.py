@@ -96,22 +96,27 @@ def fresh_low_policy(cfg: PretrainConfig, env: PointEnv, seed: int) -> GaussianP
 
 
 class _SkillCollector:
-    """The collector for skill episodes on run_lanes: each lane runs one
-    skill, skill_of(episode, rng) at its first step, and pi_l acts on the
-    ego observation with that skill's one-hot appended. Records the ego
-    observation, action, log-prob and mean, the position before the step
-    and the skill."""
+    """The collector for skill episodes of at most `horizon` steps on
+    run_lanes: each lane runs one skill, skill_of(episode, rng) at its
+    first step, and pi_l acts on the ego observation with that skill's
+    one-hot appended, with the noise rows the stream gives for every step
+    right after the skill. Records the ego observation, action, log-prob
+    and mean, the position before the step and the skill."""
 
-    def __init__(self, pi_l, n_skills: int, skill_of):
+    def __init__(self, pi_l, n_skills: int, skill_of, horizon: int):
         self.pi_l = pi_l
         self.n_skills = n_skills
         self.skill_of = skill_of
+        self.horizon = horizon
+        self.noise_shape = (horizon, *pi_l.noise_shape)
 
     def act(self, run, high):
-        first = run.steps == 0
-        run.skill[first] = [self.skill_of(e, rng)
-                            for e, rng in zip(run.episode[first].tolist(), run.rng[first])]
-        a, logp, mu = self.pi_l.act(skill_inputs(run.low, run.skill, self.n_skills), run.rng)
+        for lane in np.flatnonzero(run.steps == 0).tolist():
+            rng = run.rng[lane]
+            run.skill[lane] = self.skill_of(int(run.episode[lane]), rng)
+            run.noise[lane] = self.pi_l.noise(rng, self.horizon)
+        a, logp, mu = self.pi_l.act(skill_inputs(run.low, run.skill, self.n_skills),
+                                    run.noise[np.arange(len(run.steps)), run.steps])
         return a, (run.low, a, logp, mu, run.state.position, run.skill)
 
 
@@ -131,7 +136,7 @@ def pretrain_skills(cfg: PretrainConfig, seed: int, env_cfg: EnvConfig | None = 
         streams = (np.random.default_rng(np.random.SeedSequence((seed, PRETRAIN_STREAM, it, ep)))
                    for ep in count())
         collector = _SkillCollector(pi_l, cfg.n_skills,
-                                    lambda _, rng: int(rng.integers(cfg.n_skills)))
+                                    lambda _, rng: int(rng.integers(cfg.n_skills)), env.horizon)
         run = run_lanes(env, streams, cfg.batch_low_steps, collector)
         low, acts, logps, dists, position, skill = run.columns
         xs = skill_inputs(low, skill, cfg.n_skills)
@@ -160,7 +165,7 @@ def skill_displacements(pi_l, n_skills: int, episodes_per_skill: int, steps: int
     env = open_field_env(steps, env_cfg)
     streams = (np.random.default_rng(np.random.SeedSequence((seed, 0xD1, skill, ep)))
                for skill in range(n_skills) for ep in range(episodes_per_skill))
-    collector = _SkillCollector(pi_l, n_skills, lambda e, _: e // episodes_per_skill)
+    collector = _SkillCollector(pi_l, n_skills, lambda e, _: e // episodes_per_skill, steps)
     run = run_lanes(env, streams, n_skills * episodes_per_skill * steps, collector)
     first = np.concatenate(([0], np.flatnonzero(run.done)[:-1] + 1))  # each episode's first row
     disp = run.final.position - run.columns[4][first]

@@ -2,30 +2,49 @@
 
 Every episode the package runs goes through run_lanes: training batches,
 pre-training's proxy batches, the skill probe and the post-training trace.
-Up to ceil(budget / env.horizon) episodes run side by side as the rows
-of one batch state. That is how many episodes a batch holds when each
-runs its full horizon, so every one of them is certain to be in the
-batch and starting them together speculates on none. On each lockstep
-step a collector chooses the actions of every running episode with
-batched policy calls, asking for the high observations it needs in one
-env.high_obs_batch call (one raycast over all of their positions), and
-one env.step advances every lane.
+Episodes run side by side as the rows of one batch state. On each
+lockstep step a collector chooses the actions of every running episode
+with batched policy calls, asking for the high observations it needs in
+one env.high_obs_batch call (one raycast over all of their positions),
+and one env.step advances every lane.
+
+How many lanes run is the caller's choice. The first training batch,
+pre-training, the skill probe and the trace take ceil(budget /
+env.horizon), the number of episodes a batch holds when each runs its
+full horizon; every later training batch takes as many lanes as the
+previous batch had episodes, so a batch whose episodes end early also
+starts in one wave instead of refilling lanes one episode at a time.
+Lanes join on boundaries: with period k, new episodes start only on
+lockstep steps that are a multiple of k counted from the current wave
+(when no lane runs, they start at once and the count restarts). A
+hierarchical batch passes its skill length, so every lane opens its
+skill segments on the same steps and one high-level decision serves
+them all.
+
+Collectors draw their noise when a lane decides, not on every step: the
+hierarchical one draws a segment's skill uniform and then its k low-step
+noise rows when the segment opens, the flat and skill collectors an
+episode's T rows at its first step. Each block comes from the episode's
+own stream, in the order a one-by-one loop draws the same values, and a
+block holds the same values as that many single draws.
 
 The caller hands run_lanes one stream (a Generator) per episode, in
 episode order; training batches use episode_rng(seed, e) for e = 0, 1, ...
 The batch is the one a sequential loop would collect. Episode e draws
 only from its own stream, in the same order as it would alone, and
 batched policy and env rows are computed row by row, so no value depends
-on the lanes. Episode e belongs to the batch iff the episodes before it
-hold fewer than `budget` steps, and every episode in the batch runs to
-its end: lanes start episodes in index order while the steps taken so
-far are below the budget and streams remain, and drop a running episode
-as soon as the episodes before it reach the budget. The rows each step
-records come out in episode order, and within an episode in time order;
-the env state after each episode's last step comes out as one row per
-episode, so a row's next state is the following row's, or that final
-row where the row ends its episode. Each episode's return and whether
-it reached the goal come out by episode index as well.
+on the lanes or the period. Episode e belongs to the batch iff the
+episodes before it hold fewer than `budget` steps, and every episode in
+the batch runs to its end: lanes start episodes in index order while the
+steps taken so far are below the budget and streams remain, and drop a
+running episode as soon as the episodes before it reach the budget.
+Episodes started beyond the batch are speculative steps that the budget
+drops. The rows each step records come out in episode order, and within
+an episode in time order; the env state after each episode's last step
+comes out as one row per episode, so a row's next state is the following
+row's, or that final row where the row ends its episode. Each episode's
+return and whether it reached the goal come out by episode index as
+well.
 """
 
 from __future__ import annotations
@@ -63,6 +82,8 @@ class Running(NamedTuple):
     total_return: np.ndarray  # (L,)
     state: tuple              # the env's batch state (a NamedTuple of row arrays)
     low: np.ndarray           # (L, low_dim) the current ego observations
+    noise: np.ndarray         # (L, *collector.noise_shape): unset until a collector
+                              # draws each lane's noise and writes it in place
 
 
 def _rows(batch: tuple, rows) -> tuple:
@@ -115,8 +136,8 @@ def _first_excluded(lengths: list[int], budget: int) -> int:
 
 class _StepRows:
     """Per-step columns, filled one lockstep step (one row per lane) at a
-    time. Each column is one buffer that doubles when full, not a list of
-    small arrays that would grow and fragment the heap."""
+    time. Each column is one buffer of `capacity` rows, allocated at the
+    first step; pages it never writes cost no memory."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
@@ -126,48 +147,53 @@ class _StepRows:
     def add(self, blocks):
         m = len(blocks[0])
         if self.columns is None:
-            self.columns = [np.empty((max(self.capacity, m), *b.shape[1:]), b.dtype)
-                            for b in blocks]
-        elif self.n + m > len(self.columns[0]):
-            self.columns = [np.concatenate((c, np.empty_like(c))) for c in self.columns]
+            self.columns = [np.empty((self.capacity, *b.shape[1:]), b.dtype) for b in blocks]
         for column, block in zip(self.columns, blocks):
             column[self.n:self.n + m] = block
         self.n += m
 
 
 def run_lanes(env, streams: Iterable[np.random.Generator], budget: int, collector,
-              lanes: int | None = None) -> LaneRun:
+              lanes: int | None = None, period: int = 1) -> LaneRun:
     """Run one episode per stream, episode e on the e-th, in lockstep lanes
     until the batch holds at least `budget` steps or the streams run out.
 
-    `lanes` defaults to ceil(budget / env.horizon); no lane count changes
-    a byte of the batch. The env supplies its horizon, reset(rng) for one
-    episode (a one-lane batch state and its (1, low_dim) ego row),
-    step(batch, actions) and high_obs_batch(batch, low). The collector
-    supplies
+    `lanes` defaults to ceil(budget / env.horizon). New episodes start
+    only on lockstep steps that are a multiple of `period`, counted from
+    the current wave, or at once when no lane runs. No lane count or
+    period changes a byte of the batch. The env supplies its horizon,
+    reset(rng) for one episode (a one-lane batch state and its
+    (1, low_dim) ego row), step(batch, actions) and
+    high_obs_batch(batch, low). The collector supplies
+      noise_shape
+          the shape of the noise one lane holds (running.noise[i]);
       act(running, high) -> (actions, columns)
           the actions of the Running lanes, in order, and a tuple of
           arrays with one row per lane that the step records; high(rows)
           gives the high observation rows of the lanes `rows` selects,
           and high() those of every lane. A collector that chooses
-          skills writes them into running.skill in place; a lane keeps
-          its skill until it is written again.
+          skills writes them into running.skill in place, and the noise
+          it draws into running.noise; a lane keeps both until they are
+          written again.
     """
     if lanes is None:
         lanes = -(-budget // env.horizon)
-    if budget < 1 or lanes < 1:
-        raise ValueError("the step budget and the lane count must be >= 1")
+    if budget < 1 or lanes < 1 or period < 1:
+        raise ValueError("the step budget, the lane count and the period must be >= 1")
     streams = iter(streams)
     lengths: list[int] = []        # steps episode e has taken
     finals: list[tuple] = []       # (episodes, env state rows, returns, successes) as lanes end
-    # The last lanes run past the budget: ceil(B/T) episodes of T steps
-    # take fewer than B + T. The buffer doubles when a run takes more.
-    rows = _StepRows(budget + budget // 4)
+    # Every episode starts while fewer than `budget` steps are taken, and
+    # at most `lanes` of them then run on, each for at most a horizon.
+    rows = _StepRows(budget + lanes * env.horizon)
     run = None
     total = 0                      # steps of every episode started so far
+    clock = 0                      # lockstep steps since the current wave started
     while True:
         n = 0 if run is None else len(run.episode)
-        if n < lanes and total < budget:
+        if n < lanes and total < budget and (n == 0 or clock % period == 0):
+            if n == 0:
+                clock = 0
             e0 = len(lengths)
             rngs = list(islice(streams, lanes - n))
             if rngs:
@@ -176,7 +202,7 @@ def run_lanes(env, streams: Iterable[np.random.Generator], budget: int, collecto
                 lengths += [0] * m
                 fresh = Running(np.arange(e0, e0 + m), np.fromiter(rngs, object, m), np.full(m, -1),
                                 np.zeros(m, np.intp), np.zeros(m), _joined(states),
-                                np.concatenate(lows))
+                                np.concatenate(lows), np.empty((m, *collector.noise_shape)))
                 run = fresh if run is None else _joined([run, fresh])
         if run is None or not len(run.episode):
             break
@@ -192,6 +218,7 @@ def run_lanes(env, streams: Iterable[np.random.Generator], budget: int, collecto
                            state=state, low=low)
         rows.add((run.episode, reward, done, *columns))
         total += len(run.episode)
+        clock += 1
         finished = np.flatnonzero(done)
         if len(finished):
             finals.append((run.episode[finished], _rows(state, finished),

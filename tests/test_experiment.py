@@ -251,10 +251,10 @@ def test_crashed_rerun_is_not_reported_as_finished(tmp_path, monkeypatch):
     run_dir = run_single_seed(cfg, 0, str(tmp_path))
     real = experiment.flat_iteration
 
-    def killed(policy, env, cfg, seed, iteration, low_steps):
+    def killed(policy, env, cfg, seed, iteration, low_steps, lanes):
         if iteration == 1:
             raise KeyboardInterrupt
-        return real(policy, env, cfg, seed, iteration, low_steps)
+        return real(policy, env, cfg, seed, iteration, low_steps, lanes)
 
     monkeypatch.setattr(experiment, "flat_iteration", killed)
     with pytest.raises(KeyboardInterrupt):

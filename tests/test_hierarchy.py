@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
+from haarlab import hierarchy
 from haarlab.envs.maze import build_maze
 from haarlab.envs.point import EnvConfig, PointEnv
 from haarlab.config import ConfigError, ExperimentConfig
 from haarlab.hierarchy import (ConservationError, RolloutBatch,
                                assign_auxiliary_rewards, collect_rollouts, discounted_returns,
                                estimate_high_advantages, haar_iteration, prepare_level_batches,
-                               skill_length)
+                               skill_inputs, skill_length)
 from haarlab.nets import MlpSpec
 from haarlab.policies import CategoricalPolicy, GaussianPolicy
+from haarlab.rollout import episode_rng
 from haarlab.values import PolynomialValueEstimator
 
 N_SKILLS = 3
@@ -110,7 +112,6 @@ def test_segment_rewards_match_replay_oracle():
     batch = collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget_low_steps=36, k=k, seed=seed)
 
     # independent replay: drive a fresh env with the same episode streams
-    from haarlab.rollout import episode_rng
     seg_sums, seg_highs, seg_next_highs, seg_done = [], [], [], []
     ep = 0
     total = 0
@@ -121,11 +122,11 @@ def test_segment_rewards_match_replay_oracle():
         while not done:
             high = env.high_obs_batch(state, low)[0]
             seg_highs.append(high)
-            skill = pi_h.act(high[None], [rng])[0][0]
+            skill = pi_h.act(high[None], pi_h.noise(rng, 1))[0][0]
             acc = 0.0
             for _ in range(k):
                 x = np.concatenate([low[0], np.eye(N_SKILLS)[skill]])
-                a, _, _ = pi_l.act(x[None], [rng])
+                a, _, _ = pi_l.act(x[None], pi_l.noise(rng, 1))
                 state, low, r, done, _ = env.step(state, a)
                 acc += float(r[0])
                 done = bool(done[0])
@@ -167,23 +168,52 @@ def test_one_hot_purity():
 
 
 @pytest.mark.parametrize("lanes", [None, 1, 16])  # 16 lanes start episodes the batch drops
-def test_low_level_trains_on_the_inputs_its_policy_acted_on(lanes):
+def test_low_level_trains_on_the_inputs_its_policy_acted_on(lanes, monkeypatch):
     env = make_env()
     pi_h, pi_l = make_policies(env)
+    acted = {}  # each episode's policy input rows, by episode index, in time order
+    lanes_of_step = []  # each collector step's episode indices, lane by lane
+    collector_act = hierarchy._SegmentCollector.act
     act = pi_l.act
-    acted = {}  # each episode's policy input rows, by its Generator, in time order
 
-    def spy(x, rngs):
-        for row, rng in zip(x.copy(), rngs):
-            acted.setdefault(rng, []).append(row)
-        return act(x, rngs)
+    def spy_lanes(self, run, high):
+        lanes_of_step.append(run.episode.tolist())
+        return collector_act(self, run, high)
 
+    def spy(x, eps):
+        for row, episode in zip(x.copy(), lanes_of_step[-1]):
+            acted.setdefault(episode, []).append(row)
+        return act(x, eps)
+
+    monkeypatch.setattr(hierarchy._SegmentCollector, "act", spy_lanes)
     pi_l.act = spy
     batch = collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget_low_steps=100, k=3, seed=(4,),
                              lanes=lanes)
-    # episodes start in index order, so first sight orders them; later ones ran past the batch
-    rows = [row for episode in list(acted.values())[:len(batch.success)] for row in episode]
+    # later episodes ran past the batch
+    rows = [row for e in range(len(batch.success)) for row in acted[e]]
     assert low_inputs(batch, pi_l).tobytes() == np.array(rows).tobytes()
+
+
+def test_segments_draw_the_skill_uniform_then_k_noise_rows():
+    # after reset's draws (integers, random(2)), each segment takes its
+    # skill's uniform and then a block of k low-step rows from the episode's
+    # stream, the last segment's block included when the horizon cuts it short
+    env = make_env("c_maze", max_episode_steps=12, stumble_enabled=False)
+    pi_h, pi_l = make_policies(env, seed=5)
+    k = 5
+    batch = collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget_low_steps=12, k=k, seed=(3,))
+    assert batch.seg_len.tolist() == [5, 5, 2]
+    rng = episode_rng((3,), 0)
+    rng.integers(len(env.maze.start_cells))
+    rng.random(2)
+    start = 0
+    for j, n in enumerate(batch.seg_len.tolist()):
+        u = rng.random()
+        eps = rng.standard_normal((k, 2))
+        assert pi_h.act(batch.s_h[j:j + 1], [u])[0].tolist() == [batch.a_h[j]]
+        x = skill_inputs(batch.low_l[start:start + n], np.full(n, batch.a_h[j]), N_SKILLS)
+        assert pi_l.act(x, eps[:n])[0].tobytes() == batch.a_l[start:start + n].tobytes()
+        start += n
 
 
 def test_rollouts_deterministic():
@@ -430,9 +460,10 @@ def test_iteration_metrics_schema():
     env = make_env("gather", max_episode_steps=20)
     pi_h, pi_l, cfg = make_run(env)
     m, _ = iterate(pi_h, pi_l, env, cfg, 0, low_steps=7)
-    # every metrics.csv column but the reserved wall_time_s, which the run loop fills
+    # every metrics.csv column but the reserved wall_time_s, which the run loop fills,
+    # and the batch's episode count, which the run loop takes as the next lane count
     assert set(m) == {"iteration", "low_steps_total", "k", "success_rate", "mean_return",
-                      "high_kl", "low_kl", "high_surr_improve", "low_surr_improve"}
+                      "high_kl", "low_kl", "high_surr_improve", "low_surr_improve", "episodes"}
     assert m["iteration"] == 0
     assert m["low_steps_total"] >= 60 + 7
     assert m["k"] == 6

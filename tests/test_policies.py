@@ -31,8 +31,9 @@ def make_categorical(rng=None, input_dim=3, n=3, hidden=(5, 4)):
 
 
 def act_one(policy, x, rng):
-    """act on the one-row batch of x: (action, log-prob, distribution row)."""
-    a, logp, dist = policy.act(x[None], [rng])
+    """act on the one-row batch of x with one step's noise from rng:
+    (action, log-prob, distribution row)."""
+    a, logp, dist = policy.act(x[None], policy.noise(rng, 1))
     return a[0], logp[0], dist[0]
 
 
@@ -86,7 +87,7 @@ def test_sampled_logprob_equals_log_prob():
     obs = np.array([0.5, 0.1, -1.2])
     rng = np.random.default_rng(4)
     for policy in (pol, make_categorical()):
-        a, logp, _ = policy.act(obs[None], [rng])
+        a, logp, _ = policy.act(obs[None], policy.noise(rng, 1))
         assert abs(logp[0] - log_prob(policy, obs[None], a)[0]) <= 1e-12
 
 
@@ -100,36 +101,57 @@ def test_batched_act_rows_equal_single_calls(lanes):
                 GaussianPolicy(MlpSpec(26, (32, 32), 2), rng)]
     for pol in policies:
         obs = rng.standard_normal((lanes, pol.spec.input_dim)) * 3.0
-        seeds = rng.integers(1 << 30, size=lanes)
-        rngs = [np.random.default_rng(s) for s in seeds]
-        actions, logps, dists = pol.act(obs, rngs)
+        noise = pol.noise(rng, lanes)
+        actions, logps, dists = pol.act(obs, noise)
         assert len(actions) == len(logps) == len(dists) == lanes
-        for i, s in enumerate(seeds):
-            alone = np.random.default_rng(s)
-            a, logp, dist = pol.act(obs[i:i + 1], [alone])
+        for i in range(lanes):
+            a, logp, dist = pol.act(obs[i:i + 1], noise[i:i + 1])
             assert actions[i:i + 1].tobytes() == a.tobytes()
             assert logps[i:i + 1].tobytes() == logp.tobytes()
             assert dists[i:i + 1].tobytes() == dist.tobytes()
-            assert rngs[i].random() == alone.random()  # the same draws were taken
 
 
-def test_batched_act_needs_one_generator_per_row():
+@pytest.mark.parametrize("maker", [make_gaussian, make_categorical],
+                         ids=["gaussian", "categorical"])
+def test_noise_block_equals_single_draws(maker):
+    # a block drawn at a decision holds the values a one-by-one loop draws
+    # one step at a time, in the same order, on streams that first took
+    # the c_maze reset's draws
+    pol = maker()
+    single_draw = ((lambda r: r.standard_normal(pol.action_dim)) if isinstance(pol, GaussianPolicy)
+                   else (lambda r: r.random()))
+    for seed in range(300):
+        block_rng, single_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for r in (block_rng, single_rng):
+            r.integers(4)
+            r.random(2)
+        n = 1 + seed % 50
+        block = pol.noise(block_rng, n)
+        assert block.shape == (n, *pol.noise_shape)
+        assert block.tobytes() == np.array([single_draw(single_rng) for _ in range(n)]).tobytes()
+        assert block_rng.random() == single_rng.random()
+
+
+def test_batched_act_needs_one_noise_row_per_row():
     pol = make_gaussian()
-    with pytest.raises(ShapeError):
-        pol.act(np.zeros((3, 3)), [np.random.default_rng(0)] * 2)
+    rng = np.random.default_rng(0)
+    for noise in (pol.noise(rng, 2), rng.standard_normal((3, 1)), rng.standard_normal(3)):
+        with pytest.raises(ShapeError):
+            pol.act(np.zeros((3, 3)), noise)
 
 
 @pytest.mark.parametrize("maker", [make_gaussian, make_categorical],
                          ids=["gaussian", "categorical"])
 def test_act_refuses_a_lone_vector(maker):
-    # a row acts as a one-row batch; a 1-D input or a lone Generator is
-    # refused, not reshaped
+    # a row acts as a one-row batch; a 1-D input or a noise row without
+    # its lane axis is refused, not reshaped
     pol = maker()
-    for rng in (np.random.default_rng(0), [np.random.default_rng(0)] * 3):
+    rng = np.random.default_rng(0)
+    for noise in (pol.noise(rng, 1), pol.noise(rng, 3)):
         with pytest.raises(ShapeError):
-            pol.act(np.zeros(3), rng)
+            pol.act(np.zeros(3), noise)
     with pytest.raises(ShapeError):
-        pol.act(np.zeros((1, 3)), np.random.default_rng(0))
+        pol.act(np.zeros((1, 3)), pol.noise(rng, 1)[0])
 
 
 # -- log densities ------------------------------------------------------------
@@ -394,12 +416,13 @@ def test_unpickled_policy_acts_on_its_own_parameters(maker):
     pol = maker()
     clone = pickle.loads(pickle.dumps(pol))
     obs = np.array([[0.5, 0.1, -1.2]])
-    before = clone.act(obs, [np.random.default_rng(0)])
-    assert np.array_equal(before[2], pol.act(obs, [np.random.default_rng(0)])[2])
+    noise = pol.noise(np.random.default_rng(0), 1)
+    before = clone.act(obs, noise)
+    assert np.array_equal(before[2], pol.act(obs, noise)[2])
     clone.set_flat(clone.flat() + np.random.default_rng(1).standard_normal(clone.params.size))
-    after = clone.act(obs, [np.random.default_rng(0)])
+    after = clone.act(obs, noise)
     assert not np.array_equal(before[2], after[2])
     dist = clone.dist_params(obs)
     expected = dist[0] if isinstance(clone, GaussianPolicy) else dist
     assert np.allclose(after[2], expected, rtol=0.0, atol=1e-12)
-    assert np.array_equal(pol.act(obs, [np.random.default_rng(0)])[2], before[2])
+    assert np.array_equal(pol.act(obs, noise)[2], before[2])

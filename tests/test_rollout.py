@@ -1,22 +1,29 @@
-"""Lockstep lanes: the lane count never changes a byte of a batch.
+"""Lockstep lanes: neither the lane count nor the join period changes a
+byte of a batch.
 
 Both collectors (hierarchy.collect_rollouts and experiment.collect_flat)
 run on rollout.run_lanes; every array they return must be the same bytes
-for every lane count, on the point-mass maze, the gather arena and the
-tabular chain, including budgets that end inside or exactly at the end of
-an episode and runs that drop a speculative episode. The default lane
-count, ceil(budget / horizon), starts no episode outside the batch when
-every episode runs its horizon. A finite set of streams runs exactly its
-episodes, no finished lane is ever stepped, and the final state rows are
-each kept episode's state after its last step.
+for every lane count, the previous batch's episode count included, and
+for hierarchical lanes that join on any step or only on segment
+boundaries, on the point-mass maze, the gather arena and the tabular
+chain, including budgets that end inside or exactly at the end of an
+episode and runs that drop a speculative episode. Lanes that join on
+segment boundaries make one high-level decision call per segment step.
+The default lane count, ceil(budget / horizon), starts no episode outside
+the batch when every episode runs its horizon. A finite set of streams
+runs exactly its episodes, no finished lane is ever stepped, new episodes
+start only on period boundaries or when no lane runs, and the final state
+rows are each kept episode's state after its last step.
 """
 
+import math
 from itertools import count
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+from haarlab import hierarchy
 from haarlab.envs.maze import build_maze
 from haarlab.envs.point import EnvConfig, EpisodeBatch, PointEnv
 from haarlab.envs.tabular import TabularRolloutEnv
@@ -95,7 +102,7 @@ HIERARCHY_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(HIERARCHY_CASES))
-def test_hierarchy_batches_identical_for_every_lane_count(case):
+def test_hierarchy_batches_identical_for_every_lane_count(case, monkeypatch):
     make, budget, k = HIERARCHY_CASES[case]
     made = make()
     if case == "tabular":
@@ -103,11 +110,50 @@ def test_hierarchy_batches_identical_for_every_lane_count(case):
     else:
         env = made
         pi_h, pi_l = neural_hierarchy(env)
-    batches = [collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget, k, seed=(4, 1), lanes=lanes)
-               for lanes in LANE_COUNTS]
+    # the training loop's lane count: the episodes of the batch before
+    previous = collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget, k, seed=(4, 0))
+    lane_counts = (*LANE_COUNTS, len(previous.success))
+    batches = []
+    for period in (1, k):  # lanes that join on any step, then on segment boundaries only
+        with monkeypatch.context() as m:
+            m.setattr(hierarchy, "run_lanes", lambda *args, period=period, **kw:
+                      run_lanes(*args, **{**kw, "period": period}))
+            batches += [collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget, k, seed=(4, 1),
+                                         lanes=lanes) for lanes in lane_counts]
     assert batches[0].n_low_steps >= budget
     assert len(set(np.diff(np.flatnonzero(batches[0].done_l), prepend=-1))) > 1
     assert_same_bytes([hierarchy_arrays(b) for b in batches])
+
+
+class _Calls:
+    """Counts the calls of a function, and the calls whose first argument
+    passes `tally`."""
+
+    def __init__(self, fn, tally=lambda first: False):
+        self.fn = fn
+        self.tally = tally
+        self.calls = self.tallied = 0
+
+    def __call__(self, first, *args):
+        self.calls += 1
+        self.tallied += bool(self.tally(first))
+        return self.fn(first, *args)
+
+
+@pytest.mark.parametrize("lanes", [None, 40])
+def test_one_decision_call_per_segment_step(lanes):
+    # lanes join on segment boundaries, so every lane opens its segments on
+    # the same lockstep steps and one pi_h.act call decides for all of
+    # them: at most ceil(steps / k) calls, plus one for each wave (a step
+    # whose lanes all start their episodes)
+    env = stumbling_env("c_maze", 40)
+    pi_h, pi_l = neural_hierarchy(env)
+    k = 4
+    env.step = step = _Calls(env.step, tally=lambda state: (state.t == 0).all())
+    pi_h.act = decide = _Calls(pi_h.act)
+    batch = collect_rollouts(pi_h, pi_l, env, N_SKILLS, 600, k, seed=(4, 1), lanes=lanes)
+    assert len(set(np.diff(np.flatnonzero(batch.done_l), prepend=-1))) > 1
+    assert decide.calls <= math.ceil(step.calls / k) + step.tallied
 
 
 FLAT_CASES = {
@@ -128,7 +174,9 @@ def test_flat_batches_identical_for_every_lane_count(case):
     else:
         env = made
         policy = flat_policy(env)
-    runs = [collect_flat(policy, env, budget, (2, 5), lanes) for lanes in LANE_COUNTS]
+    previous = collect_flat(policy, env, budget, (2, 4))[-1]
+    runs = [collect_flat(policy, env, budget, (2, 5), lanes)
+            for lanes in (*LANE_COUNTS, len(previous.success))]
     assert len(runs[0][0]) >= budget
     assert runs[0][-1].steps_taken == len(runs[0][0])  # one lane never speculates
     assert len(set(np.diff(np.flatnonzero(runs[0][-1].done), prepend=-1))) > 1
@@ -175,7 +223,7 @@ def test_high_obs_batch_rows_equal_single_observations():
     for _ in range(20):
         state, low = env.reset(rng)  # a one-lane batch, stepped alone
         for _ in range(int(rng.integers(0, 8))):
-            action = policy.act(env.high_obs_batch(state, low), [rng])[0]
+            action = policy.act(env.high_obs_batch(state, low), policy.noise(rng, 1))[0]
             state, low, _, done, _ = env.step(state, action)
             if done[0]:
                 break
@@ -236,6 +284,8 @@ def countdown_episodes(env, seeds):
 
 
 class IdleCollector:
+    noise_shape = ()
+
     def act(self, run, high):
         return np.zeros(len(run.episode)), ()
 
@@ -299,6 +349,8 @@ class SkillOfEpisode:
     """Writes each episode's index into the skill column at its first
     step, or never writes it, and records the column on every step."""
 
+    noise_shape = ()
+
     def __init__(self, writes):
         self.writes = writes
 
@@ -323,3 +375,42 @@ def test_skill_column_follows_its_episode(lanes):
     run = run_lanes(env, (np.random.default_rng(seed) for seed in count()), 60,
                     SkillOfEpisode(False), lanes)
     assert len(run.columns[0]) >= 60 and (run.columns[0] == -1).all()
+
+
+class JoinClock:
+    """Records the step counts of the running lanes on each lockstep step."""
+
+    noise_shape = ()
+
+    def __init__(self):
+        self.steps = []
+
+    def act(self, run, high):
+        self.steps.append(run.steps.tolist())
+        return np.zeros(len(run.episode)), ()
+
+
+@pytest.mark.parametrize("period", [1, 4, 7])
+def test_lanes_join_only_on_period_boundaries(period):
+    # a lane starts an episode on a lockstep step that is a multiple of the
+    # period counted from its wave, or starts a wave when no lane runs; the
+    # batch is the one period 1 gives
+    runs = []
+    for p in (1, period):
+        env = CountdownEnv(9)
+        clock = JoinClock()
+        runs.append(run_lanes(env, (np.random.default_rng(seed) for seed in count()), 80, clock,
+                              lanes=5, period=p))
+    joins = wave = 0
+    for i, steps in enumerate(clock.steps):
+        fresh = [s == 0 for s in steps]
+        if all(fresh):
+            wave = i
+        elif any(fresh):
+            assert (i - wave) % period == 0
+            joins += 1
+    assert joins > 0
+    first, run = runs
+    for a, b in ((first.reward, run.reward), (first.done, run.done), (first.success, run.success),
+                 (first.final.t, run.final.t), (first.final.tag, run.final.tag)):
+        assert a.tobytes() == b.tobytes()

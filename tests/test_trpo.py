@@ -144,7 +144,7 @@ def test_bandit_probability_moves_toward_positive_advantage():
 def policy_batch(cls, output_dim, rng, rows):
     pol = cls(MlpSpec(4, (8, 8), output_dim), rng)
     obs = rng.standard_normal((rows, 4))
-    acts = pol.act(obs, [rng] * rows)[0]
+    acts = pol.act(obs, pol.noise(rng, rows))[0]
     return pol, make_batch(pol, obs, acts, rng.standard_normal(rows))
 
 
@@ -199,7 +199,7 @@ def test_update_is_deterministic():
         rng = np.random.default_rng(7)
         pol = GaussianPolicy(MlpSpec(3, (6,), 2), rng)
         obs = rng.standard_normal((32, 3))
-        acts = np.concatenate([pol.act(o[None], [rng])[0] for o in obs])
+        acts = np.concatenate([pol.act(o[None], pol.noise(rng, 1))[0] for o in obs])
         adv = rng.standard_normal(32)
         batch = make_batch(pol, obs, acts, adv)
         trpo_update(pol, batch, MAX_KL)
