@@ -30,14 +30,14 @@ LOW_OBS_DIM = 4
 HIGH_OBS_DIM = LOW_OBS_DIM + N_RAYS + 2
 _FACE_EPS = 1e-9  # resting offset from a wall face, in world units
 _END_CODES = ((1, "goal"), (2, "death"), (3, "timeout"))  # a lane's end reason; 0 runs on
+GOAL_REWARD = 1000.0
+DEATH_REWARD = -10.0
+FOOD_REWARD = 1.0
+BOMB_REWARD = -1.0
 
 
 @dataclass
 class EnvConfig:
-    goal_reward: float = 1000.0
-    death_reward: float = -10.0
-    food_reward: float = 1.0
-    bomb_reward: float = -1.0
     max_episode_steps: int = 500
     action_scale: float = 4.0
     dt: float = 0.2
@@ -188,7 +188,7 @@ class PointEnv:
                 end.append(3 if t + 1 >= horizon else 0)
         kinematics = np.array(kinematics)
         end = np.array(end)
-        reward = np.array((0.0, cfg.goal_reward, cfg.death_reward, 0.0))[end]
+        reward = np.array((0.0, GOAL_REWARD, DEATH_REWARD, 0.0))[end]
         food_active = state.food_active
         bomb_active = state.bomb_active
         if maze.kind == "gather":  # contacts count for lanes that neither reached the goal nor fell
@@ -198,8 +198,8 @@ class PointEnv:
             food, food_active = _contacts(position, state.food_sites, food_active, live, radius)
             bombs, bomb_active = _contacts(position, state.bomb_sites, bomb_active, live, radius)
             # a lane without contacts adds a zero, which leaves its reward as it was
-            reward += cfg.food_reward * food
-            reward += cfg.bomb_reward * bombs
+            reward += FOOD_REWARD * food
+            reward += BOMB_REWARD * bombs
         nxt = EpisodeBatch(kinematics[:, :2], kinematics[:, 2:4], state.t + 1, np.array(overdrive),
                            state.food_sites, state.bomb_sites, food_active, bomb_active)
         return (nxt, kinematics[:, 2:], reward, end > 0,

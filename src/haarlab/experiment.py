@@ -39,8 +39,8 @@ from .hierarchy import (_SegmentCollector, discounted_returns, fit_value_on_scal
 from .nets import MlpSpec
 from .policies import CategoricalPolicy, GaussianPolicy
 from .pretrain import fresh_low_policy, pretrain_skills
-from .rollout import episode_metrics, episode_streams, run_lanes
-from .trpo import AdvantageBatch, TrpoDiagnostics, trpo_update
+from .rollout import batch_metrics, episode_streams, run_lanes
+from .trpo import NO_STEP, AdvantageBatch, TrpoDiagnostics, trpo_update
 
 HIGH_INIT_STREAM = 0x12
 FLAT_INIT_STREAM = 0x13
@@ -119,6 +119,7 @@ class _Traced:
 
     def __init__(self, collector):
         self.collector = collector
+        self.period = collector.period
         self.noise_shape = collector.noise_shape
 
     def act(self, run, high):
@@ -152,8 +153,8 @@ def _trace_trajectories(path: str, env, collector, seed: int, episodes=range(TRA
 @dataclass
 class _Algorithm:
     """What the run loop needs from one training algorithm."""
-    # (iteration, low steps so far, lanes) -> (metrics, [(level, diagnostics)])
-    iterate: Callable[[int, int, int | None], tuple[dict, list[tuple[str, TrpoDiagnostics]]]]
+    # (iteration, lanes) -> (rollout.batch_metrics, [(level, diagnostics)])
+    iterate: Callable[[int, int | None], tuple[dict, list[tuple[str, TrpoDiagnostics]]]]
     segments: Callable[[], dict[str, np.ndarray]]  # checkpoint contents after training
     metadata: dict                                 # checkpoint metadata beyond the shared keys
     collector: Callable[[], object]                # a fresh training collector, for the trace
@@ -193,16 +194,20 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: str,
     try:
         for it in range(cfg.N):
             t_it = time.perf_counter()
-            m, updates = algo.iterate(it, low_steps, lanes)
+            m, updates = algo.iterate(it, lanes)
             wall = time.perf_counter() - t_it
-            metrics.row([m[c] for c in METRIC_COLUMNS[:-1]] + [0.0])  # wall_time_s: reserved
-            for level, diag in updates:
-                diags.row([m["iteration"], level, diag.kl, diag.surrogate_before,
-                           diag.surrogate_after, diag.backtracks, diag.accepted])
-            timing.row([m["iteration"], wall])
-            final_success = m["success_rate"]
-            low_steps = m["low_steps_total"]
+            low_steps += m["steps"]
             lanes = m["episodes"]
+            # flat TRPO's one level fills the high columns; a level that took no step reports 0.0
+            stepped = {"low" if level == "low" else "high": diag for level, diag in updates}
+            high, low = stepped.get("high", NO_STEP), stepped.get("low", NO_STEP)
+            metrics.row([it, low_steps, m["k"], m["success_rate"], m["mean_return"], high.kl,
+                         low.kl, high.improvement, low.improvement, 0.0])  # wall_time_s: reserved
+            for level, diag in updates:
+                diags.row([it, level, diag.kl, diag.surrogate_before,
+                           diag.surrogate_after, diag.backtracks, diag.accepted])
+            timing.row([it, wall])
+            final_success = m["success_rate"]
             if log:
                 log(f"iter {it + 1}/{cfg.N} k={m['k']} "
                     f"success={m['success_rate']:.2f} return={m['mean_return']:.1f}")
@@ -276,6 +281,7 @@ class _FlatCollector:
 
     def __init__(self, policy, horizon: int):
         self.policy = policy
+        self.period = 1  # lanes join on any step
         self.horizon = horizon
         self.noise_shape = (horizon, *policy.noise_shape)
 
@@ -296,29 +302,19 @@ def collect_flat(policy, env, budget: int, seed: tuple[int, ...], lanes: int | N
 
 
 def flat_iteration(policy, env, cfg: ExperimentConfig, seed: int, iteration: int,
-                   low_steps_before: int, lanes: int | None = None):
+                   lanes: int | None = None):
     """One flat TRPO iteration: collect at least B steps of whole
     episodes in `lanes` lockstep lanes, fit the value baseline on their
     discounted returns, and take one trust-region step. Returns the
-    metrics and the (level, diagnostics) pair, as haar_iteration does."""
+    batch's rollout.batch_metrics (k is 1) and the (level, diagnostics)
+    pair, as haar_iteration does."""
     obs, acts, means, logps, run = collect_flat(policy, env, cfg.B, (seed, iteration), lanes)
     rets = discounted_returns(run.reward, run.done, cfg.gamma_l)
     v = fit_value_on_scaled(obs, rets, env.high_obs_scale, cfg.ridge)
     adv = rets - v.predict(obs)
     batch = AdvantageBatch(obs, acts, adv, logps, policy.old_dist(means))
     diag = trpo_update(policy, batch, cfg.max_kl)
-    metrics = {
-        "iteration": iteration,
-        "low_steps_total": low_steps_before + len(obs),
-        "k": 1,
-        **episode_metrics(run.success, run.total_return),
-        "high_kl": diag.kl,
-        "low_kl": 0.0,
-        "high_surr_improve": diag.improvement,
-        "low_surr_improve": 0.0,
-        "episodes": len(run.success),
-    }
-    return metrics, [("flat", diag)]
+    return batch_metrics(1, len(obs), run.success, run.total_return), [("flat", diag)]
 
 
 def run_train(cfg: ExperimentConfig, out_dir: str,

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .policies import CategoricalPolicy, GaussianPolicy
-from .rollout import episode_metrics, episode_streams, run_lanes
+from .rollout import batch_metrics, episode_streams, run_lanes
 from .trpo import AdvantageBatch, TrpoDiagnostics, trpo_update
 from .values import PolynomialValueEstimator, fit_value, fold_input_scale
 
@@ -88,40 +88,38 @@ class _SegmentCollector:
     """The hierarchical collector for run_lanes: each lane's skill comes
     from pi_h every k low steps of its episode (the first at its start),
     and pi_l acts on the ego observation with that skill's one-hot
-    appended. When a segment opens, the lane's stream gives the skill's
-    uniform and then the k low-step noise rows of the segment. Each step
-    records the ego observation (the low level's learner rebuilds the
-    policy input) and the number of the segment it opens, in the order
-    segments open, or -1 if it opens none."""
+    appended. Its lanes join every k steps, so all of them are at one
+    phase of their segments and open them together. When segments open,
+    each lane's stream gives its skill's uniform and then the k low-step
+    noise rows of its segment. Each step records the ego observation (the
+    low level's learner rebuilds the policy input) and the number of the
+    segment it opens, in the order segments open, or -1 if it opens none."""
 
     def __init__(self, pi_h, pi_l, n_skills: int, k: int):
         self.pi_h = pi_h
         self.pi_l = pi_l
         self.n_skills = n_skills
-        self.k = k
+        self.k = self.period = k  # lanes join on segment boundaries
         self.noise_shape = (k, *pi_l.noise_shape)
         self.blocks = []  # (s_h, a_h, logp_h, dist_h) rows of the segments each step opens
         self.opened = 0
 
     def act(self, run, high):
-        at = run.steps % self.k
-        opens = at == 0
-        number = np.full(len(opens), -1)
-        if opens.any():
+        phase = run.steps[0] % self.k
+        number = np.full(len(run.steps), -1)
+        if phase == 0:
             u = []
-            for lane in np.flatnonzero(opens).tolist():
-                rng = run.rng[lane]
+            for lane, rng in enumerate(run.rng):
                 u.append(self.pi_h.noise(rng, 1))
                 run.noise[lane] = self.pi_l.noise(rng, self.k)
-            # lanes that join on segment boundaries all open together
-            s_h = high() if opens.all() else high(opens)
+            s_h = high()
             skills, logps, dists = self.pi_h.act(s_h, np.concatenate(u))
-            run.skill[opens] = skills
-            number[opens] = np.arange(self.opened, self.opened + len(skills))
+            run.skill[:] = skills
+            number = np.arange(self.opened, self.opened + len(skills))
             self.opened += len(skills)
             self.blocks.append((s_h, skills, logps, dists))
         a, logp, dist = self.pi_l.act(skill_inputs(run.low, run.skill, self.n_skills),
-                                      run.noise[np.arange(len(at)), at])
+                                      run.noise[:, phase])
         return a, (run.low, a, logp, dist, number)
 
 
@@ -140,7 +138,7 @@ def collect_rollouts(pi_h, pi_l, env, n_skills: int, budget_low_steps: int, k: i
     if k < 1 or budget_low_steps < 1:
         raise ValueError("k and the step budget must be >= 1")
     c = _SegmentCollector(pi_h, pi_l, n_skills, k)
-    run = run_lanes(env, episode_streams(seed), budget_low_steps, c, lanes, period=k)
+    run = run_lanes(env, episode_streams(seed), budget_low_steps, c, lanes)
     low_l, a_l, logp_l, dist_l, number = run.columns
     opens = number >= 0  # the rows are in episode order, so segments are too
     segment_id = np.cumsum(opens) - 1
@@ -235,7 +233,7 @@ def prepare_level_batches(batch: RolloutBatch, advantages: np.ndarray,
 
 
 def haar_iteration(pi_h: CategoricalPolicy, pi_l: GaussianPolicy | CategoricalPolicy, env,
-                   cfg: ExperimentConfig, seed: int, iteration: int, low_steps_before: int,
+                   cfg: ExperimentConfig, seed: int, iteration: int,
                    lanes: int | None = None) -> tuple[dict, list[tuple[str, TrpoDiagnostics]]]:
     """One iteration of the concurrent (or alternate) update cycle.
 
@@ -243,10 +241,9 @@ def haar_iteration(pi_h: CategoricalPolicy, pi_l: GaussianPolicy | CategoricalPo
     lockstep lanes (which change no byte of the batch), fit the
     high-level baseline on the batch's discounted returns, turn its
     one-step advantages into auxiliary low-level rewards, and update
-    each level with its own trust-region step. Returns the iteration's
-    metrics, with the batch's episode count under "episodes", and a
-    (level, diagnostics) pair for each level that took a step, as
-    flat_iteration does.
+    each level with its own trust-region step. Returns the batch's
+    rollout.batch_metrics and a (level, diagnostics) pair for each level
+    that took a step, as flat_iteration does.
     """
     k = skill_length(cfg.k_0, cfg.annealing_tau, cfg.k_s, iteration)
     batch = collect_rollouts(pi_h, pi_l, env, cfg.n_skills, cfg.B, k, seed=(seed, iteration),
@@ -269,24 +266,12 @@ def haar_iteration(pi_h: CategoricalPolicy, pi_l: GaussianPolicy | CategoricalPo
     high_batch, low_batch = prepare_level_batches(batch, advantages, low_advantages, pi_l,
                                                   cfg.n_skills)
 
-    no_step = TrpoDiagnostics(False, 0.0, 0.0, 0.0, 0)
-    diag_h = trpo_update(pi_h, high_batch, cfg.max_kl) if do_high else no_step
-    diag_l = trpo_update(pi_l, low_batch, cfg.max_kl) if do_low else no_step
-
-    metrics = {
-        "iteration": iteration,
-        "low_steps_total": low_steps_before + batch.n_low_steps,
-        "k": k,
-        **episode_metrics(batch.success, batch.total_return),
-        "high_kl": diag_h.kl,
-        "low_kl": diag_l.kl,
-        "high_surr_improve": diag_h.improvement,
-        "low_surr_improve": diag_l.improvement,
-        "episodes": len(batch.success),
-    }
-    updates = [(level, diag) for level, diag, stepped
-               in (("high", diag_h, do_high), ("low", diag_l, do_low)) if stepped]
-    return metrics, updates
+    updates = []
+    if do_high:
+        updates.append(("high", trpo_update(pi_h, high_batch, cfg.max_kl)))
+    if do_low:
+        updates.append(("low", trpo_update(pi_l, low_batch, cfg.max_kl)))
+    return batch_metrics(k, batch.n_low_steps, batch.success, batch.total_return), updates
 
 
 def fit_value_on_scaled(states: np.ndarray, targets: np.ndarray, scale: np.ndarray,

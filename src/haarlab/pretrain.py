@@ -105,6 +105,7 @@ class _SkillCollector:
 
     def __init__(self, pi_l, n_skills: int, skill_of, horizon: int):
         self.pi_l = pi_l
+        self.period = 1  # lanes join on any step
         self.n_skills = n_skills
         self.skill_of = skill_of
         self.horizon = horizon

@@ -14,12 +14,13 @@ env.horizon), the number of episodes a batch holds when each runs its
 full horizon; every later training batch takes as many lanes as the
 previous batch had episodes, so a batch whose episodes end early also
 starts in one wave instead of refilling lanes one episode at a time.
-Lanes join on boundaries: with period k, new episodes start only on
-lockstep steps that are a multiple of k counted from the current wave
-(when no lane runs, they start at once and the count restarts). A
-hierarchical batch passes its skill length, so every lane opens its
-skill segments on the same steps and one high-level decision serves
-them all.
+Lanes join on boundaries: the collector sets a join period, and new
+episodes start only on lockstep steps that are a multiple of it counted
+from the current wave (when no lane runs, they start at once and the
+count restarts). The hierarchical collector's period is its skill
+length, so every lane opens its skill segments on the same steps and one
+high-level decision serves them all; the flat and skill collectors join
+on any step.
 
 Collectors draw their noise when a lane decides, not on every step: the
 hierarchical one draws a segment's skill uniform and then its k low-step
@@ -33,18 +34,17 @@ episode order; training batches use episode_rng(seed, e) for e = 0, 1, ...
 The batch is the one a sequential loop would collect. Episode e draws
 only from its own stream, in the same order as it would alone, and
 batched policy and env rows are computed row by row, so no value depends
-on the lanes or the period. Episode e belongs to the batch iff the
-episodes before it hold fewer than `budget` steps, and every episode in
-the batch runs to its end: lanes start episodes in index order while the
-steps taken so far are below the budget and streams remain, and drop a
-running episode as soon as the episodes before it reach the budget.
-Episodes started beyond the batch are speculative steps that the budget
-drops. The rows each step records come out in episode order, and within
-an episode in time order; the env state after each episode's last step
-comes out as one row per episode, so a row's next state is the following
-row's, or that final row where the row ends its episode. Each episode's
-return and whether it reached the goal come out by episode index as
-well.
+on the lanes. Episode e belongs to the batch iff the episodes before it
+hold fewer than `budget` steps, and every episode in the batch runs to
+its end: lanes start episodes in index order while the steps taken so
+far are below the budget and streams remain, and drop a running episode
+as soon as the episodes before it reach the budget. Episodes started
+beyond the batch are speculative steps that the budget drops. The rows
+each step records come out in episode order, and within an episode in
+time order; the env state after each episode's last step comes out as
+one row per episode, so a row's next state is the following row's, or
+that final row where the row ends its episode. Each episode's return and
+whether it reached the goal come out by episode index as well.
 """
 
 from __future__ import annotations
@@ -58,9 +58,11 @@ import numpy as np
 EPISODE_STREAM = 0xE9
 
 
-def episode_metrics(success: np.ndarray, total_return: np.ndarray) -> dict[str, float]:
-    """The success_rate and mean_return metrics of a batch's episodes."""
-    return {"success_rate": float(np.mean(success)), "mean_return": float(np.mean(total_return))}
+def batch_metrics(k: int, steps: int, success: np.ndarray, total_return: np.ndarray) -> dict:
+    """What one training batch reports: its skill length, steps and
+    episode count, and its episodes' success_rate and mean_return."""
+    return {"k": k, "steps": steps, "episodes": len(success),
+            "success_rate": float(np.mean(success)), "mean_return": float(np.mean(total_return))}
 
 
 def episode_rng(seed: tuple[int, ...], episode: int) -> np.random.Generator:
@@ -154,31 +156,32 @@ class _StepRows:
 
 
 def run_lanes(env, streams: Iterable[np.random.Generator], budget: int, collector,
-              lanes: int | None = None, period: int = 1) -> LaneRun:
+              lanes: int | None = None) -> LaneRun:
     """Run one episode per stream, episode e on the e-th, in lockstep lanes
     until the batch holds at least `budget` steps or the streams run out.
 
     `lanes` defaults to ceil(budget / env.horizon). New episodes start
-    only on lockstep steps that are a multiple of `period`, counted from
-    the current wave, or at once when no lane runs. No lane count or
-    period changes a byte of the batch. The env supplies its horizon,
+    only on lockstep steps that are a multiple of the collector's period,
+    counted from the current wave, or at once when no lane runs. No lane
+    count changes a byte of the batch. The env supplies its horizon,
     reset(rng) for one episode (a one-lane batch state and its
     (1, low_dim) ego row), step(batch, actions) and
     high_obs_batch(batch, low). The collector supplies
+      period
+          the join period, in lockstep steps;
       noise_shape
           the shape of the noise one lane holds (running.noise[i]);
       act(running, high) -> (actions, columns)
           the actions of the Running lanes, in order, and a tuple of
-          arrays with one row per lane that the step records; high(rows)
-          gives the high observation rows of the lanes `rows` selects,
-          and high() those of every lane. A collector that chooses
-          skills writes them into running.skill in place, and the noise
-          it draws into running.noise; a lane keeps both until they are
-          written again.
+          arrays with one row per lane that the step records; high()
+          gives the high observation rows of every lane. A collector
+          that chooses skills writes them into running.skill in place,
+          and the noise it draws into running.noise; a lane keeps both
+          until they are written again.
     """
     if lanes is None:
         lanes = -(-budget // env.horizon)
-    if budget < 1 or lanes < 1 or period < 1:
+    if budget < 1 or lanes < 1 or collector.period < 1:
         raise ValueError("the step budget, the lane count and the period must be >= 1")
     streams = iter(streams)
     lengths: list[int] = []        # steps episode e has taken
@@ -191,7 +194,7 @@ def run_lanes(env, streams: Iterable[np.random.Generator], budget: int, collecto
     clock = 0                      # lockstep steps since the current wave started
     while True:
         n = 0 if run is None else len(run.episode)
-        if n < lanes and total < budget and (n == 0 or clock % period == 0):
+        if n < lanes and total < budget and (n == 0 or clock % collector.period == 0):
             if n == 0:
                 clock = 0
             e0 = len(lengths)
@@ -207,10 +210,8 @@ def run_lanes(env, streams: Iterable[np.random.Generator], budget: int, collecto
         if run is None or not len(run.episode):
             break
 
-        def high(select=None, run=run):
-            if select is None:
-                return env.high_obs_batch(run.state, run.low)
-            return env.high_obs_batch(_rows(run.state, select), run.low[select])
+        def high(run=run):
+            return env.high_obs_batch(run.state, run.low)
 
         actions, columns = collector.act(run, high)
         state, low, reward, done, ends = env.step(run.state, actions)

@@ -54,7 +54,7 @@ class AdvantageBatch:
         return self.observations.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrpoDiagnostics:
     accepted: bool
     kl: float
@@ -67,9 +67,12 @@ class TrpoDiagnostics:
         return self.surrogate_after - self.surrogate_before
 
 
-def _surrogate(batch: AdvantageBatch, logp: np.ndarray) -> float:
-    """mean(exp(logp - old_logp) * A); equals mean(A) at the old parameters."""
-    return float(np.mean(np.exp(logp - batch.old_log_probs) * batch.advantages))
+NO_STEP = TrpoDiagnostics(False, 0.0, 0.0, 0.0, 0)  # an update that never ran the policy
+
+
+def _surrogate(batch: AdvantageBatch, logp: np.ndarray, adv: np.ndarray) -> float:
+    """mean(exp(logp - old_logp) * adv); equals mean(adv) at the old parameters."""
+    return float(np.mean(np.exp(logp - batch.old_log_probs) * adv))
 
 
 def conjugate_gradient(apply_a: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
@@ -116,19 +119,17 @@ def trpo_update(policy, batch: AdvantageBatch, max_kl: float) -> TrpoDiagnostics
     """
     adv = standardize_advantages(batch.advantages)
     if not adv.any():
-        return TrpoDiagnostics(False, 0.0, 0.0, 0.0, 0)
+        return NO_STEP
     theta_old = policy.flat()
-    work = AdvantageBatch(batch.observations, batch.actions, adv,
-                          batch.old_log_probs, batch.old_dist)
     # one forward pass at theta_old: the surrogate's weights and its gradient
-    fwd = policy.forward_batch(work.observations)
-    weights = np.exp(policy.dist_log_prob(fwd.dist, work.actions) - work.old_log_probs) * adv
+    fwd = policy.forward_batch(batch.observations)
+    weights = np.exp(policy.dist_log_prob(fwd.dist, batch.actions) - batch.old_log_probs) * adv
     surr_before = float(np.mean(weights))
-    g = policy.grad_logprob_weighted(fwd, work.actions, weights)
+    g = policy.grad_logprob_weighted(fwd, batch.actions, weights)
     if not np.all(np.isfinite(g)) or float(np.max(np.abs(g), initial=0.0)) < 1e-12:
         return TrpoDiagnostics(False, 0.0, surr_before, surr_before, 0)
 
-    apply_a = policy.fvp_builder(work.observations[::FISHER_STRIDE], CG_DAMPING)
+    apply_a = policy.fvp_builder(batch.observations[::FISHER_STRIDE], CG_DAMPING)
 
     try:
         step_dir = conjugate_gradient(apply_a, g, CG_ITERATIONS)
@@ -144,9 +145,9 @@ def trpo_update(policy, batch: AdvantageBatch, max_kl: float) -> TrpoDiagnostics
     shrink = 1.0
     for backtracks in range(MAX_BACKTRACKS):
         policy.set_flat(theta_old + shrink * full_step)
-        dist = policy.dist_params(work.observations)  # shared by the KL and the surrogate
-        kl = policy.dist_kl(work.old_dist, dist)
-        surr = _surrogate(work, policy.dist_log_prob(dist, work.actions))
+        dist = policy.dist_params(batch.observations)  # shared by the KL and the surrogate
+        kl = policy.dist_kl(batch.old_dist, dist)
+        surr = _surrogate(batch, policy.dist_log_prob(dist, batch.actions), adv)
         if (np.isfinite(kl) and np.isfinite(surr)
                 and kl <= KL_SLACK * max_kl and surr - surr_before >= 0.0):
             return TrpoDiagnostics(True, float(kl), surr_before, float(surr), backtracks)

@@ -117,9 +117,11 @@ def step_loops(maze, cfg, state, action, face_eps=1e-9, stumble_steps=3):
     velocity, t, overdrive, reward, done, info, food_active, bomb_active,
     walls_hit, corners): walls_hit counts the velocity components a wall
     zeroed, corners the moments the path met a vertical and a horizontal
-    grid line at once.
+    grid line at once. It reads only the reward constants from the env.
     """
     import math
+
+    from haarlab.envs.point import BOMB_REWARD, DEATH_REWARD, FOOD_REWARD, GOAL_REWARD
 
     ax, ay = float(action[0]), float(action[1])
     gain = cfg.action_scale * cfg.dt
@@ -185,18 +187,18 @@ def step_loops(maze, cfg, state, action, face_eps=1e-9, stumble_steps=3):
     food_active = state.food_active[0] if gather else None
     bomb_active = state.bomb_active[0] if gather else None
     if maze.goal_cell is not None and (math.floor(y / cs), math.floor(x / cs)) == maze.goal_cell:
-        reward, done = cfg.goal_reward, True
+        reward, done = GOAL_REWARD, True
         info["goal"] = True
     elif overdrive >= stumble_steps:
-        reward, done = cfg.death_reward, True
+        reward, done = DEATH_REWARD, True
         info["death"] = True
     else:
         if gather:
             radius = 0.5 * cs
             food_active, bomb_active = food_active.copy(), bomb_active.copy()
             for key, sites, active, pay in (
-                    ("food", state.food_sites[0], food_active, cfg.food_reward),
-                    ("bombs", state.bomb_sites[0], bomb_active, cfg.bomb_reward)):
+                    ("food", state.food_sites[0], food_active, FOOD_REWARD),
+                    ("bombs", state.bomb_sites[0], bomb_active, BOMB_REWARD)):
                 hits = 0
                 for i in range(len(sites)):
                     dx = sites[i, 0] - x

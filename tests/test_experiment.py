@@ -76,6 +76,29 @@ def test_flat_trpo_runs_and_reports_k_one(tmp_path):
     assert "flat/mean_net" in segments and meta["algorithm"] == "flat_trpo"
 
 
+def test_run_loop_writes_the_row_of_a_level_that_took_no_step(tmp_path):
+    # alternate mode steps the high level in the first iteration and the low
+    # one in the second: the run loop fills the columns of the level that
+    # stepped from its update and the other level's with zeros (the gather
+    # arena pays on contact, so both updates move)
+    cfg = tiny_cfg(mode="alternate", N=2, task="point_gather")
+    run_dir = run_single_seed(cfg, 0, str(tmp_path))
+    with open(os.path.join(run_dir, "metrics.csv"), newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(os.path.join(run_dir, "diagnostics.csv"), newline="") as fh:
+        diags = list(csv.DictReader(fh))
+    assert [(d["iteration"], d["level"], d["accepted"]) for d in diags] == \
+        [("0", "high", "True"), ("1", "low", "True")]
+    for row, diag, idle in zip(rows, diags, ("low", "high")):
+        level = diag["level"]
+        assert row[f"{level}_kl"] == diag["kl"]
+        assert float(row[f"{level}_surr_improve"]) == \
+            float(diag["surrogate_after"]) - float(diag["surrogate_before"])
+        assert row[f"{idle}_kl"] == row[f"{idle}_surr_improve"] == "0.0"
+    first, second = (int(row["low_steps_total"]) for row in rows)
+    assert 200 <= first <= second - 200  # the running total of B-step batches
+
+
 @pytest.mark.parametrize("algorithm, mode", [
     ("haar", "concurrent"), ("haar", "alternate"), ("flat_trpo", "concurrent")])
 def test_an_iteration_depends_only_on_its_arguments(algorithm, mode):
@@ -88,12 +111,11 @@ def test_an_iteration_depends_only_on_its_arguments(algorithm, mode):
     else:
         policies = [fresh_high_policy(cfg, env, 0), fresh_low_policy(cfg.pretrain, env, 0)]
         iteration = haar_iteration
-    low_steps = 0
     for it in range(2):
-        low_steps = iteration(*policies, env, cfg, 0, it, low_steps)[0]["low_steps_total"]
+        iteration(*policies, env, cfg, 0, it)
     copies = copy.deepcopy(policies)
-    in_sequence = iteration(*policies, env, cfg, 0, 2, low_steps)
-    alone = iteration(*copies, cfg.build_env(), cfg, 0, 2, low_steps)
+    in_sequence = iteration(*policies, env, cfg, 0, 2)
+    alone = iteration(*copies, cfg.build_env(), cfg, 0, 2)
     assert alone == in_sequence
     assert [p.flat().tobytes() for p in copies] == [p.flat().tobytes() for p in policies]
 
@@ -251,10 +273,10 @@ def test_crashed_rerun_is_not_reported_as_finished(tmp_path, monkeypatch):
     run_dir = run_single_seed(cfg, 0, str(tmp_path))
     real = experiment.flat_iteration
 
-    def killed(policy, env, cfg, seed, iteration, low_steps, lanes):
+    def killed(policy, env, cfg, seed, iteration, lanes):
         if iteration == 1:
             raise KeyboardInterrupt
-        return real(policy, env, cfg, seed, iteration, low_steps, lanes)
+        return real(policy, env, cfg, seed, iteration, lanes)
 
     monkeypatch.setattr(experiment, "flat_iteration", killed)
     with pytest.raises(KeyboardInterrupt):

@@ -2,8 +2,8 @@ import numpy as np
 from helpers import cell_of, step_loops
 
 from haarlab.envs.maze import build_maze, parse_maze_text
-from haarlab.envs.point import (HIGH_OBS_DIM, LOW_OBS_DIM, STUMBLE_STEPS, EnvConfig,
-                                EpisodeBatch, PointEnv)
+from haarlab.envs.point import (DEATH_REWARD, FOOD_REWARD, GOAL_REWARD, HIGH_OBS_DIM,
+                                LOW_OBS_DIM, STUMBLE_STEPS, EnvConfig, EpisodeBatch, PointEnv)
 
 FACE_EPS = 1e-9  # the env's resting offset from a wall face
 
@@ -117,7 +117,7 @@ def test_step_into_goal_cell_pays_goal_reward():
         if done:
             break
     assert info["goal"] and done
-    assert total == env.cfg.goal_reward
+    assert total == GOAL_REWARD
 
 
 def test_wall_collision_preserves_tangential_motion():
@@ -183,7 +183,7 @@ def test_sustained_overdrive_causes_death():
         state, _, reward, done, info = step_one(env, state, big)
         rewards.append(reward)
     assert done and info["death"] and state.overdrive[0] == STUMBLE_STEPS
-    assert rewards == [0.0] * (STUMBLE_STEPS - 1) + [env.cfg.death_reward]
+    assert rewards == [0.0] * (STUMBLE_STEPS - 1) + [DEATH_REWARD]
 
 
 def test_interrupted_overdrive_survives():
@@ -225,9 +225,9 @@ def test_maze_episode_rewards_in_allowed_set():
         total, done = 0.0, False
         while not done:
             state, _, reward, done, _ = step_one(env, state, rng.normal(0, 0.8, size=2))
-            assert reward in (0.0, env.cfg.goal_reward, env.cfg.death_reward)
+            assert reward in (0.0, GOAL_REWARD, DEATH_REWARD)
             total += reward
-        assert total in (0.0, env.cfg.goal_reward, env.cfg.death_reward)
+        assert total in (0.0, GOAL_REWARD, DEATH_REWARD)
 
 
 def test_gather_episode():
@@ -252,7 +252,7 @@ def test_gather_contact_collects_once():
     # place the agent on top of the first food site
     state = state._replace(position=state.food_sites[:, 0].copy())
     nxt, _, reward, done, info = step_one(env, state, np.zeros(2))
-    assert reward == env.cfg.food_reward
+    assert reward == FOOD_REWARD
     assert nxt.food_active.sum() == 7 and not nxt.food_active[0, 0]
     assert np.array_equal(nxt.bomb_active, state.bomb_active)
     # second step on the same (consumed) site pays nothing

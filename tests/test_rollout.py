@@ -1,19 +1,19 @@
-"""Lockstep lanes: neither the lane count nor the join period changes a
-byte of a batch.
+"""Lockstep lanes: the lane count changes no byte of a batch.
 
 Both collectors (hierarchy.collect_rollouts and experiment.collect_flat)
 run on rollout.run_lanes; every array they return must be the same bytes
-for every lane count, the previous batch's episode count included, and
-for hierarchical lanes that join on any step or only on segment
-boundaries, on the point-mass maze, the gather arena and the tabular
-chain, including budgets that end inside or exactly at the end of an
-episode and runs that drop a speculative episode. Lanes that join on
-segment boundaries make one high-level decision call per segment step.
+for every lane count, the previous batch's episode count included, on
+the point-mass maze, the gather arena and the tabular chain, including
+budgets that end inside or exactly at the end of an episode and runs
+that drop a speculative episode. Hierarchical lanes join on segment
+boundaries, so every decision step sees its lanes at one phase of their
+segments, and one high-level decision call serves each segment step.
 The default lane count, ceil(budget / horizon), starts no episode outside
 the batch when every episode runs its horizon. A finite set of streams
 runs exactly its episodes, no finished lane is ever stepped, new episodes
-start only on period boundaries or when no lane runs, and the final state
-rows are each kept episode's state after its last step.
+start only on the collector's period boundaries or when no lane runs,
+and the final state rows are each kept episode's state after its last
+step.
 """
 
 import math
@@ -23,11 +23,11 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from haarlab import hierarchy
+from haarlab import experiment, hierarchy
 from haarlab.envs.maze import build_maze
 from haarlab.envs.point import EnvConfig, EpisodeBatch, PointEnv
 from haarlab.envs.tabular import TabularRolloutEnv
-from haarlab.experiment import collect_flat
+from haarlab.experiment import _trace_trajectories, collect_flat
 from haarlab.hierarchy import collect_rollouts
 from haarlab.nets import MlpSpec
 from haarlab.policies import CategoricalPolicy, GaussianPolicy
@@ -79,6 +79,22 @@ def assert_same_bytes(runs):
             assert arr.tobytes() == first[name].tobytes(), name
 
 
+def phase_spy(monkeypatch):
+    """Makes every _SegmentCollector.act call check that its lanes share
+    one phase, steps % k, and record their step counts; returns the list
+    of records."""
+    act = hierarchy._SegmentCollector.act
+    seen = []
+
+    def spy(self, run, high):
+        assert len(set((run.steps % self.k).tolist())) == 1, run.steps
+        seen.append(run.steps.tolist())
+        return act(self, run, high)
+
+    monkeypatch.setattr(hierarchy._SegmentCollector, "act", spy)
+    return seen
+
+
 def hierarchy_arrays(batch):
     return {name: getattr(batch, name) for name in BATCH_ARRAYS}
 
@@ -112,17 +128,30 @@ def test_hierarchy_batches_identical_for_every_lane_count(case, monkeypatch):
         pi_h, pi_l = neural_hierarchy(env)
     # the training loop's lane count: the episodes of the batch before
     previous = collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget, k, seed=(4, 0))
-    lane_counts = (*LANE_COUNTS, len(previous.success))
-    batches = []
-    for period in (1, k):  # lanes that join on any step, then on segment boundaries only
-        with monkeypatch.context() as m:
-            m.setattr(hierarchy, "run_lanes", lambda *args, period=period, **kw:
-                      run_lanes(*args, **{**kw, "period": period}))
-            batches += [collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget, k, seed=(4, 1),
-                                         lanes=lanes) for lanes in lane_counts]
+    seen = phase_spy(monkeypatch)  # every decision step sees one phase across its lanes
+    batches = [collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget, k, seed=(4, 1), lanes=lanes)
+               for lanes in (*LANE_COUNTS, len(previous.success))]
+    assert any(len(set(steps)) > 1 for steps in seen)  # some lanes joined a running wave
     assert batches[0].n_low_steps >= budget
     assert len(set(np.diff(np.flatnonzero(batches[0].done_l), prepend=-1))) > 1
     assert_same_bytes([hierarchy_arrays(b) for b in batches])
+
+
+@pytest.mark.parametrize("lanes", [None, 3])
+def test_hierarchical_trace_lanes_share_one_phase(tmp_path, monkeypatch, lanes):
+    # the trace runs its collector's period, so its lanes would join on
+    # segment boundaries as training's do even if fewer lanes than
+    # episodes ran
+    env = stumbling_env("c_maze", 40)
+    pi_h, pi_l = neural_hierarchy(env)
+    seen = phase_spy(monkeypatch)
+    monkeypatch.setattr(experiment, "run_lanes",
+                        lambda *args: run_lanes(*args, lanes=lanes))
+    _trace_trajectories(str(tmp_path / "trajectories.csv"), env,
+                        hierarchy._SegmentCollector(pi_h, pi_l, N_SKILLS, 3), 0)
+    assert len({len(steps) for steps in seen}) > 1  # lanes ended at different steps
+    # with the default, every episode starts in the first wave
+    assert any(len(set(steps)) > 1 for steps in seen) == (lanes is not None)
 
 
 class _Calls:
@@ -284,6 +313,7 @@ def countdown_episodes(env, seeds):
 
 
 class IdleCollector:
+    period = 1
     noise_shape = ()
 
     def act(self, run, high):
@@ -349,6 +379,7 @@ class SkillOfEpisode:
     """Writes each episode's index into the skill column at its first
     step, or never writes it, and records the column on every step."""
 
+    period = 1
     noise_shape = ()
 
     def __init__(self, writes):
@@ -378,11 +409,13 @@ def test_skill_column_follows_its_episode(lanes):
 
 
 class JoinClock:
-    """Records the step counts of the running lanes on each lockstep step."""
+    """Joins every `period` steps and records the step counts of the
+    running lanes on each lockstep step."""
 
     noise_shape = ()
 
-    def __init__(self):
+    def __init__(self, period):
+        self.period = period
         self.steps = []
 
     def act(self, run, high):
@@ -398,9 +431,9 @@ def test_lanes_join_only_on_period_boundaries(period):
     runs = []
     for p in (1, period):
         env = CountdownEnv(9)
-        clock = JoinClock()
+        clock = JoinClock(p)
         runs.append(run_lanes(env, (np.random.default_rng(seed) for seed in count()), 80, clock,
-                              lanes=5, period=p))
+                              lanes=5))
     joins = wave = 0
     for i, steps in enumerate(clock.steps):
         fresh = [s == 0 for s in steps]

@@ -315,11 +315,7 @@ def train_table_heads(monkeypatch, iterations=3):
 
     assign = hierarchy.assign_auxiliary_rewards
     monkeypatch.setattr(hierarchy, "assign_auxiliary_rewards", record)
-    runs, low_steps = [], 0
-    for it in range(iterations):
-        metrics, updates = haar_iteration(pi_h, pi_l, env, cfg, 5, it, low_steps)
-        runs.append((metrics, updates))
-        low_steps = metrics["low_steps_total"]
+    runs = [haar_iteration(pi_h, pi_l, env, cfg, 5, it) for it in range(iterations)]
     monkeypatch.undo()
     return mdp, pi_h, pi_l, cfg, runs, assigned
 
