@@ -14,7 +14,7 @@ import os
 import sys
 
 from .checkpoint import CheckpointError
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ALGORITHMS, MODES, ConfigError, ExperimentConfig, load_config
 
 
 def _load_cfg(args, **overrides) -> ExperimentConfig:
@@ -49,8 +49,7 @@ def _add_common(p, mode: bool = True):
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", help="seed or comma separated seed list (overrides config)")
     if mode:  # pre-training has no training mode
-        p.add_argument("--mode", choices=("concurrent", "alternate"),
-                       help="override the training mode")
+        p.add_argument("--mode", choices=MODES, help="override the training mode")
     p.add_argument("--jobs", type=_positive_int, default=1, help="parallel seed processes")
     p.add_argument("--quiet", action="store_true", help="suppress progress lines")
 
@@ -86,19 +85,16 @@ def cmd_transfer(args) -> int:
     return 0
 
 
-def _resolve_per_seed(path: str, seeds, pattern: str):
-    """A file path is shared; a directory maps each seed via pattern."""
-    if os.path.isdir(path):
-        mapping = {}
-        for seed in seeds:
-            candidate = os.path.join(path, pattern.format(seed=seed))
-            if not os.path.exists(candidate):
-                raise CheckpointError(f"missing checkpoint for seed {seed}: {candidate}")
-            mapping[seed] = candidate
-        return mapping
-    if not os.path.exists(path):
-        raise CheckpointError(f"checkpoint not found: {path}")
-    return path
+def _resolve_per_seed(path: str, seeds, pattern: str) -> dict[int, str]:
+    """{seed: checkpoint}: a file serves every seed, and a directory
+    holds one file per seed, named by pattern."""
+    per_seed = os.path.isdir(path)
+    mapping = {seed: os.path.join(path, pattern.format(seed=seed)) if per_seed else path
+               for seed in seeds}
+    for seed, candidate in mapping.items():
+        if not os.path.exists(candidate):
+            raise CheckpointError(f"checkpoint for seed {seed} not found: {candidate}")
+    return mapping
 
 
 def cmd_theory_check(args) -> int:
@@ -144,8 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="run training for every seed")
     _add_common(p)
-    p.add_argument("--algorithm", choices=("haar", "haar_no_anneal", "flat_trpo",
-                                           "frozen_skills"))
+    p.add_argument("--algorithm", choices=ALGORITHMS)
     p.add_argument("--skills", help="pre-trained skills: checkpoint file or directory")
     p.set_defaults(fn=cmd_train)
 
@@ -175,7 +170,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, CheckpointError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, CheckpointError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

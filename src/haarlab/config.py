@@ -19,12 +19,11 @@ from .envs.maze import build_maze, load_maze_file
 from .envs.point import EnvConfig, PointEnv
 from .pretrain import PretrainConfig
 
-TASKS = ("point_maze", "point_gather", "swimmer_maze_lite")
-ALGORITHMS = ("haar", "haar_no_anneal", "flat_trpo", "frozen_skills")
-MODES = ("concurrent", "alternate")
-
 TASK_MAZE = {"point_maze": "c_maze", "point_gather": "gather",
              "swimmer_maze_lite": "c_maze"}
+TASKS = tuple(TASK_MAZE)
+ALGORITHMS = ("haar", "haar_no_anneal", "flat_trpo", "frozen_skills")
+MODES = ("concurrent", "alternate")
 
 
 class ConfigError(ValueError):
@@ -128,15 +127,8 @@ class ExperimentConfig:
         return PointEnv(maze, self.env_config())
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.name == "pretrain":
-                for pf in fields(PretrainConfig):
-                    out[f"pretrain.{pf.name}"] = _plain(getattr(v, pf.name))
-            else:
-                out[f.name] = _plain(v)
-        return out
+        return {key: _plain(getattr(getattr(self, name), sub) if sub else getattr(self, name))
+                for key, (name, sub, _) in _field_types().items()}
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
@@ -149,26 +141,26 @@ def _plain(v):
     return v
 
 
-_TUPLE_FIELDS = {"seeds": int, "pretrain.hidden": int}
-
-
-def _field_types():
+def _field_types() -> dict[str, tuple[str, str, str]]:
+    """Each config key -> (its ExperimentConfig field, the PretrainConfig
+    field under it or "", its annotation). The one place that nests the
+    pre-training fields as pretrain.<field>."""
     types = {}
     for f in fields(ExperimentConfig):
         if f.name == "pretrain":
             for pf in fields(PretrainConfig):
-                types[f"pretrain.{pf.name}"] = pf.type
+                types[f"pretrain.{pf.name}"] = (f.name, pf.name, pf.type)
         else:
-            types[f.name] = f.type
+            types[f.name] = (f.name, "", f.type)
     return types
 
 
 def _convert(key: str, raw: str, typ: str):
     raw = raw.strip()
-    if key in _TUPLE_FIELDS:
+    if typ == "tuple[int, ...]":
         if not raw:
             return ()
-        return tuple(_TUPLE_FIELDS[key](part.strip()) for part in raw.split(","))
+        return tuple(int(part.strip()) for part in raw.split(","))
     if typ in ("int",):
         return int(raw)
     if typ in ("float",):
@@ -190,7 +182,7 @@ def _value(key: str, raw, types: dict, where: str):
     if not isinstance(raw, str):
         return raw
     try:
-        return _convert(key, raw, str(types[key]))
+        return _convert(key, raw, types[key][2])
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{where}bad value for {key}: {exc}") from exc
 
@@ -216,8 +208,10 @@ def parse_config_text(text: str, **overrides) -> ExperimentConfig:
         seen[key] = lineno
     for key, raw in overrides.items():
         values[key] = _value(key, raw, types, "override: ")
-    top = {k: v for k, v in values.items() if not k.startswith("pretrain.")}
-    pre = {k.split(".", 1)[1]: v for k, v in values.items() if k.startswith("pretrain.")}
+    top, pre = {}, {}
+    for key, value in values.items():
+        name, sub, _ = types[key]
+        (pre if sub else top)[sub or name] = value
     try:
         if pre:
             pre.setdefault("n_skills", top.get("n_skills", ExperimentConfig.n_skills))

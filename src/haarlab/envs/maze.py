@@ -59,6 +59,11 @@ OPEN_FIELD = """\
 #.............#
 ###############"""
 
+# Built-in layouts by kind; "mirrored" is the left-right reflection of c_maze.
+LAYOUTS = {"c_maze": C_MAZE,
+           "mirrored": "\n".join(row[::-1] for row in C_MAZE.splitlines()),
+           "spiral": SPIRAL, "gather": GATHER, "open_field": OPEN_FIELD}
+
 N_FOOD = 8
 N_BOMBS = 8
 
@@ -152,25 +157,11 @@ def load_maze_file(path: str, cell_size: float = 4.0) -> MazeSpec:
         return parse_maze_text(fh.read(), cell_size=cell_size)
 
 
-def mirror_rows(grid: tuple[str, ...]) -> tuple[str, ...]:
-    return tuple(row[::-1] for row in grid)
-
-
 def build_maze(kind: str, cell_size: float = 4.0) -> MazeSpec:
-    """Deterministic layout per kind; 'mirrored' is the left-right
-    reflection of c_maze."""
-    if kind == "c_maze":
-        return parse_maze_text(C_MAZE, cell_size, kind)
-    if kind == "mirrored":
-        rows = mirror_rows(tuple(C_MAZE.splitlines()))
-        return MazeSpec(rows, cell_size=cell_size, kind="mirrored")
-    if kind == "spiral":
-        return parse_maze_text(SPIRAL, cell_size, kind)
-    if kind == "gather":
-        return parse_maze_text(GATHER, cell_size, kind)
-    if kind == "open_field":
-        return parse_maze_text(OPEN_FIELD, cell_size, kind)
-    raise ValueError(f"unknown maze kind {kind!r}")
+    """The built-in layout LAYOUTS[kind]."""
+    if kind not in LAYOUTS:
+        raise ValueError(f"unknown maze kind {kind!r}")
+    return parse_maze_text(LAYOUTS[kind], cell_size, kind)
 
 
 def sample_gather_sites(maze: MazeSpec, rng: np.random.Generator):

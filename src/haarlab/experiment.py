@@ -318,24 +318,19 @@ def flat_iteration(policy, env, cfg: ExperimentConfig, seed: int, iteration: int
 
 
 def run_train(cfg: ExperimentConfig, out_dir: str,
-              skills: dict[int, str] | str | None = None,
+              skills: dict[int, str] | None = None,
               transfer: str | None = None,
-              source: dict[int, str] | str | None = None,
+              source: dict[int, str] | None = None,
               jobs: int = 1, log=None) -> list[str]:
     """Run every seed of the config; returns the run directories.
 
-    `skills` / `source` may be a single checkpoint path (shared by all
-    seeds) or a per-seed mapping. Seeds run as independent processes
-    when jobs > 1; outputs are identical either way.
+    `skills` / `source` map each seed to its checkpoint path. Seeds run
+    as independent processes when jobs > 1; outputs are identical
+    either way.
     """
     os.makedirs(out_dir, exist_ok=True)
-
-    def pick(mapping, seed):
-        if mapping is None or isinstance(mapping, str):
-            return mapping
-        return mapping[seed]
-
-    tasks = [(cfg, seed, out_dir, pick(skills, seed), transfer, pick(source, seed))
+    skills, source = skills or {}, source or {}
+    tasks = [(cfg, seed, out_dir, skills.get(seed), transfer, source.get(seed))
              for seed in cfg.seeds]
     return _map_seeds(run_single_seed, tasks, jobs, log)
 

@@ -25,18 +25,16 @@ from .params import NumericsError, ParamVector, ShapeError
 
 
 def _forward_rows(layers, x: np.ndarray) -> np.ndarray:
-    """Forward of an (L, d) batch over cached layer views, one
-    matrix-vector product per row and layer.
+    """Forward of an (L, d) batch over cached layer views, one stacked
+    matrix-vector product per row and layer, a lone row included.
 
     A row comes out bit for bit as the 1-D product W @ x gives it; the
-    matrix product x @ W.T sums in another order and would not. A lone
-    row takes the 1-D product itself, which skips the stacking overhead.
+    matrix product x @ W.T sums in another order and would not.
     """
-    one = len(x) == 1
-    a = x[0] if one else x[:, :, None]
+    a = x[:, :, None]
     last = len(layers) - 1
     for i, (W, b) in enumerate(layers):
-        z = W @ a + (b if one else b[:, None])
+        z = W @ a + b[:, None]
         a = z if i == last else np.tanh(z)
     return a.reshape(len(x), -1)
 

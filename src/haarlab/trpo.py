@@ -83,9 +83,7 @@ def conjugate_gradient(apply_a: Callable[[np.ndarray], np.ndarray], b: np.ndarra
     p = b.copy()
     rr = float(r @ r)
     b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        return x
-    for _ in range(iters):
+    for _ in range(iters):  # b = 0 stops at the first test, before any A @ v
         if np.sqrt(rr) <= tol * b_norm:
             break
         ap = apply_a(p)

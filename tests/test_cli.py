@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from haarlab.cli import main
+from haarlab.checkpoint import CheckpointError
+from haarlab.cli import _resolve_per_seed, main
 
 TINY = """
 task = point_maze
@@ -60,6 +61,32 @@ def test_missing_skills_checkpoint_fails(tmp_path, capsys):
                  "--skills", str(tmp_path / "nope.bin"), "--quiet"])
     assert code == 2
     assert "not found" in capsys.readouterr().err
+
+
+def test_one_skills_file_serves_every_seed(tmp_path):
+    path = tmp_path / "skills.bin"
+    path.write_bytes(b"")
+    assert _resolve_per_seed(str(path), (0, 1), "skills_seed_{seed}.bin") == {
+        0: str(path), 1: str(path)}
+
+
+def test_skills_directory_missing_a_seed_names_it(tmp_path):
+    (tmp_path / "skills_seed_0.bin").write_bytes(b"")
+    with pytest.raises(CheckpointError, match="seed 1 not found"):
+        _resolve_per_seed(str(tmp_path), (0, 1), "skills_seed_{seed}.bin")
+
+
+def test_report_runs_given_a_file_fails_cleanly(tmp_path, capsys):
+    runs = write_cfg(tmp_path)  # a file where a run directory belongs
+    code = main(["report", "--runs", runs, "--out", str(tmp_path / "report.csv")])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_config_given_a_directory_fails_cleanly(tmp_path, capsys):
+    code = main(["train", "--config", str(tmp_path), "--out", str(tmp_path / "r"), "--quiet"])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_invalid_config_fails_with_nonzero_exit(tmp_path, capsys):

@@ -111,6 +111,22 @@ def test_batched_act_rows_equal_single_calls(lanes):
             assert dists[i:i + 1].tobytes() == dist.tobytes()
 
 
+@pytest.mark.parametrize("lanes", [1, 3])
+def test_act_means_equal_the_one_dimensional_product(lanes):
+    # every row, a lone one included, takes the stacked per-row product,
+    # which sums as the 1-D product W @ x does; x @ W.T would not
+    rng = np.random.default_rng(9)
+    pol = GaussianPolicy(MlpSpec(10, (32, 32), 2), rng, input_scale=rng.uniform(0.5, 2.0, 10))
+    obs = rng.standard_normal((lanes, 10)) * 3.0
+    _, _, means = pol.act(obs, pol.noise(rng, lanes))
+    layers = unpack_layers(pol.spec, pol.params.segment(pol.NET))
+    for row, mu in zip(obs * pol.input_scale, means):
+        a = row
+        for i, (W, b) in enumerate(layers):
+            a = W @ a + b if i == len(layers) - 1 else np.tanh(W @ a + b)
+        assert mu.tobytes() == a.tobytes()
+
+
 @pytest.mark.parametrize("maker", [make_gaussian, make_categorical],
                          ids=["gaussian", "categorical"])
 def test_noise_block_equals_single_draws(maker):

@@ -75,6 +75,17 @@ def test_cg_random_spd_matches_dense_solve():
     assert np.max(np.abs(x - x_dense)) <= 1e-8
 
 
+def test_cg_zero_rhs_returns_zeros_without_applying_the_operator():
+    calls = []
+
+    def apply_a(v):
+        calls.append(v)
+        return v
+
+    x = conjugate_gradient(apply_a, np.zeros(4))
+    assert x.tobytes() == np.zeros(4).tobytes() and calls == []
+
+
 # -- advantage standardization ----------------------------------------------------
 
 def test_standardize_preserves_ordering():
