@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 
-from .envs.maze import build_maze, load_maze_file
+from .envs.maze import LAYOUTS, build_maze, load_maze_file
 from .envs.point import EnvConfig, PointEnv
 from .pretrain import PretrainConfig
 
@@ -65,6 +65,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown algorithm {self.algorithm!r} (choose from {ALGORITHMS})")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r} (choose from {MODES})")
+        if self.maze and self.maze not in LAYOUTS:
+            raise ConfigError(f"unknown maze kind {self.maze!r} (choose from {tuple(LAYOUTS)})")
         for name in ("N", "B", "k_0", "k_s", "T", "n_skills"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")

@@ -29,11 +29,12 @@ STUMBLE_STEPS = 3  # consecutive overdriven steps that count as a fall
 LOW_OBS_DIM = 4
 HIGH_OBS_DIM = LOW_OBS_DIM + N_RAYS + 2
 _FACE_EPS = 1e-9  # resting offset from a wall face, in world units
-_END_CODES = ((1, "goal"), (2, "death"), (3, "timeout"))  # a lane's end reason; 0 runs on
 GOAL_REWARD = 1000.0
 DEATH_REWARD = -10.0
 FOOD_REWARD = 1.0
 BOMB_REWARD = -1.0
+# the reward of each end code: 0 runs on, 1 goal, 2 death, 3 timeout
+_END_REWARD = np.array((0.0, GOAL_REWARD, DEATH_REWARD, 0.0))
 
 
 @dataclass
@@ -133,9 +134,9 @@ class PointEnv:
         """Advance every lane one low-level step.
 
         Takes (L, 2) actions and returns (next batch, the (L, 4) ego
-        observation rows, rewards, dones, ends), where ends holds each
-        lane's end reason as "goal", "death" and "timeout" (L,) flags.
-        The ego observation is the velocity, then the constant inputs 0.0
+        observation rows, rewards, dones, end codes): 0 runs on, then by
+        precedence 1 the goal, 2 a death (fall), 3 the timeout. The ego
+        observation is the velocity, then the constant inputs 0.0
         and 1.0 (sine and cosine of the fixed orientation, kept so that
         input dimensions and checkpoints stay as they were); it holds no
         wall or goal information.
@@ -148,11 +149,12 @@ class PointEnv:
         cfg = self.cfg
         maze = self.maze
         cs = maze.cell_size
-        dt, v_max, horizon, goal = cfg.dt, cfg.v_max, cfg.max_episode_steps, maze.goal_cell
+        dt, v_max, horizon = cfg.dt, cfg.v_max, cfg.max_episode_steps
+        goal_row, goal_col = maze.goal_cell or (None, None)
         gain = cfg.action_scale * dt
         threshold = cfg.stumble_threshold if cfg.stumble_enabled else math.inf
         hypot, floor, inf = math.hypot, math.floor, math.inf
-        kinematics, overdrive, end = [], [], []
+        kinematics, overdrive, end = [], [], []  # kinematics: 6 floats per lane
         for (x, y), (vx, vy), (ax, ay), od, t in zip(
                 state.position.tolist(), state.velocity.tolist(),
                 np.asarray(action, dtype=np.float64).tolist(), state.overdrive.tolist(),
@@ -178,17 +180,17 @@ class PointEnv:
             else:
                 x, y, vx, vy = _sweep(maze, x, y, vx, vy, dt)
             od = od + 1 if hypot(ax, ay) > threshold else 0
-            kinematics.append((x, y, vx, vy, 0.0, 1.0))  # position, then the ego observation
+            kinematics += (x, y, vx, vy, 0.0, 1.0)  # position, then the ego observation
             overdrive.append(od)
-            if (floor(y / cs), floor(x / cs)) == goal:
+            if floor(y / cs) == goal_row and floor(x / cs) == goal_col:
                 end.append(1)
             elif od >= STUMBLE_STEPS:
                 end.append(2)
             else:
                 end.append(3 if t + 1 >= horizon else 0)
-        kinematics = np.array(kinematics)
+        kinematics = np.fromiter(kinematics, np.float64, len(kinematics)).reshape(-1, 6)
         end = np.array(end)
-        reward = np.array((0.0, GOAL_REWARD, DEATH_REWARD, 0.0))[end]
+        reward = _END_REWARD[end]
         food_active = state.food_active
         bomb_active = state.bomb_active
         if maze.kind == "gather":  # contacts count for lanes that neither reached the goal nor fell
@@ -202,8 +204,7 @@ class PointEnv:
             reward += BOMB_REWARD * bombs
         nxt = EpisodeBatch(kinematics[:, :2], kinematics[:, 2:4], state.t + 1, np.array(overdrive),
                            state.food_sites, state.bomb_sites, food_active, bomb_active)
-        return (nxt, kinematics[:, 2:], reward, end > 0,
-                {key: end == code for code, key in _END_CODES})
+        return nxt, kinematics[:, 2:], reward, end > 0, end
 
 
 def _contacts(position: np.ndarray, sites: np.ndarray, active: np.ndarray, live: np.ndarray,

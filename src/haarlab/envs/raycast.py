@@ -99,14 +99,13 @@ def goal_bearing(position: np.ndarray, goal: np.ndarray | None) -> np.ndarray:
     """Unit vectors to the goal from an (L, 2) batch of points, as (L, 2)
     rows; tasks without a goal report zero vectors."""
     rows = np.asarray(position, dtype=np.float64).tolist()
-    out = np.zeros((len(rows), 2))
-    if goal is not None:
-        gx, gy = float(goal[0]), float(goal[1])
-        for row, (px, py) in zip(out, rows):
-            dx = gx - px
-            dy = gy - py
-            norm = math.hypot(dx, dy)
-            if norm != 0.0:
-                row[0] = dx / norm
-                row[1] = dy / norm
-    return out
+    if goal is None:
+        return np.zeros((len(rows), 2))
+    gx, gy = float(goal[0]), float(goal[1])
+    out = []  # two floats per point
+    for px, py in rows:
+        dx = gx - px
+        dy = gy - py
+        norm = math.hypot(dx, dy)
+        out += (dx / norm, dy / norm) if norm != 0.0 else (0.0, 0.0)
+    return np.fromiter(out, np.float64, len(out)).reshape(-1, 2)

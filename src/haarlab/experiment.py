@@ -277,17 +277,20 @@ def _flat(cfg, env, seed) -> _Algorithm:
 class _FlatCollector:
     """The flat collector for run_lanes: one policy acts on the full
     observation at every step, with the noise rows its episode's stream
-    gave for all of its `horizon` steps at the first."""
+    gave for all of its `horizon` steps at the first. Lanes join at the
+    end, so only a last lane at step 0 means that some lanes start."""
 
     def __init__(self, policy, horizon: int):
         self.policy = policy
         self.period = 1  # lanes join on any step
         self.horizon = horizon
-        self.noise_shape = (horizon, *policy.noise_shape)
+        self.noise_shape = (horizon, *policy.row_shape)
 
     def act(self, run, high):
-        for lane in np.flatnonzero(run.steps == 0).tolist():
-            run.noise[lane] = self.policy.noise(run.rng[lane], self.horizon)
+        if run.steps[-1] == 0:
+            new = np.flatnonzero(run.steps == 0)
+            run.noise[new] = self.policy.noise_rows(
+                np.stack([self.policy.noise(rng, self.horizon) for rng in run.rng[new]]))
         obs = high()
         a, logp, mu = self.policy.act(obs, run.noise[np.arange(len(obs)), run.steps])
         return a, (obs, a, mu, logp)

@@ -91,7 +91,8 @@ class _SegmentCollector:
     appended. Its lanes join every k steps, so all of them are at one
     phase of their segments and open them together. When segments open,
     each lane's stream gives its skill's uniform and then the k low-step
-    noise rows of its segment. Each step records the ego observation (the
+    noise rows of its segment, which pi_l.noise_rows turns into act's rows
+    for every lane at once. Each step records the ego observation (the
     low level's learner rebuilds the policy input) and the number of the
     segment it opens, in the order segments open, or -1 if it opens none."""
 
@@ -100,27 +101,35 @@ class _SegmentCollector:
         self.pi_l = pi_l
         self.n_skills = n_skills
         self.k = self.period = k  # lanes join on segment boundaries
-        self.noise_shape = (k, *pi_l.noise_shape)
+        self.noise_shape = (k, *pi_l.row_shape)
         self.blocks = []  # (s_h, a_h, logp_h, dist_h) rows of the segments each step opens
         self.opened = 0
+        self.skill = self.x = self.none = None  # the lanes' skills, their input rows, L -1s
 
     def act(self, run, high):
         phase = run.steps[0] % self.k
-        number = np.full(len(run.steps), -1)
         if phase == 0:
-            u = []
-            for lane, rng in enumerate(run.rng):
+            u, eps = [], []
+            for rng in run.rng:
                 u.append(self.pi_h.noise(rng, 1))
-                run.noise[lane] = self.pi_l.noise(rng, self.k)
+                eps.append(self.pi_l.noise(rng, self.k))
+            run.noise[:] = self.pi_l.noise_rows(np.stack(eps))
             s_h = high()
             skills, logps, dists = self.pi_h.act(s_h, np.concatenate(u))
             run.skill[:] = skills
             number = np.arange(self.opened, self.opened + len(skills))
             self.opened += len(skills)
             self.blocks.append((s_h, skills, logps, dists))
-        a, logp, dist = self.pi_l.act(skill_inputs(run.low, run.skill, self.n_skills),
-                                      run.noise[:, phase])
-        return a, (run.low, a, logp, dist, number)
+        # lanes that drop come with a new skill array: pi_l's input rows are
+        # built anew then and when segments open, else only ego columns change
+        if phase == 0 or run.skill is not self.skill:
+            self.skill = run.skill
+            self.x = skill_inputs(run.low, run.skill, self.n_skills)
+            self.none = np.full(len(run.skill), -1)
+        else:
+            self.x[:, :run.low.shape[1]] = run.low
+        a, logp, dist = self.pi_l.act(self.x, run.noise[:, phase])
+        return a, (run.low, a, logp, dist, number if phase == 0 else self.none)
 
 
 def collect_rollouts(pi_h, pi_l, env, n_skills: int, budget_low_steps: int, k: int,

@@ -25,8 +25,8 @@ from .params import NumericsError, ParamVector, ShapeError
 
 
 def _forward_rows(layers, x: np.ndarray) -> np.ndarray:
-    """Forward of an (L, d) batch over cached layer views, one stacked
-    matrix-vector product per row and layer, a lone row included.
+    """Forward of an (L, d) batch over cached (W, bias column) views, one
+    stacked matrix-vector product per row and layer, a lone row included.
 
     A row comes out bit for bit as the 1-D product W @ x gives it; the
     matrix product x @ W.T sums in another order and would not.
@@ -34,20 +34,21 @@ def _forward_rows(layers, x: np.ndarray) -> np.ndarray:
     a = x[:, :, None]
     last = len(layers) - 1
     for i, (W, b) in enumerate(layers):
-        z = W @ a + b[:, None]
-        a = z if i == last else np.tanh(z)
+        a = W @ a
+        a += b
+        if i != last:
+            np.tanh(a, out=a)
     return a.reshape(len(x), -1)
 
 
-def _rows(obs, noise, noise_shape) -> tuple[np.ndarray, np.ndarray]:
+def _rows(obs, noise, row_shape) -> tuple[np.ndarray, np.ndarray]:
     """act's input as (L, d) float rows and its L noise rows, checked to
     match."""
     obs = np.asarray(obs, dtype=np.float64)
     noise = np.asarray(noise, dtype=np.float64)
-    if obs.ndim != 2 or noise.shape != (len(obs), *noise_shape):
+    if obs.ndim != 2 or noise.shape != (len(obs), *row_shape):
         raise ShapeError("act takes (L, d) rows and one noise row per row")
-    # C order: the stacked per-row products in act were pinned on C-ordered rows
-    return obs, np.ascontiguousarray(noise)
+    return obs, noise
 
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -68,9 +69,14 @@ class _MlpPolicy:
 
     act takes its randomness as noise rows: noise(rng, n) draws n steps'
     worth from a Generator, one row of shape noise_shape per step, the
-    same values in the same order as n draws of one row each."""
+    same values in the same order as n draws of one row each, and
+    noise_rows turns drawn rows of any leading shape into the rows of
+    shape row_shape that act takes. The base class's are the drawn rows."""
 
     NET = ""
+
+    def noise_rows(self, noise: np.ndarray) -> np.ndarray:
+        return noise
 
     def __init__(self, spec: MlpSpec, rng: np.random.Generator,
                  input_scale: np.ndarray | None,
@@ -87,7 +93,8 @@ class _MlpPolicy:
         self._rebuild_views()
 
     def _rebuild_views(self):
-        self._layers = unpack_layers(self.spec, self.params.segment(self.NET))
+        self._layers = [(W, b[:, None])
+                        for W, b in unpack_layers(self.spec, self.params.segment(self.NET))]
 
     def __setstate__(self, state):
         # unpickled views are copies; make them alias the parameter buffer again
@@ -162,6 +169,7 @@ class GaussianPolicy(_MlpPolicy):
                  input_scale: np.ndarray | None = None):
         self.action_dim = spec.output_dim
         self.noise_shape = (spec.output_dim,)
+        self.row_shape = (spec.output_dim + 1,)
         super().__init__(spec, rng, input_scale,
                          [("log_std", np.full(spec.output_dim, INIT_LOG_STD))])
 
@@ -177,22 +185,29 @@ class GaussianPolicy(_MlpPolicy):
         """n steps' standard normal rows, (n, action_dim)."""
         return rng.standard_normal((n, self.action_dim))
 
-    def act(self, obs: np.ndarray, eps):
-        """Sample actions for (L, d) rows, row i with the standard normal
-        noise row eps[i]; returns (L, action_dim) actions, L log-probs and
-        (L, action_dim) means, each row equal bit for bit to that row acted
-        on as a one-row batch.
+    def noise_rows(self, eps: np.ndarray) -> np.ndarray:
+        """act's rows for standard normal rows eps (..., action_dim), at the
+        current parameters: sigma * eps, then the log-density of the action
+        it makes. Neither depends on the observation."""
+        eps = np.ascontiguousarray(eps, dtype=np.float64)
+        rows = np.empty((*eps.shape[:-1], self.action_dim + 1))
+        np.multiply(np.exp(self.log_std), eps, out=rows[..., :-1])
+        # eps @ eps per C-ordered row as a stacked product: a row sum would use another order
+        quad = np.matmul(eps[..., None, :], eps[..., :, None])[..., 0, 0]
+        rows[..., -1] = -0.5 * quad - float(self.log_std.sum()) - 0.5 * self.action_dim * LOG_2PI
+        return rows
+
+    def act(self, obs: np.ndarray, rows):
+        """Sample actions for (L, d) observation rows, row i with the noise
+        row rows[i] from noise_rows: the mean plus sigma * eps. Returns
+        (L, action_dim) actions, L log-probs and (L, action_dim) means,
+        each row equal bit for bit to that row acted on as a one-row batch.
         """
-        obs, eps = _rows(obs, eps, self.noise_shape)
+        obs, rows = _rows(obs, rows, self.row_shape)
         mu = _forward_rows(self._layers, obs * self.input_scale)
         if not np.isfinite(mu.sum()):
             raise NumericsError("policy mean is not finite")
-        action = mu + np.exp(self.log_std) * eps
-        # eps @ eps per row as a stacked product: a row sum would use another order
-        quad = np.matmul(eps[:, None, :], eps[:, :, None]).ravel().tolist()
-        log_std_sum = float(self.log_std.sum())
-        logp = [-0.5 * q - log_std_sum - 0.5 * self.action_dim * LOG_2PI for q in quad]
-        return action, np.array(logp), mu
+        return mu + rows[:, :-1], rows[:, -1].copy(), mu
 
     def _dist(self, mu: np.ndarray):
         """Cacheable distribution parameters: (means, log_std copy)."""
@@ -254,7 +269,7 @@ class CategoricalPolicy(_MlpPolicy):
         self.n_skills = spec.output_dim
         super().__init__(spec, rng, input_scale, [])
 
-    noise_shape = ()
+    noise_shape = row_shape = ()
 
     def noise(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n steps' uniforms on [0, 1), (n,)."""
@@ -265,7 +280,7 @@ class CategoricalPolicy(_MlpPolicy):
         rows with L uniforms u give L indices, L log-probs and the
         (L, n_skills) log-probability rows.
         """
-        obs, u = _rows(obs, u, self.noise_shape)
+        obs, u = _rows(obs, u, self.row_shape)
         logp = _log_softmax(_forward_rows(self._layers, obs * self.input_scale))
         if not np.isfinite(logp.sum()):
             raise NumericsError("policy logits are not finite")

@@ -109,13 +109,15 @@ class _SkillCollector:
         self.n_skills = n_skills
         self.skill_of = skill_of
         self.horizon = horizon
-        self.noise_shape = (horizon, *pi_l.noise_shape)
+        self.noise_shape = (horizon, *pi_l.row_shape)
 
     def act(self, run, high):
-        for lane in np.flatnonzero(run.steps == 0).tolist():
-            rng = run.rng[lane]
-            run.skill[lane] = self.skill_of(int(run.episode[lane]), rng)
-            run.noise[lane] = self.pi_l.noise(rng, self.horizon)
+        if run.steps[-1] == 0:  # lanes join at the end
+            new = np.flatnonzero(run.steps == 0)
+            for lane in new.tolist():  # each stream gives the skill, then the noise
+                run.skill[lane] = self.skill_of(int(run.episode[lane]), run.rng[lane])
+            run.noise[new] = self.pi_l.noise_rows(
+                np.stack([self.pi_l.noise(rng, self.horizon) for rng in run.rng[new]]))
         a, logp, mu = self.pi_l.act(skill_inputs(run.low, run.skill, self.n_skills),
                                     run.noise[np.arange(len(run.steps)), run.steps])
         return a, (run.low, a, logp, mu, run.state.position, run.skill)

@@ -27,7 +27,8 @@ hierarchical one draws a segment's skill uniform and then its k low-step
 noise rows when the segment opens, the flat and skill collectors an
 episode's T rows at its first step. Each block comes from the episode's
 own stream, in the order a one-by-one loop draws the same values, and a
-block holds the same values as that many single draws.
+block holds the same values as that many single draws. The policy turns
+the blocks of every lane that drew into the rows its act takes at once.
 
 The caller hands run_lanes one stream (a Generator) per episode, in
 episode order; training batches use episode_rng(seed, e) for e = 0, 1, ...
@@ -56,6 +57,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 EPISODE_STREAM = 0xE9
+GOAL = 1  # the end code of a step that reaches the goal: its episode succeeds
 
 
 def batch_metrics(k: int, steps: int, success: np.ndarray, total_return: np.ndarray) -> dict:
@@ -165,8 +167,10 @@ def run_lanes(env, streams: Iterable[np.random.Generator], budget: int, collecto
     counted from the current wave, or at once when no lane runs. No lane
     count changes a byte of the batch. The env supplies its horizon,
     reset(rng) for one episode (a one-lane batch state and its
-    (1, low_dim) ego row), step(batch, actions) and
-    high_obs_batch(batch, low). The collector supplies
+    (1, low_dim) ego row), high_obs_batch(batch, low) and step(batch,
+    actions) -> (batch, ego rows, rewards, dones, end codes), with (L,)
+    codes 0 runs on, GOAL, 2 a fall (or other end state) and 3 the horizon.
+    The collector supplies
       period
           the join period, in lockstep steps;
       noise_shape
@@ -214,25 +218,27 @@ def run_lanes(env, streams: Iterable[np.random.Generator], budget: int, collecto
             return env.high_obs_batch(run.state, run.low)
 
         actions, columns = collector.act(run, high)
-        state, low, reward, done, ends = env.step(run.state, actions)
-        run = run._replace(steps=run.steps + 1, total_return=run.total_return + reward,
-                           state=state, low=low)
+        state, low, reward, done, end = env.step(run.state, actions)
+        np.add(run.steps, 1, out=run.steps)
+        np.add(run.total_return, reward, out=run.total_return)
+        run = run._replace(state=state, low=low)
         rows.add((run.episode, reward, done, *columns))
         total += len(run.episode)
         clock += 1
-        finished = np.flatnonzero(done)
-        if len(finished):
+        ended = done.any()
+        if ended:
+            finished = np.flatnonzero(done)
             finals.append((run.episode[finished], _rows(state, finished),
-                           run.total_return[finished], ends["goal"][finished]))
-        for e, steps in zip(run.episode[finished].tolist(), run.steps[finished].tolist()):
-            lengths[e] = steps
+                           run.total_return[finished], end[finished] == GOAL))
+            for e, steps in zip(run.episode[finished].tolist(), run.steps[finished].tolist()):
+                lengths[e] = steps
         if total >= budget:
             for e, steps in zip(run.episode.tolist(), run.steps.tolist()):
                 lengths[e] = steps
             keep = ~done & (run.episode < _first_excluded(lengths, budget))
             if not keep.all():
                 run = _rows(run, keep)
-        elif len(finished):
+        elif ended:
             run = _rows(run, ~done)
     kept = _first_excluded(lengths, budget)
     order = _episode_order(rows.columns[0][:rows.n], kept)

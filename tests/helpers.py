@@ -106,6 +106,34 @@ def raycast_loops(position, maze, ray_max, n_rays=20):
     return np.array(out)
 
 
+def act_noise(policy, rng, n):
+    """n steps' noise drawn from rng, as the rows policy.act takes."""
+    return policy.noise_rows(policy.noise(rng, n))
+
+
+def gaussian_noise_rows(log_std, eps):
+    """The noise rows GaussianPolicy.act takes for standard normal rows
+    eps, by the per-step formulas, one row at a time: sigma * eps, then
+    the action's log-density with eps @ eps as a one-row stacked
+    product."""
+    log_std = np.asarray(log_std, dtype=np.float64)
+    rows = []
+    for e in np.asarray(eps, dtype=np.float64):
+        quad = float(np.matmul(e[None, None, :], e[None, :, None])[0, 0, 0])
+        logp = -0.5 * quad - float(log_std.sum()) - 0.5 * len(log_std) * np.log(2.0 * np.pi)
+        rows.append([*(np.exp(log_std) * e), logp])
+    return np.array(rows).reshape(-1, len(log_std) + 1)
+
+
+END_CODES = {"goal": 1, "death": 2, "timeout": 3}  # env.step's end codes; 0 runs on
+
+
+def end_code(info) -> int:
+    """The end code env.step gives the outcome step_loops reports in
+    `info`: the goal before a death before the timeout, 0 for none."""
+    return next((code for key, code in END_CODES.items() if info[key]), 0)
+
+
 def step_loops(maze, cfg, state, action, face_eps=1e-9, stumble_steps=3):
     """Loop-based point-mass step; independent of haarlab.envs.point.
 

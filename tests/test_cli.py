@@ -96,6 +96,15 @@ def test_invalid_config_fails_with_nonzero_exit(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "pretrain"])
+def test_unknown_maze_kind_fails_before_writing(command, tmp_path, capsys):
+    cfg = write_cfg(tmp_path, text=TINY + "maze = hexagon\n", name="bad.cfg")
+    out = tmp_path / "r"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert "unknown maze kind 'hexagon'" in capsys.readouterr().err
+    assert not (out / "seed_0").exists() and not (out / "skills_seed_0.bin").exists()
+
+
 def test_cli_train_is_deterministic(tmp_path):
     cfg = write_cfg(tmp_path, text=TINY.replace("velocity_direction", "random_init"))
     a, b = str(tmp_path / "a"), str(tmp_path / "b")

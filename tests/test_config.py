@@ -49,6 +49,14 @@ def test_validation_errors():
         ExperimentConfig(mode="parallel")
 
 
+def test_unknown_maze_kind_refused_naming_the_kinds():
+    with pytest.raises(ConfigError, match=r"unknown maze kind 'hexagon' \(choose from .*c_maze"):
+        ExperimentConfig(maze="hexagon")
+    with pytest.raises(ConfigError, match="hexagon"):
+        parse_config_text("maze = hexagon\n")
+    assert ExperimentConfig(maze="spiral").build_env().maze.kind == "spiral"
+
+
 def test_parse_config_text_round_trip():
     text = """
     # experiment

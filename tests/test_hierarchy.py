@@ -14,6 +14,8 @@ from haarlab.policies import CategoricalPolicy, GaussianPolicy
 from haarlab.rollout import episode_rng
 from haarlab.values import PolynomialValueEstimator
 
+from helpers import act_noise, gaussian_noise_rows
+
 N_SKILLS = 3
 
 
@@ -122,11 +124,11 @@ def test_segment_rewards_match_replay_oracle():
         while not done:
             high = env.high_obs_batch(state, low)[0]
             seg_highs.append(high)
-            skill = pi_h.act(high[None], pi_h.noise(rng, 1))[0][0]
+            skill = pi_h.act(high[None], act_noise(pi_h, rng, 1))[0][0]
             acc = 0.0
             for _ in range(k):
                 x = np.concatenate([low[0], np.eye(N_SKILLS)[skill]])
-                a, _, _ = pi_l.act(x[None], pi_l.noise(rng, 1))
+                a, _, _ = pi_l.act(x[None], act_noise(pi_l, rng, 1))
                 state, low, r, done, _ = env.step(state, a)
                 acc += float(r[0])
                 done = bool(done[0])
@@ -180,10 +182,10 @@ def test_low_level_trains_on_the_inputs_its_policy_acted_on(lanes, monkeypatch):
         lanes_of_step.append(run.episode.tolist())
         return collector_act(self, run, high)
 
-    def spy(x, eps):
+    def spy(x, noise):
         for row, episode in zip(x.copy(), lanes_of_step[-1]):
             acted.setdefault(episode, []).append(row)
-        return act(x, eps)
+        return act(x, noise)
 
     monkeypatch.setattr(hierarchy._SegmentCollector, "act", spy_lanes)
     pi_l.act = spy
@@ -192,6 +194,38 @@ def test_low_level_trains_on_the_inputs_its_policy_acted_on(lanes, monkeypatch):
     # later episodes ran past the batch
     rows = [row for e in range(len(batch.success)) for row in acted[e]]
     assert low_inputs(batch, pi_l).tobytes() == np.array(rows).tobytes()
+
+
+@pytest.mark.parametrize("lanes", [None, 16])  # 16 lanes drop the episodes the batch drops
+def test_reused_low_inputs_equal_skill_inputs_at_every_step(lanes, monkeypatch):
+    # the collector keeps one input buffer and rewrites only its ego columns
+    # between segment openings; at every step, the steps right after lanes
+    # drop included, pi_l must see the rows skill_inputs builds afresh
+    env = make_env("c_maze", stumble_threshold=0.6)  # falls end episodes mid-segment
+    pi_h, pi_l = make_policies(env, seed=2)
+    runs = []  # the Running lanes of each collector step
+    collector_act = hierarchy._SegmentCollector.act
+    act = pi_l.act
+    seen = {"steps": 0, "after_drop": 0}
+
+    def spy_lanes(self, run, high):
+        runs.append(run)
+        return collector_act(self, run, high)
+
+    def spy(x, noise):
+        run = runs[-1]
+        assert x.tobytes() == skill_inputs(run.low, run.skill, N_SKILLS).tobytes()
+        seen["steps"] += 1
+        if len(runs) > 1 and 0 < len(run.episode) < len(runs[-2].episode) and run.steps[0] % 7:
+            seen["after_drop"] += 1
+        return act(x, noise)
+
+    monkeypatch.setattr(hierarchy._SegmentCollector, "act", spy_lanes)
+    pi_l.act = spy
+    batch = collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget_low_steps=400, k=7, seed=(6,),
+                             lanes=lanes)
+    assert seen["steps"] == len(runs) and seen["after_drop"] >= 3, seen
+    assert batch.n_low_steps >= 400
 
 
 def test_segments_draw_the_skill_uniform_then_k_noise_rows():
@@ -209,10 +243,10 @@ def test_segments_draw_the_skill_uniform_then_k_noise_rows():
     start = 0
     for j, n in enumerate(batch.seg_len.tolist()):
         u = rng.random()
-        eps = rng.standard_normal((k, 2))
+        noise = gaussian_noise_rows(pi_l.log_std, rng.standard_normal((k, 2)))
         assert pi_h.act(batch.s_h[j:j + 1], [u])[0].tolist() == [batch.a_h[j]]
         x = skill_inputs(batch.low_l[start:start + n], np.full(n, batch.a_h[j]), N_SKILLS)
-        assert pi_l.act(x, eps[:n])[0].tobytes() == batch.a_l[start:start + n].tobytes()
+        assert pi_l.act(x, noise[:n])[0].tobytes() == batch.a_l[start:start + n].tobytes()
         start += n
 
 

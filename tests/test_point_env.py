@@ -1,5 +1,5 @@
 import numpy as np
-from helpers import cell_of, step_loops
+from helpers import END_CODES, cell_of, end_code, step_loops
 
 from haarlab.envs.maze import build_maze, parse_maze_text
 from haarlab.envs.point import (DEATH_REWARD, FOOD_REWARD, GOAL_REWARD, HIGH_OBS_DIM,
@@ -39,9 +39,9 @@ def state_at(env, position, velocity):
 
 def step_one(env, state, action):
     """Step a one-lane batch; returns (next batch, ego row, reward, done,
-    {end reason: flag})."""
-    nxt, low, reward, done, ends = env.step(state, np.reshape(action, (1, 2)))
-    return nxt, low[0], float(reward[0]), bool(done[0]), {k: bool(v[0]) for k, v in ends.items()}
+    end code)."""
+    nxt, low, reward, done, end = env.step(state, np.reshape(action, (1, 2)))
+    return nxt, low[0], float(reward[0]), bool(done[0]), int(end[0])
 
 
 def stacked(states):
@@ -100,9 +100,9 @@ def test_reset_observation_prefix_property():
 def test_zero_action_zero_velocity_stays_put():
     env = make_env("c_maze")
     state = state_at(env, env.maze.cell_center((1, 1)), [0.0, 0.0])
-    nxt, low, reward, done, info = step_one(env, state, np.zeros(2))
+    nxt, low, reward, done, end = step_one(env, state, np.zeros(2))
     assert np.array_equal(nxt.position, state.position)
-    assert reward == 0.0 and not done
+    assert reward == 0.0 and not done and end == 0
 
 
 def test_step_into_goal_cell_pays_goal_reward():
@@ -112,11 +112,11 @@ def test_step_into_goal_cell_pays_goal_reward():
     state = state_at(env, start, [-env.cfg.v_max, 0.0])
     total = 0.0
     for _ in range(20):
-        state, low, reward, done, info = step_one(env, state, np.zeros(2))
+        state, low, reward, done, end = step_one(env, state, np.zeros(2))
         total += reward
         if done:
             break
-    assert info["goal"] and done
+    assert end == END_CODES["goal"] and done
     assert total == GOAL_REWARD
 
 
@@ -180,9 +180,9 @@ def test_sustained_overdrive_causes_death():
     big = np.array([env.cfg.stumble_threshold + 0.5, 0.0])
     rewards = []
     for i in range(STUMBLE_STEPS):
-        state, _, reward, done, info = step_one(env, state, big)
+        state, _, reward, done, end = step_one(env, state, big)
         rewards.append(reward)
-    assert done and info["death"] and state.overdrive[0] == STUMBLE_STEPS
+    assert done and end == END_CODES["death"] and state.overdrive[0] == STUMBLE_STEPS
     assert rewards == [0.0] * (STUMBLE_STEPS - 1) + [DEATH_REWARD]
 
 
@@ -191,8 +191,8 @@ def test_interrupted_overdrive_survives():
     state, _ = env.reset(np.random.default_rng(7))
     big = np.array([env.cfg.stumble_threshold + 0.5, 0.0])
     for action in [big, big, np.zeros(2), big, big]:
-        state, _, _, done, info = step_one(env, state, action)
-    assert not done and not info["death"]
+        state, _, _, done, end = step_one(env, state, action)
+    assert not done and end == 0
 
 
 def test_stumble_can_be_disabled():
@@ -200,8 +200,8 @@ def test_stumble_can_be_disabled():
     state, _ = env.reset(np.random.default_rng(8))
     big = np.array([9.0, 0.0])
     for _ in range(10):
-        state, _, _, done, info = step_one(env, state, big)
-    assert not done
+        state, _, _, done, end = step_one(env, state, big)
+    assert not done and end == 0
 
 
 # -- task independence and reward sets --------------------------------------------
@@ -251,12 +251,12 @@ def test_gather_contact_collects_once():
     state, _ = env.reset(np.random.default_rng(11))
     # place the agent on top of the first food site
     state = state._replace(position=state.food_sites[:, 0].copy())
-    nxt, _, reward, done, info = step_one(env, state, np.zeros(2))
-    assert reward == FOOD_REWARD
+    nxt, _, reward, done, end = step_one(env, state, np.zeros(2))
+    assert reward == FOOD_REWARD and end == 0
     assert nxt.food_active.sum() == 7 and not nxt.food_active[0, 0]
     assert np.array_equal(nxt.bomb_active, state.bomb_active)
     # second step on the same (consumed) site pays nothing
-    nxt2, _, reward2, _, info2 = step_one(env, nxt, np.zeros(2))
+    nxt2, _, reward2, _, _ = step_one(env, nxt, np.zeros(2))
     assert reward2 == 0.0 and np.array_equal(nxt2.food_active, nxt.food_active)
 
 
@@ -264,8 +264,8 @@ def test_timeout_sets_done():
     env = make_env("c_maze", max_episode_steps=5)
     state, _ = env.reset(np.random.default_rng(12))
     for _ in range(5):
-        state, _, _, done, info = step_one(env, state, np.zeros(2))
-    assert done and info["timeout"] and state.t[0] == 5
+        state, _, _, done, end = step_one(env, state, np.zeros(2))
+    assert done and end == END_CODES["timeout"] and state.t[0] == 5
 
 
 def test_obs_scales_shapes():
@@ -323,7 +323,7 @@ def test_batched_step_rows_equal_scalar_oracle_bit_for_bit():
                     if s is not None:  # keep |vx| == |vy|: same magnitude on both axes
                         actions[i] = s * abs(actions[i, 0])
                 batch = stacked(states)
-                nxt, low, reward, done, ends = env.step(batch, actions)
+                nxt, low, reward, done, end = env.step(batch, actions)
                 assert isinstance(nxt, EpisodeBatch) and low.shape == (lanes, LOW_OBS_DIM)
                 seen["mixed_t"] += len(set(batch.t.tolist())) > 1
                 for i, state in enumerate(states):
@@ -334,8 +334,7 @@ def test_batched_step_rows_equal_scalar_oracle_bit_for_bit():
                     assert low[i].tobytes() == np.array((vel[0], vel[1], 0.0, 1.0)).tobytes()
                     assert (nxt.t[i], nxt.overdrive[i]) == (t, overdrive)
                     assert reward[i].tobytes() == np.float64(r).tobytes() and done[i] == d
-                    assert {key: bool(ends[key][i]) for key in ends} == {
-                        key: info[key] for key in ("goal", "death", "timeout")}
+                    assert end[i] == end_code(info) and end.dtype.kind == "i"
                     if food is not None:
                         assert np.array_equal(nxt.food_active[i], food)
                         assert np.array_equal(nxt.bomb_active[i], bombs)

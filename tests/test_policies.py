@@ -1,3 +1,4 @@
+import math
 import pickle
 
 import numpy as np
@@ -7,7 +8,8 @@ from haarlab.nets import MlpSpec, unpack_layers
 from haarlab.params import ShapeError
 from haarlab.policies import LOG_2PI, CategoricalPolicy, GaussianPolicy
 
-from helpers import finite_diff_grad, fvp, kl_grad, log_prob, mean_kl, rel_err
+from helpers import (act_noise, finite_diff_grad, fvp, gaussian_noise_rows, kl_grad, log_prob,
+                     mean_kl, rel_err)
 
 
 def zero_net(policy, segment):
@@ -33,7 +35,7 @@ def make_categorical(rng=None, input_dim=3, n=3, hidden=(5, 4)):
 def act_one(policy, x, rng):
     """act on the one-row batch of x with one step's noise from rng:
     (action, log-prob, distribution row)."""
-    a, logp, dist = policy.act(x[None], policy.noise(rng, 1))
+    a, logp, dist = policy.act(x[None], act_noise(policy, rng, 1))
     return a[0], logp[0], dist[0]
 
 
@@ -87,7 +89,7 @@ def test_sampled_logprob_equals_log_prob():
     obs = np.array([0.5, 0.1, -1.2])
     rng = np.random.default_rng(4)
     for policy in (pol, make_categorical()):
-        a, logp, _ = policy.act(obs[None], policy.noise(rng, 1))
+        a, logp, _ = policy.act(obs[None], act_noise(policy, rng, 1))
         assert abs(logp[0] - log_prob(policy, obs[None], a)[0]) <= 1e-12
 
 
@@ -101,7 +103,7 @@ def test_batched_act_rows_equal_single_calls(lanes):
                 GaussianPolicy(MlpSpec(26, (32, 32), 2), rng)]
     for pol in policies:
         obs = rng.standard_normal((lanes, pol.spec.input_dim)) * 3.0
-        noise = pol.noise(rng, lanes)
+        noise = act_noise(pol, rng, lanes)
         actions, logps, dists = pol.act(obs, noise)
         assert len(actions) == len(logps) == len(dists) == lanes
         for i in range(lanes):
@@ -118,7 +120,7 @@ def test_act_means_equal_the_one_dimensional_product(lanes):
     rng = np.random.default_rng(9)
     pol = GaussianPolicy(MlpSpec(10, (32, 32), 2), rng, input_scale=rng.uniform(0.5, 2.0, 10))
     obs = rng.standard_normal((lanes, 10)) * 3.0
-    _, _, means = pol.act(obs, pol.noise(rng, lanes))
+    _, _, means = pol.act(obs, act_noise(pol, rng, lanes))
     layers = unpack_layers(pol.spec, pol.params.segment(pol.NET))
     for row, mu in zip(obs * pol.input_scale, means):
         a = row
@@ -148,10 +150,39 @@ def test_noise_block_equals_single_draws(maker):
         assert block_rng.random() == single_rng.random()
 
 
+@pytest.mark.parametrize("action_dim", [1, 2, 3])
+def test_noise_rows_equal_the_per_step_formulas(action_dim):
+    # sigma * eps and the log-density, made once for a block of 1...k rows
+    # of one lane or of several, equal bit for bit what the per-step
+    # formulas give each row
+    rng = np.random.default_rng(action_dim)
+    pol = make_gaussian(action_dim=action_dim)
+    for trial in range(200):
+        pol.log_std[:] = rng.uniform(-5.0, 2.0, action_dim)
+        shape = (1 + trial % 30,) if trial % 2 else (1 + trial % 7, 1 + trial % 11)
+        eps = pol.noise(rng, math.prod(shape)).reshape(*shape, action_dim)
+        rows = pol.noise_rows(eps)
+        assert rows.shape == (*shape, *pol.row_shape) == (*shape, action_dim + 1)
+        oracle = gaussian_noise_rows(pol.log_std, eps.reshape(-1, action_dim))
+        assert rows.tobytes() == oracle.tobytes()
+
+
+def test_act_adds_the_noise_rows_to_the_mean():
+    pol = make_gaussian()
+    rng = np.random.default_rng(5)
+    obs = rng.standard_normal((4, 3))
+    noise = act_noise(pol, rng, 4)
+    a, logp, mu = pol.act(obs, noise)
+    assert a.tobytes() == (mu + noise[:, :2]).tobytes()
+    assert logp.tobytes() == noise[:, 2].tobytes()
+
+
 def test_batched_act_needs_one_noise_row_per_row():
     pol = make_gaussian()
     rng = np.random.default_rng(0)
-    for noise in (pol.noise(rng, 2), rng.standard_normal((3, 1)), rng.standard_normal(3)):
+    # the raw draws of noise are not act's rows: noise_rows makes them
+    for noise in (act_noise(pol, rng, 2), pol.noise(rng, 3), rng.standard_normal((3, 1)),
+                  rng.standard_normal(3)):
         with pytest.raises(ShapeError):
             pol.act(np.zeros((3, 3)), noise)
 
@@ -163,11 +194,11 @@ def test_act_refuses_a_lone_vector(maker):
     # its lane axis is refused, not reshaped
     pol = maker()
     rng = np.random.default_rng(0)
-    for noise in (pol.noise(rng, 1), pol.noise(rng, 3)):
+    for noise in (act_noise(pol, rng, 1), act_noise(pol, rng, 3)):
         with pytest.raises(ShapeError):
             pol.act(np.zeros(3), noise)
     with pytest.raises(ShapeError):
-        pol.act(np.zeros((1, 3)), pol.noise(rng, 1)[0])
+        pol.act(np.zeros((1, 3)), act_noise(pol, rng, 1)[0])
 
 
 # -- log densities ------------------------------------------------------------
@@ -432,7 +463,7 @@ def test_unpickled_policy_acts_on_its_own_parameters(maker):
     pol = maker()
     clone = pickle.loads(pickle.dumps(pol))
     obs = np.array([[0.5, 0.1, -1.2]])
-    noise = pol.noise(np.random.default_rng(0), 1)
+    noise = act_noise(pol, np.random.default_rng(0), 1)
     before = clone.act(obs, noise)
     assert np.array_equal(before[2], pol.act(obs, noise)[2])
     clone.set_flat(clone.flat() + np.random.default_rng(1).standard_normal(clone.params.size))

@@ -34,7 +34,7 @@ from haarlab.policies import CategoricalPolicy, GaussianPolicy
 from haarlab.rollout import episode_streams, run_lanes
 from haarlab.theory import absorbing_random_mdp
 
-from helpers import table_heads
+from helpers import act_noise, table_heads
 
 LANE_COUNTS = (1, 3, 16, None)  # None: the default, ceil(budget / horizon)
 N_SKILLS = 3
@@ -252,7 +252,7 @@ def test_high_obs_batch_rows_equal_single_observations():
     for _ in range(20):
         state, low = env.reset(rng)  # a one-lane batch, stepped alone
         for _ in range(int(rng.integers(0, 8))):
-            action = policy.act(env.high_obs_batch(state, low), policy.noise(rng, 1))[0]
+            action = policy.act(env.high_obs_batch(state, low), act_noise(policy, rng, 1))[0]
             state, low, _, done, _ = env.step(state, action)
             if done[0]:
                 break
@@ -299,8 +299,8 @@ class CountdownEnv:
         self.lane_steps += len(lanes.t)
         t = lanes.t + 1
         n = len(t)
-        return (lanes._replace(t=t), np.zeros((n, 1)), np.ones(n), t >= lanes.length,
-                {"goal": np.zeros(n, dtype=bool)})
+        end = np.where(t >= lanes.length, 3, 0)  # every episode ends at its timeout
+        return lanes._replace(t=t), np.zeros((n, 1)), np.ones(n), end > 0, end
 
 
 def countdown_episodes(env, seeds):

@@ -5,7 +5,7 @@ from haarlab.nets import MlpSpec, unpack_layers
 from haarlab.policies import CategoricalPolicy, GaussianPolicy
 from haarlab.trpo import AdvantageBatch, conjugate_gradient, standardize_advantages, trpo_update
 
-from helpers import log_prob, mean_kl, ref_trpo_update, surrogate_loss
+from helpers import act_noise, log_prob, mean_kl, ref_trpo_update, surrogate_loss
 
 MAX_KL = 0.01
 
@@ -155,7 +155,7 @@ def test_bandit_probability_moves_toward_positive_advantage():
 def policy_batch(cls, output_dim, rng, rows):
     pol = cls(MlpSpec(4, (8, 8), output_dim), rng)
     obs = rng.standard_normal((rows, 4))
-    acts = pol.act(obs, pol.noise(rng, rows))[0]
+    acts = pol.act(obs, act_noise(pol, rng, rows))[0]
     return pol, make_batch(pol, obs, acts, rng.standard_normal(rows))
 
 
@@ -210,7 +210,7 @@ def test_update_is_deterministic():
         rng = np.random.default_rng(7)
         pol = GaussianPolicy(MlpSpec(3, (6,), 2), rng)
         obs = rng.standard_normal((32, 3))
-        acts = np.concatenate([pol.act(o[None], pol.noise(rng, 1))[0] for o in obs])
+        acts = np.concatenate([pol.act(o[None], act_noise(pol, rng, 1))[0] for o in obs])
         adv = rng.standard_normal(32)
         batch = make_batch(pol, obs, acts, adv)
         trpo_update(pol, batch, MAX_KL)
