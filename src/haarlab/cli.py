@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import os
 import sys
@@ -17,10 +18,10 @@ from .checkpoint import CheckpointError
 from .config import ALGORITHMS, MODES, ConfigError, ExperimentConfig, load_config
 
 
-def _load_cfg(args, **overrides) -> ExperimentConfig:
-    """The config file with the command line's overrides, built once, so
-    that haar_no_anneal or no_annealing pins k_0 only when the final
-    values ask for it."""
+def _load_cfg(args) -> ExperimentConfig:
+    """The config file with the command line's overrides applied to its
+    values before the config is built, so its checks see the final ones."""
+    overrides = {}
     if getattr(args, "seed", None):
         overrides["seeds"] = args.seed
     if getattr(args, "mode", None):
@@ -76,7 +77,8 @@ def cmd_train(args) -> int:
 
 def cmd_transfer(args) -> int:
     from .experiment import run_train
-    cfg = _load_cfg(args, no_annealing=True)
+    cfg = _load_cfg(args)
+    cfg = dataclasses.replace(cfg, k_0=cfg.k_s)  # transfer holds the skill length at k_s
     source = _resolve_per_seed(args.source, cfg.seeds, "seed_{seed}/checkpoint.bin")
     dirs = run_train(cfg, args.out, transfer=args.transfer, source=source,
                      jobs=args.jobs, log=_log(args))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .envs.maze import LAYOUTS, build_maze, load_maze_file
 from .envs.point import EnvConfig, PointEnv
@@ -22,7 +22,7 @@ from .pretrain import PretrainConfig
 TASK_MAZE = {"point_maze": "c_maze", "point_gather": "gather",
              "swimmer_maze_lite": "c_maze"}
 TASKS = tuple(TASK_MAZE)
-ALGORITHMS = ("haar", "haar_no_anneal", "flat_trpo", "frozen_skills")
+ALGORITHMS = ("haar", "flat_trpo", "frozen_skills")
 MODES = ("concurrent", "alternate")
 
 
@@ -38,15 +38,13 @@ class ExperimentConfig:
     B: int = 5000               # low-level steps collected per iteration
     gamma_h: float = 0.99
     gamma_l: float = 0.99
-    k_0: int = 100              # initial skill length
-    k_s: int = 10               # shortest skill length
+    k_0: int = 100              # initial skill length (k_0 = k_s holds it fixed)
+    k_s: int = 10               # shortest skill length, reached halfway through training
     T: int = 500                # max low steps per episode
     n_skills: int = 6
     seeds: tuple[int, ...] = (0,)
     mode: str = "concurrent"
-    tau: float = -1.0           # <0: anneal so k reaches k_s halfway through training
     max_kl: float = 0.01
-    no_annealing: bool = False  # transfer runs pin the skill length
     maze: str = ""              # override the task's maze kind
     maze_file: str = ""         # load a custom maze layout instead
     cell_size: float = 4.0
@@ -56,7 +54,7 @@ class ExperimentConfig:
     ray_max: float = 16.0
     stumble_threshold: float = 1.5
     ridge: float = 1e-5
-    pretrain: PretrainConfig | None = None  # None: the defaults, for n_skills skills
+    pretrain: PretrainConfig = field(default_factory=PretrainConfig)  # for n_skills skills
 
     def __post_init__(self):
         if self.task not in TASKS:
@@ -80,8 +78,6 @@ class ExperimentConfig:
             raise ConfigError("seeds must be >= 0")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct: each one writes its own seed_<n> directory")
-        if not math.isfinite(self.tau):
-            raise ConfigError("tau must be finite (< 0 picks the default schedule)")
         for name in ("max_kl", "cell_size"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
@@ -90,27 +86,12 @@ class ExperimentConfig:
             raise ConfigError("ridge must be finite and >= 0")
         if self.k_s > self.k_0:
             raise ConfigError("k_s cannot exceed k_0")
-        if self.algorithm == "haar_no_anneal" or self.no_annealing:
-            # same skill length throughout as at the end of training
-            self.k_0 = self.k_s
+        if self.pretrain.proxy == "velocity_direction" and self.n_skills < 2:
+            raise ConfigError("velocity_direction pre-training needs n_skills >= 2 directions")
         try:
             self.env_config()  # checks the physics
-            if self.pretrain is None:
-                self.pretrain = PretrainConfig(n_skills=self.n_skills)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.pretrain.n_skills != self.n_skills:  # the skills are pre-trained for n_skills
-            raise ConfigError(f"pretrain.n_skills = {self.pretrain.n_skills} differs from "
-                              f"n_skills = {self.n_skills}; leave it out or make them equal")
-
-    @property
-    def annealing_tau(self) -> float:
-        if self.tau >= 0.0:
-            return self.tau
-        if self.k_0 == self.k_s:
-            return 0.0
-        # fully annealed halfway through training
-        return 2.0 * math.log(self.k_0 / self.k_s) / self.N
 
     def maze_kind(self) -> str:
         return self.maze or TASK_MAZE[self.task]
@@ -216,7 +197,6 @@ def parse_config_text(text: str, **overrides) -> ExperimentConfig:
         (pre if sub else top)[sub or name] = value
     try:
         if pre:
-            pre.setdefault("n_skills", top.get("n_skills", ExperimentConfig.n_skills))
             top["pretrain"] = PretrainConfig(**pre)
         return ExperimentConfig(**top)
     except (TypeError, ValueError) as exc:

@@ -170,18 +170,22 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: str,
 
     log, when given, is called once per iteration after that
     iteration's rows are written. run.json, renamed into place last,
-    marks a finished run.
+    marks a finished run. A run refused while its env and policies are
+    built writes nothing.
     """
+    t0 = time.perf_counter()
+    env = cfg.build_env()
+    if cfg.algorithm != "flat_trpo":
+        algo = _hierarchical(cfg, env, seed, skills_checkpoint, transfer, source_checkpoint)
+    elif skills_checkpoint or transfer:
+        raise ConfigError("flat_trpo trains its one policy from scratch: "
+                          "it takes no pre-trained skills and no transfer")
+    else:
+        algo = _flat(cfg, env, seed)
     run_dir = os.path.join(out_dir, f"seed_{seed}")
     os.makedirs(run_dir, exist_ok=True)
     if os.path.exists(os.path.join(run_dir, "run.json")):  # it would mark this run finished
         os.remove(os.path.join(run_dir, "run.json"))
-    t0 = time.perf_counter()
-    env = cfg.build_env()
-    if cfg.algorithm == "flat_trpo":
-        algo = _flat(cfg, env, seed)
-    else:
-        algo = _hierarchical(cfg, env, seed, skills_checkpoint, transfer, source_checkpoint)
 
     metrics = _CsvSink(os.path.join(run_dir, "metrics.csv"), METRIC_COLUMNS)
     diags = _CsvSink(os.path.join(run_dir, "diagnostics.csv"), DIAG_COLUMNS)
@@ -240,7 +244,7 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: str,
 
 def _hierarchical(cfg, env, seed, skills_checkpoint, transfer, source_checkpoint) -> _Algorithm:
     pi_h = fresh_high_policy(cfg, env, seed)
-    pi_l = fresh_low_policy(cfg.pretrain, env, seed)
+    pi_l = fresh_low_policy(cfg.pretrain, cfg.n_skills, env, seed)
     if transfer in ("both", "low_only"):
         if not source_checkpoint:
             raise ConfigError("transfer runs need a source checkpoint")
@@ -256,7 +260,7 @@ def _hierarchical(cfg, env, seed, skills_checkpoint, transfer, source_checkpoint
             "or set pretrain.proxy = random_init)")
 
     # the trace runs each skill for the skill length after the last iteration
-    k_trace = skill_length(cfg.k_0, cfg.annealing_tau, cfg.k_s, cfg.N)
+    k_trace = skill_length(cfg.k_0, cfg.k_s, cfg.N, cfg.N)
     return _Algorithm(
         iterate=partial(haar_iteration, pi_h, pi_l, env, cfg, seed),
         segments=lambda: policy_segments(pi_h=pi_h, pi_l=pi_l),
@@ -364,10 +368,10 @@ def _map_seeds(job, tasks: list[tuple], jobs: int, log=None) -> list:
 
 
 def _pretrain_job(cfg, seed, out_dir):
-    pi_l, stats = pretrain_skills(cfg.pretrain, seed)
+    pi_l, stats = pretrain_skills(cfg.pretrain, cfg.n_skills, seed)
     path = os.path.join(out_dir, f"skills_seed_{seed}.bin")
     save_checkpoint(path, policy_segments(pi_l=pi_l),
-                    metadata={"n_skills": cfg.pretrain.n_skills,
+                    metadata={"n_skills": cfg.n_skills,
                               "proxy": cfg.pretrain.proxy,
                               "env": "open_field/v1", "seed": seed,
                               "iterations": cfg.pretrain.iterations})

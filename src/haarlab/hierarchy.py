@@ -34,9 +34,11 @@ class ConservationError(RuntimeError):
     """Per-segment auxiliary rewards failed to sum to the advantage."""
 
 
-def skill_length(k_0: int, tau: float, k_s: int, iteration: int) -> int:
-    """The skill length of an iteration: k_0 * exp(-tau * iteration)
-    rounded half up, and never below k_s."""
+def skill_length(k_0: int, k_s: int, N: int, iteration: int) -> int:
+    """The skill length of an iteration of N: k_0 * exp(-tau * iteration)
+    rounded half up, and never below k_s, where tau = 2 ln(k_0 / k_s) / N
+    reaches k_s halfway through training (and holds k_0 = k_s fixed)."""
+    tau = 2.0 * math.log(k_0 / k_s) / N
     return max(int(math.floor(k_0 * math.exp(-tau * iteration) + 0.5)), k_s)
 
 
@@ -254,7 +256,7 @@ def haar_iteration(pi_h: CategoricalPolicy, pi_l: GaussianPolicy | CategoricalPo
     rollout.batch_metrics and a (level, diagnostics) pair for each level
     that took a step, as flat_iteration does.
     """
-    k = skill_length(cfg.k_0, cfg.annealing_tau, cfg.k_s, iteration)
+    k = skill_length(cfg.k_0, cfg.k_s, cfg.N, iteration)
     batch = collect_rollouts(pi_h, pi_l, env, cfg.n_skills, cfg.B, k, seed=(seed, iteration),
                              lanes=lanes)
 

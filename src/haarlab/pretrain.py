@@ -40,7 +40,6 @@ PRETRAIN_MAX_KL = 0.01  # the trust region of every proxy update
 
 @dataclass
 class PretrainConfig:
-    n_skills: int = 6
     iterations: int = 40
     proxy: str = "velocity_direction"
     batch_low_steps: int = 6000
@@ -51,10 +50,7 @@ class PretrainConfig:
     def __post_init__(self):
         if self.proxy not in ("velocity_direction", "random_init"):
             raise ValueError(f"unknown pre-training proxy {self.proxy!r}")
-        if self.proxy == "velocity_direction" and self.n_skills < 2:
-            raise ValueError("velocity_direction needs at least 2 distinct directions")
-        if (self.n_skills < 1 or self.iterations < 0 or self.batch_low_steps < 1
-                or self.episode_steps < 1):
+        if self.iterations < 0 or self.batch_low_steps < 1 or self.episode_steps < 1:
             raise ValueError("pre-training counts must be positive")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("pretrain.gamma must lie in (0, 1)")
@@ -88,10 +84,11 @@ def open_field_env(steps: int, env_cfg: EnvConfig | None = None) -> PointEnv:
     return PointEnv(build_maze("open_field"), env_cfg)
 
 
-def fresh_low_policy(cfg: PretrainConfig, env: PointEnv, seed: int) -> GaussianPolicy:
+def fresh_low_policy(cfg: PretrainConfig, n_skills: int, env: PointEnv,
+                     seed: int) -> GaussianPolicy:
     rng = np.random.default_rng(np.random.SeedSequence((seed, INIT_STREAM)))
-    spec = MlpSpec(env.low_obs_dim + cfg.n_skills, cfg.hidden, 2)
-    scale = np.concatenate([env.low_obs_scale, np.ones(cfg.n_skills)])
+    spec = MlpSpec(env.low_obs_dim + n_skills, cfg.hidden, 2)
+    scale = np.concatenate([env.low_obs_scale, np.ones(n_skills)])
     return GaussianPolicy(spec, rng, input_scale=scale)
 
 
@@ -123,30 +120,31 @@ class _SkillCollector:
         return a, (run.low, a, logp, mu, run.state.position, run.skill)
 
 
-def pretrain_skills(cfg: PretrainConfig, seed: int, env_cfg: EnvConfig | None = None):
-    """Return (low-level policy, per-iteration stats).
+def pretrain_skills(cfg: PretrainConfig, n_skills: int, seed: int,
+                    env_cfg: EnvConfig | None = None):
+    """Return (low-level policy for n_skills skills, per-iteration stats).
 
     random_init: the freshly initialized parameters, untouched.
     velocity_direction: trust-region updates on the proxy rewards, in
     open_field_env(cfg.episode_steps, env_cfg).
     """
     env = open_field_env(cfg.episode_steps, env_cfg)
-    pi_l = fresh_low_policy(cfg, env, seed)
+    pi_l = fresh_low_policy(cfg, n_skills, env, seed)
     if cfg.proxy == "random_init":
         return pi_l, []
     stats = []
     for it in range(cfg.iterations):
         streams = (np.random.default_rng(np.random.SeedSequence((seed, PRETRAIN_STREAM, it, ep)))
                    for ep in count())
-        collector = _SkillCollector(pi_l, cfg.n_skills,
-                                    lambda _, rng: int(rng.integers(cfg.n_skills)), env.horizon)
+        collector = _SkillCollector(pi_l, n_skills,
+                                    lambda _, rng: int(rng.integers(n_skills)), env.horizon)
         run = run_lanes(env, streams, cfg.batch_low_steps, collector)
         low, acts, logps, dists, position, skill = run.columns
-        xs = skill_inputs(low, skill, cfg.n_skills)
+        xs = skill_inputs(low, skill, n_skills)
         next_position = np.empty_like(position)
         next_position[:-1] = position[1:]
         next_position[run.done] = run.final.position
-        rewards = proxy_rewards(skill, position, next_position, cfg.n_skills)
+        rewards = proxy_rewards(skill, position, next_position, n_skills)
         returns = discounted_returns(rewards, run.done, cfg.gamma)
         v = fit_value_on_scaled(xs, returns, pi_l.input_scale, DEFAULT_RIDGE)
         adv = returns - v.predict(xs)

@@ -107,7 +107,7 @@ def test_criterion_3_conservation_enforced():
     from haarlab.experiment import fresh_high_policy
     from haarlab.pretrain import fresh_low_policy
     pi_h = fresh_high_policy(cfg, env, 0)
-    pi_l = fresh_low_policy(cfg.pretrain, env, 0)
+    pi_l = fresh_low_policy(cfg.pretrain, cfg.n_skills, env, 0)
     batch = collect_rollouts(pi_h, pi_l, env, cfg.n_skills, 400, 7, seed=(0, 0))
     rng = np.random.default_rng(3)
     adv = rng.standard_normal(len(batch.seg_len)) * 1000.0

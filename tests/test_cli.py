@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 from pathlib import Path
 
@@ -53,6 +54,7 @@ def test_train_without_skills_fails_cleanly(tmp_path, capsys):
     code = main(["train", "--config", cfg, "--out", str(tmp_path / "r"), "--quiet"])
     assert code == 2
     assert "pre-trained skills" in capsys.readouterr().err
+    assert not (tmp_path / "r" / "seed_0").exists()  # a refused run used to leave it empty
 
 
 def test_missing_skills_checkpoint_fails(tmp_path, capsys):
@@ -135,14 +137,14 @@ def test_seed_override(tmp_path):
 
 
 def test_algorithm_override_keeps_the_file_k0(tmp_path):
-    # a haar_no_anneal file pins k_0 to k_s; --algorithm haar must anneal
-    # from the file's k_0, as a file that says haar does
+    # --algorithm haar on a frozen_skills file anneals from the file's
+    # k_0, as a file that says haar does
     base = TINY.replace("velocity_direction", "random_init")
-    no_anneal = base.replace("algorithm = haar", "algorithm = haar_no_anneal")
-    pinned = write_cfg(tmp_path, text=no_anneal, name="pinned.cfg")
+    frozen = base.replace("algorithm = haar", "algorithm = frozen_skills")
+    other = write_cfg(tmp_path, text=frozen, name="frozen.cfg")
     plain = write_cfg(tmp_path, text=base)
     out, ref = str(tmp_path / "override"), str(tmp_path / "haar")
-    assert main(["train", "--config", pinned, "--algorithm", "haar", "--out", out,
+    assert main(["train", "--config", other, "--algorithm", "haar", "--out", out,
                  "--quiet"]) == 0
     assert main(["train", "--config", plain, "--out", ref, "--quiet"]) == 0
     with open(os.path.join(out, "seed_0", "metrics.csv")) as fh:
@@ -166,6 +168,51 @@ def test_transfer_modes_via_cli(tmp_path):
         assert main(["transfer", "--config", tcfg, "--source", src,
                      "--transfer", mode, "--out", out, "--quiet"]) == 0
         assert os.path.exists(os.path.join(out, "seed_0", "metrics.csv"))
+
+
+def test_transfer_holds_the_skill_length_at_k_s(tmp_path):
+    # transfer replaces k_0 with k_s; run.json echoes the k_0 it ran with
+    text = TINY.replace("velocity_direction", "random_init").replace("N = 2", "N = 3")
+    text = text.replace("k_0 = 6", "k_0 = 100").replace("k_s = 3", "k_s = 10")
+    cfg = write_cfg(tmp_path, text=text)
+    src = str(tmp_path / "src")
+    assert main(["train", "--config", cfg, "--out", src, "--quiet"]) == 0
+    out = tmp_path / "tr"
+    assert main(["transfer", "--config", cfg, "--source", src, "--transfer", "low_only",
+                 "--out", str(out), "--quiet"]) == 0
+    with open(out / "seed_0" / "metrics.csv") as fh:
+        assert [row["k"] for row in csv.DictReader(fh)] == ["10"] * 3
+    with open(out / "seed_0" / "run.json") as fh:
+        assert json.load(fh)["config"]["k_0"] == 10
+    with open(os.path.join(src, "seed_0", "run.json")) as fh:
+        assert json.load(fh)["config"]["k_0"] == 100
+
+
+FLAT = "task = point_maze\nalgorithm = flat_trpo\nN = 1\nB = 100\nT = 25\n"
+
+
+def test_flat_trpo_refuses_transfer(tmp_path, capsys):
+    # it used to exit 0 with a from-scratch run whose run.json said "both"
+    cfg = write_cfg(tmp_path, text=FLAT)
+    src = str(tmp_path / "src")
+    assert main(["train", "--config", cfg, "--out", src, "--quiet"]) == 0
+    out = tmp_path / "tr"
+    for mode in ("both", "low_only"):
+        assert main(["transfer", "--config", cfg, "--source", src, "--transfer", mode,
+                     "--out", str(out), "--quiet"]) == 2
+        assert "flat_trpo" in capsys.readouterr().err
+    assert not (out / "seed_0").exists()
+
+
+def test_flat_trpo_refuses_skills(tmp_path, capsys):
+    skills = tmp_path / "skills"
+    assert main(["pretrain", "--config", write_cfg(tmp_path), "--out", str(skills),
+                 "--quiet"]) == 0
+    out = tmp_path / "flat"
+    assert main(["train", "--config", write_cfg(tmp_path, text=FLAT, name="flat.cfg"),
+                 "--out", str(out), "--skills", str(skills), "--quiet"]) == 2
+    assert "flat_trpo" in capsys.readouterr().err
+    assert not (out / "seed_0").exists()
 
 
 def test_transfer_none_rejected_at_parse_time(tmp_path, capsys):

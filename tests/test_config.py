@@ -1,12 +1,16 @@
 import glob
-import math
 import os
 
 import pytest
 
+from haarlab.checkpoint import load_checkpoint
 from haarlab.config import ConfigError, ExperimentConfig, load_config, parse_config_text
 from haarlab.envs.point import EnvConfig
-from haarlab.pretrain import PretrainConfig
+from haarlab.experiment import run_pretrain
+from haarlab.hierarchy import skill_length
+from haarlab.pretrain import PretrainConfig, fresh_low_policy, open_field_env
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def test_defaults_mirror_reference_table():
@@ -16,20 +20,16 @@ def test_defaults_mirror_reference_table():
     assert cfg.k_0 == 100 and cfg.k_s == 10
     assert cfg.B == 5000 and cfg.N == 300
     assert cfg.max_kl == 0.01
-    assert cfg.pretrain.n_skills == 6
+    assert cfg.n_skills == 6
 
 
 def test_no_anneal_forces_constant_skill_length():
-    cfg = ExperimentConfig(algorithm="haar_no_anneal", k_0=100, k_s=10)
-    assert cfg.k_0 == cfg.k_s == 10
-    assert cfg.annealing_tau == 0.0
-
-
-def test_default_tau_fully_anneals_halfway():
-    cfg = ExperimentConfig(N=300, k_0=100, k_s=10)
-    tau = cfg.annealing_tau
-    k_half = cfg.k_0 * math.exp(-tau * (cfg.N / 2))
-    assert abs(k_half - cfg.k_s) < 1e-9
+    # the ablation arm is point_maze.cfg with k_0 = k_s, an ordinary haar config
+    cfg = load_config(os.path.join(CONFIGS, "point_maze_no_anneal.cfg"))
+    assert cfg.algorithm == "haar" and cfg.k_0 == cfg.k_s == 10
+    assert {skill_length(cfg.k_0, cfg.k_s, cfg.N, i) for i in range(cfg.N + 1)} == {10}
+    base = load_config(os.path.join(CONFIGS, "point_maze.cfg"))
+    assert cfg.to_dict() == {**base.to_dict(), "k_0": 10}
 
 
 def test_validation_errors():
@@ -102,20 +102,22 @@ def test_parse_rejects_repeated_key(text, lines):
 
 
 def test_every_shipped_config_loads():
-    root = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
-    paths = sorted(glob.glob(os.path.join(root, "*.cfg")))
-    assert paths
+    paths = sorted(glob.glob(os.path.join(CONFIGS, "*.cfg")))
+    assert "point_maze_no_anneal.cfg" in map(os.path.basename, paths)
     for path in paths:
         load_config(path)
 
 
 def test_overrides_apply_before_construction():
-    text = "algorithm = haar_no_anneal\nk_0 = 100\nk_s = 10\n"
-    assert parse_config_text(text).k_0 == 10
-    cfg = parse_config_text(text, algorithm="haar")
-    assert cfg.k_0 == 100 and cfg.annealing_tau > 0.0
-    pinned = parse_config_text("k_0 = 100\nk_s = 10\n", no_annealing=True)
-    assert pinned.k_0 == 10 and pinned.annealing_tau == 0.0
+    # k_s = 200 alone exceeds the default k_0; the override makes it legal
+    with pytest.raises(ConfigError, match="k_s cannot exceed k_0"):
+        parse_config_text("k_s = 200\n")
+    cfg = parse_config_text("k_s = 200\n", k_0="200")
+    assert cfg.k_0 == cfg.k_s == 200
+    # no field rewrites another: the config keeps the values it was given
+    cfg = parse_config_text("algorithm = frozen_skills\nk_0 = 100\nk_s = 10\n", algorithm="haar")
+    assert (cfg.algorithm, cfg.k_0, cfg.k_s) == ("haar", 100, 10)
+    assert cfg.to_dict()["k_0"] == 100
 
 
 def test_string_overrides_parse_as_file_lines(tmp_path):
@@ -145,33 +147,41 @@ def test_config_hash_sensitivity():
     assert a.config_hash() == ExperimentConfig(N=10).config_hash()
 
 
-def test_pretrain_n_skills_follows_experiment():
-    cfg = ExperimentConfig(n_skills=4)
-    assert cfg.pretrain.n_skills == 4
+def test_pretrain_n_skills_follows_experiment(tmp_path):
+    # the skills are pre-trained for the config's one count, n_skills
+    cfg = ExperimentConfig(n_skills=4, pretrain=PretrainConfig(proxy="random_init"))
+    segments, metadata = load_checkpoint(run_pretrain(cfg, str(tmp_path))[0])
+    want = fresh_low_policy(cfg.pretrain, 4, open_field_env(cfg.pretrain.episode_steps), 0)
+    assert metadata["n_skills"] == 4
+    assert segments["pi_l/mean_net"].tobytes() == want.params.segment("mean_net").tobytes()
+    assert "pretrain.n_skills" not in cfg.to_dict()
 
 
 @pytest.mark.parametrize("text", ["pretrain.n_skills = 3\n",
                                   "n_skills = 4\npretrain.n_skills = 6\n"])
 def test_config_file_rejects_pretrain_n_skills_unlike_n_skills(text):
-    with pytest.raises(ConfigError, match=r"pretrain\.n_skills = \d+ differs from n_skills = \d+"):
+    # the count is said once: pretrain.n_skills is no key, whatever its value
+    with pytest.raises(ConfigError, match=r"unknown config key 'pretrain\.n_skills'"):
         parse_config_text(text)
+    with pytest.raises(ConfigError, match=r"unknown config key 'pretrain\.n_skills'"):
+        parse_config_text(text.replace("= 3", "= 6"))
 
 
-@pytest.mark.parametrize("kwargs", [{"pretrain": PretrainConfig(n_skills=3)},
-                                    {"n_skills": 4, "pretrain": PretrainConfig()}])
+@pytest.mark.parametrize("kwargs", [{"n_skills": 3}, {"n_skills": 6}])
 def test_pretrain_n_skills_unlike_n_skills_rejected_in_python(kwargs):
-    # the same rule as the config file's: a config built in Python used to
-    # replace the pretrain count silently
-    with pytest.raises(ConfigError, match=r"pretrain\.n_skills = \d+ differs from n_skills = \d+"):
-        ExperimentConfig(**kwargs)
-    n = kwargs.get("n_skills", 6)
-    assert ExperimentConfig(n_skills=n, pretrain=PretrainConfig(n_skills=n)).pretrain.n_skills == n
+    # a PretrainConfig holds no count of its own, so none can differ from
+    # n_skills: one that differed was once replaced silently
+    with pytest.raises(TypeError, match="n_skills"):
+        PretrainConfig(**kwargs)
 
 
-def test_config_file_pretrain_n_skills_may_repeat_the_one_in_effect():
-    cfg = parse_config_text("pretrain.n_skills = 4\n", n_skills=4)
-    assert cfg.pretrain.n_skills == 4
-    assert cfg.config_hash() == parse_config_text("", n_skills=4).config_hash()
+def test_velocity_direction_needs_two_skills():
+    with pytest.raises(ConfigError, match="n_skills >= 2"):
+        ExperimentConfig(n_skills=1)
+    with pytest.raises(ConfigError, match="n_skills >= 2"):
+        parse_config_text("n_skills = 1\n")
+    # random_init does not need multiple directions
+    assert ExperimentConfig(n_skills=1, pretrain=PretrainConfig(proxy="random_init")).n_skills == 1
 
 
 def test_swimmer_variant_disables_stumble():
@@ -191,9 +201,8 @@ def test_pretrain_config_validation():
     with pytest.raises(ValueError):
         PretrainConfig(proxy="entropy")
     with pytest.raises(ValueError):
-        PretrainConfig(n_skills=1)
-    # random_init does not need multiple directions
-    PretrainConfig(n_skills=1, proxy="random_init")
+        PretrainConfig(iterations=-1)
+    PretrainConfig(iterations=0, proxy="random_init")
 
 
 @pytest.mark.parametrize("text", ["pretrain.episode_steps = 0", "pretrain.episode_steps = -3",
@@ -251,7 +260,8 @@ def test_boundary_ridge_and_small_positive_values_accepted():
                                   "pretrain.hidden = 0"])
 def test_config_file_rejects_bad_tau_seeds_and_hidden(text):
     # each used to pass the load: a NaN tau quietly became the default
-    # schedule, the rest failed after the run directory was written, and
+    # schedule (tau is now no key at all, since k_0, k_s and N set the one
+    # schedule), the rest failed after the run directory was written, and
     # duplicate seeds made two runs share seed_0/
     with pytest.raises(ConfigError, match=text.split()[0]):
         parse_config_text(text)

@@ -61,7 +61,7 @@ def test_frozen_skills_never_update_low_level(tmp_path):
     run_dir = run_single_seed(cfg, 1, str(tmp_path))
     segments, _ = load_checkpoint(os.path.join(run_dir, "checkpoint.bin"))
     env = cfg.build_env()
-    fresh = fresh_low_policy(cfg.pretrain, env, 1)
+    fresh = fresh_low_policy(cfg.pretrain, cfg.n_skills, env, 1)
     assert np.array_equal(segments["pi_l/mean_net"], fresh.params.segment("mean_net"))
     assert np.array_equal(segments["pi_l/log_std"], fresh.params.segment("log_std"))
 
@@ -109,7 +109,7 @@ def test_an_iteration_depends_only_on_its_arguments(algorithm, mode):
     if algorithm == "flat_trpo":
         policies, iteration = [fresh_flat_policy(cfg, env, 0)], flat_iteration
     else:
-        policies = [fresh_high_policy(cfg, env, 0), fresh_low_policy(cfg.pretrain, env, 0)]
+        policies = [fresh_high_policy(cfg, env, 0), fresh_low_policy(cfg.pretrain, cfg.n_skills, env, 0)]
         iteration = haar_iteration
     for it in range(2):
         iteration(*policies, env, cfg, 0, it)
@@ -125,6 +125,30 @@ def test_training_requires_skills_unless_random_init(tmp_path):
     cfg2 = replace(cfg, pretrain=replace(cfg.pretrain, proxy="velocity_direction"))
     with pytest.raises(ConfigError):
         run_single_seed(cfg2, 0, str(tmp_path))
+
+
+REFUSALS = {
+    "no_skills": (dict(pretrain=PretrainConfig(iterations=0)), {}, ConfigError),
+    "missing_maze_file": (dict(maze_file="absent_maze.txt"), {}, OSError),
+    "missing_segment": ({}, dict(transfer="both"), CheckpointError),
+    "flat_skills": (dict(algorithm="flat_trpo"), dict(skills_checkpoint="skills.bin"),
+                    ConfigError),
+    "flat_transfer": (dict(algorithm="flat_trpo"), dict(transfer="low_only"), ConfigError),
+}
+
+
+@pytest.mark.parametrize("refusal", REFUSALS)
+def test_refused_run_leaves_no_seed_directory(tmp_path, refusal):
+    # each used to leave an empty seed_0/ behind: the run directory was
+    # made before the env and the policies were built
+    cfg_kw, run_kw, error = REFUSALS[refusal]
+    src = tmp_path / "source.bin"
+    save_checkpoint(str(src), {"pi_x/net": np.zeros(3)})  # lacks every policy segment
+    if "transfer" in run_kw:
+        run_kw = dict(run_kw, source_checkpoint=str(src))
+    with pytest.raises(error):
+        run_single_seed(tiny_cfg(**cfg_kw), 0, str(tmp_path / "out"), **run_kw)
+    assert not (tmp_path / "out").exists()
 
 
 NO_GOAL_MAZE = "#####\n#S..#\n#####\n"
@@ -143,7 +167,7 @@ def test_transfer_low_only_loads_only_low_segments(tmp_path):
     # the final checkpoint exposes exactly what was loaded at startup
     cfg = reward_free_cfg(tmp_path, N=2)
     env = cfg.build_env()
-    donor_low = fresh_low_policy(cfg.pretrain, env, 77)
+    donor_low = fresh_low_policy(cfg.pretrain, cfg.n_skills, env, 77)
     donor_high = fresh_high_policy(cfg, env, 77)
     src = tmp_path / "source.bin"
     save_checkpoint(str(src), {
@@ -172,7 +196,7 @@ def _short_segments(cfg):
 def _without_log_std(cfg):
     env = cfg.build_env()
     segments = policy_segments(pi_h=fresh_high_policy(cfg, env, 0),
-                               pi_l=fresh_low_policy(cfg.pretrain, env, 0))
+                               pi_l=fresh_low_policy(cfg.pretrain, cfg.n_skills, env, 0))
     del segments["pi_l/log_std"]
     return segments
 

@@ -46,7 +46,7 @@ CONFIGS = {
     "frozen_skills": "task = point_gather\nalgorithm = frozen_skills\nk_0 = 5\nk_s = 5\n",
     "flat_trpo": "task = point_maze\nalgorithm = flat_trpo\nmaze_file = corridor.txt\n",
     "alternate": HAAR + "mode = alternate\n",
-    "haar_no_anneal": HAAR + "algorithm = haar_no_anneal\n",
+    "haar_no_anneal": HAAR.replace("k_0 = 12", "k_0 = 3"),  # the skill length held at k_s
 }
 
 # name -> (subcommand, config, extra CLI arguments). Every train run but
@@ -76,8 +76,8 @@ GOLDEN = {
     "haar/trajectories.csv":
         "d85f34fdef2bde6d749cc5299cc873f5aa15536024c553993c95418e112b904a",
     "haar/checkpoint.bin":
-        "603bbb3e9b9a3ed6b0b205002d9d869e73dfe20bd5776952bf37ca90cb486466",
-    "haar/config_hash": "08c222801c74",
+        "dcd6da1187b7317254706ce619ae10db6b7da1886ab88d30f4940548e5df8379",
+    "haar/config_hash": "756b79f803d1",
     "frozen_skills/metrics.csv":
         "c935c4ad7e917f2984246c60f2c99383122fefb9f4f2b354bbe8fed890c116c1",
     "frozen_skills/diagnostics.csv":
@@ -85,8 +85,8 @@ GOLDEN = {
     "frozen_skills/trajectories.csv":
         "5f91776452880a8f1a388cba58d2ef66535b3d42788c7bea713258ad04475998",
     "frozen_skills/checkpoint.bin":
-        "f84d3c0314d338acbc69b69bcb16c967ad081111db9370159660f08398df5736",
-    "frozen_skills/config_hash": "394a454acaaf",
+        "250413247fc853ca2efbea97e66fbd479cf0f9f0074aabb5aa5da128a36f189f",
+    "frozen_skills/config_hash": "f058de66f772",
     "flat_trpo/metrics.csv":
         "896d4e6e7de990608f557be29cecf39c4cee2794d802f2eece6790953d98b600",
     "flat_trpo/diagnostics.csv":
@@ -94,8 +94,8 @@ GOLDEN = {
     "flat_trpo/trajectories.csv":
         "d8a3a0758f997e42deb37d96bc111e09cb6e02bc6f678825615113717848a340",
     "flat_trpo/checkpoint.bin":
-        "1e11fa5779c210f2e51b98ebb7d5626a49f1ecbcdcd8b0a8cdb89d4c22a7854f",
-    "flat_trpo/config_hash": "abcafbd883fa",
+        "ea3b08781475342eb6f8d1a1822b3bc0b6947c9867643a0b99f1e0c61abee936",
+    "flat_trpo/config_hash": "aa209d7a56bd",
     "alternate/metrics.csv":
         "afc3417776f9c555d2bfdc1dd8e3570ebfb084031e2f56451dac2395af4820b3",
     "alternate/diagnostics.csv":
@@ -103,8 +103,8 @@ GOLDEN = {
     "alternate/trajectories.csv":
         "bf0cce57d865db6b52fa23db8d27c42206ca109d2227bebae2e28918967442a8",
     "alternate/checkpoint.bin":
-        "822ec436f17570ad63c387002854b37b1311c90b379417bdeb05bf90c3f25a8b",
-    "alternate/config_hash": "777d15e2fb34",
+        "1dad486e7e5d2da263bb15cdf74fc8e27949ca4ab0520d67e6d12cbc6357b52d",
+    "alternate/config_hash": "bfce820d31d6",
     "haar_no_anneal/metrics.csv":
         "e822a2bf8b086c0f96424bb46af933794b006947279aa7a4247c6427ddbb37dd",
     "haar_no_anneal/diagnostics.csv":
@@ -112,8 +112,8 @@ GOLDEN = {
     "haar_no_anneal/trajectories.csv":
         "73722373acea99415a21ba6f9a2948c9fb32d72221deeab5a3faa4af56de8199",
     "haar_no_anneal/checkpoint.bin":
-        "c6bd3857b22f747cbff226a42cba9574783e92599fa394e5564d2d7d055c20d1",
-    "haar_no_anneal/config_hash": "d10f47004bb0",
+        "a9b9ddff3e6275fb1b48a5fef9cd192a798c7030c2de85e6871381c935d168ad",
+    "haar_no_anneal/config_hash": "08e6a818d387",
     "cli_override/metrics.csv":
         "0e5bef6de97cb46db5c59e9d59d0cfbd8e5b055aa3fe77845c171404559cf228",
     "cli_override/diagnostics.csv":
@@ -121,8 +121,8 @@ GOLDEN = {
     "cli_override/trajectories.csv":
         "94ab99ad9796232d6352c697e1e6d00458a1d9828e0833c20421ed6d199389f2",
     "cli_override/checkpoint.bin":
-        "dbc30aa2445ff95c9487971700641624481f248f7dde3093602307063227a096",
-    "cli_override/config_hash": "5b51a2c177a2",
+        "d8bcd8b27450126366a9f6aa9ed60666f2d41caac22f507bbfca8fd9cbe4282c",
+    "cli_override/config_hash": "38dbb3606d1b",
     "transfer_both/metrics.csv":
         "806135d4dc479512c1b84024e36280b0ef0c78c142e3a6e0355c42c65f65e098",
     "transfer_both/diagnostics.csv":
@@ -130,8 +130,8 @@ GOLDEN = {
     "transfer_both/trajectories.csv":
         "306700ef0d67fd9373ebe265f0b3719fb3137dcc55081083b0d853e53ea71e5e",
     "transfer_both/checkpoint.bin":
-        "87a572645618cb86aaf9244d1247f0a8f59ee196eb9ac821b528183019327c16",
-    "transfer_both/config_hash": "68488093d649",
+        "f0b4500deef4f0307f71831ada35afeec8e9a39adf0f0b69aaa973c3e7fa57c1",
+    "transfer_both/config_hash": "08e6a818d387",
     "transfer_low_only/metrics.csv":
         "93df42c4274065474713bd8ee33d41e3977646a116d4b8c09cbc81565ae9ce5f",
     "transfer_low_only/diagnostics.csv":
@@ -139,8 +139,8 @@ GOLDEN = {
     "transfer_low_only/trajectories.csv":
         "3ace1b36133a286a5d022173310e62a941e18288ec9751db08011dcd95a60c87",
     "transfer_low_only/checkpoint.bin":
-        "faffaa29ef3104b8730fdf2185243ded4e50fc8a27a9998a21bc2d75c064378d",
-    "transfer_low_only/config_hash": "68488093d649",
+        "fb978ede1c095a3902d61e930a32383c81ef05db20e2c3ef3588641c2469106f",
+    "transfer_low_only/config_hash": "08e6a818d387",
 }
 
 
@@ -179,4 +179,5 @@ def test_tiny_runs_match_recorded_bytes(tmp_path):
         for artifact in RUN_ARTIFACTS:
             got[f"{name}/{artifact}"] = _sha256(run_dir / artifact)
         got[f"{name}/config_hash"] = _config_hash(run_dir)
-    assert got == GOLDEN
+    moved = sorted(key for key in GOLDEN.keys() | got.keys() if got.get(key) != GOLDEN.get(key))
+    assert got == GOLDEN, "moved: " + ", ".join(moved)

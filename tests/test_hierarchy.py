@@ -36,22 +36,32 @@ def make_policies(env, seed=0):
 # -- skill schedule ---------------------------------------------------------------
 
 def test_schedule_constant_when_tau_zero():
+    # tau = 2 ln(k_0 / k_s) / N is exactly 0 when k_0 = k_s
     for i in range(100):
-        assert skill_length(17, 0.0, 3, i) == 17
+        assert skill_length(17, 17, 40, i) == 17
 
 
 def test_schedule_formula_value():
-    assert skill_length(100, 0.1, 1, 10) == 37  # round(100 * e^-1)
+    # tau = ln(10) / 10: a quarter of the way, k is 100 / sqrt(10) = 31.6
+    assert skill_length(100, 10, 20, 5) == 32
 
 
-def test_schedule_rounds_half_up():
-    # 5 * e^(-ln(5/2.5)) is 2.5 up to rounding; floor(x + 0.5) gives 3, Python's round 2
-    tau = np.log(2.0)
-    assert skill_length(5, tau, 1, 1) == 3 and round(5 * np.exp(-tau)) == 2
+def test_schedule_fully_anneals_halfway():
+    assert skill_length(100, 10, 300, 150) == 10
+    assert skill_length(100, 10, 300, 140) == 12  # 10 * e^(10 tau) = 11.66
+
+
+def test_schedule_rounds_half_up(monkeypatch):
+    # k_0 * exp(-tau * i) = k_0^(1 - 2i/N) * k_s^(2i/N) is never a half-integer
+    # for integer arguments, so exp is stubbed to give one: 5 * 0.5 = 2.5,
+    # which floor(x + 0.5) takes to 3 and Python's round to 2
+    monkeypatch.setattr(hierarchy.math, "exp", lambda _: 0.5)
+    assert skill_length(5, 1, 4, 1) == 3 and round(2.5) == 2
 
 
 def test_schedule_floor_binds():
-    assert skill_length(100, 0.1, 10, 50) == 10
+    assert skill_length(100, 10, 20, 15) == 10
+    assert skill_length(100, 10, 20, 10_000) == 10
 
 
 def test_schedule_monotone_and_floored():
@@ -59,10 +69,10 @@ def test_schedule_monotone_and_floored():
     for _ in range(30):
         k1 = int(rng.integers(1, 2000))
         ks = int(rng.integers(1, k1 + 1))
-        tau = float(rng.uniform(0, 0.5))
+        n = int(rng.integers(1, 2000))
         prev = None
         for i in [0, 1, 2, 5, 10, 100, 1000, 10_000, 100_000, 1_000_000]:
-            k = skill_length(k1, tau, ks, i)
+            k = skill_length(k1, ks, n, i)
             assert k >= ks
             if prev is not None:
                 assert k <= prev
@@ -70,11 +80,13 @@ def test_schedule_monotone_and_floored():
 
 
 def test_schedule_validation():
-    # the config checks the schedule's lengths; a negative tau picks the default schedule
+    # the config checks the schedule's lengths
     with pytest.raises(ConfigError):
         ExperimentConfig(k_0=0, k_s=1)
-    cfg = ExperimentConfig(k_0=100, k_s=10, tau=-0.1, N=40)
-    assert cfg.annealing_tau > 0 and skill_length(100, cfg.annealing_tau, 10, 20) == 10
+    with pytest.raises(ConfigError):
+        ExperimentConfig(k_0=5, k_s=10)
+    cfg = ExperimentConfig(k_0=100, k_s=10, N=40)
+    assert skill_length(cfg.k_0, cfg.k_s, cfg.N, 20) == 10
 
 
 # -- rollout segmentation -----------------------------------------------------------
@@ -413,7 +425,7 @@ def test_high_level_returns_discount_per_decision():
 
 def make_run(env, mode="concurrent", seed=0, algorithm="haar"):
     """Policies and a tiny config: k anneals from 6 towards 2, 60 low steps a batch."""
-    cfg = ExperimentConfig(algorithm=algorithm, mode=mode, B=60, k_0=6, k_s=2, tau=0.05,
+    cfg = ExperimentConfig(algorithm=algorithm, mode=mode, B=60, k_0=6, k_s=2, N=44,
                            n_skills=N_SKILLS)
     return (*make_policies(env, seed=seed), cfg)
 
@@ -438,9 +450,8 @@ def test_alternate_first_iteration_updates_only_high():
 def test_schedule_advances_once_per_iteration():
     env = make_env(max_episode_steps=20)
     pi_h, pi_l, cfg = make_run(env)
-    for i in range(3):
-        m, _ = iterate(pi_h, pi_l, env, cfg, i)
-        assert m["k"] == skill_length(6, 0.05, 2, i)
+    ks = [iterate(pi_h, pi_l, env, cfg, i)[0]["k"] for i in range(3)]
+    assert ks == [skill_length(6, 2, 44, i) for i in range(3)] == [6, 6, 5]
 
 
 def test_reward_free_env_leaves_policies_unchanged():

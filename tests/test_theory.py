@@ -303,7 +303,7 @@ def train_table_heads(monkeypatch, iterations=3):
     rng = np.random.default_rng(21)
     mdp = random_mdp(3, 2, rng)
     env = TabularRolloutEnv(mdp, horizon=12)
-    cfg = ExperimentConfig(B=300, k_0=4, k_s=2, tau=0.3, n_skills=2, gamma_h=0.9,
+    cfg = ExperimentConfig(B=300, k_0=4, k_s=2, N=4, n_skills=2, gamma_h=0.9,
                            gamma_l=0.9, max_kl=0.02)
     pi_h, pi_l = table_heads(mdp.n_states, cfg.n_skills, mdp.n_actions, rng)
     assigned = []
