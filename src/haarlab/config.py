@@ -1,5 +1,5 @@
-"""Experiment configuration: typed fields, task presets, and the plain
-text `key = value` config file format.
+"""Experiment configuration: typed fields and the plain text
+`key = value` config file format.
 
 File format: one `key = value` pair per line; `#` starts a comment;
 blank lines ignored. Keys are the field names below (hyperparameters
@@ -19,9 +19,6 @@ from .envs.maze import LAYOUTS, build_maze, load_maze_file
 from .envs.point import EnvConfig, PointEnv
 from .pretrain import PretrainConfig
 
-TASK_MAZE = {"point_maze": "c_maze", "point_gather": "gather",
-             "swimmer_maze_lite": "c_maze"}
-TASKS = tuple(TASK_MAZE)
 ALGORITHMS = ("haar", "flat_trpo", "frozen_skills")
 MODES = ("concurrent", "alternate")
 
@@ -32,7 +29,6 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    task: str = "point_maze"
     algorithm: str = "haar"
     N: int = 300                # training iterations
     B: int = 5000               # low-level steps collected per iteration
@@ -45,25 +41,22 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = (0,)
     mode: str = "concurrent"
     max_kl: float = 0.01
-    maze: str = ""              # override the task's maze kind
+    maze: str = "c_maze"        # the arena: a built-in layout kind (envs.maze.LAYOUTS)
     maze_file: str = ""         # load a custom maze layout instead
     cell_size: float = 4.0
     v_max: float = 2.0
     dt: float = 0.2
     action_scale: float = 4.0
     ray_max: float = 16.0
-    stumble_threshold: float = 1.5
-    ridge: float = 1e-5
+    stumble_threshold: float = 1.5  # inf: the agent never trips
     pretrain: PretrainConfig = field(default_factory=PretrainConfig)  # for n_skills skills
 
     def __post_init__(self):
-        if self.task not in TASKS:
-            raise ConfigError(f"unknown task {self.task!r} (choose from {TASKS})")
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r} (choose from {ALGORITHMS})")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r} (choose from {MODES})")
-        if self.maze and self.maze not in LAYOUTS:
+        if self.maze not in LAYOUTS:
             raise ConfigError(f"unknown maze kind {self.maze!r} (choose from {tuple(LAYOUTS)})")
         for name in ("N", "B", "k_0", "k_s", "T", "n_skills"):
             if getattr(self, name) < 1:
@@ -82,8 +75,6 @@ class ExperimentConfig:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
                 raise ConfigError(f"{name} must be finite and > 0")
-        if not (math.isfinite(self.ridge) and self.ridge >= 0.0):
-            raise ConfigError("ridge must be finite and >= 0")
         if self.k_s > self.k_0:
             raise ConfigError("k_s cannot exceed k_0")
         if self.pretrain.proxy == "velocity_direction" and self.n_skills < 2:
@@ -93,20 +84,16 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def maze_kind(self) -> str:
-        return self.maze or TASK_MAZE[self.task]
-
     def env_config(self) -> EnvConfig:
         return EnvConfig(max_episode_steps=self.T, action_scale=self.action_scale,
                          dt=self.dt, v_max=self.v_max, ray_max=self.ray_max,
-                         stumble_enabled=self.task != "swimmer_maze_lite",
                          stumble_threshold=self.stumble_threshold)
 
     def build_env(self) -> PointEnv:
         if self.maze_file:
             maze = load_maze_file(self.maze_file, cell_size=self.cell_size)
         else:
-            maze = build_maze(self.maze_kind(), cell_size=self.cell_size)
+            maze = build_maze(self.maze, cell_size=self.cell_size)
         return PointEnv(maze, self.env_config())
 
     def to_dict(self) -> dict:

@@ -105,10 +105,6 @@ class MazeSpec:
             raise ValueError("start cells must form exactly one connected region")
         if len(goals) > 1:
             raise ValueError("at most one goal cell is supported")
-        if self.kind in ("c_maze", "mirrored", "spiral") and len(goals) != 1:
-            raise ValueError(f"{self.kind} requires exactly one goal cell")
-        if self.kind in ("gather", "open_field") and goals:
-            raise ValueError(f"{self.kind} must not contain a goal cell")
         self.walls = walls
         self.start_cells = tuple(starts)
         self.goal_cell = goals[0] if goals else None

@@ -8,10 +8,10 @@ is the world frame, and every observation is taken in it.
 
 Sustained overdrive stands in for the legged agent tripping: commanding
 an action whose norm exceeds the stumble threshold for 3 consecutive
-steps terminates the episode with the death reward. Reaching the goal
-cell pays the goal reward; gather arenas instead pay per food/bomb
-contact. All remaining rewards are zero, and no discounting happens
-here.
+steps terminates the episode with the death reward; an infinite
+threshold turns trips off. Reaching the goal cell pays the goal reward;
+gather arenas instead pay per food/bomb contact. All remaining rewards
+are zero, and no discounting happens here.
 """
 
 from __future__ import annotations
@@ -44,16 +44,17 @@ class EnvConfig:
     dt: float = 0.2
     v_max: float = 2.0
     ray_max: float = 16.0
-    stumble_enabled: bool = True
-    stumble_threshold: float = 1.5
+    stumble_threshold: float = 1.5  # inf: no action trips the agent
 
     def __post_init__(self):
         if self.max_episode_steps < 1:
             raise ValueError("max_episode_steps must be >= 1")
-        for name in ("dt", "v_max", "action_scale", "ray_max", "stumble_threshold"):
+        for name in ("dt", "v_max", "action_scale", "ray_max"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be finite and > 0")
+        if not self.stumble_threshold > 0.0:  # NaN fails too
+            raise ValueError("stumble_threshold must be > 0 (inf turns trips off)")
 
 
 class EpisodeBatch(NamedTuple):
@@ -152,7 +153,7 @@ class PointEnv:
         dt, v_max, horizon = cfg.dt, cfg.v_max, cfg.max_episode_steps
         goal_row, goal_col = maze.goal_cell or (None, None)
         gain = cfg.action_scale * dt
-        threshold = cfg.stumble_threshold if cfg.stumble_enabled else math.inf
+        threshold = cfg.stumble_threshold
         hypot, floor, inf = math.hypot, math.floor, math.inf
         kinematics, overdrive, end = [], [], []  # kinematics: 6 floats per lane
         for (x, y), (vx, vy), (ax, ay), od, t in zip(

@@ -97,7 +97,7 @@ def raycast(position: np.ndarray, maze, ray_max: float) -> np.ndarray:
 
 def goal_bearing(position: np.ndarray, goal: np.ndarray | None) -> np.ndarray:
     """Unit vectors to the goal from an (L, 2) batch of points, as (L, 2)
-    rows; tasks without a goal report zero vectors."""
+    rows; arenas without a goal report zero vectors."""
     rows = np.asarray(position, dtype=np.float64).tolist()
     if goal is None:
         return np.zeros((len(rows), 2))

@@ -175,13 +175,7 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: str,
     """
     t0 = time.perf_counter()
     env = cfg.build_env()
-    if cfg.algorithm != "flat_trpo":
-        algo = _hierarchical(cfg, env, seed, skills_checkpoint, transfer, source_checkpoint)
-    elif skills_checkpoint or transfer:
-        raise ConfigError("flat_trpo trains its one policy from scratch: "
-                          "it takes no pre-trained skills and no transfer")
-    else:
-        algo = _flat(cfg, env, seed)
+    algo = _algorithm(cfg, env, seed, skills_checkpoint, transfer, source_checkpoint)
     run_dir = os.path.join(out_dir, f"seed_{seed}")
     os.makedirs(run_dir, exist_ok=True)
     if os.path.exists(os.path.join(run_dir, "run.json")):  # it would mark this run finished
@@ -221,7 +215,7 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: str,
         timing.close()
 
     save_checkpoint(os.path.join(run_dir, "checkpoint.bin"), algo.segments(),
-                    metadata={"algorithm": cfg.algorithm, "task": cfg.task, "seed": seed,
+                    metadata={"algorithm": cfg.algorithm, "seed": seed, "transfer": transfer or "",
                               "config_hash": cfg.config_hash(), **algo.metadata})
     _trace_trajectories(os.path.join(run_dir, "trajectories.csv"), env, algo.collector(), seed)
     payload = {
@@ -240,6 +234,18 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: str,
     with atomic_open(os.path.join(run_dir, "run.json")) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
     return run_dir
+
+
+def _algorithm(cfg, env, seed, skills_checkpoint, transfer, source_checkpoint) -> _Algorithm:
+    """The seed's algorithm, its policies built and loaded from the
+    given checkpoints; raises before anything is written if they do not
+    fit the config."""
+    if cfg.algorithm != "flat_trpo":
+        return _hierarchical(cfg, env, seed, skills_checkpoint, transfer, source_checkpoint)
+    if skills_checkpoint or transfer:
+        raise ConfigError("flat_trpo trains its one policy from scratch: "
+                          "it takes no pre-trained skills and no transfer")
+    return _flat(cfg, env, seed)
 
 
 def _hierarchical(cfg, env, seed, skills_checkpoint, transfer, source_checkpoint) -> _Algorithm:
@@ -317,7 +323,7 @@ def flat_iteration(policy, env, cfg: ExperimentConfig, seed: int, iteration: int
     pair, as haar_iteration does."""
     obs, acts, means, logps, run = collect_flat(policy, env, cfg.B, (seed, iteration), lanes)
     rets = discounted_returns(run.reward, run.done, cfg.gamma_l)
-    v = fit_value_on_scaled(obs, rets, env.high_obs_scale, cfg.ridge)
+    v = fit_value_on_scaled(obs, rets, env.high_obs_scale)
     adv = rets - v.predict(obs)
     batch = AdvantageBatch(obs, acts, adv, logps, policy.old_dist(means))
     diag = trpo_update(policy, batch, cfg.max_kl)
@@ -331,14 +337,19 @@ def run_train(cfg: ExperimentConfig, out_dir: str,
               jobs: int = 1, log=None) -> list[str]:
     """Run every seed of the config; returns the run directories.
 
-    `skills` / `source` map each seed to its checkpoint path. Seeds run
-    as independent processes when jobs > 1; outputs are identical
-    either way.
+    `skills` / `source` map each seed to its checkpoint path. Every
+    seed's policies are built and loaded once before the first seed
+    runs, so a checkpoint that does not fit fails the whole run before
+    anything is written. Seeds run as independent processes when
+    jobs > 1; outputs are identical either way.
     """
-    os.makedirs(out_dir, exist_ok=True)
     skills, source = skills or {}, source or {}
     tasks = [(cfg, seed, out_dir, skills.get(seed), transfer, source.get(seed))
              for seed in cfg.seeds]
+    env = cfg.build_env()
+    for seed in cfg.seeds:
+        _algorithm(cfg, env, seed, skills.get(seed), transfer, source.get(seed))
+    os.makedirs(out_dir, exist_ok=True)
     return _map_seeds(run_single_seed, tasks, jobs, log)
 
 

@@ -261,7 +261,7 @@ def haar_iteration(pi_h: CategoricalPolicy, pi_l: GaussianPolicy | CategoricalPo
                              lanes=lanes)
 
     v_h = fit_value_on_scaled(batch.s_h, discounted_returns(batch.r_h, batch.done_h, cfg.gamma_h),
-                              env.high_obs_scale, cfg.ridge)
+                              env.high_obs_scale)
     advantages = estimate_high_advantages(batch, v_h, cfg.gamma_h)
     r_l = assign_auxiliary_rewards(batch, advantages)
 
@@ -272,7 +272,7 @@ def haar_iteration(pi_h: CategoricalPolicy, pi_l: GaussianPolicy | CategoricalPo
     low_advantages = None
     if do_low:  # the low level's returns and baseline serve only its step
         returns_l = discounted_returns(r_l, batch.done_l, cfg.gamma_l)
-        v_l = fit_value_on_scaled(batch.low_l, returns_l, env.low_obs_scale, cfg.ridge)
+        v_l = fit_value_on_scaled(batch.low_l, returns_l, env.low_obs_scale)
         low_advantages = returns_l - v_l.predict(batch.low_l)
     high_batch, low_batch = prepare_level_batches(batch, advantages, low_advantages, pi_l,
                                                   cfg.n_skills)
@@ -285,9 +285,10 @@ def haar_iteration(pi_h: CategoricalPolicy, pi_l: GaussianPolicy | CategoricalPo
     return batch_metrics(k, batch.n_low_steps, batch.success, batch.total_return), updates
 
 
-def fit_value_on_scaled(states: np.ndarray, targets: np.ndarray, scale: np.ndarray,
-                        ridge: float) -> PolynomialValueEstimator:
-    """Fit on rescaled inputs for conditioning, then fold the scale into
-    the weights so the estimator consumes raw observations."""
-    est = fit_value(states * scale, targets, ridge)
+def fit_value_on_scaled(states: np.ndarray, targets: np.ndarray,
+                        scale: np.ndarray) -> PolynomialValueEstimator:
+    """Fit on rescaled inputs for conditioning (at fit_value's default
+    ridge), then fold the scale into the weights so the estimator
+    consumes raw observations."""
+    est = fit_value(states * scale, targets)
     return fold_input_scale(est, scale)

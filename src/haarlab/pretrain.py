@@ -31,7 +31,6 @@ from .nets import MlpSpec
 from .policies import GaussianPolicy
 from .rollout import run_lanes
 from .trpo import AdvantageBatch, trpo_update
-from .values import DEFAULT_RIDGE
 
 PRETRAIN_STREAM = 0x5E
 INIT_STREAM = 0x11
@@ -77,10 +76,10 @@ def proxy_rewards(skill: np.ndarray, position: np.ndarray, next_position: np.nda
 
 
 def open_field_env(steps: int, env_cfg: EnvConfig | None = None) -> PointEnv:
-    """The open arena with episodes of `steps` steps; without a stumble
-    rule unless env_cfg, which sets its physics, enables one. It has no
-    goal: the arena only exists to let skills move."""
-    env_cfg = replace(env_cfg or EnvConfig(stumble_enabled=False), max_episode_steps=steps)
+    """The open arena with episodes of `steps` steps; the agent never
+    trips unless env_cfg, which sets its physics, has a finite stumble
+    threshold. It has no goal: the arena only exists to let skills move."""
+    env_cfg = replace(env_cfg or EnvConfig(stumble_threshold=math.inf), max_episode_steps=steps)
     return PointEnv(build_maze("open_field"), env_cfg)
 
 
@@ -146,7 +145,7 @@ def pretrain_skills(cfg: PretrainConfig, n_skills: int, seed: int,
         next_position[run.done] = run.final.position
         rewards = proxy_rewards(skill, position, next_position, n_skills)
         returns = discounted_returns(rewards, run.done, cfg.gamma)
-        v = fit_value_on_scaled(xs, returns, pi_l.input_scale, DEFAULT_RIDGE)
+        v = fit_value_on_scaled(xs, returns, pi_l.input_scale)
         adv = returns - v.predict(xs)
         batch = AdvantageBatch(xs, acts, adv, logps, pi_l.old_dist(dists))
         diag = trpo_update(pi_l, batch, PRETRAIN_MAX_KL)

@@ -206,7 +206,7 @@ def step_loops(maze, cfg, state, action, face_eps=1e-9, stumble_steps=3):
                 row = nxt
 
     cmd = math.hypot(ax, ay)
-    overdriven = cfg.stumble_enabled and cmd > cfg.stumble_threshold
+    overdriven = cmd > cfg.stumble_threshold
     overdrive = int(state.overdrive[0]) + 1 if overdriven else 0
     t = int(state.t[0]) + 1
     reward, done = 0.0, False

@@ -6,11 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from haarlab.checkpoint import CheckpointError
+from haarlab.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from haarlab.cli import _resolve_per_seed, main
 
 TINY = """
-task = point_maze
 algorithm = haar
 N = 2
 B = 150
@@ -92,7 +91,7 @@ def test_config_given_a_directory_fails_cleanly(tmp_path, capsys):
 
 
 def test_invalid_config_fails_with_nonzero_exit(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, text="task = quake\n", name="bad.cfg")
+    cfg = write_cfg(tmp_path, text="algorithm = quake\n", name="bad.cfg")
     code = main(["train", "--config", cfg, "--out", str(tmp_path / "r"), "--quiet"])
     assert code == 2
     assert "error" in capsys.readouterr().err
@@ -188,7 +187,7 @@ def test_transfer_holds_the_skill_length_at_k_s(tmp_path):
         assert json.load(fh)["config"]["k_0"] == 100
 
 
-FLAT = "task = point_maze\nalgorithm = flat_trpo\nN = 1\nB = 100\nT = 25\n"
+FLAT = "algorithm = flat_trpo\nN = 1\nB = 100\nT = 25\n"
 
 
 def test_flat_trpo_refuses_transfer(tmp_path, capsys):
@@ -201,6 +200,23 @@ def test_flat_trpo_refuses_transfer(tmp_path, capsys):
         assert main(["transfer", "--config", cfg, "--source", src, "--transfer", mode,
                      "--out", str(out), "--quiet"]) == 2
         assert "flat_trpo" in capsys.readouterr().err
+    assert not (out / "seed_0").exists()
+
+
+def test_transfer_checks_every_seed_source_before_the_first_seed_runs(tmp_path, capsys):
+    # seed 1's source lacks a segment: the transfer used to train all of
+    # seed 0 and only then fail on seed 1
+    cfg = write_cfg(tmp_path, text=TINY.replace("velocity_direction", "random_init"))
+    src = tmp_path / "src"
+    assert main(["train", "--config", cfg, "--out", str(src), "--seed", "0,1", "--quiet"]) == 0
+    path = str(src / "seed_1" / "checkpoint.bin")
+    segments, metadata = load_checkpoint(path)
+    del segments["pi_l/mean_net"]
+    save_checkpoint(path, segments, metadata)
+    out = tmp_path / "tr"
+    assert main(["transfer", "--config", cfg, "--source", str(src), "--transfer", "both",
+                 "--seed", "0,1", "--out", str(out), "--quiet"]) == 2
+    assert "lacks segment 'pi_l/mean_net'" in capsys.readouterr().err
     assert not (out / "seed_0").exists()
 
 

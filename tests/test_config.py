@@ -1,4 +1,6 @@
 import glob
+import json
+import math
 import os
 
 import pytest
@@ -15,7 +17,7 @@ CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 def test_defaults_mirror_reference_table():
     cfg = ExperimentConfig()
-    assert cfg.task == "point_maze"
+    assert cfg.maze == "c_maze"
     assert cfg.gamma_h == 0.99 and cfg.gamma_l == 0.99
     assert cfg.k_0 == 100 and cfg.k_s == 10
     assert cfg.B == 5000 and cfg.N == 300
@@ -33,8 +35,6 @@ def test_no_anneal_forces_constant_skill_length():
 
 
 def test_validation_errors():
-    with pytest.raises(ConfigError):
-        ExperimentConfig(task="mujoco_ant")
     with pytest.raises(ConfigError):
         ExperimentConfig(algorithm="ppo")
     with pytest.raises(ConfigError):
@@ -60,7 +60,7 @@ def test_unknown_maze_kind_refused_naming_the_kinds():
 def test_parse_config_text_round_trip():
     text = """
     # experiment
-    task = point_maze
+    maze = spiral
     algorithm = haar
     N = 40
     B = 2000
@@ -71,6 +71,7 @@ def test_parse_config_text_round_trip():
     pretrain.proxy = random_init
     """
     cfg = parse_config_text(text)
+    assert cfg.maze == "spiral"
     assert cfg.N == 40 and cfg.B == 2000
     assert cfg.gamma_h == 0.95
     assert cfg.seeds == (1, 2, 3)
@@ -88,7 +89,7 @@ def test_parse_rejects_bad_value():
     with pytest.raises(ConfigError):
         parse_config_text("N = ten")
     with pytest.raises(ConfigError):
-        parse_config_text("task point_maze")
+        parse_config_text("maze c_maze")
 
 
 @pytest.mark.parametrize("text, lines", [
@@ -103,7 +104,8 @@ def test_parse_rejects_repeated_key(text, lines):
 
 def test_every_shipped_config_loads():
     paths = sorted(glob.glob(os.path.join(CONFIGS, "*.cfg")))
-    assert "point_maze_no_anneal.cfg" in map(os.path.basename, paths)
+    names = set(map(os.path.basename, paths))
+    assert {"point_maze_no_anneal.cfg", "point_maze_no_trips.cfg"} <= names
     for path in paths:
         load_config(path)
 
@@ -133,10 +135,10 @@ def test_string_overrides_parse_as_file_lines(tmp_path):
 
 def test_load_config_file(tmp_path):
     path = tmp_path / "exp.cfg"
-    path.write_text("task = point_gather\nN = 5\nseeds = 4\n")
+    path.write_text("maze = gather\nN = 5\nseeds = 4\n")
     cfg = load_config(str(path))
-    assert cfg.task == "point_gather"
-    assert cfg.maze_kind() == "gather"
+    assert cfg.maze == "gather"
+    assert cfg.build_env().maze.kind == "gather"
     assert cfg.seeds == (4,)
 
 
@@ -184,9 +186,25 @@ def test_velocity_direction_needs_two_skills():
     assert ExperimentConfig(n_skills=1, pretrain=PretrainConfig(proxy="random_init")).n_skills == 1
 
 
-def test_swimmer_variant_disables_stumble():
-    assert ExperimentConfig(task="swimmer_maze_lite").env_config().stumble_enabled is False
-    assert ExperimentConfig(task="point_maze").env_config().stumble_enabled is True
+def test_no_trips_config_turns_trips_off():
+    # the no-trips arm is point_maze.cfg's maze with an infinite stumble
+    # threshold; run.json echoes it as Infinity, which json reads back
+    cfg = load_config(os.path.join(CONFIGS, "point_maze_no_trips.cfg"))
+    assert cfg.maze == "c_maze" and cfg.stumble_threshold == math.inf
+    assert cfg.env_config().stumble_threshold == math.inf
+    echo = json.dumps(cfg.to_dict())
+    assert '"stumble_threshold": Infinity' in echo
+    assert json.loads(echo) == cfg.to_dict()
+    assert ExperimentConfig().env_config().stumble_threshold == 1.5
+
+
+@pytest.mark.parametrize("text", ["task = point_maze\n", "task = swimmer_maze_lite\n",
+                                  "ridge = 1e-5\n", "ridge = 0\n"])
+def test_task_and_ridge_are_no_keys(text):
+    # `maze` names the arena and the value fit's ridge is a constant
+    with pytest.raises(ConfigError, match=r"unknown config key '(task|ridge)'"):
+        parse_config_text(text)
+    assert not {"task", "ridge"} & set(ExperimentConfig().to_dict())
 
 
 def test_maze_file_override(tmp_path):
@@ -226,13 +244,15 @@ def test_pretrain_config_rejects_bad_horizon():
                                   "ridge = -1", "ridge = nan",
                                   "cell_size = 0", "cell_size = -4", "cell_size = nan"])
 def test_config_file_rejects_bad_max_kl_ridge_and_cell_size(text):
-    # each used to fail only after a batch was collected, crash, or run on
+    # each used to fail only after a batch was collected, crash, or run on;
+    # ridge is no key now, so any ridge line is refused
     with pytest.raises(ConfigError, match=text.split()[0]):
         parse_config_text(text)
 
 
 BAD_PHYSICS = ["ray_max = 0", "ray_max = -1", "stumble_threshold = nan", "action_scale = nan",
-               "action_scale = -4", "dt = 0", "dt = inf", "v_max = nan", "v_max = -1"]
+               "action_scale = -4", "dt = 0", "dt = inf", "v_max = nan", "v_max = -1",
+               "stumble_threshold = 0", "stumble_threshold = -1", "stumble_threshold = -inf"]
 
 
 @pytest.mark.parametrize("text", BAD_PHYSICS)
@@ -251,9 +271,11 @@ def test_env_config_rejects_bad_physics(text):
         EnvConfig(**{name: float(value)})
 
 
-def test_boundary_ridge_and_small_positive_values_accepted():
-    cfg = ExperimentConfig(max_kl=1e-6, ridge=0.0, cell_size=0.5)
-    assert (cfg.max_kl, cfg.ridge, cfg.cell_size) == (1e-6, 0.0, 0.5)
+def test_boundary_and_small_positive_values_accepted():
+    cfg = ExperimentConfig(max_kl=1e-6, cell_size=0.5, stumble_threshold=1e-9)
+    assert (cfg.max_kl, cfg.cell_size, cfg.stumble_threshold) == (1e-6, 0.5, 1e-9)
+    # the stumble threshold alone may be infinite: no action trips the agent
+    assert parse_config_text("stumble_threshold = inf\n").stumble_threshold == math.inf
 
 
 @pytest.mark.parametrize("text", ["tau = nan", "tau = inf", "seeds = -1", "seeds = 0, 0",

@@ -1,6 +1,7 @@
 import copy
 import csv
 import json
+import math
 import os
 from dataclasses import replace
 
@@ -81,7 +82,7 @@ def test_run_loop_writes_the_row_of_a_level_that_took_no_step(tmp_path):
     # one in the second: the run loop fills the columns of the level that
     # stepped from its update and the other level's with zeros (the gather
     # arena pays on contact, so both updates move)
-    cfg = tiny_cfg(mode="alternate", N=2, task="point_gather")
+    cfg = tiny_cfg(mode="alternate", N=2, maze="gather")
     run_dir = run_single_seed(cfg, 0, str(tmp_path))
     with open(os.path.join(run_dir, "metrics.csv"), newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -159,7 +160,7 @@ def reward_free_cfg(tmp_path, **kw):
     # both policies keep their startup parameters through training
     maze = tmp_path / "strip.txt"
     maze.write_text(NO_GOAL_MAZE)
-    return tiny_cfg(maze_file=str(maze), task="swimmer_maze_lite", **kw)
+    return tiny_cfg(maze_file=str(maze), stumble_threshold=math.inf, **kw)
 
 
 def test_transfer_low_only_loads_only_low_segments(tmp_path):

@@ -16,6 +16,7 @@ import subprocess
 import sys
 
 import haarlab
+from haarlab.checkpoint import load_checkpoint
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
@@ -38,13 +39,13 @@ pretrain.batch_low_steps = 300
 pretrain.episode_steps = 50
 """
 
-HAAR = ("task = point_maze\nmaze_file = corridor.txt\nk_0 = 12\nk_s = 3\n"
+HAAR = ("maze_file = corridor.txt\nk_0 = 12\nk_s = 3\n"
         "v_max = 1.2\nstumble_threshold = 1.2\n")
 
 CONFIGS = {
     "haar": HAAR,
-    "frozen_skills": "task = point_gather\nalgorithm = frozen_skills\nk_0 = 5\nk_s = 5\n",
-    "flat_trpo": "task = point_maze\nalgorithm = flat_trpo\nmaze_file = corridor.txt\n",
+    "frozen_skills": "maze = gather\nalgorithm = frozen_skills\nk_0 = 5\nk_s = 5\n",
+    "flat_trpo": "algorithm = flat_trpo\nmaze_file = corridor.txt\n",
     "alternate": HAAR + "mode = alternate\n",
     "haar_no_anneal": HAAR.replace("k_0 = 12", "k_0 = 3"),  # the skill length held at k_s
 }
@@ -76,8 +77,8 @@ GOLDEN = {
     "haar/trajectories.csv":
         "d85f34fdef2bde6d749cc5299cc873f5aa15536024c553993c95418e112b904a",
     "haar/checkpoint.bin":
-        "dcd6da1187b7317254706ce619ae10db6b7da1886ab88d30f4940548e5df8379",
-    "haar/config_hash": "756b79f803d1",
+        "eadcfb32e7d2c123eea06cade45212c1f0959fa82484847806016f0460f8d1c3",
+    "haar/config_hash": "726b53e97b8d",
     "frozen_skills/metrics.csv":
         "c935c4ad7e917f2984246c60f2c99383122fefb9f4f2b354bbe8fed890c116c1",
     "frozen_skills/diagnostics.csv":
@@ -85,8 +86,8 @@ GOLDEN = {
     "frozen_skills/trajectories.csv":
         "5f91776452880a8f1a388cba58d2ef66535b3d42788c7bea713258ad04475998",
     "frozen_skills/checkpoint.bin":
-        "250413247fc853ca2efbea97e66fbd479cf0f9f0074aabb5aa5da128a36f189f",
-    "frozen_skills/config_hash": "f058de66f772",
+        "7a141c774fa4a7b45390fdc27674ef977f08e0f0065c4710c21d0b9e9e12a237",
+    "frozen_skills/config_hash": "4d1f020d38ee",
     "flat_trpo/metrics.csv":
         "896d4e6e7de990608f557be29cecf39c4cee2794d802f2eece6790953d98b600",
     "flat_trpo/diagnostics.csv":
@@ -94,8 +95,8 @@ GOLDEN = {
     "flat_trpo/trajectories.csv":
         "d8a3a0758f997e42deb37d96bc111e09cb6e02bc6f678825615113717848a340",
     "flat_trpo/checkpoint.bin":
-        "ea3b08781475342eb6f8d1a1822b3bc0b6947c9867643a0b99f1e0c61abee936",
-    "flat_trpo/config_hash": "aa209d7a56bd",
+        "c74d25357da2aa868d0397113813cdfe85c7694d1a04074299b3922154bff493",
+    "flat_trpo/config_hash": "933650b2645e",
     "alternate/metrics.csv":
         "afc3417776f9c555d2bfdc1dd8e3570ebfb084031e2f56451dac2395af4820b3",
     "alternate/diagnostics.csv":
@@ -103,8 +104,8 @@ GOLDEN = {
     "alternate/trajectories.csv":
         "bf0cce57d865db6b52fa23db8d27c42206ca109d2227bebae2e28918967442a8",
     "alternate/checkpoint.bin":
-        "1dad486e7e5d2da263bb15cdf74fc8e27949ca4ab0520d67e6d12cbc6357b52d",
-    "alternate/config_hash": "bfce820d31d6",
+        "428379cbbb17371bec29ab7c99e4e4043879da48db75661eda73bf833c598f5b",
+    "alternate/config_hash": "9fa4a772c7a5",
     "haar_no_anneal/metrics.csv":
         "e822a2bf8b086c0f96424bb46af933794b006947279aa7a4247c6427ddbb37dd",
     "haar_no_anneal/diagnostics.csv":
@@ -112,8 +113,8 @@ GOLDEN = {
     "haar_no_anneal/trajectories.csv":
         "73722373acea99415a21ba6f9a2948c9fb32d72221deeab5a3faa4af56de8199",
     "haar_no_anneal/checkpoint.bin":
-        "a9b9ddff3e6275fb1b48a5fef9cd192a798c7030c2de85e6871381c935d168ad",
-    "haar_no_anneal/config_hash": "08e6a818d387",
+        "a4df557ba9268bf5d81178afdd727c40b09e81922c4d23b86e2a57ee8b6ced9a",
+    "haar_no_anneal/config_hash": "deeb89a7ec40",
     "cli_override/metrics.csv":
         "0e5bef6de97cb46db5c59e9d59d0cfbd8e5b055aa3fe77845c171404559cf228",
     "cli_override/diagnostics.csv":
@@ -121,8 +122,8 @@ GOLDEN = {
     "cli_override/trajectories.csv":
         "94ab99ad9796232d6352c697e1e6d00458a1d9828e0833c20421ed6d199389f2",
     "cli_override/checkpoint.bin":
-        "d8bcd8b27450126366a9f6aa9ed60666f2d41caac22f507bbfca8fd9cbe4282c",
-    "cli_override/config_hash": "38dbb3606d1b",
+        "915a26ebfa8daa913c34cf3056947b1fa94361b5049ac040a872d5335461c8c9",
+    "cli_override/config_hash": "085270a3c9fa",
     "transfer_both/metrics.csv":
         "806135d4dc479512c1b84024e36280b0ef0c78c142e3a6e0355c42c65f65e098",
     "transfer_both/diagnostics.csv":
@@ -130,8 +131,8 @@ GOLDEN = {
     "transfer_both/trajectories.csv":
         "306700ef0d67fd9373ebe265f0b3719fb3137dcc55081083b0d853e53ea71e5e",
     "transfer_both/checkpoint.bin":
-        "f0b4500deef4f0307f71831ada35afeec8e9a39adf0f0b69aaa973c3e7fa57c1",
-    "transfer_both/config_hash": "08e6a818d387",
+        "02b1f6386e7461152f4d8fee0a9e45af0f5697fe62ca0bf382c949b6a154616e",
+    "transfer_both/config_hash": "deeb89a7ec40",
     "transfer_low_only/metrics.csv":
         "93df42c4274065474713bd8ee33d41e3977646a116d4b8c09cbc81565ae9ce5f",
     "transfer_low_only/diagnostics.csv":
@@ -139,8 +140,8 @@ GOLDEN = {
     "transfer_low_only/trajectories.csv":
         "3ace1b36133a286a5d022173310e62a941e18288ec9751db08011dcd95a60c87",
     "transfer_low_only/checkpoint.bin":
-        "fb978ede1c095a3902d61e930a32383c81ef05db20e2c3ef3588641c2469106f",
-    "transfer_low_only/config_hash": "08e6a818d387",
+        "91d2cbb03ab76ae904da9b65ba33c5ba3e3876d8d21b24137c00ba77928eda59",
+    "transfer_low_only/config_hash": "deeb89a7ec40",
 }
 
 
@@ -181,3 +182,10 @@ def test_tiny_runs_match_recorded_bytes(tmp_path):
         got[f"{name}/config_hash"] = _config_hash(run_dir)
     moved = sorted(key for key in GOLDEN.keys() | got.keys() if got.get(key) != GOLDEN.get(key))
     assert got == GOLDEN, "moved: " + ", ".join(moved)
+    # the two transfers and the k_0 = 3 train share a config hash; their
+    # checkpoints still say how each run's policies started
+    metadata = {name: load_checkpoint(str(tmp_path / name / "seed_0" / "checkpoint.bin"))[1]
+                for name in ("haar_no_anneal", "transfer_both", "transfer_low_only")}
+    assert {name: meta["transfer"] for name, meta in metadata.items()} == {
+        "haar_no_anneal": "", "transfer_both": "both", "transfer_low_only": "low_only"}
+    assert len({got[f"{name}/config_hash"] for name in metadata}) == 1

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -244,7 +246,7 @@ def test_segments_draw_the_skill_uniform_then_k_noise_rows():
     # after reset's draws (integers, random(2)), each segment takes its
     # skill's uniform and then a block of k low-step rows from the episode's
     # stream, the last segment's block included when the horizon cuts it short
-    env = make_env("c_maze", max_episode_steps=12, stumble_enabled=False)
+    env = make_env("c_maze", max_episode_steps=12, stumble_threshold=math.inf)
     pi_h, pi_l = make_policies(env, seed=5)
     k = 5
     batch = collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget_low_steps=12, k=k, seed=(3,))
@@ -455,7 +457,7 @@ def test_schedule_advances_once_per_iteration():
 
 
 def test_reward_free_env_leaves_policies_unchanged():
-    env = make_env("open_field", max_episode_steps=20, stumble_enabled=False)
+    env = make_env("open_field", max_episode_steps=20, stumble_threshold=math.inf)
     pi_h, pi_l, cfg = make_run(env)
     h0, l0 = pi_h.flat(), pi_l.flat()
     _, updates = iterate(pi_h, pi_l, env, cfg, 0)
@@ -487,9 +489,9 @@ def test_low_level_fits_only_for_its_step(monkeypatch, mode, update_low, fits):
                                algorithm="haar" if update_low else "frozen_skills")
     calls = []
 
-    def recording_fit(states, targets, scale, ridge):
+    def recording_fit(states, targets, scale):
         calls.append("high" if states.shape[1] == env.high_obs_dim else "low")
-        return fit(states, targets, scale, ridge)
+        return fit(states, targets, scale)
 
     fit = hierarchy.fit_value_on_scaled
     monkeypatch.setattr(hierarchy, "fit_value_on_scaled", recording_fit)

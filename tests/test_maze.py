@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from haarlab.envs.maze import (MazeSpec, build_maze, load_maze_file, n_connected_regions,
-                               parse_maze_text, sample_gather_sites)
+from haarlab.envs.maze import (GOAL, LAYOUTS, MazeSpec, build_maze, load_maze_file,
+                               n_connected_regions, parse_maze_text, sample_gather_sites)
 
 from helpers import cell_of
 
@@ -72,10 +72,14 @@ def test_single_start_region_required():
 
 
 def test_goal_rules_per_kind():
-    with pytest.raises(ValueError):
-        MazeSpec(tuple("#####,#S..#,#####".split(",")), kind="c_maze")  # no goal
-    with pytest.raises(ValueError):
-        MazeSpec(tuple("#####,#SG.#,#####".split(",")), kind="gather")  # goal not allowed
+    # the mazes have one goal and the arenas none: a fact of the layout
+    # table, which MazeSpec does not re-check per kind
+    assert {kind: text.count(GOAL) for kind, text in LAYOUTS.items()} == {
+        "c_maze": 1, "mirrored": 1, "spiral": 1, "gather": 0, "open_field": 0}
+    # any layout may hold at most one goal, whatever its kind
+    with pytest.raises(ValueError, match="at most one goal"):
+        MazeSpec(tuple("######,#SGG.#,######".split(",")), kind="c_maze")
+    assert MazeSpec(tuple("#####,#S..#,#####".split(",")), kind="c_maze").goal_cell is None
 
 
 def test_load_maze_file(tmp_path):

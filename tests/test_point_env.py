@@ -1,4 +1,7 @@
+import math
+
 import numpy as np
+import pytest
 from helpers import END_CODES, cell_of, end_code, step_loops
 
 from haarlab.envs.maze import build_maze, parse_maze_text
@@ -196,12 +199,27 @@ def test_interrupted_overdrive_survives():
 
 
 def test_stumble_can_be_disabled():
-    env = make_env("open_field", stumble_enabled=False)
+    env = make_env("open_field", stumble_threshold=math.inf)
     state, _ = env.reset(np.random.default_rng(8))
     big = np.array([9.0, 0.0])
     for _ in range(10):
         state, _, _, done, end = step_one(env, state, big)
     assert not done and end == 0
+
+
+@pytest.mark.parametrize("threshold, ends", [(math.inf, [0] * 49 + [END_CODES["timeout"]]),
+                                              (1.5, [0, 0, END_CODES["death"]])])
+def test_huge_action_trips_only_under_a_finite_threshold(threshold, ends):
+    # an action of norm ~1.4e300 exceeds any finite threshold and none
+    # exceeds inf: the lane then runs to its timeout and never ends with 2
+    env = make_env("open_field", stumble_threshold=threshold, max_episode_steps=50)
+    state, _ = env.reset(np.random.default_rng(8))
+    huge = np.array([1e300, 1e300])
+    got = []
+    while not got or got[-1] == 0:
+        state, _, _, _, end = step_one(env, state, huge)
+        got.append(end)
+    assert got == ends
 
 
 # -- task independence and reward sets --------------------------------------------

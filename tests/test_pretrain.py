@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -76,7 +78,7 @@ def test_pretraining_beats_random_policy_on_projection():
     # desk-budget pre-training: displacement along each skill's target
     # direction must dominate a random policy's by a wide margin
     cfg = PretrainConfig(iterations=12, batch_low_steps=3000, episode_steps=250)
-    env_cfg = EnvConfig(stumble_enabled=False, v_max=1.2)
+    env_cfg = EnvConfig(stumble_threshold=math.inf, v_max=1.2)
     trained, _ = pretrain_skills(cfg, 6, seed=3, env_cfg=env_cfg)
     random_pol = fresh_low_policy(cfg, 6, open_field_env(250, env_cfg), seed=3)
 

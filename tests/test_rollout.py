@@ -225,7 +225,7 @@ EDGES = {
 @pytest.mark.parametrize("edge", sorted(EDGES))
 def test_budget_edges(edge):
     budget, horizon, episodes, taken_by_three = EDGES[edge]
-    env = point_env("c_maze", max_episode_steps=horizon, stumble_enabled=False)
+    env = point_env("c_maze", max_episode_steps=horizon, stumble_threshold=math.inf)
     policy = flat_policy(env)
     runs = [collect_flat(policy, env, budget, (0, 0), lanes) for lanes in LANE_COUNTS]
     for obs, _, _, _, run in runs:
