@@ -42,7 +42,7 @@ class ExperimentConfig:
     mode: str = "concurrent"
     max_kl: float = 0.01
     maze: str = "c_maze"        # the arena: a built-in layout kind (envs.maze.LAYOUTS)
-    maze_file: str = ""         # load a custom maze layout instead
+    maze_file: str = ""         # load a custom maze layout instead (maze keeps its default)
     cell_size: float = 4.0
     v_max: float = 2.0
     dt: float = 0.2
@@ -58,6 +58,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown mode {self.mode!r} (choose from {MODES})")
         if self.maze not in LAYOUTS:
             raise ConfigError(f"unknown maze kind {self.maze!r} (choose from {tuple(LAYOUTS)})")
+        if self.maze_file and self.maze != "c_maze":
+            raise ConfigError(f"maze_file replaces the maze kind: maze = {self.maze!r} "
+                              "would be echoed but not built (leave maze at c_maze)")
         for name in ("N", "B", "k_0", "k_s", "T", "n_skills"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")

@@ -23,6 +23,7 @@ changing any output byte.
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 import os
 import time
@@ -52,6 +53,11 @@ METRIC_COLUMNS = ("iteration", "low_steps_total", "k", "success_rate", "mean_ret
 DIAG_COLUMNS = ("iteration", "level", "kl", "surrogate_before", "surrogate_after",
                 "backtracks", "accepted")
 TRACE_EPISODES = 10
+
+# glibc's mallopt parameters (malloc.h) and the values every run sets
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 32 << 20   # bytes: smaller blocks come from the heap
+TRIM_THRESHOLD = 256 << 20  # bytes: free heap top kept from the kernel
 
 
 def _fmt(value) -> str:
@@ -160,6 +166,29 @@ class _Algorithm:
     collector: Callable[[], object]                # a fresh training collector, for the trace
 
 
+def _keep_freed_pages() -> bool:
+    """Keep freed heap pages in the process for reuse; returns whether
+    it could.
+
+    glibc maps blocks of MMAP_THRESHOLD bytes or more with mmap, and
+    gives the free top of the heap back to the kernel once it exceeds
+    TRIM_THRESHOLD. At its defaults (128 KiB each, raised as mapped
+    blocks are freed), the low-level TRPO update's ~1.3 MB of
+    temporaries go back to the kernel after every update and fault in
+    again at the next one. No output byte depends on this. A C library
+    without glibc's mallopt keeps its defaults.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, TypeError):  # no mallopt, or no process handle (Windows)
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    set_mmap = mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    set_trim = mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+    return bool(set_mmap and set_trim)
+
+
 def run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: str,
                     skills_checkpoint: str | None = None,
                     transfer: str | None = None,
@@ -173,6 +202,7 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: str,
     marks a finished run. A run refused while its env and policies are
     built writes nothing.
     """
+    _keep_freed_pages()
     t0 = time.perf_counter()
     env = cfg.build_env()
     algo = _algorithm(cfg, env, seed, skills_checkpoint, transfer, source_checkpoint)
@@ -379,6 +409,7 @@ def _map_seeds(job, tasks: list[tuple], jobs: int, log=None) -> list:
 
 
 def _pretrain_job(cfg, seed, out_dir):
+    _keep_freed_pages()
     pi_l, stats = pretrain_skills(cfg.pretrain, cfg.n_skills, seed)
     path = os.path.join(out_dir, f"skills_seed_{seed}.bin")
     save_checkpoint(path, policy_segments(pi_l=pi_l),

@@ -215,6 +215,19 @@ def test_maze_file_override(tmp_path):
     assert env.maze.goal_cell == (1, 3)
 
 
+def test_maze_file_with_another_maze_kind_refused(tmp_path):
+    # the file replaces the kind, so a kind beside it was echoed in
+    # run.json and the config hash but never built
+    maze = tmp_path / "m.txt"
+    maze.write_text("#####\n#S.G#\n#####\n")
+    with pytest.raises(ConfigError, match="maze_file replaces the maze kind: maze = 'gather'"):
+        ExperimentConfig(maze="gather", maze_file=str(maze))
+    with pytest.raises(ConfigError, match="maze_file replaces"):
+        parse_config_text(f"maze = spiral\nmaze_file = {maze}\n")
+    cfg = parse_config_text(f"maze = c_maze\nmaze_file = {maze}\n")
+    assert cfg.build_env().maze.kind == "custom"
+
+
 def test_pretrain_config_validation():
     with pytest.raises(ValueError):
         PretrainConfig(proxy="entropy")
