@@ -80,8 +80,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be finite and > 0")
         if self.k_s > self.k_0:
             raise ConfigError("k_s cannot exceed k_0")
-        if self.pretrain.proxy == "velocity_direction" and self.n_skills < 2:
-            raise ConfigError("velocity_direction pre-training needs n_skills >= 2 directions")
+        if self.pretrain.iterations > 0 and self.n_skills < 2:
+            raise ConfigError("pre-training needs n_skills >= 2 directions")
         try:
             self.env_config()  # checks the physics
         except ValueError as exc:
@@ -128,7 +128,7 @@ def _field_types() -> dict[str, tuple[str, str, str]]:
     return types
 
 
-def _convert(key: str, raw: str, typ: str):
+def _convert(raw: str, typ: str):
     raw = raw.strip()
     if typ == "tuple[int, ...]":
         if not raw:
@@ -138,12 +138,6 @@ def _convert(key: str, raw: str, typ: str):
         return int(raw)
     if typ in ("float",):
         return float(raw)
-    if typ in ("bool",):
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"cannot parse boolean {raw!r} for {key}")
     return raw
 
 
@@ -155,7 +149,7 @@ def _value(key: str, raw, types: dict, where: str):
     if not isinstance(raw, str):
         return raw
     try:
-        return _convert(key, raw, types[key][2])
+        return _convert(raw, types[key][2])
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{where}bad value for {key}: {exc}") from exc
 

@@ -72,13 +72,13 @@ def _fmt(value) -> str:
 
 def fresh_high_policy(cfg: ExperimentConfig, env, seed: int) -> CategoricalPolicy:
     rng = np.random.default_rng(np.random.SeedSequence((seed, HIGH_INIT_STREAM)))
-    return CategoricalPolicy(MlpSpec(env.high_obs_dim, (32, 32), cfg.n_skills), rng,
+    return CategoricalPolicy(MlpSpec(env.high_obs_dim, output_dim=cfg.n_skills), rng,
                              input_scale=env.high_obs_scale)
 
 
 def fresh_flat_policy(cfg: ExperimentConfig, env, seed: int) -> GaussianPolicy:
     rng = np.random.default_rng(np.random.SeedSequence((seed, FLAT_INIT_STREAM)))
-    return GaussianPolicy(MlpSpec(env.high_obs_dim, (32, 32), 2), rng,
+    return GaussianPolicy(MlpSpec(env.high_obs_dim, output_dim=2), rng,
                           input_scale=env.high_obs_scale)
 
 
@@ -280,7 +280,7 @@ def _algorithm(cfg, env, seed, skills_checkpoint, transfer, source_checkpoint) -
 
 def _hierarchical(cfg, env, seed, skills_checkpoint, transfer, source_checkpoint) -> _Algorithm:
     pi_h = fresh_high_policy(cfg, env, seed)
-    pi_l = fresh_low_policy(cfg.pretrain, cfg.n_skills, env, seed)
+    pi_l = fresh_low_policy(cfg.n_skills, env, seed)
     if transfer in ("both", "low_only"):
         if not source_checkpoint:
             raise ConfigError("transfer runs need a source checkpoint")
@@ -290,10 +290,10 @@ def _hierarchical(cfg, env, seed, skills_checkpoint, transfer, source_checkpoint
         raise ConfigError(f"unknown transfer mode {transfer!r}")
     elif skills_checkpoint:
         load_policy_segments(skills_checkpoint, pi_l=pi_l)
-    elif cfg.pretrain.proxy != "random_init":
+    elif cfg.pretrain.iterations > 0:
         raise ConfigError(
             "pre-trained skills are required (run the pretrain command first, "
-            "or set pretrain.proxy = random_init)")
+            "or set pretrain.iterations = 0)")
 
     # the trace runs each skill for the skill length after the last iteration
     k_trace = skill_length(cfg.k_0, cfg.k_s, cfg.N, cfg.N)
@@ -414,7 +414,6 @@ def _pretrain_job(cfg, seed, out_dir):
     path = os.path.join(out_dir, f"skills_seed_{seed}.bin")
     save_checkpoint(path, policy_segments(pi_l=pi_l),
                     metadata={"n_skills": cfg.n_skills,
-                              "proxy": cfg.pretrain.proxy,
                               "env": "open_field/v1", "seed": seed,
                               "iterations": cfg.pretrain.iterations})
     with atomic_open(os.path.join(out_dir, f"skills_seed_{seed}.json")) as fh:

@@ -287,8 +287,8 @@ def haar_iteration(pi_h: CategoricalPolicy, pi_l: GaussianPolicy | CategoricalPo
 
 def fit_value_on_scaled(states: np.ndarray, targets: np.ndarray,
                         scale: np.ndarray) -> PolynomialValueEstimator:
-    """Fit on rescaled inputs for conditioning (at fit_value's default
-    ridge), then fold the scale into the weights so the estimator
-    consumes raw observations."""
+    """Fit on rescaled inputs for conditioning (at fit_value's ridge),
+    then fold the scale into the weights so the estimator consumes raw
+    observations."""
     est = fit_value(states * scale, targets)
     return fold_input_scale(est, scale)

@@ -1,5 +1,6 @@
 """Initial skill set: directional-displacement pre-training in an open
-arena, or untouched random initialization.
+arena, set by its budget alone (PretrainConfig). Zero iterations leave
+the skills at their random initialization: the untrained-skills arm.
 
 Each pre-training episode runs a single uniformly drawn skill; the
 per-step reward is the agent's displacement projected on that skill's
@@ -7,7 +8,9 @@ target direction (unit vectors at angles 2*pi*j/n_skills). Skills share
 one network with the same one-hot injection used by the main training
 phase, so pre-trained parameters load directly. The proxy never reads
 walls or goals: its inputs are the ego observation, the one-hot skill,
-and the displacement, all task-independent.
+and the displacement, all task-independent. Each iteration takes one
+trust-region step of at most PRETRAIN_MAX_KL on the advantages of the
+proxy returns, discounted at PRETRAIN_GAMMA.
 
 Proxy batches and the skill probe (skill_displacements) run in lockstep
 lanes (rollout.run_lanes) in an arena whose horizon is the episode
@@ -35,26 +38,18 @@ from .trpo import AdvantageBatch, trpo_update
 PRETRAIN_STREAM = 0x5E
 INIT_STREAM = 0x11
 PRETRAIN_MAX_KL = 0.01  # the trust region of every proxy update
+PRETRAIN_GAMMA = 0.99   # the discount of the proxy returns
 
 
 @dataclass
 class PretrainConfig:
-    iterations: int = 40
-    proxy: str = "velocity_direction"
+    iterations: int = 40  # 0: the skills keep their random initialization
     batch_low_steps: int = 6000
     episode_steps: int = 500
-    gamma: float = 0.99
-    hidden: tuple[int, ...] = (32, 32)
 
     def __post_init__(self):
-        if self.proxy not in ("velocity_direction", "random_init"):
-            raise ValueError(f"unknown pre-training proxy {self.proxy!r}")
         if self.iterations < 0 or self.batch_low_steps < 1 or self.episode_steps < 1:
             raise ValueError("pre-training counts must be positive")
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("pretrain.gamma must lie in (0, 1)")
-        if any(h < 1 for h in self.hidden):
-            raise ValueError("pretrain.hidden sizes must be >= 1")
 
 
 def skill_direction(skill: int, n_skills: int) -> np.ndarray:
@@ -83,10 +78,9 @@ def open_field_env(steps: int, env_cfg: EnvConfig | None = None) -> PointEnv:
     return PointEnv(build_maze("open_field"), env_cfg)
 
 
-def fresh_low_policy(cfg: PretrainConfig, n_skills: int, env: PointEnv,
-                     seed: int) -> GaussianPolicy:
+def fresh_low_policy(n_skills: int, env: PointEnv, seed: int) -> GaussianPolicy:
     rng = np.random.default_rng(np.random.SeedSequence((seed, INIT_STREAM)))
-    spec = MlpSpec(env.low_obs_dim + n_skills, cfg.hidden, 2)
+    spec = MlpSpec(env.low_obs_dim + n_skills, output_dim=2)
     scale = np.concatenate([env.low_obs_scale, np.ones(n_skills)])
     return GaussianPolicy(spec, rng, input_scale=scale)
 
@@ -121,16 +115,11 @@ class _SkillCollector:
 
 def pretrain_skills(cfg: PretrainConfig, n_skills: int, seed: int,
                     env_cfg: EnvConfig | None = None):
-    """Return (low-level policy for n_skills skills, per-iteration stats).
-
-    random_init: the freshly initialized parameters, untouched.
-    velocity_direction: trust-region updates on the proxy rewards, in
-    open_field_env(cfg.episode_steps, env_cfg).
-    """
+    """Return (low-level policy for n_skills skills, per-iteration stats)
+    after cfg.iterations trust-region updates on the proxy rewards, in
+    open_field_env(cfg.episode_steps, env_cfg)."""
     env = open_field_env(cfg.episode_steps, env_cfg)
-    pi_l = fresh_low_policy(cfg, n_skills, env, seed)
-    if cfg.proxy == "random_init":
-        return pi_l, []
+    pi_l = fresh_low_policy(n_skills, env, seed)
     stats = []
     for it in range(cfg.iterations):
         streams = (np.random.default_rng(np.random.SeedSequence((seed, PRETRAIN_STREAM, it, ep)))
@@ -144,7 +133,7 @@ def pretrain_skills(cfg: PretrainConfig, n_skills: int, seed: int,
         next_position[:-1] = position[1:]
         next_position[run.done] = run.final.position
         rewards = proxy_rewards(skill, position, next_position, n_skills)
-        returns = discounted_returns(rewards, run.done, cfg.gamma)
+        returns = discounted_returns(rewards, run.done, PRETRAIN_GAMMA)
         v = fit_value_on_scaled(xs, returns, pi_l.input_scale)
         adv = returns - v.predict(xs)
         batch = AdvantageBatch(xs, acts, adv, logps, pi_l.old_dist(dists))

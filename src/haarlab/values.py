@@ -14,7 +14,7 @@ import numpy as np
 
 from .params import NumericsError, ShapeError
 
-DEFAULT_RIDGE = 1e-5
+RIDGE = 1e-5
 
 
 @dataclass
@@ -48,9 +48,8 @@ def fold_input_scale(est: PolynomialValueEstimator, scale: np.ndarray) -> Polyno
                                     est.w1 * scale, est.w0)
 
 
-def fit_value(states: np.ndarray, targets: np.ndarray,
-              ridge: float = DEFAULT_RIDGE) -> PolynomialValueEstimator:
-    """Ridge least squares of targets on [s^3, s^2, s, 1].
+def fit_value(states: np.ndarray, targets: np.ndarray) -> PolynomialValueEstimator:
+    """Ridge least squares of targets on [s^3, s^2, s, 1], at RIDGE.
 
     Solved as an augmented least-squares problem so that ill-conditioned
     feature matrices (duplicate states, widely different scales) stay
@@ -75,7 +74,7 @@ def fit_value(states: np.ndarray, targets: np.ndarray,
     np.multiply(s2, states, out=a[:n, :d])
     a[:n, 2 * d:3 * d] = states
     a[:n, 3 * d] = 1.0
-    a[n:] = np.sqrt(ridge) * np.eye(n_feat)
+    a[n:] = np.sqrt(RIDGE) * np.eye(n_feat)
     b = np.concatenate([targets, np.zeros(n_feat)])
     w, *_ = np.linalg.lstsq(a, b, rcond=None)
     return PolynomialValueEstimator(w[:d].copy(), w[d:2 * d].copy(), w[2 * d:3 * d].copy(),

@@ -102,12 +102,12 @@ def test_criterion_2_discount_approximation():
 def test_criterion_3_conservation_enforced():
     # (a) live training batches satisfy per-segment conservation
     cfg = ExperimentConfig(N=2, B=400, T=60, k_0=7, k_s=3, seeds=(0,),
-                           pretrain=PretrainConfig(proxy="random_init"))
+                           pretrain=PretrainConfig(iterations=0))
     env = cfg.build_env()
     from haarlab.experiment import fresh_high_policy
     from haarlab.pretrain import fresh_low_policy
     pi_h = fresh_high_policy(cfg, env, 0)
-    pi_l = fresh_low_policy(cfg.pretrain, cfg.n_skills, env, 0)
+    pi_l = fresh_low_policy(cfg.n_skills, env, 0)
     batch = collect_rollouts(pi_h, pi_l, env, cfg.n_skills, 400, 7, seed=(0, 0))
     rng = np.random.default_rng(3)
     adv = rng.standard_normal(len(batch.seg_len)) * 1000.0

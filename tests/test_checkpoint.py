@@ -13,7 +13,7 @@ def test_round_trip_bit_exact(tmp_path):
         "pi_l/log_std": np.array([-0.5, 1e-300, np.pi]),
         "pi_h/logits_net": rng.standard_normal(64) * 1e12,
     }
-    meta = {"n_skills": 6, "proxy": "velocity_direction"}
+    meta = {"n_skills": 6, "env": "open_field/v1"}
     path = tmp_path / "ckpt.bin"
     save_checkpoint(str(path), segments, meta)
     loaded, got_meta = load_checkpoint(str(path))

@@ -17,11 +17,11 @@ T = 30
 k_0 = 6
 k_s = 3
 seeds = 0
-pretrain.proxy = velocity_direction
 pretrain.iterations = 1
 pretrain.batch_low_steps = 100
 pretrain.episode_steps = 25
 """
+UNTRAINED = TINY.replace("pretrain.iterations = 1", "pretrain.iterations = 0")
 
 
 def write_cfg(tmp_path, text=TINY, name="exp.cfg"):
@@ -54,6 +54,25 @@ def test_train_without_skills_fails_cleanly(tmp_path, capsys):
     assert code == 2
     assert "pre-trained skills" in capsys.readouterr().err
     assert not (tmp_path / "r" / "seed_0").exists()  # a refused run used to leave it empty
+
+
+def test_untrained_skills_run_as_zero_pretraining_iterations(tmp_path):
+    # pretrain.iterations = 0 is the untrained-skills arm: a train without
+    # --skills runs as one from the skills that zero iterations write
+    cfg = write_cfg(tmp_path, text=UNTRAINED)
+    skills = str(tmp_path / "skills")
+    assert main(["pretrain", "--config", cfg, "--out", skills, "--quiet"]) == 0
+    runs = []
+    for name, extra in (("bare", []), ("pretrained", ["--skills", skills])):
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / name), *extra,
+                     "--quiet"]) == 0
+        runs.append(tmp_path / name / "seed_0")
+    bare, pretrained = runs
+    assert (bare / "metrics.csv").read_bytes() == (pretrained / "metrics.csv").read_bytes()
+    (segments, metadata), (want, want_metadata) = (
+        load_checkpoint(str(run / "checkpoint.bin")) for run in runs)
+    assert metadata == want_metadata and segments.keys() == want.keys()
+    assert all(segments[key].tobytes() == want[key].tobytes() for key in want)
 
 
 def test_missing_skills_checkpoint_fails(tmp_path, capsys):
@@ -107,7 +126,7 @@ def test_unknown_maze_kind_fails_before_writing(command, tmp_path, capsys):
 
 
 def test_cli_train_is_deterministic(tmp_path):
-    cfg = write_cfg(tmp_path, text=TINY.replace("velocity_direction", "random_init"))
+    cfg = write_cfg(tmp_path, text=UNTRAINED)
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     assert main(["train", "--config", cfg, "--out", a, "--quiet"]) == 0
     assert main(["train", "--config", cfg, "--out", b, "--quiet"]) == 0
@@ -127,7 +146,7 @@ def test_pretrain_progress_follows_quiet(tmp_path, capsys, quiet):
 
 
 def test_seed_override(tmp_path):
-    cfg = write_cfg(tmp_path, text=TINY.replace("velocity_direction", "random_init"))
+    cfg = write_cfg(tmp_path, text=UNTRAINED)
     out = str(tmp_path / "runs")
     assert main(["train", "--config", cfg, "--out", out, "--seed", "5,6",
                  "--quiet"]) == 0
@@ -138,10 +157,9 @@ def test_seed_override(tmp_path):
 def test_algorithm_override_keeps_the_file_k0(tmp_path):
     # --algorithm haar on a frozen_skills file anneals from the file's
     # k_0, as a file that says haar does
-    base = TINY.replace("velocity_direction", "random_init")
-    frozen = base.replace("algorithm = haar", "algorithm = frozen_skills")
+    frozen = UNTRAINED.replace("algorithm = haar", "algorithm = frozen_skills")
     other = write_cfg(tmp_path, text=frozen, name="frozen.cfg")
-    plain = write_cfg(tmp_path, text=base)
+    plain = write_cfg(tmp_path, text=UNTRAINED)
     out, ref = str(tmp_path / "override"), str(tmp_path / "haar")
     assert main(["train", "--config", other, "--algorithm", "haar", "--out", out,
                  "--quiet"]) == 0
@@ -155,12 +173,11 @@ def test_algorithm_override_keeps_the_file_k0(tmp_path):
 
 
 def test_transfer_modes_via_cli(tmp_path):
-    cfg_text = TINY.replace("velocity_direction", "random_init")
-    cfg = write_cfg(tmp_path, text=cfg_text)
+    cfg = write_cfg(tmp_path, text=UNTRAINED)
     src = str(tmp_path / "src")
     assert main(["train", "--config", cfg, "--out", src, "--quiet"]) == 0
 
-    target_text = cfg_text + "maze = mirrored\n"
+    target_text = UNTRAINED + "maze = mirrored\n"
     tcfg = write_cfg(tmp_path, text=target_text, name="target.cfg")
     for mode in ("both", "low_only"):
         out = str(tmp_path / f"tr_{mode}")
@@ -171,7 +188,7 @@ def test_transfer_modes_via_cli(tmp_path):
 
 def test_transfer_holds_the_skill_length_at_k_s(tmp_path):
     # transfer replaces k_0 with k_s; run.json echoes the k_0 it ran with
-    text = TINY.replace("velocity_direction", "random_init").replace("N = 2", "N = 3")
+    text = UNTRAINED.replace("N = 2", "N = 3")
     text = text.replace("k_0 = 6", "k_0 = 100").replace("k_s = 3", "k_s = 10")
     cfg = write_cfg(tmp_path, text=text)
     src = str(tmp_path / "src")
@@ -206,7 +223,7 @@ def test_flat_trpo_refuses_transfer(tmp_path, capsys):
 def test_transfer_checks_every_seed_source_before_the_first_seed_runs(tmp_path, capsys):
     # seed 1's source lacks a segment: the transfer used to train all of
     # seed 0 and only then fail on seed 1
-    cfg = write_cfg(tmp_path, text=TINY.replace("velocity_direction", "random_init"))
+    cfg = write_cfg(tmp_path, text=UNTRAINED)
     src = tmp_path / "src"
     assert main(["train", "--config", cfg, "--out", str(src), "--seed", "0,1", "--quiet"]) == 0
     path = str(src / "seed_1" / "checkpoint.bin")

@@ -68,7 +68,6 @@ def test_parse_config_text_round_trip():
     seeds = 1, 2, 3
     mode = alternate
     pretrain.iterations = 7
-    pretrain.proxy = random_init
     """
     cfg = parse_config_text(text)
     assert cfg.maze == "spiral"
@@ -77,7 +76,6 @@ def test_parse_config_text_round_trip():
     assert cfg.seeds == (1, 2, 3)
     assert cfg.mode == "alternate"
     assert cfg.pretrain.iterations == 7
-    assert cfg.pretrain.proxy == "random_init"
 
 
 def test_parse_rejects_unknown_key():
@@ -151,9 +149,9 @@ def test_config_hash_sensitivity():
 
 def test_pretrain_n_skills_follows_experiment(tmp_path):
     # the skills are pre-trained for the config's one count, n_skills
-    cfg = ExperimentConfig(n_skills=4, pretrain=PretrainConfig(proxy="random_init"))
+    cfg = ExperimentConfig(n_skills=4, pretrain=PretrainConfig(iterations=0))
     segments, metadata = load_checkpoint(run_pretrain(cfg, str(tmp_path))[0])
-    want = fresh_low_policy(cfg.pretrain, 4, open_field_env(cfg.pretrain.episode_steps), 0)
+    want = fresh_low_policy(4, open_field_env(cfg.pretrain.episode_steps), 0)
     assert metadata["n_skills"] == 4
     assert segments["pi_l/mean_net"].tobytes() == want.params.segment("mean_net").tobytes()
     assert "pretrain.n_skills" not in cfg.to_dict()
@@ -182,8 +180,9 @@ def test_velocity_direction_needs_two_skills():
         ExperimentConfig(n_skills=1)
     with pytest.raises(ConfigError, match="n_skills >= 2"):
         parse_config_text("n_skills = 1\n")
-    # random_init does not need multiple directions
-    assert ExperimentConfig(n_skills=1, pretrain=PretrainConfig(proxy="random_init")).n_skills == 1
+    # untrained skills need no directions
+    assert ExperimentConfig(n_skills=1, pretrain=PretrainConfig(iterations=0)).n_skills == 1
+    assert parse_config_text("n_skills = 1\npretrain.iterations = 0\n").n_skills == 1
 
 
 def test_no_trips_config_turns_trips_off():
@@ -230,17 +229,28 @@ def test_maze_file_with_another_maze_kind_refused(tmp_path):
 
 def test_pretrain_config_validation():
     with pytest.raises(ValueError):
-        PretrainConfig(proxy="entropy")
-    with pytest.raises(ValueError):
         PretrainConfig(iterations=-1)
-    PretrainConfig(iterations=0, proxy="random_init")
+    PretrainConfig(iterations=0)
+
+
+@pytest.mark.parametrize("text", ["pretrain.proxy = random_init\n",
+                                  "pretrain.gamma = 0.99\n",
+                                  "pretrain.hidden = 32, 32\n"])
+def test_removed_pretrain_keys_refused(text):
+    # pretraining is set by its budget alone: zero iterations are the
+    # untrained-skills arm, and the discount and the net shape are fixed
+    key = text.split()[0]
+    with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+        parse_config_text(text)
+    assert key not in ExperimentConfig().to_dict()
 
 
 @pytest.mark.parametrize("text", ["pretrain.episode_steps = 0", "pretrain.episode_steps = -3",
                                   "pretrain.gamma = 1.5", "pretrain.gamma = 1.0",
                                   "pretrain.gamma = 0.0"])
 def test_config_file_rejects_bad_pretrain_horizon(text):
-    # episode_steps = 0 used to make pre-training loop forever
+    # episode_steps = 0 used to make pre-training loop forever; gamma is
+    # no key now, so any pretrain.gamma line is refused
     with pytest.raises(ConfigError):
         parse_config_text(text)
 
@@ -248,9 +258,7 @@ def test_config_file_rejects_bad_pretrain_horizon(text):
 def test_pretrain_config_rejects_bad_horizon():
     with pytest.raises(ValueError):
         PretrainConfig(episode_steps=0)
-    with pytest.raises(ValueError):
-        PretrainConfig(gamma=1.5)
-    PretrainConfig(episode_steps=1, gamma=0.5)
+    PretrainConfig(episode_steps=1)
 
 
 @pytest.mark.parametrize("text", ["max_kl = -1", "max_kl = 0", "max_kl = nan", "max_kl = inf",
@@ -296,7 +304,8 @@ def test_boundary_and_small_positive_values_accepted():
 def test_config_file_rejects_bad_tau_seeds_and_hidden(text):
     # each used to pass the load: a NaN tau quietly became the default
     # schedule (tau is now no key at all, since k_0, k_s and N set the one
-    # schedule), the rest failed after the run directory was written, and
+    # schedule), the rest failed after the run directory was written (the
+    # net shape is now fixed, so pretrain.hidden is no key either), and
     # duplicate seeds made two runs share seed_0/
     with pytest.raises(ConfigError, match=text.split()[0]):
         parse_config_text(text)

@@ -20,8 +20,7 @@ from haarlab.pretrain import PretrainConfig, fresh_low_policy
 
 def tiny_cfg(**kw):
     base = dict(N=3, B=200, T=40, k_0=8, k_s=4, seeds=(0,),
-                pretrain=PretrainConfig(proxy="random_init", iterations=0,
-                                        batch_low_steps=100, episode_steps=25))
+                pretrain=PretrainConfig(iterations=0, batch_low_steps=100, episode_steps=25))
     base.update(kw)
     return ExperimentConfig(**base)
 
@@ -62,7 +61,7 @@ def test_frozen_skills_never_update_low_level(tmp_path):
     run_dir = run_single_seed(cfg, 1, str(tmp_path))
     segments, _ = load_checkpoint(os.path.join(run_dir, "checkpoint.bin"))
     env = cfg.build_env()
-    fresh = fresh_low_policy(cfg.pretrain, cfg.n_skills, env, 1)
+    fresh = fresh_low_policy(cfg.n_skills, env, 1)
     assert np.array_equal(segments["pi_l/mean_net"], fresh.params.segment("mean_net"))
     assert np.array_equal(segments["pi_l/log_std"], fresh.params.segment("log_std"))
 
@@ -110,7 +109,7 @@ def test_an_iteration_depends_only_on_its_arguments(algorithm, mode):
     if algorithm == "flat_trpo":
         policies, iteration = [fresh_flat_policy(cfg, env, 0)], flat_iteration
     else:
-        policies = [fresh_high_policy(cfg, env, 0), fresh_low_policy(cfg.pretrain, cfg.n_skills, env, 0)]
+        policies = [fresh_high_policy(cfg, env, 0), fresh_low_policy(cfg.n_skills, env, 0)]
         iteration = haar_iteration
     for it in range(2):
         iteration(*policies, env, cfg, 0, it)
@@ -123,13 +122,13 @@ def test_an_iteration_depends_only_on_its_arguments(algorithm, mode):
 
 def test_training_requires_skills_unless_random_init(tmp_path):
     cfg = tiny_cfg()
-    cfg2 = replace(cfg, pretrain=replace(cfg.pretrain, proxy="velocity_direction"))
-    with pytest.raises(ConfigError):
+    cfg2 = replace(cfg, pretrain=replace(cfg.pretrain, iterations=1))
+    with pytest.raises(ConfigError, match="or set pretrain.iterations = 0"):
         run_single_seed(cfg2, 0, str(tmp_path))
 
 
 REFUSALS = {
-    "no_skills": (dict(pretrain=PretrainConfig(iterations=0)), {}, ConfigError),
+    "no_skills": (dict(pretrain=PretrainConfig(iterations=1)), {}, ConfigError),
     "missing_maze_file": (dict(maze_file="absent_maze.txt"), {}, OSError),
     "missing_segment": ({}, dict(transfer="both"), CheckpointError),
     "flat_skills": (dict(algorithm="flat_trpo"), dict(skills_checkpoint="skills.bin"),
@@ -168,7 +167,7 @@ def test_transfer_low_only_loads_only_low_segments(tmp_path):
     # the final checkpoint exposes exactly what was loaded at startup
     cfg = reward_free_cfg(tmp_path, N=2)
     env = cfg.build_env()
-    donor_low = fresh_low_policy(cfg.pretrain, cfg.n_skills, env, 77)
+    donor_low = fresh_low_policy(cfg.n_skills, env, 77)
     donor_high = fresh_high_policy(cfg, env, 77)
     src = tmp_path / "source.bin"
     save_checkpoint(str(src), {
@@ -197,7 +196,7 @@ def _short_segments(cfg):
 def _without_log_std(cfg):
     env = cfg.build_env()
     segments = policy_segments(pi_h=fresh_high_policy(cfg, env, 0),
-                               pi_l=fresh_low_policy(cfg.pretrain, cfg.n_skills, env, 0))
+                               pi_l=fresh_low_policy(cfg.n_skills, env, 0))
     del segments["pi_l/log_std"]
     return segments
 
@@ -226,13 +225,13 @@ def test_run_train_multi_seed_and_parallel_identical(tmp_path):
 
 def test_run_pretrain_writes_checkpoints(tmp_path):
     cfg = tiny_cfg(seeds=(0, 1))
-    cfg = replace(cfg, pretrain=replace(cfg.pretrain, proxy="velocity_direction",
-                                        iterations=1))
+    cfg = replace(cfg, pretrain=replace(cfg.pretrain, iterations=1))
     paths = run_pretrain(cfg, str(tmp_path))
     assert set(paths) == {0, 1}
     for seed, path in paths.items():
         segments, meta = load_checkpoint(path)
-        assert meta["n_skills"] == cfg.n_skills
+        assert meta["n_skills"] == cfg.n_skills and meta["iterations"] == 1
+        assert "proxy" not in meta
         assert "pi_l/mean_net" in segments
 
 

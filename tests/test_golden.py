@@ -69,7 +69,7 @@ RUN_ARTIFACTS = ("metrics.csv", "diagnostics.csv", "trajectories.csv", "checkpoi
 
 GOLDEN = {
     "pretrain/skills_seed_0.bin":
-        "5874c42a84d87c89c1a9efe954fbf8aee7964747526155913e82f333dc64138f",
+        "29168d89b5cd7de0bcc44564fdca52a57aa6f84430c0d4a4e11cf13ef5f191dc",
     "haar/metrics.csv":
         "9094895400bec327ec08ee7d66674b1916753f5b4d7215278d0a1e5260dffc97",
     "haar/diagnostics.csv":
@@ -77,8 +77,8 @@ GOLDEN = {
     "haar/trajectories.csv":
         "d85f34fdef2bde6d749cc5299cc873f5aa15536024c553993c95418e112b904a",
     "haar/checkpoint.bin":
-        "eadcfb32e7d2c123eea06cade45212c1f0959fa82484847806016f0460f8d1c3",
-    "haar/config_hash": "726b53e97b8d",
+        "2ffbbc2d7643c5f72d4769d8f45c7fd4e952b9aa7854adb8174502bc7f449297",
+    "haar/config_hash": "66b072c926a0",
     "frozen_skills/metrics.csv":
         "c935c4ad7e917f2984246c60f2c99383122fefb9f4f2b354bbe8fed890c116c1",
     "frozen_skills/diagnostics.csv":
@@ -86,8 +86,8 @@ GOLDEN = {
     "frozen_skills/trajectories.csv":
         "5f91776452880a8f1a388cba58d2ef66535b3d42788c7bea713258ad04475998",
     "frozen_skills/checkpoint.bin":
-        "7a141c774fa4a7b45390fdc27674ef977f08e0f0065c4710c21d0b9e9e12a237",
-    "frozen_skills/config_hash": "4d1f020d38ee",
+        "97c458465839b213d9edf3be385395fe9689b362984f9e8c386e5db44753ea30",
+    "frozen_skills/config_hash": "ed1b693b0fc4",
     "flat_trpo/metrics.csv":
         "896d4e6e7de990608f557be29cecf39c4cee2794d802f2eece6790953d98b600",
     "flat_trpo/diagnostics.csv":
@@ -95,8 +95,8 @@ GOLDEN = {
     "flat_trpo/trajectories.csv":
         "d8a3a0758f997e42deb37d96bc111e09cb6e02bc6f678825615113717848a340",
     "flat_trpo/checkpoint.bin":
-        "c74d25357da2aa868d0397113813cdfe85c7694d1a04074299b3922154bff493",
-    "flat_trpo/config_hash": "933650b2645e",
+        "3d439db1943811fc822d4dc000a1862a35c388c803d98ccc37c8b91666b0415f",
+    "flat_trpo/config_hash": "8f8b4835597f",
     "alternate/metrics.csv":
         "afc3417776f9c555d2bfdc1dd8e3570ebfb084031e2f56451dac2395af4820b3",
     "alternate/diagnostics.csv":
@@ -104,8 +104,8 @@ GOLDEN = {
     "alternate/trajectories.csv":
         "bf0cce57d865db6b52fa23db8d27c42206ca109d2227bebae2e28918967442a8",
     "alternate/checkpoint.bin":
-        "428379cbbb17371bec29ab7c99e4e4043879da48db75661eda73bf833c598f5b",
-    "alternate/config_hash": "9fa4a772c7a5",
+        "b271dff04aadf56b352e3b5fedde0eddf2b77d1085428ac5b7a5719d24c448e7",
+    "alternate/config_hash": "a850744b3e7b",
     "haar_no_anneal/metrics.csv":
         "e822a2bf8b086c0f96424bb46af933794b006947279aa7a4247c6427ddbb37dd",
     "haar_no_anneal/diagnostics.csv":
@@ -113,8 +113,8 @@ GOLDEN = {
     "haar_no_anneal/trajectories.csv":
         "73722373acea99415a21ba6f9a2948c9fb32d72221deeab5a3faa4af56de8199",
     "haar_no_anneal/checkpoint.bin":
-        "a4df557ba9268bf5d81178afdd727c40b09e81922c4d23b86e2a57ee8b6ced9a",
-    "haar_no_anneal/config_hash": "deeb89a7ec40",
+        "4d9097cd8c8033c947db06d91eefc10e876e86c375a846cdf08a49347be4b671",
+    "haar_no_anneal/config_hash": "dd10d6728fe6",
     "cli_override/metrics.csv":
         "0e5bef6de97cb46db5c59e9d59d0cfbd8e5b055aa3fe77845c171404559cf228",
     "cli_override/diagnostics.csv":
@@ -122,8 +122,8 @@ GOLDEN = {
     "cli_override/trajectories.csv":
         "94ab99ad9796232d6352c697e1e6d00458a1d9828e0833c20421ed6d199389f2",
     "cli_override/checkpoint.bin":
-        "915a26ebfa8daa913c34cf3056947b1fa94361b5049ac040a872d5335461c8c9",
-    "cli_override/config_hash": "085270a3c9fa",
+        "a733fe0cad9d637a168edace829df612c497f33f911852397f45ffd30588c739",
+    "cli_override/config_hash": "bf46cdfc7a9a",
     "transfer_both/metrics.csv":
         "806135d4dc479512c1b84024e36280b0ef0c78c142e3a6e0355c42c65f65e098",
     "transfer_both/diagnostics.csv":
@@ -131,8 +131,8 @@ GOLDEN = {
     "transfer_both/trajectories.csv":
         "306700ef0d67fd9373ebe265f0b3719fb3137dcc55081083b0d853e53ea71e5e",
     "transfer_both/checkpoint.bin":
-        "02b1f6386e7461152f4d8fee0a9e45af0f5697fe62ca0bf382c949b6a154616e",
-    "transfer_both/config_hash": "deeb89a7ec40",
+        "280e67536288924c01bc180a395e613ad1814731023a548e62e8d103d7075a43",
+    "transfer_both/config_hash": "dd10d6728fe6",
     "transfer_low_only/metrics.csv":
         "93df42c4274065474713bd8ee33d41e3977646a116d4b8c09cbc81565ae9ce5f",
     "transfer_low_only/diagnostics.csv":
@@ -140,8 +140,8 @@ GOLDEN = {
     "transfer_low_only/trajectories.csv":
         "3ace1b36133a286a5d022173310e62a941e18288ec9751db08011dcd95a60c87",
     "transfer_low_only/checkpoint.bin":
-        "91d2cbb03ab76ae904da9b65ba33c5ba3e3876d8d21b24137c00ba77928eda59",
-    "transfer_low_only/config_hash": "deeb89a7ec40",
+        "9ac599b5c0e3d006e173c3b86e7080b40057e899ac5ec56bca7392c58a3eb32a",
+    "transfer_low_only/config_hash": "dd10d6728fe6",
 }
 
 

@@ -60,17 +60,17 @@ def test_proxy_invariant_to_walls():
 
 
 def test_random_init_returns_untouched_initializer_output():
-    cfg = PretrainConfig(proxy="random_init")
+    cfg = PretrainConfig(iterations=0)
     pol, stats = pretrain_skills(cfg, 6, seed=7)
     assert stats == []
-    fresh = fresh_low_policy(cfg, 6, open_field_env(cfg.episode_steps), seed=7)
+    fresh = fresh_low_policy(6, open_field_env(cfg.episode_steps), seed=7)
     assert np.array_equal(pol.flat(), fresh.flat())
 
 
 def test_pretrain_input_is_ego_plus_one_hot_only():
     cfg = PretrainConfig()
     env = open_field_env(cfg.episode_steps)
-    pol = fresh_low_policy(cfg, 5, env, seed=0)
+    pol = fresh_low_policy(5, env, seed=0)
     assert pol.spec.input_dim == env.low_obs_dim + 5
 
 
@@ -80,7 +80,7 @@ def test_pretraining_beats_random_policy_on_projection():
     cfg = PretrainConfig(iterations=12, batch_low_steps=3000, episode_steps=250)
     env_cfg = EnvConfig(stumble_threshold=math.inf, v_max=1.2)
     trained, _ = pretrain_skills(cfg, 6, seed=3, env_cfg=env_cfg)
-    random_pol = fresh_low_policy(cfg, 6, open_field_env(250, env_cfg), seed=3)
+    random_pol = fresh_low_policy(6, open_field_env(250, env_cfg), seed=3)
 
     disp_t = skill_displacements(trained, 6, episodes_per_skill=8, steps=150, seed=11,
                                  env_cfg=env_cfg)
@@ -115,7 +115,7 @@ def spy_on(monkeypatch, name):
 def test_pretrain_episodes_last_episode_steps_beyond_500(monkeypatch):
     # the arena pretrain_skills builds used to end every episode at the
     # environment's default 500 steps, whatever episode_steps said
-    cfg = PretrainConfig(iterations=1, batch_low_steps=600, episode_steps=600, hidden=(4,))
+    cfg = PretrainConfig(iterations=1, batch_low_steps=600, episode_steps=600)
     runs = spy_on(monkeypatch, "run_lanes")
     pretrain_skills(cfg, 2, seed=0)
     assert np.flatnonzero(runs[0].done).tolist() == [599]
@@ -124,7 +124,7 @@ def test_pretrain_episodes_last_episode_steps_beyond_500(monkeypatch):
 def test_proxy_rewards_of_an_episode_sum_to_its_displacement(monkeypatch):
     # the last step's reward runs to the episode's final position, which
     # no recorded row holds; a stumble rule ends some episodes early
-    cfg = PretrainConfig(iterations=2, batch_low_steps=400, episode_steps=40, hidden=(8,))
+    cfg = PretrainConfig(iterations=2, batch_low_steps=400, episode_steps=40)
     runs = spy_on(monkeypatch, "run_lanes")
     rewards = spy_on(monkeypatch, "proxy_rewards")
     pretrain_skills(cfg, 4, seed=1, env_cfg=EnvConfig(stumble_threshold=1.0))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from haarlab.params import NumericsError, ShapeError
-from haarlab.values import PolynomialValueEstimator, fit_value
+from haarlab.values import RIDGE, PolynomialValueEstimator, fit_value
 
 from helpers import ref_fit_value
 
@@ -46,10 +46,11 @@ def test_predict_dim_check():
 def test_fit_constant_targets():
     rng = np.random.default_rng(2)
     states = rng.standard_normal((50, 3))
-    est = fit_value(states, np.full(50, 4.2), ridge=1e-6)
-    assert abs(est.w0 - 4.2) <= 1e-6
+    est = fit_value(states, np.full(50, 4.2))
+    # the ridge pulls every weight toward zero by less than RIDGE
+    assert abs(est.w0 - 4.2) <= RIDGE
     for w in (est.w3, est.w2, est.w1):
-        assert np.max(np.abs(w)) <= 1e-6
+        assert np.max(np.abs(w)) <= RIDGE
 
 
 def test_fit_recovers_known_weights():
@@ -59,7 +60,7 @@ def test_fit_recovers_known_weights():
                                     rng.standard_normal(d), float(rng.standard_normal()))
     states = rng.uniform(-2.0, 2.0, size=(100, d))
     targets = true.predict(states)
-    est = fit_value(states, targets, ridge=1e-10)
+    est = fit_value(states, targets)
     scale = max(1.0, float(np.abs(targets).max()))
     for got, want in [(est.w3, true.w3), (est.w2, true.w2), (est.w1, true.w1),
                       (np.array([est.w0]), np.array([true.w0]))]:
@@ -67,7 +68,7 @@ def test_fit_recovers_known_weights():
 
 
 def test_single_sample_near_interpolation():
-    est = fit_value(np.array([[1.5, -0.5]]), np.array([3.0]), ridge=1e-6)
+    est = fit_value(np.array([[1.5, -0.5]]), np.array([3.0]))
     assert abs(est.predict(np.array([[1.5, -0.5]]))[0] - 3.0) <= 1e-3
 
 
