@@ -121,7 +121,8 @@ class _CsvSink:
 class _Traced:
     """Runs a training collector, recording for each step the position
     before it and the skill it ran (-1 for a collector that chooses
-    none)."""
+    none). The skill column is copied: a hierarchical collector
+    overwrites run.skill in place at every decision."""
 
     def __init__(self, collector):
         self.collector = collector
@@ -130,7 +131,7 @@ class _Traced:
 
     def act(self, run, high):
         actions, _ = self.collector.act(run, high)
-        return actions, (run.state.position, run.skill)
+        return actions, (run.state.position, run.skill.copy())
 
 
 def _trace_trajectories(path: str, env, collector, seed: int, episodes=range(TRACE_EPISODES)):

@@ -91,7 +91,8 @@ class _SkillCollector:
     first step, and pi_l acts on the ego observation with that skill's
     one-hot appended, with the noise rows the stream gives for every step
     right after the skill. Records the ego observation, action, log-prob
-    and mean, the position before the step and the skill."""
+    and mean, the position before the step and the skill (no copy: it
+    writes only the lanes that joined this step, in the array just built)."""
 
     def __init__(self, pi_l, n_skills: int, skill_of, horizon: int):
         self.pi_l = pi_l

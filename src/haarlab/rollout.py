@@ -45,7 +45,7 @@ each step records come out in episode order, and within an episode in
 time order; the env state after each episode's last step comes out as
 one row per episode, so a row's next state is the following row's, or
 that final row where the row ends its episode. Each episode's return and
-whether it reached the goal come out by episode index as well.
+whether it reached the goal, derived from its rows, come out by index.
 """
 
 from __future__ import annotations
@@ -83,7 +83,6 @@ class Running(NamedTuple):
     rng: np.ndarray           # (L,) the episodes' Generators, as objects
     skill: np.ndarray         # (L,) the skill each runs: -1 until a collector writes it in place
     steps: np.ndarray         # (L,) steps each episode has taken
-    total_return: np.ndarray  # (L,)
     state: tuple              # the env's batch state (a NamedTuple of row arrays)
     low: np.ndarray           # (L, low_dim) the current ego observations
     noise: np.ndarray         # (L, *collector.noise_shape): unset until a collector
@@ -108,7 +107,7 @@ class LaneRun:
     """What a lockstep run returns: the rows each step recorded, for the
     steps of the batch's episodes, in episode order and within an episode
     in time order. Each per-step array is a C-contiguous view of the
-    leading rows of one step buffer."""
+    leading rows of its column, concatenated and then ordered in place."""
     columns: list[np.ndarray]  # the collector's per-step columns
     reward: np.ndarray
     done: np.ndarray
@@ -138,25 +137,6 @@ def _first_excluded(lengths: list[int], budget: int) -> int:
     return len(lengths)
 
 
-class _StepRows:
-    """Per-step columns, filled one lockstep step (one row per lane) at a
-    time. Each column is one buffer of `capacity` rows, allocated at the
-    first step; pages it never writes cost no memory."""
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self.columns = None
-        self.n = 0
-
-    def add(self, blocks):
-        m = len(blocks[0])
-        if self.columns is None:
-            self.columns = [np.empty((self.capacity, *b.shape[1:]), b.dtype) for b in blocks]
-        for column, block in zip(self.columns, blocks):
-            column[self.n:self.n + m] = block
-        self.n += m
-
-
 def run_lanes(env, streams: Iterable[np.random.Generator], budget: int, collector,
               lanes: int | None = None) -> LaneRun:
     """Run one episode per stream, episode e on the e-th, in lockstep lanes
@@ -181,7 +161,8 @@ def run_lanes(env, streams: Iterable[np.random.Generator], budget: int, collecto
           gives the high observation rows of every lane. A collector
           that chooses skills writes them into running.skill in place,
           and the noise it draws into running.noise; a lane keeps both
-          until they are written again.
+          until they are written again. The step records its arrays by
+          reference, so none may be written again after act returns.
     """
     if lanes is None:
         lanes = -(-budget // env.horizon)
@@ -189,10 +170,8 @@ def run_lanes(env, streams: Iterable[np.random.Generator], budget: int, collecto
         raise ValueError("the step budget, the lane count and the period must be >= 1")
     streams = iter(streams)
     lengths: list[int] = []        # steps episode e has taken
-    finals: list[tuple] = []       # (episodes, env state rows, returns, successes) as lanes end
-    # Every episode starts while fewer than `budget` steps are taken, and
-    # at most `lanes` of them then run on, each for at most a horizon.
-    rows = _StepRows(budget + lanes * env.horizon)
+    finals: list[tuple] = []       # (episodes, env state rows) as lanes end
+    recorded: list[tuple] = []     # (episodes, rewards, end codes, *columns) of each step
     run = None
     total = 0                      # steps of every episode started so far
     clock = 0                      # lockstep steps since the current wave started
@@ -208,7 +187,7 @@ def run_lanes(env, streams: Iterable[np.random.Generator], budget: int, collecto
                 states, lows = zip(*(env.reset(rng) for rng in rngs))
                 lengths += [0] * m
                 fresh = Running(np.arange(e0, e0 + m), np.fromiter(rngs, object, m), np.full(m, -1),
-                                np.zeros(m, np.intp), np.zeros(m), _joined(states),
+                                np.zeros(m, np.intp), _joined(states),
                                 np.concatenate(lows), np.empty((m, *collector.noise_shape)))
                 run = fresh if run is None else _joined([run, fresh])
         if run is None or not len(run.episode):
@@ -220,16 +199,14 @@ def run_lanes(env, streams: Iterable[np.random.Generator], budget: int, collecto
         actions, columns = collector.act(run, high)
         state, low, reward, done, end = env.step(run.state, actions)
         np.add(run.steps, 1, out=run.steps)
-        np.add(run.total_return, reward, out=run.total_return)
         run = run._replace(state=state, low=low)
-        rows.add((run.episode, reward, done, *columns))
+        recorded.append((run.episode, reward, end, *columns))
         total += len(run.episode)
         clock += 1
         ended = done.any()
         if ended:
             finished = np.flatnonzero(done)
-            finals.append((run.episode[finished], _rows(state, finished),
-                           run.total_return[finished], end[finished] == GOAL))
+            finals.append((run.episode[finished], _rows(state, finished)))
             for e, steps in zip(run.episode[finished].tolist(), run.steps[finished].tolist()):
                 lengths[e] = steps
         if total >= budget:
@@ -241,18 +218,18 @@ def run_lanes(env, streams: Iterable[np.random.Generator], budget: int, collecto
         elif ended:
             run = _rows(run, ~done)
     kept = _first_excluded(lengths, budget)
-    order = _episode_order(rows.columns[0][:rows.n], kept)
-    # Reorder inside the buffers and hand out their leading rows, so the
-    # buffers live as long as the batch. Freed before the policy update,
-    # they let the allocator return heap pages that the update's
-    # temporaries then fault in again (about 3,600 more minor faults per
-    # flat TRPO iteration at B = 5000).
-    for column in rows.columns:
+    episode, *recorded = zip(*recorded)  # each column, as the arrays of every step
+    episode = np.concatenate(episode)
+    order = _episode_order(episode, kept)
+    for i, column in enumerate(map(np.concatenate, recorded)):
+        recorded[i] = column[:len(order)]  # frees its step arrays before the next is joined
         column[:len(order)] = column[order]
-    _, reward, done, *columns = (column[:len(order)] for column in rows.columns)
-    ended, final, total_return, success = zip(*finals)
-    by_episode = _episode_order(np.concatenate(ended), kept)
+    reward, end, *columns = recorded
+    done = end > 0
+    ended, final = zip(*finals)
+    # bincount adds each episode's rewards in step order, as a running sum would
     return LaneRun(columns=columns, reward=reward, done=done,
-                   final=_rows(_joined(final), by_episode),
-                   success=np.concatenate(success)[by_episode],
-                   total_return=np.concatenate(total_return)[by_episode], steps_taken=total)
+                   final=_rows(_joined(final), _episode_order(np.concatenate(ended), kept)),
+                   success=end[done] == GOAL,
+                   total_return=np.bincount(episode[order], weights=reward, minlength=kept),
+                   steps_taken=total)

@@ -13,9 +13,12 @@ the batch when every episode runs its horizon. A finite set of streams
 runs exactly its episodes, no finished lane is ever stepped, new episodes
 start only on the collector's period boundaries or when no lane runs,
 and the final state rows are each kept episode's state after its last
-step.
+step. Each episode's return is the step-order sum of its reward rows and
+it succeeds iff it ends in the goal cell; the trace records, for every
+step, the skill its segment's decision chose.
 """
 
+import csv
 import math
 from itertools import count
 from typing import NamedTuple
@@ -25,7 +28,7 @@ import pytest
 
 from haarlab import experiment, hierarchy
 from haarlab.envs.maze import build_maze
-from haarlab.envs.point import EnvConfig, EpisodeBatch, PointEnv
+from haarlab.envs.point import DEATH_REWARD, EnvConfig, EpisodeBatch, PointEnv
 from haarlab.envs.tabular import TabularRolloutEnv
 from haarlab.experiment import _trace_trajectories, collect_flat
 from haarlab.hierarchy import collect_rollouts
@@ -152,6 +155,43 @@ def test_hierarchical_trace_lanes_share_one_phase(tmp_path, monkeypatch, lanes):
     assert len({len(steps) for steps in seen}) > 1  # lanes ended at different steps
     # with the default, every episode starts in the first wave
     assert any(len(set(steps)) > 1 for steps in seen) == (lanes is not None)
+
+
+@pytest.mark.parametrize("lanes", [None, 3])
+def test_trace_skill_column_is_each_segments_decision(tmp_path, monkeypatch, lanes):
+    # the hierarchical collector overwrites run.skill in place at every
+    # decision, so a skill column recorded without a copy would show later
+    # segments' skills in earlier rows
+    env = stumbling_env("c_maze", 40)
+    pi_h, pi_l = neural_hierarchy(env)
+    k = 3
+    collector = hierarchy._SegmentCollector(pi_h, pi_l, N_SKILLS, k)
+    chosen = {}  # episode -> the skill of each of its segments, in order
+    collector_act, decide = collector.act, pi_h.act
+    lanes_of_step = []
+
+    def spy_lanes(run, high):
+        lanes_of_step.append(run.episode.tolist())
+        return collector_act(run, high)
+
+    def spy(s_h, u):
+        skills, logps, dists = decide(s_h, u)
+        for episode, skill in zip(lanes_of_step[-1], skills.tolist()):
+            chosen.setdefault(episode, []).append(skill)
+        return skills, logps, dists
+
+    collector.act, pi_h.act = spy_lanes, spy
+    monkeypatch.setattr(experiment, "run_lanes",
+                        lambda *args: run_lanes(*args, lanes=lanes))
+    path = tmp_path / "trajectories.csv"
+    _trace_trajectories(str(path), env, collector, 0)
+    with open(path, newline="") as fh:
+        rows = [(int(r["episode"]), int(r["step"]), int(r["skill"])) for r in csv.DictReader(fh)]
+    assert sorted(chosen) == sorted({episode for episode, _, _ in rows})
+    assert any(len(set(segments)) > 1 for segments in chosen.values())
+    for episode, step, skill in rows:
+        # the row at step s holds the skill that ran step s - 1
+        assert skill == (-1 if step == 0 else chosen[episode][(step - 1) // k])
 
 
 class _Calls:
@@ -373,6 +413,90 @@ def test_run_lanes_never_steps_a_finished_lane(lanes):
                     IdleCollector(), lanes)
     assert env.lane_steps == run.steps_taken >= len(run.reward) >= 50
     assert env.resets >= len(run.success)
+
+
+def c_maze_drift(row, col):
+    """Along the C-maze corridor: right along the top row, down the right
+    column, then left along the bottom row to the goal."""
+    if row == 1 and col < 5:
+        return 1.0, 0.0
+    if row < 3:
+        return 0.0, 1.0
+    return -1.0, 0.0
+
+
+class Wander:
+    """Acts on every step with the drift of each lane's cell plus `sd`
+    times two standard normals from its episode's stream."""
+
+    period = 1
+    noise_shape = ()
+
+    def __init__(self, drift, sd, cell_size):
+        self.drift = drift
+        self.sd = sd
+        self.cell_size = cell_size
+
+    def act(self, run, high):
+        actions = []
+        for (x, y), rng in zip(run.state.position.tolist(), run.rng):
+            dx, dy = self.drift(math.floor(y / self.cell_size), math.floor(x / self.cell_size))
+            ex, ey = rng.standard_normal(2).tolist()
+            actions.append((dx + self.sd * ex, dy + self.sd * ey))
+        return np.array(actions), ()
+
+
+class RandomChoice:
+    """Two actions, drawn uniformly from each episode's stream."""
+
+    period = 1
+    noise_shape = ()
+
+    def act(self, run, high):
+        return np.array([int(rng.integers(2)) for rng in run.rng]), ()
+
+
+RETURN_CASES = {
+    # the env and the collector of a batch of about `budget` steps
+    "c_maze": (lambda: point_env("c_maze", max_episode_steps=150, stumble_threshold=1.4),
+               lambda env: Wander(c_maze_drift, 0.4, env.maze.cell_size), 1500),
+    "gather": (lambda: point_env("gather", max_episode_steps=60, stumble_threshold=2.5),
+               lambda env: Wander(lambda row, col: (0.0, 0.0), 1.0, env.maze.cell_size), 900),
+    "tabular": (lambda: tabular_env()[0], lambda env: RandomChoice(), 200),
+}
+
+
+@pytest.mark.parametrize("lanes", LANE_COUNTS)
+@pytest.mark.parametrize("case", sorted(RETURN_CASES))
+def test_returns_and_successes_follow_the_step_rows(case, lanes):
+    # the c_maze episodes reach the goal or trip, the gather ones collect
+    # dense +-1 contacts, and the tabular rewards are fractions, whose sums
+    # depend on their order
+    make_env, make_collector, budget = RETURN_CASES[case]
+    env = make_env()
+    run = run_lanes(env, (np.random.default_rng(seed) for seed in count()), budget,
+                    make_collector(env), lanes)
+    returns = []
+    for rewards in np.split(run.reward, np.flatnonzero(run.done)[:-1] + 1):
+        total = 0.0
+        for reward in rewards.tolist():
+            total += reward
+        returns.append(total)
+    assert run.total_return.tolist() == returns
+    if case == "tabular":  # no state is a goal
+        in_goal = [False] * len(returns)
+    else:  # the gather arena has no goal cell
+        cs = env.maze.cell_size
+        in_goal = [(math.floor(y / cs), math.floor(x / cs)) == env.maze.goal_cell
+                   for x, y in run.final.position.tolist()]
+    assert run.success.tolist() == in_goal
+    if case == "c_maze":
+        assert 0 < run.success.sum() < len(run.success)
+        assert (run.reward == DEATH_REWARD).any()
+    elif case == "gather":
+        assert (run.reward == 1.0).sum() >= 5 and (run.reward == -1.0).sum() >= 5
+    else:
+        assert len(set(returns)) > 1 and any(r != round(r) for r in returns)
 
 
 class SkillOfEpisode:
