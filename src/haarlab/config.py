@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 
-from .envs.maze import LAYOUTS, build_maze, load_maze_file
+from .envs.maze import build_maze
 from .envs.point import EnvConfig, PointEnv
 from .pretrain import PretrainConfig
 
@@ -41,13 +41,9 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = (0,)
     mode: str = "concurrent"
     max_kl: float = 0.01
-    maze: str = "c_maze"        # the arena: a built-in layout kind (envs.maze.LAYOUTS)
-    maze_file: str = ""         # load a custom maze layout instead (maze keeps its default)
+    maze: str = "c_maze"        # the arena: a built-in kind (envs.maze.LAYOUTS) or a layout file
     cell_size: float = 4.0
     v_max: float = 2.0
-    dt: float = 0.2
-    action_scale: float = 4.0
-    ray_max: float = 16.0
     stumble_threshold: float = 1.5  # inf: the agent never trips
     pretrain: PretrainConfig = field(default_factory=PretrainConfig)  # for n_skills skills
 
@@ -56,11 +52,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown algorithm {self.algorithm!r} (choose from {ALGORITHMS})")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r} (choose from {MODES})")
-        if self.maze not in LAYOUTS:
-            raise ConfigError(f"unknown maze kind {self.maze!r} (choose from {tuple(LAYOUTS)})")
-        if self.maze_file and self.maze != "c_maze":
-            raise ConfigError(f"maze_file replaces the maze kind: maze = {self.maze!r} "
-                              "would be echoed but not built (leave maze at c_maze)")
         for name in ("N", "B", "k_0", "k_s", "T", "n_skills"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
@@ -83,21 +74,16 @@ class ExperimentConfig:
         if self.pretrain.iterations > 0 and self.n_skills < 2:
             raise ConfigError("pre-training needs n_skills >= 2 directions")
         try:
-            self.env_config()  # checks the physics
-        except ValueError as exc:
+            self.build_env()  # checks the maze and the physics
+        except (OSError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
     def env_config(self) -> EnvConfig:
-        return EnvConfig(max_episode_steps=self.T, action_scale=self.action_scale,
-                         dt=self.dt, v_max=self.v_max, ray_max=self.ray_max,
+        return EnvConfig(max_episode_steps=self.T, v_max=self.v_max,
                          stumble_threshold=self.stumble_threshold)
 
     def build_env(self) -> PointEnv:
-        if self.maze_file:
-            maze = load_maze_file(self.maze_file, cell_size=self.cell_size)
-        else:
-            maze = build_maze(self.maze, cell_size=self.cell_size)
-        return PointEnv(maze, self.env_config())
+        return PointEnv(build_maze(self.maze, self.cell_size), self.env_config())
 
     def to_dict(self) -> dict:
         return {key: _plain(getattr(getattr(self, name), sub) if sub else getattr(self, name))

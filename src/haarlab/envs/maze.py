@@ -8,6 +8,7 @@ rectangle [c*cell_size, (c+1)*cell_size] x [r*cell_size, (r+1)*cell_size].
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,16 +149,17 @@ def parse_maze_text(text: str, cell_size: float = 4.0, kind: str = "custom") -> 
     return MazeSpec(rows, cell_size=cell_size, kind=kind)
 
 
-def load_maze_file(path: str, cell_size: float = 4.0) -> MazeSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_maze_text(fh.read(), cell_size=cell_size)
-
-
-def build_maze(kind: str, cell_size: float = 4.0) -> MazeSpec:
-    """The built-in layout LAYOUTS[kind]."""
-    if kind not in LAYOUTS:
-        raise ValueError(f"unknown maze kind {kind!r}")
-    return parse_maze_text(LAYOUTS[kind], cell_size, kind)
+def build_maze(maze: str, cell_size: float = 4.0) -> MazeSpec:
+    """The built-in layout LAYOUTS[maze] when `maze` is a kind, else the
+    layout file at the path `maze` (from the working directory), of kind
+    "custom"."""
+    if maze in LAYOUTS:
+        return parse_maze_text(LAYOUTS[maze], cell_size, maze)
+    if not os.path.isfile(maze):
+        raise ValueError(f"unknown maze kind {maze!r} (choose from {tuple(LAYOUTS)}, "
+                         "or name a layout file)")
+    with open(maze, "r", encoding="utf-8") as fh:
+        return parse_maze_text(fh.read(), cell_size)
 
 
 def sample_gather_sites(maze: MazeSpec, rng: np.random.Generator):

@@ -1,10 +1,10 @@
 """Desk-scale point-mass agent in a grid maze.
 
-Double-integrator dynamics: v <- clip_norm(v + a*dt, v_max), p <- p + v*dt
-with exact swept collisions against wall cells (motion normal to a wall
-face stops and that velocity component drops to zero; the tangential
-component is preserved). The point mass does not rotate: the body frame
-is the world frame, and every observation is taken in it.
+Double-integrator dynamics: v <- clip_norm(v + a*ACTION_SCALE*DT, v_max),
+p <- p + v*DT with exact swept collisions against wall cells (motion
+normal to a wall face stops and that velocity component drops to zero;
+the tangential component is preserved). The point mass does not rotate:
+the body frame is the world frame, and every observation is taken in it.
 
 Sustained overdrive stands in for the legged agent tripping: commanding
 an action whose norm exceeds the stumble threshold for 3 consecutive
@@ -25,6 +25,9 @@ import numpy as np
 from .maze import MazeSpec, sample_gather_sites
 from .raycast import N_RAYS, goal_bearing, raycast
 
+DT = 0.2  # seconds per low-level step
+ACTION_SCALE = 4.0  # acceleration per unit of action
+RAY_MAX = 16.0  # the wall rays' range, in world units
 STUMBLE_STEPS = 3  # consecutive overdriven steps that count as a fall
 LOW_OBS_DIM = 4
 HIGH_OBS_DIM = LOW_OBS_DIM + N_RAYS + 2
@@ -40,19 +43,14 @@ _END_REWARD = np.array((0.0, GOAL_REWARD, DEATH_REWARD, 0.0))
 @dataclass
 class EnvConfig:
     max_episode_steps: int = 500
-    action_scale: float = 4.0
-    dt: float = 0.2
     v_max: float = 2.0
-    ray_max: float = 16.0
     stumble_threshold: float = 1.5  # inf: no action trips the agent
 
     def __post_init__(self):
         if self.max_episode_steps < 1:
             raise ValueError("max_episode_steps must be >= 1")
-        for name in ("dt", "v_max", "action_scale", "ray_max"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be finite and > 0")
+        if not (math.isfinite(self.v_max) and self.v_max > 0.0):
+            raise ValueError("v_max must be finite and > 0")
         if not self.stumble_threshold > 0.0:  # NaN fails too
             raise ValueError("stumble_threshold must be > 0 (inf turns trips off)")
 
@@ -93,8 +91,7 @@ class PointEnv:
         rest of the batch."""
         out = np.empty((len(low), HIGH_OBS_DIM))
         out[:, :LOW_OBS_DIM] = low
-        out[:, LOW_OBS_DIM:LOW_OBS_DIM + N_RAYS] = raycast(lanes.position, self.maze,
-                                                           self.cfg.ray_max)
+        out[:, LOW_OBS_DIM:LOW_OBS_DIM + N_RAYS] = raycast(lanes.position, self.maze, RAY_MAX)
         out[:, LOW_OBS_DIM + N_RAYS:] = goal_bearing(lanes.position, self.maze.goal_center)
         return out
 
@@ -107,7 +104,7 @@ class PointEnv:
     @property
     def high_obs_scale(self) -> np.ndarray:
         return np.concatenate([self.low_obs_scale,
-                               np.full(N_RAYS, 1.0 / self.cfg.ray_max),
+                               np.full(N_RAYS, 1.0 / RAY_MAX),
                                np.ones(2)])
 
     # -- episode control --------------------------------------------------------
@@ -135,7 +132,7 @@ class PointEnv:
         """Advance every lane one low-level step.
 
         Takes (L, 2) actions and returns (next batch, the (L, 4) ego
-        observation rows, rewards, dones, end codes): 0 runs on, then by
+        observation rows, rewards, end codes): 0 runs on, then by
         precedence 1 the goal, 2 a death (fall), 3 the timeout. The ego
         observation is the velocity, then the constant inputs 0.0
         and 1.0 (sine and cosine of the fixed orientation, kept so that
@@ -150,9 +147,9 @@ class PointEnv:
         cfg = self.cfg
         maze = self.maze
         cs = maze.cell_size
-        dt, v_max, horizon = cfg.dt, cfg.v_max, cfg.max_episode_steps
+        dt, v_max, horizon = DT, cfg.v_max, cfg.max_episode_steps
         goal_row, goal_col = maze.goal_cell or (None, None)
-        gain = cfg.action_scale * dt
+        gain = ACTION_SCALE * dt
         threshold = cfg.stumble_threshold
         hypot, floor, inf = math.hypot, math.floor, math.inf
         kinematics, overdrive, end = [], [], []  # kinematics: 6 floats per lane
@@ -205,7 +202,7 @@ class PointEnv:
             reward += BOMB_REWARD * bombs
         nxt = EpisodeBatch(kinematics[:, :2], kinematics[:, 2:4], state.t + 1, np.array(overdrive),
                            state.food_sites, state.bomb_sites, food_active, bomb_active)
-        return nxt, kinematics[:, 2:], reward, end > 0, end
+        return nxt, kinematics[:, 2:], reward, end
 
 
 def _contacts(position: np.ndarray, sites: np.ndarray, active: np.ndarray, live: np.ndarray,

@@ -96,11 +96,11 @@ class TabularRolloutEnv:
 
     def step(self, lanes: TabularLanes, action):
         """Advance every lane one step; returns (lanes, one-hot rows,
-        rewards, dones, end codes) as PointEnv.step does: 2 at a terminal
+        rewards, end codes) as PointEnv.step does: 2 at a terminal
         state, else 3 at the horizon; no state is a goal."""
         s_next = np.array([_sample_index(self.mdp.transition[s, int(a)], rng)
                            for s, a, rng in zip(lanes.s.tolist(), action, lanes.rng)])
         reward = self.mdp.reward[lanes.s, np.asarray(action, dtype=np.intp)]
         t = lanes.t + 1
         end = np.where(self.mdp.terminal[s_next], 2, np.where(t >= self.horizon, 3, 0))
-        return TabularLanes(s_next, t, lanes.rng), self._eye[s_next], reward, end > 0, end
+        return TabularLanes(s_next, t, lanes.rng), self._eye[s_next], reward, end

@@ -148,8 +148,8 @@ def run_lanes(env, streams: Iterable[np.random.Generator], budget: int, collecto
     count changes a byte of the batch. The env supplies its horizon,
     reset(rng) for one episode (a one-lane batch state and its
     (1, low_dim) ego row), high_obs_batch(batch, low) and step(batch,
-    actions) -> (batch, ego rows, rewards, dones, end codes), with (L,)
-    codes 0 runs on, GOAL, 2 a fall (or other end state) and 3 the horizon.
+    actions) -> (batch, ego rows, rewards, end codes), with (L,) codes 0
+    runs on, GOAL, 2 a fall (or other end state) and 3 the horizon.
     The collector supplies
       period
           the join period, in lockstep steps;
@@ -197,7 +197,8 @@ def run_lanes(env, streams: Iterable[np.random.Generator], budget: int, collecto
             return env.high_obs_batch(run.state, run.low)
 
         actions, columns = collector.act(run, high)
-        state, low, reward, done, end = env.step(run.state, actions)
+        state, low, reward, end = env.step(run.state, actions)
+        done = end > 0
         np.add(run.steps, 1, out=run.steps)
         run = run._replace(state=state, low=low)
         recorded.append((run.episode, reward, end, *columns))

@@ -145,14 +145,16 @@ def step_loops(maze, cfg, state, action, face_eps=1e-9, stumble_steps=3):
     velocity, t, overdrive, reward, done, info, food_active, bomb_active,
     walls_hit, corners): walls_hit counts the velocity components a wall
     zeroed, corners the moments the path met a vertical and a horizontal
-    grid line at once. It reads only the reward constants from the env.
+    grid line at once. It reads only the reward constants, DT and
+    ACTION_SCALE from the env.
     """
     import math
 
-    from haarlab.envs.point import BOMB_REWARD, DEATH_REWARD, FOOD_REWARD, GOAL_REWARD
+    from haarlab.envs.point import (ACTION_SCALE, BOMB_REWARD, DEATH_REWARD, DT, FOOD_REWARD,
+                                    GOAL_REWARD)
 
     ax, ay = float(action[0]), float(action[1])
-    gain = cfg.action_scale * cfg.dt
+    gain = ACTION_SCALE * DT
     vx, vy = (float(v) for v in state.velocity[0])
     vx += ax * gain
     vy += ay * gain
@@ -168,7 +170,7 @@ def step_loops(maze, cfg, state, action, face_eps=1e-9, stumble_steps=3):
     def wall(r, c):
         return not (0 <= r < rows and 0 <= c < cols) or bool(maze.walls[r, c])
 
-    remaining = cfg.dt
+    remaining = DT
     col, row = int(x // cs), int(y // cs)
     walls_hit = corners = 0
     for _ in range(128):

@@ -7,6 +7,7 @@ import pytest
 
 from haarlab.checkpoint import load_checkpoint
 from haarlab.config import ConfigError, ExperimentConfig, load_config, parse_config_text
+from haarlab.envs.maze import build_maze
 from haarlab.envs.point import EnvConfig
 from haarlab.experiment import run_pretrain
 from haarlab.hierarchy import skill_length
@@ -50,7 +51,8 @@ def test_validation_errors():
 
 
 def test_unknown_maze_kind_refused_naming_the_kinds():
-    with pytest.raises(ConfigError, match=r"unknown maze kind 'hexagon' \(choose from .*c_maze"):
+    with pytest.raises(ConfigError, match=r"unknown maze kind 'hexagon' \(choose from .*c_maze"
+                                          r".*, or name a layout file\)"):
         ExperimentConfig(maze="hexagon")
     with pytest.raises(ConfigError, match="hexagon"):
         parse_config_text("maze = hexagon\n")
@@ -198,33 +200,47 @@ def test_no_trips_config_turns_trips_off():
 
 
 @pytest.mark.parametrize("text", ["task = point_maze\n", "task = swimmer_maze_lite\n",
-                                  "ridge = 1e-5\n", "ridge = 0\n"])
+                                  "ridge = 1e-5\n", "ridge = 0\n", "maze_file = m.txt\n",
+                                  "dt = 0.2\n", "action_scale = 4.0\n", "ray_max = 16.0\n"])
 def test_task_and_ridge_are_no_keys(text):
-    # `maze` names the arena and the value fit's ridge is a constant
-    with pytest.raises(ConfigError, match=r"unknown config key '(task|ridge)'"):
+    # `maze` names the arena, a kind or a layout file; the value fit's
+    # ridge and the point mass's dt, action scale and ray range are constants
+    key = text.split()[0]
+    with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
         parse_config_text(text)
-    assert not {"task", "ridge"} & set(ExperimentConfig().to_dict())
+    assert key not in ExperimentConfig().to_dict()
 
 
-def test_maze_file_override(tmp_path):
+def test_maze_names_a_layout_file(tmp_path):
     maze = tmp_path / "m.txt"
     maze.write_text("#####\n#S.G#\n#####\n")
-    cfg = ExperimentConfig(maze_file=str(maze))
-    env = cfg.build_env()
-    assert env.maze.goal_cell == (1, 3)
+    for cfg in (ExperimentConfig(maze=str(maze), cell_size=2.0),
+                parse_config_text(f"maze = {maze}\ncell_size = 2.0\n")):
+        env = cfg.build_env()
+        assert env.maze.kind == "custom" and env.maze.grid == ("#####", "#S.G#", "#####")
+        assert env.maze.goal_cell == (1, 3) and env.maze.cell_size == 2.0
 
 
-def test_maze_file_with_another_maze_kind_refused(tmp_path):
-    # the file replaces the kind, so a kind beside it was echoed in
-    # run.json and the config hash but never built
-    maze = tmp_path / "m.txt"
-    maze.write_text("#####\n#S.G#\n#####\n")
-    with pytest.raises(ConfigError, match="maze_file replaces the maze kind: maze = 'gather'"):
-        ExperimentConfig(maze="gather", maze_file=str(maze))
-    with pytest.raises(ConfigError, match="maze_file replaces"):
-        parse_config_text(f"maze = spiral\nmaze_file = {maze}\n")
-    cfg = parse_config_text(f"maze = c_maze\nmaze_file = {maze}\n")
-    assert cfg.build_env().maze.kind == "custom"
+def test_built_in_kind_wins_over_a_file_of_its_name(tmp_path, monkeypatch):
+    # a layout file is resolved from the working directory, but a value
+    # that is a kind always builds the kind
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spiral").write_text("#####\n#S.G#\n#####\n")
+    maze = parse_config_text("maze = spiral\n").build_env().maze
+    assert maze.kind == "spiral" and maze.grid == build_maze("spiral").grid
+    assert parse_config_text("maze = ./spiral\n").build_env().maze.kind == "custom"
+
+
+@pytest.mark.parametrize("layout", [None, "#####\n#S.X#\n#####\n", "#####\n#..G#\n#####\n"],
+                         ids=["missing", "bad_character", "no_start"])
+def test_missing_or_malformed_layout_file_refused(tmp_path, layout):
+    # refused when the config is built, before any run directory exists
+    path = tmp_path / "m.txt"
+    if layout is not None:
+        path.write_text(layout)
+    error = "unknown maze kind .* or name a layout file" if layout is None else "maze"
+    with pytest.raises(ConfigError, match=error):
+        parse_config_text(f"maze = {path}\n")
 
 
 def test_pretrain_config_validation():
@@ -271,15 +287,18 @@ def test_config_file_rejects_bad_max_kl_ridge_and_cell_size(text):
         parse_config_text(text)
 
 
-BAD_PHYSICS = ["ray_max = 0", "ray_max = -1", "stumble_threshold = nan", "action_scale = nan",
-               "action_scale = -4", "dt = 0", "dt = inf", "v_max = nan", "v_max = -1",
+BAD_PHYSICS = ["stumble_threshold = nan", "v_max = nan", "v_max = -1",
                "stumble_threshold = 0", "stumble_threshold = -1", "stumble_threshold = -inf"]
+# the point mass's constants (envs.point.DT, ACTION_SCALE, RAY_MAX) are no keys
+FIXED_PHYSICS = ["ray_max = 0", "ray_max = -1", "action_scale = nan", "action_scale = -4",
+                 "dt = 0", "dt = inf"]
 
 
-@pytest.mark.parametrize("text", BAD_PHYSICS)
+@pytest.mark.parametrize("text", BAD_PHYSICS + FIXED_PHYSICS)
 def test_config_file_rejects_bad_physics(text):
     # each used to crash mid-run, fail only when the env was built, or
-    # train on a silently changed rule (a NaN threshold never trips)
+    # train on a silently changed rule (a NaN threshold never trips); a
+    # line that sets a constant is refused as an unknown key
     with pytest.raises(ConfigError, match=text.split()[0]):
         parse_config_text(text)
 

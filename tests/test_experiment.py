@@ -129,7 +129,7 @@ def test_training_requires_skills_unless_random_init(tmp_path):
 
 REFUSALS = {
     "no_skills": (dict(pretrain=PretrainConfig(iterations=1)), {}, ConfigError),
-    "missing_maze_file": (dict(maze_file="absent_maze.txt"), {}, OSError),
+    "missing_maze_file": (dict(maze="absent_maze.txt"), {}, ConfigError),
     "missing_segment": ({}, dict(transfer="both"), CheckpointError),
     "flat_skills": (dict(algorithm="flat_trpo"), dict(skills_checkpoint="skills.bin"),
                     ConfigError),
@@ -159,7 +159,7 @@ def reward_free_cfg(tmp_path, **kw):
     # both policies keep their startup parameters through training
     maze = tmp_path / "strip.txt"
     maze.write_text(NO_GOAL_MAZE)
-    return tiny_cfg(maze_file=str(maze), stumble_threshold=math.inf, **kw)
+    return tiny_cfg(maze=str(maze), stumble_threshold=math.inf, **kw)
 
 
 def test_transfer_low_only_loads_only_low_segments(tmp_path):

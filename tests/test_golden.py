@@ -39,13 +39,13 @@ pretrain.batch_low_steps = 300
 pretrain.episode_steps = 50
 """
 
-HAAR = ("maze_file = corridor.txt\nk_0 = 12\nk_s = 3\n"
+HAAR = ("maze = corridor.txt\nk_0 = 12\nk_s = 3\n"
         "v_max = 1.2\nstumble_threshold = 1.2\n")
 
 CONFIGS = {
     "haar": HAAR,
     "frozen_skills": "maze = gather\nalgorithm = frozen_skills\nk_0 = 5\nk_s = 5\n",
-    "flat_trpo": "algorithm = flat_trpo\nmaze_file = corridor.txt\n",
+    "flat_trpo": "algorithm = flat_trpo\nmaze = corridor.txt\n",
     "alternate": HAAR + "mode = alternate\n",
     "haar_no_anneal": HAAR.replace("k_0 = 12", "k_0 = 3"),  # the skill length held at k_s
 }
@@ -77,8 +77,8 @@ GOLDEN = {
     "haar/trajectories.csv":
         "d85f34fdef2bde6d749cc5299cc873f5aa15536024c553993c95418e112b904a",
     "haar/checkpoint.bin":
-        "2ffbbc2d7643c5f72d4769d8f45c7fd4e952b9aa7854adb8174502bc7f449297",
-    "haar/config_hash": "66b072c926a0",
+        "7faa294a4c6b1511d576e1d957bb3d28821b855a229a017dacda274d75db664c",
+    "haar/config_hash": "cabb0d288e08",
     "frozen_skills/metrics.csv":
         "c935c4ad7e917f2984246c60f2c99383122fefb9f4f2b354bbe8fed890c116c1",
     "frozen_skills/diagnostics.csv":
@@ -86,8 +86,8 @@ GOLDEN = {
     "frozen_skills/trajectories.csv":
         "5f91776452880a8f1a388cba58d2ef66535b3d42788c7bea713258ad04475998",
     "frozen_skills/checkpoint.bin":
-        "97c458465839b213d9edf3be385395fe9689b362984f9e8c386e5db44753ea30",
-    "frozen_skills/config_hash": "ed1b693b0fc4",
+        "6caa66934807144e3623a3f502ad848e0339a3457b4ead951b1f72b2b6702371",
+    "frozen_skills/config_hash": "03240a9000f7",
     "flat_trpo/metrics.csv":
         "896d4e6e7de990608f557be29cecf39c4cee2794d802f2eece6790953d98b600",
     "flat_trpo/diagnostics.csv":
@@ -95,8 +95,8 @@ GOLDEN = {
     "flat_trpo/trajectories.csv":
         "d8a3a0758f997e42deb37d96bc111e09cb6e02bc6f678825615113717848a340",
     "flat_trpo/checkpoint.bin":
-        "3d439db1943811fc822d4dc000a1862a35c388c803d98ccc37c8b91666b0415f",
-    "flat_trpo/config_hash": "8f8b4835597f",
+        "8cf3c3791d90211bdf9a1565eb7715fda5cc00f690ca343dbd026eecb28ee665",
+    "flat_trpo/config_hash": "54f3f7a0e8dd",
     "alternate/metrics.csv":
         "afc3417776f9c555d2bfdc1dd8e3570ebfb084031e2f56451dac2395af4820b3",
     "alternate/diagnostics.csv":
@@ -104,8 +104,8 @@ GOLDEN = {
     "alternate/trajectories.csv":
         "bf0cce57d865db6b52fa23db8d27c42206ca109d2227bebae2e28918967442a8",
     "alternate/checkpoint.bin":
-        "b271dff04aadf56b352e3b5fedde0eddf2b77d1085428ac5b7a5719d24c448e7",
-    "alternate/config_hash": "a850744b3e7b",
+        "01d165db3a592031abb4ab21edcc1cb4b32b2a0663649eddfa1e65f0daf987e1",
+    "alternate/config_hash": "774538bb895a",
     "haar_no_anneal/metrics.csv":
         "e822a2bf8b086c0f96424bb46af933794b006947279aa7a4247c6427ddbb37dd",
     "haar_no_anneal/diagnostics.csv":
@@ -113,8 +113,8 @@ GOLDEN = {
     "haar_no_anneal/trajectories.csv":
         "73722373acea99415a21ba6f9a2948c9fb32d72221deeab5a3faa4af56de8199",
     "haar_no_anneal/checkpoint.bin":
-        "4d9097cd8c8033c947db06d91eefc10e876e86c375a846cdf08a49347be4b671",
-    "haar_no_anneal/config_hash": "dd10d6728fe6",
+        "171d5ab0ca2e9ad9350a59af8d8de2673e51d193431327a1cc42558b45814711",
+    "haar_no_anneal/config_hash": "55cfe93e93c7",
     "cli_override/metrics.csv":
         "0e5bef6de97cb46db5c59e9d59d0cfbd8e5b055aa3fe77845c171404559cf228",
     "cli_override/diagnostics.csv":
@@ -122,8 +122,8 @@ GOLDEN = {
     "cli_override/trajectories.csv":
         "94ab99ad9796232d6352c697e1e6d00458a1d9828e0833c20421ed6d199389f2",
     "cli_override/checkpoint.bin":
-        "a733fe0cad9d637a168edace829df612c497f33f911852397f45ffd30588c739",
-    "cli_override/config_hash": "bf46cdfc7a9a",
+        "21617fddba2d112d971fb5b5bf9de2e13ec09d8f0b2e3705a1a0e17134156b68",
+    "cli_override/config_hash": "c1f7606d01ca",
     "transfer_both/metrics.csv":
         "806135d4dc479512c1b84024e36280b0ef0c78c142e3a6e0355c42c65f65e098",
     "transfer_both/diagnostics.csv":
@@ -131,8 +131,8 @@ GOLDEN = {
     "transfer_both/trajectories.csv":
         "306700ef0d67fd9373ebe265f0b3719fb3137dcc55081083b0d853e53ea71e5e",
     "transfer_both/checkpoint.bin":
-        "280e67536288924c01bc180a395e613ad1814731023a548e62e8d103d7075a43",
-    "transfer_both/config_hash": "dd10d6728fe6",
+        "b8a0fae0bf0cb01250d690f4975a76b30397e8343f7c53cf36f94c2751cd520c",
+    "transfer_both/config_hash": "55cfe93e93c7",
     "transfer_low_only/metrics.csv":
         "93df42c4274065474713bd8ee33d41e3977646a116d4b8c09cbc81565ae9ce5f",
     "transfer_low_only/diagnostics.csv":
@@ -140,8 +140,8 @@ GOLDEN = {
     "transfer_low_only/trajectories.csv":
         "3ace1b36133a286a5d022173310e62a941e18288ec9751db08011dcd95a60c87",
     "transfer_low_only/checkpoint.bin":
-        "9ac599b5c0e3d006e173c3b86e7080b40057e899ac5ec56bca7392c58a3eb32a",
-    "transfer_low_only/config_hash": "dd10d6728fe6",
+        "7bd1c7f7c33bcd8e7de4b46452f3882d3b34220bcabcc7724eaec4820ed24383",
+    "transfer_low_only/config_hash": "55cfe93e93c7",
 }
 
 

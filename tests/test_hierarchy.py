@@ -143,9 +143,9 @@ def test_segment_rewards_match_replay_oracle():
             for _ in range(k):
                 x = np.concatenate([low[0], np.eye(N_SKILLS)[skill]])
                 a, _, _ = pi_l.act(x[None], act_noise(pi_l, rng, 1))
-                state, low, r, done, _ = env.step(state, a)
+                state, low, r, end = env.step(state, a)
                 acc += float(r[0])
-                done = bool(done[0])
+                done = bool(end[0] > 0)
                 total += 1
                 if done:
                     break

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from haarlab.envs.maze import (GOAL, LAYOUTS, MazeSpec, build_maze, load_maze_file,
+from haarlab.envs.maze import (GOAL, LAYOUTS, MazeSpec, build_maze,
                                n_connected_regions, parse_maze_text, sample_gather_sites)
 
 from helpers import cell_of
@@ -85,8 +85,8 @@ def test_goal_rules_per_kind():
 def test_load_maze_file(tmp_path):
     path = tmp_path / "maze.txt"
     path.write_text("#####\n#S.G#\n#####\n")
-    m = load_maze_file(str(path), cell_size=2.0)
-    assert m.goal_cell == (1, 3)
+    m = build_maze(str(path), cell_size=2.0)
+    assert m.kind == "custom" and m.goal_cell == (1, 3)
     assert m.cell_size == 2.0
     assert m.cell_center((1, 1)).tolist() == [3.0, 3.0]
 

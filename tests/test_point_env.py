@@ -5,7 +5,7 @@ import pytest
 from helpers import END_CODES, cell_of, end_code, step_loops
 
 from haarlab.envs.maze import build_maze, parse_maze_text
-from haarlab.envs.point import (DEATH_REWARD, FOOD_REWARD, GOAL_REWARD, HIGH_OBS_DIM,
+from haarlab.envs.point import (DEATH_REWARD, DT, FOOD_REWARD, GOAL_REWARD, HIGH_OBS_DIM,
                                 LOW_OBS_DIM, STUMBLE_STEPS, EnvConfig, EpisodeBatch, PointEnv)
 
 FACE_EPS = 1e-9  # the env's resting offset from a wall face
@@ -43,8 +43,8 @@ def state_at(env, position, velocity):
 def step_one(env, state, action):
     """Step a one-lane batch; returns (next batch, ego row, reward, done,
     end code)."""
-    nxt, low, reward, done, end = env.step(state, np.reshape(action, (1, 2)))
-    return nxt, low[0], float(reward[0]), bool(done[0]), int(end[0])
+    nxt, low, reward, end = env.step(state, np.reshape(action, (1, 2)))
+    return nxt, low[0], float(reward[0]), bool(end[0] > 0), int(end[0])
 
 
 def stacked(states):
@@ -153,7 +153,7 @@ def test_sweep_matches_substepping_oracle():
         vel *= rng.uniform(0, env.cfg.v_max) / max(np.linalg.norm(vel), 1e-9)
         state = state_at(env, pos, vel)
         nxt, *_ = step_one(env, state, np.zeros(2))
-        ref_pos, _ = substep_move(maze, pos, vel, env.cfg.dt, n_sub=20_000)
+        ref_pos, _ = substep_move(maze, pos, vel, DT, n_sub=20_000)
         assert not maze.is_wall_cell(*cell_of(maze, nxt.position[0]))
         assert np.max(np.abs(nxt.position[0] - ref_pos)) <= 1e-3
 
@@ -341,7 +341,7 @@ def test_batched_step_rows_equal_scalar_oracle_bit_for_bit():
                     if s is not None:  # keep |vx| == |vy|: same magnitude on both axes
                         actions[i] = s * abs(actions[i, 0])
                 batch = stacked(states)
-                nxt, low, reward, done, end = env.step(batch, actions)
+                nxt, low, reward, end = env.step(batch, actions)
                 assert isinstance(nxt, EpisodeBatch) and low.shape == (lanes, LOW_OBS_DIM)
                 seen["mixed_t"] += len(set(batch.t.tolist())) > 1
                 for i, state in enumerate(states):
@@ -351,7 +351,7 @@ def test_batched_step_rows_equal_scalar_oracle_bit_for_bit():
                     assert nxt.velocity[i].tobytes() == vel.tobytes()
                     assert low[i].tobytes() == np.array((vel[0], vel[1], 0.0, 1.0)).tobytes()
                     assert (nxt.t[i], nxt.overdrive[i]) == (t, overdrive)
-                    assert reward[i].tobytes() == np.float64(r).tobytes() and done[i] == d
+                    assert reward[i].tobytes() == np.float64(r).tobytes() and (end[i] > 0) == d
                     assert end[i] == end_code(info) and end.dtype.kind == "i"
                     if food is not None:
                         assert np.array_equal(nxt.food_active[i], food)

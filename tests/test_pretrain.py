@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from haarlab import pretrain
-from haarlab.envs.point import EnvConfig
+from haarlab.envs.point import DT, EnvConfig
 from haarlab.pretrain import (PretrainConfig, fresh_low_policy, open_field_env,
                               pretrain_skills, proxy_rewards, skill_direction,
                               skill_displacements)
@@ -49,7 +49,7 @@ def test_proxy_invariant_to_walls():
     against_wall = env.maze.cell_center((1, 1)) - [0.5 * cs - 0.1, 0.0]
     nxt, *_ = env.step(state_at(env, against_wall, [-2.0, 0.0]), np.zeros((1, 2)))
     moved = nxt.position[0] - against_wall
-    assert 0.0 < -moved[0] < 2.0 * env.cfg.dt  # the wall cut the step short
+    assert 0.0 < -moved[0] < 2.0 * DT  # the wall cut the step short
     in_open = env.maze.cell_center((5, 5))
     rows = np.array([against_wall, in_open])
     next_rows = np.array([nxt.position[0], in_open + moved])

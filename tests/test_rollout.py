@@ -293,8 +293,8 @@ def test_high_obs_batch_rows_equal_single_observations():
         state, low = env.reset(rng)  # a one-lane batch, stepped alone
         for _ in range(int(rng.integers(0, 8))):
             action = policy.act(env.high_obs_batch(state, low), act_noise(policy, rng, 1))[0]
-            state, low, _, done, _ = env.step(state, action)
-            if done[0]:
+            state, low, _, end = env.step(state, action)
+            if end[0] > 0:
                 break
         states.append(state)
         lows.append(low)
@@ -340,7 +340,7 @@ class CountdownEnv:
         t = lanes.t + 1
         n = len(t)
         end = np.where(t >= lanes.length, 3, 0)  # every episode ends at its timeout
-        return lanes._replace(t=t), np.zeros((n, 1)), np.ones(n), end > 0, end
+        return lanes._replace(t=t), np.zeros((n, 1)), np.ones(n), end
 
 
 def countdown_episodes(env, seeds):

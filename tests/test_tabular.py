@@ -48,8 +48,8 @@ def test_interleaved_episodes_keep_their_own_streams():
     env = TabularRolloutEnv(random_mdp(5, 2, np.random.default_rng(8)), horizon=12)
 
     def transitions(state, action):
-        state, low, reward, done, _ = env.step(state, np.array([action]))
-        return state, (int(np.argmax(low[0])), float(reward[0]), bool(done[0]))
+        state, low, reward, end = env.step(state, np.array([action]))
+        return state, (int(np.argmax(low[0])), float(reward[0]), bool(end[0] > 0))
 
     alone = []
     for seed in (1, 2):
