@@ -1,6 +1,6 @@
 """Command line entry point.
 
-Subcommands: pretrain, train, transfer, theory-check, report. Any
+Subcommands: pretrain, train, theory-check, report. Any
 validation failure exits nonzero with a message on stderr before any
 computation starts.
 """
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import os
 import sys
@@ -44,13 +43,11 @@ def _positive_int(raw: str) -> int:
     return value
 
 
-def _add_common(p, mode: bool = True):
+def _add_common(p):
     p.add_argument("--config", required=True,
                    help="plain-text config file (key = value lines)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", help="seed or comma separated seed list (overrides config)")
-    if mode:  # pre-training has no training mode
-        p.add_argument("--mode", choices=MODES, help="override the training mode")
     p.add_argument("--jobs", type=_positive_int, default=1, help="parallel seed processes")
     p.add_argument("--quiet", action="store_true", help="suppress progress lines")
 
@@ -67,31 +64,19 @@ def cmd_pretrain(args) -> int:
 def cmd_train(args) -> int:
     from .experiment import run_train
     cfg = _load_cfg(args)
-    skills = _resolve_per_seed(args.skills, cfg.seeds, "skills_seed_{seed}.bin") \
-        if args.skills else None
-    dirs = run_train(cfg, args.out, skills=skills, jobs=args.jobs, log=_log(args))
+    skills, high = (_resolve_per_seed(path, cfg.seeds) if path else None
+                    for path in (args.skills, args.high))
+    dirs = run_train(cfg, args.out, skills=skills, high=high, jobs=args.jobs, log=_log(args))
     for d in dirs:
         print(d)
     return 0
 
 
-def cmd_transfer(args) -> int:
-    from .experiment import run_train
-    cfg = _load_cfg(args)
-    cfg = dataclasses.replace(cfg, k_0=cfg.k_s)  # transfer holds the skill length at k_s
-    source = _resolve_per_seed(args.source, cfg.seeds, "seed_{seed}/checkpoint.bin")
-    dirs = run_train(cfg, args.out, transfer=args.transfer, source=source,
-                     jobs=args.jobs, log=_log(args))
-    for d in dirs:
-        print(d)
-    return 0
-
-
-def _resolve_per_seed(path: str, seeds, pattern: str) -> dict[int, str]:
+def _resolve_per_seed(path: str, seeds) -> dict[int, str]:
     """{seed: checkpoint}: a file serves every seed, and a directory
-    holds one file per seed, named by pattern."""
+    holds seed_<n>/checkpoint.bin for each, as pretrain and train write."""
     per_seed = os.path.isdir(path)
-    mapping = {seed: os.path.join(path, pattern.format(seed=seed)) if per_seed else path
+    mapping = {seed: os.path.join(path, f"seed_{seed}", "checkpoint.bin") if per_seed else path
                for seed in seeds}
     for seed, candidate in mapping.items():
         if not os.path.exists(candidate):
@@ -137,21 +122,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pretrain", help="pre-train the initial skill set")
-    _add_common(p, mode=False)
+    _add_common(p)
     p.set_defaults(fn=cmd_pretrain)
 
     p = sub.add_parser("train", help="run training for every seed")
     _add_common(p)
+    p.add_argument("--mode", choices=MODES, help="override the training mode")
     p.add_argument("--algorithm", choices=ALGORITHMS)
-    p.add_argument("--skills", help="pre-trained skills: checkpoint file or directory")
+    p.add_argument("--skills", help="checkpoint (file or directory) that pi_l starts from")
+    p.add_argument("--high", help="run checkpoint (file or directory) that pi_h starts from")
     p.set_defaults(fn=cmd_train)
-
-    p = sub.add_parser("transfer", help="train on a target maze from a source checkpoint")
-    _add_common(p)
-    p.add_argument("--source", required=True,
-                   help="source run checkpoint (file) or run directory tree")
-    p.add_argument("--transfer", required=True, choices=("both", "low_only"))
-    p.set_defaults(fn=cmd_transfer)
 
     p = sub.add_parser("theory-check", help="exact verification of the improvement lemmas")
     p.add_argument("--out", required=True, help="report CSV path")

@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 
-from .envs.maze import build_maze
+from .envs.maze import LAYOUTS, build_maze
 from .envs.point import EnvConfig, PointEnv
 from .pretrain import PretrainConfig
 
@@ -52,6 +52,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown algorithm {self.algorithm!r} (choose from {ALGORITHMS})")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r} (choose from {MODES})")
+        if self.algorithm == "flat_trpo" and self.mode != "concurrent":
+            raise ConfigError("flat_trpo has one level to update: it runs in concurrent mode only")
         for name in ("N", "B", "k_0", "k_s", "T", "n_skills"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
@@ -90,7 +92,10 @@ class ExperimentConfig:
                 for key, (name, sub, _) in _field_types().items()}
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
+        values = self.to_dict()  # a layout file is hashed by its grid, not its path
+        if self.maze not in LAYOUTS:
+            values["maze"] = build_maze(self.maze).grid
+        blob = json.dumps(values, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 
 

@@ -1,4 +1,4 @@
-"""Training, transfer, and reporting runs with seeded determinism.
+"""Training and reporting runs with seeded determinism.
 
 Every run writes one directory per seed:
 
@@ -14,7 +14,7 @@ Every run writes one directory per seed:
                       y, skill), run in lockstep lanes by the
                       algorithm's own training collector
     checkpoint.bin    final parameters of all policies
-    run.json          config echo, config hash, seed, file index
+    run.json          config echo, config hash, seed, start, file index
 
 Seeds are independent: they may run in parallel processes without
 changing any output byte.
@@ -24,11 +24,13 @@ from __future__ import annotations
 
 import csv
 import ctypes
+import hashlib
 import json
 import os
 import time
 from dataclasses import dataclass
 from functools import partial
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -192,11 +194,11 @@ def _keep_freed_pages() -> bool:
 
 def run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: str,
                     skills_checkpoint: str | None = None,
-                    transfer: str | None = None,
-                    source_checkpoint: str | None = None,
+                    high_checkpoint: str | None = None,
                     log=None) -> str:
     """Train one seed, persist its artifacts under out_dir/seed_<n> and
-    return that directory.
+    return that directory. pi_l starts from skills_checkpoint and pi_h
+    from high_checkpoint, each when given.
 
     log, when given, is called once per iteration after that
     iteration's rows are written. run.json, renamed into place last,
@@ -206,7 +208,9 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: str,
     _keep_freed_pages()
     t0 = time.perf_counter()
     env = cfg.build_env()
-    algo = _algorithm(cfg, env, seed, skills_checkpoint, transfer, source_checkpoint)
+    algo = _algorithm(cfg, env, seed, skills_checkpoint, high_checkpoint)
+    start = {policy: hashlib.sha256(Path(path).read_bytes()).hexdigest() for policy, path
+             in (("pi_l", skills_checkpoint), ("pi_h", high_checkpoint)) if path}
     run_dir = os.path.join(out_dir, f"seed_{seed}")
     os.makedirs(run_dir, exist_ok=True)
     if os.path.exists(os.path.join(run_dir, "run.json")):  # it would mark this run finished
@@ -246,14 +250,14 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: str,
         timing.close()
 
     save_checkpoint(os.path.join(run_dir, "checkpoint.bin"), algo.segments(),
-                    metadata={"algorithm": cfg.algorithm, "seed": seed, "transfer": transfer or "",
+                    metadata={"algorithm": cfg.algorithm, "seed": seed, "start": start,
                               "config_hash": cfg.config_hash(), **algo.metadata})
     _trace_trajectories(os.path.join(run_dir, "trajectories.csv"), env, algo.collector(), seed)
     payload = {
         "config": cfg.to_dict(),
         "config_hash": cfg.config_hash(),
         "seed": seed,
-        "transfer": transfer or "",
+        "start": start,
         "wall_time_total_s": time.perf_counter() - t0,
         "final_success_rate": final_success,
         "total_low_steps": low_steps,
@@ -267,34 +271,29 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: str,
     return run_dir
 
 
-def _algorithm(cfg, env, seed, skills_checkpoint, transfer, source_checkpoint) -> _Algorithm:
+def _algorithm(cfg, env, seed, skills_checkpoint, high_checkpoint) -> _Algorithm:
     """The seed's algorithm, its policies built and loaded from the
     given checkpoints; raises before anything is written if they do not
     fit the config."""
     if cfg.algorithm != "flat_trpo":
-        return _hierarchical(cfg, env, seed, skills_checkpoint, transfer, source_checkpoint)
-    if skills_checkpoint or transfer:
+        return _hierarchical(cfg, env, seed, skills_checkpoint, high_checkpoint)
+    if skills_checkpoint or high_checkpoint:
         raise ConfigError("flat_trpo trains its one policy from scratch: "
-                          "it takes no pre-trained skills and no transfer")
+                          "it takes no --skills and no --high checkpoint")
     return _flat(cfg, env, seed)
 
 
-def _hierarchical(cfg, env, seed, skills_checkpoint, transfer, source_checkpoint) -> _Algorithm:
+def _hierarchical(cfg, env, seed, skills_checkpoint, high_checkpoint) -> _Algorithm:
     pi_h = fresh_high_policy(cfg, env, seed)
     pi_l = fresh_low_policy(cfg.n_skills, env, seed)
-    if transfer in ("both", "low_only"):
-        if not source_checkpoint:
-            raise ConfigError("transfer runs need a source checkpoint")
-        donors = {"pi_l": pi_l, "pi_h": pi_h} if transfer == "both" else {"pi_l": pi_l}
-        load_policy_segments(source_checkpoint, **donors)
-    elif transfer is not None:
-        raise ConfigError(f"unknown transfer mode {transfer!r}")
-    elif skills_checkpoint:
+    if skills_checkpoint:
         load_policy_segments(skills_checkpoint, pi_l=pi_l)
     elif cfg.pretrain.iterations > 0:
         raise ConfigError(
             "pre-trained skills are required (run the pretrain command first, "
             "or set pretrain.iterations = 0)")
+    if high_checkpoint:
+        load_policy_segments(high_checkpoint, pi_h=pi_h)
 
     # the trace runs each skill for the skill length after the last iteration
     k_trace = skill_length(cfg.k_0, cfg.k_s, cfg.N, cfg.N)
@@ -363,31 +362,30 @@ def flat_iteration(policy, env, cfg: ExperimentConfig, seed: int, iteration: int
 
 def run_train(cfg: ExperimentConfig, out_dir: str,
               skills: dict[int, str] | None = None,
-              transfer: str | None = None,
-              source: dict[int, str] | None = None,
+              high: dict[int, str] | None = None,
               jobs: int = 1, log=None) -> list[str]:
     """Run every seed of the config; returns the run directories.
 
-    `skills` / `source` map each seed to its checkpoint path. Every
-    seed's policies are built and loaded once before the first seed
-    runs, so a checkpoint that does not fit fails the whole run before
-    anything is written. Seeds run as independent processes when
+    `skills` / `high` map each seed to the checkpoint its pi_l / pi_h
+    starts from. Every seed's policies are built and loaded once before
+    the first seed runs, so a checkpoint that does not fit fails the
+    whole run before anything is written. Seeds run as independent processes when
     jobs > 1; outputs are identical either way.
     """
-    skills, source = skills or {}, source or {}
-    tasks = [(cfg, seed, out_dir, skills.get(seed), transfer, source.get(seed))
-             for seed in cfg.seeds]
+    skills, high = skills or {}, high or {}
+    tasks = [(cfg, seed, out_dir, skills.get(seed), high.get(seed)) for seed in cfg.seeds]
     env = cfg.build_env()
     for seed in cfg.seeds:
-        _algorithm(cfg, env, seed, skills.get(seed), transfer, source.get(seed))
+        _algorithm(cfg, env, seed, skills.get(seed), high.get(seed))
     os.makedirs(out_dir, exist_ok=True)
     return _map_seeds(run_single_seed, tasks, jobs, log)
 
 
 def run_pretrain(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
                  log=None) -> dict[int, str]:
-    """Pre-train one skill set per seed; returns seed -> checkpoint path.
-    log, when given, is called as each seed finishes in a serial run."""
+    """Pre-train one skill set per seed; returns seed -> checkpoint path,
+    out_dir/seed_<n>/checkpoint.bin as a train run's. log, when given,
+    is called as each seed finishes in a serial run."""
     os.makedirs(out_dir, exist_ok=True)
     paths = _map_seeds(_pretrain_job, [(cfg, seed, out_dir) for seed in cfg.seeds], jobs, log)
     return dict(zip(cfg.seeds, paths))
@@ -412,12 +410,14 @@ def _map_seeds(job, tasks: list[tuple], jobs: int, log=None) -> list:
 def _pretrain_job(cfg, seed, out_dir):
     _keep_freed_pages()
     pi_l, stats = pretrain_skills(cfg.pretrain, cfg.n_skills, seed)
-    path = os.path.join(out_dir, f"skills_seed_{seed}.bin")
+    seed_dir = os.path.join(out_dir, f"seed_{seed}")
+    os.makedirs(seed_dir, exist_ok=True)
+    path = os.path.join(seed_dir, "checkpoint.bin")
     save_checkpoint(path, policy_segments(pi_l=pi_l),
                     metadata={"n_skills": cfg.n_skills,
                               "env": "open_field/v1", "seed": seed,
                               "iterations": cfg.pretrain.iterations})
-    with atomic_open(os.path.join(out_dir, f"skills_seed_{seed}.json")) as fh:
+    with atomic_open(os.path.join(seed_dir, "pretrain.json")) as fh:
         json.dump({"stats": stats, "seed": seed}, fh, indent=2)
     return path
 

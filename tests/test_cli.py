@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -30,11 +31,17 @@ def write_cfg(tmp_path, text=TINY, name="exp.cfg"):
     return str(path)
 
 
+def sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 def test_pretrain_then_train_then_report(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     skills_dir = str(tmp_path / "skills")
     assert main(["pretrain", "--config", cfg, "--out", skills_dir, "--quiet"]) == 0
-    assert os.path.exists(os.path.join(skills_dir, "skills_seed_0.bin"))
+    assert os.path.exists(os.path.join(skills_dir, "seed_0", "checkpoint.bin"))
+    assert os.path.exists(os.path.join(skills_dir, "seed_0", "pretrain.json"))
 
     run_dir = str(tmp_path / "runs")
     assert main(["train", "--config", cfg, "--out", run_dir, "--skills", skills_dir,
@@ -71,6 +78,10 @@ def test_untrained_skills_run_as_zero_pretraining_iterations(tmp_path):
     assert (bare / "metrics.csv").read_bytes() == (pretrained / "metrics.csv").read_bytes()
     (segments, metadata), (want, want_metadata) = (
         load_checkpoint(str(run / "checkpoint.bin")) for run in runs)
+    # only the record of what each run started from differs
+    assert metadata.pop("start") == {}
+    assert want_metadata.pop("start") == {"pi_l": sha256(os.path.join(skills, "seed_0",
+                                                                       "checkpoint.bin"))}
     assert metadata == want_metadata and segments.keys() == want.keys()
     assert all(segments[key].tobytes() == want[key].tobytes() for key in want)
 
@@ -86,14 +97,31 @@ def test_missing_skills_checkpoint_fails(tmp_path, capsys):
 def test_one_skills_file_serves_every_seed(tmp_path):
     path = tmp_path / "skills.bin"
     path.write_bytes(b"")
-    assert _resolve_per_seed(str(path), (0, 1), "skills_seed_{seed}.bin") == {
-        0: str(path), 1: str(path)}
+    assert _resolve_per_seed(str(path), (0, 1)) == {0: str(path), 1: str(path)}
 
 
 def test_skills_directory_missing_a_seed_names_it(tmp_path):
-    (tmp_path / "skills_seed_0.bin").write_bytes(b"")
+    (tmp_path / "seed_0").mkdir()
+    (tmp_path / "seed_0" / "checkpoint.bin").write_bytes(b"")
     with pytest.raises(CheckpointError, match="seed 1 not found"):
-        _resolve_per_seed(str(tmp_path), (0, 1), "skills_seed_{seed}.bin")
+        _resolve_per_seed(str(tmp_path), (0, 1))
+
+
+def test_skills_run_directory_resolves_each_seeds_checkpoint(tmp_path):
+    # pretrain and train both write seed_<n>/checkpoint.bin; --skills
+    # used to look for skills_seed_<n>.bin in any directory
+    cfg = write_cfg(tmp_path, text=UNTRAINED)
+    run = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--out", str(run), "--seed", "0,1", "--quiet"]) == 0
+    assert _resolve_per_seed(str(run), (0, 1)) == {
+        seed: os.path.join(str(run), f"seed_{seed}", "checkpoint.bin") for seed in (0, 1)}
+    out = tmp_path / "from_run"
+    assert main(["train", "--config", cfg, "--out", str(out), "--seed", "0,1",
+                 "--skills", str(run), "--quiet"]) == 0
+    for seed in (0, 1):
+        with open(out / f"seed_{seed}" / "run.json") as fh:
+            assert json.load(fh)["start"] == {
+                "pi_l": sha256(run / f"seed_{seed}" / "checkpoint.bin")}
 
 
 def test_report_runs_given_a_file_fails_cleanly(tmp_path, capsys):
@@ -122,7 +150,7 @@ def test_unknown_maze_kind_fails_before_writing(command, tmp_path, capsys):
     out = tmp_path / "r"
     assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
     assert "unknown maze kind 'hexagon'" in capsys.readouterr().err
-    assert not (out / "seed_0").exists() and not (out / "skills_seed_0.bin").exists()
+    assert not (out / "seed_0").exists()
 
 
 def test_cli_train_is_deterministic(tmp_path):
@@ -173,35 +201,34 @@ def test_algorithm_override_keeps_the_file_k0(tmp_path):
 
 
 def test_transfer_modes_via_cli(tmp_path):
+    # both levels start from the source run with --skills and --high, the
+    # low level alone with --skills; each run records the files it loaded
     cfg = write_cfg(tmp_path, text=UNTRAINED)
     src = str(tmp_path / "src")
     assert main(["train", "--config", cfg, "--out", src, "--quiet"]) == 0
+    source = sha256(os.path.join(src, "seed_0", "checkpoint.bin"))
 
     target_text = UNTRAINED + "maze = mirrored\n"
     tcfg = write_cfg(tmp_path, text=target_text, name="target.cfg")
-    for mode in ("both", "low_only"):
-        out = str(tmp_path / f"tr_{mode}")
-        assert main(["transfer", "--config", tcfg, "--source", src,
-                     "--transfer", mode, "--out", out, "--quiet"]) == 0
-        assert os.path.exists(os.path.join(out, "seed_0", "metrics.csv"))
+    for name, extra, start in (("both", ["--high", src], {"pi_l": source, "pi_h": source}),
+                               ("low_only", [], {"pi_l": source})):
+        out = str(tmp_path / f"tr_{name}")
+        assert main(["train", "--config", tcfg, "--skills", src, *extra, "--out", out,
+                     "--quiet"]) == 0
+        with open(os.path.join(out, "seed_0", "run.json")) as fh:
+            assert json.load(fh)["start"] == start
+        assert load_checkpoint(os.path.join(out, "seed_0", "checkpoint.bin"))[1]["start"] == start
 
 
-def test_transfer_holds_the_skill_length_at_k_s(tmp_path):
-    # transfer replaces k_0 with k_s; run.json echoes the k_0 it ran with
-    text = UNTRAINED.replace("N = 2", "N = 3")
-    text = text.replace("k_0 = 6", "k_0 = 100").replace("k_s = 3", "k_s = 10")
-    cfg = write_cfg(tmp_path, text=text)
-    src = str(tmp_path / "src")
-    assert main(["train", "--config", cfg, "--out", src, "--quiet"]) == 0
-    out = tmp_path / "tr"
-    assert main(["transfer", "--config", cfg, "--source", src, "--transfer", "low_only",
-                 "--out", str(out), "--quiet"]) == 0
-    with open(out / "seed_0" / "metrics.csv") as fh:
-        assert [row["k"] for row in csv.DictReader(fh)] == ["10"] * 3
-    with open(out / "seed_0" / "run.json") as fh:
-        assert json.load(fh)["config"]["k_0"] == 10
-    with open(os.path.join(src, "seed_0", "run.json")) as fh:
-        assert json.load(fh)["config"]["k_0"] == 100
+def test_transfer_command_is_gone(tmp_path, capsys):
+    # a transfer is a train that starts from checkpoints
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["transfer", "--config", write_cfg(tmp_path), "--source", "src",
+              "--transfer", "both", "--out", str(out), "--quiet"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'transfer'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 FLAT = "algorithm = flat_trpo\nN = 1\nB = 100\nT = 25\n"
@@ -213,11 +240,19 @@ def test_flat_trpo_refuses_transfer(tmp_path, capsys):
     src = str(tmp_path / "src")
     assert main(["train", "--config", cfg, "--out", src, "--quiet"]) == 0
     out = tmp_path / "tr"
-    for mode in ("both", "low_only"):
-        assert main(["transfer", "--config", cfg, "--source", src, "--transfer", mode,
-                     "--out", str(out), "--quiet"]) == 2
+    for start in (["--high", src], ["--skills", src, "--high", src]):
+        assert main(["train", "--config", cfg, *start, "--out", str(out), "--quiet"]) == 2
         assert "flat_trpo" in capsys.readouterr().err
     assert not (out / "seed_0").exists()
+
+
+def test_flat_trpo_refuses_alternate_mode(tmp_path, capsys):
+    # it used to run as concurrent while run.json echoed alternate
+    out = tmp_path / "flat"
+    assert main(["train", "--config", write_cfg(tmp_path, text=FLAT), "--mode", "alternate",
+                 "--out", str(out), "--quiet"]) == 2
+    assert "flat_trpo" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_transfer_checks_every_seed_source_before_the_first_seed_runs(tmp_path, capsys):
@@ -231,7 +266,7 @@ def test_transfer_checks_every_seed_source_before_the_first_seed_runs(tmp_path, 
     del segments["pi_l/mean_net"]
     save_checkpoint(path, segments, metadata)
     out = tmp_path / "tr"
-    assert main(["transfer", "--config", cfg, "--source", str(src), "--transfer", "both",
+    assert main(["train", "--config", cfg, "--skills", str(src), "--high", str(src),
                  "--seed", "0,1", "--out", str(out), "--quiet"]) == 2
     assert "lacks segment 'pi_l/mean_net'" in capsys.readouterr().err
     assert not (out / "seed_0").exists()
@@ -248,17 +283,6 @@ def test_flat_trpo_refuses_skills(tmp_path, capsys):
     assert not (out / "seed_0").exists()
 
 
-def test_transfer_none_rejected_at_parse_time(tmp_path, capsys):
-    # training from scratch on a target config is `train --skills`
-    out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        main(["transfer", "--config", write_cfg(tmp_path), "--source", "src",
-              "--transfer", "none", "--out", str(out), "--quiet"])
-    assert exc.value.code == 2
-    assert "--transfer" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_pretrain_mode_rejected_at_parse_time(tmp_path, capsys):
     # pre-training has no training mode to override
     out = tmp_path / "out"
@@ -271,7 +295,7 @@ def test_pretrain_mode_rejected_at_parse_time(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, extra", [
-    ("pretrain", ()), ("train", ()), ("transfer", ("--source", "src", "--transfer", "both"))])
+    ("pretrain", ()), ("train", ("--skills", "src", "--high", "src"))])
 def test_jobs_below_one_rejected_at_parse_time(tmp_path, capsys, command, extra):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "out"

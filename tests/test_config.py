@@ -1,4 +1,5 @@
 import glob
+import hashlib
 import json
 import math
 import os
@@ -147,6 +148,30 @@ def test_config_hash_sensitivity():
     b = ExperimentConfig(N=11)
     assert a.config_hash() != b.config_hash()
     assert a.config_hash() == ExperimentConfig(N=10).config_hash()
+
+
+def test_layout_file_hashed_by_its_grid(tmp_path, monkeypatch):
+    # the hash used to take the path: a rewritten m.txt kept its hash,
+    # while ./m.txt, the same file, got another
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.txt").write_text("#####\n#SG.#\n#####\n")
+    first = parse_config_text("maze = m.txt\n").config_hash()
+    assert parse_config_text("maze = ./m.txt\n").config_hash() == first
+    (tmp_path / "m.txt").write_text("#####\n#S.G#\n#####\n")
+    assert parse_config_text("maze = m.txt\n").config_hash() != first
+    # a built-in kind is hashed by its name, so no shipped config's hash moved
+    for path in sorted(glob.glob(os.path.join(CONFIGS, "*.cfg"))):
+        cfg = load_config(path)
+        blob = json.dumps(cfg.to_dict(), sort_keys=True).encode()
+        assert cfg.config_hash() == hashlib.sha256(blob).hexdigest()[:12], path
+
+
+def test_flat_trpo_refuses_alternate_mode():
+    # flat TRPO has one level, and its runs used to echo a mode they ignored
+    with pytest.raises(ConfigError, match="flat_trpo"):
+        ExperimentConfig(algorithm="flat_trpo", mode="alternate")
+    with pytest.raises(ConfigError, match="flat_trpo"):
+        parse_config_text("algorithm = flat_trpo\nmode = alternate\n")
 
 
 def test_pretrain_n_skills_follows_experiment(tmp_path):

@@ -1,5 +1,6 @@
 import copy
 import csv
+import hashlib
 import json
 import math
 import os
@@ -28,6 +29,10 @@ def tiny_cfg(**kw):
 def read_lines(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def sha256(path):
+    return hashlib.sha256(read_lines(path)).hexdigest()
 
 
 def test_run_writes_expected_files(tmp_path):
@@ -130,10 +135,11 @@ def test_training_requires_skills_unless_random_init(tmp_path):
 REFUSALS = {
     "no_skills": (dict(pretrain=PretrainConfig(iterations=1)), {}, ConfigError),
     "missing_maze_file": (dict(maze="absent_maze.txt"), {}, ConfigError),
-    "missing_segment": ({}, dict(transfer="both"), CheckpointError),
+    "missing_segment": ({}, dict(high_checkpoint="source.bin"), CheckpointError),
     "flat_skills": (dict(algorithm="flat_trpo"), dict(skills_checkpoint="skills.bin"),
                     ConfigError),
-    "flat_transfer": (dict(algorithm="flat_trpo"), dict(transfer="low_only"), ConfigError),
+    "flat_transfer": (dict(algorithm="flat_trpo"), dict(high_checkpoint="source.bin"),
+                      ConfigError),
 }
 
 
@@ -144,8 +150,7 @@ def test_refused_run_leaves_no_seed_directory(tmp_path, refusal):
     cfg_kw, run_kw, error = REFUSALS[refusal]
     src = tmp_path / "source.bin"
     save_checkpoint(str(src), {"pi_x/net": np.zeros(3)})  # lacks every policy segment
-    if "transfer" in run_kw:
-        run_kw = dict(run_kw, source_checkpoint=str(src))
+    run_kw = {key: str(tmp_path / name) for key, name in run_kw.items()}
     with pytest.raises(error):
         run_single_seed(tiny_cfg(**cfg_kw), 0, str(tmp_path / "out"), **run_kw)
     assert not (tmp_path / "out").exists()
@@ -162,30 +167,54 @@ def reward_free_cfg(tmp_path, **kw):
     return tiny_cfg(maze=str(maze), stumble_threshold=math.inf, **kw)
 
 
-def test_transfer_low_only_loads_only_low_segments(tmp_path):
-    # a reward-free maze keeps both policies at their initial values, so
-    # the final checkpoint exposes exactly what was loaded at startup
+def donor_run(tmp_path):
+    """A reward-free config, which keeps both policies at their initial
+    values so that the final checkpoint exposes exactly what was loaded
+    at startup, and a source checkpoint of seed 77's policies; returns
+    (cfg, its env, the source path, its segments)."""
     cfg = reward_free_cfg(tmp_path, N=2)
     env = cfg.build_env()
-    donor_low = fresh_low_policy(cfg.n_skills, env, 77)
-    donor_high = fresh_high_policy(cfg, env, 77)
-    src = tmp_path / "source.bin"
-    save_checkpoint(str(src), {
-        "pi_h/logits_net": donor_high.params.segment("logits_net").copy(),
-        "pi_l/mean_net": donor_low.params.segment("mean_net").copy(),
-        "pi_l/log_std": donor_low.params.segment("log_std").copy(),
-    })
-    run_dir = run_single_seed(cfg, 5, str(tmp_path / "low_only"), transfer="low_only",
-                          source_checkpoint=str(src))
-    segments, _ = load_checkpoint(os.path.join(run_dir, "checkpoint.bin"))
-    fresh_h = fresh_high_policy(cfg, env, 5)
-    assert np.array_equal(segments["pi_l/mean_net"], donor_low.params.segment("mean_net"))
-    assert np.array_equal(segments["pi_h/logits_net"], fresh_h.params.segment("logits_net"))
+    donor = policy_segments(pi_h=fresh_high_policy(cfg, env, 77),
+                            pi_l=fresh_low_policy(cfg.n_skills, env, 77))
+    src = str(tmp_path / "source.bin")
+    save_checkpoint(src, donor)
+    return cfg, env, src, donor
 
-    run_both = run_single_seed(cfg, 5, str(tmp_path / "both"), transfer="both",
-                               source_checkpoint=str(src))
-    seg_both, _ = load_checkpoint(os.path.join(run_both, "checkpoint.bin"))
-    assert np.array_equal(seg_both["pi_h/logits_net"], donor_high.params.segment("logits_net"))
+
+def run_from(tmp_path, name, cfg, **checkpoints):
+    """run_single_seed of seed 5 from the given checkpoints; returns the
+    final checkpoint's segments and its start, which run.json repeats."""
+    run_dir = run_single_seed(cfg, 5, str(tmp_path / name), **checkpoints)
+    segments, metadata = load_checkpoint(os.path.join(run_dir, "checkpoint.bin"))
+    with open(os.path.join(run_dir, "run.json")) as fh:
+        assert json.load(fh)["start"] == metadata["start"]
+    return segments, metadata["start"]
+
+
+def test_transfer_low_only_loads_only_low_segments(tmp_path):
+    cfg, env, src, donor = donor_run(tmp_path)
+    fresh = policy_segments(pi_h=fresh_high_policy(cfg, env, 5))
+    sha = sha256(src)
+    segments, start = run_from(tmp_path, "low_only", cfg, skills_checkpoint=src)
+    assert start == {"pi_l": sha}
+    assert np.array_equal(segments["pi_l/mean_net"], donor["pi_l/mean_net"])
+    assert np.array_equal(segments["pi_h/logits_net"], fresh["pi_h/logits_net"])
+
+    seg_both, start = run_from(tmp_path, "both", cfg, skills_checkpoint=src,
+                               high_checkpoint=src)
+    assert start == {"pi_l": sha, "pi_h": sha}
+    assert all(np.array_equal(seg_both[key], donor[key]) for key in donor)
+
+
+def test_high_alone_loads_only_high_segments(tmp_path):
+    # a source with no pi_l segment: --high loads pi_h/* and nothing else
+    cfg, env, src, donor = donor_run(tmp_path)
+    save_checkpoint(src, {"pi_h/logits_net": donor["pi_h/logits_net"]})
+    fresh = policy_segments(pi_l=fresh_low_policy(cfg.n_skills, env, 5))
+    segments, start = run_from(tmp_path, "high", cfg, high_checkpoint=src)
+    assert start == {"pi_h": sha256(src)}
+    assert np.array_equal(segments["pi_h/logits_net"], donor["pi_h/logits_net"])
+    assert all(np.array_equal(segments[key], fresh[key]) for key in fresh)
 
 
 def _short_segments(cfg):
@@ -209,8 +238,8 @@ def test_transfer_dimension_mismatch_rejected(tmp_path, make_segments, message):
     src = tmp_path / "bad.bin"
     save_checkpoint(str(src), make_segments(cfg))
     with pytest.raises(CheckpointError, match=message):
-        run_single_seed(cfg, 0, str(tmp_path / "run"), transfer="both",
-                        source_checkpoint=str(src))
+        run_single_seed(cfg, 0, str(tmp_path / "run"), skills_checkpoint=str(src),
+                        high_checkpoint=str(src))
 
 
 def test_run_train_multi_seed_and_parallel_identical(tmp_path):
@@ -349,7 +378,7 @@ def test_trace_episode_runs_as_it_would_alone(tmp_path, algorithm):
 
     def trace(path, **kw):  # a freshly built algorithm each time
         algo = (_flat(cfg, env, 2) if algorithm == "flat_trpo"
-                else _hierarchical(cfg, env, 2, None, None, None))
+                else _hierarchical(cfg, env, 2, None, None))
         _trace_trajectories(str(path), env, algo.collector(), 2, **kw)
 
     trace(tmp_path / "all.csv")

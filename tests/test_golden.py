@@ -50,25 +50,27 @@ CONFIGS = {
     "haar_no_anneal": HAAR.replace("k_0 = 12", "k_0 = 3"),  # the skill length held at k_s
 }
 
-# name -> (subcommand, config, extra CLI arguments). Every train run but
-# the flat baseline starts from the pre-trained skills; the transfers
-# start from the haar run's checkpoint.
+SKILLS = ("--skills", "skills")
+
+# name -> (config, extra train arguments), run in order. Every run but
+# the flat baseline starts pi_l from the pre-trained skills, except the
+# transfers: both levels, or pi_l alone, start from the haar run.
 RUNS = {
-    "haar": ("train", "haar", ()),
-    "frozen_skills": ("train", "frozen_skills", ()),
-    "flat_trpo": ("train", "flat_trpo", ()),
-    "alternate": ("train", "alternate", ()),
-    "haar_no_anneal": ("train", "haar_no_anneal", ()),
-    "cli_override": ("train", "haar",
-                     ("--algorithm", "frozen_skills", "--mode", "alternate", "--seed", "0")),
-    "transfer_both": ("transfer", "haar", ("--transfer", "both", "--source", "haar")),
-    "transfer_low_only": ("transfer", "haar", ("--transfer", "low_only", "--source", "haar")),
+    "haar": ("haar", SKILLS),
+    "frozen_skills": ("frozen_skills", SKILLS),
+    "flat_trpo": ("flat_trpo", ()),
+    "alternate": ("alternate", SKILLS),
+    "haar_no_anneal": ("haar_no_anneal", SKILLS),
+    "cli_override": ("haar", (*SKILLS, "--algorithm", "frozen_skills", "--mode", "alternate",
+                              "--seed", "0")),
+    "transfer_both": ("haar_no_anneal", ("--skills", "haar", "--high", "haar")),
+    "transfer_low_only": ("haar_no_anneal", ("--skills", "haar")),
 }
 
 RUN_ARTIFACTS = ("metrics.csv", "diagnostics.csv", "trajectories.csv", "checkpoint.bin")
 
 GOLDEN = {
-    "pretrain/skills_seed_0.bin":
+    "pretrain/seed_0/checkpoint.bin":
         "29168d89b5cd7de0bcc44564fdca52a57aa6f84430c0d4a4e11cf13ef5f191dc",
     "haar/metrics.csv":
         "9094895400bec327ec08ee7d66674b1916753f5b4d7215278d0a1e5260dffc97",
@@ -77,8 +79,8 @@ GOLDEN = {
     "haar/trajectories.csv":
         "d85f34fdef2bde6d749cc5299cc873f5aa15536024c553993c95418e112b904a",
     "haar/checkpoint.bin":
-        "7faa294a4c6b1511d576e1d957bb3d28821b855a229a017dacda274d75db664c",
-    "haar/config_hash": "cabb0d288e08",
+        "d7ba926f43df33e3c13ae3704592285fd3d6d328bb0a11505c1204957aab971c",
+    "haar/config_hash": "531971ac9afb",
     "frozen_skills/metrics.csv":
         "c935c4ad7e917f2984246c60f2c99383122fefb9f4f2b354bbe8fed890c116c1",
     "frozen_skills/diagnostics.csv":
@@ -86,7 +88,7 @@ GOLDEN = {
     "frozen_skills/trajectories.csv":
         "5f91776452880a8f1a388cba58d2ef66535b3d42788c7bea713258ad04475998",
     "frozen_skills/checkpoint.bin":
-        "6caa66934807144e3623a3f502ad848e0339a3457b4ead951b1f72b2b6702371",
+        "b49922d2fe96547c350d7b81f542647d4c76f327db23217b35f3aa8927f26c98",
     "frozen_skills/config_hash": "03240a9000f7",
     "flat_trpo/metrics.csv":
         "896d4e6e7de990608f557be29cecf39c4cee2794d802f2eece6790953d98b600",
@@ -95,8 +97,8 @@ GOLDEN = {
     "flat_trpo/trajectories.csv":
         "d8a3a0758f997e42deb37d96bc111e09cb6e02bc6f678825615113717848a340",
     "flat_trpo/checkpoint.bin":
-        "8cf3c3791d90211bdf9a1565eb7715fda5cc00f690ca343dbd026eecb28ee665",
-    "flat_trpo/config_hash": "54f3f7a0e8dd",
+        "3a987cff3947edc03e2278cf3d763cd74aaa1737ae90d6a7d3f3dfec9fdefccc",
+    "flat_trpo/config_hash": "af3f36b8ef90",
     "alternate/metrics.csv":
         "afc3417776f9c555d2bfdc1dd8e3570ebfb084031e2f56451dac2395af4820b3",
     "alternate/diagnostics.csv":
@@ -104,8 +106,8 @@ GOLDEN = {
     "alternate/trajectories.csv":
         "bf0cce57d865db6b52fa23db8d27c42206ca109d2227bebae2e28918967442a8",
     "alternate/checkpoint.bin":
-        "01d165db3a592031abb4ab21edcc1cb4b32b2a0663649eddfa1e65f0daf987e1",
-    "alternate/config_hash": "774538bb895a",
+        "f476b5f1de3a61ff5ed3c1ee879394ecb47b4fb9cf993cd67ac3ef23cda804f0",
+    "alternate/config_hash": "4881b3c9e36d",
     "haar_no_anneal/metrics.csv":
         "e822a2bf8b086c0f96424bb46af933794b006947279aa7a4247c6427ddbb37dd",
     "haar_no_anneal/diagnostics.csv":
@@ -113,8 +115,8 @@ GOLDEN = {
     "haar_no_anneal/trajectories.csv":
         "73722373acea99415a21ba6f9a2948c9fb32d72221deeab5a3faa4af56de8199",
     "haar_no_anneal/checkpoint.bin":
-        "171d5ab0ca2e9ad9350a59af8d8de2673e51d193431327a1cc42558b45814711",
-    "haar_no_anneal/config_hash": "55cfe93e93c7",
+        "adb16d81af8ea2cf2a1eb7f1c7871d2a4fb734783c37c6a07a9fabcf92309f86",
+    "haar_no_anneal/config_hash": "9fbc97dc4d6d",
     "cli_override/metrics.csv":
         "0e5bef6de97cb46db5c59e9d59d0cfbd8e5b055aa3fe77845c171404559cf228",
     "cli_override/diagnostics.csv":
@@ -122,8 +124,8 @@ GOLDEN = {
     "cli_override/trajectories.csv":
         "94ab99ad9796232d6352c697e1e6d00458a1d9828e0833c20421ed6d199389f2",
     "cli_override/checkpoint.bin":
-        "21617fddba2d112d971fb5b5bf9de2e13ec09d8f0b2e3705a1a0e17134156b68",
-    "cli_override/config_hash": "c1f7606d01ca",
+        "b041f43af7399fb55ca619fc1886ee875fdc4a60f10aaba5162aa728c034770d",
+    "cli_override/config_hash": "bb429e6def9f",
     "transfer_both/metrics.csv":
         "806135d4dc479512c1b84024e36280b0ef0c78c142e3a6e0355c42c65f65e098",
     "transfer_both/diagnostics.csv":
@@ -131,8 +133,8 @@ GOLDEN = {
     "transfer_both/trajectories.csv":
         "306700ef0d67fd9373ebe265f0b3719fb3137dcc55081083b0d853e53ea71e5e",
     "transfer_both/checkpoint.bin":
-        "b8a0fae0bf0cb01250d690f4975a76b30397e8343f7c53cf36f94c2751cd520c",
-    "transfer_both/config_hash": "55cfe93e93c7",
+        "eb3d6d2ae2f816e98e72ca270df85555886ad09baff418ac16a0d4d19a3125f7",
+    "transfer_both/config_hash": "9fbc97dc4d6d",
     "transfer_low_only/metrics.csv":
         "93df42c4274065474713bd8ee33d41e3977646a116d4b8c09cbc81565ae9ce5f",
     "transfer_low_only/diagnostics.csv":
@@ -140,8 +142,8 @@ GOLDEN = {
     "transfer_low_only/trajectories.csv":
         "3ace1b36133a286a5d022173310e62a941e18288ec9751db08011dcd95a60c87",
     "transfer_low_only/checkpoint.bin":
-        "7bd1c7f7c33bcd8e7de4b46452f3882d3b34220bcabcc7724eaec4820ed24383",
-    "transfer_low_only/config_hash": "55cfe93e93c7",
+        "6917c2d2301bdcaa0b364430593936173bf7d9b167af21fc1b653437ef4cb720",
+    "transfer_low_only/config_hash": "9fbc97dc4d6d",
 }
 
 
@@ -170,12 +172,10 @@ def test_tiny_runs_match_recorded_bytes(tmp_path):
     for name, text in CONFIGS.items():
         (tmp_path / f"{name}.cfg").write_text(COMMON + text)
     _cli(["pretrain", "--config", "haar.cfg", "--out", "skills"], tmp_path)
-    got = {"pretrain/skills_seed_0.bin": _sha256(tmp_path / "skills" / "skills_seed_0.bin")}
-    for name, (command, config, extra) in RUNS.items():
-        args = [command, "--config", f"{config}.cfg", "--out", name, *extra]
-        if command == "train" and config != "flat_trpo":
-            args += ["--skills", "skills"]
-        _cli(args, tmp_path)
+    skills = _sha256(tmp_path / "skills" / "seed_0" / "checkpoint.bin")
+    got = {"pretrain/seed_0/checkpoint.bin": skills}
+    for name, (config, extra) in RUNS.items():
+        _cli(["train", "--config", f"{config}.cfg", "--out", name, *extra], tmp_path)
         run_dir = tmp_path / name / "seed_0"
         for artifact in RUN_ARTIFACTS:
             got[f"{name}/{artifact}"] = _sha256(run_dir / artifact)
@@ -183,9 +183,11 @@ def test_tiny_runs_match_recorded_bytes(tmp_path):
     moved = sorted(key for key in GOLDEN.keys() | got.keys() if got.get(key) != GOLDEN.get(key))
     assert got == GOLDEN, "moved: " + ", ".join(moved)
     # the two transfers and the k_0 = 3 train share a config hash; their
-    # checkpoints still say how each run's policies started
+    # checkpoints still say which file each policy started from
     metadata = {name: load_checkpoint(str(tmp_path / name / "seed_0" / "checkpoint.bin"))[1]
-                for name in ("haar_no_anneal", "transfer_both", "transfer_low_only")}
-    assert {name: meta["transfer"] for name, meta in metadata.items()} == {
-        "haar_no_anneal": "", "transfer_both": "both", "transfer_low_only": "low_only"}
-    assert len({got[f"{name}/config_hash"] for name in metadata}) == 1
+                for name in ("flat_trpo", "haar_no_anneal", "transfer_both", "transfer_low_only")}
+    haar = got["haar/checkpoint.bin"]
+    assert {name: meta["start"] for name, meta in metadata.items()} == {
+        "flat_trpo": {}, "haar_no_anneal": {"pi_l": skills},
+        "transfer_both": {"pi_l": haar, "pi_h": haar}, "transfer_low_only": {"pi_l": haar}}
+    assert len({got[f"{name}/config_hash"] for name in metadata if name != "flat_trpo"}) == 1
