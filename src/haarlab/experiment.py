@@ -201,9 +201,9 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: str,
     from high_checkpoint, each when given.
 
     log, when given, is called once per iteration after that
-    iteration's rows are written. run.json, renamed into place last,
-    marks a finished run. A run refused while its env and policies are
-    built writes nothing.
+    iteration's rows are written, with a line that names the seed.
+    run.json, renamed into place last, marks a finished run. A run
+    refused while its env and policies are built writes nothing.
     """
     _keep_freed_pages()
     t0 = time.perf_counter()
@@ -242,7 +242,7 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: str,
             timing.row([it, wall])
             final_success = m["success_rate"]
             if log:
-                log(f"iter {it + 1}/{cfg.N} k={m['k']} "
+                log(f"seed {seed} iter {it + 1}/{cfg.N} k={m['k']} "
                     f"success={m['success_rate']:.2f} return={m['mean_return']:.1f}")
     finally:
         metrics.close()
@@ -370,10 +370,12 @@ def run_train(cfg: ExperimentConfig, out_dir: str,
     starts from. Every seed's policies are built and loaded once before
     the first seed runs, so a checkpoint that does not fit fails the
     whole run before anything is written. Seeds run as independent processes when
-    jobs > 1; outputs are identical either way.
+    jobs > 1; outputs are identical either way. log, when given, gets
+    each seed's iteration lines (from the seed's own process when jobs >
+    1, so it must pickle) and, in a serial run, each finished seed.
     """
     skills, high = skills or {}, high or {}
-    tasks = [(cfg, seed, out_dir, skills.get(seed), high.get(seed)) for seed in cfg.seeds]
+    tasks = [(cfg, seed, out_dir, skills.get(seed), high.get(seed), log) for seed in cfg.seeds]
     env = cfg.build_env()
     for seed in cfg.seeds:
         _algorithm(cfg, env, seed, skills.get(seed), high.get(seed))

@@ -290,5 +290,5 @@ def fit_value_on_scaled(states: np.ndarray, targets: np.ndarray,
     """Fit on rescaled inputs for conditioning (at fit_value's ridge),
     then fold the scale into the weights so the estimator consumes raw
     observations."""
-    est = fit_value(states * scale, targets)
+    est = fit_value(states, targets, scale)
     return fold_input_scale(est, scale)

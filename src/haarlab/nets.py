@@ -8,9 +8,12 @@ Fisher-vector products in the trust-region optimizer.
 
 Every pass takes a batch of (n, input_dim) rows and computes in place.
 rop_forward and backward keep their per-row intermediates in a
-workspace(), which repeated calls can share; the others allocate only
-what they return or keep. In-place operations give the values of their
-allocating forms, so no output bit moves.
+workspace(), which repeated calls (the Fisher-vector products) can
+share. backward_consuming, the gradient pass of one forward, spends that
+forward's activations instead: each turns into its tanh derivative and
+then holds a delta, so it allocates one buffer of n rows beside them.
+The others allocate only what they return or keep. In-place operations
+give the values of their allocating forms, so no output bit moves.
 """
 
 from __future__ import annotations
@@ -96,7 +99,12 @@ def forward_cached(spec: MlpSpec, w: np.ndarray, x: np.ndarray):
 
 def tanh_derivs(acts: list[np.ndarray]) -> list[np.ndarray]:
     """1 - a^2 for every hidden-layer output (acts[0] is the input)."""
-    return [np.subtract(1.0, sq, out=sq) for sq in (a * a for a in acts[1:])]
+    return [_tanh_deriv(a.copy()) for a in acts[1:]]
+
+
+def _tanh_deriv(a: np.ndarray) -> np.ndarray:
+    """1 - a^2 for a tanh output a, written over a."""
+    return np.subtract(1.0, np.multiply(a, a, out=a), out=a)
 
 
 def workspace(spec: MlpSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -109,30 +117,59 @@ def _view(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return buf[:math.prod(shape)].reshape(shape)
 
 
+def _backward(spec: MlpSpec, w: np.ndarray, acts: list[np.ndarray], gy: np.ndarray,
+              propagate) -> np.ndarray:
+    """The pass both backward forms share: each layer's gradient from its
+    input acts[i] and its delta, then propagate(i, delta, W) for the
+    delta of the layer below."""
+    layers = unpack_layers(spec, w)
+    flat = np.empty(spec.n_params)
+    grads = unpack_layers(spec, flat)  # each layer's gradient is written in place
+    delta = np.asarray(gy, dtype=np.float64)
+    for i in range(len(layers) - 1, -1, -1):
+        (W, _), (gW, gb) = layers[i], grads[i]
+        np.matmul(delta.T, acts[i], out=gW)
+        np.sum(delta, axis=0, out=gb)
+        if i > 0:
+            delta = propagate(i, delta, W)
+    return flat
+
+
 def backward(spec: MlpSpec, w: np.ndarray, acts: list[np.ndarray], gy: np.ndarray,
-             derivs: list[np.ndarray], work=None) -> np.ndarray:
+             derivs: list[np.ndarray], work) -> np.ndarray:
     """Gradient of sum(gy * output) w.r.t. the flat parameters, summed
-    over the n rows.
+    over the n rows, leaving acts as they are.
 
     acts and derivs come from forward_cached and tanh_derivs on the same
     (w, x); gy has the output's shape (n, output_dim). work, from
     workspace(), holds the back-propagated deltas; gy itself may lie in
     work[0].
     """
-    layers = unpack_layers(spec, w)
-    flat = np.empty(spec.n_params)
-    grads = unpack_layers(spec, flat)  # each layer's gradient is written in place
-    delta = np.asarray(gy, dtype=np.float64)
-    work = work or workspace(spec, len(delta))
-    for i in range(len(layers) - 1, -1, -1):
-        (W, _), (gW, gb), a_in = layers[i], grads[i], acts[i]
-        np.matmul(delta.T, a_in, out=gW)
-        np.sum(delta, axis=0, out=gb)
-        if i > 0:
-            # the deltas alternate between the buffers, from work[1] on
-            nxt = _view(work[(len(layers) - i) % 2], (len(delta), W.shape[1]))
-            delta = np.multiply(np.matmul(delta, W, out=nxt), derivs[i - 1], out=nxt)
-    return flat
+    def propagate(i, delta, W):
+        # the deltas alternate between the buffers, from work[1] on
+        nxt = _view(work[(len(acts) - i) % 2], (len(delta), W.shape[1]))
+        return np.multiply(np.matmul(delta, W, out=nxt), derivs[i - 1], out=nxt)
+
+    return _backward(spec, w, acts, gy, propagate)
+
+
+def backward_consuming(spec: MlpSpec, w: np.ndarray, acts: list[np.ndarray],
+                       gy: np.ndarray) -> np.ndarray:
+    """backward's gradient, spending the hidden activations acts[1:] of
+    forward_cached instead of derivs and a workspace.
+
+    Once a layer's gradient is taken, its input activation turns into its
+    tanh derivative in place and then takes the next delta, so the pass
+    allocates one buffer of n rows beside acts. acts[1:] hold no
+    activations on return.
+    """
+    spare = np.empty(len(gy) * max(spec.hidden, default=0))
+
+    def propagate(i, delta, W):
+        deriv = _tanh_deriv(acts[i])
+        return np.multiply(np.matmul(delta, W, out=_view(spare, deriv.shape)), deriv, out=deriv)
+
+    return _backward(spec, w, acts, gy, propagate)
 
 
 def rop_forward(spec: MlpSpec, w: np.ndarray, v: np.ndarray, acts: list[np.ndarray],

@@ -8,6 +8,11 @@ closed-form KL against cached old distributions, and Fisher-vector
 products (Gauss-Newton form, exact for the KL Hessian at the cached
 parameters).
 
+The gradient consumes the forward pass it is given (forward_batch keeps
+only the activations, which nets.backward_consuming spends), while the
+Fisher-vector product keeps its forward, tanh derivatives and workspace
+for every application.
+
 Policies optionally carry a fixed per-input scale vector applied before
 the network; raw observations keep their physical units while the net
 sees O(1) inputs.
@@ -19,8 +24,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from .nets import (MlpSpec, backward, forward_cached, init_mlp_params, rop_forward,
-                   tanh_derivs, unpack_layers, workspace)
+from .nets import (MlpSpec, backward, backward_consuming, forward_cached, init_mlp_params,
+                   rop_forward, tanh_derivs, unpack_layers, workspace)
 from .params import NumericsError, ParamVector, ShapeError
 
 
@@ -58,7 +63,7 @@ LOG_STD_MAX = 2.0
 INIT_LOG_STD = -0.5
 
 
-NetForward = namedtuple("NetForward", "w n out dist acts derivs")
+NetForward = namedtuple("NetForward", "w n out dist acts")
 
 
 class _MlpPolicy:
@@ -109,12 +114,12 @@ class _MlpPolicy:
 
     def forward_batch(self, obs: np.ndarray) -> NetForward:
         """The network run over (n, d) rows at a snapshot w of the current
-        parameters: n, the output and its distribution, the activations and
-        their tanh derivatives. grad_logprob_weighted takes it for its pass."""
+        parameters: n, the output and its distribution, and the
+        activations. grad_logprob_weighted spends it on its pass."""
         w = self.params.segment(self.NET).copy()
         x = np.asarray(obs, dtype=np.float64) * self.input_scale
         out, acts = forward_cached(self.spec, w, x)
-        return NetForward(w, len(x), out, self._dist(out), acts, tanh_derivs(acts))
+        return NetForward(w, len(x), out, self._dist(out), acts)
 
     def dist_params(self, obs: np.ndarray):
         """Cacheable distribution parameters of (n, d) rows."""
@@ -128,13 +133,16 @@ class _MlpPolicy:
 
     def grad_logprob_weighted(self, fwd: NetForward, actions, weights) -> np.ndarray:
         """Gradient of mean_i(weights_i * log pi(a_i|x_i)) over all
-        parameters, at the rows and parameters of fwd (from forward_batch)."""
-        w, n, out, _, acts, derivs = fwd
+        parameters, at the rows and parameters of fwd (from forward_batch).
+
+        The pass consumes fwd: its hidden activations are spent, and fwd
+        serves no other pass afterwards. Its input rows and output stay."""
+        w, n, out, _, acts = fwd
         weights = np.asarray(weights, dtype=np.float64).ravel()
         if len(actions) != n or weights.shape[0] != n or n == 0:
             raise ShapeError("batch arrays must be nonempty and aligned")
         gy, g_head = self._logprob_out_grad(out, actions, weights, n)
-        return np.concatenate([backward(self.spec, w, acts, gy, derivs), *g_head])
+        return np.concatenate([backward_consuming(self.spec, w, acts, gy), *g_head])
 
     def fvp_builder(self, obs: np.ndarray, damping: float):
         """Closure computing (F + damping I) v at the current parameters.
@@ -144,7 +152,8 @@ class _MlpPolicy:
         only and returns a fresh array. The parameters are snapshotted, so
         the closure stays valid if the policy is updated afterwards.
         """
-        w, n, out, _, acts, derivs = self.forward_batch(obs)
+        w, n, out, _, acts = self.forward_batch(obs)
+        derivs = tanh_derivs(acts)
         fisher_out = self._fisher_out(out, n)
         work = workspace(self.spec, n)
         spec, n_net, size = self.spec, self.spec.n_params, self.params.size

@@ -119,11 +119,14 @@ def trpo_update(policy, batch: AdvantageBatch, max_kl: float) -> TrpoDiagnostics
     if not adv.any():
         return NO_STEP
     theta_old = policy.flat()
-    # one forward pass at theta_old: the surrogate's weights and its gradient
+    # one forward pass at theta_old: the surrogate's weights, then its
+    # gradient, which spends the pass; it is freed before the Fisher
+    # operator makes its own
     fwd = policy.forward_batch(batch.observations)
     weights = np.exp(policy.dist_log_prob(fwd.dist, batch.actions) - batch.old_log_probs) * adv
     surr_before = float(np.mean(weights))
     g = policy.grad_logprob_weighted(fwd, batch.actions, weights)
+    del fwd
     if not np.all(np.isfinite(g)) or float(np.max(np.abs(g), initial=0.0)) < 1e-12:
         return TrpoDiagnostics(False, 0.0, surr_before, surr_before, 0)
 
@@ -138,8 +141,7 @@ def trpo_update(policy, batch: AdvantageBatch, max_kl: float) -> TrpoDiagnostics
         return TrpoDiagnostics(False, 0.0, surr_before, surr_before, 0)
 
     full_step = np.sqrt(2.0 * max_kl / s_as) * step_dir
-    # freed first, their pages serve the line search's forward passes
-    del fwd, apply_a
+    del apply_a  # freed first, its pages serve the line search's forward passes
     shrink = 1.0
     for backtracks in range(MAX_BACKTRACKS):
         policy.set_flat(theta_old + shrink * full_step)

@@ -48,13 +48,17 @@ def fold_input_scale(est: PolynomialValueEstimator, scale: np.ndarray) -> Polyno
                                     est.w1 * scale, est.w0)
 
 
-def fit_value(states: np.ndarray, targets: np.ndarray) -> PolynomialValueEstimator:
-    """Ridge least squares of targets on [s^3, s^2, s, 1], at RIDGE.
+def fit_value(states: np.ndarray, targets: np.ndarray,
+              scale: np.ndarray | float = 1.0) -> PolynomialValueEstimator:
+    """Ridge least squares of targets on [s^3, s^2, s, 1], at RIDGE, for
+    s = states * scale with a finite scale per state column.
 
     Solved as an augmented least-squares problem so that ill-conditioned
     feature matrices (duplicate states, widely different scales) stay
-    stable. All-zero targets give the zero estimator without a solve:
-    that is the solution, up to the sign of its zeros.
+    stable. The scaled states are written straight into the feature
+    matrix, so no scaled copy is made. All-zero targets give the zero
+    estimator without a solve: that is the solution, up to the sign of
+    its zeros.
     """
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
     targets = np.asarray(targets, dtype=np.float64).ravel()
@@ -70,9 +74,9 @@ def fit_value(states: np.ndarray, targets: np.ndarray) -> PolynomialValueEstimat
     n_feat = 3 * d + 1
     # the features [s^3, s^2, s, 1] over the ridge rows, written in place
     a = np.empty((n + n_feat, n_feat))
-    s2 = np.multiply(states, states, out=a[:n, d:2 * d])
-    np.multiply(s2, states, out=a[:n, :d])
-    a[:n, 2 * d:3 * d] = states
+    s = np.multiply(states, scale, out=a[:n, 2 * d:3 * d])
+    s2 = np.multiply(s, s, out=a[:n, d:2 * d])
+    np.multiply(s2, s, out=a[:n, :d])
     a[:n, 3 * d] = 1.0
     a[n:] = np.sqrt(RIDGE) * np.eye(n_feat)
     b = np.concatenate([targets, np.zeros(n_feat)])

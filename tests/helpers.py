@@ -371,10 +371,11 @@ def mean_kl(policy, old_dist, obs):
 
 def kl_grad(policy, old_dist, obs):
     """Gradient of mean_kl w.r.t. the current parameters: the head's KL
-    gradient at the network output, back-propagated by nets.backward."""
-    from haarlab.nets import backward
+    gradient at the network output, back-propagated by
+    nets.backward_consuming."""
+    from haarlab.nets import backward_consuming
 
-    w, n, out, _, acts, derivs = policy.forward_batch(obs)
+    w, n, out, _, acts = policy.forward_batch(obs)
     if hasattr(policy, "log_std"):
         old_mu, old_log_std = old_dist
         inv_var = np.exp(-2.0 * policy.log_std)
@@ -383,7 +384,7 @@ def kl_grad(policy, old_dist, obs):
                   .sum(axis=0) / n]
     else:
         gy, g_head = (_softmax(out) - np.exp(old_dist)) / n, []
-    return np.concatenate([backward(policy.spec, w, acts, gy, derivs), *g_head])
+    return np.concatenate([backward_consuming(policy.spec, w, acts, gy), *g_head])
 
 
 def fvp(policy, obs, v, damping):

@@ -173,6 +173,16 @@ def test_pretrain_progress_follows_quiet(tmp_path, capsys, quiet):
     assert any(line.startswith("seed 0: ") for line in lines)
 
 
+@pytest.mark.parametrize("quiet", [False, True], ids=["loud", "quiet"])
+def test_train_progress_names_each_iteration_and_follows_quiet(tmp_path, capsys, quiet):
+    cfg = write_cfg(tmp_path, text=UNTRAINED)
+    args = ["train", "--config", cfg, "--out", str(tmp_path / "r")]
+    assert main(args + ["--quiet"] * quiet) == 0
+    lines = capsys.readouterr().out.splitlines()
+    iters = [line.split(" k=")[0] for line in lines if " iter " in line]
+    assert iters == ([] if quiet else ["seed 0 iter 1/2", "seed 0 iter 2/2"])
+
+
 def test_seed_override(tmp_path):
     cfg = write_cfg(tmp_path, text=UNTRAINED)
     out = str(tmp_path / "runs")

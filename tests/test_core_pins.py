@@ -3,15 +3,16 @@ value fit.
 
 The library computes its forward, backward and R-operator passes and
 the value fit's least-squares matrix in place, and shares one forward
-pass per update; every array it produces must equal, byte for byte, the
-allocating reference forms kept in helpers.py.
+pass per update, which the gradient pass spends as it goes; every array
+it produces must equal, byte for byte, the allocating reference forms
+kept in helpers.py.
 """
 
 import numpy as np
 import pytest
 
-from haarlab.nets import (MlpSpec, backward, forward_cached, init_mlp_params, rop_forward,
-                          tanh_derivs, workspace)
+from haarlab.nets import (MlpSpec, backward, backward_consuming, forward_cached,
+                          init_mlp_params, rop_forward, tanh_derivs, workspace)
 from haarlab.policies import CategoricalPolicy, GaussianPolicy
 from haarlab.values import fit_value
 
@@ -49,8 +50,13 @@ def test_core_matches_reference_bytes(input_dim, output_dim, rows):
     v = rng.standard_normal(spec.n_params)
     want_grad = ref_backward(spec, w, ref_acts, gy)
     want_rop = ref_rop_forward(spec, w, v, ref_acts)
-    assert same_bytes(backward(spec, w, acts, gy, derivs), want_grad)
+    assert same_bytes(backward(spec, w, acts, gy, derivs, workspace(spec, rows)), want_grad)
     assert same_bytes(rop_forward(spec, w, v, acts, derivs, workspace(spec, rows)), want_rop)
+    # last, as it spends the hidden activations: each ends as its layer's delta
+    x_kept = acts[0].copy()
+    assert same_bytes(backward_consuming(spec, w, acts, gy), want_grad)
+    assert same_bytes(acts[0], x_kept)
+    assert not any(map(same_bytes, acts[1:], ref_acts[1:]))
 
 
 @pytest.mark.parametrize("input_dim,output_dim", SHAPES)
@@ -91,16 +97,18 @@ def policy_case(cls, input_dim, output_dim, n=5000):
 
 @pytest.mark.parametrize("cls,input_dim,output_dim", POLICIES)
 def test_shared_forward_matches_separate_calls(cls, input_dim, output_dim):
-    pol, obs, actions, rng = policy_case(cls, input_dim, output_dim)
-    fwd = pol.forward_batch(obs)
-    assert same_bytes(pol.dist_log_prob(fwd.dist, actions), log_prob(pol, obs, actions))
-    weights = rng.standard_normal(len(obs))
-    want = ref_grad_logprob_weighted(pol, obs, actions, weights)
-    assert same_bytes(pol.grad_logprob_weighted(fwd, actions, weights), want)
-    apply = pol.fvp_builder(obs, 0.1)
-    for _ in range(3):  # every application of one closure, not just the first
-        v = rng.standard_normal(pol.params.size)
-        assert same_bytes(apply(v), ref_fvp(pol, obs, v, 0.1))
+    for rows in (1, 7, 5000):
+        pol, obs, actions, rng = policy_case(cls, input_dim, output_dim, rows)
+        fwd = pol.forward_batch(obs)
+        assert same_bytes(pol.dist_log_prob(fwd.dist, actions), log_prob(pol, obs, actions))
+        weights = rng.standard_normal(len(obs))
+        want = ref_grad_logprob_weighted(pol, obs, actions, weights)
+        assert same_bytes(pol.grad_logprob_weighted(fwd, actions, weights), want)
+        # the Fisher operator's forward is its own, untouched by the spent one
+        apply = pol.fvp_builder(obs, 0.1)
+        for _ in range(3):  # every application of one closure, not just the first
+            v = rng.standard_normal(pol.params.size)
+            assert same_bytes(apply(v), ref_fvp(pol, obs, v, 0.1))
 
 
 @pytest.mark.parametrize("cls,input_dim,output_dim", POLICIES)
@@ -130,6 +138,8 @@ def test_value_fit_matches_reference_bytes(rows, dim):
     rng = np.random.default_rng(rows + dim)
     states = rng.standard_normal((rows, dim)) * rng.uniform(0.1, 10.0, dim)
     targets = rng.standard_normal(rows)
-    est = fit_value(states, targets)
-    got = np.concatenate([est.w3, est.w2, est.w1, [est.w0]])
-    assert same_bytes(got, ref_fit_value_weights(states, targets, 1e-5))
+    for scale in (1.0, rng.uniform(0.05, 2.0, dim)):
+        est = fit_value(states, targets, scale)
+        got = np.concatenate([est.w3, est.w2, est.w1, [est.w0]])
+        # the reference fits a scaled copy of the states
+        assert same_bytes(got, ref_fit_value_weights(states * scale, targets, 1e-5))

@@ -404,7 +404,9 @@ def test_reward_free_run_writes_the_full_paths_rows(tmp_path, monkeypatch, algor
 
     cfg = tiny_cfg(algorithm=algorithm, stumble_threshold=100.0)
     with monkeypatch.context() as m:
-        m.setattr(hierarchy, "fit_value", ref_fit_value)
+        # the reference fits the scaled copy the fit once made
+        m.setattr(hierarchy, "fit_value",
+                  lambda states, targets, scale: ref_fit_value(states * scale, targets))
         for module in (hierarchy, experiment):
             m.setattr(module, "trpo_update", ref_trpo_update)
         want = run_single_seed(cfg, 0, str(tmp_path / "full"))

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from haarlab.nets import (MlpSpec, backward, forward_cached, init_mlp_params, rop_forward,
-                          tanh_derivs, unpack_layers, workspace)
+from haarlab.nets import (MlpSpec, backward_consuming, forward_cached, init_mlp_params,
+                          rop_forward, tanh_derivs, unpack_layers, workspace)
 from haarlab.params import ShapeError
 
 from helpers import finite_diff_grad, mlp_eval_loops, rel_err
@@ -14,9 +14,9 @@ def forward(spec, w, x):
 
 
 def grad(spec, w, x, gy):
-    """backward at the rows x, from a fresh forward pass."""
+    """The gradient pass at the rows x, spending a fresh forward pass."""
     _, acts = forward_cached(spec, w, x)
-    return backward(spec, w, acts, gy, tanh_derivs(acts))
+    return backward_consuming(spec, w, acts, gy)
 
 
 def rop(spec, w, v, x):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -223,8 +225,8 @@ def test_update_is_deterministic():
 
 def test_update_reuses_freed_heap_pages():
     # with freed heap pages kept, as every run keeps them, an update's
-    # temporaries (~1.3 MB at 5,000 rows) come back from the heap; with
-    # glibc's defaults each update faulted in about 1,600 fresh pages
+    # temporaries (4.3 MiB at their peak at 5,000 rows) come back from the
+    # heap; with glibc's defaults each update faulted in fresh pages
     if not _keep_freed_pages():
         pytest.skip("the C library has no glibc mallopt: freed pages go back to the kernel")
     import resource  # POSIX only, and glibc is POSIX
@@ -259,3 +261,26 @@ def test_batch_validation():
     with pytest.raises(Exception):
         AdvantageBatch(np.zeros((2, 2)), np.zeros((2, 1)), np.array([np.nan, 0.0]),
                        np.zeros(2), None)
+
+
+def test_update_peak_memory_holds_no_derivative_or_workspace_arrays():
+    # the gradient pass spends its forward: beside the input rows the
+    # update's peak holds the two hidden activations and one delta buffer
+    # of n x 32 floats, where keeping the forward took two more for the
+    # tanh derivatives and two for the workspace (8.1 MiB here)
+    n = 5100
+    rng = np.random.default_rng(9)
+    pol = GaussianPolicy(MlpSpec(10, (32, 32), 2), rng)
+    batch = make_batch(pol, rng.standard_normal((n, 10)), rng.standard_normal((n, 2)),
+                       rng.standard_normal(n))
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        inputs = tracemalloc.get_traced_memory()[0]
+        assert trpo_update(pol, batch, MAX_KL).accepted
+        peak = tracemalloc.get_traced_memory()[1] - inputs
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 4 * n * 32 * 8, peak
