@@ -33,16 +33,6 @@ SPIRAL = """\
 #.....#
 #######"""
 
-GATHER = """\
-########
-#......#
-#......#
-#..S...#
-#......#
-#......#
-#......#
-########"""
-
 OPEN_FIELD = """\
 ###############
 #.............#
@@ -63,10 +53,7 @@ OPEN_FIELD = """\
 # Built-in layouts by kind; "mirrored" is the left-right reflection of c_maze.
 LAYOUTS = {"c_maze": C_MAZE,
            "mirrored": "\n".join(row[::-1] for row in C_MAZE.splitlines()),
-           "spiral": SPIRAL, "gather": GATHER, "open_field": OPEN_FIELD}
-
-N_FOOD = 8
-N_BOMBS = 8
+           "spiral": SPIRAL, "open_field": OPEN_FIELD}
 
 
 @dataclass
@@ -160,16 +147,4 @@ def build_maze(maze: str, cell_size: float = 4.0) -> MazeSpec:
                          "or name a layout file)")
     with open(maze, "r", encoding="utf-8") as fh:
         return parse_maze_text(fh.read(), cell_size)
-
-
-def sample_gather_sites(maze: MazeSpec, rng: np.random.Generator):
-    """Food and bomb cell centers for one episode, drawn without
-    replacement from the free cells (start cell excluded)."""
-    candidates = [c for c in maze.free_cells() if c not in maze.start_cells]
-    total = N_FOOD + N_BOMBS
-    if len(candidates) < total:
-        raise ValueError("gather arena too small for the site count")
-    picks = rng.choice(len(candidates), size=total, replace=False)
-    centers = np.array([maze.cell_center(candidates[i]) for i in picks])
-    return centers[:N_FOOD], centers[N_FOOD:]
 

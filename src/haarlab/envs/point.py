@@ -9,9 +9,8 @@ the body frame is the world frame, and every observation is taken in it.
 Sustained overdrive stands in for the legged agent tripping: commanding
 an action whose norm exceeds the stumble threshold for 3 consecutive
 steps terminates the episode with the death reward; an infinite
-threshold turns trips off. Reaching the goal cell pays the goal reward;
-gather arenas instead pay per food/bomb contact. All remaining rewards
-are zero, and no discounting happens here.
+threshold turns trips off. Reaching the goal cell pays the goal reward.
+All remaining rewards are zero, and no discounting happens here.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .maze import MazeSpec, sample_gather_sites
+from .maze import MazeSpec
 from .raycast import N_RAYS, goal_bearing, raycast
 
 DT = 0.2  # seconds per low-level step
@@ -34,8 +33,6 @@ HIGH_OBS_DIM = LOW_OBS_DIM + N_RAYS + 2
 _FACE_EPS = 1e-9  # resting offset from a wall face, in world units
 GOAL_REWARD = 1000.0
 DEATH_REWARD = -10.0
-FOOD_REWARD = 1.0
-BOMB_REWARD = -1.0
 # the reward of each end code: 0 runs on, 1 goal, 2 death, 3 timeout
 _END_REWARD = np.array((0.0, GOAL_REWARD, DEATH_REWARD, 0.0))
 
@@ -57,15 +54,11 @@ class EnvConfig:
 
 class EpisodeBatch(NamedTuple):
     """Episodes stepped together: each lane's state as array rows, lane
-    axis first. The gather fields are None in arenas without sites."""
-    position: np.ndarray                     # (L, 2)
-    velocity: np.ndarray                     # (L, 2)
-    t: np.ndarray                            # (L,)
-    overdrive: np.ndarray                    # (L,)
-    food_sites: np.ndarray | None = None     # (L, n_food, 2)
-    bomb_sites: np.ndarray | None = None     # (L, n_bombs, 2)
-    food_active: np.ndarray | None = None    # (L, n_food)
-    bomb_active: np.ndarray | None = None    # (L, n_bombs)
+    axis first."""
+    position: np.ndarray   # (L, 2)
+    velocity: np.ndarray   # (L, 2)
+    t: np.ndarray          # (L,)
+    overdrive: np.ndarray  # (L,)
 
 
 class PointEnv:
@@ -113,19 +106,14 @@ class PointEnv:
         """Start an episode: its state as a one-lane batch and its (1, 4)
         ego observation row, at rest."""
         maze = self.maze
-        if maze.kind in ("gather", "open_field"):
+        if maze.kind == "open_field":
             position = maze.cell_center(maze.start_cells[0])
         else:
             cell = maze.start_cells[int(rng.integers(len(maze.start_cells)))]
             origin = np.array([cell[1] * maze.cell_size, cell[0] * maze.cell_size])
             position = origin + rng.random(2) * maze.cell_size
-        sites = ()
-        if maze.kind == "gather":
-            food, bombs = sample_gather_sites(maze, rng)
-            sites = (food[None], bombs[None], np.ones((1, len(food)), dtype=bool),
-                     np.ones((1, len(bombs)), dtype=bool))
         state = EpisodeBatch(np.array([position], dtype=np.float64), np.zeros((1, 2)),
-                             np.array([0]), np.array([0]), *sites)
+                             np.array([0]), np.array([0]))
         return state, np.array([[0.0, 0.0, 0.0, 1.0]])
 
     def step(self, state: EpisodeBatch, action):
@@ -188,30 +176,8 @@ class PointEnv:
                 end.append(3 if t + 1 >= horizon else 0)
         kinematics = np.fromiter(kinematics, np.float64, len(kinematics)).reshape(-1, 6)
         end = np.array(end)
-        reward = _END_REWARD[end]
-        food_active = state.food_active
-        bomb_active = state.bomb_active
-        if maze.kind == "gather":  # contacts count for lanes that neither reached the goal nor fell
-            live = (end == 0) | (end == 3)
-            radius = 0.5 * cs
-            position = kinematics[:, :2]
-            food, food_active = _contacts(position, state.food_sites, food_active, live, radius)
-            bombs, bomb_active = _contacts(position, state.bomb_sites, bomb_active, live, radius)
-            # a lane without contacts adds a zero, which leaves its reward as it was
-            reward += FOOD_REWARD * food
-            reward += BOMB_REWARD * bombs
-        nxt = EpisodeBatch(kinematics[:, :2], kinematics[:, 2:4], state.t + 1, np.array(overdrive),
-                           state.food_sites, state.bomb_sites, food_active, bomb_active)
-        return nxt, kinematics[:, 2:], reward, end
-
-
-def _contacts(position: np.ndarray, sites: np.ndarray, active: np.ndarray, live: np.ndarray,
-              radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Each live lane touches its active sites within `radius`; returns
-    the touches per lane and the sites still active."""
-    dx, dy = np.moveaxis(sites - position[:, None, :], -1, 0)
-    hit = active & live[:, None] & (dx * dx + dy * dy <= radius * radius)
-    return hit.sum(axis=1), active & ~hit
+        nxt = EpisodeBatch(kinematics[:, :2], kinematics[:, 2:4], state.t + 1, np.array(overdrive))
+        return nxt, kinematics[:, 2:], _END_REWARD[end], end
 
 
 def _sweep(maze: MazeSpec, x: float, y: float, vx: float, vy: float, dt: float):

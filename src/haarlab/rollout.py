@@ -91,15 +91,14 @@ class Running(NamedTuple):
 
 def _rows(batch: tuple, rows) -> tuple:
     """The lanes `rows` selects from a NamedTuple of row arrays (nested
-    ones included; None stays None)."""
-    return type(batch)(*[a if a is None else a[rows] if type(a) is np.ndarray else _rows(a, rows)
-                         for a in batch])
+    ones included)."""
+    return type(batch)(*[a[rows] if type(a) is np.ndarray else _rows(a, rows) for a in batch])
 
 
 def _joined(parts: list[tuple]) -> tuple:
     """The lanes of each batch in `parts`, in order."""
-    return type(parts[0])(*[x[0] if x[0] is None else np.concatenate(x) if type(x[0]) is np.ndarray
-                            else _joined(x) for x in zip(*parts)])
+    return type(parts[0])(*[np.concatenate(x) if type(x[0]) is np.ndarray else _joined(x)
+                            for x in zip(*parts)])
 
 
 @dataclass

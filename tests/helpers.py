@@ -137,21 +137,19 @@ def end_code(info) -> int:
 def step_loops(maze, cfg, state, action, face_eps=1e-9, stumble_steps=3):
     """Loop-based point-mass step; independent of haarlab.envs.point.
 
-    `state` is a one-lane batch: its position, velocity, t, overdrive and
-    gather fields each hold one row. The scalar step, one float at a time:
-    clip the speed with math.hypot, sweep to the earliest wall-face
-    crossing (resting face_eps inside the free cell), then the goal,
-    stumble, gather and timeout rules in that order. Returns (position,
-    velocity, t, overdrive, reward, done, info, food_active, bomb_active,
-    walls_hit, corners): walls_hit counts the velocity components a wall
-    zeroed, corners the moments the path met a vertical and a horizontal
-    grid line at once. It reads only the reward constants, DT and
-    ACTION_SCALE from the env.
+    `state` is a one-lane batch: its position, velocity, t and overdrive
+    each hold one row. The scalar step, one float at a time: clip the
+    speed with math.hypot, sweep to the earliest wall-face crossing
+    (resting face_eps inside the free cell), then the goal, stumble and
+    timeout rules in that order. Returns (position, velocity, t,
+    overdrive, reward, done, info, walls_hit, corners): walls_hit counts
+    the velocity components a wall zeroed, corners the moments the path
+    met a vertical and a horizontal grid line at once. It reads only the
+    reward constants, DT and ACTION_SCALE from the env.
     """
     import math
 
-    from haarlab.envs.point import (ACTION_SCALE, BOMB_REWARD, DEATH_REWARD, DT, FOOD_REWARD,
-                                    GOAL_REWARD)
+    from haarlab.envs.point import ACTION_SCALE, DEATH_REWARD, DT, GOAL_REWARD
 
     ax, ay = float(action[0]), float(action[1])
     gain = ACTION_SCALE * DT
@@ -212,38 +210,17 @@ def step_loops(maze, cfg, state, action, face_eps=1e-9, stumble_steps=3):
     overdrive = int(state.overdrive[0]) + 1 if overdriven else 0
     t = int(state.t[0]) + 1
     reward, done = 0.0, False
-    info = {"goal": False, "death": False, "timeout": False, "food": 0, "bombs": 0}
-    gather = maze.kind == "gather"
-    food_active = state.food_active[0] if gather else None
-    bomb_active = state.bomb_active[0] if gather else None
+    info = {"goal": False, "death": False, "timeout": False}
     if maze.goal_cell is not None and (math.floor(y / cs), math.floor(x / cs)) == maze.goal_cell:
         reward, done = GOAL_REWARD, True
         info["goal"] = True
     elif overdrive >= stumble_steps:
         reward, done = DEATH_REWARD, True
         info["death"] = True
-    else:
-        if gather:
-            radius = 0.5 * cs
-            food_active, bomb_active = food_active.copy(), bomb_active.copy()
-            for key, sites, active, pay in (
-                    ("food", state.food_sites[0], food_active, FOOD_REWARD),
-                    ("bombs", state.bomb_sites[0], bomb_active, BOMB_REWARD)):
-                hits = 0
-                for i in range(len(sites)):
-                    dx = sites[i, 0] - x
-                    dy = sites[i, 1] - y
-                    if active[i] and dx * dx + dy * dy <= radius * radius:
-                        active[i] = False
-                        hits += 1
-                if hits:
-                    reward += pay * hits
-                    info[key] = hits
-        if t >= cfg.max_episode_steps:
-            done = True
-            info["timeout"] = True
-    return (np.array((x, y)), np.array((vx, vy)), t, overdrive, reward, done, info,
-            food_active, bomb_active, walls_hit, corners)
+    elif t >= cfg.max_episode_steps:
+        done = True
+        info["timeout"] = True
+    return np.array((x, y)), np.array((vx, vy)), t, overdrive, reward, done, info, walls_hit, corners
 
 
 # -- reference MLP core ----------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from haarlab.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from haarlab.cli import _resolve_per_seed, main
+from haarlab.config import ConfigError, load_config
 
 TINY = """
 algorithm = haar
@@ -151,6 +152,19 @@ def test_unknown_maze_kind_fails_before_writing(command, tmp_path, capsys):
     assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
     assert "unknown maze kind 'hexagon'" in capsys.readouterr().err
     assert not (out / "seed_0").exists()
+
+
+def test_deleted_gather_kind_is_refused_before_writing(tmp_path, capsys):
+    # an arena deleted for sensing nothing it was paid for (README) is now
+    # an unknown kind
+    cfg = write_cfg(tmp_path, text=TINY + "maze = gather\n", name="deleted.cfg")
+    with pytest.raises(ConfigError, match=r"unknown maze kind 'gather' \(choose from \('c_maze', "
+                                          r"'mirrored', 'spiral', 'open_field'\)"):
+        load_config(cfg)
+    out = tmp_path / "r"
+    assert main(["train", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert "unknown maze kind 'gather'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_train_is_deterministic(tmp_path):

@@ -136,10 +136,10 @@ def test_string_overrides_parse_as_file_lines(tmp_path):
 
 def test_load_config_file(tmp_path):
     path = tmp_path / "exp.cfg"
-    path.write_text("maze = gather\nN = 5\nseeds = 4\n")
+    path.write_text("maze = spiral\nN = 5\nseeds = 4\n")
     cfg = load_config(str(path))
-    assert cfg.maze == "gather"
-    assert cfg.build_env().maze.kind == "gather"
+    assert cfg.maze == "spiral"
+    assert cfg.build_env().maze.kind == "spiral"
     assert cfg.seeds == (4,)
 
 

@@ -84,14 +84,15 @@ def test_flat_trpo_runs_and_reports_k_one(tmp_path):
 def test_run_loop_writes_the_row_of_a_level_that_took_no_step(tmp_path):
     # alternate mode steps the high level in the first iteration and the low
     # one in the second: the run loop fills the columns of the level that
-    # stepped from its update and the other level's with zeros (the gather
-    # arena pays on contact, so both updates move)
-    cfg = tiny_cfg(mode="alternate", N=2, maze="gather")
+    # stepped from its update and the other level's with zeros (most
+    # episodes trip at this stumble threshold, so both updates move)
+    cfg = tiny_cfg(mode="alternate", N=2, maze="c_maze", stumble_threshold=0.9)
     run_dir = run_single_seed(cfg, 0, str(tmp_path))
     with open(os.path.join(run_dir, "metrics.csv"), newline="") as fh:
         rows = list(csv.DictReader(fh))
     with open(os.path.join(run_dir, "diagnostics.csv"), newline="") as fh:
         diags = list(csv.DictReader(fh))
+    assert all(float(row["mean_return"]) != 0.0 for row in rows)
     assert [(d["iteration"], d["level"], d["accepted"]) for d in diags] == \
         [("0", "high", "True"), ("1", "low", "True")]
     for row, diag, idle in zip(rows, diags, ("low", "high")):

@@ -1,7 +1,9 @@
 """Pinned output bytes of tiny end-to-end runs.
 
 Each phase runs in its own interpreter through the CLI, with every BLAS
-thread count set to 1 (output bytes depend on it). The sha256 of every
+thread count set to 1 and OpenBLAS's Haswell kernel (output bytes depend
+on both; every AVX2 x86-64 CPU runs that kernel, whatever kernel OpenBLAS
+would pick for it). The sha256 of every
 deterministic artifact and the config hash in every run.json must equal
 the recorded value, so a change that is meant to be a pure speed-up or
 refactor cannot move a single byte.
@@ -44,7 +46,8 @@ HAAR = ("maze = corridor.txt\nk_0 = 12\nk_s = 3\n"
 
 CONFIGS = {
     "haar": HAAR,
-    "frozen_skills": "maze = gather\nalgorithm = frozen_skills\nk_0 = 5\nk_s = 5\n",
+    "frozen_skills": ("maze = c_maze\nstumble_threshold = 0.9\nalgorithm = frozen_skills\n"
+                      "k_0 = 5\nk_s = 5\n"),
     "flat_trpo": "algorithm = flat_trpo\nmaze = corridor.txt\n",
     "alternate": HAAR + "mode = alternate\n",
     "haar_no_anneal": HAAR.replace("k_0 = 12", "k_0 = 3"),  # the skill length held at k_s
@@ -71,78 +74,78 @@ RUN_ARTIFACTS = ("metrics.csv", "diagnostics.csv", "trajectories.csv", "checkpoi
 
 GOLDEN = {
     "pretrain/seed_0/checkpoint.bin":
-        "29168d89b5cd7de0bcc44564fdca52a57aa6f84430c0d4a4e11cf13ef5f191dc",
+        "55f332d9991a39444db3e8a443d62e3342c7e7850666a4cbf23eafe9f1d16555",
     "haar/metrics.csv":
-        "9094895400bec327ec08ee7d66674b1916753f5b4d7215278d0a1e5260dffc97",
+        "795d5b220f1ea5a0d9058dd660d798c41fb2d6928da09cbc078fef24cbd10671",
     "haar/diagnostics.csv":
-        "f2a28dc9b2d758a5ba83b57dd6b2db6147c39a9c5c8b3c3ab2367746d51b8c63",
+        "48e4f072b8560ac98b3c40f2d2747e6834aa2fb97d6ae17d8a0f1318c5d53675",
     "haar/trajectories.csv":
-        "d85f34fdef2bde6d749cc5299cc873f5aa15536024c553993c95418e112b904a",
+        "0963b5ae65ce9d11f2d8a4946cd8e126bd059fa74954b29d22583f9e7abc7910",
     "haar/checkpoint.bin":
-        "d7ba926f43df33e3c13ae3704592285fd3d6d328bb0a11505c1204957aab971c",
+        "febca9f8b210a22900fb48e279115ec3f104c42cd45fa249fc6643854e3d28cd",
     "haar/config_hash": "531971ac9afb",
     "frozen_skills/metrics.csv":
-        "c935c4ad7e917f2984246c60f2c99383122fefb9f4f2b354bbe8fed890c116c1",
+        "a0fb7dd6e50a1f6074ef79ba02deb8b959f5f3937898d87a0a814c908382dc3a",
     "frozen_skills/diagnostics.csv":
-        "d01f575eb57fc00b81e96044b6bd0c42b3c4c99f1177a696aa834db4201ca86d",
+        "8fc82965939465e487dea51191a32febfd34783f5fb53327371464dc274b27db",
     "frozen_skills/trajectories.csv":
-        "5f91776452880a8f1a388cba58d2ef66535b3d42788c7bea713258ad04475998",
+        "1baa116531a08341b27cfb95c3fa7b4eae8f67cc192dfa4730b32b6b46b03989",
     "frozen_skills/checkpoint.bin":
-        "b49922d2fe96547c350d7b81f542647d4c76f327db23217b35f3aa8927f26c98",
-    "frozen_skills/config_hash": "03240a9000f7",
+        "03da07ee18dd3636c76c7e3deda3669a5a77747e2691e1e90cd7f5374e51e671",
+    "frozen_skills/config_hash": "9ad7b9e431c2",
     "flat_trpo/metrics.csv":
-        "896d4e6e7de990608f557be29cecf39c4cee2794d802f2eece6790953d98b600",
+        "62c0b0c78c9a53381e1a02b73708f2b9470a91329f0a27d47c2dab440c3b6dec",
     "flat_trpo/diagnostics.csv":
-        "046e907075337da381545b628c8297147850654c620bfa8a6568a9599a560796",
+        "ca8f081b981a9f5f782cb91adc269279801ef2a71f2b06f517fb4ec3b69a5be0",
     "flat_trpo/trajectories.csv":
-        "d8a3a0758f997e42deb37d96bc111e09cb6e02bc6f678825615113717848a340",
+        "df2fc0d661715d881122ec9e43b5981347117464fb566cdc741526ed4957bf2c",
     "flat_trpo/checkpoint.bin":
-        "3a987cff3947edc03e2278cf3d763cd74aaa1737ae90d6a7d3f3dfec9fdefccc",
+        "f4aec1434b9e6571243abb344ad945e1a5c6d89a2ea8ba42016d07b1f5b3f41f",
     "flat_trpo/config_hash": "af3f36b8ef90",
     "alternate/metrics.csv":
-        "afc3417776f9c555d2bfdc1dd8e3570ebfb084031e2f56451dac2395af4820b3",
+        "b34a1bfb0a293af2754b3b4096c284b6426520fb8dd12a66f38ec07999909a6e",
     "alternate/diagnostics.csv":
-        "a809b77466377e8b1c02967be06509a77d52fbe30255f8b075adb4f8d2326db5",
+        "97933755032cf11ee3153f19abbb9a561aace7344ec293588d85195e8e6c17f5",
     "alternate/trajectories.csv":
-        "bf0cce57d865db6b52fa23db8d27c42206ca109d2227bebae2e28918967442a8",
+        "84d2087575854f1c0200b776d11913067904faeffb29a10a16f02165d817b873",
     "alternate/checkpoint.bin":
-        "f476b5f1de3a61ff5ed3c1ee879394ecb47b4fb9cf993cd67ac3ef23cda804f0",
+        "c9b75f44624f2abe05931428315075f99d4ca84bd364e7764686926180f128cf",
     "alternate/config_hash": "4881b3c9e36d",
     "haar_no_anneal/metrics.csv":
-        "e822a2bf8b086c0f96424bb46af933794b006947279aa7a4247c6427ddbb37dd",
+        "11797077b79363238a4f711e2e87272b59c2510e74bd31294e8c2a984f97f5ef",
     "haar_no_anneal/diagnostics.csv":
-        "2a173aa1a59cc6c636f3988dbc9dd19e80e14a15b8e5fd6c815f1075b7195dac",
+        "75b0a50665e48d28d7a8d887d7c8cc94fe4fdaa5f4445afc32d3b750c40aa30b",
     "haar_no_anneal/trajectories.csv":
-        "73722373acea99415a21ba6f9a2948c9fb32d72221deeab5a3faa4af56de8199",
+        "8b8f2a57e7d80486a22878afee5569787ae94b8bd2160715c549d5b1aa191557",
     "haar_no_anneal/checkpoint.bin":
-        "adb16d81af8ea2cf2a1eb7f1c7871d2a4fb734783c37c6a07a9fabcf92309f86",
+        "a6c790878c90aabd22e1003894e032fd3cdcb822408969a6091eb8ac0d78b3b5",
     "haar_no_anneal/config_hash": "9fbc97dc4d6d",
     "cli_override/metrics.csv":
-        "0e5bef6de97cb46db5c59e9d59d0cfbd8e5b055aa3fe77845c171404559cf228",
+        "9499f0b8b67cdbb13aac2c41d46b55c4cb5632b5cca8af6a00e5499d75c5f4fa",
     "cli_override/diagnostics.csv":
-        "d69eacca49577cad63fbb840e1029f0b66f037b09e0377ddfb00b21b4094048d",
+        "9d84b8c27ab50aa73e07bce43584fd20ba30267793f867898584596b7baa612c",
     "cli_override/trajectories.csv":
-        "94ab99ad9796232d6352c697e1e6d00458a1d9828e0833c20421ed6d199389f2",
+        "2271bce4a2593f23de320f02de52ac388bfba06e7898c1a1f08f23d33074021b",
     "cli_override/checkpoint.bin":
-        "b041f43af7399fb55ca619fc1886ee875fdc4a60f10aaba5162aa728c034770d",
+        "1f0e36779fa6d9059e0ee7e48155006dcd539e73d0af79ab11f84d6ce2eaee54",
     "cli_override/config_hash": "bb429e6def9f",
     "transfer_both/metrics.csv":
-        "806135d4dc479512c1b84024e36280b0ef0c78c142e3a6e0355c42c65f65e098",
+        "6387ba42535edfa9238dbd8d8430133db0ab10e9097acc11c1200ba8b30e648c",
     "transfer_both/diagnostics.csv":
-        "a8fa7045eec1cc54e8b81b8bea6356473e2a438947cc5c61cff48929f308dbb4",
+        "82f12b1b538d35592ebfb515cb0b7e1e92c476086d096ac4057c689805afffc5",
     "transfer_both/trajectories.csv":
-        "306700ef0d67fd9373ebe265f0b3719fb3137dcc55081083b0d853e53ea71e5e",
+        "c93e94c5fed99b818499c54007ce1284bb51bb9f8df61ff8fdfc3d2f0f4be5a6",
     "transfer_both/checkpoint.bin":
-        "eb3d6d2ae2f816e98e72ca270df85555886ad09baff418ac16a0d4d19a3125f7",
+        "d0488f1e075409e614a4e13838e89fad11c611fd43332e25347f4f00771fe64b",
     "transfer_both/config_hash": "9fbc97dc4d6d",
     "transfer_low_only/metrics.csv":
-        "93df42c4274065474713bd8ee33d41e3977646a116d4b8c09cbc81565ae9ce5f",
+        "dcc331bc183fcf487756df22daee6c1cc6bf935a9476b37e318fa2e73632f052",
     "transfer_low_only/diagnostics.csv":
-        "db89e6ad2e479f87b16908a50c88f0217aeed828047c24a98c0473277c1d42dd",
+        "61988ebf9a23a86b334b9a223a12920cf227925810424c7fbf59d9e9655af998",
     "transfer_low_only/trajectories.csv":
-        "3ace1b36133a286a5d022173310e62a941e18288ec9751db08011dcd95a60c87",
+        "3f13329116e4bdfe3e075583e61086684b9c499aa632eb809c0a89faa18de4d8",
     "transfer_low_only/checkpoint.bin":
-        "6917c2d2301bdcaa0b364430593936173bf7d9b167af21fc1b653437ef4cb720",
+        "5c7014ff246315e0d2dfe45a0d8039900d5feb3eb8018dac4a40ecde3c750b43",
     "transfer_low_only/config_hash": "9fbc97dc4d6d",
 }
 
@@ -150,6 +153,7 @@ GOLDEN = {
 def _cli(args, cwd):
     env = dict(os.environ)
     env.update({name: "1" for name in THREAD_VARS})
+    env["OPENBLAS_CORETYPE"] = "Haswell"
     src = os.path.dirname(os.path.dirname(os.path.abspath(haarlab.__file__)))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run([sys.executable, "-m", "haarlab.cli", *args, "--quiet"],

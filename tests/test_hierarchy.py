@@ -26,6 +26,12 @@ def make_env(kind="open_field", **kw):
     return PointEnv(build_maze(kind), EnvConfig(**kw))
 
 
+def tripping_env(max_episode_steps):
+    """The C-maze with a low stumble threshold: most episodes trip, so
+    their batches hold death rewards."""
+    return make_env("c_maze", max_episode_steps=max_episode_steps, stumble_threshold=0.9)
+
+
 def make_policies(env, seed=0):
     rng = np.random.default_rng(seed)
     pi_h = CategoricalPolicy(MlpSpec(env.high_obs_dim, (8,), N_SKILLS), rng,
@@ -121,7 +127,7 @@ def test_budget_loops_episodes_to_completion():
 
 
 def test_segment_rewards_match_replay_oracle():
-    env = make_env("gather", max_episode_steps=12)
+    env = tripping_env(12)
     pi_h, pi_l = make_policies(env, seed=3)
     seed = (7,)
     k = 4
@@ -153,7 +159,7 @@ def test_segment_rewards_match_replay_oracle():
             seg_next_highs.append(env.high_obs_batch(state, low)[0])
             seg_done.append(done)
         ep += 1
-    assert len(seg_sums) == len(batch.r_h)
+    assert len(seg_sums) == len(batch.r_h) and np.any(batch.r_h != 0.0)
     assert np.max(np.abs(batch.r_h - np.array(seg_sums))) <= 1e-12
     assert batch.s_h.tobytes() == np.stack(seg_highs).tobytes()
     # a terminal segment's s_h_next is never bootstrapped from: it is zeros
@@ -437,14 +443,16 @@ def iterate(pi_h, pi_l, env, cfg, iteration, seed=0):
 
 
 def test_alternate_first_iteration_updates_only_high():
-    env = make_env("gather", max_episode_steps=20)
+    env = tripping_env(20)
     pi_h, pi_l, cfg = make_run(env, mode="alternate")
     low_before = pi_l.flat()
-    _, updates1 = iterate(pi_h, pi_l, env, cfg, 0)  # ordinal 1: high only
+    m, updates1 = iterate(pi_h, pi_l, env, cfg, 0)  # ordinal 1: high only
+    assert m["mean_return"] != 0.0
     assert np.array_equal(pi_l.flat(), low_before)
     assert [level for level, _ in updates1] == ["high"]
     low_mid = pi_l.flat()
-    _, updates2 = iterate(pi_h, pi_l, env, cfg, 1)  # ordinal 2: low only
+    m, updates2 = iterate(pi_h, pi_l, env, cfg, 1)  # ordinal 2: low only
+    assert m["mean_return"] != 0.0
     assert [level for level, _ in updates2] == ["low"]
     assert not np.array_equal(pi_l.flat(), low_mid) or not updates2[0][1].accepted
 
@@ -468,11 +476,11 @@ def test_reward_free_env_leaves_policies_unchanged():
 
 
 def test_frozen_low_level_never_updates():
-    env = make_env("gather", max_episode_steps=20)
+    env = tripping_env(20)
     pi_h, pi_l, cfg = make_run(env, algorithm="frozen_skills")
     l0 = pi_l.flat()
     for i in range(2):
-        iterate(pi_h, pi_l, env, cfg, i)
+        assert iterate(pi_h, pi_l, env, cfg, i)[0]["mean_return"] != 0.0
     assert np.array_equal(pi_l.flat(), l0)
 
 
@@ -484,7 +492,7 @@ def test_frozen_low_level_never_updates():
 def test_low_level_fits_only_for_its_step(monkeypatch, mode, update_low, fits):
     from haarlab import hierarchy
 
-    env = make_env("gather", max_episode_steps=20)
+    env = tripping_env(20)
     pi_h, pi_l, cfg = make_run(env, mode=mode,
                                algorithm="haar" if update_low else "frozen_skills")
     calls = []
@@ -497,12 +505,12 @@ def test_low_level_fits_only_for_its_step(monkeypatch, mode, update_low, fits):
     monkeypatch.setattr(hierarchy, "fit_value_on_scaled", recording_fit)
     for i, want in enumerate(fits):
         calls.clear()
-        iterate(pi_h, pi_l, env, cfg, i)
+        assert iterate(pi_h, pi_l, env, cfg, i)[0]["mean_return"] != 0.0
         assert calls == want
 
 
 def test_iteration_metrics_schema():
-    env = make_env("gather", max_episode_steps=20)
+    env = tripping_env(20)
     pi_h, pi_l, cfg = make_run(env)
     m, _ = iterate(pi_h, pi_l, env, cfg, 0)
     # the batch's own numbers: the run loop writes the iteration, the running
@@ -512,3 +520,4 @@ def test_iteration_metrics_schema():
     assert m["k"] == 6
     assert m["steps"] >= 60
     assert m["episodes"] >= 3
+    assert m["mean_return"] != 0.0

@@ -1,10 +1,7 @@
-import numpy as np
 import pytest
 
-from haarlab.envs.maze import (GOAL, LAYOUTS, MazeSpec, build_maze,
-                               n_connected_regions, parse_maze_text, sample_gather_sites)
-
-from helpers import cell_of
+from haarlab.envs.maze import (GOAL, LAYOUTS, MazeSpec, build_maze, n_connected_regions,
+                               parse_maze_text)
 
 
 def test_c_maze_layout():
@@ -22,26 +19,6 @@ def test_mirrored_is_reflection():
     for r in range(rows):
         for c in range(w):
             assert mirrored.grid[r][c] == base.grid[r][w - 1 - c]
-
-
-def test_gather_sites_valid():
-    m = build_maze("gather")
-    rng = np.random.default_rng(42)
-    food, bombs = sample_gather_sites(m, rng)
-    assert food.shape == (8, 2) and bombs.shape == (8, 2)
-    seen = set()
-    for site in np.vstack([food, bombs]):
-        cell = cell_of(m, site)
-        assert not m.is_wall_cell(*cell)
-        assert cell not in seen
-        seen.add(cell)
-
-
-def test_gather_sites_deterministic_per_seed():
-    m = build_maze("gather")
-    a = sample_gather_sites(m, np.random.default_rng(7))
-    b = sample_gather_sites(m, np.random.default_rng(7))
-    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 @pytest.mark.parametrize("kind", ["c_maze", "mirrored", "spiral"])
@@ -75,7 +52,7 @@ def test_goal_rules_per_kind():
     # the mazes have one goal and the arenas none: a fact of the layout
     # table, which MazeSpec does not re-check per kind
     assert {kind: text.count(GOAL) for kind, text in LAYOUTS.items()} == {
-        "c_maze": 1, "mirrored": 1, "spiral": 1, "gather": 0, "open_field": 0}
+        "c_maze": 1, "mirrored": 1, "spiral": 1, "open_field": 0}
     # any layout may hold at most one goal, whatever its kind
     with pytest.raises(ValueError, match="at most one goal"):
         MazeSpec(tuple("######,#SGG.#,######".split(",")), kind="c_maze")

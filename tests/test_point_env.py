@@ -5,8 +5,8 @@ import pytest
 from helpers import END_CODES, cell_of, end_code, step_loops
 
 from haarlab.envs.maze import build_maze, parse_maze_text
-from haarlab.envs.point import (DEATH_REWARD, DT, FOOD_REWARD, GOAL_REWARD, HIGH_OBS_DIM,
-                                LOW_OBS_DIM, STUMBLE_STEPS, EnvConfig, EpisodeBatch, PointEnv)
+from haarlab.envs.point import (DEATH_REWARD, DT, GOAL_REWARD, HIGH_OBS_DIM, LOW_OBS_DIM,
+                                STUMBLE_STEPS, EnvConfig, EpisodeBatch, PointEnv)
 
 FACE_EPS = 1e-9  # the env's resting offset from a wall face
 
@@ -49,7 +49,7 @@ def step_one(env, state, action):
 
 def stacked(states):
     """One-lane batches as the lanes of one batch, in order."""
-    return EpisodeBatch(*[None if f[0] is None else np.concatenate(f) for f in zip(*states)])
+    return EpisodeBatch(*map(np.concatenate, zip(*states)))
 
 
 # -- reset ---------------------------------------------------------------------
@@ -248,36 +248,6 @@ def test_maze_episode_rewards_in_allowed_set():
         assert total in (0.0, GOAL_REWARD, DEATH_REWARD)
 
 
-def test_gather_episode():
-    env = make_env("gather", max_episode_steps=120)
-    rng = np.random.default_rng(10)
-    returns = []
-    for _ in range(20):
-        state, _ = env.reset(rng)
-        assert state.food_active.sum() == 8 and state.bomb_active.sum() == 8
-        total, done = 0.0, False
-        while not done:
-            state, _, reward, done, _ = step_one(env, state, rng.normal(0, 0.6, size=2))
-            total += reward
-        returns.append(total)
-        assert -18.0 <= total <= 8.0
-    assert max(returns) > 0  # random walking does collect something
-
-
-def test_gather_contact_collects_once():
-    env = make_env("gather")
-    state, _ = env.reset(np.random.default_rng(11))
-    # place the agent on top of the first food site
-    state = state._replace(position=state.food_sites[:, 0].copy())
-    nxt, _, reward, done, end = step_one(env, state, np.zeros(2))
-    assert reward == FOOD_REWARD and end == 0
-    assert nxt.food_active.sum() == 7 and not nxt.food_active[0, 0]
-    assert np.array_equal(nxt.bomb_active, state.bomb_active)
-    # second step on the same (consumed) site pays nothing
-    nxt2, _, reward2, _, _ = step_one(env, nxt, np.zeros(2))
-    assert reward2 == 0.0 and np.array_equal(nxt2.food_active, nxt.food_active)
-
-
 def test_timeout_sets_done():
     env = make_env("c_maze", max_episode_steps=5)
     state, _ = env.reset(np.random.default_rng(12))
@@ -296,10 +266,10 @@ def test_obs_scales_shapes():
 
 def random_lane(env, rng):
     """A one-lane batch anywhere in free space, with any speed, step count
-    and overdrive count and some gather sites already used. One in three rests
-    on a face of its cell, one in three heads exactly for a corner of it
-    (same distance to both grid lines, exact in binary, and same speed on
-    both axes). Returns (state, corner signs or None)."""
+    and overdrive count. One in three rests on a face of its cell, one in
+    three heads exactly for a corner of it (same distance to both grid
+    lines, exact in binary, and same speed on both axes). Returns (state,
+    corner signs or None)."""
     maze, cs = env.maze, env.maze.cell_size
     state, _ = env.reset(rng)
     free = maze.free_cells()
@@ -319,23 +289,20 @@ def random_lane(env, rng):
                            velocity=velocity[None],
                            t=np.array([rng.integers(env.cfg.max_episode_steps)]),
                            overdrive=np.array([rng.integers(STUMBLE_STEPS)]))
-    if state.food_active is not None:
-        state = state._replace(food_active=rng.random(state.food_active.shape) < 0.8,
-                               bomb_active=rng.random(state.bomb_active.shape) < 0.8)
     return state, signs
 
 
 def test_batched_step_rows_equal_scalar_oracle_bit_for_bit():
     rng = np.random.default_rng(21)
     seen = dict.fromkeys(("lane_steps", "walls", "two_walls", "corners", "on_face", "goal",
-                          "death", "timeout", "food", "bombs", "mixed_t"), 0)
-    for kind in ("c_maze", "mirrored", "spiral", "gather", "open_field"):
+                          "death", "timeout", "mixed_t"), 0)
+    for kind in ("c_maze", "mirrored", "spiral", "open_field"):
         env = make_env(kind, max_episode_steps=40)
         cs = env.maze.cell_size
         for lanes in (1, 3, 16):
             states, signs = zip(*(random_lane(env, rng) for _ in range(lanes)))
             states, signs = list(states), list(signs)
-            for _ in range(110):
+            for _ in range(125):  # 4 kinds x 20 lanes x 125 = 10,000 lane steps
                 actions = rng.normal(0.0, 1.0, (lanes, 2))
                 for i, s in enumerate(signs):
                     if s is not None:  # keep |vx| == |vy|: same magnitude on both axes
@@ -345,32 +312,27 @@ def test_batched_step_rows_equal_scalar_oracle_bit_for_bit():
                 assert isinstance(nxt, EpisodeBatch) and low.shape == (lanes, LOW_OBS_DIM)
                 seen["mixed_t"] += len(set(batch.t.tolist())) > 1
                 for i, state in enumerate(states):
-                    (pos, vel, t, overdrive, r, d, info, food, bombs, walls,
-                     corners) = step_loops(env.maze, env.cfg, state, actions[i])
+                    pos, vel, t, overdrive, r, d, info, walls, corners = step_loops(
+                        env.maze, env.cfg, state, actions[i])
                     assert nxt.position[i].tobytes() == pos.tobytes()
                     assert nxt.velocity[i].tobytes() == vel.tobytes()
                     assert low[i].tobytes() == np.array((vel[0], vel[1], 0.0, 1.0)).tobytes()
                     assert (nxt.t[i], nxt.overdrive[i]) == (t, overdrive)
                     assert reward[i].tobytes() == np.float64(r).tobytes() and (end[i] > 0) == d
                     assert end[i] == end_code(info) and end.dtype.kind == "i"
-                    if food is not None:
-                        assert np.array_equal(nxt.food_active[i], food)
-                        assert np.array_equal(nxt.bomb_active[i], bombs)
                     frac = state.position[0] / cs
                     seen["on_face"] += np.abs(frac - np.round(frac)).min() * cs < 2 * FACE_EPS
                     seen["walls"] += walls > 0
                     seen["two_walls"] += walls == 2
                     seen["corners"] += corners > 0
-                    for key in ("goal", "death", "timeout", "food", "bombs"):
-                        seen[key] += info[key] > 0
+                    for key in ("goal", "death", "timeout"):
+                        seen[key] += info[key]
                     seen["lane_steps"] += 1
                     if d:
                         states[i], signs[i] = random_lane(env, rng)
                     else:
-                        states[i] = EpisodeBatch(
-                            pos[None], vel[None], np.array([t]), np.array([overdrive]),
-                            state.food_sites, state.bomb_sites,
-                            *(None if food is None else a[None] for a in (food, bombs)))
+                        states[i] = EpisodeBatch(pos[None], vel[None], np.array([t]),
+                                                 np.array([overdrive]))
                         signs[i] = None
     assert seen["lane_steps"] >= 10_000
     assert min(seen.values()) >= 20, seen

@@ -109,9 +109,9 @@ def random_free_positions(maze, rng, n):
 def test_raycast_bit_identical_to_loop_oracle():
     rng = np.random.default_rng(11)
     checked = 0
-    for kind in ("c_maze", "mirrored", "spiral", "gather", "open_field"):
+    for kind in ("c_maze", "mirrored", "spiral", "open_field"):
         m = build_maze(kind)
-        positions = random_free_positions(m, rng, 2000)
+        positions = random_free_positions(m, rng, 2500)  # four kinds: the 10,000 checked below
         # faces hit head-on and rays grazing a face line
         positions += [m.cell_center(cell) for cell in m.free_cells()]
         positions += [np.array([(c + 1) * m.cell_size - 1e-9, r * m.cell_size + 1e-9])
@@ -148,15 +148,15 @@ def test_raycast_with_gaps_and_corners_bit_identical_to_loop_oracle():
 
 def test_segment_counts_of_built_in_mazes():
     counts = {kind: len(build_maze(kind).faces[0])
-              for kind in ("c_maze", "mirrored", "spiral", "gather", "open_field")}
-    assert counts == {"c_maze": 8, "mirrored": 8, "spiral": 12, "gather": 4, "open_field": 4}
+              for kind in ("c_maze", "mirrored", "spiral", "open_field")}
+    assert counts == {"c_maze": 8, "mirrored": 8, "spiral": 12, "open_field": 4}
 
 
 def test_readings_on_wall_lines_and_corners_equal_loop_oracle():
     # a reading from a point on a wall line can be 0.0 or -0.0 depending on
     # which face the minimum meets first, so these compare by value
     zeros = 0
-    for m in [build_maze(kind) for kind in ("c_maze", "spiral", "gather")] + [
+    for m in [build_maze(kind) for kind in ("c_maze", "spiral")] + [
             parse_maze_text(GAPS_AND_CORNERS)]:
         cs = m.cell_size
         points = set()
@@ -185,7 +185,7 @@ def test_faces_do_not_leak_between_mazes():
 
 def test_batched_raycast_and_bearing_rows_equal_single_calls():
     rng = np.random.default_rng(12)
-    for kind in ("c_maze", "spiral", "gather", "open_field"):
+    for kind in ("c_maze", "spiral", "open_field"):
         m = build_maze(kind)
         positions = random_free_positions(m, rng, 40)
         positions += [m.cell_center(cell) for cell in m.free_cells()[:10]]

@@ -3,7 +3,7 @@
 Both collectors (hierarchy.collect_rollouts and experiment.collect_flat)
 run on rollout.run_lanes; every array they return must be the same bytes
 for every lane count, the previous batch's episode count included, on
-the point-mass maze, the gather arena and the tabular chain, including
+the point-mass maze, the open field and the tabular chain, including
 budgets that end inside or exactly at the end of an episode and runs
 that drop a speculative episode. Hierarchical lanes join on segment
 boundaries, so every decision step sees its lanes at one phase of their
@@ -115,7 +115,7 @@ def stumbling_env(kind, horizon):
 
 HIERARCHY_CASES = {
     "point_maze": (lambda: stumbling_env("c_maze", 40), 150, 4),
-    "point_gather": (lambda: stumbling_env("gather", 25), 120, 5),
+    "point_open_field": (lambda: stumbling_env("open_field", 25), 120, 5),
     "tabular": (tabular_env, 200, 2),
 }
 
@@ -227,7 +227,7 @@ def test_one_decision_call_per_segment_step(lanes):
 
 FLAT_CASES = {
     "point_maze": (lambda: stumbling_env("c_maze", 40), 150),
-    "point_gather": (lambda: stumbling_env("gather", 25), 120),
+    "point_open_field": (lambda: stumbling_env("open_field", 25), 120),
     "tabular": (tabular_env, 200),
 }
 
@@ -460,8 +460,8 @@ RETURN_CASES = {
     # the env and the collector of a batch of about `budget` steps
     "c_maze": (lambda: point_env("c_maze", max_episode_steps=150, stumble_threshold=1.4),
                lambda env: Wander(c_maze_drift, 0.4, env.maze.cell_size), 1500),
-    "gather": (lambda: point_env("gather", max_episode_steps=60, stumble_threshold=2.5),
-               lambda env: Wander(lambda row, col: (0.0, 0.0), 1.0, env.maze.cell_size), 900),
+    "open_field": (lambda: point_env("open_field", max_episode_steps=60, stumble_threshold=1.5),
+                   lambda env: Wander(lambda row, col: (0.0, 0.0), 1.0, env.maze.cell_size), 900),
     "tabular": (lambda: tabular_env()[0], lambda env: RandomChoice(), 200),
 }
 
@@ -469,9 +469,9 @@ RETURN_CASES = {
 @pytest.mark.parametrize("lanes", LANE_COUNTS)
 @pytest.mark.parametrize("case", sorted(RETURN_CASES))
 def test_returns_and_successes_follow_the_step_rows(case, lanes):
-    # the c_maze episodes reach the goal or trip, the gather ones collect
-    # dense +-1 contacts, and the tabular rewards are fractions, whose sums
-    # depend on their order
+    # the c_maze episodes reach the goal or trip, the open-field ones trip
+    # or time out in an arena without a goal cell, and the tabular rewards
+    # are fractions, whose sums depend on their order
     make_env, make_collector, budget = RETURN_CASES[case]
     env = make_env()
     run = run_lanes(env, (np.random.default_rng(seed) for seed in count()), budget,
@@ -485,7 +485,7 @@ def test_returns_and_successes_follow_the_step_rows(case, lanes):
     assert run.total_return.tolist() == returns
     if case == "tabular":  # no state is a goal
         in_goal = [False] * len(returns)
-    else:  # the gather arena has no goal cell
+    else:
         cs = env.maze.cell_size
         in_goal = [(math.floor(y / cs), math.floor(x / cs)) == env.maze.goal_cell
                    for x, y in run.final.position.tolist()]
@@ -493,8 +493,8 @@ def test_returns_and_successes_follow_the_step_rows(case, lanes):
     if case == "c_maze":
         assert 0 < run.success.sum() < len(run.success)
         assert (run.reward == DEATH_REWARD).any()
-    elif case == "gather":
-        assert (run.reward == 1.0).sum() >= 5 and (run.reward == -1.0).sum() >= 5
+    elif case == "open_field":
+        assert not run.success.any() and {0.0, DEATH_REWARD} <= set(returns)
     else:
         assert len(set(returns)) > 1 and any(r != round(r) for r in returns)
 
