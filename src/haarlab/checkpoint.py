@@ -83,12 +83,18 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     (mlen,) = struct.unpack("<I", take(4))
-    metadata = json.loads(take(mlen).decode("utf-8"))
+    try:
+        metadata = json.loads(take(mlen).decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise CheckpointError(f"unreadable metadata in checkpoint file {path}: {exc}") from exc
     (nseg,) = struct.unpack("<I", take(4))
     entries = []
     for _ in range(nseg):
         (nlen,) = struct.unpack("<H", take(2))
-        name = take(nlen).decode("utf-8")
+        try:
+            name = take(nlen).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"a segment name in checkpoint file {path} is not UTF-8") from exc
         offset, length = struct.unpack("<QQ", take(16))
         entries.append((name, offset, length))
     total = sum(length for _, _, length in entries)

@@ -1,2 +1,2 @@
-"""Environments: grid mazes (maze), the point-mass arena (point), its
-ray sensors (raycast), and finite MDPs for the exact oracle (tabular)."""
+"""The point-mass arena: grid mazes (maze), the point mass (point) and
+its ray sensors (raycast)."""

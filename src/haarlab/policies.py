@@ -73,10 +73,10 @@ class _MlpPolicy:
     gradients of the head's own segments).
 
     act takes its randomness as noise rows: noise(rng, n) draws n steps'
-    worth from a Generator, one row of shape noise_shape per step, the
-    same values in the same order as n draws of one row each, and
-    noise_rows turns drawn rows of any leading shape into the rows of
-    shape row_shape that act takes. The base class's are the drawn rows."""
+    worth from a Generator, one row per step, the same values in the
+    same order as n draws of one row each, and noise_rows turns drawn
+    rows of any leading shape into the rows of shape row_shape that act
+    takes. The base class's are the drawn rows."""
 
     NET = ""
 
@@ -177,7 +177,6 @@ class GaussianPolicy(_MlpPolicy):
     def __init__(self, spec: MlpSpec, rng: np.random.Generator,
                  input_scale: np.ndarray | None = None):
         self.action_dim = spec.output_dim
-        self.noise_shape = (spec.output_dim,)
         self.row_shape = (spec.output_dim + 1,)
         super().__init__(spec, rng, input_scale,
                          [("log_std", np.full(spec.output_dim, INIT_LOG_STD))])
@@ -278,7 +277,7 @@ class CategoricalPolicy(_MlpPolicy):
         self.n_skills = spec.output_dim
         super().__init__(spec, rng, input_scale, [])
 
-    noise_shape = row_shape = ()
+    row_shape = ()
 
     def noise(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n steps' uniforms on [0, 1), (n,)."""

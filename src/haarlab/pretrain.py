@@ -12,11 +12,11 @@ and the displacement, all task-independent. Each iteration takes one
 trust-region step of at most PRETRAIN_MAX_KL on the advantages of the
 proxy returns, discounted at PRETRAIN_GAMMA.
 
-Proxy batches and the skill probe (skill_displacements) run in lockstep
-lanes (rollout.run_lanes) in an arena whose horizon is the episode
-length, so the env's own timeout ends each episode. A step's
-displacement runs to the next step's position, or to the episode's
-final state after its last step.
+Proxy batches run in lockstep lanes (rollout.run_lanes) in an arena
+whose horizon is the episode length, so the env's own timeout ends
+each episode. A step's displacement runs to the next step's position,
+or to the episode's final state after its last step. The skill probe
+in tests/helpers.py runs the same collector.
 """
 
 from __future__ import annotations
@@ -146,17 +146,3 @@ def pretrain_skills(cfg: PretrainConfig, n_skills: int, seed: int,
             "accepted": diag.accepted,
         })
     return pi_l, stats
-
-
-def skill_displacements(pi_l, n_skills: int, episodes_per_skill: int, steps: int, seed: int,
-                        env_cfg: EnvConfig | None = None) -> np.ndarray:
-    """Mean displacement vector per skill over fresh seeded episodes of
-    at most `steps` steps in open_field_env(steps, env_cfg)."""
-    env = open_field_env(steps, env_cfg)
-    streams = (np.random.default_rng(np.random.SeedSequence((seed, 0xD1, skill, ep)))
-               for skill in range(n_skills) for ep in range(episodes_per_skill))
-    collector = _SkillCollector(pi_l, n_skills, lambda e, _: e // episodes_per_skill, steps)
-    run = run_lanes(env, streams, n_skills * episodes_per_skill * steps, collector)
-    first = np.concatenate(([0], np.flatnonzero(run.done)[:-1] + 1))  # each episode's first row
-    disp = run.final.position - run.columns[4][first]
-    return disp.reshape(n_skills, episodes_per_skill, 2).sum(axis=1) / episodes_per_skill

@@ -1,12 +1,14 @@
 """Exact tabular verification of the two-level improvement guarantees.
 
-Everything here is closed-form linear algebra on small finite MDPs, no
-sampling. The high level of a two-level tabular policy induces a
-semi-MDP whose one "step" is k primitive steps under a fixed skill;
-that semi-MDP's kernels are computed as exact k-fold products.
+Everything here is closed-form linear algebra on small finite MDPs
+(TabularMdp), no sampling. The high level of a two-level tabular policy
+induces a semi-MDP whose one "step" is k primitive steps under a fixed
+skill; that semi-MDP's kernels are computed as exact k-fold products.
+A joint policy carries gamma_h; the low level's per-step discount
+gamma_l is an argument of each function that uses it.
 
-Verified claims, each exposed as a residual the test suite drives to
-numerical zero:
+The `theory-check` command (verification_suite) verifies two claims,
+each exposed as a residual it drives to numerical zero:
 
   * decomposition: the objective of a changed joint policy equals the
     old objective plus the discounted expected advantage-over-the-old-
@@ -17,22 +19,66 @@ numerical zero:
     start value a positive multiple of the high level's discounted
     advantage sum, exactly when gamma_low^k equals gamma_high and
     approximately when both discounts are near one.
-  * alternation: exact greedy high-level improvement interleaved with
-    small gradient steps on the low level's auxiliary objective yields
-    a non-decreasing objective sequence.
+
+The test suite's alternation check (exact greedy high-level improvement
+interleaved with small gradient steps on the low level's auxiliary
+objective never lowers the objective) and its adapter that runs these
+MDPs through the rollout protocol live in tests/helpers.py.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-
-from .envs.tabular import TabularMdp, random_mdp
 
 
 class SingularSystemError(RuntimeError):
     """The value equations are singular (discount too close to 1)."""
+
+
+@dataclass
+class TabularMdp:
+    transition: np.ndarray      # P[s, a, s']
+    reward: np.ndarray          # R[s, a]
+    initial_dist: np.ndarray    # rho0[s]
+    terminal: np.ndarray = field(default=None)  # bool per state
+
+    def __post_init__(self):
+        self.transition = np.asarray(self.transition, dtype=np.float64)
+        self.reward = np.asarray(self.reward, dtype=np.float64)
+        self.initial_dist = np.asarray(self.initial_dist, dtype=np.float64)
+        if self.terminal is None:
+            self.terminal = np.zeros(self.transition.shape[0], dtype=bool)
+        s, a, s2 = self.transition.shape
+        if s != s2 or self.reward.shape != (s, a) or self.initial_dist.shape != (s,):
+            raise ValueError("inconsistent MDP table shapes")
+        rows = self.transition.sum(axis=2)
+        if np.max(np.abs(rows - 1.0)) > 1e-12:
+            raise ValueError("transition rows must sum to 1 within 1e-12")
+        if abs(self.initial_dist.sum() - 1.0) > 1e-12:
+            raise ValueError("initial distribution must sum to 1")
+
+    @property
+    def n_states(self) -> int:
+        return self.transition.shape[0]
+
+    @property
+    def n_actions(self) -> int:
+        return self.transition.shape[1]
+
+
+def random_mdp(n_states: int, n_actions: int, rng: np.random.Generator) -> TabularMdp:
+    """Dirichlet-random transition rows and uniform [0, 1] rewards."""
+    if n_states < 1 or n_actions < 1:
+        raise ValueError("need at least one state and one action")
+    transition = rng.dirichlet(np.ones(n_states), size=(n_states, n_actions))
+    # exact renormalization so row sums hold to 1e-12 regardless of rounding
+    transition = transition / transition.sum(axis=2, keepdims=True)
+    reward = rng.uniform(0.0, 1.0, size=(n_states, n_actions))
+    initial = rng.dirichlet(np.ones(n_states))
+    initial = initial / initial.sum()
+    return TabularMdp(transition, reward, initial)
 
 
 @dataclass
@@ -41,16 +87,14 @@ class TabularJointPolicy:
     pi_l: np.ndarray    # (S, Z, A)
     k: int
     gamma_h: float
-    gamma_l: float
 
     def __post_init__(self):
         self.pi_h = np.asarray(self.pi_h, dtype=np.float64)
         self.pi_l = np.asarray(self.pi_l, dtype=np.float64)
         if self.k < 1:
             raise ValueError("skill length k must be >= 1")
-        for name, g in (("gamma_h", self.gamma_h), ("gamma_l", self.gamma_l)):
-            if not 0.0 < g < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1)")
+        if not 0.0 < self.gamma_h < 1.0:
+            raise ValueError("gamma_h must lie in (0, 1)")
         if np.max(np.abs(self.pi_h.sum(axis=1) - 1.0)) > 1e-12:
             raise ValueError("pi_h rows must sum to 1 within 1e-12")
         if np.max(np.abs(self.pi_l.sum(axis=2) - 1.0)) > 1e-12:
@@ -62,13 +106,13 @@ class TabularJointPolicy:
 
 
 def random_joint_policy(mdp: TabularMdp, n_skills: int, k: int, gamma_h: float,
-                        gamma_l: float, rng: np.random.Generator) -> TabularJointPolicy:
+                        rng: np.random.Generator) -> TabularJointPolicy:
     s, a = mdp.n_states, mdp.n_actions
     pi_h = rng.dirichlet(np.ones(n_skills), size=s)
     pi_l = rng.dirichlet(np.ones(a), size=(s, n_skills))
     pi_h = pi_h / pi_h.sum(axis=1, keepdims=True)
     pi_l = pi_l / pi_l.sum(axis=2, keepdims=True)
-    return TabularJointPolicy(pi_h, pi_l, k, gamma_h, gamma_l)
+    return TabularJointPolicy(pi_h, pi_l, k, gamma_h)
 
 
 def absorbing_random_mdp(n_states: int, n_actions: int, rng: np.random.Generator,
@@ -161,11 +205,6 @@ def exact_eta(mdp: TabularMdp, jp: TabularJointPolicy) -> float:
     return float(mdp.initial_dist @ high_value(mdp, jp))
 
 
-def exact_high_advantage(mdp: TabularMdp, jp: TabularJointPolicy) -> np.ndarray:
-    """A[s, z] = r_h(s, z) + gamma_h (P_z^k V)(s) - V(s), all exact."""
-    return mixed_advantage(mdp, jp, high_value(mdp, jp))
-
-
 def discounted_occupancy(initial_dist: np.ndarray, m: np.ndarray, gamma: float) -> np.ndarray:
     """Unnormalized sum_t gamma^t Pr(s_t = s) for the chain m."""
     return _solve(m.T, gamma, initial_dist)
@@ -214,15 +253,15 @@ def verification_suite(n_instances: int = 100, seed: int = 0) -> list[dict]:
         k = int(rng.integers(1, 4))
         gamma_h = 0.9 if i % 2 == 0 else 0.99
         mdp = random_mdp(n_s, n_a, rng)
-        jp_old = random_joint_policy(mdp, n_z, k, gamma_h, 0.9, rng)
-        jp_new = random_joint_policy(mdp, n_z, k, gamma_h, 0.9, rng)
+        jp_old = random_joint_policy(mdp, n_z, k, gamma_h, rng)
+        jp_new = random_joint_policy(mdp, n_z, k, gamma_h, rng)
         residual = advantage_decomposition_residual(mdp, jp_old, jp_new)
 
         epi = absorbing_random_mdp(n_s, n_a, rng)
-        jp_r = random_joint_policy(epi, max(n_z, 2), k, gamma_h, 0.9, rng)
+        jp_r = random_joint_policy(epi, max(n_z, 2), k, gamma_h, rng)
         pi_l_new = rng.dirichlet(np.ones(n_a), size=(epi.n_states, max(n_z, 2)))
         pi_l_new /= pi_l_new.sum(axis=2, keepdims=True)
-        jp_e = TabularJointPolicy(jp_r.pi_h, pi_l_new, k, gamma_h, 0.9)
+        jp_e = TabularJointPolicy(jp_r.pi_h, pi_l_new, k, gamma_h)
         gamma_match = gamma_h ** (1.0 / k)
         err_match = lowlevel_objective_relative_error(epi, jp_r, jp_e, gamma_match)
         err_approx = lowlevel_objective_relative_error(epi, jp_r, jp_e, gamma_h)
@@ -270,7 +309,7 @@ def lowlevel_objective_relative_error(mdp: TabularMdp, jp_rewards: TabularJointP
     if jp_rewards.k != jp_eval.k:
         raise ValueError("policies must share the skill length")
     v_ref = high_value(mdp, jp_rewards)
-    exact = _auxiliary_value(mdp, jp_eval, v_ref, gamma_l, gamma_l ** jp_eval.k)
+    exact = auxiliary_start_value(mdp, jp_eval, v_ref, gamma_l)
     approx = _auxiliary_value(mdp, jp_eval, v_ref, gamma_l, jp_eval.gamma_h)
     return abs(exact - approx) / max(abs(approx), eps)
 
@@ -294,87 +333,3 @@ def auxiliary_start_value(mdp: TabularMdp, jp_eval: TabularJointPolicy,
     """Exact low-level expected start value under the auxiliary rewards
     (realized advantage estimate over v_ref, split over the segment)."""
     return _auxiliary_value(mdp, jp_eval, v_ref, gamma_l, gamma_l ** jp_eval.k)
-
-
-def _low_level_eta_gradient(mdp: TabularMdp, jp: TabularJointPolicy) -> np.ndarray:
-    """Exact gradient of the joint objective w.r.t. the low-level table.
-
-    Adjoint form: with u the discounted occupancy over segment starts,
-    v the value, and psi_i the value of the remaining segment from
-    phase i (psi_k = gamma_h v, psi_i = r_z + P_z psi_{i+1}),
-
-        d eta / d pi_l[s, z, a] =
-            sum_i occupancy(s, z, phase i) * (R[s, a] + P[s, a, :] @ psi_{i+1}).
-
-    With gamma_l^k = gamma_h the auxiliary objective equals
-    (geometric factor) * (eta(new) - eta(reference)), so this is also
-    the exact auxiliary-objective ascent direction up to a positive
-    constant.
-    """
-    p, r = _masked_tables(mdp)
-    pz, rz = skill_kernels(mdp, jp)
-    m, r_bar, _, _ = semi_mdp(mdp, jp)
-    v = _solve(m, jp.gamma_h, r_bar)
-    u = discounted_occupancy(mdp.initial_dist, m, jp.gamma_h)
-    grad = np.zeros_like(jp.pi_l)
-    for z in range(jp.n_skills):
-        psi = [None] * (jp.k + 1)
-        psi[jp.k] = jp.gamma_h * v
-        for i in range(jp.k - 1, -1, -1):
-            psi[i] = rz[z] + pz[z] @ psi[i + 1]
-        occ = jp.pi_h[:, z] * u
-        for i in range(jp.k):
-            grad[:, z, :] += occ[:, None] * (r + p @ psi[i + 1])
-            occ = pz[z].T @ occ
-    return grad
-
-
-def monotone_alternation_check(mdp: TabularMdp, jp: TabularJointPolicy, iterations: int,
-                               low_step: float = 1e-2, line_search_points: int = 33) -> np.ndarray:
-    """Alternate exact high-level greedy improvement with a small exact-
-    line-searched gradient step on the low level's auxiliary objective;
-    return the joint objective after the start and after every
-    improvement step (length 1 + 2*iterations).
-
-    gamma_l is taken as gamma_h^(1/k), which makes the low level's
-    auxiliary objective an exact positive affine image of the joint
-    objective, so every accepted step improves both.
-    """
-    pi_h = jp.pi_h.copy()
-    pi_l = jp.pi_l.copy()
-    k, gamma_h = jp.k, jp.gamma_h
-    gamma_l = gamma_h ** (1.0 / k)
-
-    def joint(pi_h_c, pi_l_c):
-        return TabularJointPolicy(pi_h_c, pi_l_c, k, gamma_h, gamma_l)
-
-    etas = [exact_eta(mdp, joint(pi_h, pi_l))]
-    for _ in range(iterations):
-        # high level: exact greedy improvement on the induced semi-MDP
-        greedy = np.argmax(exact_high_advantage(mdp, joint(pi_h, pi_l)), axis=1)
-        pi_h = np.zeros_like(pi_h)
-        pi_h[np.arange(mdp.n_states), greedy] = 1.0
-        etas.append(exact_eta(mdp, joint(pi_h, pi_l)))
-
-        # low level: auxiliary-objective ascent with feasible line search
-        jp_cur = joint(pi_h, pi_l)
-        v_ref = high_value(mdp, jp_cur)
-        grad = _low_level_eta_gradient(mdp, jp_cur)
-        grad -= grad.mean(axis=2, keepdims=True)  # stay on the simplex
-        if float(np.max(np.abs(grad))) > 0.0:
-            with np.errstate(divide="ignore"):
-                limits = np.where(grad < 0.0, pi_l / np.maximum(-grad, 1e-300), np.inf)
-            alpha_max = min(low_step, float(limits.min()))
-            best_alpha = 0.0
-            best_val = auxiliary_start_value(mdp, jp_cur, v_ref, gamma_l)
-            for alpha in np.linspace(0.0, alpha_max, line_search_points)[1:]:
-                cand = np.clip(pi_l + alpha * grad, 0.0, None)
-                cand /= cand.sum(axis=2, keepdims=True)
-                val = auxiliary_start_value(mdp, joint(pi_h, cand), v_ref, gamma_l)
-                if val > best_val:
-                    best_alpha, best_val = alpha, val
-            if best_alpha > 0.0:
-                pi_l = np.clip(pi_l + best_alpha * grad, 0.0, None)
-                pi_l /= pi_l.sum(axis=2, keepdims=True)
-        etas.append(exact_eta(mdp, joint(pi_h, pi_l)))
-    return np.array(etas)

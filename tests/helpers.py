@@ -1,9 +1,14 @@
 """Shared independent oracles for the test suite.
 
-These deliberately avoid the library's own code paths: the MLP oracle
+Most deliberately avoid the library's own code paths: the MLP oracle
 is a plain nested loop, and the gradient oracle is central finite
-differences on whatever scalar function it is given.
+differences on whatever scalar function it is given. The last section
+is different: its tabular rollout adapter, skill probe and alternation
+check are built on the library's own rollout lanes, skill collector and
+exact theory functions, which the tests check the learners against.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -483,3 +488,176 @@ def head_tables(pi_h, pi_l, n_states, n_skills):
                      n_skills)
     return (np.exp(pi_h.dist_params(eye)),
             np.exp(pi_l.dist_params(x)).reshape(n_states, n_skills, -1))
+
+
+# -- oracles on the library's own machinery ----------------------------------------
+# Test-only code that runs on haarlab's rollout lanes and exact theory: a
+# TabularMdp through the rollout protocol, the mean displacement of each
+# pre-trained skill, and the monotone alternation of exact improvements.
+
+def _sample_index(probs, rng):
+    c = np.cumsum(probs)
+    return int(min(np.searchsorted(c, rng.random() * c[-1]), len(probs) - 1))
+
+
+class TabularLanes(NamedTuple):
+    """Episodes stepped together, one row per lane."""
+    s: np.ndarray    # (L,) current states
+    t: np.ndarray    # (L,) steps taken
+    rng: np.ndarray  # (L,) each episode's stream, as objects
+
+
+class TabularRolloutEnv:
+    """Adapter exposing a haarlab.theory.TabularMdp through the rollout
+    protocol.
+
+    Observations at both levels are the one-hot state, at unit scale;
+    episodes truncate after `horizon` low steps so infinite-horizon
+    chains can be sampled. The transition noise draws from the episode
+    stream handed to reset, which the episode state carries, so episodes
+    may run interleaved.
+    """
+
+    def __init__(self, mdp, horizon: int):
+        if horizon < 1:
+            raise ValueError("horizon must be >= 1")
+        self.mdp = mdp
+        self.horizon = horizon
+        self.low_obs_dim = mdp.n_states
+        self.high_obs_dim = mdp.n_states
+        self.low_obs_scale = self.high_obs_scale = np.ones(mdp.n_states)
+        self._eye = np.eye(mdp.n_states)
+
+    def high_obs_batch(self, lanes, low):
+        return low
+
+    def reset(self, rng):
+        """Start an episode: a one-lane batch and its one-hot state row."""
+        s = _sample_index(self.mdp.initial_dist, rng)
+        stream = np.empty(1, dtype=object)
+        stream[0] = rng
+        return TabularLanes(np.array([s]), np.array([0]), stream), self._eye[[s]]
+
+    def step(self, lanes, action):
+        """Advance every lane one step; returns (lanes, one-hot rows,
+        rewards, end codes) as PointEnv.step does: 2 at a terminal
+        state, else 3 at the horizon; no state is a goal."""
+        s_next = np.array([_sample_index(self.mdp.transition[s, int(a)], rng)
+                           for s, a, rng in zip(lanes.s.tolist(), action, lanes.rng)])
+        reward = self.mdp.reward[lanes.s, np.asarray(action, dtype=np.intp)]
+        t = lanes.t + 1
+        end = np.where(self.mdp.terminal[s_next], 2, np.where(t >= self.horizon, 3, 0))
+        return TabularLanes(s_next, t, lanes.rng), self._eye[s_next], reward, end
+
+
+def skill_displacements(pi_l, n_skills, episodes_per_skill, steps, seed, env_cfg=None):
+    """Mean displacement vector per skill over fresh seeded episodes of
+    at most `steps` steps in pretrain.open_field_env(steps, env_cfg),
+    collected as pre-training collects its proxy batches."""
+    from haarlab.pretrain import _SkillCollector, open_field_env
+    from haarlab.rollout import run_lanes
+
+    env = open_field_env(steps, env_cfg)
+    streams = (np.random.default_rng(np.random.SeedSequence((seed, 0xD1, skill, ep)))
+               for skill in range(n_skills) for ep in range(episodes_per_skill))
+    collector = _SkillCollector(pi_l, n_skills, lambda e, _: e // episodes_per_skill, steps)
+    run = run_lanes(env, streams, n_skills * episodes_per_skill * steps, collector)
+    first = np.concatenate(([0], np.flatnonzero(run.done)[:-1] + 1))  # each episode's first row
+    disp = run.final.position - run.columns[4][first]
+    return disp.reshape(n_skills, episodes_per_skill, 2).sum(axis=1) / episodes_per_skill
+
+
+def exact_high_advantage(mdp, jp):
+    """A[s, z] = r_h(s, z) + gamma_h (P_z^k V)(s) - V(s), all exact."""
+    from haarlab.theory import high_value, mixed_advantage
+
+    return mixed_advantage(mdp, jp, high_value(mdp, jp))
+
+
+def _low_level_eta_gradient(mdp, jp):
+    """Exact gradient of the joint objective w.r.t. the low-level table.
+
+    Adjoint form: with u the discounted occupancy over segment starts,
+    v the value, and psi_i the value of the remaining segment from
+    phase i (psi_k = gamma_h v, psi_i = r_z + P_z psi_{i+1}),
+
+        d eta / d pi_l[s, z, a] =
+            sum_i occupancy(s, z, phase i) * (R[s, a] + P[s, a, :] @ psi_{i+1}).
+
+    With gamma_l^k = gamma_h the auxiliary objective equals
+    (geometric factor) * (eta(new) - eta(reference)), so this is also
+    the exact auxiliary-objective ascent direction up to a positive
+    constant.
+    """
+    from haarlab.theory import (_masked_tables, _solve, discounted_occupancy, semi_mdp,
+                                skill_kernels)
+
+    p, r = _masked_tables(mdp)
+    pz, rz = skill_kernels(mdp, jp)
+    m, r_bar, _, _ = semi_mdp(mdp, jp)
+    v = _solve(m, jp.gamma_h, r_bar)
+    u = discounted_occupancy(mdp.initial_dist, m, jp.gamma_h)
+    grad = np.zeros_like(jp.pi_l)
+    for z in range(jp.n_skills):
+        psi = [None] * (jp.k + 1)
+        psi[jp.k] = jp.gamma_h * v
+        for i in range(jp.k - 1, -1, -1):
+            psi[i] = rz[z] + pz[z] @ psi[i + 1]
+        occ = jp.pi_h[:, z] * u
+        for i in range(jp.k):
+            grad[:, z, :] += occ[:, None] * (r + p @ psi[i + 1])
+            occ = pz[z].T @ occ
+    return grad
+
+
+def monotone_alternation_check(mdp, jp, iterations, low_step=1e-2, line_search_points=33):
+    """Alternate exact high-level greedy improvement with a small exact-
+    line-searched gradient step on the low level's auxiliary objective;
+    return the joint objective after the start and after every
+    improvement step (length 1 + 2*iterations).
+
+    gamma_l is taken as gamma_h^(1/k), which makes the low level's
+    auxiliary objective an exact positive affine image of the joint
+    objective, so every accepted step improves both.
+    """
+    from haarlab.theory import (TabularJointPolicy, auxiliary_start_value, exact_eta,
+                                high_value)
+
+    pi_h = jp.pi_h.copy()
+    pi_l = jp.pi_l.copy()
+    k, gamma_h = jp.k, jp.gamma_h
+    gamma_l = gamma_h ** (1.0 / k)
+
+    def joint(pi_h_c, pi_l_c):
+        return TabularJointPolicy(pi_h_c, pi_l_c, k, gamma_h)
+
+    etas = [exact_eta(mdp, joint(pi_h, pi_l))]
+    for _ in range(iterations):
+        # high level: exact greedy improvement on the induced semi-MDP
+        greedy = np.argmax(exact_high_advantage(mdp, joint(pi_h, pi_l)), axis=1)
+        pi_h = np.zeros_like(pi_h)
+        pi_h[np.arange(mdp.n_states), greedy] = 1.0
+        etas.append(exact_eta(mdp, joint(pi_h, pi_l)))
+
+        # low level: auxiliary-objective ascent with feasible line search
+        jp_cur = joint(pi_h, pi_l)
+        v_ref = high_value(mdp, jp_cur)
+        grad = _low_level_eta_gradient(mdp, jp_cur)
+        grad -= grad.mean(axis=2, keepdims=True)  # stay on the simplex
+        if float(np.max(np.abs(grad))) > 0.0:
+            with np.errstate(divide="ignore"):
+                limits = np.where(grad < 0.0, pi_l / np.maximum(-grad, 1e-300), np.inf)
+            alpha_max = min(low_step, float(limits.min()))
+            best_alpha = 0.0
+            best_val = auxiliary_start_value(mdp, jp_cur, v_ref, gamma_l)
+            for alpha in np.linspace(0.0, alpha_max, line_search_points)[1:]:
+                cand = np.clip(pi_l + alpha * grad, 0.0, None)
+                cand /= cand.sum(axis=2, keepdims=True)
+                val = auxiliary_start_value(mdp, joint(pi_h, cand), v_ref, gamma_l)
+                if val > best_val:
+                    best_alpha, best_val = alpha, val
+            if best_alpha > 0.0:
+                pi_l = np.clip(pi_l + best_alpha * grad, 0.0, None)
+                pi_l /= pi_l.sum(axis=2, keepdims=True)
+        etas.append(exact_eta(mdp, joint(pi_h, pi_l)))
+    return np.array(etas)

@@ -21,7 +21,6 @@ import time
 import numpy as np
 
 from haarlab.config import ExperimentConfig
-from haarlab.envs.tabular import random_mdp
 from haarlab.hierarchy import (ConservationError, assign_auxiliary_rewards,
                                collect_rollouts)
 from haarlab.nets import MlpSpec
@@ -29,7 +28,7 @@ from haarlab.policies import CategoricalPolicy, GaussianPolicy
 from haarlab.pretrain import PretrainConfig
 from haarlab.theory import (TabularJointPolicy, absorbing_random_mdp,
                             advantage_decomposition_residual,
-                            lowlevel_objective_relative_error, random_joint_policy)
+                            lowlevel_objective_relative_error, random_joint_policy, random_mdp)
 from haarlab.trpo import AdvantageBatch
 
 from helpers import finite_diff_grad, fvp, kl_grad, log_prob, mean_kl, rel_err, surrogate_loss
@@ -54,8 +53,8 @@ def test_criterion_1_decomposition_identity():
         k = int(rng.integers(1, 4))          # k <= 3
         gamma_h = (0.9, 0.99)[i % 2]
         mdp = random_mdp(n_s, n_a, rng)
-        jp_old = random_joint_policy(mdp, n_z, k, gamma_h, 0.9, rng)
-        jp_new = random_joint_policy(mdp, n_z, k, gamma_h, 0.9, rng)
+        jp_old = random_joint_policy(mdp, n_z, k, gamma_h, rng)
+        jp_new = random_joint_policy(mdp, n_z, k, gamma_h, rng)
         worst = max(worst, advantage_decomposition_residual(mdp, jp_old, jp_new))
     elapsed = time.perf_counter() - t0
     report(1, worst <= 1e-8 and elapsed < 60.0,
@@ -72,23 +71,23 @@ def test_criterion_2_discount_approximation():
         k = int(rng.integers(1, 6))
         gamma_h = float(rng.uniform(0.85, 0.99))
         mdp = absorbing_random_mdp(int(rng.integers(2, 5)), int(rng.integers(2, 4)), rng)
-        jp_ref = random_joint_policy(mdp, 2, k, gamma_h, 0.9, rng)
+        jp_ref = random_joint_policy(mdp, 2, k, gamma_h, rng)
         pi_l_new = rng.dirichlet(np.ones(mdp.n_actions), size=(mdp.n_states, 2))
         pi_l_new /= pi_l_new.sum(axis=2, keepdims=True)
-        jp_eval = TabularJointPolicy(jp_ref.pi_h, pi_l_new, k, gamma_h, 0.9)
+        jp_eval = TabularJointPolicy(jp_ref.pi_h, pi_l_new, k, gamma_h)
         gamma_l = gamma_h ** (1.0 / k)
         worst_matched = max(worst_matched, lowlevel_objective_relative_error(
             mdp, jp_ref, jp_eval, gamma_l))
 
     mdp = absorbing_random_mdp(4, 3, np.random.default_rng(11))
-    jp_ref = random_joint_policy(mdp, 2, 5, 0.9, 0.9, np.random.default_rng(12))
+    jp_ref = random_joint_policy(mdp, 2, 5, 0.9, np.random.default_rng(12))
     rng2 = np.random.default_rng(13)
     pi_l_new = rng2.dirichlet(np.ones(3), size=(mdp.n_states, 2))
     pi_l_new /= pi_l_new.sum(axis=2, keepdims=True)
     errors = []
     for gamma in (0.9, 0.99, 0.999):
-        jp_r = TabularJointPolicy(jp_ref.pi_h, jp_ref.pi_l, 5, gamma, gamma)
-        jp_e = TabularJointPolicy(jp_ref.pi_h, pi_l_new, 5, gamma, gamma)
+        jp_r = TabularJointPolicy(jp_ref.pi_h, jp_ref.pi_l, 5, gamma)
+        jp_e = TabularJointPolicy(jp_ref.pi_h, pi_l_new, 5, gamma)
         errors.append(lowlevel_objective_relative_error(mdp, jp_r, jp_e, gamma))
     decreasing = errors[0] > errors[1] > errors[2]
     elapsed = time.perf_counter() - t0

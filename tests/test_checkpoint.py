@@ -69,3 +69,19 @@ def test_failed_save_leaves_the_previous_file(tmp_path):
     assert meta == {"v": 1} and np.array_equal(loaded["a"], np.arange(3.0))
     save_checkpoint(str(path), {"a": np.ones(2)})
     assert sorted(os.listdir(tmp_path)) == ["ckpt.bin"]
+
+
+# save_checkpoint(..., {"a": ...}, {"v": 1}): the 12-byte header, the
+# metadata {"v": 1} at bytes 12-19, the segment count, the name length,
+# then the name "a" at byte 26
+@pytest.mark.parametrize("at, byte, part", [(13, 0xFF, "metadata"), (13, ord("x"), "metadata"),
+                                            (26, 0xFF, "segment name")],
+                         ids=["metadata_not_utf8", "metadata_not_json", "name_not_utf8"])
+def test_undecodable_metadata_or_segment_name_names_the_file(tmp_path, at, byte, part):
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(str(path), {"a": np.arange(3.0)}, {"v": 1})
+    blob = bytearray(path.read_bytes())
+    blob[at] = byte
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match=f"{part}.*ckpt.bin"):
+        load_checkpoint(str(path))

@@ -6,8 +6,9 @@ import pytest
 from haarlab import pretrain
 from haarlab.envs.point import DT, EnvConfig
 from haarlab.pretrain import (PretrainConfig, fresh_low_policy, open_field_env,
-                              pretrain_skills, proxy_rewards, skill_direction,
-                              skill_displacements)
+                              pretrain_skills, proxy_rewards, skill_direction)
+
+from helpers import skill_displacements
 
 
 def proxy(skill, p0, p1, n_skills=6):

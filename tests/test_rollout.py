@@ -29,7 +29,6 @@ import pytest
 from haarlab import experiment, hierarchy
 from haarlab.envs.maze import build_maze
 from haarlab.envs.point import DEATH_REWARD, EnvConfig, EpisodeBatch, PointEnv
-from haarlab.envs.tabular import TabularRolloutEnv
 from haarlab.experiment import _trace_trajectories, collect_flat
 from haarlab.hierarchy import collect_rollouts
 from haarlab.nets import MlpSpec
@@ -37,7 +36,7 @@ from haarlab.policies import CategoricalPolicy, GaussianPolicy
 from haarlab.rollout import episode_streams, run_lanes
 from haarlab.theory import absorbing_random_mdp
 
-from helpers import act_noise, table_heads
+from helpers import TabularRolloutEnv, act_noise, table_heads
 
 LANE_COUNTS = (1, 3, 16, None)  # None: the default, ceil(budget / horizon)
 N_SKILLS = 3

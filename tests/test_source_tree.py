@@ -1,8 +1,8 @@
-"""Every function, method and class in src/haarlab is used there.
+"""Every function, method, class and import in src/haarlab is used there.
 
 A definition whose name the package never refers to is code that only
-tests, or nobody, call. The allow-list names the oracles that tests
-compare the library against on purpose.
+tests, or nobody, call; the oracles the tests check the library against
+live in tests/helpers.py. An import a module never uses is left over.
 """
 
 import ast
@@ -10,17 +10,19 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "haarlab"
 
-# (module, name): kept for the tests to check the library against
-TEST_ORACLES = {("theory", "monotone_alternation_check"), ("envs.tabular", "TabularRolloutEnv"),
-                ("pretrain", "skill_displacements")}
+
+def modules():
+    """(dotted module name, parsed tree) for every module of the package."""
+    for path in sorted(SRC.rglob("*.py")):
+        yield (".".join(path.relative_to(SRC).with_suffix("").parts),
+               ast.parse(path.read_text(), str(path)))
 
 
 def scan():
     """(definitions as (module, name), every name the package refers to)."""
     defined, used = set(), set()
-    for path in sorted(SRC.rglob("*.py")):
-        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for module, tree in modules():
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.add((module, node.name))
             elif isinstance(node, ast.Name):
@@ -34,7 +36,20 @@ def scan():
 
 def test_every_definition_is_used_in_the_package():
     defined, used = scan()
-    unused = {(module, name) for module, name in defined
-              if name not in used and not (name.startswith("__") and name.endswith("__"))}
-    assert TEST_ORACLES <= unused, "an allow-listed oracle is gone or now used: trim the list"
-    assert sorted(unused - TEST_ORACLES) == []
+    assert sorted((module, name) for module, name in defined
+                  if name not in used and not (name.startswith("__") and name.endswith("__"))) == []
+
+
+def test_every_import_is_used_in_its_module():
+    unused = []
+    for module, tree in modules():
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and not (
+                    isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                for alias in node.names:
+                    # `import a.b` binds `a`
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(module, name, line) for name, line in imported.items() if name not in names]
+    assert sorted(unused) == []

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from haarlab.envs.tabular import TabularMdp, random_mdp
+from haarlab.theory import TabularMdp, random_mdp
+
+from helpers import TabularRolloutEnv
 
 
 def test_single_state_self_loop():
@@ -34,8 +36,6 @@ def test_validation_rejects_bad_rows():
 
 @pytest.mark.parametrize("horizon", [0, -3])
 def test_rollout_env_rejects_a_horizon_below_one(horizon):
-    from haarlab.envs.tabular import TabularRolloutEnv
-
     with pytest.raises(ValueError, match="horizon"):
         TabularRolloutEnv(random_mdp(3, 2, np.random.default_rng(0)), horizon=horizon)
 
@@ -43,8 +43,6 @@ def test_rollout_env_rejects_a_horizon_below_one(horizon):
 def test_interleaved_episodes_keep_their_own_streams():
     # each episode's transition noise must come from the stream handed to
     # its own reset, however episodes on one env interleave
-    from haarlab.envs.tabular import TabularRolloutEnv
-
     env = TabularRolloutEnv(random_mdp(5, 2, np.random.default_rng(8)), horizon=12)
 
     def transitions(state, action):

@@ -3,25 +3,24 @@ import pytest
 
 from haarlab import hierarchy
 from haarlab.config import ExperimentConfig
-from haarlab.envs.tabular import TabularMdp, TabularRolloutEnv, random_mdp
 from haarlab.hierarchy import collect_rollouts, haar_iteration
-from haarlab.theory import (TabularJointPolicy, advantage_decomposition_residual,
-                            auxiliary_start_value, composed_kernels, exact_eta,
-                            exact_high_advantage, geometric_sum, high_value,
-                            lowlevel_objective_relative_error, monotone_alternation_check,
-                            random_joint_policy)
+from haarlab.theory import (TabularJointPolicy, TabularMdp, advantage_decomposition_residual,
+                            auxiliary_start_value, composed_kernels, exact_eta, geometric_sum,
+                            high_value, lowlevel_objective_relative_error, random_joint_policy,
+                            random_mdp)
 
-from helpers import head_tables, table_heads
+from helpers import (TabularRolloutEnv, exact_high_advantage, head_tables,
+                     monotone_alternation_check, table_heads)
 
 
 def single_state_mdp(reward=1.0):
     return TabularMdp(np.ones((1, 1, 1)), np.full((1, 1), reward), np.ones(1))
 
 
-def uniform_policy(mdp, n_skills, k, gamma_h, gamma_l=0.9):
+def uniform_policy(mdp, n_skills, k, gamma_h):
     s, a = mdp.n_states, mdp.n_actions
     return TabularJointPolicy(np.full((s, n_skills), 1.0 / n_skills),
-                              np.full((s, n_skills, a), 1.0 / a), k, gamma_h, gamma_l)
+                              np.full((s, n_skills, a), 1.0 / a), k, gamma_h)
 
 
 def mc_eta(mdp, jp, n_episodes, horizon_high, rng):
@@ -54,8 +53,7 @@ def mc_eta(mdp, jp, n_episodes, horizon_high, rng):
 
 def test_eta_geometric_series():
     mdp = single_state_mdp(1.0)
-    jp = TabularJointPolicy(np.ones((1, 1)), np.ones((1, 1, 1)), k=1,
-                            gamma_h=0.5, gamma_l=0.5)
+    jp = TabularJointPolicy(np.ones((1, 1)), np.ones((1, 1, 1)), k=1, gamma_h=0.5)
     assert abs(exact_eta(mdp, jp) - 2.0) <= 1e-12
 
 
@@ -68,7 +66,7 @@ def test_eta_zero_rewards():
 def test_eta_matches_monte_carlo():
     rng = np.random.default_rng(0)
     mdp = random_mdp(4, 3, rng)
-    jp = random_joint_policy(mdp, n_skills=2, k=2, gamma_h=0.8, gamma_l=0.9, rng=rng)
+    jp = random_joint_policy(mdp, n_skills=2, k=2, gamma_h=0.8, rng=rng)
     exact = exact_eta(mdp, jp)
     horizon = 60  # gamma_h^60 * k * r_max / (1 - gamma_h) < 1e-4
     returns = mc_eta(mdp, jp, n_episodes=1_000_000, horizon_high=horizon,
@@ -84,7 +82,7 @@ def test_expected_advantage_is_zero_under_behavior_policy():
     rng = np.random.default_rng(2)
     for _ in range(10):
         mdp = random_mdp(4, 2, rng)
-        jp = random_joint_policy(mdp, 3, 2, 0.9, 0.9, rng)
+        jp = random_joint_policy(mdp, 3, 2, 0.9, rng)
         adv = exact_high_advantage(mdp, jp)
         per_state = np.einsum("sz,sz->s", jp.pi_h, adv)
         assert np.max(np.abs(per_state)) <= 1e-10
@@ -94,7 +92,7 @@ def test_single_skill_deterministic_mdp_zero_advantage():
     # one skill: the policy is the only option, so A == 0 everywhere
     rng = np.random.default_rng(3)
     mdp = random_mdp(3, 2, rng)
-    jp = random_joint_policy(mdp, n_skills=1, k=2, gamma_h=0.9, gamma_l=0.9, rng=rng)
+    jp = random_joint_policy(mdp, n_skills=1, k=2, gamma_h=0.9, rng=rng)
     adv = exact_high_advantage(mdp, jp)
     assert np.max(np.abs(adv)) <= 1e-10
 
@@ -102,7 +100,7 @@ def test_single_skill_deterministic_mdp_zero_advantage():
 def test_advantage_matches_power_series_enumeration():
     rng = np.random.default_rng(4)
     mdp = random_mdp(4, 3, rng)
-    jp = random_joint_policy(mdp, 2, 2, 0.9, 0.9, rng)
+    jp = random_joint_policy(mdp, 2, 2, 0.9, rng)
     from haarlab.theory import semi_mdp
     m, r_bar, pk, r_h = semi_mdp(mdp, jp)
     # brute-force value: truncated power series with tail < 1e-10
@@ -123,7 +121,7 @@ def test_advantage_matches_power_series_enumeration():
 def test_decomposition_residual_zero_for_same_policy():
     rng = np.random.default_rng(5)
     mdp = random_mdp(4, 2, rng)
-    jp = random_joint_policy(mdp, 2, 2, 0.9, 0.9, rng)
+    jp = random_joint_policy(mdp, 2, 2, 0.9, rng)
     assert advantage_decomposition_residual(mdp, jp, jp) <= 1e-12
 
 
@@ -137,8 +135,8 @@ def test_decomposition_residual_random_instances():
         k = int(rng.integers(1, 4))
         gamma_h = 0.9 if i % 2 == 0 else 0.99
         mdp = random_mdp(n_s, n_a, rng)
-        jp_old = random_joint_policy(mdp, n_z, k, gamma_h, 0.9, rng)
-        jp_new = random_joint_policy(mdp, n_z, k, gamma_h, 0.9, rng)
+        jp_old = random_joint_policy(mdp, n_z, k, gamma_h, rng)
+        jp_new = random_joint_policy(mdp, n_z, k, gamma_h, rng)
         worst = max(worst, advantage_decomposition_residual(mdp, jp_old, jp_new))
     assert worst <= 1e-8
 
@@ -148,18 +146,18 @@ def test_decomposition_residual_high_level_only_change():
     # policy's own table, which is the textbook form of the identity
     rng = np.random.default_rng(7)
     mdp = random_mdp(4, 3, rng)
-    jp_old = random_joint_policy(mdp, 3, 2, 0.95, 0.9, rng)
+    jp_old = random_joint_policy(mdp, 3, 2, 0.95, rng)
     pi_h_new = rng.dirichlet(np.ones(3), size=4)
     pi_h_new /= pi_h_new.sum(axis=1, keepdims=True)
-    jp_new = TabularJointPolicy(pi_h_new, jp_old.pi_l, 2, 0.95, 0.9)
+    jp_new = TabularJointPolicy(pi_h_new, jp_old.pi_l, 2, 0.95)
     assert advantage_decomposition_residual(mdp, jp_old, jp_new) <= 1e-9
 
 
 def test_decomposition_residual_scales_linearly_with_rewards():
     rng = np.random.default_rng(8)
     mdp = random_mdp(4, 2, rng)
-    jp_old = random_joint_policy(mdp, 2, 2, 0.9, 0.9, rng)
-    jp_new = random_joint_policy(mdp, 2, 2, 0.9, 0.9, rng)
+    jp_old = random_joint_policy(mdp, 2, 2, 0.9, rng)
+    jp_new = random_joint_policy(mdp, 2, 2, 0.9, rng)
     scale = 1000.0
     scaled = TabularMdp(mdp.transition, mdp.reward * scale, mdp.initial_dist)
     assert advantage_decomposition_residual(scaled, jp_old, jp_new) <= 1e-8 * scale
@@ -167,23 +165,23 @@ def test_decomposition_residual_scales_linearly_with_rewards():
 
 # -- low-level objective approximation ---------------------------------------------------
 
-def eval_pair(rng, k, gamma_h, gamma_l, n_states=4, n_actions=3, n_skills=2,
+def eval_pair(rng, k, gamma_h, n_states=4, n_actions=3, n_skills=2,
               episodic=False):
     if episodic:
         from haarlab.theory import absorbing_random_mdp
         mdp = absorbing_random_mdp(n_states, n_actions, rng)
     else:
         mdp = random_mdp(n_states, n_actions, rng)
-    jp_ref = random_joint_policy(mdp, n_skills, k, gamma_h, gamma_l, rng)
+    jp_ref = random_joint_policy(mdp, n_skills, k, gamma_h, rng)
     pi_l_new = rng.dirichlet(np.ones(n_actions), size=(mdp.n_states, n_skills))
     pi_l_new /= pi_l_new.sum(axis=2, keepdims=True)
-    jp_eval = TabularJointPolicy(jp_ref.pi_h, pi_l_new, k, gamma_h, gamma_l)
+    jp_eval = TabularJointPolicy(jp_ref.pi_h, pi_l_new, k, gamma_h)
     return mdp, jp_ref, jp_eval
 
 
 def test_lowlevel_error_zero_when_k_is_one():
     rng = np.random.default_rng(9)
-    mdp, jp_ref, jp_eval = eval_pair(rng, k=1, gamma_h=0.9, gamma_l=0.9)
+    mdp, jp_ref, jp_eval = eval_pair(rng, k=1, gamma_h=0.9)
     assert lowlevel_objective_relative_error(mdp, jp_ref, jp_eval, gamma_l=0.9) <= 1e-12
 
 
@@ -192,7 +190,7 @@ def test_lowlevel_error_zero_when_discounts_match_exactly():
     for k in (2, 3, 5):
         gamma_h = 0.95
         gamma_l = gamma_h ** (1.0 / k)
-        mdp, jp_ref, jp_eval = eval_pair(rng, k=k, gamma_h=gamma_h, gamma_l=gamma_l)
+        mdp, jp_ref, jp_eval = eval_pair(rng, k=k, gamma_h=gamma_h)
         err = lowlevel_objective_relative_error(mdp, jp_ref, jp_eval, gamma_l=gamma_l)
         assert err <= 1e-10
 
@@ -201,11 +199,11 @@ def test_lowlevel_error_decreases_toward_one():
     # episodic setting: the objective is a finite sum, so the discount
     # substitution becomes exact as both discounts approach 1
     rng = np.random.default_rng(11)
-    mdp, jp_ref, jp_eval = eval_pair(rng, k=5, gamma_h=0.9, gamma_l=0.9, episodic=True)
+    mdp, jp_ref, jp_eval = eval_pair(rng, k=5, gamma_h=0.9, episodic=True)
     errors = []
     for gamma in (0.9, 0.99, 0.999):
-        jp_r = TabularJointPolicy(jp_ref.pi_h, jp_ref.pi_l, 5, gamma, gamma)
-        jp_e = TabularJointPolicy(jp_eval.pi_h, jp_eval.pi_l, 5, gamma, gamma)
+        jp_r = TabularJointPolicy(jp_ref.pi_h, jp_ref.pi_l, 5, gamma)
+        jp_e = TabularJointPolicy(jp_eval.pi_h, jp_eval.pi_l, 5, gamma)
         errors.append(lowlevel_objective_relative_error(mdp, jp_r, jp_e, gamma_l=gamma))
     assert errors[0] > errors[1] > errors[2]
 
@@ -213,7 +211,7 @@ def test_lowlevel_error_decreases_toward_one():
 @pytest.mark.parametrize("gamma_l", [0.0, 1.0, 1.5, -0.5, np.nan])
 def test_auxiliary_values_reject_gamma_l_outside_unit_interval(gamma_l):
     # at 1 the segment chain's I - M is singular; outside (0, 1) no discount is meant
-    mdp, jp_ref, jp_eval = eval_pair(np.random.default_rng(12), k=3, gamma_h=0.9, gamma_l=0.9)
+    mdp, jp_ref, jp_eval = eval_pair(np.random.default_rng(12), k=3, gamma_h=0.9)
     v_ref = high_value(mdp, jp_ref)
     with pytest.raises(ValueError, match="gamma_l"):
         auxiliary_start_value(mdp, jp_eval, v_ref, gamma_l)
@@ -232,7 +230,7 @@ def test_alternation_eta_non_decreasing():
     rng = np.random.default_rng(12)
     for trial in range(5):
         mdp = random_mdp(int(rng.integers(2, 5)), int(rng.integers(2, 4)), rng)
-        jp = random_joint_policy(mdp, 2, 2, 0.9, 0.9, rng)
+        jp = random_joint_policy(mdp, 2, 2, 0.9, rng)
         etas = monotone_alternation_check(mdp, jp, iterations=8)
         diffs = np.diff(etas)
         assert diffs.min() >= -1e-9
@@ -240,7 +238,7 @@ def test_alternation_eta_non_decreasing():
 
 def test_alternation_constant_on_single_state():
     mdp = single_state_mdp(0.3)
-    jp = TabularJointPolicy(np.ones((1, 1)), np.ones((1, 1, 1)), 2, 0.9, 0.9)
+    jp = TabularJointPolicy(np.ones((1, 1)), np.ones((1, 1, 1)), 2, 0.9)
     etas = monotone_alternation_check(mdp, jp, iterations=4)
     assert np.max(np.abs(etas - etas[0])) <= 1e-12
 
@@ -260,7 +258,7 @@ def test_alternation_fixed_at_optimum():
                 for idx in range(4):
                     s, z = divmod(idx, 2)
                     pi_l[s, z, (bits >> idx) & 1] = 1.0
-                jp = TabularJointPolicy(pi_h, pi_l, 2, 0.9, 0.9)
+                jp = TabularJointPolicy(pi_h, pi_l, 2, 0.9)
                 eta = exact_eta(mdp, jp)
                 if eta > best_eta:
                     best_eta, best = eta, jp
@@ -275,7 +273,7 @@ def test_exact_eta_matches_hierarchy_rollouts():
     mdp = random_mdp(3, 2, rng)
     k, gamma_h = 2, 0.8
     pi_h, pi_l = table_heads(mdp.n_states, 2, mdp.n_actions, rng)
-    jp = TabularJointPolicy(*head_tables(pi_h, pi_l, mdp.n_states, 2), k, gamma_h, 0.9)
+    jp = TabularJointPolicy(*head_tables(pi_h, pi_l, mdp.n_states, 2), k, gamma_h)
     n_high = 35  # truncation tail below ~4e-3
     env = TabularRolloutEnv(mdp, horizon=k * n_high)
     batch = collect_rollouts(pi_h, pi_l, env, n_skills=2, budget_low_steps=150_000, k=k,
@@ -343,5 +341,5 @@ def test_haar_iteration_trains_linear_softmax_heads_on_the_tabular_env(monkeypat
     pi_h_table, pi_l_table = head_tables(pi_h, pi_l, mdp.n_states, cfg.n_skills)
     assert pi_h_table.shape == (mdp.n_states, cfg.n_skills)
     assert pi_l_table.shape == (mdp.n_states, cfg.n_skills, mdp.n_actions)
-    jp = TabularJointPolicy(pi_h_table, pi_l_table, runs[-1][0]["k"], cfg.gamma_h, cfg.gamma_l)
+    jp = TabularJointPolicy(pi_h_table, pi_l_table, runs[-1][0]["k"], cfg.gamma_h)
     assert np.isfinite(exact_eta(mdp, jp))
