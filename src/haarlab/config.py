@@ -3,7 +3,7 @@
 
 File format: one `key = value` pair per line; `#` starts a comment;
 blank lines ignored. Keys are the field names below (hyperparameters
-use the conventional short names N, B, gamma_l, gamma_h, k_0, k_s, T).
+use the conventional short names N, B, k_0, k_s, T).
 Pre-training fields nest as `pretrain.<field>`. `seeds` takes a comma
 separated integer list. Unknown and repeated keys are rejected.
 """
@@ -32,8 +32,7 @@ class ExperimentConfig:
     algorithm: str = "haar"
     N: int = 300                # training iterations
     B: int = 5000               # low-level steps collected per iteration
-    gamma_h: float = 0.99
-    gamma_l: float = 0.99
+    gamma: float = 0.99         # discount per low step; a k-step segment's is gamma ** k
     k_0: int = 100              # initial skill length (k_0 = k_s holds it fixed)
     k_s: int = 10               # shortest skill length, reached halfway through training
     T: int = 500                # max low steps per episode
@@ -57,10 +56,8 @@ class ExperimentConfig:
         for name in ("N", "B", "k_0", "k_s", "T", "n_skills"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        for name in ("gamma_h", "gamma_l"):
-            g = getattr(self, name)
-            if not 0.0 < g < 1.0:
-                raise ConfigError(f"{name} must lie in (0, 1)")
+        if not 0.0 < self.gamma < 1.0:
+            raise ConfigError("gamma must lie in (0, 1)")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
         if min(self.seeds) < 0:

@@ -176,10 +176,10 @@ def _keep_freed_pages() -> bool:
     glibc maps blocks of MMAP_THRESHOLD bytes or more with mmap, and
     gives the free top of the heap back to the kernel once it exceeds
     TRIM_THRESHOLD. At its defaults (128 KiB each, raised as mapped
-    blocks are freed), the low-level TRPO update's ~1.3 MB of
-    temporaries go back to the kernel after every update and fault in
-    again at the next one. No output byte depends on this. A C library
-    without glibc's mallopt keeps its defaults.
+    blocks are freed), the low-level TRPO update's temporaries (README:
+    4.40 MiB above its batch) go back to the kernel after every update
+    and fault in again at the next one. No output byte depends on this.
+    A C library without glibc's mallopt keeps its defaults.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -352,7 +352,7 @@ def flat_iteration(policy, env, cfg: ExperimentConfig, seed: int, iteration: int
     batch's rollout.batch_metrics (k is 1) and the (level, diagnostics)
     pair, as haar_iteration does."""
     obs, acts, means, logps, run = collect_flat(policy, env, cfg.B, (seed, iteration), lanes)
-    rets = discounted_returns(run.reward, run.done, cfg.gamma_l)
+    rets = discounted_returns(run.reward, run.done, cfg.gamma)
     v = fit_value_on_scaled(obs, rets, env.high_obs_scale)
     adv = rets - v.predict(obs)
     batch = AdvantageBatch(obs, acts, adv, logps, policy.old_dist(means))

@@ -260,9 +260,10 @@ def haar_iteration(pi_h: CategoricalPolicy, pi_l: GaussianPolicy | CategoricalPo
     batch = collect_rollouts(pi_h, pi_l, env, cfg.n_skills, cfg.B, k, seed=(seed, iteration),
                              lanes=lanes)
 
-    v_h = fit_value_on_scaled(batch.s_h, discounted_returns(batch.r_h, batch.done_h, cfg.gamma_h),
+    gamma_h = cfg.gamma ** k  # a k-step option's semi-MDP discount, as the theorem assumes
+    v_h = fit_value_on_scaled(batch.s_h, discounted_returns(batch.r_h, batch.done_h, gamma_h),
                               env.high_obs_scale)
-    advantages = estimate_high_advantages(batch, v_h, cfg.gamma_h)
+    advantages = estimate_high_advantages(batch, v_h, gamma_h)
     r_l = assign_auxiliary_rewards(batch, advantages)
 
     ordinal = iteration + 1  # 1-based: odd batches refresh the high level
@@ -271,7 +272,7 @@ def haar_iteration(pi_h: CategoricalPolicy, pi_l: GaussianPolicy | CategoricalPo
 
     low_advantages = None
     if do_low:  # the low level's returns and baseline serve only its step
-        returns_l = discounted_returns(r_l, batch.done_l, cfg.gamma_l)
+        returns_l = discounted_returns(r_l, batch.done_l, cfg.gamma)
         v_l = fit_value_on_scaled(batch.low_l, returns_l, env.low_obs_scale)
         low_advantages = returns_l - v_l.predict(batch.low_l)
     high_batch, low_batch = prepare_level_batches(batch, advantages, low_advantages, pi_l,

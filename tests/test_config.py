@@ -20,7 +20,7 @@ CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 def test_defaults_mirror_reference_table():
     cfg = ExperimentConfig()
     assert cfg.maze == "c_maze"
-    assert cfg.gamma_h == 0.99 and cfg.gamma_l == 0.99
+    assert cfg.gamma == 0.99
     assert cfg.k_0 == 100 and cfg.k_s == 10
     assert cfg.B == 5000 and cfg.N == 300
     assert cfg.max_kl == 0.01
@@ -42,7 +42,9 @@ def test_validation_errors():
     with pytest.raises(ConfigError):
         ExperimentConfig(N=0)
     with pytest.raises(ConfigError):
-        ExperimentConfig(gamma_h=1.0)
+        ExperimentConfig(gamma=1.0)
+    with pytest.raises(ConfigError, match=r"gamma must lie in \(0, 1\)"):
+        ExperimentConfig(gamma=0.0)
     with pytest.raises(ConfigError):
         ExperimentConfig(seeds=())
     with pytest.raises(ConfigError):
@@ -67,7 +69,7 @@ def test_parse_config_text_round_trip():
     algorithm = haar
     N = 40
     B = 2000
-    gamma_h = 0.95
+    gamma = 0.95
     seeds = 1, 2, 3
     mode = alternate
     pretrain.iterations = 7
@@ -75,7 +77,7 @@ def test_parse_config_text_round_trip():
     cfg = parse_config_text(text)
     assert cfg.maze == "spiral"
     assert cfg.N == 40 and cfg.B == 2000
-    assert cfg.gamma_h == 0.95
+    assert cfg.gamma == 0.95
     assert cfg.seeds == (1, 2, 3)
     assert cfg.mode == "alternate"
     assert cfg.pretrain.iterations == 7
@@ -226,10 +228,12 @@ def test_no_trips_config_turns_trips_off():
 
 @pytest.mark.parametrize("text", ["task = point_maze\n", "task = swimmer_maze_lite\n",
                                   "ridge = 1e-5\n", "ridge = 0\n", "maze_file = m.txt\n",
-                                  "dt = 0.2\n", "action_scale = 4.0\n", "ray_max = 16.0\n"])
+                                  "dt = 0.2\n", "action_scale = 4.0\n", "ray_max = 16.0\n",
+                                  "gamma_h = 0.99\n", "gamma_l = 0.99\n"])
 def test_task_and_ridge_are_no_keys(text):
     # `maze` names the arena, a kind or a layout file; the value fit's
-    # ridge and the point mass's dt, action scale and ray range are constants
+    # ridge and the point mass's dt, action scale and ray range are
+    # constants; `gamma` is the one discount, per low step
     key = text.split()[0]
     with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
         parse_config_text(text)

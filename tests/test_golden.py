@@ -76,23 +76,23 @@ GOLDEN = {
     "pretrain/seed_0/checkpoint.bin":
         "55f332d9991a39444db3e8a443d62e3342c7e7850666a4cbf23eafe9f1d16555",
     "haar/metrics.csv":
-        "795d5b220f1ea5a0d9058dd660d798c41fb2d6928da09cbc078fef24cbd10671",
+        "40d5735d4298c501a4d5771fa66b5f8981973e9d2812ee3d8b31436f95861788",
     "haar/diagnostics.csv":
-        "48e4f072b8560ac98b3c40f2d2747e6834aa2fb97d6ae17d8a0f1318c5d53675",
+        "93e2796d99925b9de25a4fa99880f1d31ccc00b151670f441a5725c4bc9bfb20",
     "haar/trajectories.csv":
-        "0963b5ae65ce9d11f2d8a4946cd8e126bd059fa74954b29d22583f9e7abc7910",
+        "778c160ff6d77772111015f4ccd8fa7a60e125190bea547847f41a109e86ef29",
     "haar/checkpoint.bin":
-        "febca9f8b210a22900fb48e279115ec3f104c42cd45fa249fc6643854e3d28cd",
-    "haar/config_hash": "531971ac9afb",
+        "9ca045341511e350299818265475dcdaa5c114ff1cd787fc6fe37c47d53bf422",
+    "haar/config_hash": "bcc31c5244dd",
     "frozen_skills/metrics.csv":
-        "a0fb7dd6e50a1f6074ef79ba02deb8b959f5f3937898d87a0a814c908382dc3a",
+        "30c9f18701411cdec32f33045f3aa6a90dd667f360b4d6f25c69834c7c96d2b3",
     "frozen_skills/diagnostics.csv":
-        "8fc82965939465e487dea51191a32febfd34783f5fb53327371464dc274b27db",
+        "0afa45fe9d1ec90270013c80b3cb2fb0aa8ac22600dd8b47905eea8aef99e1ae",
     "frozen_skills/trajectories.csv":
         "1baa116531a08341b27cfb95c3fa7b4eae8f67cc192dfa4730b32b6b46b03989",
     "frozen_skills/checkpoint.bin":
-        "03da07ee18dd3636c76c7e3deda3669a5a77747e2691e1e90cd7f5374e51e671",
-    "frozen_skills/config_hash": "9ad7b9e431c2",
+        "8b46f30fecbfbaee34f5755ac20afaafb413e0e58fa0c30405051bb82d41b396",
+    "frozen_skills/config_hash": "cc72a8d55b14",
     "flat_trpo/metrics.csv":
         "62c0b0c78c9a53381e1a02b73708f2b9470a91329f0a27d47c2dab440c3b6dec",
     "flat_trpo/diagnostics.csv":
@@ -100,53 +100,53 @@ GOLDEN = {
     "flat_trpo/trajectories.csv":
         "df2fc0d661715d881122ec9e43b5981347117464fb566cdc741526ed4957bf2c",
     "flat_trpo/checkpoint.bin":
-        "f4aec1434b9e6571243abb344ad945e1a5c6d89a2ea8ba42016d07b1f5b3f41f",
-    "flat_trpo/config_hash": "af3f36b8ef90",
+        "8794731ffbf6edacb1c118f1331e92739112a8aa4e0d727db54dfb7c30d41b55",
+    "flat_trpo/config_hash": "eeb9edce057f",
     "alternate/metrics.csv":
-        "b34a1bfb0a293af2754b3b4096c284b6426520fb8dd12a66f38ec07999909a6e",
+        "e19ebbbb77f0f0359dec25625b509ff7aded57d27d4be10ac8d742c93b30b94b",
     "alternate/diagnostics.csv":
-        "97933755032cf11ee3153f19abbb9a561aace7344ec293588d85195e8e6c17f5",
+        "83448b141d001fc2ed4de36f3176769fe69343bfde0e3262a664997018be724f",
     "alternate/trajectories.csv":
-        "84d2087575854f1c0200b776d11913067904faeffb29a10a16f02165d817b873",
+        "08a40a86154a044dabe3832f03f8cf3f687dba455179fe4466cce072f7b5dbcf",
     "alternate/checkpoint.bin":
-        "c9b75f44624f2abe05931428315075f99d4ca84bd364e7764686926180f128cf",
-    "alternate/config_hash": "4881b3c9e36d",
+        "a4025484f37b192971cc877c6767f8244e802a56f6aed9a0b3171f000b783fae",
+    "alternate/config_hash": "5509c751b7e8",
     "haar_no_anneal/metrics.csv":
-        "11797077b79363238a4f711e2e87272b59c2510e74bd31294e8c2a984f97f5ef",
+        "f350f6ebb91d8152f4a84580ab36017a57c66e77710fca5dbf0c2214ae9bf29c",
     "haar_no_anneal/diagnostics.csv":
-        "75b0a50665e48d28d7a8d887d7c8cc94fe4fdaa5f4445afc32d3b750c40aa30b",
+        "585be355fd66b1083ec0ce2bb6b111cc49a6e43ad3787df20a96275c2efac59b",
     "haar_no_anneal/trajectories.csv":
-        "8b8f2a57e7d80486a22878afee5569787ae94b8bd2160715c549d5b1aa191557",
+        "3ab2a7500f8ad315698bb0b714544decb1392aba1e8a0b3d9a67d7e9f576a9cf",
     "haar_no_anneal/checkpoint.bin":
-        "a6c790878c90aabd22e1003894e032fd3cdcb822408969a6091eb8ac0d78b3b5",
-    "haar_no_anneal/config_hash": "9fbc97dc4d6d",
+        "7a2a623903cb1f845aee7b5b1f47d9e2279ee393cb5b352a171a978187855750",
+    "haar_no_anneal/config_hash": "7570c9110ce1",
     "cli_override/metrics.csv":
-        "9499f0b8b67cdbb13aac2c41d46b55c4cb5632b5cca8af6a00e5499d75c5f4fa",
+        "c098c0ffb484aa7d6069ef40a19a15d49dad023361a6c226233fbb9f30a92c6c",
     "cli_override/diagnostics.csv":
-        "9d84b8c27ab50aa73e07bce43584fd20ba30267793f867898584596b7baa612c",
+        "4574d3b425b23674d27d0fc101bbaa2f44630feeb9628f8e8a52aa2734d5d2a7",
     "cli_override/trajectories.csv":
         "2271bce4a2593f23de320f02de52ac388bfba06e7898c1a1f08f23d33074021b",
     "cli_override/checkpoint.bin":
-        "1f0e36779fa6d9059e0ee7e48155006dcd539e73d0af79ab11f84d6ce2eaee54",
-    "cli_override/config_hash": "bb429e6def9f",
+        "ffabb0a37a6b2313e0b55589298c652cdd8666be330aef97379db1406713074d",
+    "cli_override/config_hash": "ec920270d3b5",
     "transfer_both/metrics.csv":
-        "6387ba42535edfa9238dbd8d8430133db0ab10e9097acc11c1200ba8b30e648c",
+        "f5325cf85c34507adabad7ba35d31e0a7cee48cb301afa41dab62772dab9364f",
     "transfer_both/diagnostics.csv":
-        "82f12b1b538d35592ebfb515cb0b7e1e92c476086d096ac4057c689805afffc5",
+        "e375772254e8c93f3bedfca7cdbc0b58966b1c19498d937969952b46b3055454",
     "transfer_both/trajectories.csv":
-        "c93e94c5fed99b818499c54007ce1284bb51bb9f8df61ff8fdfc3d2f0f4be5a6",
+        "7d6051234f5bf673a5cd0e57b89026d4676493220b09a57491b4a79f1f7c0e80",
     "transfer_both/checkpoint.bin":
-        "d0488f1e075409e614a4e13838e89fad11c611fd43332e25347f4f00771fe64b",
-    "transfer_both/config_hash": "9fbc97dc4d6d",
+        "2ba793e422ef3aab6db77f2686936d7a1a2c3f5bce714b6c36ab07b1aba38dfe",
+    "transfer_both/config_hash": "7570c9110ce1",
     "transfer_low_only/metrics.csv":
-        "dcc331bc183fcf487756df22daee6c1cc6bf935a9476b37e318fa2e73632f052",
+        "5171c6ffc587af7b64e488f71b5cd965355d62a082ce411f9582d78e38f767d4",
     "transfer_low_only/diagnostics.csv":
-        "61988ebf9a23a86b334b9a223a12920cf227925810424c7fbf59d9e9655af998",
+        "8f4387aa6630ade45c637c0486da3724e1103e82b4e3eda7cd1aa670bd65aba4",
     "transfer_low_only/trajectories.csv":
-        "3f13329116e4bdfe3e075583e61086684b9c499aa632eb809c0a89faa18de4d8",
+        "0864196b1d1a01a1d03e45de6158eccc99711d317ba9c299d60200ef99aa45c8",
     "transfer_low_only/checkpoint.bin":
-        "5c7014ff246315e0d2dfe45a0d8039900d5feb3eb8018dac4a40ecde3c750b43",
-    "transfer_low_only/config_hash": "9fbc97dc4d6d",
+        "43e04b3aebde1cf34c99463eca321abbc4d7548d72a63a2d6cce863434f4a52b",
+    "transfer_low_only/config_hash": "7570c9110ce1",
 }
 
 

@@ -6,7 +6,7 @@ import pytest
 from haarlab import hierarchy
 from haarlab.envs.maze import build_maze
 from haarlab.envs.point import EnvConfig, PointEnv
-from haarlab.config import ConfigError, ExperimentConfig
+from haarlab.config import ConfigError, ExperimentConfig, parse_config_text
 from haarlab.hierarchy import (ConservationError, RolloutBatch,
                                assign_auxiliary_rewards, collect_rollouts, discounted_returns,
                                estimate_high_advantages, haar_iteration, prepare_level_batches,
@@ -14,6 +14,7 @@ from haarlab.hierarchy import (ConservationError, RolloutBatch,
 from haarlab.nets import MlpSpec
 from haarlab.policies import CategoricalPolicy, GaussianPolicy
 from haarlab.rollout import episode_rng
+from haarlab.theory import geometric_sum
 from haarlab.values import PolynomialValueEstimator
 
 from helpers import act_noise, gaussian_noise_rows
@@ -521,3 +522,40 @@ def test_iteration_metrics_schema():
     assert m["steps"] >= 60
     assert m["episodes"] >= 3
     assert m["mean_return"] != 0.0
+
+
+def test_low_return_is_a_multiple_of_the_high_return_on_sampled_segments(monkeypatch):
+    # the theorem's relation on real batches: with segment discount
+    # gamma ** k, a low step rewarded A_n / k has, at an episode's first
+    # step, the return geometric_sum(gamma, k) / k times the high level's
+    # discounted advantage sum, for any advantages A
+    cfg = parse_config_text("maze = c_maze\nstumble_threshold = inf\nT = 60\nk_0 = 12\n"
+                            "k_s = 3\nN = 4\nB = 300\nn_skills = 3\npretrain.iterations = 0\n")
+    env = cfg.build_env()
+    pi_h, pi_l = make_policies(env)
+    captured = []
+
+    def capture(batch, v_h, gamma_h):
+        captured.append((batch, gamma_h))
+        return estimate(batch, v_h, gamma_h)
+
+    estimate = hierarchy.estimate_high_advantages
+    monkeypatch.setattr(hierarchy, "estimate_high_advantages", capture)
+    ks = [haar_iteration(pi_h, pi_l, env, cfg, 3, it)[0]["k"] for it in range(cfg.N)]
+    assert ks == [12, 6, 3, 3]
+    rng = np.random.default_rng(7)
+    for k, (batch, gamma_h) in zip(ks, captured):
+        adv = rng.standard_normal(len(batch.seg_len))
+        r_l = assign_auxiliary_rewards(batch, adv)
+        low = discounted_returns(r_l, batch.done_l, cfg.gamma)
+        low_abs = discounted_returns(np.abs(r_l), batch.done_l, cfg.gamma)
+        high = discounted_returns(adv, batch.done_h, gamma_h)
+        ends = np.flatnonzero(batch.done_h)
+        checked = 0
+        for first, last in zip(np.concatenate([[0], ends[:-1] + 1]), ends):
+            if np.all(batch.seg_len[first:last + 1] == k):
+                step = np.flatnonzero(batch.segment_id == first)[0]
+                want = geometric_sum(cfg.gamma, k) / k * high[first]
+                assert abs(low[step] - want) <= 1e-12 * low_abs[step]
+                checked += 1
+        assert checked >= 1

@@ -301,8 +301,7 @@ def train_table_heads(monkeypatch, iterations=3):
     rng = np.random.default_rng(21)
     mdp = random_mdp(3, 2, rng)
     env = TabularRolloutEnv(mdp, horizon=12)
-    cfg = ExperimentConfig(B=300, k_0=4, k_s=2, N=4, n_skills=2, gamma_h=0.9,
-                           gamma_l=0.9, max_kl=0.02)
+    cfg = ExperimentConfig(B=300, k_0=4, k_s=2, N=4, n_skills=2, gamma=0.9, max_kl=0.02)
     pi_h, pi_l = table_heads(mdp.n_states, cfg.n_skills, mdp.n_actions, rng)
     assigned = []
 
@@ -341,5 +340,6 @@ def test_haar_iteration_trains_linear_softmax_heads_on_the_tabular_env(monkeypat
     pi_h_table, pi_l_table = head_tables(pi_h, pi_l, mdp.n_states, cfg.n_skills)
     assert pi_h_table.shape == (mdp.n_states, cfg.n_skills)
     assert pi_l_table.shape == (mdp.n_states, cfg.n_skills, mdp.n_actions)
-    jp = TabularJointPolicy(pi_h_table, pi_l_table, runs[-1][0]["k"], cfg.gamma_h)
+    k = runs[-1][0]["k"]
+    jp = TabularJointPolicy(pi_h_table, pi_l_table, k, cfg.gamma ** k)
     assert np.isfinite(exact_eta(mdp, jp))
