@@ -101,9 +101,10 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
     values = np.frombuffer(take(8 * total), dtype="<f8")
     if pos != len(blob):
         raise CheckpointError(f"trailing bytes in checkpoint file {path}")
-    segments = {}
-    for name, offset, length in entries:
-        if offset + length > total:
-            raise CheckpointError(f"segment {name!r} exceeds the value block")
-        segments[name] = values[offset:offset + length].astype(np.float64)
+    segments, end = {}, 0
+    for name, offset, length in entries:  # save_checkpoint writes them end to end
+        if offset != end:
+            raise CheckpointError(f"segment {name!r} does not start where the one before ends")
+        end += length
+        segments[name] = values[offset:end].astype(np.float64)
     return segments, metadata

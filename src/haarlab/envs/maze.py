@@ -60,7 +60,6 @@ LAYOUTS = {"c_maze": C_MAZE,
 class MazeSpec:
     grid: tuple[str, ...]
     cell_size: float = 4.0
-    kind: str = "custom"
     walls: np.ndarray = field(init=False, repr=False)
     start_cells: tuple[tuple[int, int], ...] = field(init=False)
     goal_cell: tuple[int, int] | None = field(init=False)
@@ -131,17 +130,16 @@ def n_connected_regions(cells: list[tuple[int, int]]) -> int:
     return regions
 
 
-def parse_maze_text(text: str, cell_size: float = 4.0, kind: str = "custom") -> MazeSpec:
+def parse_maze_text(text: str, cell_size: float = 4.0) -> MazeSpec:
     rows = tuple(line for line in text.strip().splitlines())
-    return MazeSpec(rows, cell_size=cell_size, kind=kind)
+    return MazeSpec(rows, cell_size=cell_size)
 
 
 def build_maze(maze: str, cell_size: float = 4.0) -> MazeSpec:
     """The built-in layout LAYOUTS[maze] when `maze` is a kind, else the
-    layout file at the path `maze` (from the working directory), of kind
-    "custom"."""
+    layout file at the path `maze` (from the working directory)."""
     if maze in LAYOUTS:
-        return parse_maze_text(LAYOUTS[maze], cell_size, maze)
+        return parse_maze_text(LAYOUTS[maze], cell_size)
     if not os.path.isfile(maze):
         raise ValueError(f"unknown maze kind {maze!r} (choose from {tuple(LAYOUTS)}, "
                          "or name a layout file)")

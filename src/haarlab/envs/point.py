@@ -104,14 +104,12 @@ class PointEnv:
 
     def reset(self, rng: np.random.Generator) -> tuple[EpisodeBatch, np.ndarray]:
         """Start an episode: its state as a one-lane batch and its (1, 4)
-        ego observation row, at rest."""
+        ego observation row, at rest at a uniform point of a uniformly
+        drawn start cell."""
         maze = self.maze
-        if maze.kind == "open_field":
-            position = maze.cell_center(maze.start_cells[0])
-        else:
-            cell = maze.start_cells[int(rng.integers(len(maze.start_cells)))]
-            origin = np.array([cell[1] * maze.cell_size, cell[0] * maze.cell_size])
-            position = origin + rng.random(2) * maze.cell_size
+        cell = maze.start_cells[int(rng.integers(len(maze.start_cells)))]
+        origin = np.array([cell[1] * maze.cell_size, cell[0] * maze.cell_size])
+        position = origin + rng.random(2) * maze.cell_size
         state = EpisodeBatch(np.array([position], dtype=np.float64), np.zeros((1, 2)),
                              np.array([0]), np.array([0]))
         return state, np.array([[0.0, 0.0, 0.0, 1.0]])

@@ -283,24 +283,30 @@ def _algorithm(cfg, env, seed, skills_checkpoint, high_checkpoint) -> _Algorithm
     return _flat(cfg, env, seed)
 
 
+def physics(cfg: ExperimentConfig) -> dict:
+    """The body a config's policies act in, as their checkpoints record it."""
+    return {"stumble_threshold": cfg.stumble_threshold, "v_max": cfg.v_max}
+
+
 def _hierarchical(cfg, env, seed, skills_checkpoint, high_checkpoint) -> _Algorithm:
     pi_h = fresh_high_policy(cfg, env, seed)
     pi_l = fresh_low_policy(cfg.n_skills, env, seed)
-    if skills_checkpoint:
-        load_policy_segments(skills_checkpoint, pi_l=pi_l)
-    elif cfg.pretrain.iterations > 0:
+    if not skills_checkpoint and cfg.pretrain.iterations > 0:
         raise ConfigError(
             "pre-trained skills are required (run the pretrain command first, "
             "or set pretrain.iterations = 0)")
-    if high_checkpoint:
-        load_policy_segments(high_checkpoint, pi_h=pi_h)
+    for path, policy in ((skills_checkpoint, {"pi_l": pi_l}), (high_checkpoint, {"pi_h": pi_h})):
+        recorded = load_policy_segments(path, **policy).get("physics") if path else physics(cfg)
+        if recorded != physics(cfg):
+            raise CheckpointError(f"checkpoint {path} was trained in physics {recorded}, "
+                                  f"but the config runs {physics(cfg)}")
 
     # the trace runs each skill for the skill length after the last iteration
     k_trace = skill_length(cfg.k_0, cfg.k_s, cfg.N, cfg.N)
     return _Algorithm(
         iterate=partial(haar_iteration, pi_h, pi_l, env, cfg, seed),
         segments=lambda: policy_segments(pi_h=pi_h, pi_l=pi_l),
-        metadata={"n_skills": cfg.n_skills},
+        metadata={"n_skills": cfg.n_skills, "physics": physics(cfg)},
         collector=lambda: _SegmentCollector(pi_h, pi_l, cfg.n_skills, k_trace))
 
 
@@ -411,13 +417,12 @@ def _map_seeds(job, tasks: list[tuple], jobs: int, log=None) -> list:
 
 def _pretrain_job(cfg, seed, out_dir):
     _keep_freed_pages()
-    pi_l, stats = pretrain_skills(cfg.pretrain, cfg.n_skills, seed)
+    pi_l, stats = pretrain_skills(cfg.pretrain, cfg.n_skills, seed, cfg.env_config())
     seed_dir = os.path.join(out_dir, f"seed_{seed}")
     os.makedirs(seed_dir, exist_ok=True)
     path = os.path.join(seed_dir, "checkpoint.bin")
     save_checkpoint(path, policy_segments(pi_l=pi_l),
-                    metadata={"n_skills": cfg.n_skills,
-                              "env": "open_field/v1", "seed": seed,
+                    metadata={"n_skills": cfg.n_skills, "physics": physics(cfg), "seed": seed,
                               "iterations": cfg.pretrain.iterations})
     with atomic_open(os.path.join(seed_dir, "pretrain.json")) as fh:
         json.dump({"stats": stats, "seed": seed}, fh, indent=2)

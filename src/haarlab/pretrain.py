@@ -1,6 +1,6 @@
 """Initial skill set: directional-displacement pre-training in an open
-arena, set by its budget alone (PretrainConfig). Zero iterations leave
-the skills at their random initialization: the untrained-skills arm.
+arena in the task's body (its v_max and stumble threshold), set by its
+budget alone (PretrainConfig). Zero iterations: the untrained-skills arm.
 
 Each pre-training episode runs a single uniformly drawn skill; the
 per-step reward is the agent's displacement projected on that skill's
@@ -70,12 +70,10 @@ def proxy_rewards(skill: np.ndarray, position: np.ndarray, next_position: np.nda
     return dx * d[:, 0] + dy * d[:, 1]
 
 
-def open_field_env(steps: int, env_cfg: EnvConfig | None = None) -> PointEnv:
-    """The open arena with episodes of `steps` steps; the agent never
-    trips unless env_cfg, which sets its physics, has a finite stumble
-    threshold. It has no goal: the arena only exists to let skills move."""
-    env_cfg = replace(env_cfg or EnvConfig(stumble_threshold=math.inf), max_episode_steps=steps)
-    return PointEnv(build_maze("open_field"), env_cfg)
+def open_field_env(steps: int, env_cfg: EnvConfig) -> PointEnv:
+    """The open arena in env_cfg's physics, with episodes of `steps`
+    steps. It has no goal: the arena only exists to let skills move."""
+    return PointEnv(build_maze("open_field"), replace(env_cfg, max_episode_steps=steps))
 
 
 def fresh_low_policy(n_skills: int, env: PointEnv, seed: int) -> GaussianPolicy:
@@ -114,8 +112,7 @@ class _SkillCollector:
         return a, (run.low, a, logp, mu, run.state.position, run.skill)
 
 
-def pretrain_skills(cfg: PretrainConfig, n_skills: int, seed: int,
-                    env_cfg: EnvConfig | None = None):
+def pretrain_skills(cfg: PretrainConfig, n_skills: int, seed: int, env_cfg: EnvConfig):
     """Return (low-level policy for n_skills skills, per-iteration stats)
     after cfg.iterations trust-region updates on the proxy rewards, in
     open_field_env(cfg.episode_steps, env_cfg)."""

@@ -1,4 +1,7 @@
+import json
+import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ def test_round_trip_bit_exact(tmp_path):
         "pi_l/log_std": np.array([-0.5, 1e-300, np.pi]),
         "pi_h/logits_net": rng.standard_normal(64) * 1e12,
     }
-    meta = {"n_skills": 6, "env": "open_field/v1"}
+    meta = {"n_skills": 6, "physics": {"v_max": 1.2, "stumble_threshold": math.inf}}
     path = tmp_path / "ckpt.bin"
     save_checkpoint(str(path), segments, meta)
     loaded, got_meta = load_checkpoint(str(path))
@@ -84,4 +87,18 @@ def test_undecodable_metadata_or_segment_name_names_the_file(tmp_path, at, byte,
     blob[at] = byte
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match=f"{part}.*ckpt.bin"):
+        load_checkpoint(str(path))
+
+
+def test_rejects_overlapping_segments(tmp_path):
+    # two segments at offset 0 would both load the first values and leave
+    # the rest of the value block unread; save_checkpoint writes the
+    # segments end to end, so each must start where the one before ends
+    meta = json.dumps({}).encode()
+    blob = b"HLCP" + struct.pack("<II", 1, len(meta)) + meta + struct.pack("<I", 2)
+    for name in (b"a", b"b"):
+        blob += struct.pack("<H", len(name)) + name + struct.pack("<QQ", 0, 2)
+    path = tmp_path / "overlap.bin"
+    path.write_bytes(blob + np.arange(4.0).astype("<f8").tobytes())
+    with pytest.raises(CheckpointError, match="'b' does not start where the one before ends"):
         load_checkpoint(str(path))

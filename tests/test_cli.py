@@ -296,6 +296,20 @@ def test_transfer_checks_every_seed_source_before_the_first_seed_runs(tmp_path, 
     assert not (out / "seed_0").exists()
 
 
+def test_train_refuses_skills_of_another_body(tmp_path, capsys):
+    # skills pre-trained with trips, loaded by a train without them
+    skills = tmp_path / "skills"
+    assert main(["pretrain", "--config", write_cfg(tmp_path), "--out", str(skills),
+                 "--quiet"]) == 0
+    no_trips = write_cfg(tmp_path, TINY + "stumble_threshold = inf\n", "no_trips.cfg")
+    out = tmp_path / "run"
+    assert main(["train", "--config", no_trips, "--skills", str(skills), "--out", str(out),
+                 "--quiet"]) == 2
+    assert ("physics {'stumble_threshold': 1.5, 'v_max': 2.0}, but the config runs "
+            "{'stumble_threshold': inf, 'v_max': 2.0}") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_flat_trpo_refuses_skills(tmp_path, capsys):
     skills = tmp_path / "skills"
     assert main(["pretrain", "--config", write_cfg(tmp_path), "--out", str(skills),

@@ -59,7 +59,7 @@ def test_unknown_maze_kind_refused_naming_the_kinds():
         ExperimentConfig(maze="hexagon")
     with pytest.raises(ConfigError, match="hexagon"):
         parse_config_text("maze = hexagon\n")
-    assert ExperimentConfig(maze="spiral").build_env().maze.kind == "spiral"
+    assert ExperimentConfig(maze="spiral").build_env().maze.grid == build_maze("spiral").grid
 
 
 def test_parse_config_text_round_trip():
@@ -141,7 +141,7 @@ def test_load_config_file(tmp_path):
     path.write_text("maze = spiral\nN = 5\nseeds = 4\n")
     cfg = load_config(str(path))
     assert cfg.maze == "spiral"
-    assert cfg.build_env().maze.kind == "spiral"
+    assert cfg.build_env().maze.grid == build_maze("spiral").grid
     assert cfg.seeds == (4,)
 
 
@@ -180,7 +180,7 @@ def test_pretrain_n_skills_follows_experiment(tmp_path):
     # the skills are pre-trained for the config's one count, n_skills
     cfg = ExperimentConfig(n_skills=4, pretrain=PretrainConfig(iterations=0))
     segments, metadata = load_checkpoint(run_pretrain(cfg, str(tmp_path))[0])
-    want = fresh_low_policy(4, open_field_env(cfg.pretrain.episode_steps), 0)
+    want = fresh_low_policy(4, open_field_env(cfg.pretrain.episode_steps, cfg.env_config()), 0)
     assert metadata["n_skills"] == 4
     assert segments["pi_l/mean_net"].tobytes() == want.params.segment("mean_net").tobytes()
     assert "pretrain.n_skills" not in cfg.to_dict()
@@ -246,7 +246,7 @@ def test_maze_names_a_layout_file(tmp_path):
     for cfg in (ExperimentConfig(maze=str(maze), cell_size=2.0),
                 parse_config_text(f"maze = {maze}\ncell_size = 2.0\n")):
         env = cfg.build_env()
-        assert env.maze.kind == "custom" and env.maze.grid == ("#####", "#S.G#", "#####")
+        assert env.maze.grid == ("#####", "#S.G#", "#####")
         assert env.maze.goal_cell == (1, 3) and env.maze.cell_size == 2.0
 
 
@@ -256,8 +256,9 @@ def test_built_in_kind_wins_over_a_file_of_its_name(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "spiral").write_text("#####\n#S.G#\n#####\n")
     maze = parse_config_text("maze = spiral\n").build_env().maze
-    assert maze.kind == "spiral" and maze.grid == build_maze("spiral").grid
-    assert parse_config_text("maze = ./spiral\n").build_env().maze.kind == "custom"
+    assert maze.grid == build_maze("spiral").grid
+    file_maze = parse_config_text("maze = ./spiral\n").build_env().maze
+    assert file_maze.grid == ("#####", "#S.G#", "#####")
 
 
 @pytest.mark.parametrize("layout", [None, "#####\n#S.X#\n#####\n", "#####\n#..G#\n#####\n"],

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -13,8 +14,8 @@ from haarlab.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from haarlab.cli import main
 from haarlab.config import ConfigError, ExperimentConfig
 from haarlab.experiment import (METRIC_COLUMNS, flat_iteration, fresh_flat_policy,
-                                fresh_high_policy, policy_segments, read_metrics, run_pretrain,
-                                run_report, run_single_seed, run_train)
+                                fresh_high_policy, physics, policy_segments, read_metrics,
+                                run_pretrain, run_report, run_single_seed, run_train)
 from haarlab.hierarchy import haar_iteration
 from haarlab.pretrain import PretrainConfig, fresh_low_policy
 
@@ -178,7 +179,7 @@ def donor_run(tmp_path):
     donor = policy_segments(pi_h=fresh_high_policy(cfg, env, 77),
                             pi_l=fresh_low_policy(cfg.n_skills, env, 77))
     src = str(tmp_path / "source.bin")
-    save_checkpoint(src, donor)
+    save_checkpoint(src, donor, {"physics": physics(cfg)})
     return cfg, env, src, donor
 
 
@@ -210,12 +211,47 @@ def test_transfer_low_only_loads_only_low_segments(tmp_path):
 def test_high_alone_loads_only_high_segments(tmp_path):
     # a source with no pi_l segment: --high loads pi_h/* and nothing else
     cfg, env, src, donor = donor_run(tmp_path)
-    save_checkpoint(src, {"pi_h/logits_net": donor["pi_h/logits_net"]})
+    save_checkpoint(src, {"pi_h/logits_net": donor["pi_h/logits_net"]}, {"physics": physics(cfg)})
     fresh = policy_segments(pi_l=fresh_low_policy(cfg.n_skills, env, 5))
     segments, start = run_from(tmp_path, "high", cfg, high_checkpoint=src)
     assert start == {"pi_h": sha256(src)}
     assert np.array_equal(segments["pi_h/logits_net"], donor["pi_h/logits_net"])
     assert all(np.array_equal(segments[key], fresh[key]) for key in fresh)
+
+
+BODIES = {"v_max": {"stumble_threshold": math.inf, "v_max": 1.2},
+          "stumble_threshold": {"stumble_threshold": 1.5, "v_max": 2.0},
+          "no_record": None}
+
+
+@pytest.mark.parametrize("level", ["skills", "high"])
+@pytest.mark.parametrize("body", BODIES)
+def test_checkpoint_of_another_body_is_refused(tmp_path, level, body):
+    # pi_l reads velocities scaled by 1 / v_max and learned where trips
+    # end episodes, so policies run only in the physics they trained in;
+    # seed 1's checkpoint is refused before seed 0 runs
+    cfg, _, src, donor = donor_run(tmp_path)
+    other = str(tmp_path / "other.bin")
+    save_checkpoint(other, donor, {} if BODIES[body] is None else {"physics": BODIES[body]})
+    message = f"{other} was trained in physics {BODIES[body]}, but the config runs {physics(cfg)}"
+    with pytest.raises(CheckpointError, match=re.escape(message)):
+        run_train(replace(cfg, seeds=(0, 1)), str(tmp_path / "out"), **{level: {0: src, 1: other}})
+    assert not (tmp_path / "out").exists()
+
+
+def test_checkpoints_record_the_body_they_trained_in(tmp_path):
+    # an infinite stumble threshold round-trips through the metadata JSON
+    cfg = reward_free_cfg(tmp_path, N=1, pretrain=PretrainConfig(iterations=1, batch_low_steps=50,
+                                                                 episode_steps=25))
+    skills = run_pretrain(cfg, str(tmp_path / "skills"))[0]
+    assert b'"stumble_threshold": Infinity' in read_lines(skills)
+    run_dir = run_train(cfg, str(tmp_path / "run"), skills={0: skills})[0]
+    trained = os.path.join(run_dir, "checkpoint.bin")
+    run_train(cfg, str(tmp_path / "again"), skills={0: trained}, high={0: trained})
+    want = {"v_max": 2.0, "stumble_threshold": math.inf}
+    assert load_checkpoint(skills)[1]["physics"] == load_checkpoint(trained)[1]["physics"] == want
+    flat_dir = run_train(replace(cfg, algorithm="flat_trpo"), str(tmp_path / "flat"))[0]
+    assert "physics" not in load_checkpoint(os.path.join(flat_dir, "checkpoint.bin"))[1]
 
 
 def _short_segments(cfg):

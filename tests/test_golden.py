@@ -46,8 +46,9 @@ HAAR = ("maze = corridor.txt\nk_0 = 12\nk_s = 3\n"
 
 CONFIGS = {
     "haar": HAAR,
-    "frozen_skills": ("maze = c_maze\nstumble_threshold = 0.9\nalgorithm = frozen_skills\n"
-                      "k_0 = 5\nk_s = 5\n"),
+    # haar's body, as the skills it loads record it
+    "frozen_skills": ("maze = c_maze\nv_max = 1.2\nstumble_threshold = 1.2\n"
+                      "algorithm = frozen_skills\nk_0 = 5\nk_s = 5\n"),
     "flat_trpo": "algorithm = flat_trpo\nmaze = corridor.txt\n",
     "alternate": HAAR + "mode = alternate\n",
     "haar_no_anneal": HAAR.replace("k_0 = 12", "k_0 = 3"),  # the skill length held at k_s
@@ -74,25 +75,25 @@ RUN_ARTIFACTS = ("metrics.csv", "diagnostics.csv", "trajectories.csv", "checkpoi
 
 GOLDEN = {
     "pretrain/seed_0/checkpoint.bin":
-        "55f332d9991a39444db3e8a443d62e3342c7e7850666a4cbf23eafe9f1d16555",
+        "0f7feb8454845c95eb30400bf1348021db50e3c3cf65656e1563f0d8690d6eb3",
     "haar/metrics.csv":
-        "40d5735d4298c501a4d5771fa66b5f8981973e9d2812ee3d8b31436f95861788",
+        "e1cb73c966906a7c54c7edb6628a83ee434ff808b79c1f296a04558d8e3306f3",
     "haar/diagnostics.csv":
-        "93e2796d99925b9de25a4fa99880f1d31ccc00b151670f441a5725c4bc9bfb20",
+        "a3d92b6725ccc7ef10688b9fd9beaccb879cdff9b20f5fb14f21e67633a1a3e6",
     "haar/trajectories.csv":
-        "778c160ff6d77772111015f4ccd8fa7a60e125190bea547847f41a109e86ef29",
+        "733e4902f0b344f0d1b875f6bd4ad13390f37438cbdb0d3f551850c028f2423b",
     "haar/checkpoint.bin":
-        "9ca045341511e350299818265475dcdaa5c114ff1cd787fc6fe37c47d53bf422",
+        "6c3179e6f67cc6fd763514b467affcd88b5ef940af07e4e7292f710bfbca7b9f",
     "haar/config_hash": "bcc31c5244dd",
     "frozen_skills/metrics.csv":
-        "30c9f18701411cdec32f33045f3aa6a90dd667f360b4d6f25c69834c7c96d2b3",
+        "7e8a37745924a4d8eb22a217630082ee3152836e00239ab82f3958ff1b27a136",
     "frozen_skills/diagnostics.csv":
-        "0afa45fe9d1ec90270013c80b3cb2fb0aa8ac22600dd8b47905eea8aef99e1ae",
+        "de5ab7e3a97ec6646fc2544f5236b47d582f009cbbc65e28cd9f10723f094b30",
     "frozen_skills/trajectories.csv":
-        "1baa116531a08341b27cfb95c3fa7b4eae8f67cc192dfa4730b32b6b46b03989",
+        "5e848f7a0d1b1115326ab95a1f0edf8dffa755816aef7b788f130badc63d4211",
     "frozen_skills/checkpoint.bin":
-        "8b46f30fecbfbaee34f5755ac20afaafb413e0e58fa0c30405051bb82d41b396",
-    "frozen_skills/config_hash": "cc72a8d55b14",
+        "51af115aa8358d3e7ac8ea6cf6cde6b48fa263edb61dfdc0deb8ab7e65c80154",
+    "frozen_skills/config_hash": "e176f7e64180",
     "flat_trpo/metrics.csv":
         "62c0b0c78c9a53381e1a02b73708f2b9470a91329f0a27d47c2dab440c3b6dec",
     "flat_trpo/diagnostics.csv":
@@ -103,49 +104,49 @@ GOLDEN = {
         "8794731ffbf6edacb1c118f1331e92739112a8aa4e0d727db54dfb7c30d41b55",
     "flat_trpo/config_hash": "eeb9edce057f",
     "alternate/metrics.csv":
-        "e19ebbbb77f0f0359dec25625b509ff7aded57d27d4be10ac8d742c93b30b94b",
+        "48591e604d029432c11bd9b76619609fd691bdcfe920916645b4670a1c61582a",
     "alternate/diagnostics.csv":
-        "83448b141d001fc2ed4de36f3176769fe69343bfde0e3262a664997018be724f",
+        "3cc203db61a4eaa240a1a70d01d576f3fb6d8d47647f1d1b3b46b9d86039bff4",
     "alternate/trajectories.csv":
-        "08a40a86154a044dabe3832f03f8cf3f687dba455179fe4466cce072f7b5dbcf",
+        "105a53bbde787dedb47ef7a39d1450587b2446924956ef345692365a28e93ee3",
     "alternate/checkpoint.bin":
-        "a4025484f37b192971cc877c6767f8244e802a56f6aed9a0b3171f000b783fae",
+        "63d9226381f2f88093a4e1d78ca46f41f512d6fc9ac91a4548016998e1a87b42",
     "alternate/config_hash": "5509c751b7e8",
     "haar_no_anneal/metrics.csv":
-        "f350f6ebb91d8152f4a84580ab36017a57c66e77710fca5dbf0c2214ae9bf29c",
+        "c0f00634d2acb68d9b5cfa6f87dc9fb3cd6c3609442f45ef17752b2e5fe6cb62",
     "haar_no_anneal/diagnostics.csv":
-        "585be355fd66b1083ec0ce2bb6b111cc49a6e43ad3787df20a96275c2efac59b",
+        "07c6e3b0300ad9e6ff9d06a2fed6c5d9c72d5e1930ddb87149b829ec4dfd6f20",
     "haar_no_anneal/trajectories.csv":
-        "3ab2a7500f8ad315698bb0b714544decb1392aba1e8a0b3d9a67d7e9f576a9cf",
+        "8020ff3741b4d924d56e12b4e9f154881fc599794bd247426118c5a9e09ed4af",
     "haar_no_anneal/checkpoint.bin":
-        "7a2a623903cb1f845aee7b5b1f47d9e2279ee393cb5b352a171a978187855750",
+        "b82aa921a28315ce078c38220b1b484021325122ab146238414be83480a6e6a2",
     "haar_no_anneal/config_hash": "7570c9110ce1",
     "cli_override/metrics.csv":
-        "c098c0ffb484aa7d6069ef40a19a15d49dad023361a6c226233fbb9f30a92c6c",
+        "6e9a5f1990673957b2cc23d8a1667015bb9696fb17d6a15d7e59c6cc07a81c01",
     "cli_override/diagnostics.csv":
-        "4574d3b425b23674d27d0fc101bbaa2f44630feeb9628f8e8a52aa2734d5d2a7",
+        "604529b419691b897d09c0e62c08e66a5f04e1496e6a2df9aaf2fb4d54dac3ee",
     "cli_override/trajectories.csv":
-        "2271bce4a2593f23de320f02de52ac388bfba06e7898c1a1f08f23d33074021b",
+        "7cab5e082c1a10e7fcd55003c77a644e9d75731afd08864495eb31d727a1520e",
     "cli_override/checkpoint.bin":
-        "ffabb0a37a6b2313e0b55589298c652cdd8666be330aef97379db1406713074d",
+        "48787e95638e84b05819bded538d0a74561ca179e70090c5b07beb0266f8b64f",
     "cli_override/config_hash": "ec920270d3b5",
     "transfer_both/metrics.csv":
-        "f5325cf85c34507adabad7ba35d31e0a7cee48cb301afa41dab62772dab9364f",
+        "b9488da640d5df9d42ddfa5586581a852021df41ecc81a41b051fde041042729",
     "transfer_both/diagnostics.csv":
-        "e375772254e8c93f3bedfca7cdbc0b58966b1c19498d937969952b46b3055454",
+        "ab032087d823a504060ca5099fe73f22ef9ee7d1368fa7cdc0bd53dfab6f8850",
     "transfer_both/trajectories.csv":
-        "7d6051234f5bf673a5cd0e57b89026d4676493220b09a57491b4a79f1f7c0e80",
+        "a0d8498f93ff32e005cd889c93c36b113d8c72f321662062170c7565e79bb7db",
     "transfer_both/checkpoint.bin":
-        "2ba793e422ef3aab6db77f2686936d7a1a2c3f5bce714b6c36ab07b1aba38dfe",
+        "c41006635adb798b02b3f12b7afeba354c0f52e03e7a28daa4e9e231dcbeae8b",
     "transfer_both/config_hash": "7570c9110ce1",
     "transfer_low_only/metrics.csv":
-        "5171c6ffc587af7b64e488f71b5cd965355d62a082ce411f9582d78e38f767d4",
+        "46c8ee8c3985d0c6fae93f8a4c80bcf460857b9055d05f4beb7cd2c58e28d3f6",
     "transfer_low_only/diagnostics.csv":
-        "8f4387aa6630ade45c637c0486da3724e1103e82b4e3eda7cd1aa670bd65aba4",
+        "cbf69881dacaccde455512e2fff875f5b889e377d8e2b22ea02cebbf2f9b8210",
     "transfer_low_only/trajectories.csv":
-        "0864196b1d1a01a1d03e45de6158eccc99711d317ba9c299d60200ef99aa45c8",
+        "5666c504117412b775ca99cd29ae0ffc2180409f36c112e868d42106f14d0f4e",
     "transfer_low_only/checkpoint.bin":
-        "43e04b3aebde1cf34c99463eca321abbc4d7548d72a63a2d6cce863434f4a52b",
+        "6e86cdbb31498d58262e1265e40ec68b46f266b30ccb7ffa947436a92221d5c6",
     "transfer_low_only/config_hash": "7570c9110ce1",
 }
 
@@ -195,3 +196,11 @@ def test_tiny_runs_match_recorded_bytes(tmp_path):
         "flat_trpo": {}, "haar_no_anneal": {"pi_l": skills},
         "transfer_both": {"pi_l": haar, "pi_h": haar}, "transfer_low_only": {"pi_l": haar}}
     assert len({got[f"{name}/config_hash"] for name in metadata if name != "flat_trpo"}) == 1
+    # the hierarchical checkpoints record haar's body; flat TRPO's records none
+    assert {name: meta.get("physics") for name, meta in metadata.items()} == {
+        "flat_trpo": None, **{name: {"stumble_threshold": 1.2, "v_max": 1.2}
+                              for name in ("haar_no_anneal", "transfer_both", "transfer_low_only")}}
+    # frozen_skills trips in haar's body too, so its high level still steps
+    diagnostics = (tmp_path / "frozen_skills" / "seed_0" / "diagnostics.csv").read_text()
+    assert any(row.split(",")[1] == "high" and row.endswith(",True")
+               for row in diagnostics.splitlines()[1:])

@@ -6,7 +6,7 @@ from haarlab.envs.maze import (GOAL, LAYOUTS, MazeSpec, build_maze, n_connected_
 
 def test_c_maze_layout():
     m = build_maze("c_maze")
-    assert m.kind == "c_maze"
+    assert m.grid == tuple(LAYOUTS["c_maze"].splitlines())
     assert m.goal_cell == (3, 1)
     assert set(m.start_cells) == {(1, 1), (1, 2)}
     assert m.cell_size == 4.0
@@ -55,15 +55,15 @@ def test_goal_rules_per_kind():
         "c_maze": 1, "mirrored": 1, "spiral": 1, "open_field": 0}
     # any layout may hold at most one goal, whatever its kind
     with pytest.raises(ValueError, match="at most one goal"):
-        MazeSpec(tuple("######,#SGG.#,######".split(",")), kind="c_maze")
-    assert MazeSpec(tuple("#####,#S..#,#####".split(",")), kind="c_maze").goal_cell is None
+        MazeSpec(tuple("######,#SGG.#,######".split(",")))
+    assert MazeSpec(tuple("#####,#S..#,#####".split(","))).goal_cell is None
 
 
 def test_load_maze_file(tmp_path):
     path = tmp_path / "maze.txt"
     path.write_text("#####\n#S.G#\n#####\n")
     m = build_maze(str(path), cell_size=2.0)
-    assert m.kind == "custom" and m.goal_cell == (1, 3)
+    assert m.grid == ("#####", "#S.G#", "#####") and m.goal_cell == (1, 3)
     assert m.cell_size == 2.0
     assert m.cell_center((1, 1)).tolist() == [3.0, 3.0]
 

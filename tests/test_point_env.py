@@ -54,13 +54,25 @@ def stacked(states):
 
 # -- reset ---------------------------------------------------------------------
 
-def test_open_field_reset_at_center():
+def test_open_field_reset_uniform_in_its_start_cell():
+    # the open field starts as every arena does: it used to start every
+    # episode at its start cell's center
     env = make_env("open_field")
-    state, low = env.reset(np.random.default_rng(0))
-    expected = env.maze.cell_center(env.maze.start_cells[0])
-    assert np.array_equal(state.position, [expected])
-    assert np.array_equal(state.velocity, np.zeros((1, 2)))
-    assert (state.t.tolist(), state.overdrive.tolist()) == ([0], [0])
+    rng = np.random.default_rng(0)
+    offsets = []
+    for _ in range(4000):
+        state, low = env.reset(rng)
+        assert cell_of(env.maze, state.position[0]) == env.maze.start_cells[0]
+        assert np.array_equal(state.velocity, np.zeros((1, 2)))
+        assert (state.t.tolist(), state.overdrive.tolist()) == ([0], [0])
+        offsets.append(state.position[0] % env.maze.cell_size)
+    # each coordinate's offset in the cell falls in each quarter of it
+    # about equally often
+    quarters = np.floor(np.array(offsets) / env.maze.cell_size * 4).astype(int)
+    for axis in range(2):
+        counts = np.bincount(quarters[:, axis], minlength=4)
+        chi2 = float(((counts - 1000.0) ** 2 / 1000.0).sum())
+        assert chi2 <= 16.3  # p = 0.001 at 3 dof
 
 
 def test_reset_uniform_over_start_cells():

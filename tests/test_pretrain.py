@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from haarlab import pretrain
-from haarlab.envs.point import DT, EnvConfig
+from haarlab.checkpoint import load_checkpoint
+from haarlab.config import ExperimentConfig
+from haarlab.envs.point import DEATH_REWARD, DT, EnvConfig
+from haarlab.experiment import policy_segments, run_pretrain
 from haarlab.pretrain import (PretrainConfig, fresh_low_policy, open_field_env,
                               pretrain_skills, proxy_rewards, skill_direction)
 
@@ -45,7 +48,7 @@ def state_at(env, position, velocity):
 def test_proxy_invariant_to_walls():
     # a pure function of the displacement: a step that a wall stopped short
     # pays what the same displacement pays in the open, wherever it happens
-    env = open_field_env(5)
+    env = open_field_env(5, EnvConfig())
     cs = env.maze.cell_size
     against_wall = env.maze.cell_center((1, 1)) - [0.5 * cs - 0.1, 0.0]
     nxt, *_ = env.step(state_at(env, against_wall, [-2.0, 0.0]), np.zeros((1, 2)))
@@ -62,15 +65,15 @@ def test_proxy_invariant_to_walls():
 
 def test_random_init_returns_untouched_initializer_output():
     cfg = PretrainConfig(iterations=0)
-    pol, stats = pretrain_skills(cfg, 6, seed=7)
+    pol, stats = pretrain_skills(cfg, 6, seed=7, env_cfg=EnvConfig())
     assert stats == []
-    fresh = fresh_low_policy(6, open_field_env(cfg.episode_steps), seed=7)
+    fresh = fresh_low_policy(6, open_field_env(cfg.episode_steps, EnvConfig()), seed=7)
     assert np.array_equal(pol.flat(), fresh.flat())
 
 
 def test_pretrain_input_is_ego_plus_one_hot_only():
     cfg = PretrainConfig()
-    env = open_field_env(cfg.episode_steps)
+    env = open_field_env(cfg.episode_steps, EnvConfig())
     pol = fresh_low_policy(5, env, seed=0)
     assert pol.spec.input_dim == env.low_obs_dim + 5
 
@@ -118,7 +121,7 @@ def test_pretrain_episodes_last_episode_steps_beyond_500(monkeypatch):
     # environment's default 500 steps, whatever episode_steps said
     cfg = PretrainConfig(iterations=1, batch_low_steps=600, episode_steps=600)
     runs = spy_on(monkeypatch, "run_lanes")
-    pretrain_skills(cfg, 2, seed=0)
+    pretrain_skills(cfg, 2, seed=0, env_cfg=EnvConfig(stumble_threshold=math.inf))
     assert np.flatnonzero(runs[0].done).tolist() == [599]
 
 
@@ -140,3 +143,18 @@ def test_proxy_rewards_of_an_episode_sum_to_its_displacement(monkeypatch):
             d = skill_direction(int(skill[start]), 4)
             expected = (final - position[start]) @ d
             assert abs(reward[start:end].sum() - expected) <= 1e-9
+
+
+def test_run_pretrain_trains_in_the_config_body(tmp_path, monkeypatch):
+    # the skills used to learn at the arena's own v_max of 2.0 with no
+    # trips, whatever body the config's train runs them in
+    cfg = ExperimentConfig(v_max=1.2, stumble_threshold=1.2, seeds=(0,), pretrain=PretrainConfig(
+        iterations=2, batch_low_steps=400, episode_steps=40))
+    runs = spy_on(monkeypatch, "run_lanes")
+    segments, metadata = load_checkpoint(run_pretrain(cfg, str(tmp_path))[0])
+    assert any((run.reward == DEATH_REWARD).any() for run in runs)  # some episodes end in a trip
+    want = policy_segments(pi_l=pretrain_skills(cfg.pretrain, cfg.n_skills, 0,
+                                                 cfg.env_config())[0])
+    assert {key: value.tobytes() for key, value in segments.items()} == {
+        key: value.tobytes() for key, value in want.items()}
+    assert metadata["physics"] == {"v_max": 1.2, "stumble_threshold": 1.2}

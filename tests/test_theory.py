@@ -10,7 +10,7 @@ from haarlab.theory import (TabularJointPolicy, TabularMdp, advantage_decomposit
                             random_mdp)
 
 from helpers import (TabularRolloutEnv, exact_high_advantage, head_tables,
-                     monotone_alternation_check, table_heads)
+                     monotone_alternation_check, per_step_lowlevel_error, table_heads)
 
 
 def single_state_mdp(reward=1.0):
@@ -186,13 +186,16 @@ def test_lowlevel_error_zero_when_k_is_one():
 
 
 def test_lowlevel_error_zero_when_discounts_match_exactly():
+    # the step-by-step value against the theorem's right side: the closed
+    # form compared with itself at gamma_l ** k and gamma_h would only
+    # measure two roundings of one discount
     rng = np.random.default_rng(10)
     for k in (2, 3, 5):
         gamma_h = 0.95
         gamma_l = gamma_h ** (1.0 / k)
         mdp, jp_ref, jp_eval = eval_pair(rng, k=k, gamma_h=gamma_h)
-        err = lowlevel_objective_relative_error(mdp, jp_ref, jp_eval, gamma_l=gamma_l)
-        assert err <= 1e-10
+        assert per_step_lowlevel_error(mdp, jp_ref, jp_eval, gamma_l) <= 1e-10
+        assert per_step_lowlevel_error(mdp, jp_ref, jp_eval, gamma_h) > 1e-3
 
 
 def test_lowlevel_error_decreases_toward_one():
