@@ -28,7 +28,7 @@ DT = 0.2  # seconds per low-level step
 ACTION_SCALE = 4.0  # acceleration per unit of action
 RAY_MAX = 16.0  # the wall rays' range, in world units
 STUMBLE_STEPS = 3  # consecutive overdriven steps that count as a fall
-LOW_OBS_DIM = 4
+LOW_OBS_DIM = 2
 HIGH_OBS_DIM = LOW_OBS_DIM + N_RAYS + 2
 _FACE_EPS = 1e-9  # resting offset from a wall face, in world units
 GOAL_REWARD = 1000.0
@@ -92,7 +92,7 @@ class PointEnv:
     def low_obs_scale(self) -> np.ndarray:
         """Per-input rescaling that maps observations to O(1) ranges."""
         v = self.cfg.v_max
-        return np.array([1.0 / v, 1.0 / v, 1.0, 1.0])
+        return np.array([1.0 / v, 1.0 / v])
 
     @property
     def high_obs_scale(self) -> np.ndarray:
@@ -103,27 +103,25 @@ class PointEnv:
     # -- episode control --------------------------------------------------------
 
     def reset(self, rng: np.random.Generator) -> tuple[EpisodeBatch, np.ndarray]:
-        """Start an episode: its state as a one-lane batch and its (1, 4)
-        ego observation row, at rest at a uniform point of a uniformly
-        drawn start cell."""
+        """Start an episode: its state as a one-lane batch and its (1, 2)
+        ego observation row (the zero velocity), at rest at a uniform
+        point of a uniformly drawn start cell."""
         maze = self.maze
         cell = maze.start_cells[int(rng.integers(len(maze.start_cells)))]
         origin = np.array([cell[1] * maze.cell_size, cell[0] * maze.cell_size])
         position = origin + rng.random(2) * maze.cell_size
         state = EpisodeBatch(np.array([position], dtype=np.float64), np.zeros((1, 2)),
                              np.array([0]), np.array([0]))
-        return state, np.array([[0.0, 0.0, 0.0, 1.0]])
+        return state, np.zeros((1, 2))
 
     def step(self, state: EpisodeBatch, action):
         """Advance every lane one low-level step.
 
-        Takes (L, 2) actions and returns (next batch, the (L, 4) ego
+        Takes (L, 2) actions and returns (next batch, the (L, 2) ego
         observation rows, rewards, end codes): 0 runs on, then by
         precedence 1 the goal, 2 a death (fall), 3 the timeout. The ego
-        observation is the velocity, then the constant inputs 0.0
-        and 1.0 (sine and cosine of the fixed orientation, kept so that
-        input dimensions and checkpoints stay as they were); it holds no
-        wall or goal information.
+        observation is the velocity; it holds no wall or goal
+        information.
 
         Each lane runs the scalar dynamics on plain floats (math.hypot
         speeds, the exact sweep, whose first leg runs inline). A Python
@@ -138,7 +136,7 @@ class PointEnv:
         gain = ACTION_SCALE * dt
         threshold = cfg.stumble_threshold
         hypot, floor, inf = math.hypot, math.floor, math.inf
-        kinematics, overdrive, end = [], [], []  # kinematics: 6 floats per lane
+        kinematics, overdrive, end = [], [], []  # kinematics: 4 floats per lane
         for (x, y), (vx, vy), (ax, ay), od, t in zip(
                 state.position.tolist(), state.velocity.tolist(),
                 np.asarray(action, dtype=np.float64).tolist(), state.overdrive.tolist(),
@@ -164,7 +162,7 @@ class PointEnv:
             else:
                 x, y, vx, vy = _sweep(maze, x, y, vx, vy, dt)
             od = od + 1 if hypot(ax, ay) > threshold else 0
-            kinematics += (x, y, vx, vy, 0.0, 1.0)  # position, then the ego observation
+            kinematics += (x, y, vx, vy)
             overdrive.append(od)
             if floor(y / cs) == goal_row and floor(x / cs) == goal_col:
                 end.append(1)
@@ -172,10 +170,10 @@ class PointEnv:
                 end.append(2)
             else:
                 end.append(3 if t + 1 >= horizon else 0)
-        kinematics = np.fromiter(kinematics, np.float64, len(kinematics)).reshape(-1, 6)
+        kinematics = np.fromiter(kinematics, np.float64, len(kinematics)).reshape(-1, 4)
         end = np.array(end)
         nxt = EpisodeBatch(kinematics[:, :2], kinematics[:, 2:4], state.t + 1, np.array(overdrive))
-        return nxt, kinematics[:, 2:], _END_REWARD[end], end
+        return nxt, nxt.velocity, _END_REWARD[end], end
 
 
 def _sweep(maze: MazeSpec, x: float, y: float, vx: float, vy: float, dt: float):

@@ -4,9 +4,8 @@ Every run writes one directory per seed:
 
     metrics.csv       per-iteration training metrics (deterministic:
                       identical bytes for identical config, seed,
-                      BLAS thread count and BLAS kernel; the
-                      wall_time_s column is reserved and always 0.0,
-                      measured timing lives in timing.csv / run.json)
+                      BLAS thread count and BLAS kernel; measured
+                      timing lives in timing.csv / run.json)
     diagnostics.csv   per-update trust-region audit rows
     timing.csv        measured per-iteration wall time (not covered by
                       the determinism contract)
@@ -50,8 +49,7 @@ FLAT_INIT_STREAM = 0x13
 TRACE_STREAM = 0x7A
 
 METRIC_COLUMNS = ("iteration", "low_steps_total", "k", "success_rate", "mean_return",
-                  "high_kl", "low_kl", "high_surr_improve", "low_surr_improve",
-                  "wall_time_s")
+                  "high_kl", "low_kl", "high_surr_improve", "low_surr_improve")
 DIAG_COLUMNS = ("iteration", "level", "kl", "surrogate_before", "surrogate_after",
                 "backtracks", "accepted")
 TRACE_EPISODES = 10
@@ -235,7 +233,7 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: str,
             stepped = {"low" if level == "low" else "high": diag for level, diag in updates}
             high, low = stepped.get("high", NO_STEP), stepped.get("low", NO_STEP)
             metrics.row([it, low_steps, m["k"], m["success_rate"], m["mean_return"], high.kl,
-                         low.kl, high.improvement, low.improvement, 0.0])  # wall_time_s: reserved
+                         low.kl, high.improvement, low.improvement])
             for level, diag in updates:
                 diags.row([it, level, diag.kl, diag.surrogate_before,
                            diag.surrogate_after, diag.backtracks, diag.accepted])

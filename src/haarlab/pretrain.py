@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import count
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from .envs.point import EnvConfig, PointEnv
 from .hierarchy import discounted_returns, fit_value_on_scaled, skill_inputs
 from .nets import MlpSpec
 from .policies import GaussianPolicy
-from .rollout import run_lanes
+from .rollout import episode_streams, run_lanes
 from .trpo import AdvantageBatch, trpo_update
 
 PRETRAIN_STREAM = 0x5E
@@ -120,11 +119,10 @@ def pretrain_skills(cfg: PretrainConfig, n_skills: int, seed: int, env_cfg: EnvC
     pi_l = fresh_low_policy(n_skills, env, seed)
     stats = []
     for it in range(cfg.iterations):
-        streams = (np.random.default_rng(np.random.SeedSequence((seed, PRETRAIN_STREAM, it, ep)))
-                   for ep in count())
         collector = _SkillCollector(pi_l, n_skills,
                                     lambda _, rng: int(rng.integers(n_skills)), env.horizon)
-        run = run_lanes(env, streams, cfg.batch_low_steps, collector)
+        run = run_lanes(env, episode_streams((seed, PRETRAIN_STREAM, it)), cfg.batch_low_steps,
+                        collector)
         low, acts, logps, dists, position, skill = run.columns
         xs = skill_inputs(low, skill, n_skills)
         next_position = np.empty_like(position)

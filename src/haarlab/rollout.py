@@ -31,7 +31,7 @@ block holds the same values as that many single draws. The policy turns
 the blocks of every lane that drew into the rows its act takes at once.
 
 The caller hands run_lanes one stream (a Generator) per episode, in
-episode order; training batches use episode_rng(seed, e) for e = 0, 1, ...
+episode order; training and pre-training batches use episode_streams(seed).
 The batch is the one a sequential loop would collect. Episode e draws
 only from its own stream, in the same order as it would alone, and
 batched policy and env rows are computed row by row, so no value depends
@@ -73,7 +73,10 @@ def episode_rng(seed: tuple[int, ...], episode: int) -> np.random.Generator:
 
 
 def episode_streams(seed: tuple[int, ...]):
-    """episode_rng(seed, e) for e = 0, 1, ...: the streams of a training batch."""
+    """episode_rng(seed, e) for e = 0, 1, ...: the streams of a batch. seed is
+    (run seed, iteration) for training and (run seed, pretrain.PRETRAIN_STREAM,
+    iteration) for pre-training, so a pre-training key is one word longer than
+    any training key of the same run seed and never equals one."""
     return (episode_rng(seed, e) for e in count())
 
 

@@ -16,9 +16,9 @@ each exposed as a residual it drives to numerical zero:
     transition kernel inside the advantage taken from the new policy).
   * low-level objective: rewarding every low step with 1/k of the
     segment's high-level advantage makes the low level's discounted
-    start value a positive multiple of the high level's discounted
-    advantage sum, exactly when gamma_low^k equals gamma_high and
-    approximately when both discounts are near one.
+    start value, solved step by step, a positive multiple of the high
+    level's discounted advantage sum, exactly when gamma_low^k equals
+    gamma_high and approximately when both discounts are near one.
 
 The test suite's alternation check (exact greedy high-level improvement
 interleaved with small gradient steps on the low level's auxiliary
@@ -242,7 +242,8 @@ def verification_suite(n_instances: int = 100, seed: int = 0) -> list[dict]:
     Per instance: the advantage-decomposition residual on a random
     recurrent MDP (must be ~0), and the low-level objective's relative
     error on an episodic MDP with matched discounts (~0) and with
-    gamma_l = gamma_h (small, the lemma's approximation regime).
+    gamma_l = gamma_h (the lemma's approximation, whose error shrinks
+    as both discounts near one).
     """
     rng = np.random.default_rng(seed)
     rows = []
@@ -292,44 +293,45 @@ def mixed_advantage(mdp: TabularMdp, jp_eval: TabularJointPolicy,
 
 
 def lowlevel_objective_relative_error(mdp: TabularMdp, jp_rewards: TabularJointPolicy,
-                                      jp_eval: TabularJointPolicy, gamma_l: float,
-                                      eps: float = 1e-12) -> float:
-    """Relative gap between the low level's exact discounted start value
-    and its high-level-discount approximant.
-
-    jp_rewards supplies the reference value function behind the
-    auxiliary reward; jp_eval supplies the trajectories (same pi_h, a
-    possibly different low level). Every low step of a segment started
-    at (s, z) earns 1/k of the segment's realized advantage estimate.
-    Exact side: per-low-step discount gamma_l, i.e. gamma_l^(n k) per
-    high step n plus a within-segment geometric factor. Approximant:
-    gamma_h per high step. The two coincide exactly when gamma_l^k
-    equals gamma_h.
-    """
+                                      jp_eval: TabularJointPolicy, gamma_l: float) -> float:
+    """Relative gap between the low level's start value, evaluated step
+    by step with jp_rewards' value behind the auxiliary reward and
+    jp_eval's trajectories (same pi_h, a possibly different low level),
+    and the theorem's right side: geometric_sum(gamma_l, k) / k times the
+    high level's gamma_h-discounted advantage sum. The two coincide
+    exactly when gamma_l^k equals gamma_h."""
     if jp_rewards.k != jp_eval.k:
         raise ValueError("policies must share the skill length")
     v_ref = high_value(mdp, jp_rewards)
     exact = auxiliary_start_value(mdp, jp_eval, v_ref, gamma_l)
-    approx = _auxiliary_value(mdp, jp_eval, v_ref, gamma_l, jp_eval.gamma_h)
-    return abs(exact - approx) / max(abs(approx), eps)
-
-
-def _auxiliary_value(mdp: TabularMdp, jp_eval: TabularJointPolicy, v_ref: np.ndarray,
-                     gamma_l: float, segment_discount: float) -> float:
-    """Low-level start value under the auxiliary rewards: 1/k of each
-    segment's realized advantage estimate over v_ref on each of its k
-    steps, discounted by gamma_l within a segment and by
-    segment_discount from one segment to the next."""
-    if not 0.0 < gamma_l < 1.0:
-        raise ValueError("gamma_l must lie in (0, 1)")
     m_eval, _, _, _ = semi_mdp(mdp, jp_eval)
     q = np.einsum("sz,sz->s", jp_eval.pi_h, mixed_advantage(mdp, jp_eval, v_ref))
-    coef = geometric_sum(gamma_l, jp_eval.k) / jp_eval.k
-    return coef * float(mdp.initial_dist @ _solve(m_eval, segment_discount, q))
+    theorem = (geometric_sum(gamma_l, jp_eval.k) / jp_eval.k
+               * float(discounted_occupancy(mdp.initial_dist, m_eval, jp_eval.gamma_h) @ q))
+    return abs(exact - theorem) / max(abs(theorem), 1e-12)
 
 
 def auxiliary_start_value(mdp: TabularMdp, jp_eval: TabularJointPolicy,
                           v_ref: np.ndarray, gamma_l: float) -> float:
-    """Exact low-level expected start value under the auxiliary rewards
-    (realized advantage estimate over v_ref, split over the segment)."""
-    return _auxiliary_value(mdp, jp_eval, v_ref, gamma_l, gamma_l ** jp_eval.k)
+    """Exact low-level start value under the auxiliary rewards, solved on
+    the chain of low steps over (segment start s0, skill z, phase j,
+    state s). Each step pays mixed_advantage[s0, z] / k (its segment's
+    realized advantage estimate over v_ref, split over k steps) and is
+    discounted by gamma_l; the step of phase k - 1 starts a new segment at
+    the state it reaches, with a skill drawn from pi_h there."""
+    if not 0.0 < gamma_l < 1.0:
+        raise ValueError("gamma_l must lie in (0, 1)")
+    k, pi_h = jp_eval.k, jp_eval.pi_h
+    n_s, n_z = pi_h.shape
+    pz, _ = skill_kernels(mdp, jp_eval)
+    shape, s = (n_s, n_z, k, n_s), np.arange(n_s)
+    chain, start = np.zeros(shape * 2), np.zeros(shape)
+    start[s, :, 0, s] = mdp.initial_dist[:, None] * pi_h
+    for s0 in range(n_s):
+        for z in range(n_z):
+            for j in range(k - 1):
+                chain[s0, z, j, :, s0, z, j + 1, :] = pz[z]
+            chain[s0, z, k - 1][:, s, :, 0, s] = pz[z].T[:, :, None] * pi_h[:, None, :]
+    reward = np.broadcast_to(mixed_advantage(mdp, jp_eval, v_ref)[:, :, None, None] / k, shape)
+    n = start.size
+    return float(start.ravel() @ _solve(chain.reshape(n, n), gamma_l, reward.ravel()))

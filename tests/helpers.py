@@ -574,46 +574,6 @@ def exact_high_advantage(mdp, jp):
     return mixed_advantage(mdp, jp, high_value(mdp, jp))
 
 
-def per_step_lowlevel_error(mdp, jp_rewards, jp_eval, gamma_l):
-    """Relative gap between the low level's start value, evaluated step
-    by step, and the right side of the low-level objective theorem.
-
-    The step chain's state is (segment start s0, skill z, phase j, state
-    s). Each low step pays mixed_advantage[s0, z] / k (the segment's
-    realized advantage estimate over jp_rewards' value, split over its
-    k steps) and is discounted by gamma_l; the step of phase k - 1
-    starts a new segment at the state it reaches, with a skill drawn
-    from pi_h there. The chain's value is solved exactly, without
-    theory's closed form of it. The right side is geometric_sum(gamma_l,
-    k) / k times the high level's gamma_h-discounted advantage sum.
-    """
-    from haarlab.theory import (discounted_occupancy, geometric_sum, high_value,
-                                mixed_advantage, semi_mdp, skill_kernels)
-
-    k, pi_h = jp_eval.k, jp_eval.pi_h
-    n_s, n_z = pi_h.shape
-    adv = mixed_advantage(mdp, jp_eval, high_value(mdp, jp_rewards))
-    pz, _ = skill_kernels(mdp, jp_eval)
-    idx = np.arange(n_s * n_z * k * n_s).reshape(n_s, n_z, k, n_s)
-    chain = np.zeros((idx.size, idx.size))
-    reward = np.zeros(idx.size)
-    start = np.zeros(idx.size)
-    for s0 in range(n_s):
-        for z in range(n_z):
-            start[idx[s0, z, 0, s0]] = mdp.initial_dist[s0] * pi_h[s0, z]
-            reward[idx[s0, z]] = adv[s0, z] / k
-            for j in range(k - 1):
-                chain[np.ix_(idx[s0, z, j], idx[s0, z, j + 1])] = pz[z]
-            for s in range(n_s):
-                for nxt in range(n_s):  # a new segment starts at nxt
-                    chain[idx[s0, z, k - 1, s], idx[nxt, :, 0, nxt]] = pz[z, s, nxt] * pi_h[nxt]
-    per_step = start @ np.linalg.solve(np.eye(idx.size) - gamma_l * chain, reward)
-    m, _, _, _ = semi_mdp(mdp, jp_eval)
-    high_sum = discounted_occupancy(mdp.initial_dist, m, jp_eval.gamma_h) @ (pi_h * adv).sum(1)
-    theorem = geometric_sum(gamma_l, k) / k * high_sum
-    return abs(per_step - theorem) / max(abs(theorem), 1e-12)
-
-
 def _low_level_eta_gradient(mdp, jp):
     """Exact gradient of the joint objective w.r.t. the low-level table.
 

@@ -29,11 +29,11 @@ from haarlab.nets import MlpSpec
 from haarlab.policies import CategoricalPolicy, GaussianPolicy
 from haarlab.pretrain import PretrainConfig
 from haarlab.theory import (TabularJointPolicy, absorbing_random_mdp,
-                            advantage_decomposition_residual, random_joint_policy, random_mdp)
+                            advantage_decomposition_residual, lowlevel_objective_relative_error,
+                            random_joint_policy, random_mdp)
 from haarlab.trpo import AdvantageBatch
 
-from helpers import (finite_diff_grad, fvp, kl_grad, log_prob, mean_kl, per_step_lowlevel_error,
-                     rel_err, surrogate_loss)
+from helpers import finite_diff_grad, fvp, kl_grad, log_prob, mean_kl, rel_err, surrogate_loss
 
 
 def report(criterion, passed, detail=""):
@@ -78,7 +78,7 @@ def test_criterion_2_discount_approximation():
         pi_l_new /= pi_l_new.sum(axis=2, keepdims=True)
         jp_eval = TabularJointPolicy(jp_ref.pi_h, pi_l_new, k, gamma_h)
         gamma_l = gamma_h ** (1.0 / k)
-        worst_matched = max(worst_matched, per_step_lowlevel_error(
+        worst_matched = max(worst_matched, lowlevel_objective_relative_error(
             mdp, jp_ref, jp_eval, gamma_l))
 
     mdp = absorbing_random_mdp(4, 3, np.random.default_rng(11))
@@ -90,7 +90,7 @@ def test_criterion_2_discount_approximation():
     for gamma in (0.9, 0.99, 0.999):
         jp_r = TabularJointPolicy(jp_ref.pi_h, jp_ref.pi_l, 5, gamma)
         jp_e = TabularJointPolicy(jp_ref.pi_h, pi_l_new, 5, gamma)
-        errors.append(per_step_lowlevel_error(mdp, jp_r, jp_e, gamma))
+        errors.append(lowlevel_objective_relative_error(mdp, jp_r, jp_e, gamma))
     decreasing = errors[0] > errors[1] > errors[2]
     elapsed = time.perf_counter() - t0
     report(2, worst_matched <= 1e-10 and decreasing and elapsed < 60.0,

@@ -19,7 +19,9 @@ from haarlab.values import fit_value
 from helpers import (fvp, log_prob, ref_backward, ref_fit_value_weights, ref_forward_cached,
                      ref_fvp, ref_grad_logprob_weighted, ref_rop_forward, ref_tanh_derivs)
 
-SHAPES = [(10, 2), (26, 2), (26, 6)]  # (input, output) around the (32, 32) hidden layers
+# (input, output) around the (32, 32) hidden layers: the low, flat and high
+# policies in use, then the same nets with two more inputs
+SHAPES = [(8, 2), (24, 2), (24, 6), (10, 2), (26, 2), (26, 6)]
 
 
 def same_bytes(a, b):
@@ -79,7 +81,8 @@ def test_workspace_passes_match_reference_bytes(input_dim, output_dim, rows):
                           ref_backward(spec, w, ref_acts, gy))
 
 
-POLICIES = [(GaussianPolicy, 10, 2), (GaussianPolicy, 26, 2), (CategoricalPolicy, 26, 6)]
+POLICIES = [(GaussianPolicy, 8, 2), (GaussianPolicy, 24, 2), (CategoricalPolicy, 24, 6),
+            (GaussianPolicy, 10, 2), (GaussianPolicy, 26, 2), (CategoricalPolicy, 26, 6)]
 
 
 def policy_case(cls, input_dim, output_dim, n=5000):
@@ -133,7 +136,7 @@ def test_fvp_closure_unchanged_by_set_flat(cls, input_dim, output_dim):
     assert same_bytes(apply(v), want)
 
 
-@pytest.mark.parametrize("rows,dim", [(5100, 26), (300, 4)])
+@pytest.mark.parametrize("rows,dim", [(5100, 24), (300, 2), (5100, 26), (300, 4)])
 def test_value_fit_matches_reference_bytes(rows, dim):
     rng = np.random.default_rng(rows + dim)
     states = rng.standard_normal((rows, dim)) * rng.uniform(0.1, 10.0, dim)

@@ -46,7 +46,10 @@ def test_run_writes_expected_files(tmp_path):
     assert tuple(metrics) == METRIC_COLUMNS
     assert len(metrics["iteration"]) == cfg.N
     assert metrics["k"][0] == cfg.k_0
-    assert np.all(metrics["wall_time_s"] == 0.0)  # reserved column
+    # measured time lives in timing.csv and run.json, never in metrics.csv
+    assert read_lines(os.path.join(run_dir, "metrics.csv")).splitlines()[0] == (
+        b"iteration,low_steps_total,k,success_rate,mean_return,"
+        b"high_kl,low_kl,high_surr_improve,low_surr_improve")
     with open(os.path.join(run_dir, "run.json")) as fh:
         payload = json.load(fh)
     assert payload["seed"] == 0

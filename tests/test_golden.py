@@ -58,10 +58,12 @@ SKILLS = ("--skills", "skills")
 
 # name -> (config, extra train arguments), run in order. Every run but
 # the flat baseline starts pi_l from the pre-trained skills, except the
-# transfers: both levels, or pi_l alone, start from the haar run.
+# transfers: both levels, or pi_l alone, start from the haar run. The
+# frozen_skills run starts pi_h from the haar run: from a fresh pi_h its
+# batches hold no trip, so its high level would never step.
 RUNS = {
     "haar": ("haar", SKILLS),
-    "frozen_skills": ("frozen_skills", SKILLS),
+    "frozen_skills": ("frozen_skills", (*SKILLS, "--high", "haar")),
     "flat_trpo": ("flat_trpo", ()),
     "alternate": ("alternate", SKILLS),
     "haar_no_anneal": ("haar_no_anneal", SKILLS),
@@ -75,78 +77,78 @@ RUN_ARTIFACTS = ("metrics.csv", "diagnostics.csv", "trajectories.csv", "checkpoi
 
 GOLDEN = {
     "pretrain/seed_0/checkpoint.bin":
-        "0f7feb8454845c95eb30400bf1348021db50e3c3cf65656e1563f0d8690d6eb3",
+        "c2c182a4756c15fdb171348eaa1316dc8a5d77372556ed968a819652f91b0229",
     "haar/metrics.csv":
-        "e1cb73c966906a7c54c7edb6628a83ee434ff808b79c1f296a04558d8e3306f3",
+        "374fd585da8997506068ecdeb4fe0cbc7feb4c239e4bc67a2845d195fb884b17",
     "haar/diagnostics.csv":
-        "a3d92b6725ccc7ef10688b9fd9beaccb879cdff9b20f5fb14f21e67633a1a3e6",
+        "c04665950acc7c11c6aac86cff7dbeb9917eeb6a4dae5217b1293ddb8450fd68",
     "haar/trajectories.csv":
-        "733e4902f0b344f0d1b875f6bd4ad13390f37438cbdb0d3f551850c028f2423b",
+        "2e27f77fad665a71f9cc373c0fe837cde388939ef33bfff3f9a9fe6813d0dfab",
     "haar/checkpoint.bin":
-        "6c3179e6f67cc6fd763514b467affcd88b5ef940af07e4e7292f710bfbca7b9f",
+        "b41cc20bf83a75f6d06c3f0460b942c2562baceb7ddc60b256ea3b6835cf87d8",
     "haar/config_hash": "bcc31c5244dd",
     "frozen_skills/metrics.csv":
-        "7e8a37745924a4d8eb22a217630082ee3152836e00239ab82f3958ff1b27a136",
+        "6b857975de1d5623739f869d9c846188e3a3ff7bd2f3589a87d696d645769cdc",
     "frozen_skills/diagnostics.csv":
-        "de5ab7e3a97ec6646fc2544f5236b47d582f009cbbc65e28cd9f10723f094b30",
+        "be068b0950c9dd8a5aa81999e5f13ba69baa073e5c53fc10d84949c97318c103",
     "frozen_skills/trajectories.csv":
-        "5e848f7a0d1b1115326ab95a1f0edf8dffa755816aef7b788f130badc63d4211",
+        "babc5a9ff344cbeba210d38042403d41e1e8886be0f7cfa251218502f703a9d8",
     "frozen_skills/checkpoint.bin":
-        "51af115aa8358d3e7ac8ea6cf6cde6b48fa263edb61dfdc0deb8ab7e65c80154",
+        "62d0b3b26722749f7440c895fa5887a453efbc9b5d45648c42512abd6a385468",
     "frozen_skills/config_hash": "e176f7e64180",
     "flat_trpo/metrics.csv":
-        "62c0b0c78c9a53381e1a02b73708f2b9470a91329f0a27d47c2dab440c3b6dec",
+        "784385ed78556c94a4c438309b969ea39ed6525569e6a6356cc558720baea374",
     "flat_trpo/diagnostics.csv":
-        "ca8f081b981a9f5f782cb91adc269279801ef2a71f2b06f517fb4ec3b69a5be0",
+        "f8b8d83b142cc71e388e06bdbae788f57d73914c74c171198af5872f3f106556",
     "flat_trpo/trajectories.csv":
-        "df2fc0d661715d881122ec9e43b5981347117464fb566cdc741526ed4957bf2c",
+        "54567f65b5d3ee13268c9117746f27e7a3a8f474904d4a2a9cb900789863665f",
     "flat_trpo/checkpoint.bin":
-        "8794731ffbf6edacb1c118f1331e92739112a8aa4e0d727db54dfb7c30d41b55",
+        "c99b7c6d54800e21647feb20fe10aca1f5932f4b3586954c08f70ee36374a34c",
     "flat_trpo/config_hash": "eeb9edce057f",
     "alternate/metrics.csv":
-        "48591e604d029432c11bd9b76619609fd691bdcfe920916645b4670a1c61582a",
+        "2dc8121245b4a4a0b99c22f28dc812eb212bd91ee1603945377709c0dc2d55ef",
     "alternate/diagnostics.csv":
-        "3cc203db61a4eaa240a1a70d01d576f3fb6d8d47647f1d1b3b46b9d86039bff4",
+        "9fe4bc8273245adccb6d2b271634ec32c649467b24b67f7386a9f54f37a86581",
     "alternate/trajectories.csv":
-        "105a53bbde787dedb47ef7a39d1450587b2446924956ef345692365a28e93ee3",
+        "575b0ae8a748b53c1aba956f62e33eb9cfda502f3ca3f0860d38297983da6b44",
     "alternate/checkpoint.bin":
-        "63d9226381f2f88093a4e1d78ca46f41f512d6fc9ac91a4548016998e1a87b42",
+        "c9e9737a6a124a7e64cd8b5fe0e92abddf08339e83f50301f493bf5bd0451bb4",
     "alternate/config_hash": "5509c751b7e8",
     "haar_no_anneal/metrics.csv":
-        "c0f00634d2acb68d9b5cfa6f87dc9fb3cd6c3609442f45ef17752b2e5fe6cb62",
+        "705aef9f9bf82766ff7530ec9ae9cb6f375789c5c6bb0b3c66f09532529cf42a",
     "haar_no_anneal/diagnostics.csv":
-        "07c6e3b0300ad9e6ff9d06a2fed6c5d9c72d5e1930ddb87149b829ec4dfd6f20",
+        "27e64ee174d70d3966b222eb7ba334eb46b4350fdc8bf1f158974431fa514a41",
     "haar_no_anneal/trajectories.csv":
-        "8020ff3741b4d924d56e12b4e9f154881fc599794bd247426118c5a9e09ed4af",
+        "b4260f84104e968a205392bd7771df21fc9744b1f62a6306cf30ee3e3c2a9750",
     "haar_no_anneal/checkpoint.bin":
-        "b82aa921a28315ce078c38220b1b484021325122ab146238414be83480a6e6a2",
+        "41910c95f1359ac866f0a8a659ca798acccd7aecbde1c8b98fb194411a0240bb",
     "haar_no_anneal/config_hash": "7570c9110ce1",
     "cli_override/metrics.csv":
-        "6e9a5f1990673957b2cc23d8a1667015bb9696fb17d6a15d7e59c6cc07a81c01",
+        "c156298aba3667f56fd6bc829cea1ef65c5f6792e17b0f21630d83f8378a9f92",
     "cli_override/diagnostics.csv":
-        "604529b419691b897d09c0e62c08e66a5f04e1496e6a2df9aaf2fb4d54dac3ee",
+        "6072b7ddf24b2d2e6f5699049a8a4bb193e9d9efe279b20bf9dd3f0944795872",
     "cli_override/trajectories.csv":
-        "7cab5e082c1a10e7fcd55003c77a644e9d75731afd08864495eb31d727a1520e",
+        "19d96cba7ebd4ac5d3c3454d5ee99451103aa8f121bbe02ef3cdee4ff359a1a6",
     "cli_override/checkpoint.bin":
-        "48787e95638e84b05819bded538d0a74561ca179e70090c5b07beb0266f8b64f",
+        "b9d68bb303b3822ceedc84e3042472086df67bc28bd55fff6d459b55e634363f",
     "cli_override/config_hash": "ec920270d3b5",
     "transfer_both/metrics.csv":
-        "b9488da640d5df9d42ddfa5586581a852021df41ecc81a41b051fde041042729",
+        "e213535bf51315abfb65856efef19b4b081998f0966f9b204e511d7a7a5452a9",
     "transfer_both/diagnostics.csv":
-        "ab032087d823a504060ca5099fe73f22ef9ee7d1368fa7cdc0bd53dfab6f8850",
+        "4cf4c349aa2db0dc8bc436b8f0a78c9348a278075fe8fb005977deceb48f0a59",
     "transfer_both/trajectories.csv":
-        "a0d8498f93ff32e005cd889c93c36b113d8c72f321662062170c7565e79bb7db",
+        "e474c246473a093407cffb66b0adb84301231d4515a5e5868eba7ad7fae0a142",
     "transfer_both/checkpoint.bin":
-        "c41006635adb798b02b3f12b7afeba354c0f52e03e7a28daa4e9e231dcbeae8b",
+        "b8cc0f3b94b799304b5eda8bf174957a26f6f73b57bf642446c5947b20ae5d65",
     "transfer_both/config_hash": "7570c9110ce1",
     "transfer_low_only/metrics.csv":
-        "46c8ee8c3985d0c6fae93f8a4c80bcf460857b9055d05f4beb7cd2c58e28d3f6",
+        "e5ce8f7a36162f391fd803c3595d4ecd81147c94848bb0a49f249a81bfa73277",
     "transfer_low_only/diagnostics.csv":
-        "cbf69881dacaccde455512e2fff875f5b889e377d8e2b22ea02cebbf2f9b8210",
+        "4bfa11dd5c594ae6c16437b8ec455206657c1cc12d97ab6b55398e0dea067277",
     "transfer_low_only/trajectories.csv":
-        "5666c504117412b775ca99cd29ae0ffc2180409f36c112e868d42106f14d0f4e",
+        "67eeee052f0fcd436566e89e347b318314a85bc029539e5b736440f1ad8f112f",
     "transfer_low_only/checkpoint.bin":
-        "6e86cdbb31498d58262e1265e40ec68b46f266b30ccb7ffa947436a92221d5c6",
+        "4252620dda28a80d813bc55eea7ef2c588b9f50853b834ce7c55f3d08cace9a1",
     "transfer_low_only/config_hash": "7570c9110ce1",
 }
 
@@ -200,7 +202,7 @@ def test_tiny_runs_match_recorded_bytes(tmp_path):
     assert {name: meta.get("physics") for name, meta in metadata.items()} == {
         "flat_trpo": None, **{name: {"stumble_threshold": 1.2, "v_max": 1.2}
                               for name in ("haar_no_anneal", "transfer_both", "transfer_low_only")}}
-    # frozen_skills trips in haar's body too, so its high level still steps
+    # frozen_skills trips in haar's body too, so its high level steps
     diagnostics = (tmp_path / "frozen_skills" / "seed_0" / "diagnostics.csv").read_text()
     assert any(row.split(",")[1] == "high" and row.endswith(",True")
                for row in diagnostics.splitlines()[1:])

@@ -190,6 +190,17 @@ def test_one_hot_purity():
         assert np.argmax(block) == batch.a_h[seg]
 
 
+def test_no_observation_column_is_constant():
+    # every input a policy or value fit sees varies over a maze batch: the
+    # ego observation is the velocity, with no constant inputs beside it
+    env = make_env("c_maze", max_episode_steps=60)
+    pi_h, pi_l = make_policies(env)
+    batch = collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget_low_steps=600, k=5, seed=(4,))
+    assert batch.low_l.shape[1] == 2 and batch.s_h.shape[1] == env.high_obs_dim == 24
+    for rows in (batch.low_l, batch.s_h):
+        assert (rows.max(axis=0) > rows.min(axis=0)).all()
+
+
 @pytest.mark.parametrize("lanes", [None, 1, 16])  # 16 lanes start episodes the batch drops
 def test_low_level_trains_on_the_inputs_its_policy_acted_on(lanes, monkeypatch):
     env = make_env()

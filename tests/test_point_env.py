@@ -105,7 +105,8 @@ def test_reset_observation_prefix_property():
     env = make_env("c_maze")
     state, low = env.reset(np.random.default_rng(3))
     high = env.high_obs_batch(state, low)
-    assert low.shape == (1, LOW_OBS_DIM)
+    assert low.shape == (1, LOW_OBS_DIM) == state.velocity.shape
+    assert np.array_equal(low, state.velocity) and not low.any()  # at rest
     assert high.shape == (1, HIGH_OBS_DIM)
     assert np.array_equal(high[:, :LOW_OBS_DIM], low)
 
@@ -244,7 +245,7 @@ def test_low_obs_ignores_maze():
     state = state_at(env_a, [9.0, 6.0], [0.4, -0.1])
     low_a = step_one(env_a, state, np.zeros(2))[1]
     assert np.array_equal(low_a, step_one(env_b, state, np.zeros(2))[1])
-    assert np.array_equal(low_a, [0.4, -0.1, 0.0, 1.0])
+    assert np.array_equal(low_a, [0.4, -0.1])
 
 
 def test_maze_episode_rewards_in_allowed_set():
@@ -328,7 +329,7 @@ def test_batched_step_rows_equal_scalar_oracle_bit_for_bit():
                         env.maze, env.cfg, state, actions[i])
                     assert nxt.position[i].tobytes() == pos.tobytes()
                     assert nxt.velocity[i].tobytes() == vel.tobytes()
-                    assert low[i].tobytes() == np.array((vel[0], vel[1], 0.0, 1.0)).tobytes()
+                    assert low[i].tobytes() == vel.tobytes()  # the ego row is the velocity
                     assert (nxt.t[i], nxt.overdrive[i]) == (t, overdrive)
                     assert reward[i].tobytes() == np.float64(r).tobytes() and (end[i] > 0) == d
                     assert end[i] == end_code(info) and end.dtype.kind == "i"

@@ -95,12 +95,12 @@ def test_sampled_logprob_equals_log_prob():
 
 @pytest.mark.parametrize("lanes", [1, 2, 7, 16, 33])
 def test_batched_act_rows_equal_single_calls(lanes):
-    # the layer shapes in use: the 26-input high policy, the low policy on
-    # 4 ego inputs plus 6 skills, and the flat policy
+    # the layer shapes in use: the 24-input high policy, the low policy on
+    # 2 ego inputs plus 6 skills, and the flat policy
     rng = np.random.default_rng(lanes)
-    policies = [CategoricalPolicy(MlpSpec(26, (32, 32), 6), rng),
-                GaussianPolicy(MlpSpec(10, (32, 32), 2), rng),
-                GaussianPolicy(MlpSpec(26, (32, 32), 2), rng)]
+    policies = [CategoricalPolicy(MlpSpec(24, (32, 32), 6), rng),
+                GaussianPolicy(MlpSpec(8, (32, 32), 2), rng),
+                GaussianPolicy(MlpSpec(24, (32, 32), 2), rng)]
     for pol in policies:
         obs = rng.standard_normal((lanes, pol.spec.input_dim)) * 3.0
         noise = act_noise(pol, rng, lanes)

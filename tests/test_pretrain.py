@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from haarlab.checkpoint import load_checkpoint
 from haarlab.config import ExperimentConfig
 from haarlab.envs.point import DEATH_REWARD, DT, EnvConfig
 from haarlab.experiment import policy_segments, run_pretrain
+from haarlab.rollout import episode_rng
 from haarlab.pretrain import (PretrainConfig, fresh_low_policy, open_field_env,
                               pretrain_skills, proxy_rewards, skill_direction)
 
@@ -158,3 +160,22 @@ def test_run_pretrain_trains_in_the_config_body(tmp_path, monkeypatch):
     assert {key: value.tobytes() for key, value in segments.items()} == {
         key: value.tobytes() for key, value in want.items()}
     assert metadata["physics"] == {"v_max": 1.2, "stumble_threshold": 1.2}
+
+
+def test_pretraining_streams_are_not_training_streams(monkeypatch):
+    # pretraining iteration 233 (0xE9) used to hand run_lanes the episode
+    # streams of training iteration 94 (0x5E), key for key
+    states = []
+    original = pretrain.run_lanes
+
+    def spy(env, streams, budget, collector):
+        streams, head = itertools.tee(streams)
+        states.append([rng.bit_generator.state for rng in itertools.islice(head, 3)])
+        return original(env, streams, budget, collector)
+    monkeypatch.setattr(pretrain, "run_lanes", spy)
+    cfg = PretrainConfig(iterations=234, batch_low_steps=6, episode_steps=2)
+    pretrain_skills(cfg, 2, seed=5, env_cfg=EnvConfig())
+    training = [episode_rng((5, 94), e).bit_generator.state for e in range(3)]
+    assert all(state != training[e] for e in range(3) for state in states[233])
+    assert states[233] == [episode_rng((5, pretrain.PRETRAIN_STREAM, 233), e).bit_generator.state
+                           for e in range(3)]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from haarlab import hierarchy
+from haarlab import hierarchy, theory
 from haarlab.config import ExperimentConfig
 from haarlab.hierarchy import collect_rollouts, haar_iteration
 from haarlab.theory import (TabularJointPolicy, TabularMdp, advantage_decomposition_residual,
@@ -10,7 +10,7 @@ from haarlab.theory import (TabularJointPolicy, TabularMdp, advantage_decomposit
                             random_mdp)
 
 from helpers import (TabularRolloutEnv, exact_high_advantage, head_tables,
-                     monotone_alternation_check, per_step_lowlevel_error, table_heads)
+                     monotone_alternation_check, table_heads)
 
 
 def single_state_mdp(reward=1.0):
@@ -186,16 +186,14 @@ def test_lowlevel_error_zero_when_k_is_one():
 
 
 def test_lowlevel_error_zero_when_discounts_match_exactly():
-    # the step-by-step value against the theorem's right side: the closed
-    # form compared with itself at gamma_l ** k and gamma_h would only
-    # measure two roundings of one discount
+    # the step-by-step value against the theorem's right side
     rng = np.random.default_rng(10)
     for k in (2, 3, 5):
         gamma_h = 0.95
         gamma_l = gamma_h ** (1.0 / k)
         mdp, jp_ref, jp_eval = eval_pair(rng, k=k, gamma_h=gamma_h)
-        assert per_step_lowlevel_error(mdp, jp_ref, jp_eval, gamma_l) <= 1e-10
-        assert per_step_lowlevel_error(mdp, jp_ref, jp_eval, gamma_h) > 1e-3
+        assert lowlevel_objective_relative_error(mdp, jp_ref, jp_eval, gamma_l) <= 1e-10
+        assert lowlevel_objective_relative_error(mdp, jp_ref, jp_eval, gamma_h) > 1e-3
 
 
 def test_lowlevel_error_decreases_toward_one():
@@ -225,6 +223,17 @@ def test_auxiliary_values_reject_gamma_l_outside_unit_interval(gamma_l):
 def test_geometric_sum_edge():
     assert geometric_sum(1.0, 7) == 7.0
     assert abs(geometric_sum(0.5, 3) - 1.75) <= 1e-15
+
+
+def test_verification_suite_fails_a_wrong_closed_form(monkeypatch):
+    # the suite's low-level check holds the step-by-step value against the
+    # theorem's closed form, so a closed form 0.1% off must fail it
+    assert all(row["pass"] for row in theory.verification_suite(5))
+    exact = theory.geometric_sum
+    monkeypatch.setattr(theory, "geometric_sum", lambda gamma, k: 1.001 * exact(gamma, k))
+    rows = theory.verification_suite(5)
+    assert not all(row["pass"] for row in rows)
+    assert max(row["matched_discount_rel_error"] for row in rows) > 5e-4
 
 
 # -- alternation ------------------------------------------------------------------------
