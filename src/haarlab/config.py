@@ -78,8 +78,7 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
     def env_config(self) -> EnvConfig:
-        return EnvConfig(max_episode_steps=self.T, v_max=self.v_max,
-                         stumble_threshold=self.stumble_threshold)
+        return EnvConfig(v_max=self.v_max, stumble_threshold=self.stumble_threshold)
 
     def build_env(self) -> PointEnv:
         return PointEnv(build_maze(self.maze, self.cell_size), self.env_config())

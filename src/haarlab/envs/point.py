@@ -10,7 +10,8 @@ Sustained overdrive stands in for the legged agent tripping: commanding
 an action whose norm exceeds the stumble threshold for 3 consecutive
 steps terminates the episode with the death reward; an infinite
 threshold turns trips off. Reaching the goal cell pays the goal reward.
-All remaining rewards are zero, and no discounting happens here.
+All remaining rewards are zero, and no discounting happens here. The env
+has no time limit: rollout.run_lanes ends an episode at its horizon.
 """
 
 from __future__ import annotations
@@ -33,19 +34,18 @@ HIGH_OBS_DIM = LOW_OBS_DIM + N_RAYS + 2
 _FACE_EPS = 1e-9  # resting offset from a wall face, in world units
 GOAL_REWARD = 1000.0
 DEATH_REWARD = -10.0
-# the reward of each end code: 0 runs on, 1 goal, 2 death, 3 timeout
-_END_REWARD = np.array((0.0, GOAL_REWARD, DEATH_REWARD, 0.0))
+# the reward of each end code: 0 runs on, 1 goal, 2 death
+_END_REWARD = np.array((0.0, GOAL_REWARD, DEATH_REWARD))
 
 
 @dataclass
 class EnvConfig:
-    max_episode_steps: int = 500
-    v_max: float = 2.0
+    """The body a policy acts in, as its checkpoints record it (fields in
+    the order the checkpoints' sorted JSON keys give them)."""
     stumble_threshold: float = 1.5  # inf: no action trips the agent
+    v_max: float = 2.0
 
     def __post_init__(self):
-        if self.max_episode_steps < 1:
-            raise ValueError("max_episode_steps must be >= 1")
         if not (math.isfinite(self.v_max) and self.v_max > 0.0):
             raise ValueError("v_max must be finite and > 0")
         if not self.stumble_threshold > 0.0:  # NaN fails too
@@ -57,7 +57,6 @@ class EpisodeBatch(NamedTuple):
     axis first."""
     position: np.ndarray   # (L, 2)
     velocity: np.ndarray   # (L, 2)
-    t: np.ndarray          # (L,)
     overdrive: np.ndarray  # (L,)
 
 
@@ -68,11 +67,6 @@ class PointEnv:
     def __init__(self, maze: MazeSpec, cfg: EnvConfig):
         self.maze = maze
         self.cfg = cfg
-
-    @property
-    def horizon(self) -> int:
-        """The most steps an episode runs."""
-        return self.cfg.max_episode_steps
 
     # -- observations ---------------------------------------------------------
 
@@ -111,7 +105,7 @@ class PointEnv:
         origin = np.array([cell[1] * maze.cell_size, cell[0] * maze.cell_size])
         position = origin + rng.random(2) * maze.cell_size
         state = EpisodeBatch(np.array([position], dtype=np.float64), np.zeros((1, 2)),
-                             np.array([0]), np.array([0]))
+                             np.array([0]))
         return state, np.zeros((1, 2))
 
     def step(self, state: EpisodeBatch, action):
@@ -119,7 +113,7 @@ class PointEnv:
 
         Takes (L, 2) actions and returns (next batch, the (L, 2) ego
         observation rows, rewards, end codes): 0 runs on, then by
-        precedence 1 the goal, 2 a death (fall), 3 the timeout. The ego
+        precedence 1 the goal, 2 a death (fall). The ego
         observation is the velocity; it holds no wall or goal
         information.
 
@@ -131,16 +125,15 @@ class PointEnv:
         cfg = self.cfg
         maze = self.maze
         cs = maze.cell_size
-        dt, v_max, horizon = DT, cfg.v_max, cfg.max_episode_steps
+        dt, v_max = DT, cfg.v_max
         goal_row, goal_col = maze.goal_cell or (None, None)
         gain = ACTION_SCALE * dt
         threshold = cfg.stumble_threshold
         hypot, floor, inf = math.hypot, math.floor, math.inf
         kinematics, overdrive, end = [], [], []  # kinematics: 4 floats per lane
-        for (x, y), (vx, vy), (ax, ay), od, t in zip(
+        for (x, y), (vx, vy), (ax, ay), od in zip(
                 state.position.tolist(), state.velocity.tolist(),
-                np.asarray(action, dtype=np.float64).tolist(), state.overdrive.tolist(),
-                state.t.tolist()):
+                np.asarray(action, dtype=np.float64).tolist(), state.overdrive.tolist()):
             vx += ax * gain
             vy += ay * gain
             speed = hypot(vx, vy)
@@ -166,13 +159,11 @@ class PointEnv:
             overdrive.append(od)
             if floor(y / cs) == goal_row and floor(x / cs) == goal_col:
                 end.append(1)
-            elif od >= STUMBLE_STEPS:
-                end.append(2)
             else:
-                end.append(3 if t + 1 >= horizon else 0)
+                end.append(2 if od >= STUMBLE_STEPS else 0)
         kinematics = np.fromiter(kinematics, np.float64, len(kinematics)).reshape(-1, 4)
         end = np.array(end)
-        nxt = EpisodeBatch(kinematics[:, :2], kinematics[:, 2:4], state.t + 1, np.array(overdrive))
+        nxt = EpisodeBatch(kinematics[:, :2], kinematics[:, 2:4], np.array(overdrive))
         return nxt, nxt.velocity, _END_REWARD[end], end
 
 

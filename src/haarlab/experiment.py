@@ -27,7 +27,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 from typing import Callable
@@ -134,16 +134,17 @@ class _Traced:
         return actions, (run.state.position, run.skill.copy())
 
 
-def _trace_trajectories(path: str, env, collector, seed: int, episodes=range(TRACE_EPISODES)):
-    """Run fresh post-training episodes in lockstep lanes with a training
-    collector and dump their positions.
+def _trace_trajectories(path: str, env, collector, seed: int, horizon: int,
+                        episodes=range(TRACE_EPISODES)):
+    """Run fresh post-training episodes of at most `horizon` steps in
+    lockstep lanes with a training collector and dump their positions.
 
     Each episode draws only from its own stream, so it runs the same
     alone as among the others; its skill segments start afresh.
     """
     streams = (np.random.default_rng(np.random.SeedSequence((seed, TRACE_STREAM, ep)))
                for ep in episodes)
-    run = run_lanes(env, streams, len(episodes) * env.horizon, _Traced(collector))
+    run = run_lanes(env, streams, len(episodes) * horizon, horizon, _Traced(collector))
     position, skill = run.columns
     with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
@@ -250,7 +251,8 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: str,
     save_checkpoint(os.path.join(run_dir, "checkpoint.bin"), algo.segments(),
                     metadata={"algorithm": cfg.algorithm, "seed": seed, "start": start,
                               "config_hash": cfg.config_hash(), **algo.metadata})
-    _trace_trajectories(os.path.join(run_dir, "trajectories.csv"), env, algo.collector(), seed)
+    _trace_trajectories(os.path.join(run_dir, "trajectories.csv"), env, algo.collector(), seed,
+                        cfg.T)
     payload = {
         "config": cfg.to_dict(),
         "config_hash": cfg.config_hash(),
@@ -281,11 +283,6 @@ def _algorithm(cfg, env, seed, skills_checkpoint, high_checkpoint) -> _Algorithm
     return _flat(cfg, env, seed)
 
 
-def physics(cfg: ExperimentConfig) -> dict:
-    """The body a config's policies act in, as their checkpoints record it."""
-    return {"stumble_threshold": cfg.stumble_threshold, "v_max": cfg.v_max}
-
-
 def _hierarchical(cfg, env, seed, skills_checkpoint, high_checkpoint) -> _Algorithm:
     pi_h = fresh_high_policy(cfg, env, seed)
     pi_l = fresh_low_policy(cfg.n_skills, env, seed)
@@ -293,18 +290,19 @@ def _hierarchical(cfg, env, seed, skills_checkpoint, high_checkpoint) -> _Algori
         raise ConfigError(
             "pre-trained skills are required (run the pretrain command first, "
             "or set pretrain.iterations = 0)")
+    physics = asdict(cfg.env_config())  # the body, as checkpoints record it
     for path, policy in ((skills_checkpoint, {"pi_l": pi_l}), (high_checkpoint, {"pi_h": pi_h})):
-        recorded = load_policy_segments(path, **policy).get("physics") if path else physics(cfg)
-        if recorded != physics(cfg):
+        recorded = load_policy_segments(path, **policy).get("physics") if path else physics
+        if recorded != physics:
             raise CheckpointError(f"checkpoint {path} was trained in physics {recorded}, "
-                                  f"but the config runs {physics(cfg)}")
+                                  f"but the config runs {physics}")
 
     # the trace runs each skill for the skill length after the last iteration
     k_trace = skill_length(cfg.k_0, cfg.k_s, cfg.N, cfg.N)
     return _Algorithm(
         iterate=partial(haar_iteration, pi_h, pi_l, env, cfg, seed),
         segments=lambda: policy_segments(pi_h=pi_h, pi_l=pi_l),
-        metadata={"n_skills": cfg.n_skills, "physics": physics(cfg)},
+        metadata={"n_skills": cfg.n_skills, "physics": physics},
         collector=lambda: _SegmentCollector(pi_h, pi_l, cfg.n_skills, k_trace))
 
 
@@ -315,7 +313,7 @@ def _flat(cfg, env, seed) -> _Algorithm:
     return _Algorithm(
         iterate=partial(flat_iteration, policy, env, cfg, seed),
         segments=lambda: policy_segments(flat=policy),
-        metadata={}, collector=lambda: _FlatCollector(policy, env.horizon))
+        metadata={}, collector=lambda: _FlatCollector(policy, cfg.T))
 
 
 class _FlatCollector:
@@ -340,11 +338,13 @@ class _FlatCollector:
         return a, (obs, a, mu, logp)
 
 
-def collect_flat(policy, env, budget: int, seed: tuple[int, ...], lanes: int | None = None):
-    """Whole episodes, in lockstep lanes, until `budget` steps are in the
-    batch; returns (observations, actions, means, log-probs, LaneRun)."""
-    run = run_lanes(env, episode_streams(seed), budget, _FlatCollector(policy, env.horizon),
-                    lanes)
+def collect_flat(policy, env, budget: int, horizon: int, seed: tuple[int, ...],
+                 lanes: int | None = None):
+    """Whole episodes of at most `horizon` steps, in lockstep lanes, until
+    `budget` steps are in the batch; returns (observations, actions,
+    means, log-probs, LaneRun)."""
+    run = run_lanes(env, episode_streams(seed), budget, horizon,
+                    _FlatCollector(policy, horizon), lanes)
     return (*run.columns, run)
 
 
@@ -355,7 +355,8 @@ def flat_iteration(policy, env, cfg: ExperimentConfig, seed: int, iteration: int
     discounted returns, and take one trust-region step. Returns the
     batch's rollout.batch_metrics (k is 1) and the (level, diagnostics)
     pair, as haar_iteration does."""
-    obs, acts, means, logps, run = collect_flat(policy, env, cfg.B, (seed, iteration), lanes)
+    obs, acts, means, logps, run = collect_flat(policy, env, cfg.B, cfg.T, (seed, iteration),
+                                                lanes)
     rets = discounted_returns(run.reward, run.done, cfg.gamma)
     v = fit_value_on_scaled(obs, rets, env.high_obs_scale)
     adv = rets - v.predict(obs)
@@ -415,12 +416,13 @@ def _map_seeds(job, tasks: list[tuple], jobs: int, log=None) -> list:
 
 def _pretrain_job(cfg, seed, out_dir):
     _keep_freed_pages()
-    pi_l, stats = pretrain_skills(cfg.pretrain, cfg.n_skills, seed, cfg.env_config())
+    env_cfg = cfg.env_config()
+    pi_l, stats = pretrain_skills(cfg.pretrain, cfg.n_skills, seed, env_cfg)
     seed_dir = os.path.join(out_dir, f"seed_{seed}")
     os.makedirs(seed_dir, exist_ok=True)
     path = os.path.join(seed_dir, "checkpoint.bin")
     save_checkpoint(path, policy_segments(pi_l=pi_l),
-                    metadata={"n_skills": cfg.n_skills, "physics": physics(cfg), "seed": seed,
+                    metadata={"n_skills": cfg.n_skills, "physics": asdict(env_cfg), "seed": seed,
                               "iterations": cfg.pretrain.iterations})
     with atomic_open(os.path.join(seed_dir, "pretrain.json")) as fh:
         json.dump({"stats": stats, "seed": seed}, fh, indent=2)

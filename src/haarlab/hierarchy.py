@@ -134,9 +134,10 @@ class _SegmentCollector:
         return a, (run.low, a, logp, dist, number if phase == 0 else self.none)
 
 
-def collect_rollouts(pi_h, pi_l, env, n_skills: int, budget_low_steps: int, k: int,
-                     seed: tuple[int, ...], lanes: int | None = None) -> RolloutBatch:
-    """Simulate episodes until the low-step budget is met.
+def collect_rollouts(pi_h, pi_l, env, n_skills: int, budget_low_steps: int, horizon: int,
+                     k: int, seed: tuple[int, ...], lanes: int | None = None) -> RolloutBatch:
+    """Simulate episodes of at most `horizon` low steps until the
+    low-step budget is met.
 
     Episodes run in lockstep lanes (rollout.run_lanes) that join every k
     steps, so all of them open their segments together: episode e is
@@ -149,7 +150,7 @@ def collect_rollouts(pi_h, pi_l, env, n_skills: int, budget_low_steps: int, k: i
     if k < 1 or budget_low_steps < 1:
         raise ValueError("k and the step budget must be >= 1")
     c = _SegmentCollector(pi_h, pi_l, n_skills, k)
-    run = run_lanes(env, episode_streams(seed), budget_low_steps, c, lanes)
+    run = run_lanes(env, episode_streams(seed), budget_low_steps, horizon, c, lanes)
     low_l, a_l, logp_l, dist_l, number = run.columns
     opens = number >= 0  # the rows are in episode order, so segments are too
     segment_id = np.cumsum(opens) - 1
@@ -257,8 +258,8 @@ def haar_iteration(pi_h: CategoricalPolicy, pi_l: GaussianPolicy | CategoricalPo
     that took a step, as flat_iteration does.
     """
     k = skill_length(cfg.k_0, cfg.k_s, cfg.N, iteration)
-    batch = collect_rollouts(pi_h, pi_l, env, cfg.n_skills, cfg.B, k, seed=(seed, iteration),
-                             lanes=lanes)
+    batch = collect_rollouts(pi_h, pi_l, env, cfg.n_skills, cfg.B, cfg.T, k,
+                             seed=(seed, iteration), lanes=lanes)
 
     gamma_h = cfg.gamma ** k  # a k-step option's semi-MDP discount, as the theorem assumes
     v_h = fit_value_on_scaled(batch.s_h, discounted_returns(batch.r_h, batch.done_h, gamma_h),

@@ -12,9 +12,9 @@ and the displacement, all task-independent. Each iteration takes one
 trust-region step of at most PRETRAIN_MAX_KL on the advantages of the
 proxy returns, discounted at PRETRAIN_GAMMA.
 
-Proxy batches run in lockstep lanes (rollout.run_lanes) in an arena
-whose horizon is the episode length, so the env's own timeout ends
-each episode. A step's displacement runs to the next step's position,
+Proxy batches run in lockstep lanes (rollout.run_lanes) in the open
+arena, with the episode length as the horizon at which run_lanes ends
+each episode that has not tripped. A step's displacement runs to the next step's position,
 or to the episode's final state after its last step. The skill probe
 in tests/helpers.py runs the same collector.
 """
@@ -22,7 +22,7 @@ in tests/helpers.py runs the same collector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,10 +69,10 @@ def proxy_rewards(skill: np.ndarray, position: np.ndarray, next_position: np.nda
     return dx * d[:, 0] + dy * d[:, 1]
 
 
-def open_field_env(steps: int, env_cfg: EnvConfig) -> PointEnv:
-    """The open arena in env_cfg's physics, with episodes of `steps`
-    steps. It has no goal: the arena only exists to let skills move."""
-    return PointEnv(build_maze("open_field"), replace(env_cfg, max_episode_steps=steps))
+def open_field_env(env_cfg: EnvConfig) -> PointEnv:
+    """The open arena in env_cfg's physics. It has no goal: the arena
+    only exists to let skills move."""
+    return PointEnv(build_maze("open_field"), env_cfg)
 
 
 def fresh_low_policy(n_skills: int, env: PointEnv, seed: int) -> GaussianPolicy:
@@ -114,15 +114,15 @@ class _SkillCollector:
 def pretrain_skills(cfg: PretrainConfig, n_skills: int, seed: int, env_cfg: EnvConfig):
     """Return (low-level policy for n_skills skills, per-iteration stats)
     after cfg.iterations trust-region updates on the proxy rewards, in
-    open_field_env(cfg.episode_steps, env_cfg)."""
-    env = open_field_env(cfg.episode_steps, env_cfg)
+    episodes of cfg.episode_steps steps in open_field_env(env_cfg)."""
+    env = open_field_env(env_cfg)
     pi_l = fresh_low_policy(n_skills, env, seed)
     stats = []
     for it in range(cfg.iterations):
         collector = _SkillCollector(pi_l, n_skills,
-                                    lambda _, rng: int(rng.integers(n_skills)), env.horizon)
+                                    lambda _, rng: int(rng.integers(n_skills)), cfg.episode_steps)
         run = run_lanes(env, episode_streams((seed, PRETRAIN_STREAM, it)), cfg.batch_low_steps,
-                        collector)
+                        cfg.episode_steps, collector)
         low, acts, logps, dists, position, skill = run.columns
         xs = skill_inputs(low, skill, n_skills)
         next_position = np.empty_like(position)

@@ -8,9 +8,13 @@ with batched policy calls, asking for the high observations it needs in
 one env.high_obs_batch call (one raycast over all of their positions),
 and one env.step advances every lane.
 
+The caller also hands run_lanes the batch's horizon, the most steps an
+episode runs, and run_lanes alone ends an episode there: envs report
+only the goal and falls.
+
 How many lanes run is the caller's choice. The first training batch,
 pre-training, the skill probe and the trace take ceil(budget /
-env.horizon), the number of episodes a batch holds when each runs its
+horizon), the number of episodes a batch holds when each runs its
 full horizon; every later training batch takes as many lanes as the
 previous batch had episodes, so a batch whose episodes end early also
 starts in one wave instead of refilling lanes one episode at a time.
@@ -58,6 +62,7 @@ import numpy as np
 
 EPISODE_STREAM = 0xE9
 GOAL = 1  # the end code of a step that reaches the goal: its episode succeeds
+TIMEOUT = 3  # the end code run_lanes gives a step that reaches the horizon and nothing else
 
 
 def batch_metrics(k: int, steps: int, success: np.ndarray, total_return: np.ndarray) -> dict:
@@ -139,19 +144,22 @@ def _first_excluded(lengths: list[int], budget: int) -> int:
     return len(lengths)
 
 
-def run_lanes(env, streams: Iterable[np.random.Generator], budget: int, collector,
-              lanes: int | None = None) -> LaneRun:
+def run_lanes(env, streams: Iterable[np.random.Generator], budget: int, horizon: int,
+              collector, lanes: int | None = None) -> LaneRun:
     """Run one episode per stream, episode e on the e-th, in lockstep lanes
-    until the batch holds at least `budget` steps or the streams run out.
+    until the batch holds at least `budget` steps or the streams run out;
+    an episode that neither reaches the goal nor falls ends after
+    `horizon` steps.
 
-    `lanes` defaults to ceil(budget / env.horizon). New episodes start
+    `lanes` defaults to ceil(budget / horizon). New episodes start
     only on lockstep steps that are a multiple of the collector's period,
     counted from the current wave, or at once when no lane runs. No lane
-    count changes a byte of the batch. The env supplies its horizon,
-    reset(rng) for one episode (a one-lane batch state and its
-    (1, low_dim) ego row), high_obs_batch(batch, low) and step(batch,
-    actions) -> (batch, ego rows, rewards, end codes), with (L,) codes 0
-    runs on, GOAL, 2 a fall (or other end state) and 3 the horizon.
+    count changes a byte of the batch. The env supplies reset(rng) for
+    one episode (a one-lane batch state and its (1, low_dim) ego row),
+    high_obs_batch(batch, low) and step(batch, actions) -> (batch, ego
+    rows, rewards, end codes), with (L,) codes 0 runs on, GOAL and 2 a
+    fall (or other end state); it knows no horizon. run_lanes gives
+    TIMEOUT to a step that reaches the horizon where the env gave 0.
     The collector supplies
       period
           the join period, in lockstep steps;
@@ -166,10 +174,9 @@ def run_lanes(env, streams: Iterable[np.random.Generator], budget: int, collecto
           until they are written again. The step records its arrays by
           reference, so none may be written again after act returns.
     """
-    if lanes is None:
-        lanes = -(-budget // env.horizon)
-    if budget < 1 or lanes < 1 or collector.period < 1:
-        raise ValueError("the step budget, the lane count and the period must be >= 1")
+    if min(budget, horizon, collector.period, 1 if lanes is None else lanes) < 1:
+        raise ValueError("the step budget, horizon, lane count and period must be >= 1")
+    lanes = lanes or -(-budget // horizon)
     streams = iter(streams)
     lengths: list[int] = []        # steps episode e has taken
     finals: list[tuple] = []       # (episodes, env state rows) as lanes end
@@ -200,8 +207,9 @@ def run_lanes(env, streams: Iterable[np.random.Generator], budget: int, collecto
 
         actions, columns = collector.act(run, high)
         state, low, reward, end = env.step(run.state, actions)
-        done = end > 0
         np.add(run.steps, 1, out=run.steps)
+        end = np.where((end == 0) & (run.steps >= horizon), TIMEOUT, end)
+        done = end > 0
         run = run._replace(state=state, low=low)
         recorded.append((run.episode, reward, end, *columns))
         total += len(run.episode)

@@ -50,9 +50,6 @@ class AdvantageBatch:
         if not np.all(np.isfinite(self.advantages)):
             raise NumericsError("advantages contain non-finite values")
 
-    def __len__(self) -> int:
-        return self.observations.shape[0]
-
 
 @dataclass(frozen=True)
 class TrpoDiagnostics:

@@ -130,24 +130,24 @@ def gaussian_noise_rows(log_std, eps):
     return np.array(rows).reshape(-1, len(log_std) + 1)
 
 
-END_CODES = {"goal": 1, "death": 2, "timeout": 3}  # env.step's end codes; 0 runs on
+END_CODES = {"goal": 1, "death": 2}  # env.step's end codes; 0 runs on
 
 
 def end_code(info) -> int:
     """The end code env.step gives the outcome step_loops reports in
-    `info`: the goal before a death before the timeout, 0 for none."""
+    `info`: the goal before a death, 0 for none."""
     return next((code for key, code in END_CODES.items() if info[key]), 0)
 
 
 def step_loops(maze, cfg, state, action, face_eps=1e-9, stumble_steps=3):
     """Loop-based point-mass step; independent of haarlab.envs.point.
 
-    `state` is a one-lane batch: its position, velocity, t and overdrive
+    `state` is a one-lane batch: its position, velocity and overdrive
     each hold one row. The scalar step, one float at a time: clip the
     speed with math.hypot, sweep to the earliest wall-face crossing
-    (resting face_eps inside the free cell), then the goal, stumble and
-    timeout rules in that order. Returns (position, velocity, t,
-    overdrive, reward, done, info, walls_hit, corners): walls_hit counts
+    (resting face_eps inside the free cell), then the goal and stumble
+    rules in that order. Returns (position, velocity, overdrive, reward,
+    done, info, walls_hit, corners): walls_hit counts
     the velocity components a wall zeroed, corners the moments the path
     met a vertical and a horizontal grid line at once. It reads only the
     reward constants, DT and ACTION_SCALE from the env.
@@ -213,19 +213,15 @@ def step_loops(maze, cfg, state, action, face_eps=1e-9, stumble_steps=3):
     cmd = math.hypot(ax, ay)
     overdriven = cmd > cfg.stumble_threshold
     overdrive = int(state.overdrive[0]) + 1 if overdriven else 0
-    t = int(state.t[0]) + 1
     reward, done = 0.0, False
-    info = {"goal": False, "death": False, "timeout": False}
+    info = {"goal": False, "death": False}
     if maze.goal_cell is not None and (math.floor(y / cs), math.floor(x / cs)) == maze.goal_cell:
         reward, done = GOAL_REWARD, True
         info["goal"] = True
     elif overdrive >= stumble_steps:
         reward, done = DEATH_REWARD, True
         info["death"] = True
-    elif t >= cfg.max_episode_steps:
-        done = True
-        info["timeout"] = True
-    return np.array((x, y)), np.array((vx, vy)), t, overdrive, reward, done, info, walls_hit, corners
+    return np.array((x, y)), np.array((vx, vy)), overdrive, reward, done, info, walls_hit, corners
 
 
 # -- reference MLP core ----------------------------------------------------------
@@ -503,7 +499,6 @@ def _sample_index(probs, rng):
 class TabularLanes(NamedTuple):
     """Episodes stepped together, one row per lane."""
     s: np.ndarray    # (L,) current states
-    t: np.ndarray    # (L,) steps taken
     rng: np.ndarray  # (L,) each episode's stream, as objects
 
 
@@ -512,17 +507,14 @@ class TabularRolloutEnv:
     protocol.
 
     Observations at both levels are the one-hot state, at unit scale;
-    episodes truncate after `horizon` low steps so infinite-horizon
-    chains can be sampled. The transition noise draws from the episode
-    stream handed to reset, which the episode state carries, so episodes
-    may run interleaved.
+    run_lanes' horizon truncates episodes, so infinite-horizon chains
+    can be sampled. The transition noise draws from the episode stream
+    handed to reset, which the episode state carries, so episodes may
+    run interleaved.
     """
 
-    def __init__(self, mdp, horizon: int):
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
+    def __init__(self, mdp):
         self.mdp = mdp
-        self.horizon = horizon
         self.low_obs_dim = mdp.n_states
         self.high_obs_dim = mdp.n_states
         self.low_obs_scale = self.high_obs_scale = np.ones(mdp.n_states)
@@ -536,32 +528,31 @@ class TabularRolloutEnv:
         s = _sample_index(self.mdp.initial_dist, rng)
         stream = np.empty(1, dtype=object)
         stream[0] = rng
-        return TabularLanes(np.array([s]), np.array([0]), stream), self._eye[[s]]
+        return TabularLanes(np.array([s]), stream), self._eye[[s]]
 
     def step(self, lanes, action):
         """Advance every lane one step; returns (lanes, one-hot rows,
         rewards, end codes) as PointEnv.step does: 2 at a terminal
-        state, else 3 at the horizon; no state is a goal."""
+        state, else 0; no state is a goal."""
         s_next = np.array([_sample_index(self.mdp.transition[s, int(a)], rng)
                            for s, a, rng in zip(lanes.s.tolist(), action, lanes.rng)])
         reward = self.mdp.reward[lanes.s, np.asarray(action, dtype=np.intp)]
-        t = lanes.t + 1
-        end = np.where(self.mdp.terminal[s_next], 2, np.where(t >= self.horizon, 3, 0))
-        return TabularLanes(s_next, t, lanes.rng), self._eye[s_next], reward, end
+        end = np.where(self.mdp.terminal[s_next], 2, 0)
+        return TabularLanes(s_next, lanes.rng), self._eye[s_next], reward, end
 
 
 def skill_displacements(pi_l, n_skills, episodes_per_skill, steps, seed, env_cfg):
     """Mean displacement vector per skill over fresh seeded episodes of
-    at most `steps` steps in pretrain.open_field_env(steps, env_cfg),
-    collected as pre-training collects its proxy batches."""
+    at most `steps` steps in pretrain.open_field_env(env_cfg), collected
+    as pre-training collects its proxy batches."""
     from haarlab.pretrain import _SkillCollector, open_field_env
     from haarlab.rollout import run_lanes
 
-    env = open_field_env(steps, env_cfg)
+    env = open_field_env(env_cfg)
     streams = (np.random.default_rng(np.random.SeedSequence((seed, 0xD1, skill, ep)))
                for skill in range(n_skills) for ep in range(episodes_per_skill))
     collector = _SkillCollector(pi_l, n_skills, lambda e, _: e // episodes_per_skill, steps)
-    run = run_lanes(env, streams, n_skills * episodes_per_skill * steps, collector)
+    run = run_lanes(env, streams, n_skills * episodes_per_skill * steps, steps, collector)
     first = np.concatenate(([0], np.flatnonzero(run.done)[:-1] + 1))  # each episode's first row
     disp = run.final.position - run.columns[4][first]
     return disp.reshape(n_skills, episodes_per_skill, 2).sum(axis=1) / episodes_per_skill

@@ -109,7 +109,7 @@ def test_criterion_3_conservation_enforced():
     from haarlab.pretrain import fresh_low_policy
     pi_h = fresh_high_policy(cfg, env, 0)
     pi_l = fresh_low_policy(cfg.n_skills, env, 0)
-    batch = collect_rollouts(pi_h, pi_l, env, cfg.n_skills, 400, 7, seed=(0, 0))
+    batch = collect_rollouts(pi_h, pi_l, env, cfg.n_skills, 400, cfg.T, 7, seed=(0, 0))
     rng = np.random.default_rng(3)
     adv = rng.standard_normal(len(batch.seg_len)) * 1000.0
     r_l = assign_auxiliary_rewards(batch, adv)

@@ -180,7 +180,7 @@ def test_pretrain_n_skills_follows_experiment(tmp_path):
     # the skills are pre-trained for the config's one count, n_skills
     cfg = ExperimentConfig(n_skills=4, pretrain=PretrainConfig(iterations=0))
     segments, metadata = load_checkpoint(run_pretrain(cfg, str(tmp_path))[0])
-    want = fresh_low_policy(4, open_field_env(cfg.pretrain.episode_steps, cfg.env_config()), 0)
+    want = fresh_low_policy(4, open_field_env(cfg.env_config()), 0)
     assert metadata["n_skills"] == 4
     assert segments["pi_l/mean_net"].tobytes() == want.params.segment("mean_net").tobytes()
     assert "pretrain.n_skills" not in cfg.to_dict()

@@ -5,7 +5,7 @@ import json
 import math
 import os
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from haarlab.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from haarlab.cli import main
 from haarlab.config import ConfigError, ExperimentConfig
 from haarlab.experiment import (METRIC_COLUMNS, flat_iteration, fresh_flat_policy,
-                                fresh_high_policy, physics, policy_segments, read_metrics,
+                                fresh_high_policy, policy_segments, read_metrics,
                                 run_pretrain, run_report, run_single_seed, run_train)
 from haarlab.hierarchy import haar_iteration
 from haarlab.pretrain import PretrainConfig, fresh_low_policy
@@ -182,7 +182,7 @@ def donor_run(tmp_path):
     donor = policy_segments(pi_h=fresh_high_policy(cfg, env, 77),
                             pi_l=fresh_low_policy(cfg.n_skills, env, 77))
     src = str(tmp_path / "source.bin")
-    save_checkpoint(src, donor, {"physics": physics(cfg)})
+    save_checkpoint(src, donor, {"physics": asdict(cfg.env_config())})
     return cfg, env, src, donor
 
 
@@ -214,7 +214,8 @@ def test_transfer_low_only_loads_only_low_segments(tmp_path):
 def test_high_alone_loads_only_high_segments(tmp_path):
     # a source with no pi_l segment: --high loads pi_h/* and nothing else
     cfg, env, src, donor = donor_run(tmp_path)
-    save_checkpoint(src, {"pi_h/logits_net": donor["pi_h/logits_net"]}, {"physics": physics(cfg)})
+    save_checkpoint(src, {"pi_h/logits_net": donor["pi_h/logits_net"]},
+                    {"physics": asdict(cfg.env_config())})
     fresh = policy_segments(pi_l=fresh_low_policy(cfg.n_skills, env, 5))
     segments, start = run_from(tmp_path, "high", cfg, high_checkpoint=src)
     assert start == {"pi_h": sha256(src)}
@@ -236,7 +237,8 @@ def test_checkpoint_of_another_body_is_refused(tmp_path, level, body):
     cfg, _, src, donor = donor_run(tmp_path)
     other = str(tmp_path / "other.bin")
     save_checkpoint(other, donor, {} if BODIES[body] is None else {"physics": BODIES[body]})
-    message = f"{other} was trained in physics {BODIES[body]}, but the config runs {physics(cfg)}"
+    message = (f"{other} was trained in physics {BODIES[body]}, "
+               f"but the config runs {asdict(cfg.env_config())}")
     with pytest.raises(CheckpointError, match=re.escape(message)):
         run_train(replace(cfg, seeds=(0, 1)), str(tmp_path / "out"), **{level: {0: src, 1: other}})
     assert not (tmp_path / "out").exists()
@@ -419,7 +421,7 @@ def test_trace_episode_runs_as_it_would_alone(tmp_path, algorithm):
     def trace(path, **kw):  # a freshly built algorithm each time
         algo = (_flat(cfg, env, 2) if algorithm == "flat_trpo"
                 else _hierarchical(cfg, env, 2, None, None))
-        _trace_trajectories(str(path), env, algo.collector(), 2, **kw)
+        _trace_trajectories(str(path), env, algo.collector(), 2, cfg.T, **kw)
 
     trace(tmp_path / "all.csv")
     with open(tmp_path / "all.csv") as fh:

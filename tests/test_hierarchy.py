@@ -23,14 +23,13 @@ N_SKILLS = 3
 
 
 def make_env(kind="open_field", **kw):
-    kw.setdefault("max_episode_steps", 40)
     return PointEnv(build_maze(kind), EnvConfig(**kw))
 
 
-def tripping_env(max_episode_steps):
+def tripping_env():
     """The C-maze with a low stumble threshold: most episodes trip, so
     their batches hold death rewards."""
-    return make_env("c_maze", max_episode_steps=max_episode_steps, stumble_threshold=0.9)
+    return make_env("c_maze", stumble_threshold=0.9)
 
 
 def make_policies(env, seed=0):
@@ -101,9 +100,10 @@ def test_schedule_validation():
 # -- rollout segmentation -----------------------------------------------------------
 
 def test_exact_division_segmentation():
-    env = make_env(max_episode_steps=10)
+    env = make_env()
     pi_h, pi_l = make_policies(env)
-    batch = collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget_low_steps=10, k=5, seed=(0,))
+    batch = collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget_low_steps=10, horizon=10, k=5,
+                             seed=(0,))
     assert batch.n_low_steps == 10
     assert len(batch.seg_len) == 2
     assert all(n == 5 for n in batch.seg_len)
@@ -111,28 +111,31 @@ def test_exact_division_segmentation():
 
 
 def test_truncated_final_segment():
-    env = make_env(max_episode_steps=7)
+    env = make_env()
     pi_h, pi_l = make_policies(env)
-    batch = collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget_low_steps=7, k=5, seed=(0,))
+    batch = collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget_low_steps=7, horizon=7, k=5,
+                             seed=(0,))
     assert batch.seg_len.tolist() == [5, 2]
     assert batch.done_h.tolist() == [False, True]
 
 
 def test_budget_loops_episodes_to_completion():
-    env = make_env(max_episode_steps=9)
+    env = make_env()
     pi_h, pi_l = make_policies(env)
-    batch = collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget_low_steps=20, k=4, seed=(1,))
+    batch = collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget_low_steps=20, horizon=9, k=4,
+                             seed=(1,))
     assert batch.n_low_steps >= 20
     assert batch.n_low_steps % 9 == 0  # every episode ran to its 9-step cap
     assert batch.seg_len.sum() == batch.n_low_steps
 
 
 def test_segment_rewards_match_replay_oracle():
-    env = tripping_env(12)
+    env = tripping_env()
     pi_h, pi_l = make_policies(env, seed=3)
     seed = (7,)
-    k = 4
-    batch = collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget_low_steps=36, k=k, seed=seed)
+    k, horizon = 4, 12
+    batch = collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget_low_steps=36, horizon=horizon,
+                             k=k, seed=seed)
 
     # independent replay: drive a fresh env with the same episode streams
     seg_sums, seg_highs, seg_next_highs, seg_done = [], [], [], []
@@ -141,7 +144,7 @@ def test_segment_rewards_match_replay_oracle():
     while total < 36:
         rng = episode_rng(seed, ep)
         state, low = env.reset(rng)  # a one-lane batch, stepped alone
-        done = False
+        done, t = False, 0
         while not done:
             high = env.high_obs_batch(state, low)[0]
             seg_highs.append(high)
@@ -152,7 +155,8 @@ def test_segment_rewards_match_replay_oracle():
                 a, _, _ = pi_l.act(x[None], act_noise(pi_l, rng, 1))
                 state, low, r, end = env.step(state, a)
                 acc += float(r[0])
-                done = bool(end[0] > 0)
+                t += 1
+                done = bool(end[0] > 0) or t == horizon
                 total += 1
                 if done:
                     break
@@ -180,7 +184,8 @@ def low_inputs(batch, pi_l):
 def test_one_hot_purity():
     env = make_env()
     pi_h, pi_l = make_policies(env)
-    batch = collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget_low_steps=30, k=3, seed=(2,))
+    batch = collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget_low_steps=30, horizon=40, k=3,
+                             seed=(2,))
     x_l = low_inputs(batch, pi_l)
     assert x_l[:, :env.low_obs_dim].tobytes() == batch.low_l.tobytes()
     for x, seg in zip(x_l, batch.segment_id):
@@ -193,9 +198,10 @@ def test_one_hot_purity():
 def test_no_observation_column_is_constant():
     # every input a policy or value fit sees varies over a maze batch: the
     # ego observation is the velocity, with no constant inputs beside it
-    env = make_env("c_maze", max_episode_steps=60)
+    env = make_env("c_maze")
     pi_h, pi_l = make_policies(env)
-    batch = collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget_low_steps=600, k=5, seed=(4,))
+    batch = collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget_low_steps=600, horizon=60, k=5,
+                             seed=(4,))
     assert batch.low_l.shape[1] == 2 and batch.s_h.shape[1] == env.high_obs_dim == 24
     for rows in (batch.low_l, batch.s_h):
         assert (rows.max(axis=0) > rows.min(axis=0)).all()
@@ -221,8 +227,8 @@ def test_low_level_trains_on_the_inputs_its_policy_acted_on(lanes, monkeypatch):
 
     monkeypatch.setattr(hierarchy._SegmentCollector, "act", spy_lanes)
     pi_l.act = spy
-    batch = collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget_low_steps=100, k=3, seed=(4,),
-                             lanes=lanes)
+    batch = collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget_low_steps=100, horizon=40, k=3,
+                             seed=(4,), lanes=lanes)
     # later episodes ran past the batch
     rows = [row for e in range(len(batch.success)) for row in acted[e]]
     assert low_inputs(batch, pi_l).tobytes() == np.array(rows).tobytes()
@@ -254,8 +260,8 @@ def test_reused_low_inputs_equal_skill_inputs_at_every_step(lanes, monkeypatch):
 
     monkeypatch.setattr(hierarchy._SegmentCollector, "act", spy_lanes)
     pi_l.act = spy
-    batch = collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget_low_steps=400, k=7, seed=(6,),
-                             lanes=lanes)
+    batch = collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget_low_steps=400, horizon=40, k=7,
+                             seed=(6,), lanes=lanes)
     assert seen["steps"] == len(runs) and seen["after_drop"] >= 3, seen
     assert batch.n_low_steps >= 400
 
@@ -264,10 +270,11 @@ def test_segments_draw_the_skill_uniform_then_k_noise_rows():
     # after reset's draws (integers, random(2)), each segment takes its
     # skill's uniform and then a block of k low-step rows from the episode's
     # stream, the last segment's block included when the horizon cuts it short
-    env = make_env("c_maze", max_episode_steps=12, stumble_threshold=math.inf)
+    env = make_env("c_maze", stumble_threshold=math.inf)
     pi_h, pi_l = make_policies(env, seed=5)
     k = 5
-    batch = collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget_low_steps=12, k=k, seed=(3,))
+    batch = collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget_low_steps=12, horizon=12, k=k,
+                             seed=(3,))
     assert batch.seg_len.tolist() == [5, 5, 2]
     rng = episode_rng((3,), 0)
     rng.integers(len(env.maze.start_cells))
@@ -287,8 +294,8 @@ def test_rollouts_deterministic():
     pi_h, pi_l = make_policies(env)
 
     def run():
-        batch = collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget_low_steps=25, k=4,
-                                 seed=(5,))
+        batch = collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget_low_steps=25, horizon=40,
+                                 k=4, seed=(5,))
         return batch.low_l, batch.a_l, batch.r_h
 
     x1, a1, r1 = run()
@@ -444,8 +451,9 @@ def test_high_level_returns_discount_per_decision():
 # -- full iteration --------------------------------------------------------------------
 
 def make_run(env, mode="concurrent", seed=0, algorithm="haar"):
-    """Policies and a tiny config: k anneals from 6 towards 2, 60 low steps a batch."""
-    cfg = ExperimentConfig(algorithm=algorithm, mode=mode, B=60, k_0=6, k_s=2, N=44,
+    """Policies and a tiny config: k anneals from 6 towards 2, 60 low steps
+    a batch, episodes of at most 20."""
+    cfg = ExperimentConfig(algorithm=algorithm, mode=mode, B=60, k_0=6, k_s=2, N=44, T=20,
                            n_skills=N_SKILLS)
     return (*make_policies(env, seed=seed), cfg)
 
@@ -455,7 +463,7 @@ def iterate(pi_h, pi_l, env, cfg, iteration, seed=0):
 
 
 def test_alternate_first_iteration_updates_only_high():
-    env = tripping_env(20)
+    env = tripping_env()
     pi_h, pi_l, cfg = make_run(env, mode="alternate")
     low_before = pi_l.flat()
     m, updates1 = iterate(pi_h, pi_l, env, cfg, 0)  # ordinal 1: high only
@@ -470,14 +478,14 @@ def test_alternate_first_iteration_updates_only_high():
 
 
 def test_schedule_advances_once_per_iteration():
-    env = make_env(max_episode_steps=20)
+    env = make_env()
     pi_h, pi_l, cfg = make_run(env)
     ks = [iterate(pi_h, pi_l, env, cfg, i)[0]["k"] for i in range(3)]
     assert ks == [skill_length(6, 2, 44, i) for i in range(3)] == [6, 6, 5]
 
 
 def test_reward_free_env_leaves_policies_unchanged():
-    env = make_env("open_field", max_episode_steps=20, stumble_threshold=math.inf)
+    env = make_env("open_field", stumble_threshold=math.inf)
     pi_h, pi_l, cfg = make_run(env)
     h0, l0 = pi_h.flat(), pi_l.flat()
     _, updates = iterate(pi_h, pi_l, env, cfg, 0)
@@ -488,7 +496,7 @@ def test_reward_free_env_leaves_policies_unchanged():
 
 
 def test_frozen_low_level_never_updates():
-    env = tripping_env(20)
+    env = tripping_env()
     pi_h, pi_l, cfg = make_run(env, algorithm="frozen_skills")
     l0 = pi_l.flat()
     for i in range(2):
@@ -504,7 +512,7 @@ def test_frozen_low_level_never_updates():
 def test_low_level_fits_only_for_its_step(monkeypatch, mode, update_low, fits):
     from haarlab import hierarchy
 
-    env = tripping_env(20)
+    env = tripping_env()
     pi_h, pi_l, cfg = make_run(env, mode=mode,
                                algorithm="haar" if update_low else "frozen_skills")
     calls = []
@@ -522,7 +530,7 @@ def test_low_level_fits_only_for_its_step(monkeypatch, mode, update_low, fits):
 
 
 def test_iteration_metrics_schema():
-    env = tripping_env(20)
+    env = tripping_env()
     pi_h, pi_l, cfg = make_run(env)
     m, _ = iterate(pi_h, pi_l, env, cfg, 0)
     # the batch's own numbers: the run loop writes the iteration, the running

@@ -35,9 +35,9 @@ def substep_move(maze, p, v, dt, n_sub):
 
 
 def state_at(env, position, velocity):
-    """A one-lane batch at step 0 with this position and velocity."""
+    """A one-lane batch with this position and velocity, not overdriven."""
     return EpisodeBatch(np.array([position], dtype=float), np.array([velocity], dtype=float),
-                        np.array([0]), np.array([0]))
+                        np.array([0]))
 
 
 def step_one(env, state, action):
@@ -64,7 +64,7 @@ def test_open_field_reset_uniform_in_its_start_cell():
         state, low = env.reset(rng)
         assert cell_of(env.maze, state.position[0]) == env.maze.start_cells[0]
         assert np.array_equal(state.velocity, np.zeros((1, 2)))
-        assert (state.t.tolist(), state.overdrive.tolist()) == ([0], [0])
+        assert state.overdrive.tolist() == [0]
         offsets.append(state.position[0] % env.maze.cell_size)
     # each coordinate's offset in the cell falls in each quarter of it
     # about equally often
@@ -220,16 +220,17 @@ def test_stumble_can_be_disabled():
     assert not done and end == 0
 
 
-@pytest.mark.parametrize("threshold, ends", [(math.inf, [0] * 49 + [END_CODES["timeout"]]),
+@pytest.mark.parametrize("threshold, ends", [(math.inf, [0] * 50),
                                               (1.5, [0, 0, END_CODES["death"]])])
 def test_huge_action_trips_only_under_a_finite_threshold(threshold, ends):
     # an action of norm ~1.4e300 exceeds any finite threshold and none
-    # exceeds inf: the lane then runs to its timeout and never ends with 2
-    env = make_env("open_field", stumble_threshold=threshold, max_episode_steps=50)
+    # exceeds inf: the lane then runs on (the env has no time limit) and
+    # never ends with 2
+    env = make_env("open_field", stumble_threshold=threshold)
     state, _ = env.reset(np.random.default_rng(8))
     huge = np.array([1e300, 1e300])
     got = []
-    while not got or got[-1] == 0:
+    while len(got) < 50 and not any(got):
         state, _, _, _, end = step_one(env, state, huge)
         got.append(end)
     assert got == ends
@@ -249,24 +250,18 @@ def test_low_obs_ignores_maze():
 
 
 def test_maze_episode_rewards_in_allowed_set():
-    env = make_env("c_maze", max_episode_steps=60)
+    env = make_env("c_maze")
     rng = np.random.default_rng(9)
     for _ in range(30):
         state, _ = env.reset(rng)
         total, done = 0.0, False
-        while not done:
+        for _ in range(60):  # the episode's horizon, which run_lanes would set
             state, _, reward, done, _ = step_one(env, state, rng.normal(0, 0.8, size=2))
+            if done:
+                break
             assert reward in (0.0, GOAL_REWARD, DEATH_REWARD)
             total += reward
         assert total in (0.0, GOAL_REWARD, DEATH_REWARD)
-
-
-def test_timeout_sets_done():
-    env = make_env("c_maze", max_episode_steps=5)
-    state, _ = env.reset(np.random.default_rng(12))
-    for _ in range(5):
-        state, _, _, done, end = step_one(env, state, np.zeros(2))
-    assert done and end == END_CODES["timeout"] and state.t[0] == 5
 
 
 def test_obs_scales_shapes():
@@ -278,8 +273,8 @@ def test_obs_scales_shapes():
 # -- lanes stepped as arrays ------------------------------------------------------
 
 def random_lane(env, rng):
-    """A one-lane batch anywhere in free space, with any speed, step count
-    and overdrive count. One in three rests on a face of its cell, one in
+    """A one-lane batch anywhere in free space, with any speed and
+    overdrive count. One in three rests on a face of its cell, one in
     three heads exactly for a corner of it (same distance to both grid
     lines, exact in binary, and same speed on both axes). Returns (state,
     corner signs or None)."""
@@ -300,7 +295,6 @@ def random_lane(env, rng):
         velocity = signs * rng.uniform(0.3, 0.7) * env.cfg.v_max
     state = state._replace(position=(np.array([col, row]) * cs + offset)[None],
                            velocity=velocity[None],
-                           t=np.array([rng.integers(env.cfg.max_episode_steps)]),
                            overdrive=np.array([rng.integers(STUMBLE_STEPS)]))
     return state, signs
 
@@ -308,9 +302,9 @@ def random_lane(env, rng):
 def test_batched_step_rows_equal_scalar_oracle_bit_for_bit():
     rng = np.random.default_rng(21)
     seen = dict.fromkeys(("lane_steps", "walls", "two_walls", "corners", "on_face", "goal",
-                          "death", "timeout", "mixed_t"), 0)
+                          "death"), 0)
     for kind in ("c_maze", "mirrored", "spiral", "open_field"):
-        env = make_env(kind, max_episode_steps=40)
+        env = make_env(kind)
         cs = env.maze.cell_size
         for lanes in (1, 3, 16):
             states, signs = zip(*(random_lane(env, rng) for _ in range(lanes)))
@@ -323,14 +317,13 @@ def test_batched_step_rows_equal_scalar_oracle_bit_for_bit():
                 batch = stacked(states)
                 nxt, low, reward, end = env.step(batch, actions)
                 assert isinstance(nxt, EpisodeBatch) and low.shape == (lanes, LOW_OBS_DIM)
-                seen["mixed_t"] += len(set(batch.t.tolist())) > 1
                 for i, state in enumerate(states):
-                    pos, vel, t, overdrive, r, d, info, walls, corners = step_loops(
+                    pos, vel, overdrive, r, d, info, walls, corners = step_loops(
                         env.maze, env.cfg, state, actions[i])
                     assert nxt.position[i].tobytes() == pos.tobytes()
                     assert nxt.velocity[i].tobytes() == vel.tobytes()
                     assert low[i].tobytes() == vel.tobytes()  # the ego row is the velocity
-                    assert (nxt.t[i], nxt.overdrive[i]) == (t, overdrive)
+                    assert nxt.overdrive[i] == overdrive
                     assert reward[i].tobytes() == np.float64(r).tobytes() and (end[i] > 0) == d
                     assert end[i] == end_code(info) and end.dtype.kind == "i"
                     frac = state.position[0] / cs
@@ -338,14 +331,13 @@ def test_batched_step_rows_equal_scalar_oracle_bit_for_bit():
                     seen["walls"] += walls > 0
                     seen["two_walls"] += walls == 2
                     seen["corners"] += corners > 0
-                    for key in ("goal", "death", "timeout"):
+                    for key in ("goal", "death"):
                         seen[key] += info[key]
                     seen["lane_steps"] += 1
                     if d:
                         states[i], signs[i] = random_lane(env, rng)
                     else:
-                        states[i] = EpisodeBatch(pos[None], vel[None], np.array([t]),
-                                                 np.array([overdrive]))
+                        states[i] = EpisodeBatch(pos[None], vel[None], np.array([overdrive]))
                         signs[i] = None
     assert seen["lane_steps"] >= 10_000
     assert min(seen.values()) >= 20, seen

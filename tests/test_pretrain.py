@@ -50,7 +50,7 @@ def state_at(env, position, velocity):
 def test_proxy_invariant_to_walls():
     # a pure function of the displacement: a step that a wall stopped short
     # pays what the same displacement pays in the open, wherever it happens
-    env = open_field_env(5, EnvConfig())
+    env = open_field_env(EnvConfig())
     cs = env.maze.cell_size
     against_wall = env.maze.cell_center((1, 1)) - [0.5 * cs - 0.1, 0.0]
     nxt, *_ = env.step(state_at(env, against_wall, [-2.0, 0.0]), np.zeros((1, 2)))
@@ -69,13 +69,13 @@ def test_random_init_returns_untouched_initializer_output():
     cfg = PretrainConfig(iterations=0)
     pol, stats = pretrain_skills(cfg, 6, seed=7, env_cfg=EnvConfig())
     assert stats == []
-    fresh = fresh_low_policy(6, open_field_env(cfg.episode_steps, EnvConfig()), seed=7)
+    fresh = fresh_low_policy(6, open_field_env(EnvConfig()), seed=7)
     assert np.array_equal(pol.flat(), fresh.flat())
 
 
 def test_pretrain_input_is_ego_plus_one_hot_only():
     cfg = PretrainConfig()
-    env = open_field_env(cfg.episode_steps, EnvConfig())
+    env = open_field_env(EnvConfig())
     pol = fresh_low_policy(5, env, seed=0)
     assert pol.spec.input_dim == env.low_obs_dim + 5
 
@@ -86,7 +86,7 @@ def test_pretraining_beats_random_policy_on_projection():
     cfg = PretrainConfig(iterations=12, batch_low_steps=3000, episode_steps=250)
     env_cfg = EnvConfig(stumble_threshold=math.inf, v_max=1.2)
     trained, _ = pretrain_skills(cfg, 6, seed=3, env_cfg=env_cfg)
-    random_pol = fresh_low_policy(6, open_field_env(250, env_cfg), seed=3)
+    random_pol = fresh_low_policy(6, open_field_env(env_cfg), seed=3)
 
     disp_t = skill_displacements(trained, 6, episodes_per_skill=8, steps=150, seed=11,
                                  env_cfg=env_cfg)
@@ -168,10 +168,10 @@ def test_pretraining_streams_are_not_training_streams(monkeypatch):
     states = []
     original = pretrain.run_lanes
 
-    def spy(env, streams, budget, collector):
+    def spy(env, streams, budget, horizon, collector):
         streams, head = itertools.tee(streams)
         states.append([rng.bit_generator.state for rng in itertools.islice(head, 3)])
-        return original(env, streams, budget, collector)
+        return original(env, streams, budget, horizon, collector)
     monkeypatch.setattr(pretrain, "run_lanes", spy)
     cfg = PretrainConfig(iterations=234, batch_low_steps=6, episode_steps=2)
     pretrain_skills(cfg, 2, seed=5, env_cfg=EnvConfig())

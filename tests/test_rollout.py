@@ -9,7 +9,9 @@ that drop a speculative episode. Hierarchical lanes join on segment
 boundaries, so every decision step sees its lanes at one phase of their
 segments, and one high-level decision call serves each segment step.
 The default lane count, ceil(budget / horizon), starts no episode outside
-the batch when every episode runs its horizon. A finite set of streams
+the batch when every episode runs its horizon. run_lanes alone ends an
+episode at the horizon, with end code 3 where the env reported none; a
+goal or a fall on that step keeps its own code. A finite set of streams
 runs exactly its episodes, no finished lane is ever stepped, new episodes
 start only on the collector's period boundaries or when no lane runs,
 and the final state rows are each kept episode's state after its last
@@ -26,14 +28,14 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from haarlab import experiment, hierarchy
+from haarlab import experiment, hierarchy, rollout
 from haarlab.envs.maze import build_maze
 from haarlab.envs.point import DEATH_REWARD, EnvConfig, EpisodeBatch, PointEnv
 from haarlab.experiment import _trace_trajectories, collect_flat
 from haarlab.hierarchy import collect_rollouts
 from haarlab.nets import MlpSpec
 from haarlab.policies import CategoricalPolicy, GaussianPolicy
-from haarlab.rollout import episode_streams, run_lanes
+from haarlab.rollout import GOAL, TIMEOUT, episode_streams, run_lanes
 from haarlab.theory import absorbing_random_mdp
 
 from helpers import TabularRolloutEnv, act_noise, table_heads
@@ -57,11 +59,11 @@ def neural_hierarchy(env, seed=0):
     return pi_h, pi_l
 
 
-def tabular_env(seed=3, horizon=12):
+def tabular_env(seed=3):
     """The env and linear softmax heads (pi_h, pi_l) over its one-hot inputs."""
     rng = np.random.default_rng(seed)
     mdp = absorbing_random_mdp(4, 2, rng, stop_prob=0.1)
-    return TabularRolloutEnv(mdp, horizon=horizon), table_heads(mdp.n_states, N_SKILLS, 2, rng)
+    return TabularRolloutEnv(mdp), table_heads(mdp.n_states, N_SKILLS, 2, rng)
 
 
 def flat_policy(env, seed=1):
@@ -107,21 +109,21 @@ def flat_arrays(collected):
             "done": run.done, "success": run.success, "total_return": run.total_return}
 
 
-def stumbling_env(kind, horizon):
+def stumbling_env(kind):
     """Episodes that often trip before T, so lanes finish out of order."""
-    return point_env(kind, max_episode_steps=horizon, stumble_threshold=0.9)
+    return point_env(kind, stumble_threshold=0.9)
 
 
-HIERARCHY_CASES = {
-    "point_maze": (lambda: stumbling_env("c_maze", 40), 150, 4),
-    "point_open_field": (lambda: stumbling_env("open_field", 25), 120, 5),
-    "tabular": (tabular_env, 200, 2),
+HIERARCHY_CASES = {  # the env, its horizon, the budget and k
+    "point_maze": (lambda: stumbling_env("c_maze"), 40, 150, 4),
+    "point_open_field": (lambda: stumbling_env("open_field"), 25, 120, 5),
+    "tabular": (tabular_env, 12, 200, 2),
 }
 
 
 @pytest.mark.parametrize("case", sorted(HIERARCHY_CASES))
 def test_hierarchy_batches_identical_for_every_lane_count(case, monkeypatch):
-    make, budget, k = HIERARCHY_CASES[case]
+    make, horizon, budget, k = HIERARCHY_CASES[case]
     made = make()
     if case == "tabular":
         env, (pi_h, pi_l) = made
@@ -129,9 +131,10 @@ def test_hierarchy_batches_identical_for_every_lane_count(case, monkeypatch):
         env = made
         pi_h, pi_l = neural_hierarchy(env)
     # the training loop's lane count: the episodes of the batch before
-    previous = collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget, k, seed=(4, 0))
+    previous = collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget, horizon, k, seed=(4, 0))
     seen = phase_spy(monkeypatch)  # every decision step sees one phase across its lanes
-    batches = [collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget, k, seed=(4, 1), lanes=lanes)
+    batches = [collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget, horizon, k, seed=(4, 1),
+                                lanes=lanes)
                for lanes in (*LANE_COUNTS, len(previous.success))]
     assert any(len(set(steps)) > 1 for steps in seen)  # some lanes joined a running wave
     assert batches[0].n_low_steps >= budget
@@ -144,13 +147,13 @@ def test_hierarchical_trace_lanes_share_one_phase(tmp_path, monkeypatch, lanes):
     # the trace runs its collector's period, so its lanes would join on
     # segment boundaries as training's do even if fewer lanes than
     # episodes ran
-    env = stumbling_env("c_maze", 40)
+    env = stumbling_env("c_maze")
     pi_h, pi_l = neural_hierarchy(env)
     seen = phase_spy(monkeypatch)
     monkeypatch.setattr(experiment, "run_lanes",
                         lambda *args: run_lanes(*args, lanes=lanes))
     _trace_trajectories(str(tmp_path / "trajectories.csv"), env,
-                        hierarchy._SegmentCollector(pi_h, pi_l, N_SKILLS, 3), 0)
+                        hierarchy._SegmentCollector(pi_h, pi_l, N_SKILLS, 3), 0, 40)
     assert len({len(steps) for steps in seen}) > 1  # lanes ended at different steps
     # with the default, every episode starts in the first wave
     assert any(len(set(steps)) > 1 for steps in seen) == (lanes is not None)
@@ -161,7 +164,7 @@ def test_trace_skill_column_is_each_segments_decision(tmp_path, monkeypatch, lan
     # the hierarchical collector overwrites run.skill in place at every
     # decision, so a skill column recorded without a copy would show later
     # segments' skills in earlier rows
-    env = stumbling_env("c_maze", 40)
+    env = stumbling_env("c_maze")
     pi_h, pi_l = neural_hierarchy(env)
     k = 3
     collector = hierarchy._SegmentCollector(pi_h, pi_l, N_SKILLS, k)
@@ -183,7 +186,7 @@ def test_trace_skill_column_is_each_segments_decision(tmp_path, monkeypatch, lan
     monkeypatch.setattr(experiment, "run_lanes",
                         lambda *args: run_lanes(*args, lanes=lanes))
     path = tmp_path / "trajectories.csv"
-    _trace_trajectories(str(path), env, collector, 0)
+    _trace_trajectories(str(path), env, collector, 0, 40)
     with open(path, newline="") as fh:
         rows = [(int(r["episode"]), int(r["step"]), int(r["skill"])) for r in csv.DictReader(fh)]
     assert sorted(chosen) == sorted({episode for episode, _, _ in rows})
@@ -193,47 +196,44 @@ def test_trace_skill_column_is_each_segments_decision(tmp_path, monkeypatch, lan
         assert skill == (-1 if step == 0 else chosen[episode][(step - 1) // k])
 
 
-class _Calls:
-    """Counts the calls of a function, and the calls whose first argument
-    passes `tally`."""
-
-    def __init__(self, fn, tally=lambda first: False):
-        self.fn = fn
-        self.tally = tally
-        self.calls = self.tallied = 0
-
-    def __call__(self, first, *args):
-        self.calls += 1
-        self.tallied += bool(self.tally(first))
-        return self.fn(first, *args)
-
-
 @pytest.mark.parametrize("lanes", [None, 40])
-def test_one_decision_call_per_segment_step(lanes):
+def test_one_decision_call_per_segment_step(lanes, monkeypatch):
     # lanes join on segment boundaries, so every lane opens its segments on
     # the same lockstep steps and one pi_h.act call decides for all of
     # them: at most ceil(steps / k) calls, plus one for each wave (a step
     # whose lanes all start their episodes)
-    env = stumbling_env("c_maze", 40)
+    env = stumbling_env("c_maze")
     pi_h, pi_l = neural_hierarchy(env)
     k = 4
-    env.step = step = _Calls(env.step, tally=lambda state: (state.t == 0).all())
-    pi_h.act = decide = _Calls(pi_h.act)
-    batch = collect_rollouts(pi_h, pi_l, env, N_SKILLS, 600, k, seed=(4, 1), lanes=lanes)
+    counts = {"steps": 0, "waves": 0, "decisions": 0}
+    collector_act, decide = hierarchy._SegmentCollector.act, pi_h.act
+
+    def spy_steps(self, run, high):
+        counts["steps"] += 1
+        counts["waves"] += bool((run.steps == 0).all())
+        return collector_act(self, run, high)
+
+    def spy_decisions(s_h, u):
+        counts["decisions"] += 1
+        return decide(s_h, u)
+
+    monkeypatch.setattr(hierarchy._SegmentCollector, "act", spy_steps)
+    pi_h.act = spy_decisions
+    batch = collect_rollouts(pi_h, pi_l, env, N_SKILLS, 600, 40, k, seed=(4, 1), lanes=lanes)
     assert len(set(np.diff(np.flatnonzero(batch.done_l), prepend=-1))) > 1
-    assert decide.calls <= math.ceil(step.calls / k) + step.tallied
+    assert counts["decisions"] <= math.ceil(counts["steps"] / k) + counts["waves"]
 
 
-FLAT_CASES = {
-    "point_maze": (lambda: stumbling_env("c_maze", 40), 150),
-    "point_open_field": (lambda: stumbling_env("open_field", 25), 120),
-    "tabular": (tabular_env, 200),
+FLAT_CASES = {  # the env, its horizon and the budget
+    "point_maze": (lambda: stumbling_env("c_maze"), 40, 150),
+    "point_open_field": (lambda: stumbling_env("open_field"), 25, 120),
+    "tabular": (tabular_env, 12, 200),
 }
 
 
 @pytest.mark.parametrize("case", sorted(FLAT_CASES))
 def test_flat_batches_identical_for_every_lane_count(case):
-    make, budget = FLAT_CASES[case]
+    make, horizon, budget = FLAT_CASES[case]
     made = make()
     if case == "tabular":
         # a softmax table over (state, action) acts on the one-hot state as a flat policy
@@ -242,8 +242,8 @@ def test_flat_batches_identical_for_every_lane_count(case):
     else:
         env = made
         policy = flat_policy(env)
-    previous = collect_flat(policy, env, budget, (2, 4))[-1]
-    runs = [collect_flat(policy, env, budget, (2, 5), lanes)
+    previous = collect_flat(policy, env, budget, horizon, (2, 4))[-1]
+    runs = [collect_flat(policy, env, budget, horizon, (2, 5), lanes)
             for lanes in (*LANE_COUNTS, len(previous.success))]
     assert len(runs[0][0]) >= budget
     assert runs[0][-1].steps_taken == len(runs[0][0])  # one lane never speculates
@@ -264,9 +264,9 @@ EDGES = {
 @pytest.mark.parametrize("edge", sorted(EDGES))
 def test_budget_edges(edge):
     budget, horizon, episodes, taken_by_three = EDGES[edge]
-    env = point_env("c_maze", max_episode_steps=horizon, stumble_threshold=math.inf)
+    env = point_env("c_maze", stumble_threshold=math.inf)
     policy = flat_policy(env)
-    runs = [collect_flat(policy, env, budget, (0, 0), lanes) for lanes in LANE_COUNTS]
+    runs = [collect_flat(policy, env, budget, horizon, (0, 0), lanes) for lanes in LANE_COUNTS]
     for obs, _, _, _, run in runs:
         assert len(run.success) == episodes
         assert len(obs) == episodes * horizon
@@ -276,7 +276,8 @@ def test_budget_edges(edge):
     assert_same_bytes([flat_arrays(r) for r in runs])
 
     pi_h, pi_l = neural_hierarchy(env)
-    batches = [collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget, 4, seed=(0, 0), lanes=lanes)
+    batches = [collect_rollouts(pi_h, pi_l, env, N_SKILLS, budget, horizon, 4, seed=(0, 0),
+                                lanes=lanes)
                for lanes in LANE_COUNTS]
     assert len(batches[0].success) == episodes
     assert batches[0].n_low_steps == episodes * horizon
@@ -284,7 +285,7 @@ def test_budget_edges(edge):
 
 
 def test_high_obs_batch_rows_equal_single_observations():
-    env = point_env("c_maze", max_episode_steps=30)
+    env = point_env("c_maze")
     policy = flat_policy(env)
     rng = np.random.default_rng(9)
     states, lows = [], []
@@ -310,13 +311,14 @@ class _Countdown(NamedTuple):
 
 
 class CountdownEnv:
-    """Episodes of lengths drawn from their streams, 1 to `horizon` steps
-    (every one when `horizon` is fixed); counts resets and lane steps,
-    and refuses to step a finished lane."""
+    """Episodes of lengths drawn from their streams, 1 to `longest` steps
+    (every one when `fixed`), whose last step reports end code `code`;
+    counts resets and lane steps, and refuses to step a finished lane."""
 
-    def __init__(self, horizon, fixed=False):
-        self.horizon = horizon
+    def __init__(self, longest, fixed=False, code=2):
+        self.longest = longest
         self.fixed = fixed
+        self.code = code
         self.resets = 0
         self.step_calls = 0
         self.lane_steps = 0
@@ -327,7 +329,7 @@ class CountdownEnv:
                           np.array([rng.random()])), np.zeros((1, 1))
 
     def length(self, rng):
-        return self.horizon if self.fixed else int(rng.integers(1, self.horizon + 1))
+        return self.longest if self.fixed else int(rng.integers(1, self.longest + 1))
 
     def high_obs_batch(self, lanes, low):
         return low
@@ -338,7 +340,7 @@ class CountdownEnv:
         self.lane_steps += len(lanes.t)
         t = lanes.t + 1
         n = len(t)
-        end = np.where(t >= lanes.length, 3, 0)  # every episode ends at its timeout
+        end = np.where(t >= lanes.length, self.code, 0)
         return lanes._replace(t=t), np.zeros((n, 1)), np.ones(n), end
 
 
@@ -364,7 +366,7 @@ def test_default_lanes_run_every_episode_together(budget, horizon):
     # ceil(B/T) lanes hold the whole batch from the first step: no episode
     # runs alone after the others end, and none is started only to be dropped
     env = CountdownEnv(horizon, fixed=True)
-    run = run_lanes(env, episode_streams((0,)), budget, IdleCollector())
+    run = run_lanes(env, episode_streams((0,)), budget, horizon, IdleCollector())
     assert env.step_calls == horizon
     assert len(run.success) == -(-budget // horizon)
     assert run.steps_taken == len(run.reward) == len(run.success) * horizon
@@ -378,8 +380,8 @@ def test_finite_streams_run_exactly_their_episodes(lanes):
     episodes = countdown_episodes(env, range(7))
     lengths = [n for n, _ in episodes]
     assert len(set(lengths)) > 1
-    run = run_lanes(env, (np.random.default_rng(seed) for seed in range(7)), 7 * env.horizon,
-                    IdleCollector(), lanes)
+    run = run_lanes(env, (np.random.default_rng(seed) for seed in range(7)), 7 * env.longest,
+                    env.longest, IdleCollector(), lanes)
     assert env.resets == len(run.success) == 7
     assert env.lane_steps == run.steps_taken == len(run.reward) == sum(lengths)
     assert (np.flatnonzero(run.done) + 1).tolist() == np.cumsum(lengths).tolist()
@@ -394,7 +396,7 @@ def test_final_rows_are_each_kept_episodes_last_state(lanes, budget):
     # then drops: they have no final row
     env = CountdownEnv(9)
     run = run_lanes(env, (np.random.default_rng(seed) for seed in count()), budget,
-                    IdleCollector(), lanes)
+                    env.longest, IdleCollector(), lanes)
     episodes = countdown_episodes(env, range(len(run.success)))
     lengths = [n for n, _ in episodes]
     assert sum(lengths[:-1]) < budget <= sum(lengths) == len(run.reward)
@@ -409,9 +411,61 @@ def test_run_lanes_never_steps_a_finished_lane(lanes):
     # advances a running episode, the dropped ones included
     env = CountdownEnv(6)
     run = run_lanes(env, (np.random.default_rng(seed) for seed in count()), 50,
-                    IdleCollector(), lanes)
+                    env.longest, IdleCollector(), lanes)
     assert env.lane_steps == run.steps_taken >= len(run.reward) >= 50
     assert env.resets >= len(run.success)
+
+
+def success_means_last_code(monkeypatch, code):
+    """From here on LaneRun.success says which episodes ended with end code
+    `code`: run_lanes compares each episode's last code with rollout.GOAL
+    when it builds success."""
+    monkeypatch.setattr(rollout, "GOAL", code)
+
+
+@pytest.mark.parametrize("horizon", [0, -3])
+def test_run_lanes_rejects_a_horizon_below_one(horizon):
+    with pytest.raises(ValueError, match="horizon"):
+        run_lanes(CountdownEnv(3), episode_streams((0,)), 10, horizon, IdleCollector())
+
+
+@pytest.mark.parametrize("lanes", LANE_COUNTS)
+def test_an_episode_the_env_never_ends_is_cut_at_the_horizon(lanes, monkeypatch):
+    # the open field without trips has no goal and no fall, so only
+    # run_lanes' horizon ends its episodes: after exactly `horizon` rows,
+    # with TIMEOUT, and with the env's rewards
+    env = point_env("open_field", stumble_threshold=math.inf)
+    collector = Wander(lambda row, col: (0.0, 0.0), 1.0, env.maze.cell_size)
+    run = run_lanes(env, episode_streams((0,)), 40, 7, collector, lanes)
+    assert (np.flatnonzero(run.done) + 1).tolist() == [7, 14, 21, 28, 35, 42]
+    assert not run.success.any() and not run.reward.any()
+    success_means_last_code(monkeypatch, TIMEOUT)
+    again = run_lanes(env, episode_streams((0,)), 40, 7, collector, lanes)
+    assert again.success.all() and again.done.tobytes() == run.done.tobytes()
+
+
+@pytest.mark.parametrize("code", [GOAL, 2])
+def test_a_goal_or_fall_on_the_horizon_step_keeps_its_code(code, monkeypatch):
+    # every episode reaches the goal (1) or falls (2) on its 5th step, the
+    # horizon's: run_lanes keeps the env's code there, so a goal succeeds
+    env = CountdownEnv(5, fixed=True, code=code)
+    run = run_lanes(env, episode_streams((0,)), 20, 5, IdleCollector())
+    assert (np.flatnonzero(run.done) + 1).tolist() == [5, 10, 15, 20]
+    assert run.success.tolist() == [code == GOAL] * 4
+    for read in (TIMEOUT, code):
+        success_means_last_code(monkeypatch, read)
+        run = run_lanes(env, episode_streams((0,)), 20, 5, IdleCollector())
+        assert run.success.tolist() == [read == code] * 4
+
+
+def test_timeout_sets_done(monkeypatch):
+    # at rest in the C-maze nothing ends an episode before the horizon
+    env = point_env("c_maze")
+    success_means_last_code(monkeypatch, TIMEOUT)
+    run = run_lanes(env, episode_streams((12,)), 5, 5,
+                    Wander(lambda row, col: (0.0, 0.0), 0.0, env.maze.cell_size))
+    assert run.done.tolist() == [False] * 4 + [True] and run.success.tolist() == [True]
+    assert not run.reward.any()
 
 
 def c_maze_drift(row, col):
@@ -456,12 +510,12 @@ class RandomChoice:
 
 
 RETURN_CASES = {
-    # the env and the collector of a batch of about `budget` steps
-    "c_maze": (lambda: point_env("c_maze", max_episode_steps=150, stumble_threshold=1.4),
+    # the env, its horizon and the collector of a batch of about `budget` steps
+    "c_maze": (lambda: point_env("c_maze", stumble_threshold=1.4), 150,
                lambda env: Wander(c_maze_drift, 0.4, env.maze.cell_size), 1500),
-    "open_field": (lambda: point_env("open_field", max_episode_steps=60, stumble_threshold=1.5),
+    "open_field": (lambda: point_env("open_field", stumble_threshold=1.5), 60,
                    lambda env: Wander(lambda row, col: (0.0, 0.0), 1.0, env.maze.cell_size), 900),
-    "tabular": (lambda: tabular_env()[0], lambda env: RandomChoice(), 200),
+    "tabular": (lambda: tabular_env()[0], 12, lambda env: RandomChoice(), 200),
 }
 
 
@@ -471,9 +525,9 @@ def test_returns_and_successes_follow_the_step_rows(case, lanes):
     # the c_maze episodes reach the goal or trip, the open-field ones trip
     # or time out in an arena without a goal cell, and the tabular rewards
     # are fractions, whose sums depend on their order
-    make_env, make_collector, budget = RETURN_CASES[case]
+    make_env, horizon, make_collector, budget = RETURN_CASES[case]
     env = make_env()
-    run = run_lanes(env, (np.random.default_rng(seed) for seed in count()), budget,
+    run = run_lanes(env, (np.random.default_rng(seed) for seed in count()), budget, horizon,
                     make_collector(env), lanes)
     returns = []
     for rewards in np.split(run.reward, np.flatnonzero(run.done)[:-1] + 1):
@@ -520,13 +574,13 @@ def test_skill_column_follows_its_episode(lanes):
     # mixed lengths make lanes end, drop and refill out of step, so a
     # running episode's row moves whenever a lane before it ends
     env = CountdownEnv(9)
-    run = run_lanes(env, (np.random.default_rng(seed) for seed in count()), 60,
+    run = run_lanes(env, (np.random.default_rng(seed) for seed in count()), 60, env.longest,
                     SkillOfEpisode(True), lanes)
     lengths = [n for n, _ in countdown_episodes(env, range(len(run.success)))]
     assert len(set(lengths)) > 1
     assert run.columns[0].tolist() == np.repeat(np.arange(len(lengths)), lengths).tolist()
 
-    run = run_lanes(env, (np.random.default_rng(seed) for seed in count()), 60,
+    run = run_lanes(env, (np.random.default_rng(seed) for seed in count()), 60, env.longest,
                     SkillOfEpisode(False), lanes)
     assert len(run.columns[0]) >= 60 and (run.columns[0] == -1).all()
 
@@ -555,8 +609,8 @@ def test_lanes_join_only_on_period_boundaries(period):
     for p in (1, period):
         env = CountdownEnv(9)
         clock = JoinClock(p)
-        runs.append(run_lanes(env, (np.random.default_rng(seed) for seed in count()), 80, clock,
-                              lanes=5))
+        runs.append(run_lanes(env, (np.random.default_rng(seed) for seed in count()), 80,
+                              env.longest, clock, lanes=5))
     joins = wave = 0
     for i, steps in enumerate(clock.steps):
         fresh = [s == 0 for s in steps]

@@ -34,16 +34,10 @@ def test_validation_rejects_bad_rows():
         random_mdp(0, 1, np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("horizon", [0, -3])
-def test_rollout_env_rejects_a_horizon_below_one(horizon):
-    with pytest.raises(ValueError, match="horizon"):
-        TabularRolloutEnv(random_mdp(3, 2, np.random.default_rng(0)), horizon=horizon)
-
-
 def test_interleaved_episodes_keep_their_own_streams():
     # each episode's transition noise must come from the stream handed to
     # its own reset, however episodes on one env interleave
-    env = TabularRolloutEnv(random_mdp(5, 2, np.random.default_rng(8)), horizon=12)
+    env = TabularRolloutEnv(random_mdp(5, 2, np.random.default_rng(8)))
 
     def transitions(state, action):
         state, low, reward, end = env.step(state, np.array([action]))

@@ -287,9 +287,9 @@ def test_exact_eta_matches_hierarchy_rollouts():
     pi_h, pi_l = table_heads(mdp.n_states, 2, mdp.n_actions, rng)
     jp = TabularJointPolicy(*head_tables(pi_h, pi_l, mdp.n_states, 2), k, gamma_h)
     n_high = 35  # truncation tail below ~4e-3
-    env = TabularRolloutEnv(mdp, horizon=k * n_high)
-    batch = collect_rollouts(pi_h, pi_l, env, n_skills=2, budget_low_steps=150_000, k=k,
-                             seed=(99,))
+    env = TabularRolloutEnv(mdp)
+    batch = collect_rollouts(pi_h, pi_l, env, n_skills=2, budget_low_steps=150_000,
+                             horizon=k * n_high, k=k, seed=(99,))
     # discounted per-episode returns from the high-level transitions
     returns = []
     acc, n = 0.0, 0
@@ -312,8 +312,8 @@ def train_table_heads(monkeypatch, iterations=3):
     metrics and updates, and each batch with its high-level advantages."""
     rng = np.random.default_rng(21)
     mdp = random_mdp(3, 2, rng)
-    env = TabularRolloutEnv(mdp, horizon=12)
-    cfg = ExperimentConfig(B=300, k_0=4, k_s=2, N=4, n_skills=2, gamma=0.9, max_kl=0.02)
+    env = TabularRolloutEnv(mdp)
+    cfg = ExperimentConfig(B=300, T=12, k_0=4, k_s=2, N=4, n_skills=2, gamma=0.9, max_kl=0.02)
     pi_h, pi_l = table_heads(mdp.n_states, cfg.n_skills, mdp.n_actions, rng)
     assigned = []
 
