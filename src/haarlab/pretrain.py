@@ -14,9 +14,9 @@ proxy returns, discounted at PRETRAIN_GAMMA.
 
 Proxy batches run in lockstep lanes (rollout.run_lanes) in the open
 arena, with the episode length as the horizon at which run_lanes ends
-each episode that has not tripped. A step's displacement runs to the next step's position,
-or to the episode's final state after its last step. The skill probe
-in tests/helpers.py runs the same collector.
+each episode that has not tripped. A step's displacement runs to the
+next step's position, or to the episode's final state after its last
+step. The skill probe in tests/helpers.py runs the same collector.
 """
 
 from __future__ import annotations

@@ -208,7 +208,8 @@ def run_lanes(env, streams: Iterable[np.random.Generator], budget: int, horizon:
         actions, columns = collector.act(run, high)
         state, low, reward, end = env.step(run.state, actions)
         np.add(run.steps, 1, out=run.steps)
-        end = np.where((end == 0) & (run.steps >= horizon), TIMEOUT, end)
+        if run.steps[0] >= horizon:  # lanes join at the end, so the first is the oldest
+            end = np.where((end == 0) & (run.steps >= horizon), TIMEOUT, end)
         done = end > 0
         run = run._replace(state=state, low=low)
         recorded.append((run.episode, reward, end, *columns))
