@@ -113,9 +113,8 @@ class PointEnv:
 
         Takes (L, 2) actions and returns (next batch, the (L, 2) ego
         observation rows, rewards, end codes): 0 runs on, then by
-        precedence 1 the goal, 2 a death (fall). The ego
-        observation is the velocity; it holds no wall or goal
-        information.
+        precedence 1 the goal, 2 a death (fall). The ego observation is
+        the velocity; it holds no wall or goal information.
 
         Each lane runs the scalar dynamics on plain floats (math.hypot
         speeds, the exact sweep, whose first leg runs inline). A Python

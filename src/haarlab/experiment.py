@@ -313,26 +313,27 @@ def _flat(cfg, env, seed) -> _Algorithm:
     return _Algorithm(
         iterate=partial(flat_iteration, policy, env, cfg, seed),
         segments=lambda: policy_segments(flat=policy),
-        metadata={}, collector=lambda: _FlatCollector(policy, cfg.T))
+        metadata={}, collector=lambda: _FlatCollector(policy))
 
 
 class _FlatCollector:
     """The flat collector for run_lanes: one policy acts on the full
     observation at every step, with the noise rows its episode's stream
-    gave for all of its `horizon` steps at the first. Lanes join at the
+    gave for all of its horizon's steps at the first. Lanes join at the
     end, so only a last lane at step 0 means that some lanes start."""
 
-    def __init__(self, policy, horizon: int):
+    def __init__(self, policy):
         self.policy = policy
         self.period = 1  # lanes join on any step
-        self.horizon = horizon
-        self.noise_shape = (horizon, *policy.row_shape)
+
+    def noise_shape(self, horizon):
+        return (horizon, *self.policy.row_shape)
 
     def act(self, run, high):
         if run.steps[-1] == 0:
             new = np.flatnonzero(run.steps == 0)
-            run.noise[new] = self.policy.noise_rows(
-                np.stack([self.policy.noise(rng, self.horizon) for rng in run.rng[new]]))
+            run.noise[new] = self.policy.noise_rows(  # rows for the whole horizon
+                np.stack([self.policy.noise(rng, run.noise.shape[1]) for rng in run.rng[new]]))
         obs = high()
         a, logp, mu = self.policy.act(obs, run.noise[np.arange(len(obs)), run.steps])
         return a, (obs, a, mu, logp)
@@ -343,8 +344,7 @@ def collect_flat(policy, env, budget: int, horizon: int, seed: tuple[int, ...],
     """Whole episodes of at most `horizon` steps, in lockstep lanes, until
     `budget` steps are in the batch; returns (observations, actions,
     means, log-probs, LaneRun)."""
-    run = run_lanes(env, episode_streams(seed), budget, horizon,
-                    _FlatCollector(policy, horizon), lanes)
+    run = run_lanes(env, episode_streams(seed), budget, horizon, _FlatCollector(policy), lanes)
     return (*run.columns, run)
 
 
@@ -416,14 +416,13 @@ def _map_seeds(job, tasks: list[tuple], jobs: int, log=None) -> list:
 
 def _pretrain_job(cfg, seed, out_dir):
     _keep_freed_pages()
-    env_cfg = cfg.env_config()
-    pi_l, stats = pretrain_skills(cfg.pretrain, cfg.n_skills, seed, env_cfg)
+    pi_l, stats = pretrain_skills(cfg.pretrain, cfg.n_skills, seed, cfg.env_config())
     seed_dir = os.path.join(out_dir, f"seed_{seed}")
     os.makedirs(seed_dir, exist_ok=True)
     path = os.path.join(seed_dir, "checkpoint.bin")
     save_checkpoint(path, policy_segments(pi_l=pi_l),
-                    metadata={"n_skills": cfg.n_skills, "physics": asdict(env_cfg), "seed": seed,
-                              "iterations": cfg.pretrain.iterations})
+                    metadata={"n_skills": cfg.n_skills, "physics": asdict(cfg.env_config()),
+                              "seed": seed, "iterations": cfg.pretrain.iterations})
     with atomic_open(os.path.join(seed_dir, "pretrain.json")) as fh:
         json.dump({"stats": stats, "seed": seed}, fh, indent=2)
     return path

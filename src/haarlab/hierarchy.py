@@ -103,10 +103,12 @@ class _SegmentCollector:
         self.pi_l = pi_l
         self.n_skills = n_skills
         self.k = self.period = k  # lanes join on segment boundaries
-        self.noise_shape = (k, *pi_l.row_shape)
         self.blocks = []  # (s_h, a_h, logp_h, dist_h) rows of the segments each step opens
         self.opened = 0
         self.skill = self.x = self.none = None  # the lanes' skills, their input rows, L -1s
+
+    def noise_shape(self, horizon):
+        return (self.k, *self.pi_l.row_shape)  # one segment's rows
 
     def act(self, run, high):
         phase = run.steps[0] % self.k

@@ -83,29 +83,30 @@ def fresh_low_policy(n_skills: int, env: PointEnv, seed: int) -> GaussianPolicy:
 
 
 class _SkillCollector:
-    """The collector for skill episodes of at most `horizon` steps on
-    run_lanes: each lane runs one skill, skill_of(episode, rng) at its
-    first step, and pi_l acts on the ego observation with that skill's
-    one-hot appended, with the noise rows the stream gives for every step
-    right after the skill. Records the ego observation, action, log-prob
-    and mean, the position before the step and the skill (no copy: it
-    writes only the lanes that joined this step, in the array just built)."""
+    """The collector for skill episodes on run_lanes: each lane runs one
+    skill, skill_of(episode, rng) at its first step, and pi_l acts on the
+    ego observation with that skill's one-hot appended, with the noise
+    rows the stream gives for every step of the horizon right after the
+    skill. Records the ego observation, action, log-prob and mean, the
+    position before the step and the skill (no copy: it writes only the
+    lanes that joined this step, in the array just built)."""
 
-    def __init__(self, pi_l, n_skills: int, skill_of, horizon: int):
+    def __init__(self, pi_l, n_skills: int, skill_of):
         self.pi_l = pi_l
         self.period = 1  # lanes join on any step
         self.n_skills = n_skills
         self.skill_of = skill_of
-        self.horizon = horizon
-        self.noise_shape = (horizon, *pi_l.row_shape)
+
+    def noise_shape(self, horizon):
+        return (horizon, *self.pi_l.row_shape)
 
     def act(self, run, high):
         if run.steps[-1] == 0:  # lanes join at the end
             new = np.flatnonzero(run.steps == 0)
             for lane in new.tolist():  # each stream gives the skill, then the noise
                 run.skill[lane] = self.skill_of(int(run.episode[lane]), run.rng[lane])
-            run.noise[new] = self.pi_l.noise_rows(
-                np.stack([self.pi_l.noise(rng, self.horizon) for rng in run.rng[new]]))
+            run.noise[new] = self.pi_l.noise_rows(  # rows for the whole horizon
+                np.stack([self.pi_l.noise(rng, run.noise.shape[1]) for rng in run.rng[new]]))
         a, logp, mu = self.pi_l.act(skill_inputs(run.low, run.skill, self.n_skills),
                                     run.noise[np.arange(len(run.steps)), run.steps])
         return a, (run.low, a, logp, mu, run.state.position, run.skill)
@@ -119,8 +120,7 @@ def pretrain_skills(cfg: PretrainConfig, n_skills: int, seed: int, env_cfg: EnvC
     pi_l = fresh_low_policy(n_skills, env, seed)
     stats = []
     for it in range(cfg.iterations):
-        collector = _SkillCollector(pi_l, n_skills,
-                                    lambda _, rng: int(rng.integers(n_skills)), cfg.episode_steps)
+        collector = _SkillCollector(pi_l, n_skills, lambda _, rng: int(rng.integers(n_skills)))
         run = run_lanes(env, episode_streams((seed, PRETRAIN_STREAM, it)), cfg.batch_low_steps,
                         cfg.episode_steps, collector)
         low, acts, logps, dists, position, skill = run.columns

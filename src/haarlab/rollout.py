@@ -28,10 +28,11 @@ on any step.
 
 Collectors draw their noise when a lane decides, not on every step: the
 hierarchical one draws a segment's skill uniform and then its k low-step
-noise rows when the segment opens, the flat and skill collectors an
-episode's T rows at its first step. Each block comes from the episode's
-own stream, in the order a one-by-one loop draws the same values, and a
-block holds the same values as that many single draws. The policy turns
+noise rows when the segment opens, the flat and skill collectors a row
+for each step of the horizon at an episode's first step. Each block
+comes from the episode's own stream, in the order a one-by-one loop
+draws the same values, and a block holds the same values as that many
+single draws. The policy turns
 the blocks of every lane that drew into the rows its act takes at once.
 
 The caller hands run_lanes one stream (a Generator) per episode, in
@@ -93,8 +94,8 @@ class Running(NamedTuple):
     steps: np.ndarray         # (L,) steps each episode has taken
     state: tuple              # the env's batch state (a NamedTuple of row arrays)
     low: np.ndarray           # (L, low_dim) the current ego observations
-    noise: np.ndarray         # (L, *collector.noise_shape): unset until a collector
-                              # draws each lane's noise and writes it in place
+    noise: np.ndarray         # (L, *collector.noise_shape(horizon)): unset until a
+                              # collector draws each lane's noise and writes it in place
 
 
 def _rows(batch: tuple, rows) -> tuple:
@@ -147,9 +148,7 @@ def _first_excluded(lengths: list[int], budget: int) -> int:
 def run_lanes(env, streams: Iterable[np.random.Generator], budget: int, horizon: int,
               collector, lanes: int | None = None) -> LaneRun:
     """Run one episode per stream, episode e on the e-th, in lockstep lanes
-    until the batch holds at least `budget` steps or the streams run out;
-    an episode that neither reaches the goal nor falls ends after
-    `horizon` steps.
+    until the batch holds at least `budget` steps or the streams run out.
 
     `lanes` defaults to ceil(budget / horizon). New episodes start
     only on lockstep steps that are a multiple of the collector's period,
@@ -163,8 +162,9 @@ def run_lanes(env, streams: Iterable[np.random.Generator], budget: int, horizon:
     The collector supplies
       period
           the join period, in lockstep steps;
-      noise_shape
-          the shape of the noise one lane holds (running.noise[i]);
+      noise_shape(horizon)
+          the shape of the noise one lane holds (running.noise[i]) in
+          episodes of at most `horizon` steps;
       act(running, high) -> (actions, columns)
           the actions of the Running lanes, in order, and a tuple of
           arrays with one row per lane that the step records; high()
@@ -177,6 +177,7 @@ def run_lanes(env, streams: Iterable[np.random.Generator], budget: int, horizon:
     if min(budget, horizon, collector.period, 1 if lanes is None else lanes) < 1:
         raise ValueError("the step budget, horizon, lane count and period must be >= 1")
     lanes = lanes or -(-budget // horizon)
+    noise_shape = collector.noise_shape(horizon)
     streams = iter(streams)
     lengths: list[int] = []        # steps episode e has taken
     finals: list[tuple] = []       # (episodes, env state rows) as lanes end
@@ -197,7 +198,7 @@ def run_lanes(env, streams: Iterable[np.random.Generator], budget: int, horizon:
                 lengths += [0] * m
                 fresh = Running(np.arange(e0, e0 + m), np.fromiter(rngs, object, m), np.full(m, -1),
                                 np.zeros(m, np.intp), _joined(states),
-                                np.concatenate(lows), np.empty((m, *collector.noise_shape)))
+                                np.concatenate(lows), np.empty((m, *noise_shape)))
                 run = fresh if run is None else _joined([run, fresh])
         if run is None or not len(run.episode):
             break
@@ -208,8 +209,7 @@ def run_lanes(env, streams: Iterable[np.random.Generator], budget: int, horizon:
         actions, columns = collector.act(run, high)
         state, low, reward, end = env.step(run.state, actions)
         np.add(run.steps, 1, out=run.steps)
-        if run.steps[0] >= horizon:  # lanes join at the end, so the first is the oldest
-            end = np.where((end == 0) & (run.steps >= horizon), TIMEOUT, end)
+        end = np.where((end == 0) & (run.steps >= horizon), TIMEOUT, end)
         done = end > 0
         run = run._replace(state=state, low=low)
         recorded.append((run.episode, reward, end, *columns))

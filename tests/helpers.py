@@ -551,7 +551,7 @@ def skill_displacements(pi_l, n_skills, episodes_per_skill, steps, seed, env_cfg
     env = open_field_env(env_cfg)
     streams = (np.random.default_rng(np.random.SeedSequence((seed, 0xD1, skill, ep)))
                for skill in range(n_skills) for ep in range(episodes_per_skill))
-    collector = _SkillCollector(pi_l, n_skills, lambda e, _: e // episodes_per_skill, steps)
+    collector = _SkillCollector(pi_l, n_skills, lambda e, _: e // episodes_per_skill)
     run = run_lanes(env, streams, n_skills * episodes_per_skill * steps, steps, collector)
     first = np.concatenate(([0], np.flatnonzero(run.done)[:-1] + 1))  # each episode's first row
     disp = run.final.position - run.columns[4][first]

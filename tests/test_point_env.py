@@ -257,10 +257,10 @@ def test_maze_episode_rewards_in_allowed_set():
         total, done = 0.0, False
         for _ in range(60):  # the episode's horizon, which run_lanes would set
             state, _, reward, done, _ = step_one(env, state, rng.normal(0, 0.8, size=2))
-            if done:
-                break
             assert reward in (0.0, GOAL_REWARD, DEATH_REWARD)
             total += reward
+            if done:
+                break
         assert total in (0.0, GOAL_REWARD, DEATH_REWARD)
 
 

@@ -355,7 +355,9 @@ def countdown_episodes(env, seeds):
 
 class IdleCollector:
     period = 1
-    noise_shape = ()
+
+    def noise_shape(self, horizon):
+        return ()
 
     def act(self, run, high):
         return np.zeros(len(run.episode)), ()
@@ -483,7 +485,9 @@ class Wander:
     times two standard normals from its episode's stream."""
 
     period = 1
-    noise_shape = ()
+
+    def noise_shape(self, horizon):
+        return ()
 
     def __init__(self, drift, sd, cell_size):
         self.drift = drift
@@ -503,7 +507,9 @@ class RandomChoice:
     """Two actions, drawn uniformly from each episode's stream."""
 
     period = 1
-    noise_shape = ()
+
+    def noise_shape(self, horizon):
+        return ()
 
     def act(self, run, high):
         return np.array([int(rng.integers(2)) for rng in run.rng]), ()
@@ -557,7 +563,9 @@ class SkillOfEpisode:
     step, or never writes it, and records the column on every step."""
 
     period = 1
-    noise_shape = ()
+
+    def noise_shape(self, horizon):
+        return ()
 
     def __init__(self, writes):
         self.writes = writes
@@ -589,7 +597,8 @@ class JoinClock:
     """Joins every `period` steps and records the step counts of the
     running lanes on each lockstep step."""
 
-    noise_shape = ()
+    def noise_shape(self, horizon):
+        return ()
 
     def __init__(self, period):
         self.period = period
